@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench perfsmoke lpsmoke faultsmoke tracesmoke obssmoke scalesmoke servesmoke spansmoke costsmoke
+.PHONY: all build test race vet bench benchpair perfsmoke lpsmoke faultsmoke tracesmoke obssmoke scalesmoke servesmoke spansmoke costsmoke
 
 all: vet build test
 
@@ -19,6 +19,25 @@ vet:
 # Runs the LP benchmarks and records BENCH_lp.json (see scripts/bench.sh).
 bench:
 	scripts/bench.sh
+
+# The paired evidence a perf claim must attach: checks BASE out into a
+# throwaway git worktree, runs PAIRS alternating passes of bench/run.sh on
+# WORKLOAD per side (the side that goes first alternates too) and prints
+# bench/cmp's verdict, BASE first.
+BASE ?= HEAD~1
+WORKLOAD ?= stream-1k-wide
+PAIRS ?= 10
+benchpair:
+	@set -e; wt=$$(mktemp -d); out=$$PWD/bench/out/pair-$(WORKLOAD); \
+	trap 'git worktree remove --force "$$wt"' EXIT; \
+	git worktree add --detach "$$wt" $(BASE) >/dev/null; \
+	rm -rf "$$out"; mkdir -p "$$out"; \
+	base() { (cd "$$wt" && bash bench/run.sh --workload $(WORKLOAD) --out "$$out/base.jsonl" >/dev/null); }; \
+	tip() { bash bench/run.sh --workload $(WORKLOAD) --out "$$out/head.jsonl" >/dev/null; }; \
+	for i in $$(seq $(PAIRS)); do \
+		if [ $$((i % 2)) = 1 ]; then base; tip; else tip; base; fi; \
+	done; \
+	$(GO) run ./bench/cmp "$$out/base.jsonl" "$$out/head.jsonl"
 
 # Fails if BenchmarkEpoch regresses >3x against the committed baseline.
 perfsmoke:

@@ -125,19 +125,6 @@ func BenchmarkFig9ColdStartLP(b *testing.B) {
 	}
 }
 
-// BenchmarkFig9ParallelPricingLP runs the 100-node experiment with the
-// pricing step fanned out over four workers; results are bit-identical to
-// the sequential run by construction.
-func BenchmarkFig9ParallelPricingLP(b *testing.B) {
-	cfg := benchCfg
-	cfg.LPWorkers = 4
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig9(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFig10ExecutionTime100Nodes(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {

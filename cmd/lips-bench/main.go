@@ -3,7 +3,7 @@
 // Usage:
 //
 //	lips-bench [-experiment all|table1|table3|table4|fig1|fig5|fig6|fig8|fig9|fig11|scale|overhead|ablations|faults|spot|baselines|service]
-//	           [-full] [-seed N] [-trials N] [-lp-workers N] [-cold-start]
+//	           [-full] [-seed N] [-trials N] [-cold-start]
 //	           [-colgen] [-dual] [-presolve on|off] [-factor lu|dense]
 //	           [-faults N] [-fault-seed N]
 //	           [-trace FILE] [-trace-format jsonl|chrome] [-sample-interval 60]
@@ -29,7 +29,6 @@ func main() {
 	full := flag.Bool("full", false, "run at paper scale instead of quick scale")
 	seed := flag.Int64("seed", 42, "random seed")
 	trials := flag.Int("trials", 0, "trials per Fig. 5 point (0 = default)")
-	lpWorkers := flag.Int("lp-workers", 0, "parallel pricing workers per LP solve (0 = sequential)")
 	coldStart := flag.Bool("cold-start", false, "disable epoch-to-epoch LP basis reuse")
 	colGen := flag.Bool("colgen", false, "solve each epoch by column generation over a restricted master")
 	dual := flag.Bool("dual", false, "repair warm-started bases with dual-simplex pivots instead of cold restarts")
@@ -53,8 +52,7 @@ func main() {
 
 	cfg := experiments.Config{
 		Seed: *seed, Trials: *trials, Quick: !*full,
-		LPWorkers: *lpWorkers, ColdStart: *coldStart,
-		ColGen: *colGen, DualSimplex: *dual,
+		ColdStart: *coldStart, ColGen: *colGen, DualSimplex: *dual,
 		FaultCrashes: *faults, FaultSeed: *faultSeed,
 	}
 	logger.Debug("bench config", "seed", cfg.Seed, "trials", cfg.Trials, "quick", cfg.Quick)

@@ -30,10 +30,6 @@ type Config struct {
 	// by tests and the default `go test -bench`. The full-size runs are
 	// behind cmd/lips-bench -full.
 	Quick bool
-	// LPWorkers parallelizes the simplex pricing step across this many
-	// goroutines (lp.Options.PricingWorkers); results are bit-identical
-	// to sequential. 0 means sequential.
-	LPWorkers int
 	// ColdStart disables epoch-to-epoch basis reuse in the LiPS
 	// scheduler, forcing every epoch's LP to solve from scratch — the
 	// baseline the benchmark harness compares warm starts against.
@@ -90,7 +86,6 @@ func (c Config) simOptions(o sim.Options, label string) sim.Options {
 func (c Config) newLiPS(epochSec float64) *sched.LiPS {
 	l := sched.NewLiPS(epochSec)
 	l.WarmStart = !c.ColdStart
-	l.LPOpts.PricingWorkers = c.LPWorkers
 	if c.NoPresolve {
 		l.LPOpts.Presolve = lp.PresolveOff
 	}

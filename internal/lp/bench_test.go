@@ -3,7 +3,6 @@ package lp
 import (
 	"bytes"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -74,7 +73,7 @@ func epochScaleLP(prng *rand.Rand) *Problem {
 
 // BenchmarkEpoch measures one epoch's LP solve the way sched.LiPS runs
 // it: cold from scratch (the seed's behaviour), and warm-started from the
-// previous epoch's optimal basis with parallel pricing (the fast path).
+// previous epoch's optimal basis (the fast path).
 func BenchmarkEpoch(b *testing.B) {
 	base := epochScaleLP(nil)
 	prev := epochScaleLP(rand.New(rand.NewSource(78)))
@@ -98,7 +97,7 @@ func BenchmarkEpoch(b *testing.B) {
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		opts := Options{WarmStart: psol.Basis, PricingWorkers: runtime.GOMAXPROCS(0)}
+		opts := Options{WarmStart: psol.Basis}
 		for i := 0; i < b.N; i++ {
 			sol, err := base.Solve(opts)
 			if err != nil {

@@ -5,19 +5,17 @@ import (
 	"testing"
 )
 
-// solveRecorded solves p with the given worker count and pivot recording
-// on, failing the test on any non-optimal outcome.
-func solveRecorded(t *testing.T, p *Problem, workers int, extra Options) *Solution {
+// solveRecorded solves p with pivot recording on, failing the test on any
+// non-optimal outcome.
+func solveRecorded(t *testing.T, p *Problem, opts Options) *Solution {
 	t.Helper()
-	opts := extra
-	opts.PricingWorkers = workers
 	opts.RecordPivots = true
 	sol, err := p.Solve(opts)
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
 	if sol.Status != Optimal {
-		t.Fatalf("workers=%d: status %v", workers, sol.Status)
+		t.Fatalf("status %v", sol.Status)
 	}
 	return sol
 }
@@ -47,56 +45,31 @@ func assertSameRun(t *testing.T, ref, got *Solution, label string) {
 	}
 }
 
-// TestParallelPricingDeterminism solves the same epoch-scale LP with 1, 4
-// and 8 pricing workers and asserts the pivot sequence and solution are
-// identical — parallel pricing must be a pure speed knob, invisible to
-// the algorithm. The problem is sized above parallelMinCols so the worker
-// pool actually engages.
-func TestParallelPricingDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p := schedulingShapedLP(25, 4, 4, rng) // 400 columns > parallelMinCols
-	if p.NumVars() < parallelMinCols {
-		t.Fatalf("problem too small to engage the pool: %d cols", p.NumVars())
-	}
-	ref := solveRecorded(t, p, 1, Options{})
-	if len(ref.Pivots) == 0 {
-		t.Fatal("no pivots recorded")
-	}
-	for _, workers := range []int{4, 8} {
-		got := solveRecorded(t, p, workers, Options{})
-		assertSameRun(t, ref, got, "workers=4/8")
-	}
-}
-
-// TestParallelPricingDeterminismBland repeats the determinism check under
-// Bland's rule, whose first-eligible-index selection exercises the
-// ascending-chunk merge path of the parallel pricer.
-func TestParallelPricingDeterminismBland(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	p := schedulingShapedLP(20, 4, 4, rng)
-	ref := solveRecorded(t, p, 1, Options{Bland: true})
-	for _, workers := range []int{4, 8} {
-		got := solveRecorded(t, p, workers, Options{Bland: true})
-		assertSameRun(t, ref, got, "bland")
-	}
-}
-
-// TestParallelPricingDeterminismWarm checks that a warm-started solve is
-// deterministic across worker counts too — the path the LiPS scheduler
-// runs every epoch after the first.
-func TestParallelPricingDeterminismWarm(t *testing.T) {
-	base := lipsShapedLP(16, 4, 4, rand.New(rand.NewSource(31)), nil)
+// TestSameSeedRepeat rebuilds the same LP from the same seed and solves it
+// again — cold, under Bland's rule, and warm-started the way the LiPS
+// scheduler runs every epoch after the first — and requires the identical
+// pivot sequence and a bitwise-identical solution: nothing in a solve may
+// depend on anything but its inputs.
+func TestSameSeedRepeat(t *testing.T) {
+	build := func() *Problem { return lipsShapedLP(16, 4, 4, rand.New(rand.NewSource(31)), nil) }
 	perturbed := lipsShapedLP(16, 4, 4, rand.New(rand.NewSource(31)), rand.New(rand.NewSource(32)))
-	psol, err := perturbed.Solve(Options{})
-	if err != nil || psol.Status != Optimal {
-		t.Fatalf("perturbed: %v / %v", err, psol.Status)
-	}
-	ref := solveRecorded(t, base, 1, Options{WarmStart: psol.Basis})
-	for _, workers := range []int{4, 8} {
-		got := solveRecorded(t, base, workers, Options{WarmStart: psol.Basis})
-		if ref.WarmStarted != got.WarmStarted {
-			t.Fatalf("warm acceptance diverged: %v vs %v", got.WarmStarted, ref.WarmStarted)
+	psol := solveRecorded(t, perturbed, Options{})
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"cold", Options{}},
+		{"bland", Options{Bland: true}},
+		{"warm", Options{WarmStart: psol.Basis}},
+	} {
+		ref := solveRecorded(t, build(), tc.opts)
+		if len(ref.Pivots) == 0 {
+			t.Fatalf("%s: no pivots recorded", tc.name)
 		}
-		assertSameRun(t, ref, got, "warm")
+		got := solveRecorded(t, build(), tc.opts)
+		if ref.WarmStarted != got.WarmStarted {
+			t.Fatalf("%s: warm acceptance diverged: %v vs %v", tc.name, got.WarmStarted, ref.WarmStarted)
+		}
+		assertSameRun(t, ref, got, tc.name)
 	}
 }

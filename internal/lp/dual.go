@@ -74,12 +74,20 @@ func (s *simplexState) iterateDual(cost []float64) (repaired bool, st Status) {
 		// reduces the violation (α sign vs rest position), pick the one
 		// with the smallest |d|/|α| so every other reduced cost stays dual
 		// feasible after the pivot; ties prefer the larger |α| for
-		// stability, then the lower index for determinism.
+		// stability, then the lower index for determinism. Only a column
+		// meeting a non-zero of the pivot row can have α ≠ 0, so those are
+		// marked through the row index and the rest skipped, in index order.
 		t0 = time.Now()
 		e := -1
 		bestRatio := math.Inf(1)
 		bestAlpha := 0.0
+		s.touchPivotRow(prow)
+		s.dirty = s.dirty[:0]
 		for j := range s.cols {
+			if !s.mark[j] {
+				continue
+			}
+			s.mark[j] = false
 			stj := s.status[j]
 			if stj == basic {
 				continue

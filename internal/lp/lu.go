@@ -436,8 +436,14 @@ func (f *luFactor) pivotRow(i int) []float64 {
 }
 
 func (f *luFactor) update(w []float64, leaving int) {
-	var idx []int32
-	var val []float64
+	n := 0
+	for _, wi := range w {
+		if wi != 0 {
+			n++
+		}
+	}
+	idx := make([]int32, 0, n)
+	val := make([]float64, 0, n)
 	for i, wi := range w {
 		if wi != 0 && i != leaving {
 			idx = append(idx, int32(i))

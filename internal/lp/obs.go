@@ -20,11 +20,6 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	sol, err := p.solve(opts)
 	om.Solves.Inc()
 	om.SolveSeconds.Add(time.Since(start).Seconds())
-	workers := opts.PricingWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	om.PricingWorkers.Set(float64(workers))
 	if sol == nil {
 		return sol, err
 	}

@@ -51,13 +51,8 @@ func pivotCorpus(t *testing.T) []string {
 		out = append(out, name+" "+pivotHash(sol))
 		return sol
 	}
-	factors := []struct {
-		name string
-		mode FactorMode
-	}{{"lu", FactorLU}, {"dense", FactorDense}}
-
 	for _, hc := range hardCorpus() {
-		for _, f := range factors {
+		for _, f := range factorModes {
 			rec("hard/"+hc.name+"/"+f.name, hc.p(), Options{Factor: f.mode, Presolve: PresolveOff})
 		}
 		rec("hard/"+hc.name+"/presolved", hc.p(), Options{})
@@ -76,7 +71,7 @@ func pivotCorpus(t *testing.T) []string {
 	// Two consecutive epochs of a LiPS-shaped LP: cold, warm accepted,
 	// then the right-hand sides drift under the cold basis: rejected
 	// without Dual, repaired with it.
-	for _, f := range factors {
+	for _, f := range factorModes {
 		base := lipsShapedLP(12, 5, 4, rand.New(rand.NewSource(31)), nil)
 		prev := lipsShapedLP(12, 5, 4, rand.New(rand.NewSource(31)), rand.New(rand.NewSource(32)))
 		psol := rec("lips/prev/"+f.name, prev, Options{Factor: f.mode})

@@ -1,0 +1,228 @@
+package lp
+
+import "math"
+
+// Incremental pricing. A pivot changes the duals y in a handful of rows
+// and the Devex weights of the columns that meet the pivot row of B⁻¹;
+// every other column's reduced cost, eligibility and score are what they
+// were an iteration ago. The state therefore caches, per column, the
+// entering direction and the Devex score, and recomputes an entry — with
+// the arithmetic of a from-scratch scan, term for term — only when one of
+// its inputs changed:
+//
+//   - a row of y the column meets differs bitwise from the previous
+//     iteration's (found through the row index),
+//   - the column's status changed (it entered, left or flipped bound),
+//   - its Devex weight may have changed (it meets a non-zero of the pivot
+//     row), or
+//   - the cost vector or the reference framework was reset (priceAll).
+//
+// Every cached value is therefore bit for bit what the full scan would
+// compute, and the entering column — highest score, ties to the lowest
+// index — is the same column: the pivot sequence cannot tell the two
+// apart. TestPricingOracle checks exactly that at every pricing step.
+
+// initPricing builds the row index over the structural columns and sizes
+// the per-column cache for every column the solve can ever have (phase 1
+// appends at most one artificial per row). Called once per solve.
+func (s *simplexState) initPricing() {
+	m := s.m
+	s.rowStart = make([]int32, m+1)
+	for _, col := range s.cols[:s.nStruct] {
+		for _, e := range col {
+			s.rowStart[e.row+1]++
+		}
+	}
+	for i := 0; i < m; i++ {
+		s.rowStart[i+1] += s.rowStart[i]
+	}
+	s.rowCol = make([]int32, s.rowStart[m])
+	// Fill with rowStart[i] as row i's cursor, then shift the cursors
+	// (now row ends) back into row starts.
+	for j, col := range s.cols[:s.nStruct] {
+		for _, e := range col {
+			s.rowCol[s.rowStart[e.row]] = int32(j)
+			s.rowStart[e.row]++
+		}
+	}
+	copy(s.rowStart[1:], s.rowStart[:m])
+	s.rowStart[0] = 0
+
+	n, ncap := len(s.cols), cap(s.cols)
+	s.artOf = make([]int32, m)
+	s.yPrev = make([]float64, m)
+	s.devex = make([]float64, n, ncap)
+	s.dir = make([]float64, n, ncap)
+	s.score = make([]float64, n, ncap)
+	s.mark = make([]bool, n, ncap)
+	s.dirty = make([]int32, 0, ncap)
+}
+
+// resetPricing starts a phase: the cache grows to the current column
+// count, the Devex reference framework is reset, and the new cost vector
+// invalidates every cached entry.
+func (s *simplexState) resetPricing() {
+	n := len(s.cols)
+	s.devex, s.dir, s.score, s.mark = s.devex[:n], s.dir[:n], s.score[:n], s.mark[:n]
+	for j := range s.devex {
+		s.devex[j] = 1
+	}
+	s.priceAll = true
+}
+
+// touch queues column j for repricing.
+func (s *simplexState) touch(j int) {
+	if !s.mark[j] {
+		s.mark[j] = true
+		s.dirty = append(s.dirty, int32(j))
+	}
+}
+
+// touchRow queues every column with an entry in row i.
+func (s *simplexState) touchRow(i int) {
+	for _, j := range s.rowCol[s.rowStart[i]:s.rowStart[i+1]] {
+		s.touch(int(j))
+	}
+	s.touch(s.nStruct + i)
+	if a := s.artOf[i]; a != 0 {
+		s.touch(int(a))
+	}
+}
+
+// touchPivotRow queues every column that meets a non-zero of prow, a row
+// of B⁻¹: the only columns whose α = prow·A_j can be non-zero.
+func (s *simplexState) touchPivotRow(prow []float64) {
+	for i, v := range prow {
+		if v != 0 {
+			s.touchRow(i)
+		}
+	}
+}
+
+// refreshPrices brings the cache up to date with the duals computeDuals
+// just produced.
+func (s *simplexState) refreshPrices(cost []float64) {
+	if s.priceAll {
+		s.priceAll = false
+		for j := range s.cols {
+			s.touch(j)
+		}
+	} else {
+		for i, yi := range s.y {
+			if math.Float64bits(yi) != math.Float64bits(s.yPrev[i]) {
+				s.touchRow(i)
+			}
+		}
+	}
+	for _, j := range s.dirty {
+		s.mark[j] = false
+		s.reprice(cost, int(j))
+	}
+	s.dirty = s.dirty[:0]
+	copy(s.yPrev, s.y)
+}
+
+// reprice recomputes column j's cache entry from scratch.
+func (s *simplexState) reprice(cost []float64, j int) {
+	s.dir[j], s.score[j] = 0, 0
+	st := s.status[j]
+	if st == basic {
+		return
+	}
+	if s.lower[j] == s.upper[j] && st != atFree {
+		return // fixed column can never improve
+	}
+	d := cost[j]
+	for _, e := range s.cols[j] {
+		d -= s.y[e.row] * e.coef
+	}
+	// Dual feasibility is judged RELATIVE to the column's cost
+	// magnitude: with mixed cost scales (the online model's fake
+	// node is ~10⁴× the real prices), an absolute tolerance lets
+	// cancellation noise on truly-zero reduced costs masquerade
+	// as improving columns and the solver churns at the optimum.
+	dtol := s.opts.Tol * (1 + math.Abs(cost[j]))
+	dir := 0.0
+	switch st {
+	case atLower:
+		if d < -dtol {
+			dir = 1
+		}
+	case atUpper:
+		if d > dtol {
+			dir = -1
+		}
+	case atFree:
+		if d < -dtol {
+			dir = 1
+		} else if d > dtol {
+			dir = -1
+		}
+	}
+	if dir != 0 {
+		s.dir[j], s.score[j] = dir, d*d/s.devex[j]
+	}
+}
+
+// pickEntering scans the cache for the entering column: the highest Devex
+// score, ties to the lowest index — or, under Bland's rule, the first
+// eligible column. It returns -1 when no column can improve.
+func (s *simplexState) pickEntering(useBland bool) (entering int, enterDir float64) {
+	if useBland {
+		for j, dir := range s.dir {
+			if dir != 0 {
+				return j, dir
+			}
+		}
+		return -1, 0
+	}
+	entering = -1
+	best := 0.0
+	for j, sc := range s.score {
+		if sc > best {
+			entering, best = j, sc
+		}
+	}
+	if entering < 0 {
+		return -1, 0
+	}
+	return entering, s.dir[entering]
+}
+
+// updateDevex applies the Forrest–Goldfarb reference-weight update for the
+// pivot that just swapped entering for outVar on pivot element pivot, given
+// the pivot row prowOld of the pre-pivot B⁻¹. Only a column meeting a
+// non-zero of that row can have α ≠ 0; those columns are left queued, so
+// the next refresh rescores them under their new weights.
+func (s *simplexState) updateDevex(prowOld []float64, pivot float64, entering, outVar int) {
+	wq := s.devex[entering]
+	pivotSq := pivot * pivot
+	s.touchPivotRow(prowOld)
+	for _, j := range s.dirty {
+		if s.status[j] == basic || int(j) == entering {
+			continue
+		}
+		alpha := 0.0
+		for _, e := range s.cols[j] {
+			alpha += prowOld[e.row] * e.coef
+		}
+		if alpha == 0 {
+			continue
+		}
+		if cand := (alpha * alpha / pivotSq) * wq; cand > s.devex[j] {
+			s.devex[j] = cand
+		}
+	}
+	lw := wq / pivotSq
+	if lw < 1 {
+		lw = 1
+	}
+	s.devex[outVar] = lw
+	if lw > 1e12 {
+		// Reference framework degraded: reset.
+		for j := range s.devex {
+			s.devex[j] = 1
+		}
+		s.priceAll = true
+	}
+}

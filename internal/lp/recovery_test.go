@@ -40,14 +40,7 @@ func TestRefactorizeSingularBasis(t *testing.T) {
 			p, _, _ := duplicateColumnProblem()
 			opts := Options{Factor: fm.mode}.withDefaults(len(p.cons), len(p.vars))
 			s := newSimplexState(p, opts)
-			s.status = make([]int, len(s.cols), cap(s.cols))
-			s.value = make([]float64, len(s.cols), cap(s.cols))
-			s.basis = make([]int, s.m)
-			s.xB = make([]float64, s.m)
-			s.factor = newFactorizer(s)
-			s.y = make([]float64, s.m)
-			s.cb = make([]float64, s.m)
-			s.w = make([]float64, s.m)
+			s.allocate()
 			s.coldStart()
 			// Force both duplicate structural columns basic: B is the
 			// all-ones 2×2 matrix, rank 1.

@@ -99,33 +99,40 @@ type simplexState struct {
 	factor factorizer // representation of B^{-1} (sparse LU or dense)
 
 	// scratch
-	y     []float64 // duals c_B^T B^{-1}
-	cb    []float64 // slot-space basic costs handed to BTRAN
-	w     []float64 // B^{-1} A_q
-	devex []float64 // Devex reference weights, one per column
-	iter  int
-	p1it  int
+	y      []float64 // duals c_B^T B^{-1}
+	cb     []float64 // slot-space basic costs handed to BTRAN
+	w      []float64 // B^{-1} A_q
+	rhs    []float64 // b − N x_N, the right-hand side of computeXB
+	devex  []float64 // Devex reference weights, one per column
+	iter   int
+	p1it   int
 	dualIt int // dual-simplex repair pivots (Options.Dual)
+
+	// Incremental pricing (pricing.go): a row-major (CSR) index of the
+	// structural columns — a row's slack and phase-1 artificial are single
+	// implied entries — and per column the cached entering direction and
+	// Devex score, with the queue of columns whose entry is stale.
+	rowStart []int32 // row i meets structurals rowCol[rowStart[i]:rowStart[i+1]]
+	rowCol   []int32
+	artOf    []int32   // artificial column of row i, 0 for none
+	yPrev    []float64 // the duals the cache was last refreshed against
+	dir      []float64 // entering direction, 0 when the column cannot improve
+	score    []float64 // d²/devex where dir ≠ 0, else 0
+	dirty    []int32   // columns to reprice at the next refresh
+	mark     []bool    // membership of dirty
+	priceAll bool      // cost vector or reference framework reset: reprice everything
 
 	degenRun int // consecutive degenerate pivots (triggers Bland)
 	nflips   int // bound flips (debug accounting)
 
-	pool      *chunkPool  // parallel pricing workers (nil = sequential)
-	cands     []priceCand // per-worker pricing results, reused
-	warm      bool        // warm-start basis accepted
-	pivots    []Pivot     // recorded when opts.RecordPivots
+	warm      bool    // warm-start basis accepted
+	pivots    []Pivot // recorded when opts.RecordPivots
 	pricingNS time.Duration
 	factorNS  time.Duration // wall-clock inside refactorize
 	ftranNS   time.Duration // wall-clock in FTRAN (entering columns + x_B)
 	btranNS   time.Duration // wall-clock in BTRAN (duals + Devex pivot rows)
 	nRefactor int
 }
-
-// parallelMinCols gates the worker pool: below this column count the
-// per-iteration dispatch overhead outweighs the scan. The sequential and
-// parallel scans produce bit-identical results, so the gate affects only
-// speed, never the pivot sequence.
-const parallelMinCols = 256
 
 func newSimplexState(p *Problem, opts Options) *simplexState {
 	m := len(p.cons)
@@ -144,11 +151,13 @@ func newSimplexState(p *Problem, opts Options) *simplexState {
 		s.upper[j] = v.upper
 		s.cost[j] = v.cost
 	}
+	slack := make([]nz, m) // one backing array for the m unit columns
 	for i := 0; i < m; i++ {
 		c := &p.cons[i]
 		s.b[i] = c.rhs
 		sj := n + i
-		s.cols[sj] = []nz{{row: i, coef: 1}}
+		slack[i] = nz{row: i, coef: 1}
+		s.cols[sj] = slack[i : i+1 : i+1]
 		switch c.sense {
 		case LE:
 			s.lower[sj], s.upper[sj] = 0, Inf
@@ -175,7 +184,8 @@ func (s *simplexState) nonbasicStart(j int) (int, float64) {
 	}
 }
 
-func (s *simplexState) run() (*Solution, error) {
+// allocate sizes the working vectors, once per solve.
+func (s *simplexState) allocate() {
 	m := s.m
 	s.status = make([]int, len(s.cols), cap(s.cols))
 	s.value = make([]float64, len(s.cols), cap(s.cols))
@@ -185,11 +195,13 @@ func (s *simplexState) run() (*Solution, error) {
 	s.y = make([]float64, m)
 	s.cb = make([]float64, m)
 	s.w = make([]float64, m)
-	if s.opts.PricingWorkers > 1 && len(s.cols) >= parallelMinCols {
-		s.pool = newChunkPool(s.opts.PricingWorkers)
-		s.cands = make([]priceCand, s.opts.PricingWorkers)
-		defer s.pool.close()
-	}
+	s.rhs = make([]float64, m)
+	s.initPricing()
+}
+
+func (s *simplexState) run() (*Solution, error) {
+	m := s.m
+	s.allocate()
 
 	// Anti-degeneracy perturbation: scheduling LPs are massively
 	// degenerate (symmetric machine groups, tied costs), which can stall
@@ -237,11 +249,9 @@ func (s *simplexState) run() (*Solution, error) {
 		}
 	}
 
-	// Phase 2 with the original costs.
+	// Phase 2 with the original costs (phase 1 appended a zero for each
+	// artificial).
 	cost := s.cost
-	if len(cost) < len(s.cols) {
-		cost = append(append([]float64(nil), s.cost...), make([]float64, len(s.cols)-len(s.cost))...)
-	}
 	st, err := s.iterate(cost)
 	if err != nil {
 		return nil, err
@@ -344,6 +354,7 @@ func (s *simplexState) phase1() (st *Solution, done bool, err error) {
 		s.status = append(s.status, basic)
 		s.value = append(s.value, 0)
 		s.nArt++
+		s.artOf[i] = int32(aj)
 		s.basis[i] = aj
 		s.xB[i] = math.Abs(resid)
 		// The artificial column is ±e_i, so row i of B^{-1} becomes
@@ -423,7 +434,8 @@ func (s *simplexState) tryWarmStart(ws *Basis) (ok, needDual bool) {
 		len(ws.RowCol) != m || len(ws.ColStat) != nb {
 		return false, false
 	}
-	seen := make([]bool, nb)
+	seen := s.mark[:nb] // all false outside a refresh; left that way
+	defer clear(seen)
 	for i := 0; i < m; i++ {
 		j := int(ws.RowCol[i])
 		if j < 0 || j >= nb || seen[j] {
@@ -555,8 +567,7 @@ func (s *simplexState) extractBasis() *Basis {
 // computeXB recomputes the basic values from scratch:
 // x_B = B^{-1}(b − N x_N).
 func (s *simplexState) computeXB() {
-	m := s.m
-	rhs := make([]float64, m)
+	rhs := s.rhs
 	copy(rhs, s.b)
 	for j := range s.cols {
 		if s.status[j] == basic || s.value[j] == 0 {
@@ -608,11 +619,7 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 	m := s.m
 	tol := s.opts.Tol
 	sinceRefactor := 0
-	// Reset the Devex reference framework for this phase.
-	s.devex = make([]float64, len(s.cols))
-	for j := range s.devex {
-		s.devex[j] = 1
-	}
+	s.resetPricing()
 	for {
 		if s.iter >= s.opts.MaxIters {
 			return IterLimit, nil
@@ -641,8 +648,12 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 		// Pricing: pick the entering column — Devex score d²/weight, or
 		// the first eligible column under Bland's rule.
 		t0 := time.Now()
-		entering, enterDir := s.price(cost, useBland)
+		s.refreshPrices(cost)
+		entering, enterDir := s.pickEntering(useBland)
 		s.pricingNS += time.Since(t0)
+		if s.opts.pricingCheck != nil {
+			s.opts.pricingCheck.priced(s, cost, useBland, entering, enterDir)
+		}
 		if entering == -1 {
 			// No improving column: optimal for this cost vector.
 			// Refactorise once for a clean final answer if drift is
@@ -745,6 +756,7 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 				s.status[entering] = atLower
 				s.value[entering] = s.lower[entering]
 			}
+			s.touch(entering)
 			continue
 		}
 
@@ -781,6 +793,8 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 		s.basis[leaving] = entering
 		s.status[entering] = basic
 		s.xB[leaving] = enterVal
+		s.touch(entering)
+		s.touch(outVar)
 
 		if s.opts.RecordPivots {
 			s.pivots = append(s.pivots, Pivot{Entering: int32(entering), Leaving: int32(outVar)})
@@ -790,30 +804,14 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 		// pivot row of the *pre-pivot* basis inverse.
 		if !useBland {
 			t0 = time.Now()
-			wq := s.devex[entering]
 			prowOld := s.factor.pivotRow(leaving) // pre-pivot B^{-1} row
 			s.btranNS += time.Since(t0)
 			t0 = time.Now()
-			pivotSq := leavePivot * leavePivot
-			if s.pool != nil {
-				s.pool.run(len(s.cols), func(lo, hi, _ int) {
-					s.devexRange(prowOld, pivotSq, wq, entering, lo, hi)
-				})
-			} else {
-				s.devexRange(prowOld, pivotSq, wq, entering, 0, len(s.cols))
-			}
-			lw := wq / pivotSq
-			if lw < 1 {
-				lw = 1
-			}
-			s.devex[outVar] = lw
-			if lw > 1e12 {
-				// Reference framework degraded: reset.
-				for j := range s.devex {
-					s.devex[j] = 1
-				}
-			}
+			s.updateDevex(prowOld, leavePivot, entering, outVar)
 			s.pricingNS += time.Since(t0)
+			if s.opts.pricingCheck != nil {
+				s.opts.pricingCheck.reweighted(s, prowOld, leavePivot, entering, outVar)
+			}
 		}
 
 		// Update the factorization: slot `leaving` now holds the entering
@@ -822,123 +820,5 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 		s.factor.update(s.w, leaving)
 		s.factorNS += time.Since(t0)
 		sinceRefactor++
-	}
-}
-
-// priceCand is one worker's best entering-column candidate: the Devex
-// score and movement direction of column j, or j == -1 for none.
-type priceCand struct {
-	j     int
-	dir   float64
-	score float64
-}
-
-// priceRange scans columns [lo, hi) for the best entering candidate. Under
-// Bland's rule it returns the first eligible column. Every per-column
-// computation depends only on that column's data, so scanning a subrange
-// yields bit-identical candidates to the full sequential scan.
-func (s *simplexState) priceRange(cost []float64, useBland bool, lo, hi int) priceCand {
-	tol := s.opts.Tol
-	best := priceCand{j: -1}
-	for j := lo; j < hi; j++ {
-		st := s.status[j]
-		if st == basic {
-			continue
-		}
-		if s.lower[j] == s.upper[j] && st != atFree {
-			continue // fixed column can never improve
-		}
-		d := cost[j]
-		for _, e := range s.cols[j] {
-			d -= s.y[e.row] * e.coef
-		}
-		// Dual feasibility is judged RELATIVE to the column's cost
-		// magnitude: with mixed cost scales (the online model's fake
-		// node is ~10⁴× the real prices), an absolute tolerance lets
-		// cancellation noise on truly-zero reduced costs masquerade
-		// as improving columns and the solver churns at the optimum.
-		dtol := tol * (1 + math.Abs(cost[j]))
-		dir := 0.0
-		switch st {
-		case atLower:
-			if d < -dtol {
-				dir = 1
-			}
-		case atUpper:
-			if d > dtol {
-				dir = -1
-			}
-		case atFree:
-			if d < -dtol {
-				dir = 1
-			} else if d > dtol {
-				dir = -1
-			}
-		}
-		if dir == 0 {
-			continue
-		}
-		if useBland {
-			return priceCand{j: j, dir: dir}
-		}
-		if score := d * d / s.devex[j]; score > best.score {
-			best = priceCand{j: j, dir: dir, score: score}
-		}
-	}
-	return best
-}
-
-// price picks the entering column, sequentially or across the worker pool.
-// The merge preserves the sequential tie-breaking exactly: highest Devex
-// score wins, ties go to the lowest column index (Bland: lowest eligible
-// index, period), so the pivot sequence is identical for any worker count.
-func (s *simplexState) price(cost []float64, useBland bool) (entering int, enterDir float64) {
-	n := len(s.cols)
-	if s.pool == nil {
-		c := s.priceRange(cost, useBland, 0, n)
-		return c.j, c.dir
-	}
-	cands := s.cands
-	for i := range cands {
-		cands[i] = priceCand{j: -1}
-	}
-	s.pool.run(n, func(lo, hi, chunk int) {
-		cands[chunk] = s.priceRange(cost, useBland, lo, hi)
-	})
-	best := priceCand{j: -1}
-	for _, c := range cands {
-		if c.j == -1 {
-			continue
-		}
-		if useBland {
-			// Chunks cover ascending index ranges, so the first chunk
-			// with a candidate holds the lowest eligible index.
-			return c.j, c.dir
-		}
-		if c.score > best.score {
-			best = c
-		}
-	}
-	return best.j, best.dir
-}
-
-// devexRange applies the Forrest–Goldfarb reference-weight update to
-// columns [lo, hi). Each column's weight is written independently, so
-// partitioned execution is race-free and bit-identical to sequential.
-func (s *simplexState) devexRange(prowOld []float64, pivotSq, wq float64, entering, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		if s.status[j] == basic || j == entering {
-			continue
-		}
-		alpha := 0.0
-		for _, e := range s.cols[j] {
-			alpha += prowOld[e.row] * e.coef
-		}
-		if alpha == 0 {
-			continue
-		}
-		if cand := (alpha * alpha / pivotSq) * wq; cand > s.devex[j] {
-			s.devex[j] = cand
-		}
 	}
 }

@@ -41,14 +41,14 @@ func (s Status) String() string {
 type Solution struct {
 	Status    Status
 	Objective float64   // objective value at X (valid when Status == Optimal)
-	X []float64 // one value per structural variable
+	X         []float64 // one value per structural variable
 	// Dual holds one multiplier per constraint row. On Optimal these are
 	// the usual LP duals; on Infeasible they are the phase-1 duals (a
 	// Farkas-style infeasibility certificate) when the simplex proved
 	// infeasibility itself, nil when presolve did.
-	Dual []float64
-	Iters     int       // total simplex iterations (both phases)
-	Phase1    int       // iterations spent in phase 1
+	Dual   []float64
+	Iters  int // total simplex iterations (both phases)
+	Phase1 int // iterations spent in phase 1
 	// DualIters counts dual-simplex repair pivots (Options.Dual): warm
 	// starts whose basis was primal infeasible but dual feasible were
 	// driven back to feasibility by this many pivots instead of a cold
@@ -67,7 +67,8 @@ type Solution struct {
 	// two-phase start.
 	WarmStarted bool
 	// PricingTime is the wall-clock spent in the pricing step (reduced-
-	// cost scan plus Devex weight maintenance) across all iterations.
+	// cost refresh, entering-column scan and Devex weight maintenance)
+	// across all iterations.
 	PricingTime time.Duration
 	// FactorTime is the wall-clock spent building and updating the basis
 	// factorization; FtranTime and BtranTime cover the triangular solves
@@ -89,8 +90,8 @@ type Solution struct {
 	PresolveRows int
 	PresolveCols int
 	// Pivots is the pivot sequence, recorded when Options.RecordPivots is
-	// set. Used by determinism tests to assert that parallel pricing
-	// follows exactly the single-threaded path.
+	// set. Used by determinism tests to assert that a change to the
+	// solver's internals left the path alone.
 	Pivots []Pivot
 }
 
@@ -153,12 +154,6 @@ type Options struct {
 	// warm start skips phase 1 entirely. Solution.WarmStarted reports
 	// which path ran.
 	WarmStart *Basis
-	// PricingWorkers parallelizes the pricing step (the reduced-cost scan
-	// and Devex weight update) across this many goroutines. Results are
-	// bit-identical to the sequential scan for any worker count: each
-	// column's reduced cost is computed independently and ties break by
-	// lowest column index. 0 or 1 means sequential.
-	PricingWorkers int
 	// Dual enables the dual-simplex repair path for warm starts whose
 	// basis is primal infeasible but still dual feasible — the natural
 	// outcome of re-solving after right-hand sides or bounds drifted
@@ -190,6 +185,18 @@ type Options struct {
 	// into the registry's lips_lp_* families. Nil costs nothing: the
 	// solver takes the instrumented path only when set.
 	Metrics *obs.Registry
+
+	// pricingCheck, when non-nil, is shown every primal pricing step.
+	// Tests hang the full-scan reference pricer here; nothing else sets it.
+	pricingCheck pricingChecker
+}
+
+// pricingChecker observes the incremental pricer (pricing.go): priced
+// after each choice of entering column, reweighted after each Devex
+// update, before the factorization moves on from the pivot row.
+type pricingChecker interface {
+	priced(s *simplexState, cost []float64, useBland bool, entering int, enterDir float64)
+	reweighted(s *simplexState, prowOld []float64, pivot float64, entering, outVar int)
 }
 
 // FactorMode selects the representation of the basis inverse.

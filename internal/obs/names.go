@@ -46,7 +46,6 @@ const (
 	MLPPricingSeconds  = "lips_lp_pricing_seconds_total"
 	MLPFactorSeconds   = "lips_lp_factor_seconds_total"
 	MLPPresolveSeconds = "lips_lp_presolve_seconds_total"
-	MLPPricingWorkers  = "lips_lp_pricing_workers"
 	MLPDualPivots      = "lips_lp_dual_pivots_total"
 	MLPColGenRounds    = "lips_lp_colgen_rounds_total"
 	MLPColGenColumns   = "lips_lp_colgen_columns_total"
@@ -194,15 +193,13 @@ func registerSched(r *Registry) *SchedMetrics {
 	}
 }
 
-// LPMetrics bundles the simplex-solver handles. Pricing-worker
-// utilization is derivable as
-// lips_lp_pricing_seconds_total / (lips_lp_solve_seconds_total · lips_lp_pricing_workers).
+// LPMetrics bundles the simplex-solver handles. The pricing share of a
+// solve is lips_lp_pricing_seconds_total / lips_lp_solve_seconds_total.
 type LPMetrics struct {
 	Solves, Iterations, Phase1, WarmStarts       *Counter
 	Refactorizations, PresolveRows, PresolveCols *Counter
 	SolveSeconds, PricingSeconds, FactorSeconds  *Counter
 	PresolveSeconds                              *Counter
-	PricingWorkers                               *Gauge
 	DualPivots, ColGenRounds, ColGenColumns      *Counter
 }
 
@@ -302,7 +299,6 @@ func registerLP(r *Registry) *LPMetrics {
 		PricingSeconds:   r.Counter(MLPPricingSeconds, "Wall-clock seconds in the pricing step."),
 		FactorSeconds:    r.Counter(MLPFactorSeconds, "Wall-clock seconds factorizing and solving with the basis (FTRAN/BTRAN included)."),
 		PresolveSeconds:  r.Counter(MLPPresolveSeconds, "Wall-clock seconds in presolve and postsolve."),
-		PricingWorkers:   r.Gauge(MLPPricingWorkers, "Configured parallel pricing workers of the last solve (1 = sequential)."),
 		DualPivots:       r.Counter(MLPDualPivots, "Dual-simplex repair pivots across all solves (Options.Dual warm starts)."),
 		ColGenRounds:     r.Counter(MLPColGenRounds, "Column-generation pricing rounds across all SolveColGen runs."),
 		ColGenColumns:    r.Counter(MLPColGenColumns, "Columns added by column-generation pricing oracles."),

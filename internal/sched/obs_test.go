@@ -111,7 +111,7 @@ func TestLiPSRegistersLPFamilies(t *testing.T) {
 	w := smallJobSet(rand.New(rand.NewSource(7)), 3)
 	opts := sim.Options{TaskTimeoutSec: 1200, Metrics: reg}
 	runSched(t, c, w, nil, NewLiPS(200), opts)
-	for _, name := range []string{obs.MLPSolves, obs.MLPIters, obs.MLPSolveSeconds, obs.MLPPricingWorkers} {
+	for _, name := range []string{obs.MLPSolves, obs.MLPIters, obs.MLPSolveSeconds, obs.MLPPricingSeconds} {
 		if _, ok := reg.Value(name); !ok {
 			t.Errorf("%s not registered", name)
 		}

@@ -679,16 +679,19 @@ func (d *Daemon) epoch() error {
 			completed = append(completed, d.spanLocked(rec))
 			d.sm.TenantE2E.With(rec.tenant).Observe(p.doneAt - rec.submittedSim)
 			d.burn.Observe(rec.tenant, obs.SLOE2E, p.doneAt, p.doneAt-rec.submittedSim)
-		case rec.state == StateCancelling:
-			// A cancel is in flight; don't flap the visible state back to
-			// running while the next epoch applies it.
 		case p.doneAt > 0 && p.pending+p.queued+p.running == 0:
+			// A finished sim job is terminal whatever cancel is pending: a
+			// /cancel that raced the last task is a no-op next epoch, and
+			// would otherwise leave the record cancelling for good.
 			rec.state = StateDone
 			rec.doneSim = p.doneAt
 			newlyDone++
 			completed = append(completed, d.spanLocked(rec))
 			d.sm.TenantE2E.With(rec.tenant).Observe(p.doneAt - rec.submittedSim)
 			d.burn.Observe(rec.tenant, obs.SLOE2E, p.doneAt, p.doneAt-rec.submittedSim)
+		case rec.state == StateCancelling:
+			// A cancel is in flight; don't flap the visible state back to
+			// running while the next epoch applies it.
 		case rec.launched:
 			rec.state = StateRunning
 		default:

@@ -14,6 +14,7 @@ import (
 	"lips/internal/cluster"
 	"lips/internal/obs"
 	"lips/internal/sched"
+	"lips/internal/sim"
 )
 
 func newTestDaemon(t *testing.T, cfg Config) (*Daemon, *httptest.Server) {
@@ -259,6 +260,81 @@ func TestRacedSubmitCancelStatus(t *testing.T) {
 	}
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// cancelAtLastTask is the Fair scheduler plus a callback fired from inside
+// the simulator the moment any job's last task finishes: mid-epoch, after
+// the epoch took its cancel list and before it publishes.
+type cancelAtLastTask struct {
+	*sched.Fair
+	fire  func()
+	fired bool
+}
+
+func (c *cancelAtLastTask) OnTaskDone(s *sim.Sim, job, task int) {
+	c.Fair.OnTaskDone(s, job, task)
+	if pending, queued, running, _ := s.JobStateCounts(job); !c.fired && pending+queued+running == 0 {
+		c.fired = true
+		c.fire()
+	}
+}
+
+// TestCancelRacingLastTaskEndsDone pins the race TestRacedSubmitCancelStatus
+// used to lose a few times in a hundred: a /cancel that lands in the very
+// epoch the job's last task finishes. The cancel is a no-op on the finished
+// sim job, so the record must publish done — not sit in cancelling, and in
+// d.active, until every later Shutdown burns its whole DrainTimeout. The
+// epochs are stepped by hand, so the interleaving is exact.
+func TestCancelRacingLastTaskEndsDone(t *testing.T) {
+	hook := &cancelAtLastTask{Fair: sched.NewFair()}
+	d, err := New(cluster.Paper20(0.5), hook, obs.NewRegistry(), Config{
+		EpochSimSec: 60, EpochWallInterval: time.Millisecond, DrainTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	id, code := submitOne(t, ts.URL, "alice")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	hook.fire = func() {
+		resp, body := postJSON(t, fmt.Sprintf("%s/cancel?id=%d", ts.URL, id), nil)
+		var sr SubmitResponse
+		if err := json.Unmarshal(body, &sr); err != nil || resp.StatusCode != http.StatusOK || sr.State != StateCancelling {
+			t.Errorf("mid-epoch cancel: %d %q (%v), want 200 cancelling", resp.StatusCode, body, err)
+		}
+	}
+
+	state := func() (string, int) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.records[id].state, len(d.active)
+	}
+	for i := 0; i < 20; i++ {
+		if err := d.epoch(); err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := state(); hook.fired && st != StateCancelling {
+			break
+		}
+	}
+	if !hook.fired {
+		t.Fatal("the job never finished; the cancel was never sent")
+	}
+	if st, active := state(); st != StateDone || active != 0 {
+		t.Fatalf("record is %q with %d active, want done and none active", st, active)
+	}
+
+	d.Start()
+	start := time.Now()
+	if err := d.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("Shutdown took %v of a %v DrainTimeout with nothing left to drain", took, d.cfg.DrainTimeout)
 	}
 }
 
