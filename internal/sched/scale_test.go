@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"lips/internal/cluster"
@@ -19,6 +22,31 @@ func scaleScenario(nodes, tasks int, seed int64) (*cluster.Cluster, *workload.Wo
 	return c, w
 }
 
+// scaleGolden compares a Scale run with its line of
+// testdata/dispatch.golden, recorded with sim.Options.LegacyDispatch set
+// while the simulator still had its per-node full-scan dispatch: the
+// batched-notification path must keep landing on the same cost, makespan,
+// locality mix and fault counters. To re-record after an intended change,
+// paste the "got" line.
+func scaleGolden(t *testing.T, name string, r *sim.Result) {
+	t.Helper()
+	golden, err := os.ReadFile("testdata/dispatch.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("%s cost=%d makespan=%v locality=%v faults: %v",
+		name, int64(r.TotalCost()), r.Makespan, r.Locality, r.Faults)
+	for _, want := range strings.Split(string(golden), "\n") {
+		if strings.HasPrefix(want, name+" ") {
+			if got != want {
+				t.Errorf("\n got %s\nwant %s", got, want)
+			}
+			return
+		}
+	}
+	t.Errorf("no golden line; got %s", got)
+}
+
 // TestScaleCompletesAndMatchesLegacyDispatch pins the Scale scheduler's
 // results: the batched-notification path and the legacy per-node
 // full-scan dispatch must agree exactly, and repeated runs must
@@ -34,17 +62,9 @@ func TestScaleCompletesAndMatchesLegacyDispatch(t *testing.T) {
 	if batched.Makespan <= 0 {
 		t.Fatal("zero makespan")
 	}
-	if batched.Makespan != legacy.Makespan || batched.TotalCost() != legacy.TotalCost() {
-		t.Errorf("batched vs legacy dispatch: makespan %g vs %g, cost %v vs %v",
-			batched.Makespan, legacy.Makespan, batched.TotalCost(), legacy.TotalCost())
-	}
-	if batched.Locality != legacy.Locality {
-		t.Errorf("locality diverged: %+v vs %+v", batched.Locality, legacy.Locality)
-	}
-	again := run(false)
-	if batched.Makespan != again.Makespan || batched.TotalCost() != again.TotalCost() {
-		t.Errorf("scale run not reproducible: makespan %g vs %g", batched.Makespan, again.Makespan)
-	}
+	scaleGolden(t, "plain", legacy)
+	scaleGolden(t, "plain", batched)
+	scaleGolden(t, "plain", run(false))
 	for j, done := range batched.JobDone {
 		if done <= 0 {
 			t.Errorf("job %d never finished", j)
@@ -69,12 +89,8 @@ func TestScaleCompletesUnderFaults(t *testing.T) {
 	if batched.Faults.NodesCrashed == 0 {
 		t.Fatal("fault plan never crashed a node; scenario too small")
 	}
-	if batched.Makespan != legacy.Makespan || batched.TotalCost() != legacy.TotalCost() ||
-		batched.Faults != legacy.Faults {
-		t.Errorf("batched vs legacy dispatch under faults: makespan %g vs %g, cost %v vs %v, faults %+v vs %+v",
-			batched.Makespan, legacy.Makespan, batched.TotalCost(), legacy.TotalCost(),
-			batched.Faults, legacy.Faults)
-	}
+	scaleGolden(t, "faults", legacy)
+	scaleGolden(t, "faults", batched)
 	for j, done := range batched.JobDone {
 		if done <= 0 {
 			t.Errorf("job %d never finished under faults", j)

@@ -2,8 +2,13 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"lips/internal/cluster"
@@ -233,6 +238,60 @@ func TestIndexedMatchesLegacyDispatch(t *testing.T) {
 	}
 }
 
+// TestDispatchGolden freezes what the full-scan control paths produced.
+// testdata/dispatch.golden was recorded with Options.LegacyDispatch set,
+// while the O(nodes)/O(tasks) scans in crashNode, store loss,
+// KickIdleNodes and scanSample still existed: per run the SHA-256 of the
+// JSONL trace — every launch, kill, fault replay and sample counter —
+// plus cost, makespan and fault counters, under speculation, faults and
+// batched notifications. The indexed paths must keep reproducing it bit
+// for bit. To re-record after an intended change, paste the "got" lines.
+func TestDispatchGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/dispatch.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		want[name] = line
+	}
+	c, w := buildScaleRun(64, 2000, 11)
+	faults := RandomFaultPlan(11, c, FaultSpec{Crashes: 3, StoreLosses: 2, Slowdowns: 2})
+	churn := RandomFaultPlan(12, c, FaultSpec{Crashes: 12, StoreLosses: 6, Slowdowns: 4})
+	for _, tc := range []struct {
+		name  string
+		sched func() Scheduler
+		opts  Options
+	}{
+		{"spec-faults", func() Scheduler { return specStub() },
+			Options{Speculative: true, Faults: faults}},
+		{"batch-faults", func() Scheduler { return &batchStub{} },
+			Options{Faults: faults}},
+		{"plain", func() Scheduler { return greedyStub() }, Options{}},
+		{"spec-churn", func() Scheduler { return specStub() },
+			Options{Speculative: true, Faults: churn}},
+		{"batch-churn", func() Scheduler { return &batchStub{} },
+			Options{Faults: churn}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, legacy := range []bool{true, false} {
+				opts := tc.opts
+				opts.LegacyDispatch = legacy
+				tr, r := runScaleTrace(t, c, w, tc.sched(), opts, 11)
+				f := r.Faults
+				got := fmt.Sprintf("%s trace=%x cost=%d makespan=%v faults=%d/%d/%d/%d/%d/%d/%d",
+					tc.name, sha256.Sum256(tr), int64(r.TotalCost()), r.Makespan,
+					f.NodesCrashed, f.NodesRecovered, f.StoresLost, f.Slowdowns,
+					f.TasksReexecuted, f.BlocksReplicated, f.BlocksLost)
+				if got != want[tc.name] {
+					t.Errorf("legacy=%v:\n got %s\nwant %s", legacy, got, want[tc.name])
+				}
+			}
+		})
+	}
+}
+
 // verifyIndexes recomputes every incremental index from scratch and
 // compares it with the live copy — the ground-truth oracle behind
 // TestSlotIndexProperty and the churn test.
@@ -288,6 +347,22 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 		t.Fatalf("unarrived: live %d, recomputed %d", s.unarrived, unarrived)
 	}
 
+	// StateCounts against the per-task count over arrived jobs — the scan
+	// the periodic sample used to run.
+	var arrived [4]int
+	for j := range s.jobs {
+		if !s.jobs[j].arrived {
+			continue
+		}
+		for f := s.taskBase[j]; f < s.taskBase[j+1]; f++ {
+			arrived[s.states[f]]++
+		}
+	}
+	pending, queued, running, done := s.StateCounts()
+	if got := [4]int{Pending: pending, Queued: queued, Running: running, Done: done}; got != arrived {
+		t.Fatalf("StateCounts: live %v, per-task count %v", got, arrived)
+	}
+
 	// Every ref in the running index must point back at itself through the
 	// attempt's stored position — the swap-remove fixup invariant.
 	for pos, ref := range s.running {
@@ -301,6 +376,7 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 			t.Fatalf("running[%d]=primary ref for flat=%d, but stored pos %d disagrees", pos, flat, ti.runPos)
 		}
 	}
+	verifyHits(t, s, strict)
 	if !strict {
 		return
 	}
@@ -324,6 +400,56 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 	}
 	if refs != len(s.running) {
 		t.Fatalf("running index has %d refs, tasks account for %d", len(s.running), refs)
+	}
+}
+
+// verifyHits requires nodeHits and storeHits — the victims fault replay
+// visits — to equal what crashNode and store loss used to find by
+// filtering the whole task table in ascending order: tasks with a
+// speculative copy, or a Running primary, on the node or reading the
+// store. Outside quiescent points (strict=false) a completing task's
+// attempts can already be untracked while its record still shows them, so
+// there the filter counts only attempts the running index still holds.
+func verifyHits(t *testing.T, s *Sim, strict bool) {
+	t.Helper()
+	wantNode := make([][]int32, len(s.nodes))
+	wantStore := make([][]int32, len(s.C.Stores))
+	add := func(want [][]int32, at int, flat int32) {
+		if at < 0 {
+			return // NoStore: the attempt reads nothing
+		}
+		if l := want[at]; len(l) == 0 || l[len(l)-1] != flat {
+			want[at] = append(l, flat)
+		}
+	}
+	for f := range s.tasks {
+		flat, ti := int32(f), &s.tasks[f]
+		if TaskState(s.states[f]) == Running && (strict || ti.runPos >= 0) {
+			add(wantNode, int(ti.node), flat)
+			add(wantStore, int(ti.store), flat)
+		}
+		if ti.spec >= 0 {
+			sp := &s.specs[ti.spec]
+			if strict || (int(sp.runPos) < len(s.running) && s.running[sp.runPos] == flat<<1|1) {
+				add(wantNode, int(sp.node), flat)
+				add(wantStore, int(sp.store), flat)
+			}
+		}
+	}
+	// The collectors share one scratch buffer that fault replay may be
+	// ranging over when a kill's dispatch lands here: leave it alone.
+	scratch := s.hitBuf
+	s.hitBuf = nil
+	defer func() { s.hitBuf = scratch }()
+	for n := range wantNode {
+		if got := s.nodeHits(cluster.NodeID(n)); !slices.Equal(got, wantNode[n]) {
+			t.Fatalf("nodeHits(%d) = %v, full-table filter %v", n, got, wantNode[n])
+		}
+	}
+	for st := range wantStore {
+		if got := s.storeHits(cluster.StoreID(st)); !slices.Equal(got, wantStore[st]) {
+			t.Fatalf("storeHits(%d) = %v, full-table filter %v", st, got, wantStore[st])
+		}
 	}
 }
 
