@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench benchpair perfsmoke lpsmoke faultsmoke tracesmoke obssmoke scalesmoke servesmoke spansmoke costsmoke
+.PHONY: all build test race vet bench benchpair lpsmoke faultsmoke tracesmoke obssmoke scalesmoke servesmoke spansmoke costsmoke
 
 all: vet build test
 
@@ -16,9 +16,11 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Runs the LP benchmarks and records BENCH_lp.json (see scripts/bench.sh).
+# Five passes of every bench/ workload, then bench/cmp's spread per row.
 bench:
-	scripts/bench.sh
+	mkdir -p bench/out && rm -f bench/out/head.jsonl
+	bash bench/run.sh --passes 5 --out bench/out/head.jsonl
+	$(GO) run ./bench/cmp bench/out/head.jsonl
 
 # The paired evidence a perf claim must attach: checks BASE out into a
 # throwaway git worktree, runs PAIRS alternating passes of bench/run.sh on
@@ -39,17 +41,14 @@ benchpair:
 	done; \
 	$(GO) run ./bench/cmp "$$out/base.jsonl" "$$out/head.jsonl"
 
-# Fails if BenchmarkEpoch regresses >3x against the committed baseline.
-perfsmoke:
-	scripts/perfsmoke.sh
+# Smokes: each script builds the binaries it needs and drives them.
 
-# Races the colgen/dual-simplex/basis-translation differential tests and
-# checks lips-lp -colgen against the direct solve.
+# Checks lips-lp -colgen -dual against the direct solve.
 lpsmoke:
 	scripts/lpsmoke.sh
 
-# Races the fault-path tests and replays a seeded churn scenario through
-# every scheduler, requiring bit-identical repeats.
+# Replays a seeded churn scenario through every scheduler, requiring
+# fault damage and bit-identical repeats.
 faultsmoke:
 	scripts/faultsmoke.sh
 
@@ -63,14 +62,13 @@ tracesmoke:
 obssmoke:
 	scripts/obssmoke.sh
 
-# Races the slot-index property tests and replays a 1k-node seeded
-# -scale run under a wall-clock budget, requiring byte-identical traces.
+# Replays a 1k-node seeded -scale run under a wall-clock budget,
+# requiring byte-identical traces.
 scalesmoke:
 	scripts/scalesmoke.sh
 
-# Races the serve-mode tests, then drives a live lips-serve daemon with
-# an open-loop burst: p99 submit SLO, churn survival, 429 load shedding
-# and a clean SIGTERM drain.
+# Drives a live lips-serve daemon with an open-loop burst: p99 submit
+# SLO, churn survival, 429 load shedding and a clean SIGTERM drain.
 servesmoke:
 	scripts/servesmoke.sh
 
@@ -80,9 +78,8 @@ servesmoke:
 spansmoke:
 	scripts/spansmoke.sh
 
-# Proves the chargeback pipeline to the exact microcent: raced ledger
-# tests, lips-trace -audit on a traced faulty run, and a live daemon
-# under churn/cancels where /tenants sums to /audit and a burn-rate
-# alert fires and resolves.
+# Proves the chargeback pipeline to the exact microcent: lips-trace
+# -audit on a traced faulty run, and a live daemon under churn/cancels
+# where /tenants sums to /audit and a burn-rate alert fires and resolves.
 costsmoke:
 	scripts/costsmoke.sh

@@ -4,7 +4,7 @@
 //
 //	lips-bench [-experiment all|table1|table3|table4|fig1|fig5|fig6|fig8|fig9|fig11|scale|overhead|ablations|faults|spot|baselines|service]
 //	           [-full] [-seed N] [-trials N] [-cold-start]
-//	           [-colgen] [-dual] [-presolve on|off] [-factor lu|dense]
+//	           [-colgen] [-dual] [-presolve on|off]
 //	           [-faults N] [-fault-seed N]
 //	           [-trace FILE] [-trace-format jsonl|chrome] [-sample-interval 60]
 //	           [-listen :8080] [-cpuprofile FILE] [-memprofile FILE]
@@ -33,7 +33,6 @@ func main() {
 	colGen := flag.Bool("colgen", false, "solve each epoch by column generation over a restricted master")
 	dual := flag.Bool("dual", false, "repair warm-started bases with dual-simplex pivots instead of cold restarts")
 	presolve := flag.String("presolve", "on", "LP presolve reduction pass: on or off")
-	factor := flag.String("factor", "lu", "LP basis factorization: lu (sparse) or dense")
 	faults := flag.Int("faults", 0, "node crashes in the churn ablation's fault plan (0 = 2)")
 	faultSeed := flag.Int64("fault-seed", 0, "fault-plan seed for the churn ablation (0 = -seed)")
 	tracePath := flag.String("trace", "", "write a structured trace of every simulated run to this file")
@@ -73,14 +72,6 @@ func main() {
 		cfg.NoPresolve = true
 	default:
 		fmt.Fprintf(os.Stderr, "lips-bench: -presolve must be on or off, got %q\n", *presolve)
-		os.Exit(1)
-	}
-	switch *factor {
-	case "lu":
-	case "dense":
-		cfg.DenseFactor = true
-	default:
-		fmt.Fprintf(os.Stderr, "lips-bench: -factor must be lu or dense, got %q\n", *factor)
 		os.Exit(1)
 	}
 	prof, err := obs.StartProfiles(*cpuprofile, *memprofile)

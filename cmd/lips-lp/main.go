@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	lips-lp [-bland] [-max-iters N] [-duals] [-colgen] [-dual]
-//	        [-presolve on|off] [-factor lu|dense]
+//	lips-lp [-bland] [-max-iters N] [-duals] [-colgen] [-dual] [-presolve on|off]
 //	        [-cpuprofile FILE] [-memprofile FILE] [file]
 //
 // With no file, the problem is read from standard input. The format:
@@ -35,7 +34,6 @@ type cliOpts struct {
 	colgen   bool
 	dual     bool
 	presolve string // "on" or "off"
-	factor   string // "lu" or "dense"
 }
 
 func main() {
@@ -46,7 +44,6 @@ func main() {
 	flag.BoolVar(&o.colgen, "colgen", false, "solve by column generation over a restricted master")
 	flag.BoolVar(&o.dual, "dual", false, "repair warm bases with dual-simplex pivots (colgen rounds)")
 	flag.StringVar(&o.presolve, "presolve", "on", "presolve reduction pass: on or off")
-	flag.StringVar(&o.factor, "factor", "lu", "basis factorization: lu (sparse) or dense")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	logOpts := obs.LogFlags()
@@ -99,13 +96,6 @@ func run(in io.Reader, out io.Writer, o cliOpts) (int, error) {
 		opts.Presolve = lp.PresolveOff
 	default:
 		return 1, fmt.Errorf("-presolve must be on or off, got %q", o.presolve)
-	}
-	switch o.factor {
-	case "", "lu":
-	case "dense":
-		opts.Factor = lp.FactorDense
-	default:
-		return 1, fmt.Errorf("-factor must be lu or dense, got %q", o.factor)
 	}
 	var sol *lp.Solution
 	var st lp.ColGenStats

@@ -58,10 +58,9 @@ func TestRunBland(t *testing.T) {
 	}
 }
 
-func TestRunPresolveOffDenseFactor(t *testing.T) {
+func TestRunPresolveOff(t *testing.T) {
 	var out bytes.Buffer
-	code, err := run(strings.NewReader(demoLP), &out,
-		cliOpts{presolve: "off", factor: "dense"})
+	code, err := run(strings.NewReader(demoLP), &out, cliOpts{presolve: "off"})
 	if err != nil || code != 0 {
 		t.Fatalf("code=%d err=%v", code, err)
 	}
@@ -71,11 +70,9 @@ func TestRunPresolveOffDenseFactor(t *testing.T) {
 }
 
 func TestRunBadKnob(t *testing.T) {
-	for _, o := range []cliOpts{{presolve: "maybe"}, {factor: "qr"}} {
-		var out bytes.Buffer
-		code, err := run(strings.NewReader(demoLP), &out, o)
-		if err == nil || code != 1 {
-			t.Errorf("opts %+v: code=%d err=%v, want rejection", o, code, err)
-		}
+	var out bytes.Buffer
+	code, err := run(strings.NewReader(demoLP), &out, cliOpts{presolve: "maybe"})
+	if err == nil || code != 1 {
+		t.Errorf("-presolve maybe: code=%d err=%v, want rejection", code, err)
 	}
 }

@@ -1,9 +1,9 @@
 // lips-serve runs the LiPS co-scheduler as a long-lived daemon: an HTTP
 // API accepting streaming job submissions (submit/status/cancel, with
 // per-tenant fair-share admission), a continuously advancing simulated
-// cluster, and an epoch loop re-solving the scheduling plan on a bounded
-// solver pool. The observability endpoints (/metrics, /progress,
-// /healthz, /readyz, /debug/pprof) and the explainability endpoints
+// cluster, and an epoch loop re-solving the scheduling plan. The
+// observability endpoints (/metrics, /progress, /healthz, /readyz,
+// /debug/pprof) and the explainability endpoints
 // (/jobs/{id}/trace, /debug/epochs, /debug/spans, /tenants, /alerts,
 // /audit) share the same listener; -log-level and -log-format tune the
 // structured log stream on stderr. -slo-e2e/-slo-queue-wait arm the
@@ -51,7 +51,6 @@ func main() {
 		epochWall   = flag.Duration("epoch-wall", 25*time.Millisecond, "wall-clock pacing between serve epochs")
 		queueCap    = flag.Int("queue-cap", 4096, "admission queue bound (429 beyond it)")
 		admitPer    = flag.Int("admit-per-epoch", 512, "max jobs admitted into the simulation per epoch")
-		solverPool  = flag.Int("solver-pool", 1, "solver tokens; all busy + half-full queue sheds load")
 		retryAfter  = flag.Int("retry-after", 1, "Retry-After seconds on 429/503")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "max drain time at shutdown")
 		sloE2E      = flag.Float64("slo-e2e", 0, "per-tenant e2e latency objective in simulated seconds (0 = off)")
@@ -115,7 +114,6 @@ func main() {
 		EpochWallInterval: *epochWall,
 		QueueCap:          *queueCap,
 		AdmitPerEpoch:     *admitPer,
-		SolverPool:        *solverPool,
 		RetryAfterSec:     *retryAfter,
 		DrainTimeout:      *drain,
 		Logger:            logger,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
 	"lips/internal/lp"
@@ -22,10 +21,9 @@ func epoch10kInstance() *Instance {
 // BenchmarkEpoch10k measures the column-generation epoch solve at
 // 10k-machine scale: cold builds and solves the restricted master from
 // scratch; warm reprices a standing master with per-class spot drift and
-// re-solves from the previous basis via dual-simplex repair. The fully
-// materialized comparison solve is gated behind LIPS_BENCH_FULL10K=1 —
-// at this scale plain model construction allocates millions of columns
-// and is documented (DESIGN.md §12) as infeasible for routine CI.
+// re-solves from the previous basis via dual-simplex repair. There is no
+// fully materialized comparison: at this scale plain model construction
+// allocates millions of columns (DESIGN.md §12).
 func BenchmarkEpoch10k(b *testing.B) {
 	base := epoch10kInstance()
 
@@ -83,21 +81,6 @@ func BenchmarkEpoch10k(b *testing.B) {
 			plan = warm
 			if i == 0 {
 				b.ReportMetric(float64(st.DualIters), "dualpivots")
-			}
-		}
-	})
-
-	if os.Getenv("LIPS_BENCH_FULL10K") != "1" {
-		return
-	}
-	b.Run("full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			model, err := BuildOnlineModel(base.clone())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := model.Solve(lp.Options{}); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})

@@ -346,18 +346,6 @@ func (in *Instance) StoreUnitOf() map[cluster.StoreID]int {
 	return out
 }
 
-// MachineUnitOf builds the reverse map from concrete cluster nodes to the
-// instance's machine units.
-func (in *Instance) MachineUnitOf() map[cluster.NodeID]int {
-	out := make(map[cluster.NodeID]int)
-	for unit, m := range in.Machines {
-		for _, n := range m.Nodes {
-			out[n] = unit
-		}
-	}
-	return out
-}
-
 // FilterMachines restricts the instance to machines whose nodes satisfy
 // alive: dead nodes leave their unit (scaling the unit's aggregate ECU
 // down proportionally), and units with no live node are removed together

@@ -129,12 +129,6 @@ func (p *Plan) computeCosts() {
 	}
 }
 
-// ScheduledFrac returns 1 − DeferredFrac[k], clamped to [0, 1].
-func (p *Plan) ScheduledFrac(k int) float64 {
-	f := 1 - p.DeferredFrac[k]
-	return math.Min(1, math.Max(0, f))
-}
-
 // TaskAssignment is one rounded allocation: Tasks map tasks of job Job run
 // on machine unit Machine reading store unit Store (noStore for jobs
 // without input).

@@ -37,10 +37,6 @@ type Config struct {
 	// NoPresolve disables the LP presolve reduction pass
 	// (lp.Options.Presolve = PresolveOff).
 	NoPresolve bool
-	// DenseFactor swaps the sparse LU basis factorization for the
-	// historical dense explicit inverse (lp.Options.Factor =
-	// FactorDense) — a numerical cross-check and perf baseline.
-	DenseFactor bool
 	// ColGen solves each LiPS epoch by column generation over a
 	// restricted master (sched.LiPS.ColGen) instead of materializing
 	// the full online LP. Exact; pays off on large clusters.
@@ -88,9 +84,6 @@ func (c Config) newLiPS(epochSec float64) *sched.LiPS {
 	l.WarmStart = !c.ColdStart
 	if c.NoPresolve {
 		l.LPOpts.Presolve = lp.PresolveOff
-	}
-	if c.DenseFactor {
-		l.LPOpts.Factor = lp.FactorDense
 	}
 	l.ColGen = c.ColGen
 	l.LPOpts.Dual = c.DualSimplex

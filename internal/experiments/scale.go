@@ -33,8 +33,7 @@ type ScaleResult struct {
 // PR's 10k-node acceptance scenario): random clusters with 100 tasks
 // per node, the batch Scale scheduler, tracing off. Generation happens
 // outside the timed region; WallMillis covers sim construction plus the
-// event loop, which is what "tasks per second" means everywhere else in
-// the repo (scripts/bench.sh's sim_tasks_per_sec).
+// event loop.
 func Scale(cfg Config) (*ScaleResult, error) {
 	cfg = cfg.withDefaults()
 	sizes := []int{100, 1000, 10_000}

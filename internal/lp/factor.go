@@ -1,15 +1,10 @@
 package lp
 
-import (
-	"fmt"
-	"math"
-)
-
-// factorizer abstracts the representation of the basis inverse B⁻¹ that the
-// revised simplex works against. Two implementations exist: denseFactor
-// keeps the explicit m×m inverse the solver shipped with (retained as a
-// cross-check and as a fallback via Options.Factor), and luFactor keeps a
-// sparse LU factorization with product-form eta updates (the default).
+// factorizer is the representation of the basis inverse B⁻¹ that the
+// revised simplex works against. luFactor — a sparse LU factorization with
+// product-form eta updates — is the only one the solver ships; the
+// interface is the seam where tests install the explicit dense inverse
+// (denseFactor, factor_test.go) to cross-check it.
 //
 // Vector spaces: "row space" indexes constraint rows, "slot space" indexes
 // basis positions (s.basis[i] is the column basic in slot i). FTRAN maps a
@@ -32,191 +27,27 @@ type factorizer interface {
 	// ftranVec computes out = B⁻¹ v for a dense row-space vector.
 	ftranVec(v, out []float64)
 	// btran computes out = (cᵀ B⁻¹)ᵀ for a slot-space vector c. Zero
-	// entries of c are skipped, preserving the historical dual-pricing
-	// arithmetic of the dense path bit for bit.
+	// entries of c are skipped.
 	btran(c, out []float64)
 	// pivotRow returns row i of B⁻¹ (the BTRAN of e_i), valid until the
-	// next update or refactorize. The dense implementation returns an
-	// aliased slice; callers must treat it as read-only.
+	// next update or refactorize; callers must treat it as read-only.
 	pivotRow(i int) []float64
 	// update replaces the basis column in slot `leaving` by the entering
 	// column whose FTRAN image is w (w = B⁻¹ A_enter).
 	update(w []float64, leaving int)
 	// needsRefactor reports whether the representation wants a rebuild
-	// after `since` updates (numerical drift for the dense inverse, eta
-	// growth for the LU).
+	// after `since` updates (eta growth and numerical drift).
 	needsRefactor(since int) bool
-	// nnz is the nonzero count of the current factorization — m² for the
-	// dense inverse, fill-in included for the LU.
+	// nnz is the nonzero count of the current factorization, fill-in
+	// included.
 	nnz() int
 }
 
-// newFactorizer picks the implementation requested by Options.Factor.
+// newFactorizer returns the sparse LU unless a test supplied its own
+// constructor through Options.factor.
 func newFactorizer(s *simplexState) factorizer {
-	if s.opts.Factor == FactorDense {
-		return newDenseFactor(s)
+	if s.opts.factor != nil {
+		return s.opts.factor(s)
 	}
 	return newLUFactor(s)
 }
-
-// denseFactor is the original explicit dense basis inverse, rebuilt by
-// Gauss–Jordan elimination and updated by elementary row operations
-// (O(m²) per pivot). It remains available as Options.Factor = FactorDense.
-type denseFactor struct {
-	s    *simplexState
-	m    int
-	binv []float64 // dense m×m basis inverse, row-major
-}
-
-func newDenseFactor(s *simplexState) *denseFactor {
-	return &denseFactor{s: s, m: s.m, binv: make([]float64, s.m*s.m)}
-}
-
-// refactorize rebuilds the dense basis inverse from the basis columns by
-// Gauss–Jordan elimination with partial pivoting.
-func (f *denseFactor) refactorize() error {
-	m := f.m
-	s := f.s
-	// Assemble B column-wise into a dense row-major matrix.
-	a := make([]float64, m*m)
-	for i := 0; i < m; i++ {
-		for _, e := range s.cols[s.basis[i]] {
-			a[e.row*m+i] = e.coef
-		}
-	}
-	inv := make([]float64, m*m)
-	for i := 0; i < m; i++ {
-		inv[i*m+i] = 1
-	}
-	for col := 0; col < m; col++ {
-		// Partial pivot.
-		piv, pmax := -1, 0.0
-		for r := col; r < m; r++ {
-			if v := math.Abs(a[r*m+col]); v > pmax {
-				piv, pmax = r, v
-			}
-		}
-		if piv < 0 || pmax < 1e-12 {
-			return fmt.Errorf("lp: singular basis during refactorisation (row %d)", col)
-		}
-		if piv != col {
-			for k := 0; k < m; k++ {
-				a[col*m+k], a[piv*m+k] = a[piv*m+k], a[col*m+k]
-				inv[col*m+k], inv[piv*m+k] = inv[piv*m+k], inv[col*m+k]
-			}
-		}
-		d := a[col*m+col]
-		for k := 0; k < m; k++ {
-			a[col*m+k] /= d
-			inv[col*m+k] /= d
-		}
-		for r := 0; r < m; r++ {
-			if r == col {
-				continue
-			}
-			f := a[r*m+col]
-			if f == 0 {
-				continue
-			}
-			for k := 0; k < m; k++ {
-				a[r*m+k] -= f * a[col*m+k]
-				inv[r*m+k] -= f * inv[col*m+k]
-			}
-		}
-	}
-	f.binv = inv
-	return nil
-}
-
-func (f *denseFactor) resetIdentity() {
-	m := f.m
-	for i := range f.binv {
-		f.binv[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		f.binv[i*m+i] = 1
-	}
-}
-
-func (f *denseFactor) setUnitRow(i int, sign float64) {
-	m := f.m
-	for k := 0; k < m; k++ {
-		f.binv[i*m+k] = 0
-	}
-	f.binv[i*m+i] = sign
-}
-
-func (f *denseFactor) ftranCol(col []nz, out []float64) {
-	m := f.m
-	for i := 0; i < m; i++ {
-		out[i] = 0
-	}
-	for _, e := range col {
-		c := e.coef
-		for i := 0; i < m; i++ {
-			out[i] += f.binv[i*m+e.row] * c
-		}
-	}
-}
-
-func (f *denseFactor) ftranVec(v, out []float64) {
-	m := f.m
-	for i := 0; i < m; i++ {
-		sum := 0.0
-		row := f.binv[i*m : i*m+m]
-		for k := 0; k < m; k++ {
-			sum += row[k] * v[k]
-		}
-		out[i] = sum
-	}
-}
-
-func (f *denseFactor) btran(c, out []float64) {
-	m := f.m
-	for k := 0; k < m; k++ {
-		out[k] = 0
-	}
-	for i := 0; i < m; i++ {
-		ci := c[i]
-		if ci == 0 {
-			continue
-		}
-		row := f.binv[i*m : i*m+m]
-		for k := 0; k < m; k++ {
-			out[k] += ci * row[k]
-		}
-	}
-}
-
-func (f *denseFactor) pivotRow(i int) []float64 {
-	return f.binv[i*f.m : i*f.m+f.m]
-}
-
-// update applies the elementary row transformation that moves B⁻¹ to the
-// post-pivot basis: divide the pivot row by w[leaving], then eliminate the
-// other rows.
-func (f *denseFactor) update(w []float64, leaving int) {
-	m := f.m
-	prow := f.binv[leaving*m : leaving*m+m]
-	inv := 1 / w[leaving]
-	for k := 0; k < m; k++ {
-		prow[k] *= inv
-	}
-	for i := 0; i < m; i++ {
-		if i == leaving {
-			continue
-		}
-		fi := w[i]
-		if fi == 0 {
-			continue
-		}
-		row := f.binv[i*m : i*m+m]
-		for k := 0; k < m; k++ {
-			row[k] -= fi * prow[k]
-		}
-	}
-}
-
-func (f *denseFactor) needsRefactor(since int) bool { return since >= 256 }
-
-func (f *denseFactor) nnz() int { return f.m * f.m }

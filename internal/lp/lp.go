@@ -1,10 +1,9 @@
 // Package lp implements linear programming for the LiPS scheduler.
 //
-// The package provides a problem builder (Problem) and two solvers: a
-// production two-phase bounded-variable revised simplex (Solve) and a dense
-// tableau reference implementation (SolveDense) used for cross-checking in
-// tests. Problems are stored column-wise and sparse, because LiPS scheduling
-// LPs have at most four nonzeros per column.
+// The package provides a problem builder (Problem) and one solver, a
+// two-phase bounded-variable revised simplex (Solve). Problems are stored
+// column-wise and sparse, because LiPS scheduling LPs have at most four
+// nonzeros per column.
 //
 // All problems are minimization problems. Variables carry explicit bounds
 // [Lower, Upper]; upper bounds are handled by the bounded-variable pivoting

@@ -53,7 +53,7 @@ func pivotCorpus(t *testing.T) []string {
 	}
 	for _, hc := range hardCorpus() {
 		for _, f := range factorModes {
-			rec("hard/"+hc.name+"/"+f.name, hc.p(), Options{Factor: f.mode, Presolve: PresolveOff})
+			rec("hard/"+hc.name+"/"+f.name, hc.p(), Options{factor: f.mk, Presolve: PresolveOff})
 		}
 		rec("hard/"+hc.name+"/presolved", hc.p(), Options{})
 		rec("hard/"+hc.name+"/bland", hc.p(), Options{Bland: true, Presolve: PresolveOff})
@@ -74,13 +74,13 @@ func pivotCorpus(t *testing.T) []string {
 	for _, f := range factorModes {
 		base := lipsShapedLP(12, 5, 4, rand.New(rand.NewSource(31)), nil)
 		prev := lipsShapedLP(12, 5, 4, rand.New(rand.NewSource(31)), rand.New(rand.NewSource(32)))
-		psol := rec("lips/prev/"+f.name, prev, Options{Factor: f.mode})
-		csol := rec("lips/cold/"+f.name, base, Options{Factor: f.mode, Presolve: PresolveOff})
-		rec("lips/warm/"+f.name, base, Options{Factor: f.mode, WarmStart: psol.Basis})
+		psol := rec("lips/prev/"+f.name, prev, Options{factor: f.mk})
+		csol := rec("lips/cold/"+f.name, base, Options{factor: f.mk, Presolve: PresolveOff})
+		rec("lips/warm/"+f.name, base, Options{factor: f.mk, WarmStart: psol.Basis})
 		drifted := lipsShapedLP(12, 5, 4, rand.New(rand.NewSource(31)), nil)
 		tightenLE(drifted, 0.9, rand.New(rand.NewSource(33)))
-		rec("lips/warm-rejected/"+f.name, drifted, Options{Factor: f.mode, WarmStart: csol.Basis})
-		rec("lips/dual/"+f.name, drifted, Options{Factor: f.mode, WarmStart: csol.Basis, Dual: true})
+		rec("lips/warm-rejected/"+f.name, drifted, Options{factor: f.mk, WarmStart: csol.Basis})
+		rec("lips/dual/"+f.name, drifted, Options{factor: f.mk, WarmStart: csol.Basis, Dual: true})
 	}
 
 	// Dual repair over a spread of shapes (the dual ratio test walks the

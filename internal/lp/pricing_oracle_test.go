@@ -153,7 +153,7 @@ func TestPricingOracle(t *testing.T) {
 				{"presolved", Options{}},
 				{"bland", Options{Bland: true, Presolve: PresolveOff}},
 			} {
-				v.opts.Factor = f.mode
+				v.opts.factor = f.mk
 				label := fmt.Sprintf("hard/%s/%s/%s", hc.name, v.name, f.name)
 				sol, o := oracleSolve(t, label, hc.p(), v.opts)
 				if sol.Status != Optimal || relDiff(sol.Objective, hc.want) > 1e-6 {
@@ -167,39 +167,39 @@ func TestPricingOracle(t *testing.T) {
 		for seed := int64(0); seed < 200; seed++ {
 			p := randomProblem(rand.New(rand.NewSource(seed)))
 			_, o := oracleSolve(t, fmt.Sprintf("random/%d/%s", seed, f.name), p,
-				Options{Factor: f.mode, Presolve: PresolveOff})
+				Options{factor: f.mk, Presolve: PresolveOff})
 			tally(o)
 		}
 
 		// Differential corpus: junked LPs through presolve, then two
 		// epochs of a LiPS-shaped LP down every warm-start outcome.
 		for seed := int64(1); seed <= 6; seed++ {
-			_, o := oracleSolve(t, fmt.Sprintf("junked/%d/%s", seed, f.name), junkedLiPSLP(seed), Options{Factor: f.mode})
+			_, o := oracleSolve(t, fmt.Sprintf("junked/%d/%s", seed, f.name), junkedLiPSLP(seed), Options{factor: f.mk})
 			tally(o)
 		}
 		base := lipsShapedLP(12, 5, 4, rand.New(rand.NewSource(31)), nil)
 		prev := lipsShapedLP(12, 5, 4, rand.New(rand.NewSource(31)), rand.New(rand.NewSource(32)))
-		psol, o := oracleSolve(t, "lips/prev/"+f.name, prev, Options{Factor: f.mode})
+		psol, o := oracleSolve(t, "lips/prev/"+f.name, prev, Options{factor: f.mk})
 		tally(o)
-		csol, o := oracleSolve(t, "lips/cold/"+f.name, base, Options{Factor: f.mode, Presolve: PresolveOff})
+		csol, o := oracleSolve(t, "lips/cold/"+f.name, base, Options{factor: f.mk, Presolve: PresolveOff})
 		tally(o)
 		if csol.Phase1 == 0 || csol.Refactorizations < 3 {
 			t.Errorf("lips/cold/%s: %d phase-1 iterations, %d refactorizations: want both phases and a mid-solve refactorize",
 				f.name, csol.Phase1, csol.Refactorizations)
 		}
-		wsol, o := oracleSolve(t, "lips/warm/"+f.name, base, Options{Factor: f.mode, WarmStart: psol.Basis})
+		wsol, o := oracleSolve(t, "lips/warm/"+f.name, base, Options{factor: f.mk, WarmStart: psol.Basis})
 		tally(o)
 		if !wsol.WarmStarted || o.steps == 0 {
 			t.Errorf("lips/warm/%s: WarmStarted=%v after %d pricing steps, want an accepted warm start that prices", f.name, wsol.WarmStarted, o.steps)
 		}
 		drifted := lipsShapedLP(12, 5, 4, rand.New(rand.NewSource(31)), nil)
 		tightenLE(drifted, 0.9, rand.New(rand.NewSource(33)))
-		rsol, o := oracleSolve(t, "lips/warm-rejected/"+f.name, drifted, Options{Factor: f.mode, WarmStart: csol.Basis})
+		rsol, o := oracleSolve(t, "lips/warm-rejected/"+f.name, drifted, Options{factor: f.mk, WarmStart: csol.Basis})
 		tally(o)
 		if rsol.WarmStarted || rsol.Status != Optimal {
 			t.Errorf("lips/warm-rejected/%s: WarmStarted=%v status %v, want a rejected warm start solved cold", f.name, rsol.WarmStarted, rsol.Status)
 		}
-		dsol, o := oracleSolve(t, "lips/dual/"+f.name, drifted, Options{Factor: f.mode, WarmStart: csol.Basis, Dual: true})
+		dsol, o := oracleSolve(t, "lips/dual/"+f.name, drifted, Options{factor: f.mk, WarmStart: csol.Basis, Dual: true})
 		tally(o)
 		if dsol.DualIters == 0 || !dsol.WarmStarted || relDiff(dsol.Objective, rsol.Objective) > 1e-6 {
 			t.Errorf("lips/dual/%s: %d dual pivots, WarmStarted=%v, objective %g vs cold %g",
@@ -210,7 +210,7 @@ func TestPricingOracle(t *testing.T) {
 		// under the oracle (SolveColGen hands opts to each round).
 		full := lipsShapedLP(8, 5, 4, rand.New(rand.NewSource(41)), nil)
 		rp, reveal := NewRestricted(full)
-		cgOpts, o := withOracle(t, "colgen/"+f.name, Options{Factor: f.mode, Dual: true})
+		cgOpts, o := withOracle(t, "colgen/"+f.name, Options{factor: f.mk, Dual: true})
 		cgsol, st, err := SolveColGen(rp, reveal, cgOpts)
 		if err != nil || cgsol.Status != Optimal {
 			t.Fatalf("colgen/%s: %v / %v", f.name, err, cgsol.Status)
@@ -221,7 +221,7 @@ func TestPricingOracle(t *testing.T) {
 		tally(o)
 
 		// A Devex reset mid-solve.
-		_, o = oracleSolve(t, "devex-reset/"+f.name, devexResetLP(), Options{Factor: f.mode, Presolve: PresolveOff})
+		_, o = oracleSolve(t, "devex-reset/"+f.name, devexResetLP(), Options{factor: f.mk, Presolve: PresolveOff})
 		tally(o)
 		if o.resets == 0 {
 			t.Errorf("devex-reset/%s: reference framework was never reset", f.name)

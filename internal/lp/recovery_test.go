@@ -6,16 +6,6 @@ import (
 	"testing"
 )
 
-// factorModes enumerates the basis representations for tests that must
-// hold on both paths.
-var factorModes = []struct {
-	name string
-	mode FactorMode
-}{
-	{"lu", FactorLU},
-	{"dense", FactorDense},
-}
-
 // duplicateColumnProblem builds an LP with two identical structural
 // columns, so a basis holding both is exactly singular.
 func duplicateColumnProblem() (*Problem, Var, Var) {
@@ -38,7 +28,7 @@ func TestRefactorizeSingularBasis(t *testing.T) {
 	for _, fm := range factorModes {
 		t.Run(fm.name, func(t *testing.T) {
 			p, _, _ := duplicateColumnProblem()
-			opts := Options{Factor: fm.mode}.withDefaults(len(p.cons), len(p.vars))
+			opts := Options{factor: fm.mk}.withDefaults(len(p.cons), len(p.vars))
 			s := newSimplexState(p, opts)
 			s.allocate()
 			s.coldStart()
@@ -70,7 +60,7 @@ func TestWarmStartSingularBasisFallsBack(t *testing.T) {
 				RowCol:  []int32{0, 1}, // both duplicate columns basic
 				ColStat: []int8{0, 0, atLower, atLower},
 			}
-			sol, err := p.Solve(Options{Factor: fm.mode, WarmStart: ws})
+			sol, err := p.Solve(Options{factor: fm.mk, WarmStart: ws})
 			if err != nil {
 				t.Fatalf("Solve: %v", err)
 			}
@@ -104,7 +94,7 @@ func TestUnsafePivotTriggersRefactorize(t *testing.T) {
 			// Tol below the pivot magnitude so the ratio test selects it;
 			// the 1e-11 safety threshold still rejects it once.
 			sol, err := p.Solve(Options{
-				Factor: fm.mode, Presolve: PresolveOff, Tol: 1e-13,
+				factor: fm.mk, Presolve: PresolveOff, Tol: 1e-13,
 			})
 			if err != nil {
 				t.Fatalf("Solve: %v", err)

@@ -16,8 +16,7 @@ var debugSimplex = os.Getenv("LIPS_LP_DEBUG") == "1"
 //
 // The method maintains a sparse LU factorization of the basis (Markowitz
 // pivot ordering, product-form eta updates, periodic refactorisation from
-// scratch to bound eta growth and numerical drift); Options.Factor can
-// select the historical explicit dense inverse instead. Cold solves first
+// scratch to bound eta growth and numerical drift). Cold solves first
 // pass through a presolve layer (see presolve.go) unless Options.Presolve
 // disables it. Upper bounds are honoured by the bounded-variable
 // pivoting rule — including bound flips — so no extra rows are created for
@@ -96,7 +95,7 @@ type simplexState struct {
 	value  []float64  // current value of each NONBASIC column (bound or 0)
 	basis  []int      // column index of the basic variable in each row
 	xB     []float64  // value of the basic variable in each row
-	factor factorizer // representation of B^{-1} (sparse LU or dense)
+	factor factorizer // representation of B^{-1} (sparse LU)
 
 	// scratch
 	y      []float64 // duals c_B^T B^{-1}

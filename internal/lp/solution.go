@@ -82,8 +82,8 @@ type Solution struct {
 	PresolveTime time.Duration
 	// Refactorizations counts from-scratch basis factorizations.
 	Refactorizations int
-	// FactorNNZ is the nonzero count of the final basis factorization —
-	// L+U fill-in under FactorLU, m² under FactorDense.
+	// FactorNNZ is the nonzero count of the final basis factorization,
+	// L+U fill-in included.
 	FactorNNZ int
 	// PresolveRows and PresolveCols count the constraint rows and columns
 	// presolve removed before the simplex saw the problem.
@@ -166,11 +166,6 @@ type Options struct {
 	Dual bool
 	// RecordPivots fills Solution.Pivots with the pivot sequence.
 	RecordPivots bool
-	// Factor selects the basis-inverse representation: the default
-	// (FactorAuto/FactorLU) is a sparse LU factorization with Markowitz
-	// pivot ordering and product-form updates; FactorDense keeps the
-	// explicit dense inverse the solver originally shipped with.
-	Factor FactorMode
 	// Presolve controls the reduction pass that removes empty rows and
 	// columns, fixed variables, singleton and forcing rows, and dominated
 	// columns before the simplex runs, postsolving the answer (including
@@ -189,6 +184,9 @@ type Options struct {
 	// pricingCheck, when non-nil, is shown every primal pricing step.
 	// Tests hang the full-scan reference pricer here; nothing else sets it.
 	pricingCheck pricingChecker
+	// factor, when non-nil, builds the basis factorization in place of the
+	// sparse LU. Tests install the dense inverse here; nothing else sets it.
+	factor func(*simplexState) factorizer
 }
 
 // pricingChecker observes the incremental pricer (pricing.go): priced
@@ -199,20 +197,6 @@ type pricingChecker interface {
 	reweighted(s *simplexState, prowOld []float64, pivot float64, entering, outVar int)
 }
 
-// FactorMode selects the representation of the basis inverse.
-type FactorMode int8
-
-// Basis factorization modes.
-const (
-	// FactorAuto lets the solver choose; currently sparse LU.
-	FactorAuto FactorMode = iota
-	// FactorLU selects the sparse LU factorization explicitly.
-	FactorLU
-	// FactorDense selects the dense explicit inverse (the historical
-	// representation, kept as a numerical cross-check and fallback).
-	FactorDense
-)
-
 // PresolveMode controls the presolve reduction pass.
 type PresolveMode int8
 
@@ -220,8 +204,6 @@ type PresolveMode int8
 const (
 	// PresolveAuto runs presolve on cold solves (no warm-start basis).
 	PresolveAuto PresolveMode = iota
-	// PresolveOn is an explicit alias for PresolveAuto today.
-	PresolveOn
 	// PresolveOff disables presolve.
 	PresolveOff
 )

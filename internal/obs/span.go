@@ -25,8 +25,8 @@ const (
 const (
 	// ReasonQueueCap: the admission queue was full (429).
 	ReasonQueueCap = "queue-cap"
-	// ReasonSolverBackpressure: the queue was half full while every
-	// solver token was busy (429 before breakdown).
+	// ReasonSolverBackpressure: the queue was half full while an epoch
+	// was solving (429 before breakdown).
 	ReasonSolverBackpressure = "solver-backpressure"
 	// ReasonDraining: the daemon was shutting down (503).
 	ReasonDraining = "draining"

@@ -23,11 +23,11 @@ func scaleScenario(nodes, tasks int, seed int64) (*cluster.Cluster, *workload.Wo
 }
 
 // scaleGolden compares a Scale run with its line of
-// testdata/dispatch.golden, recorded with sim.Options.LegacyDispatch set
-// while the simulator still had its per-node full-scan dispatch: the
-// batched-notification path must keep landing on the same cost, makespan,
-// locality mix and fault counters. To re-record after an intended change,
-// paste the "got" line.
+// testdata/dispatch.golden, recorded while the simulator still had its
+// per-node full-scan dispatch and run through it: the batched-notification
+// path must keep landing on the same cost, makespan, locality mix and
+// fault counters. To re-record after an intended change, paste the printed
+// line.
 func scaleGolden(t *testing.T, name string, r *sim.Result) {
 	t.Helper()
 	golden, err := os.ReadFile("testdata/dispatch.golden")
@@ -36,36 +36,28 @@ func scaleGolden(t *testing.T, name string, r *sim.Result) {
 	}
 	got := fmt.Sprintf("%s cost=%d makespan=%v locality=%v faults: %v",
 		name, int64(r.TotalCost()), r.Makespan, r.Locality, r.Faults)
-	for _, want := range strings.Split(string(golden), "\n") {
-		if strings.HasPrefix(want, name+" ") {
-			if got != want {
-				t.Errorf("\n got %s\nwant %s", got, want)
-			}
-			return
-		}
+	if !strings.Contains("\n"+string(golden), "\n"+got+"\n") {
+		t.Errorf("not a line of testdata/dispatch.golden:\n%s", got)
 	}
-	t.Errorf("no golden line; got %s", got)
 }
 
-// TestScaleCompletesAndMatchesLegacyDispatch pins the Scale scheduler's
-// results: the batched-notification path and the legacy per-node
-// full-scan dispatch must agree exactly, and repeated runs must
-// reproduce the same numbers.
-func TestScaleCompletesAndMatchesLegacyDispatch(t *testing.T) {
+// TestScaleCompletesAndMatchesDispatchGolden pins the Scale scheduler's
+// results: the batched-notification path must finish every job on the
+// numbers per-node full-scan dispatch produced, run after run.
+func TestScaleCompletesAndMatchesDispatchGolden(t *testing.T) {
 	c, w := scaleScenario(96, 3000, 4)
-	run := func(legacy bool) *sim.Result {
+	run := func() *sim.Result {
 		p := w.Placement()
 		p.Shuffle(rand.New(rand.NewSource(1004)), c.StoreIDs())
-		return runSched(t, c, w, p, NewScale(), sim.Options{LegacyDispatch: legacy})
+		return runSched(t, c, w, p, NewScale(), sim.Options{})
 	}
-	batched, legacy := run(false), run(true)
-	if batched.Makespan <= 0 {
+	r := run()
+	if r.Makespan <= 0 {
 		t.Fatal("zero makespan")
 	}
-	scaleGolden(t, "plain", legacy)
-	scaleGolden(t, "plain", batched)
-	scaleGolden(t, "plain", run(false))
-	for j, done := range batched.JobDone {
+	scaleGolden(t, "plain", r)
+	scaleGolden(t, "plain", run())
+	for j, done := range r.JobDone {
 		if done <= 0 {
 			t.Errorf("job %d never finished", j)
 		}
@@ -74,24 +66,19 @@ func TestScaleCompletesAndMatchesLegacyDispatch(t *testing.T) {
 
 // TestScaleCompletesUnderFaults drives Scale through random crashes,
 // store losses and stragglers: kills re-pend tasks behind the forward
-// cursors, so this exercises the full-rescan fallback. Both dispatch
-// modes must finish every job with identical results.
+// cursors, so this exercises the full-rescan fallback. Every job must
+// finish, on the golden numbers.
 func TestScaleCompletesUnderFaults(t *testing.T) {
 	c, w := scaleScenario(64, 2000, 8)
 	faults := sim.RandomFaultPlan(8, c, sim.FaultSpec{Crashes: 4, StoreLosses: 2, Slowdowns: 2})
-	run := func(legacy bool) *sim.Result {
-		p := w.Placement()
-		p.Shuffle(rand.New(rand.NewSource(1008)), c.StoreIDs())
-		return runSched(t, c, w, p, NewScale(),
-			sim.Options{LegacyDispatch: legacy, Faults: faults, Speculative: true})
-	}
-	batched, legacy := run(false), run(true)
-	if batched.Faults.NodesCrashed == 0 {
+	p := w.Placement()
+	p.Shuffle(rand.New(rand.NewSource(1008)), c.StoreIDs())
+	r := runSched(t, c, w, p, NewScale(), sim.Options{Faults: faults, Speculative: true})
+	if r.Faults.NodesCrashed == 0 {
 		t.Fatal("fault plan never crashed a node; scenario too small")
 	}
-	scaleGolden(t, "faults", legacy)
-	scaleGolden(t, "faults", batched)
-	for j, done := range batched.JobDone {
+	scaleGolden(t, "faults", r)
+	for j, done := range r.JobDone {
 		if done <= 0 {
 			t.Errorf("job %d never finished under faults", j)
 		}

@@ -1,7 +1,7 @@
 // Package serve is the lips-serve scheduling daemon: a long-running HTTP
 // service that accepts streaming job submissions, feeds them into a
 // continuously advancing simulated cluster, and re-solves the scheduling
-// plan epoch by epoch on a bounded solver pool.
+// plan epoch by epoch.
 //
 // The paper's online epoch LP (Fig. 4) is inherently a continuous
 // scheduler — jobs arrive, each epoch re-solves, overflow returns to the
@@ -12,12 +12,12 @@
 // fast mutex (d.mu) that no solver work ever holds, so the submit path's
 // latency is independent of epoch solve time — the p99 submit SLO the
 // smoke gate asserts. A single epoch goroutine drains the queue: each
-// wall tick it takes a solver-pool token, applies pending cancellations,
+// wall tick it raises the busy flag, applies pending cancellations,
 // admits a tenant-fair batch into the simulator, advances simulated time
 // by one epoch (sim.StepUntil — this is where the LiPS LP solves), and
 // publishes per-job progress back under d.mu. Admission control sheds
 // load with 429 + Retry-After when the queue is full, or at half-full
-// while every solver token is busy; draining shutdown answers 503.
+// while an epoch is running; draining shutdown answers 503.
 package serve
 
 import (
@@ -25,6 +25,7 @@ import (
 	"log/slog"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lips/internal/cluster"
@@ -49,9 +50,6 @@ type Config struct {
 	// AdmitPerEpoch bounds how many queued jobs enter the simulation per
 	// epoch. Default 512.
 	AdmitPerEpoch int
-	// SolverPool is the number of solver tokens; while all are held the
-	// daemon sheds load once the queue is half full. Default 1.
-	SolverPool int
 	// RetryAfterSec is the Retry-After header on 429/503. Default 1.
 	RetryAfterSec int
 	// DrainTimeout bounds how long Shutdown keeps stepping epochs to let
@@ -99,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AdmitPerEpoch <= 0 {
 		c.AdmitPerEpoch = 512
-	}
-	if c.SolverPool <= 0 {
-		c.SolverPool = 1
 	}
 	if c.RetryAfterSec <= 0 {
 		c.RetryAfterSec = 1
@@ -215,10 +210,10 @@ type Daemon struct {
 	decisions   *decisionRing  // /debug/epochs ring
 	shedCounts  map[string]int // 429/503 sheds since the last recorded epoch
 
-	// simMu guards the simulator; sem is the solver pool (epoch work holds
-	// a token; the admission path only inspects token availability).
+	// simMu guards the simulator; busy is set for the span of an epoch,
+	// which is all the admission path wants to know about the solver.
 	simMu sync.Mutex
-	sem   chan struct{}
+	busy  atomic.Bool
 
 	originRR int // round-robin origin store for submitted inputs
 
@@ -273,7 +268,6 @@ func New(c *cluster.Cluster, sch sim.Scheduler, reg *obs.Registry, cfg Config) (
 		tenantCPU:   make(map[string]float64),
 		tenantSpend: make(map[string]map[cost.Category]cost.Money),
 		decisions:   newDecisionRing(cfg.EpochRing),
-		sem:         make(chan struct{}, cfg.SolverPool),
 		stop:        make(chan struct{}),
 		doneCh:      make(chan struct{}),
 	}
@@ -304,7 +298,7 @@ func (d *Daemon) Start() {
 		d.log.Info("epoch loop started",
 			"epoch_sim_sec", d.cfg.EpochSimSec,
 			"epoch_wall_interval", d.cfg.EpochWallInterval.String(),
-			"queue_cap", d.cfg.QueueCap, "solver_pool", d.cfg.SolverPool)
+			"queue_cap", d.cfg.QueueCap)
 		go d.loop()
 	}
 }
@@ -399,11 +393,6 @@ func (d *Daemon) loop() {
 	}
 }
 
-// solverIdleLocked reports whether a solver token is free. Callers hold
-// d.mu; the channel length is racy against the epoch loop by nature, which
-// is fine — admission control needs a load signal, not a linearizable one.
-func (d *Daemon) solverIdleLocked() bool { return len(d.sem) < cap(d.sem) }
-
 // overBudgetLocked reports whether the tenant's ledger spend (as of the
 // last epoch's copy) has reached its configured dollar cap.
 func (d *Daemon) overBudgetLocked(tenant string) bool {
@@ -494,8 +483,8 @@ func (d *Daemon) takeBatchLocked() (batch []*jobRecord, overBudget map[int]bool)
 // simulated-time step, progress publication, metrics, and one entry in
 // the /debug/epochs decision ring.
 func (d *Daemon) epoch() error {
-	d.sem <- struct{}{} // solver token; admission control watches occupancy
-	defer func() { <-d.sem }()
+	d.busy.Store(true) // admission control sheds a half-full queue meanwhile
+	defer d.busy.Store(false)
 
 	d.mu.Lock()
 	cancels := d.cancels

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -129,6 +130,13 @@ func TestSubmitValidation(t *testing.T) {
 		{Tenant: "a", Archetype: "grep", InputMB: 64, Tasks: 3}, // tasks on an input archetype
 		{Tenant: "a", Archetype: "pi"},                          // pi without tasks
 		{Tenant: "a", Archetype: "grep", InputMB: 64, AccessFrac: 2},
+		{Tenant: "a", Archetype: "grep", InputMB: 1e12},                  // 1.5e10 blocks behind an int32 index
+		{Tenant: "a", Archetype: "grep", InputMB: 64*maxTasksPerJob + 1}, // one block over the cap
+		{Tenant: "a", Archetype: "pi", Tasks: 2e9},
+		{Tenant: "a", Archetype: "pi", Tasks: maxTasksPerJob + 1},
+		{Tenant: strings.Repeat("t", maxNameLen+1), Archetype: "grep", InputMB: 64},
+		{Tenant: "a", Name: strings.Repeat("n", maxNameLen+1), Archetype: "grep", InputMB: 64},
+		{Tenant: "a", Name: strings.Repeat("n", maxSubmitBody), Archetype: "grep", InputMB: 64}, // body over the limit
 	} {
 		resp, _ := postJSON(t, ts.URL+"/submit", req)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -138,6 +146,14 @@ func TestSubmitValidation(t *testing.T) {
 	if _, code := submitOne(t, ts.URL, "a"); code != http.StatusAccepted {
 		t.Errorf("valid submit: %d", code)
 	}
+	for _, req := range []SubmitRequest{ // exactly at the caps
+		{Tenant: strings.Repeat("t", maxNameLen), Name: strings.Repeat("n", maxNameLen), Archetype: "grep", InputMB: 64 * maxTasksPerJob},
+		{Tenant: "a", Archetype: "pi", Tasks: maxTasksPerJob},
+	} {
+		if resp, _ := postJSON(t, ts.URL+"/submit", req); resp.StatusCode != http.StatusAccepted {
+			t.Errorf("at the caps (tasks=%d input_mb=%g): got %d, want 202", req.Tasks, req.InputMB, resp.StatusCode)
+		}
+	}
 	resp, _ := postJSON(t, ts.URL+"/status?id=99", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("status of unknown id: %d", resp.StatusCode)
@@ -145,7 +161,7 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestBackpressureExactQueueCap is the threshold property test: with the
-// epoch loop stopped (nothing drains) and an idle solver pool, exactly
+// epoch loop stopped (nothing drains, no epoch is ever busy), exactly
 // QueueCap submissions are accepted and every one beyond that is shed
 // with 429 + Retry-After — never an error, never a hang.
 func TestBackpressureExactQueueCap(t *testing.T) {
@@ -174,6 +190,40 @@ func TestBackpressureExactQueueCap(t *testing.T) {
 	}
 	// Shutdown of a never-started daemon must return, not deadlock on the
 	// missing epoch loop.
+	if err := d.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBackpressureSolverBusy pins the other shedding arm: with the loop
+// stopped and the queue exactly half full, a submission is shed with 429 +
+// Retry-After and reason solver-backpressure while an epoch is marked
+// busy, and accepted once it is not.
+func TestBackpressureSolverBusy(t *testing.T) {
+	const cap = 16
+	d, ts := newTestDaemon(t, Config{QueueCap: cap})
+	d.busy.Store(true)
+	for i := 0; i < cap/2; i++ {
+		if _, code := submitOne(t, ts.URL, "a"); code != http.StatusAccepted {
+			t.Fatalf("submission %d below half of the queue: status %d", i, code)
+		}
+	}
+	resp, _ := postJSON(t, ts.URL+"/submit", SubmitRequest{Tenant: "a", Archetype: "grep", InputMB: 64})
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("busy at half queue: status %d Retry-After %q, want 429 with one",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	var sr SpansResponse
+	if code := getJSON(t, ts.URL+"/debug/spans", &sr); code != http.StatusOK {
+		t.Fatalf("/debug/spans: %d", code)
+	}
+	if len(sr.Spans) != 1 || sr.Spans[0].Outcome != obs.OutcomeShed || sr.Spans[0].Reason != obs.ReasonSolverBackpressure {
+		t.Errorf("shed spans %+v, want one with outcome=shed reason=solver-backpressure", sr.Spans)
+	}
+	d.busy.Store(false)
+	if _, code := submitOne(t, ts.URL, "a"); code != http.StatusAccepted {
+		t.Errorf("idle at half queue: status %d, want 202", code)
+	}
 	if err := d.Shutdown(); err != nil {
 		t.Fatal(err)
 	}

@@ -219,11 +219,22 @@ func (d *Daemon) Handler() http.Handler {
 	return mux
 }
 
+// Bounds on one submission, so that no single request can exhaust memory
+// or overflow the simulator's int32 task index.
+const (
+	maxSubmitBody  = 64 << 10 // bytes of JSON
+	maxTasksPerJob = 1 << 16  // given, or one per 64 MB block of input_mb
+	maxNameLen     = 64       // bytes, tenant and job name each
+)
+
 // validateSubmit turns a request into a spec, normalizing defaults.
 func validateSubmit(req *SubmitRequest) (submitSpec, error) {
 	var spec submitSpec
 	if req.Tenant == "" {
 		return spec, fmt.Errorf("tenant is required")
+	}
+	if len(req.Tenant) > maxNameLen || len(req.Name) > maxNameLen {
+		return spec, fmt.Errorf("tenant and name are limited to %d bytes", maxNameLen)
 	}
 	a, err := workload.ByName(req.Archetype)
 	if err != nil {
@@ -237,10 +248,16 @@ func validateSubmit(req *SubmitRequest) (submitSpec, error) {
 		if req.Tasks != 0 {
 			return spec, fmt.Errorf("archetype %q derives tasks from input_mb", a.Name)
 		}
+		if req.InputMB > maxTasksPerJob*cost.BlockMB {
+			return spec, fmt.Errorf("input_mb %g is more than %d blocks", req.InputMB, maxTasksPerJob)
+		}
 		spec.inputMB = req.InputMB
 	} else {
 		if req.Tasks <= 0 {
 			return spec, fmt.Errorf("archetype %q needs tasks > 0", a.Name)
+		}
+		if req.Tasks > maxTasksPerJob {
+			return spec, fmt.Errorf("tasks %d is more than %d", req.Tasks, maxTasksPerJob)
 		}
 		spec.tasks = req.Tasks
 		spec.cpuSecPerTask = req.CPUSecPerTask
@@ -262,7 +279,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
 		d.writeError(w, http.StatusBadRequest, "bad submit body: %v", err)
 		return
 	}
@@ -285,9 +302,10 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case len(d.queue) >= d.cfg.QueueCap:
 		// A full queue always sheds.
 		decision, shedReason = "rejected", obs.ReasonQueueCap
-	case 2*len(d.queue) >= d.cfg.QueueCap && !d.solverIdleLocked():
-		// A half-full queue sheds while every solver token is busy —
-		// backpressure before breakdown.
+	case 2*len(d.queue) >= d.cfg.QueueCap && d.busy.Load():
+		// A half-full queue sheds while an epoch is solving — backpressure
+		// before breakdown. The flag races the epoch loop by nature:
+		// admission control needs a load signal, not a linearizable one.
 		decision, shedReason = "rejected", obs.ReasonSolverBackpressure
 	default:
 		decision = "accepted"

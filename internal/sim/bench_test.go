@@ -85,8 +85,7 @@ func BenchmarkSimulatorSharedLinks(b *testing.B) {
 // BenchmarkSimulatorThroughput10k is the paper-scale gate: a 10k-node
 // random cluster running a 1M-task random workload under the batch-stub
 // scheduler. Generation happens outside the timer; the timed region is
-// pure event processing. tasks/run lets scripts/bench.sh derive
-// sim_tasks_per_sec.
+// pure event processing; tasks/run over ns/op is tasks per second.
 func BenchmarkSimulatorThroughput10k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("short mode")

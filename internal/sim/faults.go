@@ -187,10 +187,9 @@ func (s *Sim) NodeAlive(n cluster.NodeID) bool { return !s.nodes[n].down }
 // slots vanish, and the scheduler is told via OnNodeDown. Partially
 // executed work is billed to the fault category — a crash does not refund
 // the cycles it wasted. The victims come from the running-attempt index
-// (bounded by the slot count) unless LegacyDispatch re-enables the
-// full-table scan; either way they are visited in ascending task order
-// with every condition re-checked at apply time, so the two modes kill in
-// the same sequence.
+// (bounded by the slot count) and are visited in ascending task order with
+// every condition re-checked at apply time — the sequence a scan of the
+// whole task table would kill in (testdata/dispatch.golden pins it).
 func (s *Sim) crashNode(n cluster.NodeID) {
 	ns := &s.nodes[n]
 	if ns.down {
@@ -198,20 +197,13 @@ func (s *Sim) crashNode(n cluster.NodeID) {
 	}
 	ns.down = true
 	s.freeSlots -= ns.free
-	s.zoneFree[s.nodeZone[n]] -= ns.free
 	s.liveSlots -= s.C.Nodes[n].Slots
 	ns.free = 0
 	s.clearIdle(n)
 	s.Faults.NodesCrashed++
 
-	if s.opts.LegacyDispatch {
-		for f := int32(0); f < int32(len(s.tasks)); f++ {
-			s.crashHit(f, n)
-		}
-	} else {
-		for _, f := range s.nodeHits(n) {
-			s.crashHit(f, n)
-		}
+	for _, f := range s.nodeHits(n) {
+		s.crashHit(f, n)
 	}
 	// Drain the pinned queue: those tasks were promised this node's slots.
 	for _, e := range ns.queue {
@@ -260,7 +252,6 @@ func (s *Sim) recoverNode(n cluster.NodeID) {
 	slots := s.C.Nodes[n].Slots
 	ns.free = slots
 	s.freeSlots += slots
-	s.zoneFree[s.nodeZone[n]] += slots
 	s.liveSlots += slots
 	if slots > 0 {
 		s.markIdle(n)
@@ -346,18 +337,12 @@ func (s *Sim) loseStore(st cluster.StoreID) {
 	}
 	// Kill attempts whose input read from the lost store is still in
 	// progress; attempts past their transfer phase already hold the data.
-	// As in crashNode, victims come from the running-attempt index (or
-	// the LegacyDispatch full scan) in ascending task order; the store
-	// replicas were dropped above, so no freed slot launched mid-loop can
-	// start a new read from st and escape the pre-collected list.
-	if s.opts.LegacyDispatch {
-		for f := int32(0); f < int32(len(s.tasks)); f++ {
-			s.storeLossHit(f, st)
-		}
-	} else {
-		for _, f := range s.storeHits(st) {
-			s.storeLossHit(f, st)
-		}
+	// As in crashNode, victims come from the running-attempt index in
+	// ascending task order; the store replicas were dropped above, so no
+	// freed slot launched mid-loop can start a new read from st and escape
+	// the pre-collected list.
+	for _, f := range s.storeHits(st) {
+		s.storeLossHit(f, st)
 	}
 }
 

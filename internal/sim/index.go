@@ -5,7 +5,7 @@ package sim
 // hot paths maintain three structures as they go:
 //
 //   - an idle-node bitset (bit n set ⇔ node n is live with ≥1 free slot)
-//     plus total/per-zone free-slot counters, updated by slotTaken and
+//     plus free- and live-slot totals, updated by slotTaken and
 //     slotFreed — KickIdleNodes sweeps set bits instead of every node,
 //     and the sample scan reads two integers;
 //   - a running-attempt index s.running: one packed ref (flat<<1|specBit)
@@ -20,7 +20,6 @@ package sim
 //
 //	idle bit n      ⇔ !nodes[n].down && nodes[n].free > 0
 //	freeSlots       = Σ nodes[n].free over live nodes
-//	zoneFree[z]     = Σ nodes[n].free over live nodes in zone z
 //	liveSlots       = Σ C.Nodes[n].Slots over live nodes
 //	running         = exactly one ref per Running primary (flat<<1, at
 //	                  tasks[flat].runPos) and one per live speculative
@@ -28,9 +27,9 @@ package sim
 //	stateCount[st]  = #tasks in state st (all jobs); unarrived = #tasks
 //	                  of not-yet-arrived jobs, which are always Pending
 //
-// Options.LegacyDispatch keeps the original full scans alive for
-// differential testing; it never consults these indexes but they are
-// maintained regardless, so the property tests cross-check both modes.
+// The full scans these replaced survive in verifyIndexes (scale_test.go),
+// which recounts every index at every scheduler callback, and in
+// testdata/dispatch.golden, the traces the scans produced.
 
 import (
 	"math/bits"
@@ -48,7 +47,6 @@ func (s *Sim) slotTaken(n cluster.NodeID) {
 	ns := &s.nodes[n]
 	ns.free--
 	s.freeSlots--
-	s.zoneFree[s.nodeZone[n]]--
 	if ns.free == 0 {
 		s.clearIdle(n)
 	}
@@ -61,7 +59,6 @@ func (s *Sim) slotFreed(n cluster.NodeID) {
 	ns := &s.nodes[n]
 	ns.free++
 	s.freeSlots++
-	s.zoneFree[s.nodeZone[n]]++
 	if ns.free == 1 && !ns.down {
 		s.markIdle(n)
 	}
@@ -125,9 +122,9 @@ func (s *Sim) freeSpec(ti *taskInfo) {
 
 // nodeHits collects the flat indices of tasks with an attempt (primary or
 // speculative) on node n, deduplicated and sorted ascending — the order
-// the legacy full scan visited them in, which fault replay preserves so
-// traces stay byte-identical. The slice is scratch, valid until the next
-// collection.
+// a scan of the task table visits them in, which fault replay follows so
+// traces stay byte-identical with testdata/dispatch.golden. The slice is
+// scratch, valid until the next collection.
 func (s *Sim) nodeHits(n cluster.NodeID) []int32 {
 	hits := s.hitBuf[:0]
 	for _, ref := range s.running {
@@ -189,21 +186,6 @@ func (s *Sim) IdleNodes(buf []cluster.NodeID) []cluster.NodeID {
 		}
 	}
 	return buf
-}
-
-// TotalFreeSlots returns the free-slot count across live nodes in O(1).
-func (s *Sim) TotalFreeSlots() int { return s.freeSlots }
-
-// TotalLiveSlots returns the slot count of live nodes in O(1).
-func (s *Sim) TotalLiveSlots() int { return s.liveSlots }
-
-// ZoneFreeSlots returns the free-slot count of live nodes in one zone.
-func (s *Sim) ZoneFreeSlots(zone string) int {
-	zi, ok := s.zoneIdx[zone]
-	if !ok {
-		return 0
-	}
-	return s.zoneFree[zi]
 }
 
 // StateCounts returns how many tasks of arrived jobs are in each state,

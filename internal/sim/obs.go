@@ -11,8 +11,7 @@ import (
 // s.om is nil when Options.Metrics is unset, every helper starts with
 // that single pointer check, and no payload is built before the guard
 // passes — so the disabled path costs one branch per call site and
-// allocates nothing (TestNoObsNoAllocs, plus the simulator throughput
-// gate in scripts/perfsmoke.sh).
+// allocates nothing (TestNoObsNoAllocs).
 
 // simMetrics caches the metric handles the hot path bumps, with the
 // label children resolved up front (obs vec lookups take a lock).

@@ -156,7 +156,7 @@ func TestScaleDeterministic(t *testing.T) {
 	}
 }
 
-// specStub is a spec-aware greedy scheduler for the legacy cross-check:
+// specStub is a spec-aware greedy scheduler for TestDispatchGolden:
 // greedy best-replica fill, falling back to speculative execution like
 // the Hadoop default.
 func specStub() *stubSched {
@@ -189,72 +189,18 @@ func specStub() *stubSched {
 	return ss
 }
 
-// TestIndexedMatchesLegacyDispatch is the differential gate for the
-// indexed dispatch rework: the incremental-index control paths and the
-// original full-scan paths (Options.LegacyDispatch) must produce
-// byte-identical traces — same launches, kills, fault replay, and sample
-// counters — under speculation, faults, and batched notifications.
-func TestIndexedMatchesLegacyDispatch(t *testing.T) {
-	c, w := buildScaleRun(64, 2000, 11)
-	faults := RandomFaultPlan(11, c, FaultSpec{Crashes: 3, StoreLosses: 2, Slowdowns: 2})
-
-	cases := []struct {
-		name  string
-		sched func() Scheduler
-		opts  Options
-	}{
-		{"spec-faults", func() Scheduler { return specStub() },
-			Options{Speculative: true, Faults: faults}},
-		{"batch-faults", func() Scheduler { return &batchStub{} },
-			Options{Faults: faults}},
-		{"plain", func() Scheduler { return greedyStub() }, Options{}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			indexed, ri := runScaleTrace(t, c, w, tc.sched(), tc.opts, 11)
-			legacy := tc.opts
-			legacy.LegacyDispatch = true
-			scanned, rl := runScaleTrace(t, c, w, tc.sched(), legacy, 11)
-			if !bytes.Equal(indexed, scanned) {
-				i := 0
-				for i < len(indexed) && i < len(scanned) && indexed[i] == scanned[i] {
-					i++
-				}
-				lo, hi := i-80, i+120
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > len(indexed) {
-					hi = len(indexed)
-				}
-				t.Fatalf("indexed and legacy traces diverge at byte %d:\nindexed: %q",
-					i, indexed[lo:hi])
-			}
-			if ri.TotalCost() != rl.TotalCost() || ri.Makespan != rl.Makespan ||
-				ri.Faults != rl.Faults {
-				t.Fatalf("results differ: indexed %v, legacy %v", ri, rl)
-			}
-		})
-	}
-}
-
 // TestDispatchGolden freezes what the full-scan control paths produced.
-// testdata/dispatch.golden was recorded with Options.LegacyDispatch set,
-// while the O(nodes)/O(tasks) scans in crashNode, store loss,
-// KickIdleNodes and scanSample still existed: per run the SHA-256 of the
-// JSONL trace — every launch, kill, fault replay and sample counter —
+// testdata/dispatch.golden was recorded through the O(nodes)/O(tasks)
+// scans crashNode, store loss, KickIdleNodes and scanSample used to run
+// before the incremental indexes replaced them: per run the SHA-256 of
+// the JSONL trace — every launch, kill, fault replay and sample counter —
 // plus cost, makespan and fault counters, under speculation, faults and
 // batched notifications. The indexed paths must keep reproducing it bit
-// for bit. To re-record after an intended change, paste the "got" lines.
+// for bit. To re-record after an intended change, paste the printed lines.
 func TestDispatchGolden(t *testing.T) {
 	golden, err := os.ReadFile("testdata/dispatch.golden")
 	if err != nil {
 		t.Fatal(err)
-	}
-	want := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
-		name, _, _ := strings.Cut(line, " ")
-		want[name] = line
 	}
 	c, w := buildScaleRun(64, 2000, 11)
 	faults := RandomFaultPlan(11, c, FaultSpec{Crashes: 3, StoreLosses: 2, Slowdowns: 2})
@@ -275,18 +221,14 @@ func TestDispatchGolden(t *testing.T) {
 			Options{Faults: churn}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, legacy := range []bool{true, false} {
-				opts := tc.opts
-				opts.LegacyDispatch = legacy
-				tr, r := runScaleTrace(t, c, w, tc.sched(), opts, 11)
-				f := r.Faults
-				got := fmt.Sprintf("%s trace=%x cost=%d makespan=%v faults=%d/%d/%d/%d/%d/%d/%d",
-					tc.name, sha256.Sum256(tr), int64(r.TotalCost()), r.Makespan,
-					f.NodesCrashed, f.NodesRecovered, f.StoresLost, f.Slowdowns,
-					f.TasksReexecuted, f.BlocksReplicated, f.BlocksLost)
-				if got != want[tc.name] {
-					t.Errorf("legacy=%v:\n got %s\nwant %s", legacy, got, want[tc.name])
-				}
+			tr, r := runScaleTrace(t, c, w, tc.sched(), tc.opts, 11)
+			f := r.Faults
+			got := fmt.Sprintf("%s trace=%x cost=%d makespan=%v faults=%d/%d/%d/%d/%d/%d/%d",
+				tc.name, sha256.Sum256(tr), int64(r.TotalCost()), r.Makespan,
+				f.NodesCrashed, f.NodesRecovered, f.StoresLost, f.Slowdowns,
+				f.TasksReexecuted, f.BlocksReplicated, f.BlocksLost)
+			if !strings.Contains("\n"+string(golden), "\n"+got+"\n") {
+				t.Errorf("not a line of testdata/dispatch.golden:\n%s", got)
 			}
 		})
 	}
@@ -306,7 +248,6 @@ func TestDispatchGolden(t *testing.T) {
 func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 	t.Helper()
 	freeSlots, liveSlots := 0, 0
-	zoneFree := make([]int, len(s.zoneFree))
 	for n := range s.nodes {
 		ns := &s.nodes[n]
 		idle := s.idle[n>>6]&(1<<(uint(n)&63)) != 0
@@ -318,16 +259,10 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 		}
 		freeSlots += ns.free
 		liveSlots += s.C.Nodes[n].Slots
-		zoneFree[s.nodeZone[n]] += ns.free
 	}
 	if freeSlots != s.freeSlots || liveSlots != s.liveSlots {
 		t.Fatalf("slots: live (%d free, %d total), recomputed (%d, %d)",
 			s.freeSlots, s.liveSlots, freeSlots, liveSlots)
-	}
-	for z := range zoneFree {
-		if zoneFree[z] != s.zoneFree[z] {
-			t.Fatalf("zone %d: live free %d, recomputed %d", z, s.zoneFree[z], zoneFree[z])
-		}
 	}
 
 	var stateCount [4]int
@@ -455,73 +390,70 @@ func verifyHits(t *testing.T, s *Sim, strict bool) {
 
 // TestSlotIndexProperty drives random launch/kill/crash/recover churn
 // through the simulator and checks, at every scheduler callback, that the
-// incremental indexes agree with recomputed-from-scratch copies. Run
-// under -race in CI (make scalesmoke).
+// incremental indexes agree with recomputed-from-scratch copies.
 func TestSlotIndexProperty(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		for _, legacy := range []bool{false, true} {
-			c, w := buildScaleRun(48, 600, seed)
-			faults := RandomFaultPlan(seed, c, FaultSpec{Crashes: 4, StoreLosses: 2, Slowdowns: 2})
-			rng := rand.New(rand.NewSource(seed * 97))
-			checks := 0
-			ss := &stubSched{name: "churn-stub"}
-			ss.onSlotFree = func(s *Sim, n cluster.NodeID) {
-				verifyIndexes(t, s, false)
-				checks++
-				for s.FreeSlots(n) > 0 {
-					if rng.Intn(10) == 0 {
-						return // leave the slot idle this round
-					}
-					launched := false
-					for _, j := range s.ArrivedJobs() {
-						pending := s.PendingTasks(j)
-						if len(pending) == 0 {
-							continue
-						}
-						pick := pending[rng.Intn(len(pending))]
-						store := NoStore
-						if s.W.Jobs[j].HasInput() {
-							store = s.BestReplica(j, pick, n)
-						}
-						if err := s.Launch(j, pick, n, store); err != nil {
-							continue
-						}
-						launched = true
-						break
-					}
-					if !launched {
-						s.LaunchSpeculative(n)
-						return
-					}
+		c, w := buildScaleRun(48, 600, seed)
+		faults := RandomFaultPlan(seed, c, FaultSpec{Crashes: 4, StoreLosses: 2, Slowdowns: 2})
+		rng := rand.New(rand.NewSource(seed * 97))
+		checks := 0
+		ss := &stubSched{name: "churn-stub"}
+		ss.onSlotFree = func(s *Sim, n cluster.NodeID) {
+			verifyIndexes(t, s, false)
+			checks++
+			for s.FreeSlots(n) > 0 {
+				if rng.Intn(10) == 0 {
+					return // leave the slot idle this round
 				}
-			}
-			ss.onTaskDone = func(s *Sim, job, task int) {
-				verifyIndexes(t, s, true)
-				if rng.Intn(5) != 0 {
-					return
-				}
-				// Kill a random running task to churn the indexes.
+				launched := false
 				for _, j := range s.ArrivedJobs() {
-					running := s.RunningTasks(j)
-					if len(running) == 0 {
+					pending := s.PendingTasks(j)
+					if len(pending) == 0 {
 						continue
 					}
-					if err := s.KillTask(j, running[rng.Intn(len(running))]); err != nil {
-						t.Fatal(err)
+					pick := pending[rng.Intn(len(pending))]
+					store := NoStore
+					if s.W.Jobs[j].HasInput() {
+						store = s.BestReplica(j, pick, n)
 					}
+					if err := s.Launch(j, pick, n, store); err != nil {
+						continue
+					}
+					launched = true
 					break
 				}
+				if !launched {
+					s.LaunchSpeculative(n)
+					return
+				}
 			}
-			p := w.Placement()
-			p.Shuffle(rand.New(rand.NewSource(seed+1000)), c.StoreIDs())
-			s := New(c, w, p, ss, Options{Speculative: true, Faults: faults, LegacyDispatch: legacy})
-			if _, err := s.Run(); err != nil {
-				t.Fatalf("seed %d legacy=%v: %v", seed, legacy, err)
-			}
+		}
+		ss.onTaskDone = func(s *Sim, job, task int) {
 			verifyIndexes(t, s, true)
-			if checks == 0 {
-				t.Fatalf("seed %d legacy=%v: property never checked", seed, legacy)
+			if rng.Intn(5) != 0 {
+				return
 			}
+			// Kill a random running task to churn the indexes.
+			for _, j := range s.ArrivedJobs() {
+				running := s.RunningTasks(j)
+				if len(running) == 0 {
+					continue
+				}
+				if err := s.KillTask(j, running[rng.Intn(len(running))]); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+		}
+		p := w.Placement()
+		p.Shuffle(rand.New(rand.NewSource(seed+1000)), c.StoreIDs())
+		s := New(c, w, p, ss, Options{Speculative: true, Faults: faults})
+		if _, err := s.Run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		verifyIndexes(t, s, true)
+		if checks == 0 {
+			t.Fatalf("seed %d: property never checked", seed)
 		}
 	}
 }

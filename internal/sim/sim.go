@@ -14,8 +14,7 @@
 // typed event structs (no per-event closure or interface boxing on the
 // steady-state paths), and free slots, running attempts and task-state
 // totals are kept in incremental indexes (see index.go) instead of being
-// recomputed by scans. Options.LegacyDispatch retains the original
-// full-scan control paths for differential testing.
+// recomputed by scans.
 //
 // Simplifications relative to a real cluster (documented in DESIGN.md):
 // transfers do not contend for link capacity (each gets the full pairwise
@@ -156,12 +155,6 @@ type Options struct {
 	// of the sampled gauges (task states, slots, clock) while Metrics is
 	// set. 0 means SampleIntervalSec when sampling is on, else 60.
 	MetricsSampleSec float64
-	// LegacyDispatch restores the pre-index full-scan control paths —
-	// idle-node sweeps over every node, fault replay over every task,
-	// sample scans over every task and node — for differential testing
-	// against the incremental indexes (TestIndexedMatchesLegacyDispatch).
-	// Observable behavior is identical; only the asymptotics differ.
-	LegacyDispatch bool
 }
 
 func (o Options) withDefaults() Options {
@@ -405,9 +398,6 @@ type Sim struct {
 	// Incremental indexes; see index.go for the invariants.
 	running    []int32  // packed refs of in-flight attempts
 	idle       []uint64 // bitset of live nodes with free slots
-	nodeZone   []int32  // node → dense zone index
-	zoneIdx    map[string]int
-	zoneFree   []int
 	freeSlots  int
 	liveSlots  int
 	totalSlots int
@@ -460,20 +450,11 @@ func New(c *cluster.Cluster, w *workload.Workload, p *hdfs.Placement, sched Sche
 		s.om = newSimMetrics(s.opts.Metrics)
 	}
 
-	s.zoneIdx = make(map[string]int, len(c.Zones))
-	for i, z := range c.Zones {
-		s.zoneIdx[z] = i
-	}
-	s.zoneFree = make([]int, len(c.Zones))
-	s.nodeZone = make([]int32, len(c.Nodes))
 	s.nodes = make([]nodeState, len(c.Nodes))
 	s.idle = make([]uint64, (len(c.Nodes)+63)/64)
 	for i, n := range c.Nodes {
 		s.nodes[i].free = n.Slots
 		s.nodes[i].wakeAt = -1
-		zi := s.zoneIdx[n.Zone]
-		s.nodeZone[i] = int32(zi)
-		s.zoneFree[zi] += n.Slots
 		s.totalSlots += n.Slots
 		if n.Slots > 0 {
 			s.markIdle(cluster.NodeID(i))
@@ -670,14 +651,6 @@ func (s *Sim) JobRemaining(job int) int { return s.jobs[job].remaining }
 // idle bitset rather than every node; under a BatchScheduler the idle set
 // is delivered in one OnSlotsFree call after the pinned queues drain.
 func (s *Sim) KickIdleNodes() {
-	if s.opts.LegacyDispatch {
-		for n := range s.nodes {
-			if !s.nodes[n].down && s.nodes[n].free > 0 {
-				s.dispatch(cluster.NodeID(n))
-			}
-		}
-		return
-	}
 	if s.batch != nil {
 		s.sweepIdle(true)
 		buf := s.IdleNodes(s.kickBuf[:0])
@@ -692,9 +665,9 @@ func (s *Sim) KickIdleNodes() {
 
 // sweepIdle visits every idle node in ascending order, re-reading the
 // bitset word after each visit: a dispatch can fill nodes ahead of the
-// sweep, and the legacy scan checked liveness at visit time. Bits at or
-// below the visited node are masked off — the legacy scan never
-// revisited earlier nodes either. drainOnly skips the per-node scheduler
+// sweep, so liveness is checked at visit time. Bits at or below the
+// visited node are masked off — a node is visited at most once, as a
+// scan over the node table would. drainOnly skips the per-node scheduler
 // notification; the batched path delivers one combined callback after.
 func (s *Sim) sweepIdle(drainOnly bool) {
 	for wi := 0; wi < len(s.idle); wi++ {

@@ -574,9 +574,6 @@ func (s *Sim) RunningTasks(job int) []int {
 	return out
 }
 
-// TaskNode returns the node a Running task occupies.
-func (s *Sim) TaskNode(job, task int) cluster.NodeID { return s.task(job, task).node }
-
 // Enqueue pins a task to node n's FIFO queue, to start no earlier than
 // readyAt (e.g. after a data move completes). The task runs when a slot
 // frees and readyAt passes, reading from store.

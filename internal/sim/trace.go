@@ -11,9 +11,8 @@ import (
 // trace (guarded by s.traceOn, a plain boolean load) and the live
 // metrics registry (guarded by s.om != nil, a pointer check), so with
 // both disabled each call site costs two branches and allocates nothing
-// (TestNopTracerNoAllocs in internal/trace, TestNoObsNoAllocs here, plus
-// the simulator throughput gate in scripts/perfsmoke.sh). Event payloads
-// are built only once the trace guard passes.
+// (TestNopTracerNoAllocs in internal/trace, TestNoObsNoAllocs here).
+// Event payloads are built only once the trace guard passes.
 
 // Tracer returns the run's tracer (trace.Nop when tracing is disabled),
 // for schedulers that emit their own spans (e.g. LiPS epoch solves).
@@ -137,37 +136,9 @@ func (s *Sim) noteFault(f Fault) {
 // scanSample fills the task-state counts and slot availability of one
 // snapshot — shared by trace sample events and the live gauge refresh so
 // both report identical numbers at matching timestamps. The numbers come
-// from the incrementally maintained counters (O(1)); LegacyDispatch
-// recomputes them with the original full scans, which the differential
-// tests use to pin the counters to ground truth.
+// from the incrementally maintained counters (O(1)), which verifyIndexes
+// (scale_test.go) pins to a recount of every task and node.
 func (s *Sim) scanSample(info *trace.SampleInfo) {
-	if s.opts.LegacyDispatch {
-		for j := range s.jobs {
-			if !s.jobs[j].arrived {
-				continue
-			}
-			for f := s.taskBase[j]; f < s.taskBase[j+1]; f++ {
-				switch TaskState(s.states[f]) {
-				case Pending:
-					info.Pending++
-				case Queued:
-					info.Queued++
-				case Running:
-					info.Running++
-				case Done:
-					info.Done++
-				}
-			}
-		}
-		for n := range s.nodes {
-			if s.nodes[n].down {
-				continue
-			}
-			info.FreeSlots += s.nodes[n].free
-			info.LiveSlots += s.C.Nodes[n].Slots
-		}
-		return
-	}
 	info.Pending, info.Queued, info.Running, info.Done = s.StateCounts()
 	info.FreeSlots = s.freeSlots
 	info.LiveSlots = s.liveSlots

@@ -7,8 +7,7 @@
 //
 // Tracing is off by default. The disabled path is a single boolean check
 // at each call site and allocates nothing (guarded by
-// TestNopTracerNoAllocs and the sim throughput gate in
-// scripts/perfsmoke.sh). Traces contain only simulated-time and
+// TestNopTracerNoAllocs). Traces contain only simulated-time and
 // count-valued fields unless the producer opts into wall-clock timings,
 // so two runs with the same seed produce byte-identical JSONL output.
 package trace

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Observability smoke: runs the obs unit tests, then starts a live
-# lips-sim -listen run on loopback and scrapes it mid-run — /healthz
-# answers, /metrics serves a well-formed Prometheus exposition carrying
-# the sim, sched and LP families with live (nonzero) values, /progress
+# Observability smoke: starts a live lips-sim -listen run on loopback
+# and scrapes it mid-run — /healthz answers, /metrics serves a
+# well-formed Prometheus exposition carrying the sim, sched and LP
+# families with live (nonzero) values, /progress
 # returns the JSON snapshot with the Sampler-aligned field names, and
 # /debug/pprof/profile captures a CPU profile — all while the simulation
 # is still running. The workload is sized to run well past the scrape
@@ -11,8 +11,6 @@
 # Usage: scripts/obssmoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-go test ./internal/obs ./internal/sim -run 'Obs|Prom|Histogram|Progress|Server|Scrape|LiveMetrics'
 
 BIN=$(mktemp -d)
 SIM_PID=

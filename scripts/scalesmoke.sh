@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# Scale smoke: races the slot-index property tests and the indexed-vs-
-# legacy dispatch differential, then drives a 1k-node / 100k-task seeded
-# lips-sim -scale run under a wall-clock budget, schema-validates its
-# JSONL trace, and requires a repeat run to reproduce the trace byte for
-# byte — the paper-scale determinism gate.
+# Scale smoke: drives a 1k-node / 100k-task seeded lips-sim -scale run
+# under a wall-clock budget, schema-validates its JSONL trace, and
+# requires a repeat run to reproduce the trace byte for byte — the
+# paper-scale determinism gate.
 #
 # Usage: scripts/scalesmoke.sh
 #   BUDGET=120  wall-clock seconds allowed for one -scale 1000 run
@@ -11,10 +10,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUDGET=${BUDGET:-120}
-
-go test -race ./internal/sim \
-	-run 'TestSlotIndexProperty|TestKillDuringBatchedSlotFree|TestIndexedMatchesLegacyDispatch'
-go test -race ./internal/sched -run 'TestScale'
 
 BIN=$(mktemp -d)
 trap 'rm -rf "$BIN"' EXIT

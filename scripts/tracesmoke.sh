@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Trace smoke: runs the trace unit tests, then drives a full seeded
-# lips-sim run with -trace in both formats and checks the pipeline end
-# to end — the JSONL log schema-validates under lips-trace -validate,
+# Trace smoke: drives a full seeded lips-sim run with -trace in both
+# formats and checks the pipeline end to end — the JSONL log
+# schema-validates under lips-trace -validate,
 # the inspection report renders every section, the CSV export matches
 # the sampler's column contract, repeating the run reproduces the JSONL
 # byte-for-byte, and the Chrome export parses as a JSON array.
@@ -9,8 +9,6 @@
 # Usage: scripts/tracesmoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-go test ./internal/trace ./cmd/lips-trace -run 'Trace|Chrome|JSONL|Sampler|Validate|Run'
 
 BIN=$(mktemp -d)
 trap 'rm -rf "$BIN"' EXIT
