@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench benchpair lpsmoke faultsmoke tracesmoke obssmoke scalesmoke servesmoke spansmoke costsmoke
+.PHONY: all build test race vet loc bench benchpair lpsmoke faultsmoke tracesmoke obssmoke scalesmoke servesmoke spansmoke costsmoke
 
 all: vet build test
 
@@ -15,6 +15,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The three sizes the ROADMAP tracks, so simplicity PRs report them alike.
+loc:
+	@echo "non-test Go outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l) lines"
+	@echo "scripts/*.sh: $$(cat scripts/*.sh | wc -l) lines"
+	@echo "DESIGN.md: $$(grep -c '^## ' DESIGN.md) sections"
 
 # Five passes of every bench/ workload, then bench/cmp's spread per row.
 bench:

@@ -43,7 +43,6 @@ type OnlineColGen struct {
 	buckets  [][]int // closed machines per price class, ascending index
 	opened   []int   // machines materialized per bucket (doubling batch size)
 	tol      float64
-	rounds   int
 	machines int // materialized machine count, fake included
 }
 
@@ -265,7 +264,6 @@ func (cg *OnlineColGen) Price(_ *lp.Problem, sol *lp.Solution) int {
 	if sol.Status != lp.Optimal {
 		return 0
 	}
-	cg.rounds++
 	added := 0
 	for b := range cg.buckets {
 		closed := cg.buckets[b]
@@ -318,11 +316,6 @@ func (cg *OnlineColGen) bucketPricesNegative(l int, y []float64) bool {
 	return false
 }
 
-// Stats describes how much of the instance the pricing loop materialized.
-func (cg *OnlineColGen) Stats() (machines, totalMachines int) {
-	return cg.machines, len(cg.m.In.Machines)
-}
-
 // Solve runs the column-generation loop to optimality and extracts a Plan,
 // exactly as Model.Solve does for the fully materialized LP.
 func (cg *OnlineColGen) Solve(opts ColGenOptions) (*Plan, lp.ColGenStats, error) {
@@ -338,8 +331,7 @@ func (cg *OnlineColGen) Solve(opts ColGenOptions) (*Plan, lp.ColGenStats, error)
 		return nil, st, fmt.Errorf("core: online model: solver status %v after %d iterations", sol.Status, sol.Iters)
 	}
 	plan := cg.m.extract(sol)
-	plan.Iters = st.Iters
-	plan.DualIters = st.DualIters
+	plan.Stats = st.Stats // every pricing round, not only the last re-solve
 	plan.ColGenRounds = st.Rounds
 	plan.ColGenColumns = st.Columns
 	return plan, st, nil

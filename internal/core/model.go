@@ -331,11 +331,7 @@ func (m *Model) extract(sol *lp.Solution) *Plan {
 	in := m.In
 	p := &Plan{
 		In: in, Kind: m.Kind, ObjectiveMC: sol.Objective,
-		Iters: sol.Iters, Phase1: sol.Phase1, DualIters: sol.DualIters,
-		Basis: sol.Basis, WarmStarted: sol.WarmStarted, PricingTime: sol.PricingTime,
-		FactorTime: sol.FactorTime, FtranTime: sol.FtranTime, BtranTime: sol.BtranTime,
-		PresolveTime: sol.PresolveTime, Refactorizations: sol.Refactorizations,
-		FactorNNZ: sol.FactorNNZ, PresolveRows: sol.PresolveRows, PresolveCols: sol.PresolveCols,
+		Stats: sol.Stats, Basis: sol.Basis, WarmStarted: sol.WarmStarted,
 	}
 	p.XT = make([]map[[2]int]float64, len(in.Jobs))
 	for k := range in.Jobs {

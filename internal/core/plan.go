@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"lips/internal/lp"
 )
@@ -42,11 +41,9 @@ type Plan struct {
 	// (online model only): work pushed to the next epoch.
 	DeferredFrac []float64
 
-	Iters  int // simplex iterations spent
-	Phase1 int // iterations spent reaching feasibility (0 on a warm start)
-	// DualIters counts dual-simplex repair pivots (warm re-solves under
-	// lp.Options.Dual); included in Iters.
-	DualIters int
+	// Stats is what the solve cost; under column generation, summed over
+	// every pricing round.
+	lp.Stats
 	// ColGenRounds and ColGenColumns describe the pricing loop when the
 	// plan came from SolveOnlineColGen: restricted-master solve rounds and
 	// x^t columns materialized beyond the seed. Zero for direct solves.
@@ -59,24 +56,6 @@ type Plan struct {
 	Basis *lp.Basis
 	// WarmStarted reports whether this solve reused a previous basis.
 	WarmStarted bool
-	// PricingTime is the wall-clock the solver spent pricing columns.
-	PricingTime time.Duration
-	// FactorTime, FtranTime and BtranTime split the basis-factorization
-	// work: building/updating the sparse LU (or dense inverse) and the
-	// forward/backward triangular solves.
-	FactorTime time.Duration
-	FtranTime  time.Duration
-	BtranTime  time.Duration
-	// PresolveTime is the wall-clock spent in presolve and postsolve;
-	// zero when presolve found nothing to remove.
-	PresolveTime time.Duration
-	// Refactorizations counts from-scratch basis factorizations; FactorNNZ
-	// is the nonzero count (fill-in included) of the final factorization.
-	Refactorizations int
-	FactorNNZ        int
-	// PresolveRows and PresolveCols count what presolve removed.
-	PresolveRows int
-	PresolveCols int
 }
 
 // TotalMC returns the executed-work cost: placement + execution + runtime

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"lips/internal/cluster"
-	"lips/internal/lp"
-)
+import "lips/internal/lp"
 
 // olKey addresses one variable or constraint of the online model's
 // deterministic layout (see onlineVarKeys / onlineConKeys).
@@ -196,41 +193,4 @@ func TranslateOnlineBasis(b *lp.Basis, oldIn, newIn *Instance) *lp.Basis {
 		}
 	}
 	return lp.TranslateBasis(b, varMap, conMap, len(newVars), len(newCons))
-}
-
-// FilterMachinesIndex is FilterMachines plus the index mapping the filter
-// induced: oldToNew[l] is machine l's new index, or -1 when its unit was
-// removed. An unchanged filter returns (false, identity).
-func (in *Instance) FilterMachinesIndex(alive func(n cluster.NodeID) bool) (changed bool, oldToNew []int) {
-	old := make([]string, len(in.Machines))
-	fakeAt := -1
-	for l, m := range in.Machines {
-		old[l] = m.Name
-		if m.Fake {
-			fakeAt = l
-		}
-	}
-	changed = in.FilterMachines(alive)
-	byName := make(map[string]int, len(in.Machines))
-	newFake := -1
-	for l, m := range in.Machines {
-		if m.Fake {
-			newFake = l
-			continue
-		}
-		byName[m.Name] = l
-	}
-	oldToNew = make([]int, len(old))
-	for l, name := range old {
-		if l == fakeAt {
-			oldToNew[l] = newFake
-			continue
-		}
-		if nl, ok := byName[name]; ok {
-			oldToNew[l] = nl
-		} else {
-			oldToNew[l] = -1
-		}
-	}
-	return changed, oldToNew
 }

@@ -130,40 +130,3 @@ func TestTranslateOnlineBasisShapeGuard(t *testing.T) {
 		t.Error("translated a nil basis")
 	}
 }
-
-// TestFilterMachinesIndex checks the returned old→new mapping against the
-// surviving units' names.
-func TestFilterMachinesIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	in := nodedInstance(4, 10, 2, 2, rng)
-	names := make([]string, len(in.Machines))
-	for l, m := range in.Machines {
-		names[l] = m.Name
-	}
-	changed, oldToNew := in.FilterMachinesIndex(func(n cluster.NodeID) bool { return int(n)%3 != 0 })
-	if !changed {
-		t.Fatal("killing a third of the nodes reported no change")
-	}
-	for l, nl := range oldToNew {
-		if l%3 == 0 {
-			if nl != -1 {
-				t.Errorf("dead machine %d mapped to %d", l, nl)
-			}
-			continue
-		}
-		if nl < 0 || in.Machines[nl].Name != names[l] {
-			t.Errorf("machine %d (%s) mapped to %d", l, names[l], nl)
-		}
-	}
-
-	identityIn := nodedInstance(4, 6, 2, 2, rand.New(rand.NewSource(5)))
-	changed, oldToNew = identityIn.FilterMachinesIndex(func(cluster.NodeID) bool { return true })
-	if changed {
-		t.Error("all-alive filter reported a change")
-	}
-	for l, nl := range oldToNew {
-		if nl != l {
-			t.Errorf("identity mapping broken at %d → %d", l, nl)
-		}
-	}
-}

@@ -28,14 +28,13 @@ type Oracle interface {
 // ColGenStats reports what a SolveColGen run did beyond the final
 // solution: how many pricing rounds ran, how much the restricted problem
 // grew, and the simplex effort summed over every round (the Solution's own
-// counters cover only the last re-solve).
+// Stats cover only the last re-solve).
 type ColGenStats struct {
 	Rounds     int // pricing rounds (solve + Price pairs), ≥ 1
 	WarmRounds int // rounds whose solve accepted the previous round's basis
 	Columns    int // columns the oracle added after the seed
 	Rows       int // rows the oracle added after the seed
-	Iters      int // simplex iterations summed over all rounds
-	DualIters  int // dual-simplex repair pivots summed over all rounds
+	Stats          // summed over all rounds
 }
 
 // maxColGenRounds bounds the pricing loop against a buggy oracle that
@@ -74,8 +73,7 @@ func SolveColGen(p *Problem, oracle Oracle, opts Options) (*Solution, ColGenStat
 		if sol.WarmStarted {
 			st.WarmRounds++
 		}
-		st.Iters += sol.Iters
-		st.DualIters += sol.DualIters
+		st.Stats.Add(sol.Stats)
 		v0, c0 := p.NumVars(), p.NumCons()
 		added := oracle.Price(p, sol)
 		if added == 0 && p.NumVars() == v0 && p.NumCons() == c0 {

@@ -220,7 +220,7 @@ func (p *Problem) SolveDense(maxIters int) (*Solution, error) {
 		return nil, err
 	}
 	if st != Optimal {
-		return &Solution{Status: st, Iters: iters}, nil
+		return &Solution{Status: st, Stats: Stats{Iters: iters}}, nil
 	}
 	p1obj := 0.0
 	for i := 0; i < m; i++ {
@@ -229,7 +229,7 @@ func (p *Problem) SolveDense(maxIters int) (*Solution, error) {
 		}
 	}
 	if p1obj > 1e-6 {
-		return &Solution{Status: Infeasible, Iters: iters}, nil
+		return &Solution{Status: Infeasible, Stats: Stats{Iters: iters}}, nil
 	}
 	// Pivot lingering zero-valued artificials out where possible.
 	for i := 0; i < m; i++ {
@@ -265,7 +265,7 @@ func (p *Problem) SolveDense(maxIters int) (*Solution, error) {
 		return nil, err
 	}
 	if st != Optimal {
-		return &Solution{Status: st, Iters: iters}, nil
+		return &Solution{Status: st, Stats: Stats{Iters: iters}}, nil
 	}
 
 	// Extract structural values: undo shifts and splits.
@@ -276,7 +276,7 @@ func (p *Problem) SolveDense(maxIters int) (*Solution, error) {
 		}
 		xt[basis[i]] = tab[i][ncols]
 	}
-	sol := &Solution{Status: Optimal, Iters: iters, X: make([]float64, len(p.vars))}
+	sol := &Solution{Status: Optimal, Stats: Stats{Iters: iters}, X: make([]float64, len(p.vars))}
 	for j := range p.vars {
 		pl := plans[j]
 		val := pl.shift

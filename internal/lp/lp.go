@@ -137,14 +137,6 @@ func (p *Problem) SetCoef(c Con, v Var, coef float64) {
 	*col = append(*col, nz{row: int(c), coef: coef})
 }
 
-// AddCost adds delta to the objective coefficient of v.
-func (p *Problem) AddCost(v Var, delta float64) {
-	if math.IsNaN(delta) || math.IsInf(delta, 0) {
-		panic(fmt.Sprintf("lp: non-finite cost delta %g for var %d", delta, v))
-	}
-	p.vars[v].cost += delta
-}
-
 // Cost returns the current objective coefficient of v.
 func (p *Problem) Cost(v Var) float64 { return p.vars[v].cost }
 

@@ -58,12 +58,12 @@ type psRec struct {
 // presolveResult carries the reduced problem and everything postsolve
 // needs to expand a reduced solution back to the original space.
 type presolveResult struct {
-	p          *Problem // reduced problem (nil when infeasible)
-	infeasible bool
-	origVar    []int32   // reduced column → original column
-	origCon    []int32   // reduced row → original row
-	lo, hi     []float64 // final working bounds per original column
-	stack      []psRec
+	p                        *Problem // reduced problem (nil when infeasible)
+	infeasible               bool
+	origVar                  []int32   // reduced column → original column
+	origCon                  []int32   // reduced row → original row
+	lo, hi                   []float64 // final working bounds per original column
+	stack                    []psRec
 	rowsRemoved, colsRemoved int
 }
 
@@ -478,14 +478,7 @@ func dominatePass(p *Problem, cost, lo, hi []float64, aliveRow, aliveCol []bool,
 // reconstructing X, the duals, and (when the reduced solve produced a
 // basis, or the whole problem presolved away) a valid Basis.
 func (pr *presolveResult) postsolve(p *Problem, rsol *Solution) *Solution {
-	sol := &Solution{
-		Status: rsol.Status, Iters: rsol.Iters, Phase1: rsol.Phase1,
-		PricingTime: rsol.PricingTime, Pivots: rsol.Pivots,
-		FactorTime: rsol.FactorTime, FtranTime: rsol.FtranTime,
-		BtranTime: rsol.BtranTime, Refactorizations: rsol.Refactorizations,
-		FactorNNZ:    rsol.FactorNNZ,
-		PresolveRows: pr.rowsRemoved, PresolveCols: pr.colsRemoved,
-	}
+	sol := &Solution{Status: rsol.Status, Stats: rsol.Stats, Pivots: rsol.Pivots}
 	if rsol.Status != Optimal {
 		return sol
 	}
@@ -689,23 +682,23 @@ func (p *Problem) solvePresolved(opts Options) (*Solution, error, bool) {
 	if pr == nil {
 		return nil, nil, false
 	}
-	if pr.infeasible {
-		return &Solution{Status: Infeasible, PresolveTime: time.Since(t0),
-			PresolveRows: pr.rowsRemoved, PresolveCols: pr.colsRemoved}, nil, true
+	spent := time.Since(t0)
+	sol := &Solution{Status: Infeasible}
+	if !pr.infeasible {
+		var rsol *Solution
+		var err error
+		if len(pr.p.cons) == 0 {
+			rsol, err = pr.p.solveUnconstrained(opts)
+		} else {
+			rsol, err = newSimplexState(pr.p, opts).run()
+		}
+		if err != nil {
+			return nil, err, true
+		}
+		t1 := time.Now()
+		sol = pr.postsolve(p, rsol)
+		spent += time.Since(t1)
 	}
-	reduceNS := time.Since(t0)
-	var rsol *Solution
-	var err error
-	if len(pr.p.cons) == 0 {
-		rsol, err = pr.p.solveUnconstrained(opts)
-	} else {
-		rsol, err = newSimplexState(pr.p, opts).run()
-	}
-	if err != nil {
-		return nil, err, true
-	}
-	t1 := time.Now()
-	sol := pr.postsolve(p, rsol)
-	sol.PresolveTime = reduceNS + time.Since(t1)
+	sol.PresolveRows, sol.PresolveCols, sol.PresolveTime = pr.rowsRemoved, pr.colsRemoved, spent
 	return sol, nil, true
 }

@@ -233,10 +233,7 @@ func (s *simplexState) run() (*Solution, error) {
 		repaired, dst := s.iterateDual(s.cost)
 		if !repaired {
 			if dst == IterLimit {
-				return &Solution{Status: IterLimit, Iters: s.iter, DualIters: s.dualIt,
-					WarmStarted: true, PricingTime: s.pricingNS, Pivots: s.pivots,
-					FactorTime: s.factorNS, FtranTime: s.ftranNS, BtranTime: s.btranNS,
-					Refactorizations: s.nRefactor, FactorNNZ: s.factor.nnz()}, nil
+				return &Solution{Status: IterLimit, Stats: s.stats(), WarmStarted: true, Pivots: s.pivots}, nil
 			}
 			s.warm = false
 		}
@@ -255,10 +252,7 @@ func (s *simplexState) run() (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol := &Solution{Status: st, Iters: s.iter, Phase1: s.p1it, DualIters: s.dualIt,
-		WarmStarted: s.warm, PricingTime: s.pricingNS, Pivots: s.pivots,
-		FactorTime: s.factorNS, FtranTime: s.ftranNS, BtranTime: s.btranNS,
-		Refactorizations: s.nRefactor, FactorNNZ: s.factor.nnz()}
+	sol := &Solution{Status: st, Stats: s.stats(), WarmStarted: s.warm, Pivots: s.pivots}
 	if st != Optimal {
 		return sol, nil
 	}
@@ -289,8 +283,7 @@ func (s *simplexState) run() (*Solution, error) {
 	s.computeDuals(cost)
 	sol.Dual = append([]float64(nil), s.y...)
 	sol.Basis = s.extractBasis()
-	sol.FactorTime, sol.FtranTime, sol.BtranTime = s.factorNS, s.ftranNS, s.btranNS
-	sol.Refactorizations, sol.FactorNNZ = s.nRefactor, s.factor.nnz()
+	sol.Stats = s.stats() // the final refactorization and duals included
 	return sol, nil
 }
 
@@ -376,7 +369,7 @@ func (s *simplexState) phase1() (st *Solution, done bool, err error) {
 	}
 	s.p1it = s.iter
 	if stat == IterLimit {
-		return &Solution{Status: IterLimit, Iters: s.iter, Phase1: s.p1it}, true, nil
+		return &Solution{Status: IterLimit, Stats: s.stats().itersOnly()}, true, nil
 	}
 	infeas := 0.0
 	for i := 0; i < m; i++ {
@@ -396,7 +389,7 @@ func (s *simplexState) phase1() (st *Solution, done bool, err error) {
 		// can price against them to find columns that would shrink the
 		// infeasibility (see RevealOracle.Price).
 		s.computeDuals(p1cost)
-		return &Solution{Status: Infeasible, Iters: s.iter, Phase1: s.p1it,
+		return &Solution{Status: Infeasible, Stats: s.stats().itersOnly(),
 			Dual: append([]float64(nil), s.y...)}, true, nil
 	}
 	// Freeze artificials at zero for phase 2.

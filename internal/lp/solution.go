@@ -2,7 +2,6 @@ package lp
 
 import (
 	"fmt"
-	"time"
 
 	"lips/internal/obs"
 )
@@ -46,14 +45,10 @@ type Solution struct {
 	// the usual LP duals; on Infeasible they are the phase-1 duals (a
 	// Farkas-style infeasibility certificate) when the simplex proved
 	// infeasibility itself, nil when presolve did.
-	Dual   []float64
-	Iters  int // total simplex iterations (both phases)
-	Phase1 int // iterations spent in phase 1
-	// DualIters counts dual-simplex repair pivots (Options.Dual): warm
-	// starts whose basis was primal infeasible but dual feasible were
-	// driven back to feasibility by this many pivots instead of a cold
-	// two-phase restart. Included in Iters.
-	DualIters int
+	Dual []float64
+	// Stats is what the solve cost. After presolve it covers the reduced
+	// solve plus the presolve pass itself.
+	Stats
 
 	// Basis is the final simplex basis, reusable as Options.WarmStart for
 	// a follow-up solve of a structurally identical problem (same variable
@@ -66,29 +61,6 @@ type Solution struct {
 	// false despite Options.WarmStart, the solver fell back to a cold
 	// two-phase start.
 	WarmStarted bool
-	// PricingTime is the wall-clock spent in the pricing step (reduced-
-	// cost refresh, entering-column scan and Devex weight maintenance)
-	// across all iterations.
-	PricingTime time.Duration
-	// FactorTime is the wall-clock spent building and updating the basis
-	// factorization; FtranTime and BtranTime cover the triangular solves
-	// (entering columns and x_B; duals and Devex pivot rows).
-	FactorTime time.Duration
-	FtranTime  time.Duration
-	BtranTime  time.Duration
-	// PresolveTime is the wall-clock spent reducing the problem and
-	// postsolving the answer back; zero when presolve did not run or
-	// found nothing to remove.
-	PresolveTime time.Duration
-	// Refactorizations counts from-scratch basis factorizations.
-	Refactorizations int
-	// FactorNNZ is the nonzero count of the final basis factorization,
-	// L+U fill-in included.
-	FactorNNZ int
-	// PresolveRows and PresolveCols count the constraint rows and columns
-	// presolve removed before the simplex saw the problem.
-	PresolveRows int
-	PresolveCols int
 	// Pivots is the pivot sequence, recorded when Options.RecordPivots is
 	// set. Used by determinism tests to assert that a change to the
 	// solver's internals left the path alone.

@@ -3,90 +3,53 @@ package metrics
 import (
 	"fmt"
 	"time"
+
+	"lips/internal/lp"
 )
 
 // SolverStats accumulates per-solve LP statistics across the epochs of a
-// run, quantifying what warm-starting and parallel pricing buy: how many
-// warm starts were attempted and accepted, the iteration counts on each
-// path, and the wall-clock split between pricing and the rest of the
-// solve.
+// run, quantifying what warm-starting buys: how many warm starts were
+// attempted and accepted, the iteration counts on each path, and where
+// the solve wall-clock went.
 type SolverStats struct {
 	Solves        int // LP solves observed
 	WarmAttempted int // solves that offered a starting basis
 	WarmAccepted  int // solves where the basis validated and was used
 
-	Iters       int // total simplex iterations, both paths
-	Phase1Iters int // iterations spent reaching feasibility (cold only)
-	WarmIters   int // iterations on warm-started solves
-	ColdIters   int // iterations on cold solves
+	// Stats sums the solves' own counters and timers (lp.Stats.Add);
+	// FactorNNZ is the last solve's.
+	lp.Stats
+	WarmIters int // iterations on warm-started solves
+	ColdIters int // iterations on cold solves
 
-	SolveTime   time.Duration // wall-clock inside lp.Solve
-	PricingTime time.Duration // portion spent in the pricing step
+	SolveTime time.Duration // wall-clock around the solves, model hand-off included
 
-	// Factorization and presolve split of the solve wall-clock: building
-	// and updating the basis factorization, the FTRAN/BTRAN triangular
-	// solves, and the presolve/postsolve pass.
-	FactorTime   time.Duration
-	FtranTime    time.Duration
-	BtranTime    time.Duration
-	PresolveTime time.Duration
-
-	Refactorizations int // from-scratch basis factorizations
-	FactorNNZ        int // nonzeros of the last solve's final factorization
-	PresolveRows     int // constraint rows removed by presolve, summed
-	PresolveCols     int // columns removed by presolve, summed
-
-	// Column-generation and dual-simplex economics: repair pivots that
-	// replaced cold restarts, pricing rounds of restricted-master solves,
-	// and columns materialized beyond the seed. All zero when the direct
-	// solver ran without the Dual option.
-	DualPivots    int
+	// Column-generation economics: pricing rounds of restricted-master
+	// solves and columns materialized beyond the seed. Zero when the
+	// direct solver ran.
 	ColGenRounds  int
 	ColGenColumns int
 }
 
-// Observe records one solve. warmAttempted says a starting basis was
-// offered; warmAccepted says the solver used it (as reported by
-// Solution.WarmStarted).
-func (ss *SolverStats) Observe(iters, phase1 int, warmAttempted, warmAccepted bool, solve, pricing time.Duration) {
+// Observe records one epoch's solve: st is what the solver reported
+// (summed over pricing rounds under column generation), solve the
+// wall-clock around it. warmAttempted says a starting basis was offered;
+// warmAccepted says the solver used it.
+func (ss *SolverStats) Observe(st lp.Stats, warmAttempted, warmAccepted bool, solve time.Duration, colgenRounds, colgenColumns int) {
 	ss.Solves++
-	ss.Iters += iters
+	ss.Stats.Add(st)
 	ss.SolveTime += solve
-	ss.PricingTime += pricing
 	if warmAttempted {
 		ss.WarmAttempted++
 	}
 	if warmAccepted {
 		ss.WarmAccepted++
-		ss.WarmIters += iters
+		ss.WarmIters += st.Iters
 	} else {
-		ss.ColdIters += iters
-		ss.Phase1Iters += phase1
+		ss.ColdIters += st.Iters
 	}
-}
-
-// ObserveFactor records one solve's factorization and presolve detail.
-// It complements Observe, which keeps its historical signature; callers
-// that have the numbers invoke both per solve.
-func (ss *SolverStats) ObserveFactor(factor, ftran, btran, presolve time.Duration,
-	refactorizations, factorNNZ, presolveRows, presolveCols int) {
-	ss.FactorTime += factor
-	ss.FtranTime += ftran
-	ss.BtranTime += btran
-	ss.PresolveTime += presolve
-	ss.Refactorizations += refactorizations
-	ss.FactorNNZ = factorNNZ
-	ss.PresolveRows += presolveRows
-	ss.PresolveCols += presolveCols
-}
-
-// ObserveColGen records one solve's dual-repair and column-generation
-// detail; zeros are fine for direct solves, so callers can invoke it
-// unconditionally alongside Observe.
-func (ss *SolverStats) ObserveColGen(dualPivots, rounds, columns int) {
-	ss.DualPivots += dualPivots
-	ss.ColGenRounds += rounds
-	ss.ColGenColumns += columns
+	ss.ColGenRounds += colgenRounds
+	ss.ColGenColumns += colgenColumns
 }
 
 // IterationsSaved estimates the simplex iterations avoided by warm
@@ -114,30 +77,19 @@ func (ss *SolverStats) AcceptRate() float64 {
 }
 
 // Merge folds another accumulation into ss, so a benchmark suite can
-// aggregate solver statistics across its runs. FactorNNZ, a last-solve
-// snapshot rather than a sum, takes the other side's value when it ran
-// any solves.
+// aggregate solver statistics across its runs. An accumulation that
+// observed nothing changes nothing — not even the FactorNNZ snapshot.
 func (ss *SolverStats) Merge(o SolverStats) {
+	if o.Solves == 0 {
+		return
+	}
 	ss.Solves += o.Solves
 	ss.WarmAttempted += o.WarmAttempted
 	ss.WarmAccepted += o.WarmAccepted
-	ss.Iters += o.Iters
-	ss.Phase1Iters += o.Phase1Iters
+	ss.Stats.Add(o.Stats)
 	ss.WarmIters += o.WarmIters
 	ss.ColdIters += o.ColdIters
 	ss.SolveTime += o.SolveTime
-	ss.PricingTime += o.PricingTime
-	ss.FactorTime += o.FactorTime
-	ss.FtranTime += o.FtranTime
-	ss.BtranTime += o.BtranTime
-	ss.PresolveTime += o.PresolveTime
-	ss.Refactorizations += o.Refactorizations
-	if o.Solves > 0 {
-		ss.FactorNNZ = o.FactorNNZ
-	}
-	ss.PresolveRows += o.PresolveRows
-	ss.PresolveCols += o.PresolveCols
-	ss.DualPivots += o.DualPivots
 	ss.ColGenRounds += o.ColGenRounds
 	ss.ColGenColumns += o.ColGenColumns
 }
@@ -159,19 +111,21 @@ func (ss *SolverStats) AvgIters() float64 {
 }
 
 // String summarises the stats on one line: the warm-start accept rate,
-// iteration economics, and where the solve wall-clock went.
+// iteration economics, and where the solve wall-clock went — to the
+// microsecond, since the line also describes single epochs.
 func (ss *SolverStats) String() string {
 	s := fmt.Sprintf(
-		"%d solves (%d/%d warm, %.0f%% accepted), %d iters (%.1f avg/solve, %d phase1, ~%d saved), solve %v (pricing %.0f%%, factor %v, presolve %v), %d refactor, presolved %d rows/%d cols",
+		"%d solves (%d/%d warm, %.0f%% accepted), %d iters (%.1f avg/solve, %d phase1, ~%d saved), solve %v (pricing %.0f%%, factor %v, ftran %v, btran %v, presolve %v), %d refactor (%d nnz), presolved %d rows/%d cols",
 		ss.Solves, ss.WarmAccepted, ss.WarmAttempted, 100*ss.AcceptRate(),
-		ss.Iters, ss.AvgIters(), ss.Phase1Iters, ss.IterationsSaved(),
-		ss.SolveTime.Round(time.Millisecond), 100*ss.PricingShare(),
-		ss.FactorTime.Round(time.Millisecond), ss.PresolveTime.Round(time.Millisecond),
-		ss.Refactorizations, ss.PresolveRows, ss.PresolveCols,
+		ss.Iters, ss.AvgIters(), ss.Phase1, ss.IterationsSaved(),
+		ss.SolveTime.Round(time.Microsecond), 100*ss.PricingShare(),
+		ss.FactorTime.Round(time.Microsecond), ss.FtranTime.Round(time.Microsecond),
+		ss.BtranTime.Round(time.Microsecond), ss.PresolveTime.Round(time.Microsecond),
+		ss.Refactorizations, ss.FactorNNZ, ss.PresolveRows, ss.PresolveCols,
 	)
-	if ss.DualPivots > 0 || ss.ColGenRounds > 0 {
+	if ss.DualIters > 0 || ss.ColGenRounds > 0 {
 		s += fmt.Sprintf(", %d dual pivots, colgen %d rounds/%d columns",
-			ss.DualPivots, ss.ColGenRounds, ss.ColGenColumns)
+			ss.DualIters, ss.ColGenRounds, ss.ColGenColumns)
 	}
 	return s
 }

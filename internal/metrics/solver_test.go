@@ -1,19 +1,22 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"lips/internal/lp"
 )
 
 func TestSolverStatsAccounting(t *testing.T) {
 	var ss SolverStats
 	// First solve: cold (nothing to warm-start from).
-	ss.Observe(100, 40, false, false, 10*time.Millisecond, 2*time.Millisecond)
+	ss.Observe(lp.Stats{Iters: 100, Phase1: 40, PricingTime: 2 * time.Millisecond}, false, false, 10*time.Millisecond, 0, 0)
 	// Second: warm attempted and accepted.
-	ss.Observe(5, 0, true, true, time.Millisecond, 200*time.Microsecond)
+	ss.Observe(lp.Stats{Iters: 5, PricingTime: 200 * time.Microsecond}, true, true, time.Millisecond, 0, 0)
 	// Third: warm attempted but rejected → cold path.
-	ss.Observe(80, 30, true, false, 8*time.Millisecond, time.Millisecond)
+	ss.Observe(lp.Stats{Iters: 80, Phase1: 30, PricingTime: time.Millisecond}, true, false, 8*time.Millisecond, 0, 0)
 
 	if ss.Solves != 3 || ss.WarmAttempted != 2 || ss.WarmAccepted != 1 {
 		t.Fatalf("counts: %+v", ss)
@@ -21,8 +24,8 @@ func TestSolverStatsAccounting(t *testing.T) {
 	if ss.Iters != 185 || ss.WarmIters != 5 || ss.ColdIters != 180 {
 		t.Fatalf("iters: %+v", ss)
 	}
-	if ss.Phase1Iters != 70 {
-		t.Fatalf("phase1: %d", ss.Phase1Iters)
+	if ss.Phase1 != 70 {
+		t.Fatalf("phase1: %d", ss.Phase1)
 	}
 	if ss.SolveTime != 19*time.Millisecond {
 		t.Fatalf("solve time: %v", ss.SolveTime)
@@ -46,8 +49,66 @@ func TestSolverStatsEmpty(t *testing.T) {
 		t.Fatal("empty stats should report zeros")
 	}
 	// All-warm runs have no cold baseline to estimate savings from.
-	ss.Observe(3, 0, true, true, time.Millisecond, 0)
+	ss.Observe(lp.Stats{Iters: 3}, true, true, time.Millisecond, 0, 0)
 	if ss.IterationsSaved() != 0 {
 		t.Fatalf("saved without a cold baseline: %d", ss.IterationsSaved())
+	}
+}
+
+// TestSolverStatsCarriesEveryLPStat ends the hand-copy class of bug: every
+// field of lp.Stats — today's twelve and any added later — must come
+// through Observe into the totals, through Merge into a suite's totals, and
+// into what String prints. A thirteenth counter that lp.Stats.Add or String
+// does not know fails here instead of going quietly missing.
+func TestSolverStatsCarriesEveryLPStat(t *testing.T) {
+	primes := []int64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53}
+	var st lp.Stats
+	v := reflect.ValueOf(&st).Elem()
+	if v.NumField() > len(primes) {
+		t.Fatalf("lp.Stats has %d fields: extend primes", v.NumField())
+	}
+	// scale is the unit one step of the field is worth.
+	scale := func(f reflect.Value) int64 {
+		switch f.Interface().(type) {
+		case int:
+			return 1
+		case time.Duration:
+			return int64(time.Millisecond)
+		}
+		t.Fatalf("lp.Stats has a %s field: teach this test its unit", f.Type())
+		return 0
+	}
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(primes[i] * scale(v.Field(i)))
+	}
+
+	var ss SolverStats
+	ss.Observe(st, false, false, time.Second, 0, 0)
+	if ss.Stats != st {
+		t.Errorf("one Observe:\n got %+v\nwant %+v", ss.Stats, st)
+	}
+	var suite SolverStats
+	suite.Merge(ss)
+	suite.Merge(ss)
+	suite.Merge(SolverStats{}) // a run that never solved changes nothing
+	got := reflect.ValueOf(suite.Stats)
+	for i := 0; i < v.NumField(); i++ {
+		name, want := v.Type().Field(i).Name, 2*v.Field(i).Int()
+		if name == "FactorNNZ" { // the last solve's, not a sum
+			want = v.Field(i).Int()
+		}
+		if got.Field(i).Int() != want {
+			t.Errorf("two merged runs: %s = %d, want %d", name, got.Field(i).Int(), want)
+		}
+	}
+
+	line := ss.String()
+	for i := 0; i < v.NumField(); i++ {
+		moved := ss
+		f := reflect.ValueOf(&moved.Stats).Elem().Field(i)
+		f.SetInt(f.Int() + 50*scale(f))
+		if moved.String() == line {
+			t.Errorf("String ignores %s: %q", v.Type().Field(i).Name, line)
+		}
 	}
 }

@@ -74,6 +74,13 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	return ServeHandler(addr, Mux(reg))
 }
 
+// Without these one client that never finishes its request headers holds
+// a goroutine and a socket for good. No write timeout on purpose:
+// /debug/pprof/profile legitimately streams for 30 s.
+const idleTimeout = 2 * time.Minute
+
+var readHeaderTimeout = 10 * time.Second // a variable for its test only
+
 // ServeHandler is Serve with a caller-supplied handler — typically the
 // Mux plus the daemon's own endpoints.
 func ServeHandler(addr string, handler http.Handler) (*Server, error) {
@@ -81,7 +88,8 @@ func ServeHandler(addr string, handler http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: handler}, err: make(chan error, 1)}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	s := &Server{ln: ln, srv: srv, err: make(chan error, 1)}
 	go func() { s.err <- s.srv.Serve(ln) }()
 	return s, nil
 }

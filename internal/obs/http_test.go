@@ -2,11 +2,15 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestServerEndpoints(t *testing.T) {
@@ -117,5 +121,35 @@ func TestMuxReady(t *testing.T) {
 func TestServeBadAddr(t *testing.T) {
 	if _, err := Serve("256.0.0.1:bad", NewRegistry()); err == nil {
 		t.Error("bad address accepted")
+	}
+}
+
+// TestServerDropsStalledHeaders: a client that sends half a request line
+// and then nothing must be disconnected within the header timeout, not
+// hold its goroutine and socket for good.
+func TestServerDropsStalledHeaders(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 50 * time.Millisecond
+	srv, err := Serve("127.0.0.1:0", NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HT"); err != nil {
+		t.Fatal(err)
+	}
+	// The server's close ends the read; the local deadline only bounds the
+	// test when the server never closes.
+	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Error("connection with unfinished headers still open after 40 header timeouts")
 	}
 }

@@ -1,5 +1,7 @@
 package obs
 
+import "lips/internal/trace"
+
 // Metric families, one vocabulary for the live instrumentation
 // (internal/sim, internal/sched, internal/lp) and the offline trace
 // replay sink (TraceSink), so a Prometheus scrape of a running
@@ -164,11 +166,13 @@ func registerSim(r *Registry) *SimMetrics {
 	return m
 }
 
-// SchedMetrics bundles the LiPS epoch-loop handles.
+// SchedMetrics bundles the LiPS epoch-loop handles. They move only in
+// ObserveEpoch, which the live scheduler and the trace replay both call,
+// so a replayed trace reproduces the live values by construction.
 type SchedMetrics struct {
-	Epochs, WarmOffers, WarmHits, Launched *Counter
-	EpochNumber, Deferred                  *Gauge
-	Iterations, SolveSeconds               *Histogram
+	epochs, warmOffers, warmHits, launched *Counter
+	epochNumber, deferred                  *Gauge
+	iterations, solveSeconds               *Histogram
 }
 
 // RegisterSched registers (or fetches) the scheduler families. Calling it
@@ -179,17 +183,38 @@ func RegisterSched(r *Registry) *SchedMetrics {
 
 func registerSched(r *Registry) *SchedMetrics {
 	return &SchedMetrics{
-		Epochs:      r.Counter(MSchedEpochs, "Scheduling epochs with queued work (LP solves attempted)."),
-		WarmOffers:  r.Counter(MSchedWarmOffers, "Epoch solves offered the previous epoch's basis."),
-		WarmHits:    r.Counter(MSchedWarmHits, "Epoch solves that accepted the warm-start basis."),
-		Launched:    r.Counter(MSchedLaunched, "Tasks enqueued by epoch plans."),
-		EpochNumber: r.Gauge(MSchedEpochNumber, "Number of the most recent scheduling epoch."),
-		Deferred:    r.Gauge(MSchedDeferred, "Tasks the last epoch's LP parked on the fake overflow node."),
-		Iterations: r.Histogram(MSchedIters, "Simplex iterations per epoch solve.",
+		epochs:      r.Counter(MSchedEpochs, "Scheduling epochs with queued work (LP solves attempted)."),
+		warmOffers:  r.Counter(MSchedWarmOffers, "Epoch solves offered the previous epoch's basis."),
+		warmHits:    r.Counter(MSchedWarmHits, "Epoch solves that accepted the warm-start basis."),
+		launched:    r.Counter(MSchedLaunched, "Tasks enqueued by epoch plans."),
+		epochNumber: r.Gauge(MSchedEpochNumber, "Number of the most recent scheduling epoch."),
+		deferred:    r.Gauge(MSchedDeferred, "Tasks the last epoch's LP parked on the fake overflow node."),
+		iterations: r.Histogram(MSchedIters, "Simplex iterations per epoch solve.",
 			[]float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}),
-		SolveSeconds: r.Histogram(MSchedSolveSeconds, "Wall-clock seconds per epoch LP solve (machine-dependent).",
+		solveSeconds: r.Histogram(MSchedSolveSeconds, "Wall-clock seconds per epoch LP solve (machine-dependent).",
 			// 100µs … 10s in half-decade steps.
 			[]float64{1e-4, 3.16e-4, 1e-3, 3.16e-3, 0.01, 0.0316, 0.1, 0.316, 1, 3.16, 10}),
+	}
+}
+
+// ObserveEpoch folds one epoch event into the scheduler families. The
+// solve-seconds histogram fills only when the event carries timings: the
+// live scheduler always passes them, a trace only has them when it was
+// recorded with TraceTimings.
+func (m *SchedMetrics) ObserveEpoch(ep *trace.EpochInfo) {
+	m.epochs.Inc()
+	m.epochNumber.Set(float64(ep.Epoch))
+	m.deferred.Set(float64(ep.Deferred))
+	m.launched.Add(float64(ep.Launched))
+	if ep.Warm {
+		m.warmOffers.Inc()
+		if ep.WarmAccepted {
+			m.warmHits.Inc()
+		}
+	}
+	m.iterations.Observe(float64(ep.Iters))
+	if ep.SolveMS > 0 {
+		m.solveSeconds.Observe(ep.SolveMS / 1e3)
 	}
 }
 

@@ -38,9 +38,7 @@ func TestSnapshotReadsRegistry(t *testing.T) {
 	m.BusySlot.Set(90)
 	m.Launched["node-local"].Add(6)
 	m.Faults.With("node-down").Inc()
-	sched := RegisterSched(reg)
-	sched.EpochNumber.Set(2)
-	sched.Deferred.Set(5)
+	RegisterSched(reg).ObserveEpoch(&trace.EpochInfo{Epoch: 2, Deferred: 5})
 
 	p := Snapshot(reg)
 	want := Progress{

@@ -61,21 +61,7 @@ func (t *TraceSink) Emit(e trace.Event) {
 	case trace.KindFault:
 		t.sim.Faults.With(e.Fault.Kind).Inc()
 	case trace.KindEpoch:
-		ep := e.Epoch
-		t.sched.Epochs.Inc()
-		t.sched.EpochNumber.Set(float64(ep.Epoch))
-		t.sched.Deferred.Set(float64(ep.Deferred))
-		t.sched.Launched.Add(float64(ep.Launched))
-		if ep.Warm {
-			t.sched.WarmOffers.Inc()
-			if ep.WarmAccepted {
-				t.sched.WarmHits.Inc()
-			}
-		}
-		t.sched.Iterations.Observe(float64(ep.Iters))
-		if ep.SolveMS > 0 {
-			t.sched.SolveSeconds.Observe(ep.SolveMS / 1e3)
-		}
+		t.sched.ObserveEpoch(e.Epoch)
 	case trace.KindSample:
 		s := e.Sample
 		t.sim.Clock.Set(e.T)

@@ -132,7 +132,7 @@ func TestEpochGolden(t *testing.T) {
 			got := fmt.Sprintf("%s trace=%x metrics=%x epochs=%d lpiters=%d tasks=%d blocks=%d solver=%d/%d/%d/%d/%d/%d/%d records=%s",
 				tc.name, sha256.Sum256(tr), sha256.Sum256([]byte(kept.String())),
 				l.Epochs, l.LPIters, l.TasksMoved, l.BlocksMoved,
-				ss.Solves, ss.WarmAttempted, ss.WarmAccepted, ss.Iters, ss.DualPivots,
+				ss.Solves, ss.WarmAttempted, ss.WarmAccepted, ss.Iters, ss.DualIters,
 				ss.ColGenRounds, ss.ColGenColumns, seq.String())
 			if !strings.Contains("\n"+string(golden), "\n"+got+"\n") {
 				t.Errorf("not a line of testdata/epoch.golden:\n%s", got)

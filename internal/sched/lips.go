@@ -83,7 +83,7 @@ type LiPS struct {
 	prevHot     []string       // hot machine unit names (ColGen seed hints)
 	topoChanged bool           // a node went down or up since the last solve
 
-	lastEpoch EpochStats // most recent epoch's snapshot (see EpochReporter)
+	lastEpoch EpochRecord // most recent epoch (see LastEpochStats)
 
 	om    *obs.SchedMetrics // live epoch metrics; nil when metrics are off
 	lpReg *obs.Registry     // passed to each solve via lp.Options.Metrics
@@ -112,7 +112,7 @@ func (l *LiPS) Init(s *sim.Sim) {
 	l.TasksMoved = 0
 	l.BlocksMoved = 0
 	l.Solver = metrics.SolverStats{}
-	l.lastEpoch = EpochStats{}
+	l.lastEpoch = EpochRecord{}
 	l.Err = nil
 	l.stale = 0
 	l.prevBasis = nil
@@ -176,13 +176,13 @@ func (l *LiPS) tick(s *sim.Sim) {
 	}
 	defer s.At(s.Now()+l.EpochSec, func() { l.tick(s) })
 
-	queued := l.queuedJobs(s)
+	queued, pendingOf := l.queuedJobs(s)
 	if len(queued) == 0 {
 		return
 	}
 	l.Epochs++
 
-	launched := l.planEpoch(s, queued)
+	launched := l.planEpoch(s, queued, pendingOf)
 	if launched == 0 {
 		l.stale++
 		if l.stale >= 3 {
@@ -207,20 +207,24 @@ func (l *LiPS) done(s *sim.Sim) bool {
 }
 
 // queuedJobs lists arrived jobs that still have Pending (unassigned)
-// tasks.
-func (l *LiPS) queuedJobs(s *sim.Sim) []int {
-	var out []int
+// tasks, and those tasks: pendingOf[i] belongs to queued[i].
+func (l *LiPS) queuedJobs(s *sim.Sim) (queued []int, pendingOf [][]int) {
 	for _, j := range s.ArrivedJobs() {
-		if len(s.PendingTasks(j)) > 0 {
-			out = append(out, j)
+		if pending := s.PendingTasks(j); len(pending) > 0 {
+			queued = append(queued, j)
+			pendingOf = append(pendingOf, pending)
 		}
 	}
-	return out
+	return queued, pendingOf
 }
 
-// planEpoch builds, solves and applies one epoch's LP. It returns the
+// planEpoch builds, solves and applies one epoch's LP over the queued jobs
+// and their pending tasks, and reports it through record. It returns the
 // number of tasks enqueued.
-func (l *LiPS) planEpoch(s *sim.Sim, queued []int) int {
+func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
+	began := time.Now()
+	r := EpochRecord{Epoch: l.Epochs, SimTime: s.Now(), Jobs: len(queued)}
+
 	// Build a synthetic sub-workload of the remaining work: one job item
 	// per queued job covering only its pending tasks, one data item per
 	// input job covering only the pending blocks (with their current
@@ -228,12 +232,11 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int) int {
 	subJobs := make([]workload.Job, 0, len(queued))
 	var subObjects []hdfs.DataObject
 	subPlacement := make([]map[cluster.StoreID]float64, 0, len(queued))
-	pendingOf := make([][]int, len(queued))
 
 	for qi, j := range queued {
 		job := s.W.Jobs[j]
-		pending := s.PendingTasks(j)
-		pendingOf[qi] = pending
+		pending := pendingOf[qi]
+		r.Pending += len(pending)
 		sub := job
 		sub.ID = qi
 		sub.NumTasks = len(pending)
@@ -268,24 +271,16 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int) int {
 	opts.Metrics = l.lpReg
 
 	var plan *core.Plan
-	var elapsed time.Duration
+	var solving time.Time
 	if l.ColGen {
 		// Restricted-master path: no basis carries across epochs (the
 		// master's column layout depends on materialization order), but
 		// the previous plan's hot machines seed the new master so the
 		// first pricing round already holds the likely support.
-		start := time.Now()
-		p, _, cgErr := core.SolveOnlineColGen(in, core.ColGenOptions{
+		solving = time.Now()
+		plan, _, err = core.SolveOnlineColGen(in, core.ColGenOptions{
 			LP: opts, SeedMachines: seedMachines(in, l.prevHot),
 		})
-		elapsed = time.Since(start)
-		l.SolveTime += elapsed
-		if cgErr != nil {
-			l.fail(fmt.Errorf("epoch %d: %w", l.Epochs, cgErr))
-			return 0
-		}
-		plan = p
-		l.prevHot = hotMachineNames(in, plan)
 	} else {
 		model, mErr := core.BuildOnlineModel(in)
 		if mErr != nil {
@@ -303,76 +298,52 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int) int {
 		if l.WarmStart {
 			opts.WarmStart = l.prevBasis
 		}
-		start := time.Now()
-		p, sErr := model.Solve(opts)
-		elapsed = time.Since(start)
-		l.SolveTime += elapsed
-		if sErr != nil {
-			l.fail(fmt.Errorf("epoch %d: %w", l.Epochs, sErr))
-			return 0
-		}
-		plan = p
-		if l.WarmStart {
-			l.prevBasis, l.prevIn = plan.Basis, in
-		}
+		solving = time.Now()
+		plan, err = model.Solve(opts)
+	}
+	solved := time.Now()
+	if err != nil {
+		l.fail(fmt.Errorf("epoch %d: %w", l.Epochs, err))
+		return 0
+	}
+	if l.ColGen {
+		l.prevHot = hotMachineNames(in, plan)
+	} else if l.WarmStart {
+		l.prevBasis, l.prevIn = plan.Basis, in
 	}
 	l.topoChanged = false
-	l.LPIters += plan.Iters
-	// The warm columns count epoch-to-epoch basis reuse only: a colgen
-	// solve's final round often warm-starts from its own earlier rounds
-	// (WarmRounds in ColGenStats), which would otherwise record an
-	// acceptance that was never attempted at the epoch level.
-	warmAttempted := opts.WarmStart != nil
-	l.Solver.Observe(plan.Iters, plan.Phase1, warmAttempted, warmAttempted && plan.WarmStarted,
-		elapsed, plan.PricingTime)
-	l.Solver.ObserveFactor(plan.FactorTime, plan.FtranTime, plan.BtranTime,
-		plan.PresolveTime, plan.Refactorizations, plan.FactorNNZ,
-		plan.PresolveRows, plan.PresolveCols)
-	l.Solver.ObserveColGen(plan.DualIters, plan.ColGenRounds, plan.ColGenColumns)
-	pending := 0
-	for _, p := range pendingOf {
-		pending += len(p)
-	}
-	blocksBefore := l.BlocksMoved
-	launched := l.apply(s, in, plan.Round(), queued, pendingOf)
-	l.lastEpoch = EpochStats{
-		Epoch: l.Epochs, Jobs: len(queued), Pending: pending,
-		Launched: launched, Deferred: pending - launched,
-		Solver: l.Solver.String(),
-	}
+
+	ip := plan.Round()
+	rounded := time.Now()
+	r.Launched, r.BlocksMoved = l.apply(s, in, ip, queued, pendingOf)
+	applied := time.Now()
+
+	r.Deferred = r.Pending - r.Launched
+	r.WarmOffered, r.WarmStarted = opts.WarmStart != nil, plan.WarmStarted
+	r.Stats = plan.Stats
+	r.ColGenRounds, r.ColGenColumns = plan.ColGenRounds, plan.ColGenColumns
+	r.BuildTime, r.SolveTime = solving.Sub(began), solved.Sub(solving)
+	r.RoundTime, r.ApplyTime = rounded.Sub(solved), applied.Sub(rounded)
+	l.record(s, r)
+	return r.Launched
+}
+
+// record is the one place an epoch is reported: it folds the record into
+// the run totals, keeps it for LastEpochStats, and renders it into the live
+// metrics (with wall-clock) and the trace (without, unless TraceTimings).
+func (l *LiPS) record(s *sim.Sim, r EpochRecord) {
+	l.SolveTime += r.SolveTime
+	l.LPIters += r.Iters
+	l.TasksMoved += r.Launched
+	l.BlocksMoved += r.BlocksMoved
+	r.observe(&l.Solver)
+	l.lastEpoch = r
 	if l.om != nil {
-		l.om.Epochs.Inc()
-		l.om.EpochNumber.Set(float64(l.Epochs))
-		l.om.SolveSeconds.Observe(elapsed.Seconds())
-		l.om.Iterations.Observe(float64(plan.Iters))
-		if opts.WarmStart != nil {
-			l.om.WarmOffers.Inc()
-			if plan.WarmStarted {
-				l.om.WarmHits.Inc()
-			}
-		}
-		l.om.Launched.Add(float64(launched))
-		l.om.Deferred.Set(float64(pending - launched))
+		l.om.ObserveEpoch(r.traceInfo(l.Name(), true))
 	}
 	if tr := s.Tracer(); tr.Enabled() {
-		info := &trace.EpochInfo{
-			Scheduler: l.Name(), Epoch: l.Epochs,
-			Jobs: len(queued), Pending: pending,
-			Warm: opts.WarmStart != nil, WarmAccepted: plan.WarmStarted,
-			Iters: plan.Iters, Phase1: plan.Phase1,
-			PresolveRows: plan.PresolveRows, PresolveCols: plan.PresolveCols,
-			Launched: launched, Deferred: pending - launched,
-			BlocksMoved: l.BlocksMoved - blocksBefore,
-		}
-		if l.TraceTimings {
-			info.SolveMS = float64(elapsed.Microseconds()) / 1e3
-			info.PricingMS = float64(plan.PricingTime.Microseconds()) / 1e3
-			info.FactorMS = float64(plan.FactorTime.Microseconds()) / 1e3
-			info.PresolveMS = float64(plan.PresolveTime.Microseconds()) / 1e3
-		}
-		tr.Emit(trace.Event{T: s.Now(), Kind: trace.KindEpoch, Epoch: info})
+		tr.Emit(trace.Event{T: r.SimTime, Kind: trace.KindEpoch, Epoch: r.traceInfo(l.Name(), l.TraceTimings)})
 	}
-	return launched
 }
 
 // buildInstance constructs the core.Instance for the sub-workload, mapping
@@ -423,8 +394,9 @@ func (l *LiPS) buildInstance(s *sim.Sim, jobs []workload.Job, objects []hdfs.Dat
 	return in, nil
 }
 
-// apply turns the rounded plan into concrete data moves and pinned tasks.
-func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queued []int, pendingOf [][]int) int {
+// apply turns the rounded plan into concrete data moves and pinned tasks,
+// and returns how many of each it issued.
+func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queued []int, pendingOf [][]int) (launched, blocksMoved int) {
 	unitOf := in.StoreUnitOf()
 
 	// Per data item: desired block counts per store unit.
@@ -506,13 +478,12 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 			want[best]--
 			dst := l.pickStore(in, best)
 			doneAt := s.MoveBlock(int(obj.ID), t, dst)
-			l.BlocksMoved++
+			blocksMoved++
 			locs[qi][t] = taskLoc{store: dst, unit: best, readyAt: doneAt}
 		}
 	}
 
 	// Assign tasks per (job, machine unit, store unit) count.
-	launched := 0
 	byJob := make(map[int][]core.TaskAssignment)
 	for _, a := range ip.Assignments {
 		byJob[a.Job] = append(byJob[a.Job], a)
@@ -561,11 +532,10 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 					continue
 				}
 				launched++
-				l.TasksMoved++
 			}
 		}
 	}
-	return launched
+	return launched, blocksMoved
 }
 
 // hotMachineNames lists the non-fake machine units carrying work in the

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lips/internal/obs"
 	"lips/internal/sim"
 )
 
@@ -45,6 +46,40 @@ func TestLiPSColGenMatchesDirect(t *testing.T) {
 		t.Errorf("colgen cost %v > direct %v by %.1f%%", cgRes.TotalCost(), directRes.TotalCost(), 100*diff/dc)
 	}
 	t.Logf("direct=%v colgen=%v solver: %s", directRes.TotalCost(), cgRes.TotalCost(), cg.Solver.String())
+}
+
+// TestLiPSSolverMatchesLPCounters holds the run's SolverStats against the
+// lips_lp_* counters the solver publishes itself, solve by solve, on both
+// LP paths. Under ColGen an epoch is several solves: every total must sum
+// them all, as the iteration count always did — phase 1, refactorizations
+// and the presolve counts used to be the last pricing round's alone.
+func TestLiPSSolverMatchesLPCounters(t *testing.T) {
+	for _, colgen := range []bool{false, true} {
+		l := NewLiPS(400)
+		l.ColGen = colgen
+		l.LPOpts.Dual = true
+		reg := obs.NewRegistry()
+		runSched(t, mixedCluster(), smallJobSet(rand.New(rand.NewSource(3)), 3), nil, l,
+			sim.Options{TaskTimeoutSec: 1200, Metrics: reg})
+		if l.Solver.Iters == 0 || l.Solver.Phase1 == 0 || l.Solver.Refactorizations == 0 {
+			t.Errorf("colgen=%v: run too small to tell: %s", colgen, l.Solver.String())
+		}
+		for _, c := range []struct {
+			family string
+			got    int
+		}{
+			{obs.MLPIters, l.Solver.Iters},
+			{obs.MLPPhase1, l.Solver.Phase1},
+			{obs.MLPRefactor, l.Solver.Refactorizations},
+			{obs.MLPDualPivots, l.Solver.DualIters},
+			{obs.MLPPresolveRows, l.Solver.PresolveRows},
+			{obs.MLPPresolveCols, l.Solver.PresolveCols},
+		} {
+			if want, _ := reg.Value(c.family); float64(c.got) != want {
+				t.Errorf("colgen=%v: Solver reports %d, %s = %g", colgen, c.got, c.family, want)
+			}
+		}
+	}
 }
 
 // TestLiPSInitTwice reuses one scheduler across two sim runs — the Init

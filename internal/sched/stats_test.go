@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lips/internal/sim"
@@ -35,8 +36,8 @@ func TestLastEpochStats(t *testing.T) {
 	if es.Deferred != es.Pending-es.Launched {
 		t.Errorf("deferred %d != pending %d - launched %d", es.Deferred, es.Pending, es.Launched)
 	}
-	if es.Solver == "" {
-		t.Error("solver one-liner empty")
+	if !strings.HasPrefix(es.String(), "1 solves") {
+		t.Errorf("solver one-liner %q does not describe the one epoch", es.String())
 	}
 
 	// Init (a new run) resets the snapshot.

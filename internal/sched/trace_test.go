@@ -10,8 +10,8 @@ import (
 )
 
 // traceRun executes one seeded LiPS run under churn with a JSONL sink
-// and returns the raw trace bytes.
-func traceRun(t *testing.T, seed int64) []byte {
+// and returns the raw trace bytes; timings sets LiPS.TraceTimings.
+func traceRun(t *testing.T, seed int64, timings bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := trace.NewJSONL(&buf)
@@ -29,7 +29,9 @@ func traceRun(t *testing.T, seed int64) []byte {
 		TaskTimeoutSec: 1200, Faults: plan,
 		Tracer: sink, SampleIntervalSec: 50, TraceLabel: "determinism",
 	}
-	runSched(t, c, w, nil, NewLiPS(200), opts)
+	l := NewLiPS(200)
+	l.TraceTimings = timings
+	runSched(t, c, w, nil, l, opts)
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +45,8 @@ func traceRun(t *testing.T, seed int64) []byte {
 // the same seeded simulation — LP epochs, injected faults and all —
 // write byte-identical JSONL traces.
 func TestTraceDeterministic(t *testing.T) {
-	a := traceRun(t, 3)
-	b := traceRun(t, 3)
+	a := traceRun(t, 3, false)
+	b := traceRun(t, 3, false)
 	if !bytes.Equal(a, b) {
 		la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
 		for i := range la {
@@ -54,7 +56,7 @@ func TestTraceDeterministic(t *testing.T) {
 		}
 		t.Fatalf("traces differ in length: %d vs %d bytes", len(a), len(b))
 	}
-	if c := traceRun(t, 4); bytes.Equal(a, c) {
+	if c := traceRun(t, 4, false); bytes.Equal(a, c) {
 		t.Error("different seeds produced identical traces")
 	}
 }
@@ -69,7 +71,7 @@ func safeLine(lines [][]byte, i int) []byte {
 // TestTraceEventStream checks the emitted stream is schema-valid and
 // covers the expected kinds for a faulted LiPS run.
 func TestTraceEventStream(t *testing.T) {
-	events, err := trace.ReadAll(bytes.NewReader(traceRun(t, 3)))
+	events, err := trace.ReadAll(bytes.NewReader(traceRun(t, 3, false)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +96,29 @@ func TestTraceEventStream(t *testing.T) {
 	if census[trace.KindLaunch] < census[trace.KindDone] {
 		t.Errorf("launches (%d) < dones (%d)", census[trace.KindLaunch], census[trace.KindDone])
 	}
-	// Epoch events carry no wall-clock timings unless opted in.
+	// Epoch events carry no wall-clock timings unless opted in — then the
+	// same run's events say where each epoch went.
+	wall := func(ep *trace.EpochInfo) []float64 {
+		return []float64{ep.BuildMS, ep.SolveMS, ep.RoundMS, ep.ApplyMS, ep.PricingMS, ep.FactorMS, ep.PresolveMS}
+	}
 	for _, e := range events {
-		if e.Kind == trace.KindEpoch && (e.Epoch.SolveMS != 0 || e.Epoch.PricingMS != 0) {
-			t.Errorf("epoch %d leaked wall-clock timings without TraceTimings", e.Epoch.Epoch)
+		if e.Kind != trace.KindEpoch {
+			continue
+		}
+		for _, ms := range wall(e.Epoch) {
+			if ms != 0 {
+				t.Errorf("epoch %d leaked wall-clock timings without TraceTimings: %+v", e.Epoch.Epoch, e.Epoch)
+				break
+			}
+		}
+	}
+	timed, err := trace.ReadAll(bytes.NewReader(traceRun(t, 3, true)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range timed {
+		if e.Kind == trace.KindEpoch && (e.Epoch.BuildMS <= 0 || e.Epoch.SolveMS <= 0) {
+			t.Errorf("epoch %d under TraceTimings lacks its phase durations: %+v", e.Epoch.Epoch, e.Epoch)
 		}
 	}
 }

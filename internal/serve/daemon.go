@@ -176,7 +176,7 @@ type Daemon struct {
 	reg *obs.Registry
 	sm  *obs.ServeMetrics
 	s   *sim.Sim
-	sch sim.Scheduler // for the sched.EpochReporter view, when implemented
+	sch sim.Scheduler // for LiPS's own record of its epochs
 	log *slog.Logger
 
 	// spans is the bounded ring of completed spans (done, cancelled,
@@ -215,7 +215,9 @@ type Daemon struct {
 	simMu sync.Mutex
 	busy  atomic.Bool
 
-	originRR int // round-robin origin store for submitted inputs
+	// Only the epoch goroutine touches these two.
+	originRR   int // round-robin origin store for submitted inputs
+	schedEpoch int // scheduler epoch the decision ring last showed
 
 	running  bool // loop launched (guarded by mu)
 	stop     chan struct{}
@@ -310,13 +312,7 @@ func (d *Daemon) Err() error {
 	return d.loopErr
 }
 
-// SimNow returns the simulated clock (one epoch stale at most).
-func (d *Daemon) SimNow() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.simNowLocked()
-}
-
+// simNowLocked returns the simulated clock (one epoch stale at most).
 func (d *Daemon) simNowLocked() float64 {
 	return float64(d.epochs) * d.cfg.EpochSimSec
 }
@@ -596,11 +592,6 @@ func (d *Daemon) epoch() error {
 	for _, tn := range d.s.Ledger.Tenants() {
 		spend[tn] = d.s.Ledger.TenantBreakdown(tn)
 	}
-	var schedStats sched.EpochStats
-	var haveSched bool
-	if er, ok := d.sch.(sched.EpochReporter); ok {
-		schedStats, haveSched = er.LastEpochStats()
-	}
 	simNow := d.s.Now()
 	d.simMu.Unlock()
 	stepWall := time.Since(stepStart)
@@ -714,15 +705,18 @@ func (d *Daemon) epoch() error {
 		// something.
 		dec := EpochDecision{
 			Epoch: epochNum, SimStart: now, SimEnd: simNow,
-			WallMS:   float64(stepWall.Microseconds()) / 1e3,
+			WallMS:   ms(stepWall),
 			Admitted: admittedRefs, AdmittedCount: admittedTotal,
 			Deferred: deferred, DeferredCount: deferredTotal,
 			Shed: shed, QueueDepth: queueDepth,
 		}
-		if haveSched {
-			dec.SchedEpoch = schedStats.Epoch
-			dec.SchedDeferredTasks = schedStats.Deferred
-			dec.Solver = schedStats.Solver
+		// Only this goroutine steps the simulator, so LiPS's last record is
+		// stable outside simMu; one already shown is an earlier step's.
+		if l, ok := d.sch.(*sched.LiPS); ok {
+			if r, ok := l.LastEpochStats(); ok && r.Epoch != d.schedEpoch {
+				d.schedEpoch = r.Epoch
+				dec.SchedView = newSchedView(r)
+			}
 		}
 		d.decisions.add(dec)
 	}
@@ -783,8 +777,8 @@ func (d *Daemon) epoch() error {
 	if stepWall > d.cfg.EpochWallInterval {
 		d.log.Warn("slow epoch",
 			obs.LogEpoch, epochNum,
-			"step_wall_ms", float64(stepWall.Microseconds())/1e3,
-			"interval_ms", float64(d.cfg.EpochWallInterval.Microseconds())/1e3,
+			"step_wall_ms", ms(stepWall),
+			"interval_ms", ms(d.cfg.EpochWallInterval),
 			"queue_depth", queueDepth)
 	}
 	if admittedTotal > 0 || newlyDone > 0 || newlyCancelled > 0 {

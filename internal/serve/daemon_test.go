@@ -158,6 +158,22 @@ func TestSubmitValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("status of unknown id: %d", resp.StatusCode)
 	}
+
+	// At the tenant cap a known tenant is still served and an unseen one
+	// is refused: each tenant mints metric and ledger children for good.
+	d.mu.Lock()
+	for i := 0; len(d.tenants) < maxTenants; i++ {
+		d.tenants[fmt.Sprintf("filler-%d", i)] = true
+	}
+	d.mu.Unlock()
+	for _, row := range []struct {
+		tenant string
+		want   int
+	}{{"a", http.StatusAccepted}, {"one-too-many", http.StatusBadRequest}} {
+		if _, code := submitOne(t, ts.URL, row.tenant); code != row.want {
+			t.Errorf("at the tenant cap, tenant %q: got %d, want %d", row.tenant, code, row.want)
+		}
+	}
 }
 
 // TestBackpressureExactQueueCap is the threshold property test: with the

@@ -1,6 +1,11 @@
 package serve
 
-import "lips/internal/obs"
+import (
+	"time"
+
+	"lips/internal/obs"
+	"lips/internal/sched"
+)
 
 // JobRef identifies one submission inside an epoch decision.
 type JobRef struct {
@@ -44,13 +49,35 @@ type EpochDecision struct {
 
 	QueueDepth int `json:"queue_depth"`
 
-	// Scheduler-side view, when the scheduler implements
-	// sched.EpochReporter: its epoch counter, tasks its LP deferred, and
-	// the solver-stats one-liner for the run so far.
-	SchedEpoch         int    `json:"sched_epoch,omitempty"`
-	SchedDeferredTasks int    `json:"sched_deferred_tasks,omitempty"`
-	Solver             string `json:"solver,omitempty"`
+	// SchedView is nil on steps in which LiPS planned no epoch: a pointer,
+	// so the ring, sized for every step, carries it only where there is one.
+	*SchedView
 }
+
+// SchedView is LiPS's own sched.EpochRecord of the epoch it planned inside
+// a step: its epoch counter, the tasks its LP deferred, that epoch's solve
+// as a one-liner, and where the epoch's wall-clock went — build, solve,
+// round, apply, in order, all four inside the decision's WallMS.
+type SchedView struct {
+	SchedEpoch         int     `json:"sched_epoch"`
+	SchedDeferredTasks int     `json:"sched_deferred_tasks"`
+	Solver             string  `json:"solver"`
+	BuildMS            float64 `json:"build_ms"`
+	SolveMS            float64 `json:"solve_ms"`
+	RoundMS            float64 `json:"round_ms"`
+	ApplyMS            float64 `json:"apply_ms"`
+}
+
+func newSchedView(r sched.EpochRecord) *SchedView {
+	return &SchedView{
+		SchedEpoch: r.Epoch, SchedDeferredTasks: r.Deferred, Solver: r.String(),
+		BuildMS: ms(r.BuildTime), SolveMS: ms(r.SolveTime),
+		RoundMS: ms(r.RoundTime), ApplyMS: ms(r.ApplyTime),
+	}
+}
+
+// ms is d in milliseconds at microsecond resolution.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
 // decisionRing is a bounded ring of epoch decisions. It has no lock of
 // its own: the daemon guards it with d.mu.

@@ -220,11 +220,13 @@ func (d *Daemon) Handler() http.Handler {
 }
 
 // Bounds on one submission, so that no single request can exhaust memory
-// or overflow the simulator's int32 task index.
+// or overflow the simulator's int32 task index — and on distinct tenants,
+// each of which mints metric and ledger children for the process's life.
 const (
 	maxSubmitBody  = 64 << 10 // bytes of JSON
 	maxTasksPerJob = 1 << 16  // given, or one per 64 MB block of input_mb
 	maxNameLen     = 64       // bytes, tenant and job name each
+	maxTenants     = 1024
 )
 
 // validateSubmit turns a request into a spec, normalizing defaults.
@@ -294,6 +296,11 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	d.mu.Lock()
+	if !d.tenants[req.Tenant] && len(d.tenants) >= maxTenants {
+		d.mu.Unlock()
+		d.writeError(w, http.StatusBadRequest, "tenant %q is new and the daemon already knows %d", req.Tenant, maxTenants)
+		return
+	}
 	var decision, shedReason string
 	var rec *jobRecord
 	switch {

@@ -96,7 +96,9 @@ func TestJobTraceEndpoint(t *testing.T) {
 
 // TestDebugEpochsRing runs a LiPS-backed daemon and checks the decision
 // ring: admissions are attributed, deferral reasons stay inside the
-// typed taxonomy, and the scheduler's solver one-liner surfaces.
+// typed taxonomy, and each LiPS epoch surfaces once — its number, its
+// solver one-liner and its four phase durations, which lie inside the
+// step's wall-clock.
 func TestDebugEpochsRing(t *testing.T) {
 	d, err := New(cluster.Paper20(0.5), sched.NewLiPS(60), obs.NewRegistry(),
 		Config{EpochSimSec: 60, EpochWallInterval: time.Millisecond, AdmitPerEpoch: 2})
@@ -125,7 +127,7 @@ func TestDebugEpochsRing(t *testing.T) {
 	for _, r := range obs.DeferralReasons {
 		valid[r] = true
 	}
-	admitted, sawDeferral, sawSolver := 0, false, false
+	admitted, sawDeferral, sawSolver, lastSched := 0, false, false, 0
 	for _, dec := range er.Epochs {
 		if dec.Epoch <= 0 || dec.SimEnd < dec.SimStart {
 			t.Errorf("decision %+v has a bad frame", dec)
@@ -140,8 +142,26 @@ func TestDebugEpochsRing(t *testing.T) {
 				t.Errorf("deferral reason %q outside the taxonomy", df.Reason)
 			}
 		}
-		if dec.Solver != "" {
-			sawSolver = true
+		if dec.SchedView == nil {
+			continue
+		}
+		sawSolver = true
+		if dec.SchedEpoch <= lastSched {
+			t.Errorf("decision %d repeats scheduler epoch %d (last shown %d)", dec.Epoch, dec.SchedEpoch, lastSched)
+		}
+		lastSched = dec.SchedEpoch
+		if !strings.HasPrefix(dec.Solver, "1 solves") {
+			t.Errorf("decision %d: solver %q is not that epoch's one-liner", dec.Epoch, dec.Solver)
+		}
+		// Rounding a two-job plan takes a few microseconds, the resolution
+		// of these fields; only the two long phases are surely non-zero.
+		if dec.SchedEpoch <= 0 || dec.BuildMS <= 0 || dec.SolveMS <= 0 || dec.RoundMS < 0 || dec.ApplyMS < 0 {
+			t.Errorf("decision %d misses a phase duration: %+v", dec.Epoch, dec)
+		}
+		// Each phase is truncated to the microsecond, like WallMS, so the
+		// sum cannot exceed it by rounding.
+		if sum := dec.BuildMS + dec.SolveMS + dec.RoundMS + dec.ApplyMS; sum > dec.WallMS+1e-9 {
+			t.Errorf("decision %d: phases sum to %.3f ms inside a %.3f ms step", dec.Epoch, sum, dec.WallMS)
 		}
 	}
 	if admitted != jobs {

@@ -95,7 +95,9 @@ type TaskInfo struct {
 
 // EpochInfo is the payload of one epoch LP solve. The wall-clock *MS
 // fields are zero unless the producer opted into timings (they make
-// traces machine-dependent; see sched.LiPS.TraceTimings).
+// traces machine-dependent; see sched.LiPS.TraceTimings): the epoch's
+// four phases in order — build, solve, round, apply — then the solver's
+// own split of the solve.
 type EpochInfo struct {
 	Scheduler string `json:"scheduler"`
 	Epoch     int    `json:"epoch"`
@@ -113,7 +115,10 @@ type EpochInfo struct {
 	Deferred    int `json:"deferred"` // fake-node overflow: pending work left for the next epoch
 	BlocksMoved int `json:"blocks_moved,omitempty"`
 
+	BuildMS    float64 `json:"build_ms,omitempty"`
 	SolveMS    float64 `json:"solve_ms,omitempty"`
+	RoundMS    float64 `json:"round_ms,omitempty"`
+	ApplyMS    float64 `json:"apply_ms,omitempty"`
 	PricingMS  float64 `json:"pricing_ms,omitempty"`
 	FactorMS   float64 `json:"factor_ms,omitempty"`
 	PresolveMS float64 `json:"presolve_ms,omitempty"`

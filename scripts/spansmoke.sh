@@ -9,7 +9,8 @@
 #      exact micro-cent cost;
 #   3. /debug/epochs must expose the admission decisions: every job
 #      accounted for, deferral reasons inside the typed taxonomy, and
-#      the solver one-liner present;
+#      each epoch the scheduler planned shown with its solver one-liner
+#      and its build/solve/round/apply durations inside wall_ms;
 #   4. the per-tenant histograms on /metrics must agree with the span
 #      counts, and /readyz must flip 200 -> 503 across SIGTERM drain.
 #
@@ -106,7 +107,9 @@ jq -e --argjson n "$TOTAL" '
 	and ([.epochs[].deferred[]?.reason]
 		| all(. == "queue-cap" or . == "fair-share-rank"
 			or . == "solver-backpressure" or . == "no-capacity" or . == "draining"))
-	and ([.epochs[] | .solver // ""] | any(. != ""))
+	and ([.epochs[] | select(has("sched_epoch"))] | length > 0 and all(
+		.solver != "" and .build_ms > 0 and .solve_ms > 0 and .round_ms >= 0 and .apply_ms >= 0
+		and .build_ms + .solve_ms + .round_ms + .apply_ms <= .wall_ms + 1e-9))
 ' "$BIN/epochs.json" >/dev/null || {
 	echo "spansmoke: FAIL: /debug/epochs decisions malformed:" >&2
 	cat "$BIN/epochs.json" >&2
