@@ -35,11 +35,11 @@ func Write(w io.Writer, p *Problem) error {
 		fmt.Fprintf(bw, "con %s %s %s\n", sanitize(p.ConName(c)),
 			p.ConSense(c), formatNum(p.ConRHS(c)))
 	}
-	for vi := 0; vi < p.NumVars(); vi++ {
-		for ci := 0; ci < p.NumCons(); ci++ {
-			if coef := p.Coef(Con(ci), Var(vi)); coef != 0 {
-				fmt.Fprintf(bw, "coef %d %d %s\n", ci, vi, formatNum(coef))
-			}
+	// Columns in declaration order, each column's entries in stored order:
+	// O(nnz), and the text pins the order the simplex sees.
+	for vi := range p.vars {
+		for _, e := range p.vars[vi].col {
+			fmt.Fprintf(bw, "coef %d %d %s\n", e.row, vi, formatNum(e.coef))
 		}
 	}
 	return bw.Flush()
