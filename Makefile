@@ -29,16 +29,20 @@ bench:
 	$(GO) run ./bench/cmp bench/out/head.jsonl
 
 # The paired evidence a perf claim must attach: checks BASE out into a
-# throwaway git worktree, runs PAIRS alternating passes of bench/run.sh on
-# WORKLOAD per side (the side that goes first alternates too) and prints
-# bench/cmp's verdict, BASE first.
+# throwaway git worktree — or, where worktrees are off limits, uses
+# BASE_DIR, an existing checkout of the parent — runs PAIRS alternating
+# passes of bench/run.sh on WORKLOAD per side (the side that goes first
+# alternates too) and prints bench/cmp's verdict, BASE first.
 BASE ?= HEAD~1
+BASE_DIR ?=
 WORKLOAD ?= stream-1k-wide
 PAIRS ?= 10
 benchpair:
-	@set -e; wt=$$(mktemp -d); out=$$PWD/bench/out/pair-$(WORKLOAD); \
-	trap 'git worktree remove --force "$$wt"' EXIT; \
-	git worktree add --detach "$$wt" $(BASE) >/dev/null; \
+	@set -e; wt="$(BASE_DIR)"; out=$$PWD/bench/out/pair-$(WORKLOAD); \
+	if [ -z "$$wt" ]; then \
+		wt=$$(mktemp -d); trap 'git worktree remove --force "$$wt"' EXIT; \
+		git worktree add --detach "$$wt" $(BASE) >/dev/null; \
+	fi; \
 	rm -rf "$$out"; mkdir -p "$$out"; \
 	base() { (cd "$$wt" && bash bench/run.sh --workload $(WORKLOAD) --out "$$out/base.jsonl" >/dev/null); }; \
 	tip() { bash bench/run.sh --workload $(WORKLOAD) --out "$$out/head.jsonl" >/dev/null; }; \

@@ -31,15 +31,8 @@ import (
 // from capacity and transfer rows), so an infeasible restricted solve
 // proves the full instance infeasible and no Farkas pricing is needed.
 type OnlineColGen struct {
-	m *Model
+	m *Model // its layout knows which machines are materialized, and where
 
-	jobRow   []lp.Con
-	capRow   []lp.Con
-	existRow map[[2]int]lp.Con // (job, store) for jobs with data
-	cpuRow   []lp.Con          // per machine; -1 until materialized
-	xferRow  map[[2]int]lp.Con // (job, machine)
-
-	open     []bool  // machine materialized
 	buckets  [][]int // closed machines per price class, ascending index
 	opened   []int   // machines materialized per bucket (doubling batch size)
 	tol      float64
@@ -93,64 +86,16 @@ func NewOnlineColGen(in *Instance, opts ColGenOptions) (*OnlineColGen, error) {
 		}
 	}
 
-	cg := &OnlineColGen{
-		m: &Model{In: in, Kind: Online, prob: lp.New("lips-online-rmp"),
-			xt: make(map[xtKey]lp.Var), xdFlow: make(map[[3]int]lp.Var), hasXD: true},
-		existRow: make(map[[2]int]lp.Con),
-		xferRow:  make(map[[2]int]lp.Con),
-		open:     make([]bool, len(in.Machines)),
-		tol:      1e-9,
-	}
-	prob := cg.m.prob
+	cg := &OnlineColGen{m: newModel(in, Online, "lips-online-rmp", true, nil), tol: 1e-9}
 
 	// Eager part: everything whose size does not scale with the machine
-	// count — placement flows, job coverage, placement and store-capacity
-	// rows, and data-existence rows.
-	for i, d := range in.Data {
-		for _, o := range sortedOrigins(d) {
-			for j := range in.Stores {
-				cg.m.xdFlow[[3]int{i, o, j}] = prob.AddVar(fmt.Sprintf("xd[%d,%d,%d]", i, o, j), 0, 1,
-					in.SSPerMBMC[o][j]*d.SizeMB)
-			}
-		}
-	}
-	for k := range in.Jobs {
-		cg.jobRow = append(cg.jobRow, prob.AddCon(fmt.Sprintf("job[%d]", k), lp.GE, 1))
-	}
-	for i, d := range in.Data {
-		for _, o := range sortedOrigins(d) {
-			row := prob.AddCon(fmt.Sprintf("place[%d,%d]", i, o), lp.EQ, d.Origin[o])
-			for j := range in.Stores {
-				prob.SetCoef(row, cg.m.xdFlow[[3]int{i, o, j}], 1)
-			}
-		}
-	}
-	for j, s := range in.Stores {
-		row := prob.AddCon(fmt.Sprintf("cap[%d]", j), lp.LE, s.CapacityMB)
-		cg.capRow = append(cg.capRow, row)
-		for i, d := range in.Data {
-			for _, o := range sortedOrigins(d) {
-				prob.SetCoef(row, cg.m.xdFlow[[3]int{i, o, j}], d.SizeMB)
-			}
-		}
-	}
-	for k, job := range in.Jobs {
-		if job.Data == NoData {
-			continue
-		}
-		d := in.Data[job.Data]
-		for store := range in.Stores {
-			row := prob.AddCon(fmt.Sprintf("exist[%d,%d]", k, store), lp.LE, 0)
-			cg.existRow[[2]int{k, store}] = row
-			for _, o := range sortedOrigins(d) {
-				prob.SetCoef(row, cg.m.xdFlow[[3]int{job.Data, o, store}], -1)
-			}
-		}
-	}
-	cg.cpuRow = make([]lp.Con, len(in.Machines))
-	for l := range cg.cpuRow {
-		cg.cpuRow[l] = -1
-	}
+	// count — job coverage, placement, store-capacity and data-existence
+	// rows, then the placement flows that meet them.
+	cg.m.reserve()
+	cg.m.addJobRows()
+	cg.m.addPlacementRows()
+	cg.m.addExistRows()
+	cg.m.addFlowCols()
 
 	// Lazy part seeds: the fake node (feasibility), then any hints.
 	for l, mach := range in.Machines {
@@ -159,7 +104,7 @@ func NewOnlineColGen(in *Instance, opts ColGenOptions) (*OnlineColGen, error) {
 		}
 	}
 	for _, l := range opts.SeedMachines {
-		if l >= 0 && l < len(in.Machines) && !cg.open[l] {
+		if l >= 0 && l < len(in.Machines) && !cg.m.lay.isOpen(l) {
 			cg.materialize(l)
 		}
 	}
@@ -180,7 +125,7 @@ func (cg *OnlineColGen) rebucket() {
 	cg.opened = cg.opened[:0]
 	byClass := make(map[string]int)
 	for l, mach := range in.Machines {
-		if cg.open[l] {
+		if cg.m.lay.isOpen(l) {
 			continue
 		}
 		key := machineFingerprint(in, l, mach)
@@ -212,43 +157,23 @@ func machineFingerprint(in *Instance, l int, mach Machine) string {
 }
 
 // materialize reveals machine l: its cpu row, its per-job xfer rows, and
-// every x^t column it hosts.
+// then every x^t column it hosts.
 func (cg *OnlineColGen) materialize(l int) {
-	in := cg.m.In
-	prob := cg.m.prob
-	mach := in.Machines[l]
-	cg.open[l] = true
+	in, ly, prob := cg.m.In, &cg.m.lay, cg.m.prob
+	ly.openUnit(l)
 	cg.machines++
-	if !mach.Fake {
-		cg.cpuRow[l] = prob.AddCon(fmt.Sprintf("cpu[%d]", l), lp.LE, mach.ECU*in.HorizonOf(l))
+	cg.m.reserve()
+	if !ly.isFake(l) {
+		prob.AddCon("", lp.LE, in.Machines[l].ECU*in.HorizonOf(l))
+		for k := range in.Jobs {
+			if ly.hasData(k) {
+				prob.AddCon("", lp.LE, in.Horizon)
+			}
+		}
 	}
-	for k, job := range in.Jobs {
-		execMC := job.CPUSec * mach.PerECUSecMC
-		if job.Data == NoData {
-			v := prob.AddVar(fmt.Sprintf("xt[%d,%d,-]", k, l), 0, 1, execMC)
-			cg.m.xt[xtKey{k, l, noStore}] = v
-			prob.SetCoef(cg.jobRow[k], v, 1)
-			if !mach.Fake {
-				prob.SetCoef(cg.cpuRow[l], v, job.CPUSec)
-			}
-			continue
-		}
-		traffic := in.Data[job.Data].SizeMB * job.accessFrac()
-		var xfer lp.Con = -1
-		if !mach.Fake {
-			xfer = prob.AddCon(fmt.Sprintf("xfer[%d,%d]", k, l), lp.LE, in.Horizon)
-			cg.xferRow[[2]int{k, l}] = xfer
-		}
-		for store := range in.Stores {
-			v := prob.AddVar(fmt.Sprintf("xt[%d,%d,%d]", k, l, store), 0, 1,
-				execMC+in.MSPerMBMC[l][store]*traffic)
-			cg.m.xt[xtKey{k, l, store}] = v
-			prob.SetCoef(cg.jobRow[k], v, 1)
-			prob.SetCoef(cg.existRow[[2]int{k, store}], v, 1)
-			if !mach.Fake {
-				prob.SetCoef(cg.cpuRow[l], v, job.CPUSec)
-				prob.SetCoef(xfer, v, traffic/in.BandwidthMBps[l][store])
-			}
+	for k := range in.Jobs {
+		if err := cg.m.addJobOnMachine(k, l); err != nil {
+			panic(err) // NewOnlineColGen vetted every bandwidth
 		}
 	}
 }
@@ -293,13 +218,13 @@ func (cg *OnlineColGen) Price(_ *lp.Problem, sol *lp.Solution) int {
 // bucketPricesNegative reports whether any (job, store) column of the
 // still-closed machine l has negative reduced cost under the duals y.
 func (cg *OnlineColGen) bucketPricesNegative(l int, y []float64) bool {
-	in := cg.m.In
+	in, ly := cg.m.In, &cg.m.lay
 	mach := in.Machines[l]
 	for k, job := range in.Jobs {
 		execMC := job.CPUSec * mach.PerECUSecMC
 		if job.Data == NoData {
 			c := execMC
-			if c-y[cg.jobRow[k]] < -cg.tol*(1+math.Abs(c)) {
+			if c-y[ly.jobRow(k)] < -cg.tol*(1+math.Abs(c)) {
 				return true
 			}
 			continue
@@ -307,7 +232,7 @@ func (cg *OnlineColGen) bucketPricesNegative(l int, y []float64) bool {
 		traffic := in.Data[job.Data].SizeMB * job.accessFrac()
 		for store := range in.Stores {
 			c := execMC + in.MSPerMBMC[l][store]*traffic
-			d := c - y[cg.jobRow[k]] - y[cg.existRow[[2]int{k, store}]]
+			d := c - y[ly.jobRow(k)] - y[ly.existRow(k, store)]
 			if d < -cg.tol*(1+math.Abs(c)) {
 				return true
 			}
@@ -377,48 +302,38 @@ func (cg *OnlineColGen) Reprice(next *Instance) error {
 			}
 		}
 	}
-	prob := cg.m.prob
+	ly, prob := &cg.m.lay, cg.m.prob
 	for i, d := range next.Data {
-		for _, o := range sortedOrigins(d) {
+		for oi, o := range ly.origins[ly.originOff[i]:ly.originOff[i+1]] {
+			prob.SetRHS(ly.placeRow(i, oi), d.Origin[o])
 			for j := range next.Stores {
-				v, ok := cg.m.xdFlow[[3]int{i, o, j}]
-				if !ok {
-					return fmt.Errorf("core: Reprice data %d gained origin %d", i, o)
-				}
-				prob.SetCost(v, next.SSPerMBMC[o][j]*d.SizeMB)
+				prob.SetCost(ly.xd(i, oi, j), next.SSPerMBMC[o][j]*d.SizeMB)
 			}
 		}
 	}
-	for key, v := range cg.m.xt {
-		mach := next.Machines[key.l]
-		job := next.Jobs[key.k]
-		execMC := job.CPUSec * mach.PerECUSecMC
-		if key.m == noStore {
+	ly.eachXT(func(v lp.Var, k, l, store int) {
+		job := next.Jobs[k]
+		execMC := job.CPUSec * next.Machines[l].PerECUSecMC
+		if store == noStore {
 			prob.SetCost(v, execMC)
-			continue
+			return
 		}
 		traffic := next.Data[job.Data].SizeMB * job.accessFrac()
-		prob.SetCost(v, execMC+next.MSPerMBMC[key.l][key.m]*traffic)
-	}
-	// Placement rows follow the eager construction order: data items in
-	// index order, origins sorted within each.
-	row := len(cg.jobRow)
-	for _, d := range next.Data {
-		for _, o := range sortedOrigins(d) {
-			prob.SetRHS(lp.Con(row), d.Origin[o])
-			row++
-		}
-	}
+		prob.SetCost(v, execMC+next.MSPerMBMC[l][store]*traffic)
+	})
 	for j, s := range next.Stores {
-		prob.SetRHS(cg.capRow[j], s.CapacityMB)
+		prob.SetRHS(ly.capRow(j), s.CapacityMB)
 	}
-	for l, mach := range next.Machines {
-		if cg.cpuRow[l] >= 0 {
-			prob.SetRHS(cg.cpuRow[l], mach.ECU*next.HorizonOf(l))
+	for _, l := range ly.units {
+		if ly.isFake(l) {
+			continue
 		}
-	}
-	for _, row := range cg.xferRow {
-		prob.SetRHS(row, next.Horizon)
+		prob.SetRHS(ly.cpuRow(l), next.Machines[l].ECU*next.HorizonOf(l))
+		for k := range next.Jobs {
+			if ly.hasData(k) {
+				prob.SetRHS(ly.xferRow(k, l), next.Horizon)
+			}
+		}
 	}
 	cg.m.In = next
 	// Drift can split a price class (e.g. a per-machine spot adjustment):

@@ -350,6 +350,10 @@ func TestModelSizes(t *testing.T) {
 	if m.NumCons() != 8 {
 		t.Errorf("NumCons = %d, want 8", m.NumCons())
 	}
+	// xd: place + cap + exist; xt: job + cpu + exist.
+	if p := solvePlan(t, m); p.Rows != 8 || p.Cols != 6 || p.NNZ != 18 {
+		t.Errorf("plan records a %d×%d LP with %d nonzeros, want 8×6 with 18", p.Rows, p.Cols, p.NNZ)
+	}
 }
 
 func TestValidationErrors(t *testing.T) {

@@ -38,12 +38,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// xtKey addresses one x^t_{klm} variable. Jobs without input data have a
-// single per-machine variable with store = noStore.
-type xtKey struct{ k, l, m int }
-
-const noStore = -1
-
 // Model is a LiPS LP over an Instance, ready to solve.
 //
 // Data placement is modelled as a transportation problem: for every data
@@ -57,10 +51,24 @@ type Model struct {
 	In   *Instance
 	Kind Kind
 
-	prob   *lp.Problem
-	xt     map[xtKey]lp.Var
-	xdFlow map[[3]int]lp.Var // (item, origin unit, dest store) → flow
-	hasXD  bool
+	prob *lp.Problem
+	lay  layout // where every column and row of prob sits
+}
+
+// newModel pairs an empty LP with its layout, which also names it.
+func newModel(in *Instance, kind Kind, name string, master bool, held [][]int) *Model {
+	m := &Model{In: in, Kind: kind, prob: lp.New(name), lay: newLayout(in, kind, master, held)}
+	m.prob.SetNamer(&m.lay)
+	return m
+}
+
+// reserve makes room for everything the layout holds that the LP does not
+// yet: all of it on the direct path, a newly opened unit in the master.
+// Four entries a column is the x^t bound; a flow column with more readers
+// than that only starts another arena chunk.
+func (m *Model) reserve() {
+	cols := m.lay.cols - m.prob.NumVars()
+	m.prob.Grow(cols, m.lay.rows-m.prob.NumCons(), 4*cols)
 }
 
 // Problem exposes the underlying LP (e.g. for diagnostics or encoding).
@@ -87,12 +95,35 @@ func BuildSimpleTaskModel(in *Instance, xd [][]float64) (*Model, error) {
 			return nil, fmt.Errorf("core: xd row %d has %d cols for %d stores", i, len(xd[i]), len(in.Stores))
 		}
 	}
-	m := &Model{In: in, Kind: SimpleTask, prob: lp.New("lips-simple"), xt: make(map[xtKey]lp.Var)}
-	m.addTaskVars(func(i, store int) bool { return xd[i][store] > 1e-12 })
-	m.addJobCoverage()
-	m.addDataExistence(xd)
-	m.addMachineCapacity()
-	return m, nil
+	// The simple model only allows stores that actually hold a portion of
+	// the data: one table of them per item, shared by the item's readers.
+	holding := make([][]int, len(in.Data))
+	for i := range xd {
+		for store, f := range xd[i] {
+			if f > 1e-12 {
+				holding[i] = append(holding[i], store)
+			}
+		}
+	}
+	held := make([][]int, len(in.Jobs))
+	for k, job := range in.Jobs {
+		if job.Data != NoData {
+			held[k] = holding[job.Data]
+		}
+	}
+	m := newModel(in, SimpleTask, "lips-simple", false, held)
+	m.reserve()
+
+	// Rows: (2) every job fully scheduled; (3) Σ_l xt_klm ≤ xd_im against
+	// the fixed placement; (4) CPU demand fits each machine's supply.
+	m.addJobRows()
+	for k, job := range in.Jobs {
+		for _, store := range held[k] {
+			m.prob.AddCon("", lp.LE, xd[job.Data][store])
+		}
+	}
+	m.addCPURows()
+	return m, m.addTaskCols()
 }
 
 // BuildCoScheduleModel builds the Fig. 3 model: joint data placement and
@@ -122,192 +153,166 @@ func buildCo(in *Instance, kind Kind) (*Model, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{In: in, Kind: kind, prob: lp.New("lips-" + kind.String()),
-		xt: make(map[xtKey]lp.Var), xdFlow: make(map[[3]int]lp.Var), hasXD: true}
+	m := newModel(in, kind, "lips-"+kind.String(), false, nil)
+	ly, prob := &m.lay, m.prob
+	m.reserve()
 
-	// Placement flow variables with relocation cost (objective term
-	// (6)/(16)): f_ioj moves the item-i portion at origin o to store j
-	// at SS_oj per MB.
-	for i, d := range in.Data {
-		for _, o := range sortedOrigins(d) {
-			for j := range in.Stores {
-				v := m.prob.AddVar(fmt.Sprintf("xd[%d,%d,%d]", i, o, j), 0, 1,
-					in.SSPerMBMC[o][j]*d.SizeMB)
-				m.xdFlow[[3]int{i, o, j}] = v
-			}
-		}
-	}
-
-	m.addTaskVars(func(i, store int) bool { return true })
-	m.addJobCoverage()
-
-	// Constraint (9)/(19): all data gets placed — every origin portion
-	// flows somewhere, exactly once. The paper writes Σ_j x^d_ij ≥ 1;
-	// equality is required here because zero-cost self-flows would
-	// otherwise let x^d report more data on a store than exists, and the
-	// resulting task assignments would force unplanned block moves.
-	for i, d := range in.Data {
-		for _, o := range sortedOrigins(d) {
-			row := m.prob.AddCon(fmt.Sprintf("place[%d,%d]", i, o), lp.EQ, d.Origin[o])
-			for j := range in.Stores {
-				m.prob.SetCoef(row, m.xdFlow[[3]int{i, o, j}], 1)
-			}
-		}
-	}
-	// Constraint (11)/(22): store capacity over x^d_ij = Σ_o f_ioj.
-	for j, s := range in.Stores {
-		row := m.prob.AddCon(fmt.Sprintf("cap[%d]", j), lp.LE, s.CapacityMB)
-		for i, d := range in.Data {
-			for _, o := range sortedOrigins(d) {
-				m.prob.SetCoef(row, m.xdFlow[[3]int{i, o, j}], d.SizeMB)
-			}
-		}
-	}
-
-	m.addMachineCapacity()
-
-	// Constraint (13)/(24): data accessed must exist on the store.
-	for k, job := range in.Jobs {
-		if job.Data == NoData {
-			continue
-		}
-		d := in.Data[job.Data]
-		for store := range in.Stores {
-			row := m.prob.AddCon(fmt.Sprintf("exist[%d,%d]", k, store), lp.LE, 0)
-			for l := range in.Machines {
-				if v, ok := m.xt[xtKey{k, l, store}]; ok {
-					m.prob.SetCoef(row, v, 1)
-				}
-			}
-			for _, o := range sortedOrigins(d) {
-				m.prob.SetCoef(row, m.xdFlow[[3]int{job.Data, o, store}], -1)
-			}
-		}
-	}
-
+	// Every row, in layout order, before the first column.
+	m.addJobRows()
+	m.addPlacementRows()
+	m.addCPURows()
+	m.addExistRows()
 	// Constraint (21), online only: per (job, machine) transfer time must
 	// fit in the epoch. The fake node is exempt — work parked on F is
 	// deferred, not executed.
 	if kind == Online {
-		for k, job := range in.Jobs {
-			if job.Data == NoData {
+		for k := range in.Jobs {
+			if !ly.hasData(k) {
 				continue
 			}
-			traffic := in.Data[job.Data].SizeMB * job.accessFrac()
-			for l, mach := range in.Machines {
-				if mach.Fake {
-					continue
-				}
-				row := m.prob.AddCon(fmt.Sprintf("xfer[%d,%d]", k, l), lp.LE, in.Horizon)
-				for store := range in.Stores {
-					if v, ok := m.xt[xtKey{k, l, store}]; ok {
-						bw := in.BandwidthMBps[l][store]
-						if bw <= 0 {
-							return nil, fmt.Errorf("core: zero bandwidth between machine %d and store %d", l, store)
-						}
-						m.prob.SetCoef(row, v, traffic/bw)
-					}
-				}
-			}
-		}
-	}
-	return m, nil
-}
-
-// addTaskVars creates the x^t_{klm} variables with their objective terms
-// (7)+(8): execution cost JM_kl plus runtime transfer MS_lm·Size(D_i).
-// include filters (data item, store) pairs — the simple model only allows
-// stores that actually hold a portion of the data.
-func (m *Model) addTaskVars(include func(dataItem, store int) bool) {
-	in := m.In
-	for k, job := range in.Jobs {
-		for l, mach := range in.Machines {
-			execMC := job.CPUSec * mach.PerECUSecMC // JM_kl
-			if job.Data == NoData {
-				v := m.prob.AddVar(fmt.Sprintf("xt[%d,%d,-]", k, l), 0, 1, execMC)
-				m.xt[xtKey{k, l, noStore}] = v
-				continue
-			}
-			traffic := in.Data[job.Data].SizeMB * job.accessFrac()
-			for store := range in.Stores {
-				if !include(job.Data, store) {
-					continue
-				}
-				transferMC := in.MSPerMBMC[l][store] * traffic
-				v := m.prob.AddVar(fmt.Sprintf("xt[%d,%d,%d]", k, l, store), 0, 1, execMC+transferMC)
-				m.xt[xtKey{k, l, store}] = v
-			}
-		}
-	}
-}
-
-// addJobCoverage adds constraint (2)/(10)/(20): every job fully scheduled.
-func (m *Model) addJobCoverage() {
-	in := m.In
-	for k := range in.Jobs {
-		row := m.prob.AddCon(fmt.Sprintf("job[%d]", k), lp.GE, 1)
-		for l := range in.Machines {
-			if v, ok := m.xt[xtKey{k, l, noStore}]; ok {
-				m.prob.SetCoef(row, v, 1)
-			}
-			for store := range in.Stores {
-				if v, ok := m.xt[xtKey{k, l, store}]; ok {
-					m.prob.SetCoef(row, v, 1)
-				}
-			}
-		}
-	}
-}
-
-// addMachineCapacity adds constraint (4)/(12)/(23): CPU demand placed on a
-// machine fits its ECU supply over the horizon. The fake node is exempt.
-func (m *Model) addMachineCapacity() {
-	in := m.In
-	for l, mach := range in.Machines {
-		if mach.Fake {
-			continue
-		}
-		row := m.prob.AddCon(fmt.Sprintf("cpu[%d]", l), lp.LE, mach.ECU*in.HorizonOf(l))
-		for k, job := range in.Jobs {
-			if v, ok := m.xt[xtKey{k, l, noStore}]; ok {
-				m.prob.SetCoef(row, v, job.CPUSec)
-			}
-			for store := range in.Stores {
-				if v, ok := m.xt[xtKey{k, l, store}]; ok {
-					m.prob.SetCoef(row, v, job.CPUSec)
-				}
-			}
-		}
-	}
-}
-
-// addDataExistence adds constraint (3) for the simple model, where xd is a
-// fixed placement: Σ_l xt_klm ≤ xd_im.
-func (m *Model) addDataExistence(xd [][]float64) {
-	in := m.In
-	for k, job := range in.Jobs {
-		if job.Data == NoData {
-			continue
-		}
-		for store := range in.Stores {
-			hasVar := false
 			for l := range in.Machines {
-				if _, ok := m.xt[xtKey{k, l, store}]; ok {
-					hasVar = true
-					break
-				}
-			}
-			if !hasVar {
-				continue
-			}
-			row := m.prob.AddCon(fmt.Sprintf("exist[%d,%d]", k, store), lp.LE, xd[job.Data][store])
-			for l := range in.Machines {
-				if v, ok := m.xt[xtKey{k, l, store}]; ok {
-					m.prob.SetCoef(row, v, 1)
+				if !ly.isFake(l) {
+					prob.AddCon("", lp.LE, in.Horizon)
 				}
 			}
 		}
 	}
+
+	m.addFlowCols()
+	return m, m.addTaskCols()
+}
+
+// addJobRows declares constraint (2)/(10)/(20): every job fully scheduled.
+func (m *Model) addJobRows() {
+	for range m.In.Jobs {
+		m.prob.AddCon("", lp.GE, 1)
+	}
+}
+
+// addPlacementRows declares constraint (9)/(19), all data gets placed —
+// every origin portion flows somewhere, exactly once — and (11)/(22), store
+// capacity over x^d_ij = Σ_o f_ioj. The paper writes Σ_j x^d_ij ≥ 1;
+// equality is required here because zero-cost self-flows would otherwise
+// let x^d report more data on a store than exists, and the resulting task
+// assignments would force unplanned block moves.
+func (m *Model) addPlacementRows() {
+	ly := &m.lay
+	for i, d := range m.In.Data {
+		for _, o := range ly.origins[ly.originOff[i]:ly.originOff[i+1]] {
+			m.prob.AddCon("", lp.EQ, d.Origin[o])
+		}
+	}
+	for _, s := range m.In.Stores {
+		m.prob.AddCon("", lp.LE, s.CapacityMB)
+	}
+}
+
+// addCPURows declares constraint (4)/(12)/(23) for every machine: CPU
+// demand placed on it fits its ECU supply over the horizon. The fake node
+// is exempt.
+func (m *Model) addCPURows() {
+	for l, mach := range m.In.Machines {
+		if !mach.Fake {
+			m.prob.AddCon("", lp.LE, mach.ECU*m.In.HorizonOf(l))
+		}
+	}
+}
+
+// addExistRows declares constraint (13)/(24): data accessed must exist on
+// the store, Σ_l xt_klm − Σ_o f_iom ≤ 0.
+func (m *Model) addExistRows() {
+	for k := range m.In.Jobs {
+		if m.lay.hasData(k) {
+			for range m.In.Stores {
+				m.prob.AddCon("", lp.LE, 0)
+			}
+		}
+	}
+}
+
+// addFlowCols emits the placement flow columns with relocation cost
+// (objective term (6)/(16)): f_ioj moves the item-i portion at origin o to
+// store j at SS_oj per MB. Each column meets its place row, its store's
+// cap row and the exist row of every job reading the item — ascending.
+func (m *Model) addFlowCols() {
+	in, ly := m.In, &m.lay
+	var ents []lp.Entry
+	var readers []int
+	for i, d := range in.Data {
+		readers = readers[:0]
+		for k, job := range in.Jobs {
+			if job.Data == i {
+				readers = append(readers, k)
+			}
+		}
+		for oi, o := range ly.origins[ly.originOff[i]:ly.originOff[i+1]] {
+			for j := range in.Stores {
+				ents = append(ents[:0],
+					lp.Entry{Con: ly.placeRow(i, oi), Coef: 1},
+					lp.Entry{Con: ly.capRow(j), Coef: d.SizeMB})
+				for _, k := range readers {
+					ents = append(ents, lp.Entry{Con: ly.existRow(k, j), Coef: -1})
+				}
+				m.prob.AddCol(0, 1, in.SSPerMBMC[o][j]*d.SizeMB, ents)
+			}
+		}
+	}
+}
+
+// addTaskCols emits every x^t column of the direct path, job-major.
+func (m *Model) addTaskCols() error {
+	for k := range m.In.Jobs {
+		for l := range m.In.Machines {
+			if err := m.addJobOnMachine(k, l); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// addJobOnMachine emits the x^t_{klm} columns of job k on machine l with
+// their objective terms (7)+(8): execution cost JM_kl plus runtime transfer
+// MS_lm·Size(D_i). A column meets its job row, its exist row (jobs with
+// input), the machine's cpu row and, in the online model, the (job,
+// machine) xfer row — the last two not on the fake node; cpu and exist go
+// in whichever order the layout numbers them.
+func (m *Model) addJobOnMachine(k, l int) error {
+	in, ly := m.In, &m.lay
+	job, fake := &in.Jobs[k], ly.isFake(l)
+	execMC := job.CPUSec * in.Machines[l].PerECUSecMC // JM_kl
+	var buf [4]lp.Entry
+	ents := append(buf[:0], lp.Entry{Con: ly.jobRow(k), Coef: 1})
+	if job.Data == NoData {
+		if !fake {
+			ents = append(ents, lp.Entry{Con: ly.cpuRow(l), Coef: job.CPUSec})
+		}
+		m.prob.AddCol(0, 1, execMC, ents)
+		return nil
+	}
+	traffic := in.Data[job.Data].SizeMB * job.accessFrac()
+	cpu := lp.Entry{Con: ly.cpuRow(l), Coef: job.CPUSec} // not for the fake node
+	for pos := 0; pos < ly.width(k); pos++ {
+		store := ly.storeAt(k, pos)
+		exist := lp.Entry{Con: ly.existRow(k, pos), Coef: 1}
+		switch {
+		case fake:
+			ents = append(ents[:1], exist)
+		case cpu.Con < exist.Con:
+			ents = append(ents[:1], cpu, exist)
+		default:
+			ents = append(ents[:1], exist, cpu)
+		}
+		if ly.kind == Online && !fake {
+			bw := in.BandwidthMBps[l][store]
+			if bw <= 0 {
+				return fmt.Errorf("core: zero bandwidth between machine %d and store %d", l, store)
+			}
+			ents = append(ents, lp.Entry{Con: ly.xferRow(k, l), Coef: traffic / bw})
+		}
+		m.prob.AddCol(0, 1, execMC+in.MSPerMBMC[l][store]*traffic, ents)
+	}
+	return nil
 }
 
 // Solve runs the simplex and extracts a fractional Plan.
@@ -331,28 +336,28 @@ func (m *Model) extract(sol *lp.Solution) *Plan {
 	in := m.In
 	p := &Plan{
 		In: in, Kind: m.Kind, ObjectiveMC: sol.Objective,
+		Rows: m.prob.NumCons(), Cols: m.prob.NumVars(), NNZ: m.prob.NumNonzeros(),
 		Stats: sol.Stats, Basis: sol.Basis, WarmStarted: sol.WarmStarted,
 	}
 	p.XT = make([]map[[2]int]float64, len(in.Jobs))
 	for k := range in.Jobs {
 		p.XT[k] = make(map[[2]int]float64)
 	}
-	for key, v := range m.xt {
-		f := sol.Value(v)
-		if f <= 1e-9 {
-			continue
+	ly := &m.lay
+	ly.eachXT(func(v lp.Var, k, l, store int) {
+		if f := sol.Value(v); f > 1e-9 {
+			p.XT[k][[2]int{l, store}] = f
 		}
-		p.XT[key.k][[2]int{key.l, key.m}] = f
-	}
-	if m.hasXD {
+	})
+	if m.Kind != SimpleTask {
 		p.XD = make([][]float64, len(in.Data))
 		p.XDFlows = make([]map[[2]int]float64, len(in.Data))
 		for i := range in.Data {
 			p.XD[i] = make([]float64, len(in.Stores))
 			p.XDFlows[i] = make(map[[2]int]float64)
-			for _, o := range sortedOrigins(in.Data[i]) {
+			for oi, o := range ly.origins[ly.originOff[i]:ly.originOff[i+1]] {
 				for j := range in.Stores {
-					f := sol.Value(m.xdFlow[[3]int{i, o, j}])
+					f := sol.Value(ly.xd(i, oi, j))
 					if f <= 1e-9 {
 						continue
 					}

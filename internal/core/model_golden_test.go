@@ -79,6 +79,10 @@ func modelCorpus(t *testing.T) []string {
 		if st.Columns == 0 {
 			t.Fatalf("%s: pricing added no machine, the master is only its seed", name)
 		}
+		if p := cg.m.prob; plan.Rows != p.NumCons() || plan.Cols != p.NumVars() || plan.NNZ != p.NumNonzeros() {
+			t.Errorf("%s: plan says the LP was %d×%d with %d nonzeros, the final master is %d×%d with %d",
+				name, plan.Rows, plan.Cols, plan.NNZ, p.NumCons(), p.NumVars(), p.NumNonzeros())
+		}
 		out = append(out, problemLine(t, name, cg.m.prob))
 		return plan
 	}

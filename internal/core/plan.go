@@ -41,6 +41,9 @@ type Plan struct {
 	// (online model only): work pushed to the next epoch.
 	DeferredFrac []float64
 
+	// Rows, Cols and NNZ size the LP that was solved; under column
+	// generation, the restricted master of the last pricing round.
+	Rows, Cols, NNZ int
 	// Stats is what the solve cost; under column generation, summed over
 	// every pricing round.
 	lp.Stats

@@ -2,84 +2,6 @@ package core
 
 import "lips/internal/lp"
 
-// olKey addresses one variable or constraint of the online model's
-// deterministic layout (see onlineVarKeys / onlineConKeys).
-type olKey struct {
-	kind byte
-	a, b int
-}
-
-// onlineVarKeys enumerates the variables of buildCo's layout in
-// construction order: placement flows xd[i,o,j] (data items ascending,
-// origins sorted, stores ascending), then task fractions xt[k,l,m] (jobs
-// ascending, machines ascending, stores ascending; noStore for jobs
-// without input). Machine indices are encoded in b, store/origin context
-// packed via the key fields.
-func onlineVarKeys(in *Instance) []olKey {
-	var keys []olKey
-	for i, d := range in.Data {
-		for _, o := range sortedOrigins(d) {
-			for j := range in.Stores {
-				keys = append(keys, olKey{kind: 0, a: i*len(in.Stores) + j, b: o})
-			}
-		}
-	}
-	for k, job := range in.Jobs {
-		for l := range in.Machines {
-			if job.Data == NoData {
-				keys = append(keys, olKey{kind: 1, a: k*(len(in.Stores)+1) + len(in.Stores), b: l})
-				continue
-			}
-			for store := range in.Stores {
-				keys = append(keys, olKey{kind: 1, a: k*(len(in.Stores)+1) + store, b: l})
-			}
-		}
-	}
-	return keys
-}
-
-// onlineConKeys enumerates buildCo's constraint rows in construction
-// order: job coverage, placement, store capacity, machine capacity
-// (non-fake machines), data existence, and (online) transfer-time rows.
-func onlineConKeys(in *Instance) []olKey {
-	var keys []olKey
-	for k := range in.Jobs {
-		keys = append(keys, olKey{kind: 2, a: k})
-	}
-	for i, d := range in.Data {
-		for _, o := range sortedOrigins(d) {
-			keys = append(keys, olKey{kind: 3, a: i, b: o})
-		}
-	}
-	for j := range in.Stores {
-		keys = append(keys, olKey{kind: 4, a: j})
-	}
-	for l, mach := range in.Machines {
-		if !mach.Fake {
-			keys = append(keys, olKey{kind: 5, b: l})
-		}
-	}
-	for k, job := range in.Jobs {
-		if job.Data == NoData {
-			continue
-		}
-		for store := range in.Stores {
-			keys = append(keys, olKey{kind: 6, a: k*len(in.Stores) + store})
-		}
-	}
-	for k, job := range in.Jobs {
-		if job.Data == NoData {
-			continue
-		}
-		for l, mach := range in.Machines {
-			if !mach.Fake {
-				keys = append(keys, olKey{kind: 7, a: k, b: l})
-			}
-		}
-	}
-	return keys
-}
-
 // machineMap matches old machine units to new ones by Name (the fake node
 // by its Fake flag), returning old index → new index or -1 for units that
 // left. New machines with no old counterpart (a recovery) need no entry:
@@ -150,47 +72,53 @@ func TranslateOnlineBasis(b *lp.Basis, oldIn, newIn *Instance) *lp.Basis {
 		return nil
 	}
 	mm := machineMap(oldIn, newIn)
-	oldVars, oldCons := onlineVarKeys(oldIn), onlineConKeys(oldIn)
-	if b.NumVars != len(oldVars) || b.NumCons != len(oldCons) {
+	oldLy, newLy := newLayout(oldIn, Online, false, nil), newLayout(newIn, Online, false, nil)
+	if b.NumVars != oldLy.cols || b.NumCons != oldLy.rows {
 		return nil
 	}
-	newVars, newCons := onlineVarKeys(newIn), onlineConKeys(newIn)
-	varIdx := make(map[olKey]int, len(newVars))
-	for idx, key := range newVars {
-		varIdx[key] = idx
+	// Everything not indexed by a machine — the placement flows and the
+	// job, place, cap and exist rows — keeps its formula across the two
+	// layouts (sameEpochShape), so re-encoding maps it to itself; x^t
+	// columns, cpu rows and xfer rows follow their machine or drop with it.
+	varMap := make([]int, oldLy.cols)
+	for v := 0; v < oldLy.xt0(); v++ {
+		varMap[v] = v
 	}
-	conIdx := make(map[olKey]int, len(newCons))
-	for idx, key := range newCons {
-		conIdx[key] = idx
-	}
-	remap := func(key olKey) (olKey, bool) {
-		switch key.kind {
-		case 1, 5, 7: // machine-indexed: xt columns, cpu and xfer rows
-			nl := mm[key.b]
-			if nl < 0 {
-				return olKey{}, false
-			}
-			key.b = nl
+	oldLy.eachXT(func(v lp.Var, k, l, store int) {
+		varMap[v] = -1
+		if nl := mm[l]; nl >= 0 {
+			// Online, a column's place among its job's is its store; a
+			// job without input (noStore) has the one.
+			varMap[v] = int(newLy.xtFirst(k, nl)) + max(store, 0)
 		}
-		return key, true
+	})
+	conMap := make([]int, oldLy.rows)
+	for r := 0; r < oldLy.cpuRow0; r++ {
+		conMap[r] = r
 	}
-	varMap := make([]int, len(oldVars))
-	for idx, key := range oldVars {
-		varMap[idx] = -1
-		if nk, ok := remap(key); ok {
-			if nidx, ok := varIdx[nk]; ok {
-				varMap[idx] = nidx
-			}
-		}
-	}
-	conMap := make([]int, len(oldCons))
-	for idx, key := range oldCons {
-		conMap[idx] = -1
-		if nk, ok := remap(key); ok {
-			if nidx, ok := conIdx[nk]; ok {
-				conMap[idx] = nidx
+	for l := range oldIn.Machines {
+		if !oldLy.isFake(l) {
+			conMap[oldLy.cpuRow(l)] = -1
+			if nl := mm[l]; nl >= 0 {
+				conMap[oldLy.cpuRow(l)] = int(newLy.cpuRow(nl))
 			}
 		}
 	}
-	return lp.TranslateBasis(b, varMap, conMap, len(newVars), len(newCons))
+	for k := range oldIn.Jobs {
+		if !oldLy.hasData(k) {
+			continue
+		}
+		for store := range oldIn.Stores {
+			conMap[oldLy.existRow(k, store)] = int(newLy.existRow(k, store))
+		}
+		for l := range oldIn.Machines {
+			if !oldLy.isFake(l) {
+				conMap[oldLy.xferRow(k, l)] = -1
+				if nl := mm[l]; nl >= 0 {
+					conMap[oldLy.xferRow(k, l)] = int(newLy.xferRow(k, nl))
+				}
+			}
+		}
+	}
+	return lp.TranslateBasis(b, varMap, conMap, newLy.cols, newLy.rows)
 }

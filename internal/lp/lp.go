@@ -3,7 +3,9 @@
 // The package provides a problem builder (Problem) and one solver, a
 // two-phase bounded-variable revised simplex (Solve). Problems are stored
 // column-wise and sparse, because LiPS scheduling LPs have at most four
-// nonzeros per column.
+// nonzeros per column. A builder that knows a column's entries up front
+// adds it whole (AddCol); names are kept only for what was given one, and
+// generated models install a Namer that derives them from the index.
 //
 // All problems are minimization problems. Variables carry explicit bounds
 // [Lower, Upper]; upper bounds are handled by the bounded-variable pivoting
@@ -13,6 +15,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Inf is the canonical unbounded value for variable bounds.
@@ -54,7 +57,6 @@ type nz struct {
 }
 
 type variable struct {
-	name  string
 	lower float64
 	upper float64
 	cost  float64
@@ -62,9 +64,22 @@ type variable struct {
 }
 
 type constraint struct {
-	name  string
 	sense Sense
 	rhs   float64
+}
+
+// Entry is one coefficient of a column handed to AddCol.
+type Entry struct {
+	Con  Con
+	Coef float64
+}
+
+// Namer derives the names of a generated problem's variables and
+// constraints from their indices, so the builder does not format and store
+// thousands of strings nobody reads. See SetNamer.
+type Namer interface {
+	VarName(Var) string
+	ConName(Con) string
 }
 
 // Problem is a linear program under construction. The zero value is not
@@ -73,7 +88,22 @@ type Problem struct {
 	name string
 	vars []variable
 	cons []constraint
+
+	// arena is the chunk AddCol carves columns from. A full chunk is
+	// replaced, not grown: the columns already cut from it keep it alive.
+	arena []nz
+	nnz   int
+
+	// varNames and conNames hold the names passed to AddVar and AddCon,
+	// grown only as far as the last non-empty one; namer answers for the
+	// rest.
+	varNames []string
+	conNames []string
+	namer    Namer
 }
+
+// minArenaChunk is the smallest arena chunk, in entries.
+const minArenaChunk = 256
 
 // New returns an empty minimization problem with the given name.
 func New(name string) *Problem {
@@ -89,40 +119,116 @@ func (p *Problem) NumVars() int { return len(p.vars) }
 // NumCons returns the number of constraint rows added so far.
 func (p *Problem) NumCons() int { return len(p.cons) }
 
+// Grow reserves room for vars more variables, cons more constraint rows
+// and nnz more AddCol entries, so a builder that knows its sizes pays one
+// allocation for each instead of amortized doubling.
+func (p *Problem) Grow(vars, cons, nnz int) {
+	p.vars = slices.Grow(p.vars, vars)
+	p.cons = slices.Grow(p.cons, cons)
+	if cap(p.arena)-len(p.arena) < nnz {
+		p.arena = make([]nz, 0, nnz)
+	}
+}
+
+// varFault says what makes a new variable a program construction bug —
+// inverted bounds, an infinite bound of the wrong sign, a NaN — or returns
+// "" for a sound one.
+func varFault(lower, upper, cost float64) string {
+	switch {
+	case lower > upper:
+		return fmt.Sprintf("has inverted bounds [%g, %g]", lower, upper)
+	case math.IsInf(lower, 1) || math.IsInf(upper, -1):
+		return "has infinite bound of the wrong sign"
+	case math.IsNaN(lower) || math.IsNaN(upper) || math.IsNaN(cost):
+		return "has NaN bound or cost"
+	}
+	return ""
+}
+
+// checkCoef panics on a non-finite coefficient or a constraint index that
+// was never declared. v, which may be the variable about to be added, only
+// labels the message. The test is split from the report, and written with
+// one comparison per operand, so that it inlines into AddCol's loop:
+// coef-coef is nonzero (NaN) exactly when coef is NaN or infinite.
+func (p *Problem) checkCoef(c Con, v Var, coef float64) {
+	if coef-coef != 0 || uint(c) >= uint(len(p.cons)) {
+		p.coefFault(c, v, coef)
+	}
+}
+
+func (p *Problem) coefFault(c Con, v Var, coef float64) {
+	if math.IsNaN(coef) || math.IsInf(coef, 0) {
+		panic(fmt.Sprintf("lp: non-finite coefficient %g for var %d in con %d", coef, v, c))
+	}
+	panic(fmt.Sprintf("lp: constraint index %d out of range [0,%d)", c, len(p.cons)))
+}
+
 // AddVar adds a variable with bounds [lower, upper] and objective
 // coefficient cost, returning its handle. AddVar panics if the bounds are
 // inverted or lower is +Inf, since that is a program construction bug.
 func (p *Problem) AddVar(name string, lower, upper, cost float64) Var {
-	if lower > upper {
-		panic(fmt.Sprintf("lp: variable %q has inverted bounds [%g, %g]", name, lower, upper))
+	if fault := varFault(lower, upper, cost); fault != "" {
+		panic(fmt.Sprintf("lp: variable %q %s", name, fault))
 	}
-	if math.IsInf(lower, 1) || math.IsInf(upper, -1) {
-		panic(fmt.Sprintf("lp: variable %q has infinite bound of the wrong sign", name))
-	}
-	if math.IsNaN(lower) || math.IsNaN(upper) || math.IsNaN(cost) {
-		panic(fmt.Sprintf("lp: variable %q has NaN bound or cost", name))
-	}
-	p.vars = append(p.vars, variable{name: name, lower: lower, upper: upper, cost: cost})
+	p.vars = append(p.vars, variable{lower: lower, upper: upper, cost: cost})
+	setName(&p.varNames, len(p.vars)-1, name)
 	return Var(len(p.vars) - 1)
 }
 
+// AddCol adds a variable together with its whole column: AddVar followed
+// by one SetCoef per entry, in one call and without a per-column
+// allocation. Entries must name declared rows in strictly ascending order
+// — one canonical stored order, and no duplicates to accumulate; AddCol
+// panics otherwise, and on the values AddVar and SetCoef reject. Zero
+// coefficients are skipped. The entries are copied; the variable takes its
+// name from the Namer.
+func (p *Problem) AddCol(lower, upper, cost float64, entries []Entry) Var {
+	v := Var(len(p.vars))
+	if fault := varFault(lower, upper, cost); fault != "" {
+		panic(fmt.Sprintf("lp: variable %q %s", p.VarName(v), fault))
+	}
+	if cap(p.arena)-len(p.arena) < len(entries) {
+		p.arena = make([]nz, 0, max(minArenaChunk, len(entries), 2*cap(p.arena)))
+	}
+	a := len(p.arena)
+	for i, e := range entries {
+		p.checkCoef(e.Con, v, e.Coef)
+		if i > 0 && e.Con <= entries[i-1].Con {
+			panic(fmt.Sprintf("lp: AddCol entries not in ascending row order: con %d after con %d", e.Con, entries[i-1].Con))
+		}
+		if e.Coef != 0 {
+			p.arena = append(p.arena, nz{row: int(e.Con), coef: e.Coef})
+		}
+	}
+	b := len(p.arena)
+	p.nnz += b - a
+	// The full slice expression caps the column at its own end, so a
+	// later SetCoef on it reallocates instead of overwriting the next
+	// column in the chunk.
+	p.vars = append(p.vars, variable{lower: lower, upper: upper, cost: cost, col: p.arena[a:b:b]})
+	return v
+}
+
 // AddCon adds an empty constraint row with the given sense and right-hand
-// side, returning its handle. Coefficients are attached with SetCoef.
+// side, returning its handle. Coefficients are attached with SetCoef or
+// arrive with their column in AddCol.
 func (p *Problem) AddCon(name string, sense Sense, rhs float64) Con {
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
 		panic(fmt.Sprintf("lp: constraint %q has non-finite rhs %g", name, rhs))
 	}
-	p.cons = append(p.cons, constraint{name: name, sense: sense, rhs: rhs})
+	p.cons = append(p.cons, constraint{sense: sense, rhs: rhs})
+	setName(&p.conNames, len(p.cons)-1, name)
 	return Con(len(p.cons) - 1)
 }
 
 // SetCoef sets the coefficient of variable v in constraint c. Setting the
 // same (c, v) pair twice accumulates, which is convenient for objective
 // terms assembled from several model components. Zero coefficients are
-// ignored.
+// ignored. SetCoef panics on an index that was never declared.
 func (p *Problem) SetCoef(c Con, v Var, coef float64) {
-	if math.IsNaN(coef) || math.IsInf(coef, 0) {
-		panic(fmt.Sprintf("lp: non-finite coefficient %g for var %d in con %d", coef, v, c))
+	p.checkCoef(c, v, coef)
+	if v < 0 || int(v) >= len(p.vars) {
+		panic(fmt.Sprintf("lp: variable index %d out of range [0,%d)", v, len(p.vars)))
 	}
 	if coef == 0 {
 		return
@@ -135,6 +241,7 @@ func (p *Problem) SetCoef(c Con, v Var, coef float64) {
 		}
 	}
 	*col = append(*col, nz{row: int(c), coef: coef})
+	p.nnz++
 }
 
 // Cost returns the current objective coefficient of v.
@@ -162,13 +269,13 @@ func (p *Problem) SetRHS(c Con, rhs float64) {
 // SetBounds replaces the bounds of v, with the same validation as AddVar.
 func (p *Problem) SetBounds(v Var, lower, upper float64) {
 	if lower > upper {
-		panic(fmt.Sprintf("lp: variable %q set to inverted bounds [%g, %g]", p.vars[v].name, lower, upper))
+		panic(fmt.Sprintf("lp: variable %q set to inverted bounds [%g, %g]", p.VarName(v), lower, upper))
 	}
 	if math.IsInf(lower, 1) || math.IsInf(upper, -1) {
-		panic(fmt.Sprintf("lp: variable %q set to infinite bound of the wrong sign", p.vars[v].name))
+		panic(fmt.Sprintf("lp: variable %q set to infinite bound of the wrong sign", p.VarName(v)))
 	}
 	if math.IsNaN(lower) || math.IsNaN(upper) {
-		panic(fmt.Sprintf("lp: variable %q set to NaN bound", p.vars[v].name))
+		panic(fmt.Sprintf("lp: variable %q set to NaN bound", p.VarName(v)))
 	}
 	p.vars[v].lower, p.vars[v].upper = lower, upper
 }
@@ -178,11 +285,43 @@ func (p *Problem) Bounds(v Var) (lower, upper float64) {
 	return p.vars[v].lower, p.vars[v].upper
 }
 
-// VarName returns the name of v.
-func (p *Problem) VarName(v Var) string { return p.vars[v].name }
+// SetNamer installs the source of names for every variable and constraint
+// that was not given one when it was added.
+func (p *Problem) SetNamer(n Namer) { p.namer = n }
 
-// ConName returns the name of c.
-func (p *Problem) ConName(c Con) string { return p.cons[c].name }
+// setName records a non-empty name for index i in a side table.
+func setName(names *[]string, i int, name string) {
+	if name == "" {
+		return
+	}
+	if n := i + 1 - len(*names); n > 0 {
+		*names = append(*names, make([]string, n)...)
+	}
+	(*names)[i] = name
+}
+
+// VarName returns the name of v: the one it was added with, else the
+// Namer's, else empty.
+func (p *Problem) VarName(v Var) string {
+	if int(v) < len(p.varNames) && p.varNames[v] != "" {
+		return p.varNames[v]
+	}
+	if p.namer != nil {
+		return p.namer.VarName(v)
+	}
+	return ""
+}
+
+// ConName returns the name of c, resolved like VarName.
+func (p *Problem) ConName(c Con) string {
+	if int(c) < len(p.conNames) && p.conNames[c] != "" {
+		return p.conNames[c]
+	}
+	if p.namer != nil {
+		return p.namer.ConName(c)
+	}
+	return ""
+}
 
 // ConSense returns the sense of c.
 func (p *Problem) ConSense(c Con) Sense { return p.cons[c].sense }
@@ -201,13 +340,7 @@ func (p *Problem) Coef(c Con, v Var) float64 {
 }
 
 // NumNonzeros returns the total number of stored coefficients.
-func (p *Problem) NumNonzeros() int {
-	n := 0
-	for i := range p.vars {
-		n += len(p.vars[i].col)
-	}
-	return n
-}
+func (p *Problem) NumNonzeros() int { return p.nnz }
 
 // Objective evaluates the objective at point x, which must have one entry
 // per variable.
@@ -248,7 +381,7 @@ func (p *Problem) CheckFeasible(x []float64, tol float64) error {
 	for i := range p.vars {
 		v := &p.vars[i]
 		if x[i] < v.lower-tol || x[i] > v.upper+tol {
-			return fmt.Errorf("lp: variable %q = %g violates bounds [%g, %g]", v.name, x[i], v.lower, v.upper)
+			return fmt.Errorf("lp: variable %q = %g violates bounds [%g, %g]", p.VarName(Var(i)), x[i], v.lower, v.upper)
 		}
 	}
 	act := p.Activity(x)
@@ -261,15 +394,15 @@ func (p *Problem) CheckFeasible(x []float64, tol float64) error {
 		switch c.sense {
 		case LE:
 			if act[j] > c.rhs+rtol {
-				return fmt.Errorf("lp: constraint %q: %g > %g", c.name, act[j], c.rhs)
+				return fmt.Errorf("lp: constraint %q: %g > %g", p.ConName(Con(j)), act[j], c.rhs)
 			}
 		case GE:
 			if act[j] < c.rhs-rtol {
-				return fmt.Errorf("lp: constraint %q: %g < %g", c.name, act[j], c.rhs)
+				return fmt.Errorf("lp: constraint %q: %g < %g", p.ConName(Con(j)), act[j], c.rhs)
 			}
 		case EQ:
 			if math.Abs(act[j]-c.rhs) > rtol {
-				return fmt.Errorf("lp: constraint %q: %g != %g", c.name, act[j], c.rhs)
+				return fmt.Errorf("lp: constraint %q: %g != %g", p.ConName(Con(j)), act[j], c.rhs)
 			}
 		}
 	}

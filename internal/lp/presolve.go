@@ -332,7 +332,7 @@ func presolveProblem(p *Problem, tol float64) *presolveResult {
 	red.cons = make([]constraint, len(pr.origCon))
 	for ri, i := range pr.origCon {
 		c := &p.cons[i]
-		red.cons[ri] = constraint{name: c.name, sense: c.sense, rhs: rhs[i]}
+		red.cons[ri] = constraint{sense: c.sense, rhs: rhs[i]}
 	}
 	for j := 0; j < n; j++ {
 		if !aliveCol[j] {
@@ -346,9 +346,8 @@ func presolveProblem(p *Problem, tol float64) *presolveResult {
 				col = append(col, nz{row: int(rowMap[e.row]), coef: e.coef})
 			}
 		}
-		red.vars = append(red.vars, variable{
-			name: v.name, lower: lo[j], upper: hi[j], cost: v.cost, col: col,
-		})
+		red.nnz += len(col)
+		red.vars = append(red.vars, variable{lower: lo[j], upper: hi[j], cost: v.cost, col: col})
 	}
 	pr.p = red
 	return pr

@@ -320,6 +320,7 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 
 	r.Deferred = r.Pending - r.Launched
 	r.WarmOffered, r.WarmStarted = opts.WarmStart != nil, plan.WarmStarted
+	r.Rows, r.Cols, r.NNZ = plan.Rows, plan.Cols, plan.NNZ
 	r.Stats = plan.Stats
 	r.ColGenRounds, r.ColGenColumns = plan.ColGenRounds, plan.ColGenColumns
 	r.BuildTime, r.SolveTime = solving.Sub(began), solved.Sub(solving)

@@ -29,6 +29,9 @@ type EpochRecord struct {
 	WarmOffered bool
 	WarmStarted bool
 
+	// Rows, Cols and NNZ size the LP the epoch solved: under ColGen, the
+	// restricted master of the last pricing round.
+	Rows, Cols, NNZ int
 	// Stats is what the solve cost, summed over the pricing rounds under
 	// ColGen, whose round and generated-column counts follow.
 	lp.Stats

@@ -36,6 +36,9 @@ func TestLastEpochStats(t *testing.T) {
 	if es.Deferred != es.Pending-es.Launched {
 		t.Errorf("deferred %d != pending %d - launched %d", es.Deferred, es.Pending, es.Launched)
 	}
+	if es.Rows < es.Jobs || es.Cols <= 0 || es.NNZ < es.Cols {
+		t.Errorf("LP of %d jobs recorded as %d×%d with %d nonzeros", es.Jobs, es.Rows, es.Cols, es.NNZ)
+	}
 	if !strings.HasPrefix(es.String(), "1 solves") {
 		t.Errorf("solver one-liner %q does not describe the one epoch", es.String())
 	}

@@ -153,6 +153,11 @@ func TestDebugEpochsRing(t *testing.T) {
 		if !strings.HasPrefix(dec.Solver, "1 solves") {
 			t.Errorf("decision %d: solver %q is not that epoch's one-liner", dec.Epoch, dec.Solver)
 		}
+		// An epoch that plans has jobs, so rows and columns, and every
+		// LiPS column meets at least its job row.
+		if dec.LPRows <= 0 || dec.LPCols <= 0 || dec.LPNNZ < dec.LPCols {
+			t.Errorf("decision %d: LP size %d×%d with %d nonzeros", dec.Epoch, dec.LPRows, dec.LPCols, dec.LPNNZ)
+		}
 		// Rounding a two-job plan takes a few microseconds, the resolution
 		// of these fields; only the two long phases are surely non-zero.
 		if dec.SchedEpoch <= 0 || dec.BuildMS <= 0 || dec.SolveMS <= 0 || dec.RoundMS < 0 || dec.ApplyMS < 0 {

@@ -108,7 +108,8 @@ jq -e --argjson n "$TOTAL" '
 		| all(. == "queue-cap" or . == "fair-share-rank"
 			or . == "solver-backpressure" or . == "no-capacity" or . == "draining"))
 	and ([.epochs[] | select(has("sched_epoch"))] | length > 0 and all(
-		.solver != "" and .build_ms > 0 and .solve_ms > 0 and .round_ms >= 0 and .apply_ms >= 0
+		.solver != "" and .lp_rows > 0 and .lp_cols > 0 and .lp_nnz > 0
+		and .build_ms > 0 and .solve_ms > 0 and .round_ms >= 0 and .apply_ms >= 0
 		and .build_ms + .solve_ms + .round_ms + .apply_ms <= .wall_ms + 1e-9))
 ' "$BIN/epochs.json" >/dev/null || {
 	echo "spansmoke: FAIL: /debug/epochs decisions malformed:" >&2
