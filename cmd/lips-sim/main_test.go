@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"testing"
+)
 
 func TestRunAllSchedulers(t *testing.T) {
 	for _, sched := range []string{"fifo", "delay", "fair", "lips"} {
@@ -44,5 +48,34 @@ func TestRunCfgExtras(t *testing.T) {
 	}
 	if err := runCfg(cfg); err != nil {
 		t.Fatal(err)
+	}
+	// -trace-format chrome writes one JSON array Perfetto can load (the
+	// crash supplies the instant events); an unknown format is refused
+	// before the run.
+	cfg.FaultCrashes = 1
+	cfg.TracePath, cfg.TraceFormat, cfg.SampleInterval = t.TempDir()+"/run.json", "chrome", 60
+	if err := runCfg(cfg); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(cfg.TracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []struct{ Ph string }
+	if err := json.Unmarshal(data, &records); err != nil {
+		t.Fatalf("chrome trace is not a JSON array: %v", err)
+	}
+	seen := map[string]bool{}
+	for _, r := range records {
+		seen[r.Ph] = true
+	}
+	for _, ph := range []string{"M", "X", "i", "C"} {
+		if !seen[ph] {
+			t.Errorf("chrome trace has no %q records", ph)
+		}
+	}
+	cfg.TraceFormat = "svg"
+	if err := runCfg(cfg); err == nil {
+		t.Error("unknown trace format accepted")
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -155,5 +156,17 @@ func TestByJobCSV(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "jA,alice") || !strings.HasSuffix(lines[1], ",105") {
 		t.Errorf("bad jA row %q", lines[1])
+	}
+	// The rollup conserves the run total the last sample embeds.
+	sum := 0
+	for _, line := range lines[1:] {
+		uc, err := strconv.Atoi(line[strings.LastIndexByte(line, ',')+1:])
+		if err != nil {
+			t.Fatalf("bad total in row %q: %v", line, err)
+		}
+		sum += uc
+	}
+	if sum != 125 {
+		t.Errorf("rollup rows sum to %d uc, the sampled total is 125 uc", sum)
 	}
 }

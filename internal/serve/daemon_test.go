@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -30,6 +31,34 @@ func newTestDaemon(t *testing.T, cfg Config) (*Daemon, *httptest.Server) {
 	ts := httptest.NewServer(d.Handler())
 	t.Cleanup(ts.Close)
 	return d, ts
+}
+
+// lockedBuffer is a log sink the epoch goroutine and the test may share.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+// messages returns the msg field of every JSON record written so far.
+func (l *lockedBuffer) messages(t *testing.T) []string {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var msgs []string
+	for _, line := range strings.Split(strings.TrimSpace(l.b.String()), "\n") {
+		var rec struct{ Msg string }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q is not JSON: %v", line, err)
+		}
+		msgs = append(msgs, rec.Msg)
+	}
+	return msgs
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -86,7 +115,9 @@ func waitStats(t *testing.T, url string, ok func(*Stats) bool) *Stats {
 // TestDaemonLifecycle walks one job through the full submit → admitted →
 // running → done pipeline over the HTTP API.
 func TestDaemonLifecycle(t *testing.T) {
-	d, ts := newTestDaemon(t, Config{EpochSimSec: 60})
+	var logs lockedBuffer
+	d, ts := newTestDaemon(t, Config{EpochSimSec: 60,
+		Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
 	d.Start()
 
 	id, code := submitOne(t, ts.URL, "alice")
@@ -111,6 +142,16 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	if err := d.Shutdown(); err != nil {
 		t.Fatal(err)
+	}
+	// The JSON log stream records the lifecycle at info level, in order.
+	msgs, next := logs.messages(t), 0
+	for _, want := range []string{"epoch loop started", "drain started", "daemon stopped"} {
+		for next < len(msgs) && msgs[next] != want {
+			next++
+		}
+		if next == len(msgs) {
+			t.Errorf("lifecycle record %q missing or out of order in %q", want, msgs)
+		}
 	}
 
 	// Post-drain the daemon answers 503 with Retry-After.
@@ -199,6 +240,16 @@ func TestBackpressureExactQueueCap(t *testing.T) {
 	}
 	if accepted != cap || rejected != 2*cap {
 		t.Errorf("accepted %d rejected %d, want exactly %d/%d", accepted, rejected, cap, 2*cap)
+	}
+	// The shed load is visible in lips_serve_admission_total, and the
+	// queue gauge sits at the cap.
+	for decision, want := range map[string]float64{"accepted": cap, "rejected": 2 * cap} {
+		if got, _ := d.reg.Value(obs.MServeAdmissions, decision); got != want {
+			t.Errorf("%s{decision=%q} = %g, want %g", obs.MServeAdmissions, decision, got, want)
+		}
+	}
+	if got, _ := d.reg.Value(obs.MServeQueueDepth); got != cap {
+		t.Errorf("%s = %g, want %d", obs.MServeQueueDepth, got, cap)
 	}
 	resp, _ := postJSON(t, ts.URL+"/submit", SubmitRequest{Tenant: "t", Archetype: "grep", InputMB: 64})
 	if resp.Header.Get("Retry-After") == "" {
@@ -457,29 +508,59 @@ func TestTenantFairShare(t *testing.T) {
 }
 
 // TestChurnMidRun downs a node over the admin API while jobs flow and
-// expects the daemon to keep scheduling epochs and finish everything.
+// expects the daemon to keep scheduling epochs and finish everything —
+// under LiPS by offering the next epoch's LP the translated basis, not
+// by cold restarts.
 func TestChurnMidRun(t *testing.T) {
-	d, ts := newTestDaemon(t, Config{EpochSimSec: 60, AdmitPerEpoch: 4})
-	d.Start()
-	for i := 0; i < 10; i++ {
-		if _, code := submitOne(t, ts.URL, "a"); code != http.StatusAccepted {
-			t.Fatalf("submit: %d", code)
-		}
-	}
-	resp, body := postJSON(t, ts.URL+"/admin/churn?node=3&kind=down", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("churn down: %d %s", resp.StatusCode, body)
-	}
-	resp, _ = postJSON(t, ts.URL+"/admin/churn?node=3&kind=up", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("churn up: %d", resp.StatusCode)
-	}
-	resp, _ = postJSON(t, ts.URL+"/admin/churn?node=999&kind=down", nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("churn of bad node: %d", resp.StatusCode)
-	}
-	waitStats(t, ts.URL, func(st *Stats) bool { return st.Jobs[StateDone] == 10 })
-	if err := d.Shutdown(); err != nil {
-		t.Fatal(err)
+	for name, sch := range map[string]sim.Scheduler{"fair": sched.NewFair(), "lips": sched.NewLiPS(60)} {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			d, err := New(cluster.Paper20(0.5), sch, reg,
+				Config{EpochSimSec: 60, EpochWallInterval: time.Millisecond, AdmitPerEpoch: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(d.Handler())
+			defer ts.Close()
+			d.Start()
+			for i := 0; i < 10; i++ {
+				if _, code := submitOne(t, ts.URL, "a"); code != http.StatusAccepted {
+					t.Fatalf("submit: %d", code)
+				}
+			}
+			resp, body := postJSON(t, ts.URL+"/admin/churn?node=3&kind=down", nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("churn down: %d %s", resp.StatusCode, body)
+			}
+			resp, _ = postJSON(t, ts.URL+"/admin/churn?node=3&kind=up", nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("churn up: %d", resp.StatusCode)
+			}
+			resp, _ = postJSON(t, ts.URL+"/admin/churn?node=999&kind=down", nil)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("churn of bad node: %d", resp.StatusCode)
+			}
+			waitStats(t, ts.URL, func(st *Stats) bool { return st.Jobs[StateDone] == 10 })
+			var audit AuditResponse
+			if code := getJSON(t, ts.URL+"/audit", &audit); code != http.StatusOK || !audit.OK {
+				t.Errorf("/audit after churn: %d %+v", code, audit)
+			}
+			if err := d.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			// One down and one up were applied (the bad node counts as
+			// neither) and the epoch counter moved.
+			for _, kind := range []string{"down", "up"} {
+				if got, _ := reg.Value(obs.MServeChurn, kind); got != 1 {
+					t.Errorf("%s{kind=%q} = %g, want 1", obs.MServeChurn, kind, got)
+				}
+			}
+			if got, _ := reg.Value(obs.MServeEpochs); got == 0 {
+				t.Errorf("%s = 0 after ten jobs ran", obs.MServeEpochs)
+			}
+			if offers, _ := reg.Value(obs.MSchedWarmOffers); name == "lips" && offers == 0 {
+				t.Error("no warm-start offers after churn")
+			}
+		})
 	}
 }

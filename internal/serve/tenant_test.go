@@ -2,7 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"log/slog"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -47,9 +49,13 @@ func TestTenantsAndAuditEndpoints(t *testing.T) {
 
 	var rowSum int64
 	seen := map[string]TenantSummary{}
+	catSums := map[string]int64{}
 	for i, row := range tr.Tenants {
 		seen[row.Tenant] = row
 		rowSum += row.TotalUC
+		for cat, uc := range row.Categories {
+			catSums[cat] += uc
+		}
 		if i > 0 && tr.Tenants[i-1].Tenant >= row.Tenant {
 			t.Errorf("/tenants not sorted: %q before %q", tr.Tenants[i-1].Tenant, row.Tenant)
 		}
@@ -65,6 +71,11 @@ func TestTenantsAndAuditEndpoints(t *testing.T) {
 	// one lock hold, so once every job is done the rows cover the bill.
 	if rowSum != audit.TotalUC {
 		t.Errorf("/tenants rows sum to %d uc, audit total %d uc", rowSum, audit.TotalUC)
+	}
+	for cat, uc := range audit.Categories {
+		if catSums[cat] != uc {
+			t.Errorf("/tenants rows sum to %d uc of %s, audit ledger has %d uc", catSums[cat], cat, uc)
+		}
 	}
 	for tenant, n := range counts {
 		row, ok := seen[tenant]
@@ -203,7 +214,9 @@ func TestBudgetExhaustedDeferral(t *testing.T) {
 // the rolling windows age out, it resolves. Transitions land on the
 // alert metrics and the firing gauge tracks the active count.
 func TestSLOBurnAlertLifecycle(t *testing.T) {
+	var logs lockedBuffer
 	d, ts := newTestDaemon(t, Config{
+		Logger:      slog.New(slog.NewJSONHandler(&logs, nil)),
 		EpochSimSec: 60, AdmitPerEpoch: 2,
 		// Jobs take at least one 60 s epoch end to end, so a 1 s objective
 		// makes every completion a violation; burn = 1/0.5 = 2.
@@ -286,5 +299,12 @@ func TestSLOBurnAlertLifecycle(t *testing.T) {
 	}
 	if err := d.Shutdown(); err != nil {
 		t.Fatal(err)
+	}
+	// Both transitions reached the structured log.
+	msgs := strings.Join(logs.messages(t), "\n")
+	for _, want := range []string{"slo alert firing", "slo alert resolved"} {
+		if !strings.Contains(msgs, want) {
+			t.Errorf("log stream has no %q record:\n%s", want, msgs)
+		}
 	}
 }
