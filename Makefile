@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet loc bench benchpair lpsmoke faultsmoke tracesmoke obssmoke scalesmoke servesmoke spansmoke costsmoke
+.PHONY: all build test race vet loc bench benchpair smoke
 
 all: vet build test
 
@@ -51,45 +51,8 @@ benchpair:
 	done; \
 	$(GO) run ./bench/cmp "$$out/base.jsonl" "$$out/head.jsonl"
 
-# Smokes: each script builds the binaries it needs and drives them.
-
-# Checks lips-lp -colgen -dual against the direct solve.
-lpsmoke:
-	scripts/lpsmoke.sh
-
-# Replays a seeded churn scenario through every scheduler, requiring
-# fault damage and bit-identical repeats.
-faultsmoke:
-	scripts/faultsmoke.sh
-
-# Runs a traced lips-sim, schema-validates the JSONL, renders the
-# lips-trace report and checks the Chrome export and reproducibility.
-tracesmoke:
-	scripts/tracesmoke.sh
-
-# Starts a live lips-sim -listen run and scrapes /metrics, /progress and
-# /debug/pprof mid-run, validating the exposition and required families.
-obssmoke:
-	scripts/obssmoke.sh
-
-# Replays a 1k-node seeded -scale run under a wall-clock budget,
-# requiring byte-identical traces.
-scalesmoke:
-	scripts/scalesmoke.sh
-
-# Drives a live lips-serve daemon with an open-loop burst: p99 submit
-# SLO, churn survival, 429 load shedding and a clean SIGTERM drain.
-servesmoke:
-	scripts/servesmoke.sh
-
-# Drives a live daemon and checks the span surface: /jobs/{id}/trace
-# phases telescope to the e2e latency, /debug/epochs carries typed
-# deferral reasons, and per-tenant histograms agree with span counts.
-spansmoke:
-	scripts/spansmoke.sh
-
-# Proves the chargeback pipeline to the exact microcent: lips-trace
-# -audit on a traced faulty run, and a live daemon under churn/cancels
-# where /tenants sums to /audit and a burn-rate alert fires and resolves.
-costsmoke:
-	scripts/costsmoke.sh
+# The process boundary only — flags and exit codes, files between
+# processes, live TCP scrapes, SIGTERM drain, the log stream. Everything
+# else the binaries do is held by go test.
+smoke:
+	scripts/smoke.sh

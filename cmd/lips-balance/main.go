@@ -19,7 +19,6 @@ import (
 	"lips/internal/cost"
 	"lips/internal/hdfs"
 	"lips/internal/obs"
-	"lips/internal/trace"
 	"lips/internal/workload"
 )
 
@@ -28,42 +27,22 @@ func main() {
 	tasks := flag.Int("tasks", 3000, "map tasks of synthetic data to place")
 	threshold := flag.Float64("threshold", 0.02, "target utilization band around the mean")
 	seed := flag.Int64("seed", 1, "random seed")
-	tracePath := flag.String("trace", "", "write the planned moves as JSONL trace events to this file")
-	listen := flag.String("listen", "", "serve /metrics, /healthz and /debug/pprof on this address")
-	logOpts := obs.LogFlags()
-	flag.Parse()
-	logger, lerr := logOpts.Logger(os.Stderr)
-	if lerr != nil {
-		fmt.Fprintln(os.Stderr, "lips-balance:", lerr)
-		os.Exit(2)
-	}
-	logger.Debug("balance config", "cluster", *clusterKind, "tasks", *tasks,
+	cli := obs.NewCLI("lips-balance", obs.FlagListen|obs.FlagTrace)
+	cli.Start()
+	cli.Logger.Debug("balance config", "cluster", *clusterKind, "tasks", *tasks,
 		"threshold", *threshold, "seed", *seed)
-	if err := run(os.Stdout, *clusterKind, *tasks, *threshold, *seed, *tracePath, *listen); err != nil {
-		fmt.Fprintln(os.Stderr, "lips-balance:", err)
-		os.Exit(1)
-	}
+	cli.ExitOn(cli.Stop(run(os.Stdout, *clusterKind, *tasks, *threshold, *seed, cli)))
 }
 
-func run(out *os.File, clusterKind string, tasks int, threshold float64, seed int64, tracePath, listen string) error {
-	var reg *obs.Registry
-	if listen != "" {
-		reg = obs.NewRegistry()
-		srv, err := obs.Serve(listen, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(out, "metrics: serving %s/metrics\n", srv.URL())
+// run balances one skewed placement; cli carries the trace file and the
+// live registry the shared flags selected.
+func run(out *os.File, clusterKind string, tasks int, threshold float64, seed int64, cli *obs.CLI) error {
+	if clusterKind != "paper20" && clusterKind != "paper100" {
+		return fmt.Errorf("unknown cluster %q (want paper20 or paper100)", clusterKind)
 	}
-	var c *cluster.Cluster
-	switch clusterKind {
-	case "paper20":
-		c = cluster.Paper20(0.5)
-	case "paper100":
-		c = cluster.Paper100()
-	default:
-		return fmt.Errorf("unknown cluster %q", clusterKind)
+	c, err := cluster.ByName(clusterKind, 0.5, 0, nil)
+	if err != nil {
+		return err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	// Skewed ingest: all data lands in one zone's stores.
@@ -102,7 +81,7 @@ func run(out *os.File, clusterKind string, tasks int, threshold float64, seed in
 		bill += c.SSPerGB(m.From, m.To).MulFloat(mb / 1024)
 	}
 	fmt.Fprintf(out, "\nbalancer: %d block moves, transfer bill %v\n\n", len(moves), bill)
-	if reg != nil {
+	if reg := cli.Registry; reg != nil {
 		movedMB := 0.0
 		for _, m := range moves {
 			movedMB += p.Object(m.Object).BlockSizeMB(m.Block)
@@ -112,16 +91,8 @@ func run(out *os.File, clusterKind string, tasks int, threshold float64, seed in
 		reg.Counter("lips_balance_bill_microcents_total", "Transfer bill of the planned moves, in microcents.").Add(float64(bill))
 	}
 	show("after balancing")
-	if tracePath != "" {
-		sink, err := trace.NewSink(tracePath, "jsonl")
-		if err != nil {
-			return err
-		}
-		hdfs.EmitMoves(sink, 0, p, moves, "balance")
-		if err := sink.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\ntrace: %d move events written to %s\n", sink.Events(), tracePath)
+	if cli.Trace != nil {
+		hdfs.EmitMoves(cli.Trace, 0, p, moves, "balance")
 	}
 	return nil
 }

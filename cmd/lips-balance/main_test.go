@@ -4,23 +4,29 @@ import (
 	"os"
 	"testing"
 
+	"lips/internal/obs"
 	"lips/internal/trace"
 )
 
 func TestRunBalance(t *testing.T) {
 	for _, kind := range []string{"paper20", "paper100"} {
-		if err := run(os.Stdout, kind, 600, 0.005, 1, "", ""); err != nil {
+		if err := run(os.Stdout, kind, 600, 0.005, 1, &obs.CLI{}); err != nil {
 			t.Errorf("%s: %v", kind, err)
 		}
 	}
-	if err := run(os.Stdout, "nope", 10, 0.1, 1, "", ""); err == nil {
+	if err := run(os.Stdout, "nope", 10, 0.1, 1, &obs.CLI{}); err == nil {
 		t.Error("unknown cluster accepted")
 	}
 }
 
 func TestRunBalanceTrace(t *testing.T) {
 	path := t.TempDir() + "/moves.jsonl"
-	if err := run(os.Stdout, "paper20", 600, 0.005, 1, path, ""); err != nil {
+	sink, err := trace.NewSink(path, "jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := &obs.CLI{Trace: sink}
+	if err := cli.Stop(run(os.Stdout, "paper20", 600, 0.005, 1, cli)); err != nil {
 		t.Fatalf("run with trace: %v", err)
 	}
 	f, err := os.Open(path)

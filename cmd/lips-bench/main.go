@@ -4,7 +4,6 @@
 //
 //	lips-bench [-experiment all|table1|table3|table4|fig1|fig5|fig6|fig8|fig9|fig11|scale|overhead|ablations|faults|spot|baselines|service]
 //	           [-full] [-seed N] [-trials N] [-cold-start]
-//	           [-colgen] [-dual] [-presolve on|off]
 //	           [-faults N] [-fault-seed N]
 //	           [-trace FILE] [-trace-format jsonl|chrome] [-sample-interval 60]
 //	           [-listen :8080] [-cpuprofile FILE] [-memprofile FILE]
@@ -17,11 +16,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"lips/internal/experiments"
 	"lips/internal/obs"
-	"lips/internal/trace"
 )
 
 func main() {
@@ -30,80 +27,18 @@ func main() {
 	seed := flag.Int64("seed", 42, "random seed")
 	trials := flag.Int("trials", 0, "trials per Fig. 5 point (0 = default)")
 	coldStart := flag.Bool("cold-start", false, "disable epoch-to-epoch LP basis reuse")
-	colGen := flag.Bool("colgen", false, "solve each epoch by column generation over a restricted master")
-	dual := flag.Bool("dual", false, "repair warm-started bases with dual-simplex pivots instead of cold restarts")
-	presolve := flag.String("presolve", "on", "LP presolve reduction pass: on or off")
 	faults := flag.Int("faults", 0, "node crashes in the churn ablation's fault plan (0 = 2)")
 	faultSeed := flag.Int64("fault-seed", 0, "fault-plan seed for the churn ablation (0 = -seed)")
-	tracePath := flag.String("trace", "", "write a structured trace of every simulated run to this file")
-	traceFormat := flag.String("trace-format", "jsonl", "trace format: jsonl or chrome (Perfetto)")
-	sampleEvery := flag.Float64("sample-interval", 60, "simulated seconds between time-series samples (0 disables)")
-	listen := flag.String("listen", "", "serve /metrics, /progress, /healthz and /debug/pprof on this address")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	logOpts := obs.LogFlags()
-	flag.Parse()
-	logger, lerr := logOpts.Logger(os.Stderr)
-	if lerr != nil {
-		fmt.Fprintln(os.Stderr, "lips-bench:", lerr)
-		os.Exit(2)
-	}
+	cli := obs.NewCLI("lips-bench", obs.FlagProfiles|obs.FlagListen|obs.FlagTrace|obs.FlagTraceFormat)
+	cli.Start()
 
 	cfg := experiments.Config{
-		Seed: *seed, Trials: *trials, Quick: !*full,
-		ColdStart: *coldStart, ColGen: *colGen, DualSimplex: *dual,
+		Seed: *seed, Trials: *trials, Quick: !*full, ColdStart: *coldStart,
 		FaultCrashes: *faults, FaultSeed: *faultSeed,
+		Tracer: cli.Trace, SampleIntervalSec: cli.SampleInterval, Metrics: cli.Registry,
 	}
-	logger.Debug("bench config", "seed", cfg.Seed, "trials", cfg.Trials, "quick", cfg.Quick)
-	var sink trace.Sink
-	if *tracePath != "" {
-		var terr error
-		sink, terr = trace.NewSink(*tracePath, *traceFormat)
-		if terr != nil {
-			fmt.Fprintln(os.Stderr, "lips-bench:", terr)
-			os.Exit(1)
-		}
-		cfg.Tracer = sink
-		cfg.SampleIntervalSec = *sampleEvery
-	}
-	switch *presolve {
-	case "on":
-	case "off":
-		cfg.NoPresolve = true
-	default:
-		fmt.Fprintf(os.Stderr, "lips-bench: -presolve must be on or off, got %q\n", *presolve)
-		os.Exit(1)
-	}
-	prof, err := obs.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lips-bench:", err)
-		os.Exit(1)
-	}
-	if *listen != "" {
-		reg := obs.NewRegistry()
-		srv, serr := obs.Serve(*listen, reg)
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "lips-bench:", serr)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("metrics: serving %s/metrics\n", srv.URL())
-		cfg.Metrics = reg
-	}
-	err = run(*experiment, cfg)
-	if sink != nil {
-		if cerr := sink.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("trace: %w", cerr)
-		}
-		fmt.Printf("trace: %d events written to %s\n", sink.Events(), *tracePath)
-	}
-	if perr := prof.Stop(); perr != nil && err == nil {
-		err = perr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lips-bench:", err)
-		os.Exit(1)
-	}
+	cli.Logger.Debug("bench config", "seed", cfg.Seed, "trials", cfg.Trials, "quick", cfg.Quick)
+	cli.ExitOn(cli.Stop(run(*experiment, cfg)))
 }
 
 func run(experiment string, cfg experiments.Config) error {

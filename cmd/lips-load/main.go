@@ -56,23 +56,16 @@ func main() {
 		sloP99Ms = flag.Float64("slo-p99-ms", 0, "exit 1 if p99 submit latency exceeds this (0 = off)")
 		outCSV   = flag.String("out-csv", "", "write one CSV row per request (seq,tenant,status,latency_ms,retry_after_sec)")
 	)
-	logOpts := obs.LogFlags()
-	flag.Parse()
-	logger, err := logOpts.Logger(os.Stderr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lips-load: %v\n", err)
-		os.Exit(2)
-	}
+	cli := obs.NewCLI("lips-load", 0)
+	cli.Start()
 	if *rate <= 0 || *total <= 0 || *tenants <= 0 {
-		fmt.Fprintln(os.Stderr, "lips-load: -rate, -total and -tenants must be positive")
-		os.Exit(2)
+		cli.Usagef("-rate, -total and -tenants must be positive")
 	}
 	pick, err := tenantPicker(*tenants, *weights)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lips-load: %v\n", err)
-		os.Exit(2)
+		cli.Usagef("%v", err)
 	}
-	logger.Debug("load config", "addr", *addr, "rate", *rate, "total", *total, "tenants", *tenants, "weights", *weights)
+	cli.Logger.Debug("load config", "addr", *addr, "rate", *rate, "total", *total, "tenants", *tenants, "weights", *weights)
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	rng := rand.New(rand.NewSource(*seed))
@@ -124,10 +117,7 @@ func main() {
 	wg.Wait()
 
 	if *outCSV != "" {
-		if err := writeCSV(*outCSV, rows); err != nil {
-			fmt.Fprintf(os.Stderr, "lips-load: %v\n", err)
-			os.Exit(1)
-		}
+		cli.ExitOn(writeCSV(*outCSV, rows))
 	}
 
 	sort.Float64s(latencies)
@@ -140,12 +130,10 @@ func main() {
 	fmt.Println(string(out))
 
 	if sum.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "lips-load: %d submissions errored\n", sum.Errors)
-		os.Exit(1)
+		cli.ExitOn(fmt.Errorf("%d submissions errored", sum.Errors))
 	}
 	if *sloP99Ms > 0 && sum.P99Ms > *sloP99Ms {
-		fmt.Fprintf(os.Stderr, "lips-load: p99 %.2fms over SLO %.2fms\n", sum.P99Ms, *sloP99Ms)
-		os.Exit(1)
+		cli.ExitOn(fmt.Errorf("p99 %.2fms over SLO %.2fms", sum.P99Ms, *sloP99Ms))
 	}
 }
 

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	lips-lp [-bland] [-max-iters N] [-duals] [-colgen] [-dual] [-presolve on|off]
+//	lips-lp [-bland] [-max-iters N] [-duals] [-presolve on|off]
 //	        [-cpuprofile FILE] [-memprofile FILE] [file]
 //
 // With no file, the problem is read from standard input. The format:
@@ -31,8 +31,6 @@ type cliOpts struct {
 	bland    bool
 	maxIters int
 	duals    bool
-	colgen   bool
-	dual     bool
 	presolve string // "on" or "off"
 }
 
@@ -41,44 +39,24 @@ func main() {
 	flag.BoolVar(&o.bland, "bland", false, "force Bland's anti-cycling rule")
 	flag.IntVar(&o.maxIters, "max-iters", 0, "iteration budget (0 = automatic)")
 	flag.BoolVar(&o.duals, "duals", false, "also print the dual values")
-	flag.BoolVar(&o.colgen, "colgen", false, "solve by column generation over a restricted master")
-	flag.BoolVar(&o.dual, "dual", false, "repair warm bases with dual-simplex pivots (colgen rounds)")
 	flag.StringVar(&o.presolve, "presolve", "on", "presolve reduction pass: on or off")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	logOpts := obs.LogFlags()
-	flag.Parse()
-	logger, lerr := logOpts.Logger(os.Stderr)
-	if lerr != nil {
-		fmt.Fprintln(os.Stderr, "lips-lp:", lerr)
-		os.Exit(2)
-	}
-	logger.Debug("lp config", "colgen", o.colgen, "dual", o.dual, "presolve", o.presolve)
+	cli := obs.NewCLI("lips-lp", obs.FlagProfiles)
+	cli.Start()
+	cli.Logger.Debug("lp config", "bland", o.bland, "presolve", o.presolve)
 
 	var in io.Reader = os.Stdin
 	if flag.NArg() > 0 {
 		f, err := os.Open(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lips-lp:", err)
-			os.Exit(1)
-		}
+		cli.ExitOn(err)
 		defer f.Close()
 		in = f
 	}
-	prof, err := obs.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lips-lp:", err)
-		os.Exit(1)
-	}
 	code, err := run(in, os.Stdout, o)
-	if perr := prof.Stop(); perr != nil {
-		fmt.Fprintln(os.Stderr, "lips-lp:", perr)
+	if err = cli.Stop(err); err != nil {
+		fmt.Fprintln(os.Stderr, "lips-lp:", err)
 		if code == 0 {
 			code = 1
 		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lips-lp:", err)
 	}
 	os.Exit(code)
 }
@@ -89,7 +67,7 @@ func run(in io.Reader, out io.Writer, o cliOpts) (int, error) {
 	if err != nil {
 		return 1, err
 	}
-	opts := lp.Options{Bland: o.bland, MaxIters: o.maxIters, Dual: o.dual}
+	opts := lp.Options{Bland: o.bland, MaxIters: o.maxIters}
 	switch o.presolve {
 	case "", "on":
 	case "off":
@@ -97,31 +75,13 @@ func run(in io.Reader, out io.Writer, o cliOpts) (int, error) {
 	default:
 		return 1, fmt.Errorf("-presolve must be on or off, got %q", o.presolve)
 	}
-	var sol *lp.Solution
-	var st lp.ColGenStats
-	if o.colgen {
-		// Solve over a restricted master, revealing columns only when the
-		// pricing oracle says they can improve the objective. Exact: the
-		// reported optimum is the full problem's.
-		rp, oracle := lp.NewRestricted(p)
-		sol, st, err = lp.SolveColGen(rp, oracle, opts)
-		if err != nil {
-			return 1, err
-		}
-		p = rp
-	} else {
-		sol, err = p.Solve(opts)
-		if err != nil {
-			return 1, err
-		}
+	sol, err := p.Solve(opts)
+	if err != nil {
+		return 1, err
 	}
 	fmt.Fprintf(out, "problem %s: %d variables, %d constraints, %d nonzeros\n",
 		p.Name(), p.NumVars(), p.NumCons(), p.NumNonzeros())
 	fmt.Fprintf(out, "status: %v (%d iterations, %d in phase 1)\n", sol.Status, sol.Iters, sol.Phase1)
-	if o.colgen {
-		fmt.Fprintf(out, "colgen: %d rounds (%d warm), %d columns revealed, %d dual pivots\n",
-			st.Rounds, st.WarmRounds, st.Columns, st.DualIters)
-	}
 	if sol.PresolveRows > 0 || sol.PresolveCols > 0 {
 		fmt.Fprintf(out, "presolve: removed %d rows, %d cols\n", sol.PresolveRows, sol.PresolveCols)
 	}

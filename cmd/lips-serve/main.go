@@ -16,7 +16,9 @@
 //
 // SIGINT/SIGTERM drain gracefully: new submissions get 503, in-flight
 // jobs run to completion (bounded by -drain-timeout), then the process
-// exits 0. An epoch-loop or HTTP-server failure exits non-zero.
+// exits 0. A rejected flag exits 2; a cluster the daemon refuses, a
+// listen address that cannot be bound and an epoch-loop or HTTP-server
+// failure exit 1.
 package main
 
 import (
@@ -34,7 +36,6 @@ import (
 	"lips/internal/obs"
 	"lips/internal/sched"
 	"lips/internal/serve"
-	"lips/internal/sim"
 )
 
 func main() {
@@ -72,40 +73,25 @@ func main() {
 		budgets[tenant] = amount
 		return nil
 	})
-	logOpts := obs.LogFlags()
-	flag.Parse()
-	logger, err := logOpts.Logger(os.Stderr)
-	if err != nil {
-		fatalf("%v", err)
+	cli := obs.NewCLI("lips-serve", 0)
+	cli.Start()
+	if *nodes < 1 {
+		cli.Usagef("-nodes must be at least 1, got %d", *nodes)
 	}
-
-	var c *cluster.Cluster
-	switch *clusterKind {
-	case "paper20":
-		c = cluster.Paper20(*fracC1)
-	case "paper100":
-		c = cluster.Paper100()
-	case "random":
-		c = cluster.Random(rand.New(rand.NewSource(*seed)), cluster.RandomSpec{Nodes: *nodes})
-	default:
-		fatalf("unknown cluster %q", *clusterKind)
+	c, err := cluster.ByName(*clusterKind, *fracC1, *nodes, rand.New(rand.NewSource(*seed)))
+	if err != nil {
+		cli.Usagef("%v", err)
 	}
 
 	if *epoch == 0 {
 		*epoch = *epochSim
 	}
-	var sch sim.Scheduler
-	switch *scheduler {
-	case "lips":
-		l := sched.NewLiPS(*epoch)
+	sch, err := sched.ByName(*scheduler, *epoch)
+	if err != nil || (*scheduler != "lips" && *scheduler != "fair" && *scheduler != "scale") {
+		cli.Usagef("unknown scheduler %q (want lips, fair or scale)", *scheduler)
+	}
+	if l, ok := sch.(*sched.LiPS); ok {
 		l.ColGen = *colGen
-		sch = l
-	case "fair":
-		sch = sched.NewFair()
-	case "scale":
-		sch = sched.NewScale()
-	default:
-		fatalf("unknown scheduler %q", *scheduler)
 	}
 
 	reg := obs.NewRegistry()
@@ -116,7 +102,7 @@ func main() {
 		AdmitPerEpoch:     *admitPer,
 		RetryAfterSec:     *retryAfter,
 		DrainTimeout:      *drain,
-		Logger:            logger,
+		Logger:            cli.Logger,
 		SLOE2ESec:         *sloE2E,
 		SLOQueueWaitSec:   *sloQueue,
 		SLOBudget:         *sloBudget,
@@ -124,18 +110,14 @@ func main() {
 		SLOLongSec:        *sloLong,
 		Budgets:           budgets,
 	})
-	if err != nil {
-		fatalf("%v", err)
-	}
+	cli.ExitOn(err)
 	srv, err := obs.ServeHandler(*listen, d.Handler())
-	if err != nil {
-		fatalf("%v", err)
-	}
+	cli.ExitOn(err)
 	d.Start()
 	fmt.Printf("lips-serve: %d nodes, scheduler %s, epoch %.0fs sim / %s wall\n",
 		len(c.Nodes), sch.Name(), *epochSim, *epochWall)
 	fmt.Printf("lips-serve: listening on %s\n", srv.URL())
-	logger.Info("listening", "url", srv.URL(), "nodes", len(c.Nodes), "scheduler", sch.Name())
+	cli.Logger.Info("listening", "url", srv.URL(), "nodes", len(c.Nodes), "scheduler", sch.Name())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -152,9 +134,4 @@ func main() {
 	}
 	fmt.Println("lips-serve: stopped")
 	os.Exit(code)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "lips-serve: "+format+"\n", args...)
-	os.Exit(2)
 }

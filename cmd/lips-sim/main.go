@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 
 	"lips/internal/cluster"
@@ -35,7 +34,6 @@ import (
 	"lips/internal/obs"
 	"lips/internal/sched"
 	"lips/internal/sim"
-	"lips/internal/trace"
 	"lips/internal/workload"
 )
 
@@ -62,21 +60,12 @@ func main() {
 		faultSlow = flag.Int("fault-slowdowns", 0, "inject this many straggler slowdown windows")
 		faultSeed = flag.Int64("fault-seed", 0, "fault-plan seed (0 = the -seed value)")
 
-		tracePath    = flag.String("trace", "", "write a structured run trace to this file")
-		traceFormat  = flag.String("trace-format", "jsonl", "trace format: jsonl or chrome (Perfetto)")
-		sampleEvery  = flag.Float64("sample-interval", 60, "simulated seconds between time-series samples (0 disables)")
 		traceTimings = flag.Bool("trace-timings", false, "include wall-clock LP timings in epoch events (machine-dependent)")
-
-		listen     = flag.String("listen", "", "serve /metrics, /progress, /healthz and /debug/pprof on this address (e.g. :8080)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
-	logOpts := obs.LogFlags()
-	flag.Parse()
-	logger, lerr := logOpts.Logger(os.Stderr)
-	if lerr != nil {
-		fmt.Fprintln(os.Stderr, "lips-sim:", lerr)
-		os.Exit(2)
+	cli := obs.NewCLI("lips-sim", obs.FlagProfiles|obs.FlagListen|obs.FlagTrace|obs.FlagTraceFormat)
+	cli.Start()
+	if *nodes < 1 {
+		cli.Usagef("-nodes must be at least 1, got %d", *nodes)
 	}
 	if *scale > 0 {
 		*clusterKind, *nodes, *wlKind = "random", *scale, "random"
@@ -86,11 +75,6 @@ func main() {
 			*tasks = 100 * *scale
 		}
 	}
-	prof, err := obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lips-sim:", err)
-		os.Exit(1)
-	}
 	cfg := config{
 		Cluster: *clusterKind, FracC1: *fracC1, Nodes: *nodes,
 		Workload: *wlKind, Jobs: *jobs, Tasks: *tasks,
@@ -99,22 +83,13 @@ func main() {
 		SharedLinks: *sharedLinks, Balance: *balance,
 		Seed: *seed, Verbose: *verbose,
 		FaultCrashes: *faults, FaultStores: *faultSt, FaultSlowdowns: *faultSlow,
-		FaultSeed: *faultSeed,
-		TracePath: *tracePath, TraceFormat: *traceFormat,
-		SampleInterval: *sampleEvery, TraceTimings: *traceTimings,
-		Listen: *listen,
+		FaultSeed:    *faultSeed,
+		TraceTimings: *traceTimings,
 	}
-	logger.Debug("run config",
+	cli.Logger.Debug("run config",
 		"cluster", cfg.Cluster, "nodes", cfg.Nodes, "workload", cfg.Workload,
 		"jobs", cfg.Jobs, "scheduler", cfg.Scheduler, "seed", cfg.Seed)
-	err = runCfg(cfg)
-	if perr := prof.Stop(); perr != nil && err == nil {
-		err = perr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lips-sim:", err)
-		os.Exit(1)
-	}
+	cli.ExitOn(cli.Stop(runCfg(cfg, cli)))
 }
 
 // config carries one simulation's command-line settings.
@@ -141,145 +116,88 @@ type config struct {
 	FaultSlowdowns int
 	FaultSeed      int64
 
-	TracePath      string
-	TraceFormat    string
-	SampleInterval float64
-	TraceTimings   bool
-
-	Listen string
+	TraceTimings bool
 }
 
-// run keeps the old positional signature for the tests.
-func run(clusterKind string, fracC1 float64, nodes int, wlKind string, jobs, tasks int,
-	scheduler string, epoch float64, speculative, occupancy bool, seed int64, verbose bool) error {
-	return runCfg(config{
-		Cluster: clusterKind, FracC1: fracC1, Nodes: nodes,
-		Workload: wlKind, Jobs: jobs, Tasks: tasks,
-		Scheduler: scheduler, Epoch: epoch,
-		Speculative: speculative, BillOccupancy: occupancy,
-		Seed: seed, Verbose: verbose,
-	})
-}
+// runCfg runs one simulation; cli carries the trace file, the live
+// registry and the sampling interval the shared flags selected.
+func runCfg(cfg config, cli *obs.CLI) error {
+	rng := rand.New(rand.NewSource(cfg.Seed))
 
-func runCfg(cfg config) error {
-	clusterKind, fracC1, nodes := cfg.Cluster, cfg.FracC1, cfg.Nodes
-	wlKind, jobs, tasks := cfg.Workload, cfg.Jobs, cfg.Tasks
-	scheduler, epoch := cfg.Scheduler, cfg.Epoch
-	speculative, occupancy := cfg.Speculative, cfg.BillOccupancy
-	seed, verbose := cfg.Seed, cfg.Verbose
-	rng := rand.New(rand.NewSource(seed))
-
-	var c *cluster.Cluster
-	switch clusterKind {
-	case "paper20":
-		c = cluster.Paper20(fracC1)
-	case "paper100":
-		c = cluster.Paper100()
-	case "random":
-		c = cluster.Random(rng, cluster.RandomSpec{Nodes: nodes})
-	default:
-		return fmt.Errorf("unknown cluster %q", clusterKind)
+	c, err := cluster.ByName(cfg.Cluster, cfg.FracC1, cfg.Nodes, rng)
+	if err != nil {
+		return err
 	}
 	stores := c.StoreIDs()
 
 	var w *workload.Workload
-	switch wlKind {
+	switch cfg.Workload {
 	case "paper":
 		w = workload.PaperJobSet(rng, stores)
 	case "swim":
-		w = workload.SWIM(rng, stores, workload.SWIMSpec{Jobs: jobs, DurationSec: 24 * 3600})
+		w = workload.SWIM(rng, stores, workload.SWIMSpec{Jobs: cfg.Jobs, DurationSec: 24 * 3600})
 	case "random":
-		w = workload.Random(rng, stores, workload.RandomSpec{TotalTasks: tasks})
+		w = workload.Random(rng, stores, workload.RandomSpec{TotalTasks: cfg.Tasks})
 	default:
-		return fmt.Errorf("unknown workload %q", wlKind)
-	}
-	var sink trace.Sink
-	if cfg.TracePath != "" {
-		var terr error
-		sink, terr = trace.NewSink(cfg.TracePath, cfg.TraceFormat)
-		if terr != nil {
-			return terr
-		}
+		return fmt.Errorf("unknown workload %q", cfg.Workload)
 	}
 
 	placement := w.Placement()
 	placement.Shuffle(rng, stores)
 	if cfg.Balance {
 		moves := hdfs.Balance(c, placement, 0.1)
-		if sink != nil {
-			hdfs.EmitMoves(sink, 0, placement, moves, "balance")
+		if cli.Trace != nil {
+			hdfs.EmitMoves(cli.Trace, 0, placement, moves, "balance")
 		}
 		fmt.Printf("balancer: %d blocks relocated before scheduling\n", len(moves))
 	}
 
 	opts := sim.Options{
-		Speculative: speculative, BillOccupancy: occupancy,
+		Speculative: cfg.Speculative, BillOccupancy: cfg.BillOccupancy,
 		SharedLinks: cfg.SharedLinks,
 	}
-	if sink != nil {
-		opts.Tracer = sink
-		opts.SampleIntervalSec = cfg.SampleInterval
+	if cli.Trace != nil {
+		opts.Tracer = cli.Trace
+		opts.SampleIntervalSec = cli.SampleInterval
 	}
-	if cfg.Listen != "" {
-		reg := obs.NewRegistry()
-		srv, serr := obs.Serve(cfg.Listen, reg)
-		if serr != nil {
-			return serr
-		}
-		defer srv.Close()
-		fmt.Printf("metrics: serving %s/metrics\n", srv.URL())
-		opts.Metrics = reg
-		opts.MetricsSampleSec = cfg.SampleInterval
+	if cli.Registry != nil {
+		opts.Metrics = cli.Registry
+		opts.MetricsSampleSec = cli.SampleInterval
 	}
 	if cfg.FaultCrashes > 0 || cfg.FaultStores > 0 || cfg.FaultSlowdowns > 0 {
 		fseed := cfg.FaultSeed
 		if fseed == 0 {
-			fseed = seed
+			fseed = cfg.Seed
 		}
 		opts.Faults = sim.RandomFaultPlan(fseed, c, sim.FaultSpec{
 			Crashes: cfg.FaultCrashes, StoreLosses: cfg.FaultStores, Slowdowns: cfg.FaultSlowdowns,
 		})
 	}
-	var s sim.Scheduler
-	switch scheduler {
-	case "fifo":
-		s = sched.NewFIFO()
-	case "delay":
-		s = sched.NewDelay()
-	case "fair":
-		s = sched.NewFair()
-	case "lips":
-		l := sched.NewLiPS(epoch)
-		l.TraceTimings = cfg.TraceTimings
-		s = l
-		opts.TaskTimeoutSec = 1200
-	case "scale":
-		s = sched.NewScale()
-	default:
-		return fmt.Errorf("unknown scheduler %q", scheduler)
-	}
-
-	fmt.Printf("cluster: %s (%d nodes, %.0f ECU, %d zones)\n",
-		clusterKind, len(c.Nodes), c.TotalECU(), len(c.Zones))
-	fmt.Printf("workload: %s (%d jobs, %d tasks, %.1f GB input, %.0f ECU-sec demand)\n",
-		wlKind, len(w.Jobs), w.TotalTasks(), w.TotalInputMB()/1024, w.TotalCPUSec())
-
-	result, err := sim.New(c, w, placement, s, opts).Run()
-	if sink != nil {
-		if cerr := sink.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("trace: %w", cerr)
-		}
-		fmt.Printf("trace: %d events written to %s\n", sink.Events(), cfg.TracePath)
-	}
+	s, err := sched.ByName(cfg.Scheduler, cfg.Epoch)
 	if err != nil {
 		return err
 	}
-	if l, ok := s.(*sched.LiPS); ok {
-		if l.Err != nil {
-			return fmt.Errorf("lips scheduler: %w", l.Err)
+	lips, _ := s.(*sched.LiPS)
+	if lips != nil {
+		lips.TraceTimings = cfg.TraceTimings
+		opts.TaskTimeoutSec = 1200
+	}
+
+	fmt.Printf("cluster: %s (%d nodes, %.0f ECU, %d zones)\n",
+		cfg.Cluster, len(c.Nodes), c.TotalECU(), len(c.Zones))
+	fmt.Printf("workload: %s (%d jobs, %d tasks, %.1f GB input, %.0f ECU-sec demand)\n",
+		cfg.Workload, len(w.Jobs), w.TotalTasks(), w.TotalInputMB()/1024, w.TotalCPUSec())
+
+	result, err := sim.New(c, w, placement, s, opts).Run()
+	if err = cli.CloseTrace(err); err != nil {
+		return err
+	}
+	if lips != nil {
+		if lips.Err != nil {
+			return fmt.Errorf("lips scheduler: %w", lips.Err)
 		}
 		fmt.Printf("lips: %d epochs, %d LP iterations, %v total solve time, %d blocks relocated\n",
-			l.Epochs, l.LPIters, l.SolveTime, l.BlocksMoved)
+			lips.Epochs, lips.LPIters, lips.SolveTime, lips.BlocksMoved)
 	}
 
 	fmt.Printf("\nscheduler: %s\n", result.Scheduler)
@@ -295,7 +213,7 @@ func runCfg(cfg config) error {
 		fmt.Printf("faults: %s; failure cost %v\n", result.Faults, result.Cost.Category(cost.CatFault))
 	}
 
-	if verbose {
+	if cfg.Verbose {
 		fmt.Println("\nper-job completion:")
 		for j, done := range result.JobDone {
 			fmt.Printf("  %-24s arrive=%8.0fs done=%8.0fs cost=%v\n",

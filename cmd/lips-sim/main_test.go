@@ -4,7 +4,22 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+
+	"lips/internal/obs"
+	"lips/internal/trace"
 )
+
+// run is runCfg with the settings most tests vary, positionally.
+func run(clusterKind string, fracC1 float64, nodes int, wlKind string, jobs, tasks int,
+	scheduler string, epoch float64, speculative, occupancy bool, seed int64, verbose bool) error {
+	return runCfg(config{
+		Cluster: clusterKind, FracC1: fracC1, Nodes: nodes,
+		Workload: wlKind, Jobs: jobs, Tasks: tasks,
+		Scheduler: scheduler, Epoch: epoch,
+		Speculative: speculative, BillOccupancy: occupancy,
+		Seed: seed, Verbose: verbose,
+	}, &obs.CLI{})
+}
 
 func TestRunAllSchedulers(t *testing.T) {
 	for _, sched := range []string{"fifo", "delay", "fair", "lips"} {
@@ -46,18 +61,21 @@ func TestRunCfgExtras(t *testing.T) {
 		Cluster: "paper20", FracC1: 0.5, Workload: "random", Tasks: 60,
 		Scheduler: "fifo", SharedLinks: true, Balance: true, Seed: 4,
 	}
-	if err := runCfg(cfg); err != nil {
+	if err := runCfg(cfg, &obs.CLI{}); err != nil {
 		t.Fatal(err)
 	}
 	// -trace-format chrome writes one JSON array Perfetto can load (the
-	// crash supplies the instant events); an unknown format is refused
-	// before the run.
+	// crash supplies the instant events).
 	cfg.FaultCrashes = 1
-	cfg.TracePath, cfg.TraceFormat, cfg.SampleInterval = t.TempDir()+"/run.json", "chrome", 60
-	if err := runCfg(cfg); err != nil {
+	path := t.TempDir() + "/run.json"
+	sink, err := trace.NewSink(path, "chrome")
+	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(cfg.TracePath)
+	if err := runCfg(cfg, &obs.CLI{Trace: sink, SampleInterval: 60}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +91,5 @@ func TestRunCfgExtras(t *testing.T) {
 		if !seen[ph] {
 			t.Errorf("chrome trace has no %q records", ph)
 		}
-	}
-	cfg.TraceFormat = "svg"
-	if err := runCfg(cfg); err == nil {
-		t.Error("unknown trace format accepted")
 	}
 }

@@ -40,22 +40,13 @@ func main() {
 	metrics := flag.Bool("metrics", false, "replay the trace into the metrics registry and print the Prometheus exposition")
 	byJob := flag.Int("by-job", 0, "roll charges up to the N most expensive jobs per run (with -csv, export the full rollup)")
 	audit := flag.Bool("audit", false, "rebuild the ledger from the events and reconcile it against every sample snapshot")
-	logOpts := obs.LogFlags()
-	flag.Parse()
-	logger, lerr := logOpts.Logger(os.Stderr)
-	if lerr != nil {
-		fmt.Fprintln(os.Stderr, "lips-trace:", lerr)
-		os.Exit(2)
-	}
+	cli := obs.NewCLI("lips-trace", 0)
+	cli.Start()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: lips-trace [-top N] [-csv FILE] [-validate] [-metrics] [-by-job N] [-audit] trace.jsonl")
-		os.Exit(2)
+		cli.Usagef("usage: lips-trace [-top N] [-csv FILE] [-validate] [-metrics] [-by-job N] [-audit] trace.jsonl")
 	}
-	logger.Debug("trace config", "path", flag.Arg(0), "top", *top, "validate", *validate, "by_job", *byJob, "audit", *audit)
-	if err := run(os.Stdout, flag.Arg(0), *top, *csvPath, *validate, *metrics, *byJob, *audit); err != nil {
-		fmt.Fprintln(os.Stderr, "lips-trace:", err)
-		os.Exit(1)
-	}
+	cli.Logger.Debug("trace config", "path", flag.Arg(0), "top", *top, "validate", *validate, "by_job", *byJob, "audit", *audit)
+	cli.ExitOn(run(os.Stdout, flag.Arg(0), *top, *csvPath, *validate, *metrics, *byJob, *audit))
 }
 
 func run(out io.Writer, path string, top int, csvPath string, validateOnly, metricsOnly bool, byJob int, audit bool) error {

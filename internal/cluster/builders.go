@@ -196,3 +196,21 @@ func Random(rng *rand.Rand, spec RandomSpec) *Cluster {
 	}
 	return b.Build()
 }
+
+// Names lists the clusters ByName builds.
+var Names = []string{"paper20", "paper100", "random"}
+
+// ByName builds the cluster a command line names: the paper's 20-node
+// testbed with fracC1 of its nodes c1.medium, the 100-node SWIM cluster,
+// or a random cluster of the given node count drawn from rng.
+func ByName(name string, fracC1 float64, nodes int, rng *rand.Rand) (*Cluster, error) {
+	switch name {
+	case "paper20":
+		return Paper20(fracC1), nil
+	case "paper100":
+		return Paper100(), nil
+	case "random":
+		return Random(rng, RandomSpec{Nodes: nodes}), nil
+	}
+	return nil, fmt.Errorf("unknown cluster %q (want one of %v)", name, Names)
+}

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"lips/internal/lp"
 	"lips/internal/obs"
 	"lips/internal/sched"
 	"lips/internal/sim"
@@ -34,17 +33,6 @@ type Config struct {
 	// scheduler, forcing every epoch's LP to solve from scratch — the
 	// baseline the benchmark harness compares warm starts against.
 	ColdStart bool
-	// NoPresolve disables the LP presolve reduction pass
-	// (lp.Options.Presolve = PresolveOff).
-	NoPresolve bool
-	// ColGen solves each LiPS epoch by column generation over a
-	// restricted master (sched.LiPS.ColGen) instead of materializing
-	// the full online LP. Exact; pays off on large clusters.
-	ColGen bool
-	// DualSimplex repairs warm-started bases whose bounds moved with
-	// dual-simplex pivots (lp.Options.Dual) instead of falling back to
-	// a cold phase-1 restart.
-	DualSimplex bool
 	// FaultCrashes sizes the churn ablation (AblationFaults): how many
 	// node crash+recovery pairs the seeded fault plan injects. 0 means 2.
 	FaultCrashes int
@@ -78,15 +66,10 @@ func (c Config) simOptions(o sim.Options, label string) sim.Options {
 	return o
 }
 
-// newLiPS builds a LiPS scheduler carrying the run's LP knobs.
+// newLiPS builds a LiPS scheduler, cold-started if the run asks for it.
 func (c Config) newLiPS(epochSec float64) *sched.LiPS {
 	l := sched.NewLiPS(epochSec)
 	l.WarmStart = !c.ColdStart
-	if c.NoPresolve {
-		l.LPOpts.Presolve = lp.PresolveOff
-	}
-	l.ColGen = c.ColGen
-	l.LPOpts.Dual = c.DualSimplex
 	return l
 }
 

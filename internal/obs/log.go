@@ -9,8 +9,8 @@ import (
 	"strings"
 )
 
-// Structured logging, stdlib log/slog only. Every CLI threads the same
-// two flags (-log-level, -log-format) through LogFlags and hands the
+// Structured logging, stdlib log/slog only. Every CLI takes the same
+// two flags (-log-level, -log-format) through NewCLI and hands the
 // resulting *slog.Logger down; libraries receive a logger, never build
 // one. Shared attribute keys keep run/job/epoch/tenant greppable across
 // layers:
@@ -33,14 +33,6 @@ const (
 type LogOptions struct {
 	Level  string // debug, info, warn, error or off
 	Format string // text or json
-}
-
-// LogFlags registers -log-level and -log-format on the default flag set
-// and returns the options they fill. Call before flag.Parse.
-func LogFlags() *LogOptions {
-	o := &LogOptions{}
-	o.Register(flag.CommandLine)
-	return o
 }
 
 // Register registers the logging flags on an explicit flag set.

@@ -5,9 +5,32 @@
 package sched
 
 import (
+	"fmt"
+
 	"lips/internal/cluster"
 	"lips/internal/sim"
 )
+
+// Names lists the schedulers ByName builds.
+var Names = []string{"fifo", "delay", "fair", "lips", "scale"}
+
+// ByName builds the scheduler a command line names; epochSec is the
+// LiPS planning epoch and means nothing to the others.
+func ByName(name string, epochSec float64) (sim.Scheduler, error) {
+	switch name {
+	case "fifo":
+		return NewFIFO(), nil
+	case "delay":
+		return NewDelay(), nil
+	case "fair":
+		return NewFair(), nil
+	case "lips":
+		return NewLiPS(epochSec), nil
+	case "scale":
+		return NewScale(), nil
+	}
+	return nil, fmt.Errorf("unknown scheduler %q (want one of %v)", name, Names)
+}
 
 // FIFO is Hadoop's default scheduler: jobs run in arrival order; when a
 // TaskTracker frees a slot the JobTracker greedily picks, from the oldest

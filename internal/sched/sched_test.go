@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lips/internal/cluster"
@@ -232,5 +233,30 @@ func TestSchedulerNames(t *testing.T) {
 	}
 	if NewLiPS(400).Name() != "lips(e=400s)" {
 		t.Error("lips name")
+	}
+}
+
+// TestByName: every name the command lines accept constructs, and an
+// unknown one is an error that lists the choices.
+func TestByName(t *testing.T) {
+	for _, name := range Names {
+		if s, err := ByName(name, 60); err != nil || s == nil {
+			t.Errorf("scheduler %q: %v, %v", name, s, err)
+		}
+	}
+	if _, err := ByName("nope", 60); err == nil || !strings.Contains(err.Error(), "fifo delay fair lips scale") {
+		t.Errorf("unknown scheduler: %v", err)
+	}
+	for _, name := range cluster.Names {
+		c, err := cluster.ByName(name, 0.5, 7, rand.New(rand.NewSource(1)))
+		if err != nil || len(c.Nodes) == 0 {
+			t.Errorf("cluster %q: %v", name, err)
+		}
+		if name == "random" && len(c.Nodes) != 7 {
+			t.Errorf("random cluster has %d nodes, want the 7 asked for", len(c.Nodes))
+		}
+	}
+	if _, err := cluster.ByName("moon-base", 0.5, 7, nil); err == nil || !strings.Contains(err.Error(), "paper20 paper100 random") {
+		t.Errorf("unknown cluster: %v", err)
 	}
 }

@@ -21,6 +21,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -229,6 +230,14 @@ type Daemon struct {
 // registry receives both the simulator families and the lips_serve_
 // families; pass the same registry to the obs HTTP server.
 func New(c *cluster.Cluster, sch sim.Scheduler, reg *obs.Registry, cfg Config) (*Daemon, error) {
+	// Every submission with input is given an origin store round-robin
+	// and needs a node to run on; neither can be conjured later.
+	if len(c.Nodes) == 0 {
+		return nil, errors.New("serve: cluster has no nodes")
+	}
+	if len(c.Stores) == 0 {
+		return nil, errors.New("serve: cluster has no stores")
+	}
 	cfg = cfg.withDefaults()
 	w := &workload.Workload{}
 	s := sim.New(c, w, nil, sch, sim.Options{

@@ -161,6 +161,25 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 }
 
+// TestNewRefusesEmptyCluster: a cluster with nowhere to run a task or
+// to put its input is refused at construction — the first submission
+// would otherwise divide by zero in the epoch goroutine.
+func TestNewRefusesEmptyCluster(t *testing.T) {
+	for _, row := range []struct {
+		c    *cluster.Cluster
+		want string
+	}{
+		{cluster.Random(rand.New(rand.NewSource(1)), cluster.RandomSpec{Nodes: 0}), "serve: cluster has no nodes"},
+		{&cluster.Cluster{Nodes: []cluster.Node{{Slots: 1, ECU: 1}}}, "serve: cluster has no stores"},
+	} {
+		_, err := New(row.c, sched.NewFair(), obs.NewRegistry(), Config{})
+		if err == nil || err.Error() != row.want {
+			t.Errorf("New on %d nodes, %d stores: error %v, want %q",
+				len(row.c.Nodes), len(row.c.Stores), err, row.want)
+		}
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	d, ts := newTestDaemon(t, Config{})
 	defer func() { _ = d.Shutdown() }()

@@ -32,15 +32,23 @@ func (s *fileSink) Close() error {
 	return err
 }
 
+// CheckFormat reports whether NewSink knows format, so a command can
+// refuse a bad -trace-format before it creates anything.
+func CheckFormat(format string) error {
+	switch format {
+	case "", "jsonl", "chrome":
+		return nil
+	}
+	return fmt.Errorf("trace: unknown format %q (want jsonl or chrome)", format)
+}
+
 // NewSink creates path and returns a sink writing the given format:
 // "jsonl" (or empty) for the structured event log, "chrome" for the
 // Perfetto-loadable trace-event array. Close flushes and closes the
 // file.
 func NewSink(path, format string) (Sink, error) {
-	switch format {
-	case "", "jsonl", "chrome":
-	default:
-		return nil, fmt.Errorf("trace: unknown format %q (want jsonl or chrome)", format)
+	if err := CheckFormat(format); err != nil {
+		return nil, err
 	}
 	f, err := os.Create(path)
 	if err != nil {
