@@ -181,9 +181,6 @@ func (c *Cluster) TotalECU() float64 {
 	return total
 }
 
-// StoreOf returns the store co-located with n, or None.
-func (c *Cluster) StoreOf(n NodeID) StoreID { return c.Nodes[n].Store }
-
 // StoreIDs returns every store's ID in ascending order — the pool
 // placement shufflers and fault planners draw from.
 func (c *Cluster) StoreIDs() []StoreID {

@@ -17,8 +17,8 @@ func TestBuilderBasics(t *testing.T) {
 	if len(c.Nodes) != 2 || len(c.Stores) != 3 {
 		t.Fatalf("nodes=%d stores=%d", len(c.Nodes), len(c.Stores))
 	}
-	if c.StoreOf(n0) != StoreID(0) || c.StoreOf(n1) != StoreID(1) {
-		t.Errorf("co-location broken: %d %d", c.StoreOf(n0), c.StoreOf(n1))
+	if c.Nodes[n0].Store != StoreID(0) || c.Nodes[n1].Store != StoreID(1) {
+		t.Errorf("co-location broken: %d %d", c.Nodes[n0].Store, c.Nodes[n1].Store)
 	}
 	if c.Stores[s2].Node != None {
 		t.Errorf("remote store has node %d", c.Stores[s2].Node)

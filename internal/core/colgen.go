@@ -116,9 +116,7 @@ func NewOnlineColGen(in *Instance, opts ColGenOptions) (*OnlineColGen, error) {
 // rebucket partitions the still-closed machines by price class: the exact
 // float bits of CPU price, capacity (ECU and effective horizon), and the
 // MS cost and bandwidth rows. Within a bucket every machine's columns are
-// numerically identical, so one representative prices them all. Called at
-// construction and again after Reprice, whose drifted prices may split or
-// merge classes.
+// numerically identical, so one representative prices them all.
 func (cg *OnlineColGen) rebucket() {
 	in := cg.m.In
 	cg.buckets = cg.buckets[:0]
@@ -260,87 +258,6 @@ func (cg *OnlineColGen) Solve(opts ColGenOptions) (*Plan, lp.ColGenStats, error)
 	plan.ColGenRounds = st.Rounds
 	plan.ColGenColumns = st.Columns
 	return plan, st, nil
-}
-
-// Resolve re-runs the pricing loop after a Reprice, warm-starting the
-// restricted master from basis (typically the previous Solve's
-// Plan.Basis). Enable opts.LP.Dual so a basis left primal infeasible by
-// RHS or price drift is repaired by dual pivots instead of a cold restart.
-func (cg *OnlineColGen) Resolve(opts ColGenOptions, basis *lp.Basis) (*Plan, lp.ColGenStats, error) {
-	opts.LP.WarmStart = basis
-	return cg.Solve(opts)
-}
-
-// Reprice rewrites the restricted master's costs and right-hand sides from
-// next — an instance with the same shape (jobs, data, stores, machines in
-// the same order) but drifted prices, capacities, horizon or origin mixes.
-// Coefficients are untouched, so quantities that enter the matrix — job
-// CPU demand, data sizes, access fractions and bandwidths — must be
-// unchanged; CPU demand and sizes are verified, the rest is the caller's
-// contract. Follow with Resolve(opts, plan.Basis) for the incremental
-// epoch-to-epoch path.
-func (cg *OnlineColGen) Reprice(next *Instance) error {
-	in := cg.m.In
-	if len(next.Jobs) != len(in.Jobs) || len(next.Data) != len(in.Data) ||
-		len(next.Machines) != len(in.Machines) || len(next.Stores) != len(in.Stores) {
-		return fmt.Errorf("core: Reprice shape mismatch: %d/%d/%d/%d jobs/data/machines/stores, want %d/%d/%d/%d",
-			len(next.Jobs), len(next.Data), len(next.Machines), len(next.Stores),
-			len(in.Jobs), len(in.Data), len(in.Machines), len(in.Stores))
-	}
-	for k := range next.Jobs {
-		if next.Jobs[k].CPUSec != in.Jobs[k].CPUSec || next.Jobs[k].Data != in.Jobs[k].Data {
-			return fmt.Errorf("core: Reprice job %d changed demand or data binding", k)
-		}
-	}
-	for i := range next.Data {
-		if next.Data[i].SizeMB != in.Data[i].SizeMB || len(next.Data[i].Origin) != len(in.Data[i].Origin) {
-			return fmt.Errorf("core: Reprice data %d changed size or origin set", i)
-		}
-		for o := range next.Data[i].Origin {
-			if _, ok := in.Data[i].Origin[o]; !ok {
-				return fmt.Errorf("core: Reprice data %d changed origin set", i)
-			}
-		}
-	}
-	ly, prob := &cg.m.lay, cg.m.prob
-	for i, d := range next.Data {
-		for oi, o := range ly.origins[ly.originOff[i]:ly.originOff[i+1]] {
-			prob.SetRHS(ly.placeRow(i, oi), d.Origin[o])
-			for j := range next.Stores {
-				prob.SetCost(ly.xd(i, oi, j), next.SSPerMBMC[o][j]*d.SizeMB)
-			}
-		}
-	}
-	ly.eachXT(func(v lp.Var, k, l, store int) {
-		job := next.Jobs[k]
-		execMC := job.CPUSec * next.Machines[l].PerECUSecMC
-		if store == noStore {
-			prob.SetCost(v, execMC)
-			return
-		}
-		traffic := next.Data[job.Data].SizeMB * job.accessFrac()
-		prob.SetCost(v, execMC+next.MSPerMBMC[l][store]*traffic)
-	})
-	for j, s := range next.Stores {
-		prob.SetRHS(ly.capRow(j), s.CapacityMB)
-	}
-	for _, l := range ly.units {
-		if ly.isFake(l) {
-			continue
-		}
-		prob.SetRHS(ly.cpuRow(l), next.Machines[l].ECU*next.HorizonOf(l))
-		for k := range next.Jobs {
-			if ly.hasData(k) {
-				prob.SetRHS(ly.xferRow(k, l), next.Horizon)
-			}
-		}
-	}
-	cg.m.In = next
-	// Drift can split a price class (e.g. a per-machine spot adjustment):
-	// re-partition the closed machines so every bucket is again exactly
-	// homogeneous before the next pricing round.
-	cg.rebucket()
-	return nil
 }
 
 // SolveOnlineColGen builds and solves one epoch's online model by column

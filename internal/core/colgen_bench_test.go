@@ -3,8 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-
-	"lips/internal/lp"
 )
 
 // epoch10kInstance is one epoch of a 10k-machine cluster: 40 jobs, 12
@@ -20,9 +18,8 @@ func epoch10kInstance() *Instance {
 
 // BenchmarkEpoch10k measures the column-generation epoch solve at
 // 10k-machine scale: cold builds and solves the restricted master from
-// scratch; warm reprices a standing master with per-class spot drift and
-// re-solves from the previous basis via dual-simplex repair. There is no
-// fully materialized comparison: at this scale plain model construction
+// scratch, as every LiPS.ColGen epoch does. There is no fully
+// materialized comparison: at this scale plain model construction
 // allocates millions of columns (DESIGN.md §12).
 func BenchmarkEpoch10k(b *testing.B) {
 	base := epoch10kInstance()
@@ -38,49 +35,6 @@ func BenchmarkEpoch10k(b *testing.B) {
 				b.ReportMetric(float64(st.Columns), "columns")
 				b.ReportMetric(float64(st.Rounds), "rounds")
 				_ = plan
-			}
-		}
-	})
-
-	b.Run("warm", func(b *testing.B) {
-		cg, err := NewOnlineColGen(base.clone(), ColGenOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, _, err := cg.Solve(ColGenOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		drift := rand.New(rand.NewSource(42))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			// Per-class spot drift, mirroring PriceMultiplier: every
-			// machine of a type moves together, so buckets stay intact.
-			next := cg.m.In.clone()
-			mult := map[float64]float64{}
-			for l := range next.Machines {
-				if next.Machines[l].Fake {
-					continue
-				}
-				p := next.Machines[l].PerECUSecMC
-				if _, ok := mult[p]; !ok {
-					mult[p] = 0.92 + 0.16*drift.Float64()
-				}
-				next.Machines[l].PerECUSecMC = p * mult[p]
-			}
-			b.StartTimer()
-			if err := cg.Reprice(next); err != nil {
-				b.Fatal(err)
-			}
-			warm, st, err := cg.Resolve(ColGenOptions{LP: lp.Options{Dual: true}}, plan.Basis)
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan = warm
-			if i == 0 {
-				b.ReportMetric(float64(st.DualIters), "dualpivots")
 			}
 		}
 	})

@@ -228,71 +228,3 @@ func TestOnlineColGenSeedHints(t *testing.T) {
 		t.Error("no pricing rounds")
 	}
 }
-
-// TestOnlineColGenRepriceResolve drifts prices and right-hand sides,
-// Reprices the standing restricted master, and checks the warm Resolve
-// against a cold solve of the drifted instance.
-func TestOnlineColGenRepriceResolve(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(seed + 40))
-		in := synthInstance(6+rng.Intn(4), 50, 3, 4, false, rng)
-		fillSS(in, rng)
-		cg, err := NewOnlineColGen(in.clone(), ColGenOptions{})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		plan, _, err := cg.Solve(ColGenOptions{})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		// Drift: spot prices move ±10%, the epoch shortens slightly. The
-		// instance passed to Reprice must include the fake node the first
-		// build appended.
-		next := cg.m.In.clone()
-		for l := range next.Machines {
-			if !next.Machines[l].Fake {
-				next.Machines[l].PerECUSecMC *= 0.9 + 0.2*rng.Float64()
-			}
-		}
-		next.Horizon *= 0.95
-		cold := next.clone()
-		if err := cg.Reprice(next); err != nil {
-			t.Fatalf("seed %d: reprice: %v", seed, err)
-		}
-		warm, _, err := cg.Resolve(ColGenOptions{LP: lp.Options{Dual: true}}, plan.Basis)
-		if err != nil {
-			t.Fatalf("seed %d: resolve: %v", seed, err)
-		}
-		coldPlan, _, err := SolveOnlineColGen(cold, ColGenOptions{})
-		if err != nil {
-			t.Fatalf("seed %d: cold: %v", seed, err)
-		}
-		if d := relDiffF(warm.TotalMC(), coldPlan.TotalMC()); d > 1e-6 {
-			t.Errorf("seed %d: warm cost %g, cold %g (rel %g)", seed, warm.TotalMC(), coldPlan.TotalMC(), d)
-		}
-	}
-}
-
-// TestOnlineColGenRepriceRejectsReshape pins Reprice's shape guards.
-func TestOnlineColGenRepriceRejectsReshape(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	in := synthInstance(4, 20, 2, 2, false, rng)
-	fillSS(in, rng)
-	cg, err := NewOnlineColGen(in.clone(), ColGenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cg.Solve(ColGenOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	fewer := cg.m.In.clone()
-	fewer.Jobs = fewer.Jobs[:len(fewer.Jobs)-1]
-	if err := cg.Reprice(fewer); err == nil {
-		t.Error("Reprice accepted a job-count change")
-	}
-	grown := cg.m.In.clone()
-	grown.Jobs[0].CPUSec *= 2
-	if err := cg.Reprice(grown); err == nil {
-		t.Error("Reprice accepted a demand change")
-	}
-}

@@ -327,9 +327,7 @@ func newOracleColGen(in *Instance, opts ColGenOptions) *oracleColGen {
 // rebucket partitions the still-closed machines by price class: the exact
 // float bits of CPU price, capacity (ECU and effective horizon), and the
 // MS cost and bandwidth rows. Within a bucket every machine's columns are
-// numerically identical, so one representative prices them all. Called at
-// construction and again after Reprice, whose drifted prices may split or
-// merge classes.
+// numerically identical, so one representative prices them all.
 func (cg *oracleColGen) rebucket() {
 	in := cg.m.In
 	cg.buckets = cg.buckets[:0]

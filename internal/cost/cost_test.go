@@ -104,9 +104,6 @@ func TestTransferPricing(t *testing.T) {
 	if got := p.Price("a", "b", BlockMB); got != Millicents(62.5) {
 		t.Errorf("one block across zones = %v", got.ToMillicents())
 	}
-	if got := TransferCost(p.PerGB("a", "b"), 2048); got != Dollars(0.02) {
-		t.Errorf("2 GB across zones = %v", got)
-	}
 }
 
 func TestCPUCost(t *testing.T) {

@@ -44,9 +44,3 @@ func (t TransferPricing) Price(zoneA, zoneB string, mb float64) Money {
 func CPUCost(perECUSec Money, cpuSec float64) Money {
 	return perECUSec.MulFloat(cpuSec)
 }
-
-// TransferCost returns the dollar cost of moving mb megabytes at the given
-// per-GB price.
-func TransferCost(perGB Money, mb float64) Money {
-	return perGB.MulFloat(mb / 1024)
-}

@@ -121,16 +121,6 @@ func CriticalPathCPUSec(w *workload.Workload, deps [][]int) (float64, error) {
 	return longest, nil
 }
 
-// Chain builds the dependency lists of a linear pipeline: job i+1 depends
-// on job i.
-func Chain(n int) [][]int {
-	deps := make([][]int, n)
-	for i := 1; i < n; i++ {
-		deps[i] = []int{i - 1}
-	}
-	return deps
-}
-
 // FanOutIn builds a diamond: job 0 fans out to jobs 1..n-2, which all
 // feed job n-1. n must be at least 3.
 func FanOutIn(n int) [][]int {

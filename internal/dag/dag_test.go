@@ -10,6 +10,16 @@ import (
 	"lips/internal/workload"
 )
 
+// chain builds the dependency lists of a linear pipeline: job i+1
+// depends on job i.
+func chain(n int) [][]int {
+	deps := make([][]int, n)
+	for i := 1; i < n; i++ {
+		deps[i] = []int{i - 1}
+	}
+	return deps
+}
+
 func TestValidate(t *testing.T) {
 	if err := Validate(3, [][]int{nil, {0}, {1}}); err != nil {
 		t.Errorf("chain: %v", err)
@@ -32,7 +42,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestLevelsChain(t *testing.T) {
-	levels, err := Levels(4, Chain(4))
+	levels, err := Levels(4, chain(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +107,7 @@ func buildJobs(n int) *workload.Workload {
 func TestCriticalPathChain(t *testing.T) {
 	w := buildJobs(3)
 	// Chain: critical path is the sum of all job demands.
-	got, err := CriticalPathCPUSec(w, Chain(3))
+	got, err := CriticalPathCPUSec(w, chain(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,19 +206,6 @@ func (p *Placement) UsedMB() map[cluster.StoreID]float64 {
 	return out
 }
 
-// Clone deep-copies the placement so schedulers can mutate independently.
-func (p *Placement) Clone() *Placement {
-	q := &Placement{objects: p.objects}
-	q.blocks = make([][][]cluster.StoreID, len(p.blocks))
-	for i := range p.blocks {
-		q.blocks[i] = make([][]cluster.StoreID, len(p.blocks[i]))
-		for b := range p.blocks[i] {
-			q.blocks[i][b] = append([]cluster.StoreID(nil), p.blocks[i][b]...)
-		}
-	}
-	return q
-}
-
 // Shuffle redistributes every block's primary copy uniformly at random
 // over the given stores — the Fig. 5 baseline placement ("shuffles the
 // data blocks randomly within the cluster").
@@ -299,13 +286,4 @@ func ChooseReplicaTargets(c *cluster.Cluster, primary cluster.StoreID, rf int, r
 		targets = append(targets, t)
 	}
 	return targets
-}
-
-// Replicate applies ChooseReplicaTargets to every block of every object.
-func (p *Placement) Replicate(c *cluster.Cluster, rf int, rng *rand.Rand) {
-	for i := range p.blocks {
-		for b := range p.blocks[i] {
-			p.blocks[i][b] = ChooseReplicaTargets(c, p.Primary(ObjectID(i), b), rf, rng)
-		}
-	}
 }

@@ -100,15 +100,6 @@ func TestReplicas(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	p := NewPlacement(twoObjects())
-	q := p.Clone()
-	q.SetPrimary(0, 0, 9)
-	if p.Primary(0, 0) == 9 {
-		t.Error("Clone shares block storage")
-	}
-}
-
 func TestShuffleCoversStores(t *testing.T) {
 	objs := []DataObject{{ID: 0, Name: "big", SizeMB: 64 * 500, Origin: 0}}
 	p := NewPlacement(objs)
@@ -181,16 +172,5 @@ func TestChooseReplicaTargetsSingleZone(t *testing.T) {
 	got := ChooseReplicaTargets(c, 0, 3, rng)
 	if len(got) < 2 {
 		t.Fatalf("single-zone fallback failed: %v", got)
-	}
-}
-
-func TestReplicateAll(t *testing.T) {
-	c := cluster.Paper20(0)
-	p := NewPlacement(twoObjects())
-	p.Replicate(c, 2, rand.New(rand.NewSource(5)))
-	for i := 0; i < 4; i++ {
-		if len(p.Replicas(0, i)) != 2 {
-			t.Errorf("block %d has %d replicas", i, len(p.Replicas(0, i)))
-		}
 	}
 }

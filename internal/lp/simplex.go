@@ -387,7 +387,7 @@ func (s *simplexState) phase1() (st *Solution, done bool, err error) {
 		// column's artificial-sum reduced cost is nonnegative, so the duals
 		// are a Farkas-style certificate — and a column-generation oracle
 		// can price against them to find columns that would shrink the
-		// infeasibility (see RevealOracle.Price).
+		// infeasibility (see Oracle).
 		s.computeDuals(p1cost)
 		return &Solution{Status: Infeasible, Stats: s.stats().itersOnly(),
 			Dual: append([]float64(nil), s.y...)}, true, nil

@@ -33,9 +33,6 @@ func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]int, n)}
 }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return g.n }
-
 // AddEdge adds a directed edge u→v with the given capacity and per-unit
 // cost, returning its id.
 func (g *Graph) AddEdge(u, v int, cap, cost int64) EdgeID {

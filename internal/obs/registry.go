@@ -91,53 +91,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.load() }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts by
-// linear interpolation inside the containing bucket — the same estimate
-// Prometheus's histogram_quantile computes. Observations in the +Inf
-// overflow bucket clamp to the highest finite bound. Returns NaN when
-// empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := uint64(0)
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i >= len(h.upper) { // overflow bucket
-				if len(h.upper) == 0 {
-					return math.NaN()
-				}
-				return h.upper[len(h.upper)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.upper[i-1]
-			}
-			hi := h.upper[i]
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	return h.upper[len(h.upper)-1]
-}
-
 // ExpBuckets returns n bucket bounds starting at start, each factor times
 // the previous — the usual latency-histogram shape.
 func ExpBuckets(start, factor float64, n int) []float64 {

@@ -97,30 +97,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", "help", []float64{1, 2, 4})
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Error("empty histogram quantile should be NaN")
-	}
-	// 10 observations in (1,2]: the median interpolates to the middle of
-	// the bucket.
-	for i := 0; i < 10; i++ {
-		h.Observe(1.5)
-	}
-	if got := h.Quantile(0.5); got != 1.5 {
-		t.Errorf("q50 = %g, want 1.5 (linear interpolation in (1,2])", got)
-	}
-	if got := h.Quantile(1); got != 2 {
-		t.Errorf("q100 = %g, want 2 (bucket upper bound)", got)
-	}
-	// Overflow observations clamp to the highest finite bound.
-	h.Observe(1e6)
-	if got := h.Quantile(1); got != 4 {
-		t.Errorf("q100 with overflow = %g, want 4 (clamped)", got)
-	}
-}
-
 func TestExpBuckets(t *testing.T) {
 	got := ExpBuckets(1, 10, 3)
 	want := []float64{1, 10, 100}

@@ -105,45 +105,6 @@ func TestKillAttemptAfterSpeculativeWin(t *testing.T) {
 	}
 }
 
-func TestUnqueueAllOnlyTargetJob(t *testing.T) {
-	c := oneNodeCluster()
-	wb := workload.NewBuilder()
-	arch := workload.Archetype{Name: "syn", Property: workload.Mixed, CPUSecPerBlock: 8}
-	wb.AddInputJob("a", "u", arch, 128, 0, 0)
-	wb.AddInputJob("b", "u", arch, 128, 0, 0)
-	w := wb.Build()
-	ss := &stubSched{}
-	ss.init = func(s *Sim) {
-		s.At(1, func() {
-			for j := 0; j < 2; j++ {
-				for _, task := range s.PendingTasks(j) {
-					if err := s.Enqueue(j, task, 0, 0, 2); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			s.UnqueueAll(0)
-			if got := len(s.PendingTasks(0)); got != 2 {
-				t.Errorf("job 0 pending after UnqueueAll = %d, want 2", got)
-			}
-			if got := len(s.PendingTasks(1)); got != 0 {
-				t.Errorf("job 1 pending = %d, want 0 (still queued)", got)
-			}
-			// Job 0's tasks take the free slots now; job 1's queued tasks
-			// follow when the slots free again.
-			_ = s.Launch(0, 0, 0, 0)
-			_ = s.Launch(0, 1, 0, 0)
-		})
-	}
-	r, err := New(c, w, nil, ss, Options{}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.JobDone[1] <= r.JobDone[0] {
-		t.Errorf("job order: done = %v, queued job must finish after the unqueued one", r.JobDone)
-	}
-}
-
 func TestMaxAttemptsWaivesTimeout(t *testing.T) {
 	// One retry budget: the first attempt dies at the 600 s timeout, the
 	// second exceeds the budget, so the timeout is waived and the 6400 s

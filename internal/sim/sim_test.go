@@ -382,36 +382,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestUnqueueAll(t *testing.T) {
-	c := oneNodeCluster()
-	w := twoTaskJob()
-	ss := &stubSched{}
-	ss.onArrival = func(s *Sim, j int) {
-		// Occupy both slots with task 0's attempts is impossible (same
-		// task); instead enqueue both tasks far in the future, then
-		// unqueue and launch directly.
-		if err := s.Enqueue(j, 0, 0, 0, s.Now()+1e6); err != nil {
-			t.Error(err)
-		}
-		if err := s.Enqueue(j, 1, 0, 0, s.Now()+1e6); err != nil {
-			t.Error(err)
-		}
-		s.UnqueueAll(j)
-		if got := len(s.PendingTasks(j)); got != 2 {
-			t.Errorf("pending after unqueue = %d", got)
-		}
-		_ = s.Launch(j, 0, 0, 0)
-		_ = s.Launch(j, 1, 0, 0)
-	}
-	r, err := New(c, w, nil, ss, Options{}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Makespan > 100 {
-		t.Errorf("makespan %g suggests the future-queued entries ran", r.Makespan)
-	}
-}
-
 func TestResultString(t *testing.T) {
 	c := oneNodeCluster()
 	w := twoTaskJob()

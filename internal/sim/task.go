@@ -603,20 +603,6 @@ func (s *Sim) Enqueue(job, task int, n cluster.NodeID, store cluster.StoreID, re
 	return nil
 }
 
-// UnqueueAll returns all queued-but-not-started tasks of a job to Pending
-// (used by epoch schedulers that re-plan). The job's tasks are flipped in
-// place — O(job size), not O(cluster queues); the dead entries fall out
-// of their nodes' queues at the next drain.
-func (s *Sim) UnqueueAll(job int) {
-	base, end := s.taskBase[job], s.taskBase[job+1]
-	for f := base; f < end; f++ {
-		if TaskState(s.states[f]) == Queued {
-			s.tasks[f].qNode = -1
-			s.setStateFlat(f, Pending)
-		}
-	}
-}
-
 // dispatch launches ready queued tasks while slots are free; if the node
 // is idle once the queue settles it hands the slot to the scheduler.
 // (Future-ready queue entries have dispatch wake-ups armed by Enqueue.)

@@ -213,34 +213,6 @@ func (Nop) Enabled() bool { return false }
 // Emit implements Tracer.
 func (Nop) Emit(Event) {}
 
-// Multi fans events out to every enabled sink. With no enabled sinks it
-// returns Nop{} so the disabled fast path is preserved.
-func Multi(sinks ...Tracer) Tracer {
-	var on []Tracer
-	for _, s := range sinks {
-		if s != nil && s.Enabled() {
-			on = append(on, s)
-		}
-	}
-	switch len(on) {
-	case 0:
-		return Nop{}
-	case 1:
-		return on[0]
-	default:
-		return multi(on)
-	}
-}
-
-type multi []Tracer
-
-func (m multi) Enabled() bool { return true }
-func (m multi) Emit(e Event) {
-	for _, t := range m {
-		t.Emit(e)
-	}
-}
-
 // Validate checks one event against the schema: a known kind, a
 // finite non-negative timestamp, the payload matching the kind (and no
 // other), and resource ids that are -1 or natural numbers.

@@ -19,38 +19,6 @@ func TestNopTracerNoAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("nop tracer path allocates %.1f objects per call, want 0", allocs)
 	}
-	// Multi with no enabled sinks must collapse back to the nop path.
-	tr = Multi(nil, Nop{}, nil)
-	if tr.Enabled() {
-		t.Error("Multi of disabled sinks is enabled")
-	}
-	allocs = testing.AllocsPerRun(1000, func() {
-		if tr.Enabled() {
-			tr.Emit(Event{T: 1, Kind: KindDone})
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("Multi nop path allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
-func TestMultiFanOut(t *testing.T) {
-	a, b := NewSampler(), NewSampler()
-	tr := Multi(a, Nop{}, b)
-	if !tr.Enabled() {
-		t.Fatal("Multi of enabled sinks is disabled")
-	}
-	tr.Emit(Event{T: 5, Kind: KindSample, Sample: &SampleInfo{Running: 2}})
-	if len(a.Rows) != 1 || len(b.Rows) != 1 {
-		t.Fatalf("fan-out rows = %d/%d, want 1/1", len(a.Rows), len(b.Rows))
-	}
-	if a.Rows[0].S.Running != 2 || a.Rows[0].T != 5 {
-		t.Errorf("sample row = %+v", a.Rows[0])
-	}
-	// A single enabled sink is returned unwrapped.
-	if got := Multi(a); got != Tracer(a) {
-		t.Errorf("Multi(one) = %T, want the sink itself", got)
-	}
 }
 
 func TestValidate(t *testing.T) {

@@ -113,17 +113,6 @@ func (j Job) TotalCPUSec() float64 {
 	return float64(j.NumTasks) * j.CPUSecPerTask
 }
 
-// TaskCPUSec returns the ECU-seconds of task t, where task t of an input
-// job processes block t of its object (scaled by the access fraction).
-func (j Job) TaskCPUSec(obj hdfs.DataObject) func(t int) float64 {
-	if !j.HasInput() {
-		per := j.CPUSecPerTask
-		return func(int) float64 { return per }
-	}
-	af := j.EffectiveAccessFrac()
-	return func(t int) float64 { return obj.BlockSizeMB(t) * af * j.CPUSecPerMB }
-}
-
 // Workload is a job set plus the data objects the jobs read.
 type Workload struct {
 	Jobs    []Job

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"lips/internal/cluster"
-	"lips/internal/hdfs"
 )
 
 func someStores(n int) []cluster.StoreID {
@@ -69,10 +68,6 @@ func TestBuilderInputJob(t *testing.T) {
 	if obj.Origin != 3 || obj.SizeMB != 10*1024 {
 		t.Errorf("object = %+v", obj)
 	}
-	per := j.TaskCPUSec(obj)
-	if per(0) != 64*20.0/64 {
-		t.Errorf("task 0 cpu = %g", per(0))
-	}
 	if w.TotalInputMB() != 10*1024 {
 		t.Errorf("TotalInputMB = %g", w.TotalInputMB())
 	}
@@ -87,10 +82,6 @@ func TestBuilderNoInputJob(t *testing.T) {
 	}
 	if j.TotalCPUSec() != 1200 {
 		t.Errorf("TotalCPUSec = %g", j.TotalCPUSec())
-	}
-	per := j.TaskCPUSec(hdfs.DataObject{})
-	if per(2) != 300 {
-		t.Errorf("task cpu = %g", per(2))
 	}
 	if w.TotalTasks() != 4 {
 		t.Errorf("TotalTasks = %d", w.TotalTasks())
