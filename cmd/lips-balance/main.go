@@ -37,14 +37,11 @@ func main() {
 // run balances one skewed placement; cli carries the trace file and the
 // live registry the shared flags selected.
 func run(out *os.File, clusterKind string, tasks int, threshold float64, seed int64, cli *obs.CLI) error {
-	if clusterKind != "paper20" && clusterKind != "paper100" {
+	rng := rand.New(rand.NewSource(seed))
+	c, err := cluster.ByName(clusterKind, 0.5, 0, rng)
+	if err != nil || (clusterKind != "paper20" && clusterKind != "paper100") {
 		return fmt.Errorf("unknown cluster %q (want paper20 or paper100)", clusterKind)
 	}
-	c, err := cluster.ByName(clusterKind, 0.5, 0, nil)
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(seed))
 	// Skewed ingest: all data lands in one zone's stores.
 	var hot []cluster.StoreID
 	for _, n := range c.Nodes {

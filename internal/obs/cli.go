@@ -74,11 +74,10 @@ func (c *CLI) register(fs *flag.FlagSet, groups int) {
 // does; a file or address that cannot be opened exits 1.
 func (c *CLI) Start() {
 	flag.Parse()
-	logger, err := c.log.Logger(os.Stderr)
-	if err != nil {
+	var err error
+	if c.Logger, err = c.log.Logger(os.Stderr); err != nil {
 		c.Usagef("%v", err)
 	}
-	c.Logger = logger
 	c.ExitOn(c.open())
 }
 
