@@ -187,10 +187,14 @@ func (s *Sim) JobStateCounts(job int) (pending, queued, running, done int) {
 // are assigned here; its ArrivalSec is clamped to the current clock. For
 // input jobs pass the data object (sized by obj.SizeMB; NumTasks is
 // derived from the block count); the object lands fully on obj.Origin,
-// exactly like a fresh upload. Only legal after Start.
+// exactly like a fresh upload. Only legal after Start. Every check runs
+// before the first append, so a rejected job leaves nothing behind.
 func (s *Sim) AddJob(job workload.Job, obj *hdfs.DataObject) (int, error) {
 	if !s.started {
 		return 0, fmt.Errorf("sim: AddJob before Start")
+	}
+	if job.AccessFrac < 0 || job.AccessFrac > 1 {
+		return 0, fmt.Errorf("sim: AddJob %q: access fraction %g", job.Name, job.AccessFrac)
 	}
 	j := len(s.W.Jobs)
 	job.ID = j
@@ -219,9 +223,6 @@ func (s *Sim) AddJob(job workload.Job, obj *hdfs.DataObject) (int, error) {
 		if job.CPUSecPerTask <= 0 {
 			return 0, fmt.Errorf("sim: AddJob %q: CPUSecPerTask %g", job.Name, job.CPUSecPerTask)
 		}
-	}
-	if job.AccessFrac < 0 || job.AccessFrac > 1 {
-		return 0, fmt.Errorf("sim: AddJob %q: access fraction %g", job.Name, job.AccessFrac)
 	}
 	if job.ArrivalSec < s.clock {
 		job.ArrivalSec = s.clock

@@ -127,8 +127,9 @@ func TestAddJobValidation(t *testing.T) {
 			t.Errorf("%s: AddJob accepted", tc.name)
 		}
 	}
-	if s.NumJobs() != 0 || !s.Drained() {
-		t.Errorf("rejected AddJobs left state behind: %d jobs", s.NumJobs())
+	if s.NumJobs() != 0 || !s.Drained() || len(s.W.Objects) != 0 || len(s.P.Objects()) != 0 {
+		t.Errorf("rejected AddJobs left state behind: %d jobs, %d workload objects, %d placed objects",
+			s.NumJobs(), len(s.W.Objects), len(s.P.Objects()))
 	}
 }
 
