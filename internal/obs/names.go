@@ -60,6 +60,7 @@ const (
 	MServeAdmissions    = "lips_serve_admission_total"
 	MServeJobsDone      = "lips_serve_jobs_done_total"
 	MServeJobsCancelled = "lips_serve_jobs_cancelled_total"
+	MServeIllegalMoves  = "lips_serve_illegal_transitions_total"
 	MServeChurn         = "lips_serve_churn_total"
 	MServeSubmitSeconds = "lips_serve_submit_latency_seconds"
 	MServeLaunchSeconds = "lips_serve_first_launch_seconds"
@@ -244,6 +245,7 @@ func RegisterLP(r *Registry) *LPMetrics {
 type ServeMetrics struct {
 	QueueDepth, Tenants, SimSeconds *Gauge
 	Epochs, JobsDone, JobsCancelled *Counter
+	IllegalTransitions              *Counter    // lifecycle moves refused; 0 unless there is a bug
 	Admissions, Churn               *CounterVec // by decision / by kind
 	SubmitSeconds, LaunchSeconds    *Histogram
 
@@ -271,8 +273,10 @@ func registerServe(r *Registry) *ServeMetrics {
 		Epochs:        r.Counter(MServeEpochs, "Serve epochs driven (each advances the simulation one epoch)."),
 		JobsDone:      r.Counter(MServeJobsDone, "Submitted jobs that ran to completion."),
 		JobsCancelled: r.Counter(MServeJobsCancelled, "Submitted jobs withdrawn by cancellation."),
-		Admissions:    r.CounterVec(MServeAdmissions, "Submission admission decisions.", "decision"),
-		Churn:         r.CounterVec(MServeChurn, "Node churn events applied via the admin API.", "kind"),
+		IllegalTransitions: r.Counter(MServeIllegalMoves,
+			"Job state changes the lifecycle table does not allow, refused and logged; any at all is a daemon bug."),
+		Admissions: r.CounterVec(MServeAdmissions, "Submission admission decisions.", "decision"),
+		Churn:      r.CounterVec(MServeChurn, "Node churn events applied via the admin API.", "kind"),
 		SubmitSeconds: r.Histogram(MServeSubmitSeconds, "Wall-clock seconds from submit receipt to admission decision.",
 			// 100µs … 10s in half-decade steps, the submit-SLO range.
 			[]float64{1e-4, 3.16e-4, 1e-3, 3.16e-3, 0.01, 0.0316, 0.1, 0.316, 1, 3.16, 10}),

@@ -222,8 +222,8 @@ func TestSubmitValidation(t *testing.T) {
 	// At the tenant cap a known tenant is still served and an unseen one
 	// is refused: each tenant mints metric and ledger children for good.
 	d.mu.Lock()
-	for i := 0; len(d.tenants) < maxTenants; i++ {
-		d.tenants[fmt.Sprintf("filler-%d", i)] = true
+	for i := 0; len(d.tenantJobs) < maxTenants; i++ {
+		d.tenantJobs[fmt.Sprintf("filler-%d", i)] = map[string]int{}
 	}
 	d.mu.Unlock()
 	for _, row := range []struct {
@@ -450,7 +450,7 @@ func TestCancelRacingLastTaskEndsDone(t *testing.T) {
 		return d.records[id].state, len(d.active)
 	}
 	for i := 0; i < 20; i++ {
-		if err := d.epoch(); err != nil {
+		if err := d.Step(); err != nil {
 			t.Fatal(err)
 		}
 		if st, _ := state(); hook.fired && st != StateCancelling {
@@ -495,8 +495,9 @@ func TestTenantFairShare(t *testing.T) {
 	d.Start()
 	waitStats(t, ts.URL, func(st *Stats) bool { return st.Jobs[StateDone] == 2*each })
 
-	cpu := d.TenantCPU()
-	a, b := cpu["hog"], cpu["meek"]
+	d.mu.Lock()
+	a, b := d.tenantCPU["hog"], d.tenantCPU["meek"]
+	d.mu.Unlock()
 	if a <= 0 || b <= 0 {
 		t.Fatalf("tenant cpu: hog=%g meek=%g", a, b)
 	}
@@ -510,11 +511,11 @@ func TestTenantFairShare(t *testing.T) {
 	d.mu.Lock()
 	var meekFirst, lastDone float64
 	for _, rec := range d.records {
-		if rec.doneSim > lastDone {
-			lastDone = rec.doneSim
+		if rec.span.DoneSim > lastDone {
+			lastDone = rec.span.DoneSim
 		}
-		if rec.tenant == "meek" && (meekFirst == 0 || rec.firstLaunchSim < meekFirst) {
-			meekFirst = rec.firstLaunchSim
+		if rec.span.Tenant == "meek" && (meekFirst == 0 || rec.span.FirstLaunchSim < meekFirst) {
+			meekFirst = rec.span.FirstLaunchSim
 		}
 	}
 	d.mu.Unlock()

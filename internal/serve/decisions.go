@@ -3,7 +3,6 @@ package serve
 import (
 	"time"
 
-	"lips/internal/obs"
 	"lips/internal/sched"
 )
 
@@ -93,12 +92,7 @@ type decisionRing struct {
 	total int64
 }
 
-func newDecisionRing(n int) *decisionRing {
-	if n <= 0 {
-		n = 128
-	}
-	return &decisionRing{buf: make([]EpochDecision, n)}
-}
+func newDecisionRing(n int) *decisionRing { return &decisionRing{buf: make([]EpochDecision, n)} }
 
 func (r *decisionRing) add(d EpochDecision) {
 	r.buf[r.next] = d
@@ -120,30 +114,4 @@ func (r *decisionRing) snapshot() []EpochDecision {
 	out = append(out, r.buf[r.next:]...)
 	out = append(out, r.buf[:r.next]...)
 	return out
-}
-
-// spanLocked assembles the job's phase span from the record. Callers
-// hold d.mu. Unset milestones are -1, matching the obs.Span contract.
-func (d *Daemon) spanLocked(rec *jobRecord) obs.Span {
-	sp := obs.NewSpan(rec.id)
-	sp.Name, sp.Tenant = rec.name, rec.tenant
-	sp.SubmittedSim = rec.submittedSim
-	sp.Epoch = rec.admittedEpoch
-	if rec.simJob >= 0 {
-		sp.AdmittedSim = rec.admittedSim
-	}
-	if rec.planned {
-		sp.PlannedSim = rec.plannedSim
-	}
-	if rec.launched {
-		sp.FirstLaunchSim = rec.firstLaunchSim
-	}
-	sp.CostUC = rec.costUC
-	switch rec.state {
-	case StateDone:
-		sp.Outcome, sp.DoneSim = obs.OutcomeDone, rec.doneSim
-	case StateCancelled:
-		sp.Outcome, sp.DoneSim = obs.OutcomeCancelled, rec.doneSim
-	}
-	return sp
 }

@@ -3,7 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -296,7 +298,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	d.mu.Lock()
-	if !d.tenants[req.Tenant] && len(d.tenants) >= maxTenants {
+	if d.tenantJobs[req.Tenant] == nil && len(d.tenantJobs) >= maxTenants {
 		d.mu.Unlock()
 		d.writeError(w, http.StatusBadRequest, "tenant %q is new and the daemon already knows %d", req.Tenant, maxTenants)
 		return
@@ -316,19 +318,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		decision, shedReason = "rejected", obs.ReasonSolverBackpressure
 	default:
 		decision = "accepted"
-		rec = &jobRecord{
-			id:            len(d.records),
-			tenant:        req.Tenant,
-			name:          fmt.Sprintf("%s-%d", name, len(d.records)),
-			spec:          spec,
-			state:         StateQueued,
-			simJob:        -1,
-			submittedWall: start,
-			submittedSim:  d.simNowLocked(),
-		}
-		d.records = append(d.records, rec)
-		d.queue = append(d.queue, rec.id)
-		d.tenants[req.Tenant] = true
+		rec = d.newRecordLocked(req.Tenant, name, spec)
 	}
 	var shedSpan obs.Span
 	if shedReason != "" {
@@ -361,14 +351,16 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case "rejected":
 		d.writeError(w, http.StatusTooManyRequests, "admission queue full")
 	default:
-		writeJSON(w, http.StatusAccepted, SubmitResponse{ID: rec.id, State: StateQueued})
+		writeJSON(w, http.StatusAccepted, SubmitResponse{ID: rec.span.Job, State: StateQueued})
 	}
 }
 
-func (d *Daemon) recordByQuery(w http.ResponseWriter, r *http.Request) (*jobRecord, bool) {
-	id, err := strconv.Atoi(r.URL.Query().Get("id"))
+// record finds the record a request names by decimal id, and answers the
+// 400 or 404 itself when there is none.
+func (d *Daemon) record(w http.ResponseWriter, idText string) (*jobRecord, bool) {
+	id, err := strconv.Atoi(idText)
 	if err != nil {
-		d.writeError(w, http.StatusBadRequest, "bad id %q", r.URL.Query().Get("id"))
+		d.writeError(w, http.StatusBadRequest, "bad id %q", idText)
 		return nil, false
 	}
 	d.mu.Lock()
@@ -380,24 +372,22 @@ func (d *Daemon) recordByQuery(w http.ResponseWriter, r *http.Request) (*jobReco
 	return d.records[id], true
 }
 
-// statusLocked assembles the /status view of one record. Callers hold d.mu.
+// statusLocked assembles the /status view of one record: the span's
+// milestones with "not yet" as an omitted zero. Callers hold d.mu.
 func (d *Daemon) statusLocked(rec *jobRecord) JobStatus {
-	st := JobStatus{
-		ID: rec.id, Tenant: rec.tenant, Name: rec.name,
+	sp := &rec.span
+	return JobStatus{
+		ID: sp.Job, Tenant: sp.Tenant, Name: sp.Name,
 		Archetype: rec.spec.archetype.Name, State: rec.state,
-		SubmittedSim: rec.submittedSim, FirstLaunchSim: rec.firstLaunchSim,
-		DoneSim: rec.doneSim,
+		SubmittedSim: sp.SubmittedSim, AdmittedSim: max(sp.AdmittedSim, 0),
+		FirstLaunchSim: max(sp.FirstLaunchSim, 0), DoneSim: max(sp.DoneSim, 0),
 		Pending: rec.pending, Queued: rec.queued,
 		Running: rec.running, DoneTasks: rec.doneTasks,
 	}
-	if rec.simJob >= 0 {
-		st.AdmittedSim = rec.admittedSim
-	}
-	return st
 }
 
 func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
-	rec, ok := d.recordByQuery(w, r)
+	rec, ok := d.record(w, r.URL.Query().Get("id"))
 	if !ok {
 		return
 	}
@@ -420,20 +410,8 @@ func (d *Daemon) tenantSummaryLocked(tenant string) TenantSummary {
 		}
 	}
 	ts.TotalUC, ts.TotalUSD = int64(total), total.ToDollars()
-	doneJobs := 0
-	for _, rec := range d.records {
-		if rec.tenant != tenant {
-			continue
-		}
-		if ts.Jobs == nil {
-			ts.Jobs = make(map[string]int)
-		}
-		ts.Jobs[rec.state]++
-		if rec.state == StateDone {
-			doneJobs++
-		}
-	}
-	if doneJobs > 0 {
+	ts.Jobs = maps.Clone(d.tenantJobs[tenant])
+	if doneJobs := ts.Jobs[StateDone]; doneJobs > 0 {
 		ts.USDPerDoneJob = total.ToDollars() / float64(doneJobs)
 	}
 	if limit, ok := d.budgets[tenant]; ok {
@@ -448,16 +426,14 @@ func (d *Daemon) tenantSummaryLocked(tenant string) TenantSummary {
 // was ever charged (including the reserved unattributed bucket), sorted.
 func (d *Daemon) handleTenants(w http.ResponseWriter, _ *http.Request) {
 	d.mu.Lock()
-	names := make(map[string]bool, len(d.tenants)+len(d.tenantSpend))
-	for tn := range d.tenants {
-		names[tn] = true
+	sorted := make([]string, 0, len(d.tenantJobs)+len(d.tenantSpend))
+	for tn := range d.tenantJobs {
+		sorted = append(sorted, tn)
 	}
 	for tn := range d.tenantSpend {
-		names[tn] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for tn := range names {
-		sorted = append(sorted, tn)
+		if d.tenantJobs[tn] == nil {
+			sorted = append(sorted, tn)
+		}
 	}
 	sort.Strings(sorted)
 	resp := TenantsResponse{Tenants: make([]TenantSummary, 0, len(sorted))}
@@ -476,14 +452,14 @@ const maxRecentJobs = 32
 func (d *Daemon) handleTenant(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
 	d.mu.Lock()
-	if !d.tenants[tenant] && d.tenantSpend[tenant] == nil {
+	if d.tenantJobs[tenant] == nil && d.tenantSpend[tenant] == nil {
 		d.mu.Unlock()
 		d.writeError(w, http.StatusNotFound, "no tenant %q", tenant)
 		return
 	}
 	det := TenantDetail{TenantSummary: d.tenantSummaryLocked(tenant)}
 	for i := len(d.records) - 1; i >= 0 && len(det.Recent) < maxRecentJobs; i-- {
-		if rec := d.records[i]; rec.tenant == tenant {
+		if rec := d.records[i]; rec.span.Tenant == tenant {
 			det.Recent = append(det.Recent, d.statusLocked(rec))
 		}
 	}
@@ -557,22 +533,15 @@ func (d *Daemon) handleAudit(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, code, resp)
 }
 
-// handleTrace serves GET /jobs/{id}/trace: the job's span assembled
-// from the live record, decomposed into phases.
+// handleTrace serves GET /jobs/{id}/trace: the live record's span,
+// decomposed into phases.
 func (d *Daemon) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		d.writeError(w, http.StatusBadRequest, "bad id %q", r.PathValue("id"))
+	rec, ok := d.record(w, r.PathValue("id"))
+	if !ok {
 		return
 	}
 	d.mu.Lock()
-	if id < 0 || id >= len(d.records) {
-		d.mu.Unlock()
-		d.writeError(w, http.StatusNotFound, "no job %d", id)
-		return
-	}
-	rec := d.records[id]
-	tr := JobTrace{Span: d.spanLocked(rec), State: rec.state, AdmittedEpoch: rec.admittedEpoch}
+	tr := JobTrace{Span: rec.span, State: rec.state, AdmittedEpoch: rec.span.Epoch}
 	d.mu.Unlock()
 	tr.E2ESim = tr.Span.E2ESim()
 	tr.Phases = tr.Span.Phases()
@@ -598,52 +567,31 @@ func (d *Daemon) handleCancel(w http.ResponseWriter, r *http.Request) {
 		d.writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	rec, ok := d.recordByQuery(w, r)
+	rec, ok := d.record(w, r.URL.Query().Get("id"))
 	if !ok {
 		return
 	}
 	d.mu.Lock()
-	var cancelSpan obs.Span
-	state := rec.state
-	switch state {
+	switch rec.state {
 	case StateQueued:
 		// Still in the admission queue: withdraw before it ever reaches
-		// the simulator. If it is not in the queue the epoch loop has it
-		// mid-admission (batch taken, not yet published) — flag it so the
-		// publish step routes it into the cancel path once its simulator
-		// job ID exists.
-		found := false
-		for i, id := range d.queue {
-			if id == rec.id {
-				d.queue = append(d.queue[:i], d.queue[i+1:]...)
-				found = true
-				break
-			}
-		}
-		if found {
-			rec.state = StateCancelled
-			rec.doneSim = d.simNowLocked()
-			state = StateCancelled
-			cancelSpan = d.spanLocked(rec)
+		// the simulator. If it is not in the queue the epoch has it
+		// mid-admission (batch taken, not yet published) — cancelling with
+		// no simulator job yet, which publish routes into the cancel path
+		// once the job exists.
+		if i := slices.Index(d.queue, rec.span.Job); i >= 0 {
+			d.queue = slices.Delete(d.queue, i, i+1)
+			d.transitionLocked(rec, StateCancelled, d.simNowLocked())
 		} else {
-			rec.cancelPending = true
-			rec.state = StateCancelling
-			state = StateCancelling
+			d.transitionLocked(rec, StateCancelling, d.simNowLocked())
 		}
 	case StateAdmitted, StateRunning:
-		d.cancels = append(d.cancels, cancelReq{recID: rec.id, simJob: rec.simJob})
-		rec.state = StateCancelling
-		state = StateCancelling
+		d.cancels = append(d.cancels, rec)
+		d.transitionLocked(rec, StateCancelling, d.simNowLocked())
 	}
+	state := rec.state
 	d.mu.Unlock()
-	if state == StateCancelled {
-		d.sm.JobsCancelled.Inc()
-		d.spans.Add(cancelSpan)
-		d.sm.Spans.With(obs.OutcomeCancelled).Inc()
-		d.sm.TenantE2E.With(rec.tenant).Observe(cancelSpan.DoneSim - cancelSpan.SubmittedSim)
-		d.burn.Observe(rec.tenant, obs.SLOE2E, cancelSpan.DoneSim, cancelSpan.DoneSim-cancelSpan.SubmittedSim)
-	}
-	writeJSON(w, http.StatusOK, SubmitResponse{ID: rec.id, State: state})
+	writeJSON(w, http.StatusOK, SubmitResponse{ID: rec.span.Job, State: state})
 }
 
 func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -652,16 +600,10 @@ func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 		SimSeconds: d.simNowLocked(),
 		Epochs:     d.epochs,
 		QueueDepth: len(d.queue),
-		Jobs:       make(map[string]int),
-		Tenants:    len(d.tenants),
-		TenantCPU:  make(map[string]float64, len(d.tenantCPU)),
+		Jobs:       maps.Clone(d.jobs),
+		Tenants:    len(d.tenantJobs),
+		TenantCPU:  maps.Clone(d.tenantCPU),
 		Draining:   d.draining,
-	}
-	for _, rec := range d.records {
-		st.Jobs[rec.state]++
-	}
-	for k, v := range d.tenantCPU {
-		st.TenantCPU[k] = v
 	}
 	d.mu.Unlock()
 	writeJSON(w, http.StatusOK, st)

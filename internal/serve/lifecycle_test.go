@@ -21,7 +21,7 @@ import (
 
 // step runs one serve epoch by hand: the lifecycle tests drive the daemon
 // without its ticker, so every interleaving they see is the one they wrote.
-func step(d *Daemon) error { return d.epoch() }
+func step(d *Daemon) error { return d.Step() }
 
 // call drives one request through the handler in process — no listener,
 // no goroutine — and returns the status code and body.
@@ -49,7 +49,7 @@ func firstInState(d *Daemon, state string) int {
 	defer d.mu.Unlock()
 	for _, rec := range d.records {
 		if rec.state == state {
-			return rec.id
+			return rec.span.Job
 		}
 	}
 	return -1

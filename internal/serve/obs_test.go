@@ -282,7 +282,7 @@ func TestTenantHistogramsMatchSpans(t *testing.T) {
 	}
 	waitStats(t, ts.URL, func(st *Stats) bool { return st.Jobs[StateDone] == total })
 
-	spans := d.Spans().Snapshot()
+	spans := d.spans.Snapshot()
 	perTenant := map[string]int{}
 	for _, sp := range spans {
 		if sp.Outcome != obs.OutcomeDone {
