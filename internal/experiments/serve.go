@@ -146,8 +146,8 @@ func Service(cfg Config) (*ServiceResult, error) {
 		}
 		// Latency means come from the per-job spans, so this table and
 		// the daemon's /jobs/{id}/trace agree on phase definitions; a
-		// differential test pins the span fields against the raw
-		// JobFirstLaunch/JobDoneAt accessors.
+		// differential test pins the span fields against the job's trace
+		// events and JobDoneAt.
 		var launchSum, queueSum float64
 		launched, planned := 0, 0
 		for j := 0; j < s.NumJobs(); j++ {

@@ -63,8 +63,8 @@ func TestLiPSArrivalAfterDrain(t *testing.T) {
 		}
 		// The revived tick must land on the epoch grid, not mid-epoch:
 		// LiPS's patience (batching arrivals until the boundary) survives.
-		if fl, ok := s.JobFirstLaunch(j); !ok || fl < quiet {
-			t.Errorf("%s: first launch %g (ok=%v), want on an epoch at or after %g", l.Name(), fl, ok, quiet)
+		if fl := s.JobSpan(j).FirstLaunchSim; fl < quiet {
+			t.Errorf("%s: first launch %g (-1 = never), want on an epoch at or after %g", l.Name(), fl, quiet)
 		}
 	}
 }

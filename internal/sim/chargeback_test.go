@@ -90,10 +90,10 @@ func TestLedgerConservationUnderChurn(t *testing.T) {
 		if catSum != l.Total() {
 			t.Errorf("seed %d: category sum %d != total %d (uc)", seed, catSum, l.Total())
 		}
-		// The serve-mode per-job cost accessor reads the same key.
+		// The span's per-job cost reads the same key.
 		for j := range s.W.Jobs {
-			if got, want := s.JobCostUC(j), int64(l.Job(s.W.Jobs[j].Name)); got != want {
-				t.Errorf("seed %d: JobCostUC(%d) = %d, ledger says %d", seed, j, got, want)
+			if got, want := s.JobSpan(j).CostUC, int64(l.Job(s.W.Jobs[j].Name)); got != want {
+				t.Errorf("seed %d: JobSpan(%d).CostUC = %d, ledger says %d", seed, j, got, want)
 			}
 		}
 		// Tenants: alice, bob, and the reserved unattributed bucket.

@@ -117,26 +117,6 @@ func (s *Sim) JobDoneAt(job int) float64 { return s.jobs[job].doneAt }
 // JobCancelled reports whether the job was cancelled via CancelJob.
 func (s *Sim) JobCancelled(job int) bool { return s.jobs[job].cancelled }
 
-// JobFirstLaunch returns when the job's first primary attempt started;
-// ok is false while nothing has launched yet.
-func (s *Sim) JobFirstLaunch(job int) (t float64, ok bool) {
-	fl := s.jobs[job].firstLaunch
-	return fl, fl >= 0
-}
-
-// JobFirstEnqueue returns when a scheduler first pinned any task of the
-// job to a node queue — the "epoch-planned" span milestone; ok is false
-// while no task has ever been enqueued.
-func (s *Sim) JobFirstEnqueue(job int) (t float64, ok bool) {
-	fe := s.jobs[job].firstEnqueue
-	return fe, fe >= 0
-}
-
-// JobCostUC returns the job's exact ledger charge so far, in microcents.
-func (s *Sim) JobCostUC(job int) int64 {
-	return int64(s.Ledger.Job(s.W.Jobs[job].Name))
-}
-
 // JobSpan assembles the job's phase span from simulator state — the
 // batch-frame view, where submission and admission both coincide with
 // the workload arrival (a batch run has no admission queue). The serve

@@ -7,6 +7,7 @@ import (
 	"lips/internal/cluster"
 	"lips/internal/cost"
 	"lips/internal/hdfs"
+	"lips/internal/trace"
 	"lips/internal/workload"
 )
 
@@ -288,69 +289,94 @@ func TestAddJobKeepsDeterminism(t *testing.T) {
 }
 
 // TestJobSpanMatchesAccessors is the differential gate for the span
-// surface: every JobSpan milestone must equal the raw accessor it is
-// derived from (JobFirstEnqueue, JobFirstLaunch, JobDoneAt, the
-// ledger), the batch frame must report submitted == admitted ==
+// surface: every JobSpan milestone must equal what it is a summary of —
+// the job's first enqueue and first launch trace events (a direct launch
+// with no queue stop counts as the pin), JobDoneAt and the ledger's
+// per-job key — the batch frame must report submitted == admitted ==
 // arrival, and the phase durations must telescope to the end-to-end
-// latency.
+// latency. One scheduler launches directly, the other pins each task to
+// the node's queue five seconds ahead.
 func TestJobSpanMatchesAccessors(t *testing.T) {
-	s := New(oneNodeCluster(), &workload.Workload{}, nil, greedyStub(), Options{})
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.StepUntil(50); err != nil {
-		t.Fatal(err)
-	}
-	arch := workload.Archetype{Name: "syn", Property: workload.Mixed, CPUSecPerBlock: 64}
-	j, err := s.AddJob(
-		workload.Job{Name: "sp", User: "tenant-a", Archetype: arch.Name, CPUSecPerMB: arch.CPUSecPerMB(), AccessFrac: 1},
-		&hdfs.DataObject{Name: "sp", SizeMB: 128, Origin: 0},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Mid-run, before anything finishes: terminal fields must be unset.
-	early := s.JobSpan(j)
-	if early.Outcome != "" || early.DoneSim != -1 || early.E2ESim() != -1 {
-		t.Errorf("in-flight span has terminal state: %+v", early)
-	}
-	if early.SubmittedSim != s.W.Jobs[j].ArrivalSec || early.AdmittedSim != early.SubmittedSim {
-		t.Errorf("batch frame: submitted %g admitted %g, want both %g",
-			early.SubmittedSim, early.AdmittedSim, s.W.Jobs[j].ArrivalSec)
-	}
-
-	for i := 1; !s.Drained() && i <= 1000; i++ {
-		if err := s.StepUntil(50 + float64(i)*10); err != nil {
-			t.Fatal(err)
+	queueing := &stubSched{name: "queue-stub"}
+	queueing.onArrival = func(s *Sim, j int) {
+		for _, task := range s.PendingTasks(j) {
+			if err := s.Enqueue(j, task, 0, 0, s.Now()+5); err != nil {
+				t.Error(err)
+			}
 		}
 	}
-	if !s.Drained() {
-		t.Fatal("never drained")
-	}
+	for _, sch := range []*stubSched{greedyStub(), queueing} {
+		buf := &eventBuf{}
+		s := New(oneNodeCluster(), &workload.Workload{}, nil, sch, Options{Tracer: buf})
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.StepUntil(50); err != nil {
+			t.Fatal(err)
+		}
+		arch := workload.Archetype{Name: "syn", Property: workload.Mixed, CPUSecPerBlock: 64}
+		j, err := s.AddJob(
+			workload.Job{Name: "sp", User: "tenant-a", Archetype: arch.Name, CPUSecPerMB: arch.CPUSecPerMB(), AccessFrac: 1},
+			&hdfs.DataObject{Name: "sp", SizeMB: 128, Origin: 0},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	sp := s.JobSpan(j)
-	if sp.Outcome != "done" || sp.Job != j || sp.Name != "sp" || sp.Tenant != "tenant-a" {
-		t.Fatalf("span identity: %+v", sp)
-	}
-	if fe, ok := s.JobFirstEnqueue(j); !ok || sp.PlannedSim != fe {
-		t.Errorf("planned %g, accessor %g (ok=%v)", sp.PlannedSim, fe, ok)
-	}
-	if fl, ok := s.JobFirstLaunch(j); !ok || sp.FirstLaunchSim != fl {
-		t.Errorf("first launch %g, accessor %g (ok=%v)", sp.FirstLaunchSim, fl, ok)
-	}
-	if sp.DoneSim != s.JobDoneAt(j) {
-		t.Errorf("done %g, accessor %g", sp.DoneSim, s.JobDoneAt(j))
-	}
-	if sp.CostUC != s.JobCostUC(j) || sp.CostUC != int64(s.Ledger.Job("sp")) || sp.CostUC <= 0 {
-		t.Errorf("cost %d µc, accessor %d, ledger %d", sp.CostUC, s.JobCostUC(j), int64(s.Ledger.Job("sp")))
-	}
-	var sum float64
-	for _, ph := range sp.Phases() {
-		sum += ph.DurSim
-	}
-	if e2e := sp.E2ESim(); math.Abs(sum-e2e) > 1e-9 || e2e <= 0 {
-		t.Errorf("phases sum %g, e2e %g", sum, e2e)
+		// Mid-run, before anything finishes: terminal fields must be unset.
+		early := s.JobSpan(j)
+		if early.Outcome != "" || early.DoneSim != -1 || early.E2ESim() != -1 {
+			t.Errorf("%s: in-flight span has terminal state: %+v", sch.name, early)
+		}
+		if early.SubmittedSim != s.W.Jobs[j].ArrivalSec || early.AdmittedSim != early.SubmittedSim {
+			t.Errorf("%s: batch frame: submitted %g admitted %g, want both %g",
+				sch.name, early.SubmittedSim, early.AdmittedSim, s.W.Jobs[j].ArrivalSec)
+		}
+
+		for i := 1; !s.Drained() && i <= 1000; i++ {
+			if err := s.StepUntil(50 + float64(i)*10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !s.Drained() {
+			t.Fatalf("%s: never drained", sch.name)
+		}
+
+		first := map[trace.Kind]float64{}
+		for _, e := range buf.events {
+			if _, seen := first[e.Kind]; !seen && e.Task != nil && e.Task.Job == j {
+				first[e.Kind] = e.T
+			}
+		}
+		launch, launched := first[trace.KindLaunch]
+		planned, enqueued := first[trace.KindEnqueue]
+		if !enqueued {
+			planned = launch
+		}
+		sp := s.JobSpan(j)
+		if sp.Outcome != "done" || sp.Job != j || sp.Name != "sp" || sp.Tenant != "tenant-a" {
+			t.Fatalf("%s: span identity: %+v", sch.name, sp)
+		}
+		if enqueued != (sch == queueing) || sp.PlannedSim != planned {
+			t.Errorf("%s: planned %g, first pin in the trace %g (enqueue event: %v)", sch.name, sp.PlannedSim, planned, enqueued)
+		}
+		if !launched || sp.FirstLaunchSim != launch || launch < planned {
+			t.Errorf("%s: first launch %g, first launch event %g (seen=%v), planned %g",
+				sch.name, sp.FirstLaunchSim, launch, launched, planned)
+		}
+		if sp.DoneSim != s.JobDoneAt(j) {
+			t.Errorf("%s: done %g, JobDoneAt %g", sch.name, sp.DoneSim, s.JobDoneAt(j))
+		}
+		if sp.CostUC != int64(s.Ledger.Job("sp")) || sp.CostUC <= 0 {
+			t.Errorf("%s: cost %d µc, ledger %d", sch.name, sp.CostUC, int64(s.Ledger.Job("sp")))
+		}
+		var sum float64
+		for _, ph := range sp.Phases() {
+			sum += ph.DurSim
+		}
+		if e2e := sp.E2ESim(); math.Abs(sum-e2e) > 1e-9 || e2e <= 0 {
+			t.Errorf("%s: phases sum %g, e2e %g", sch.name, sum, e2e)
+		}
 	}
 }
 
