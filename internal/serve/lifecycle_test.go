@@ -3,25 +3,23 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"lips/internal/cluster"
 	"lips/internal/obs"
 	"lips/internal/sched"
 	"lips/internal/sim"
 )
-
-// step runs one serve epoch by hand: the lifecycle tests drive the daemon
-// without its ticker, so every interleaving they see is the one they wrote.
-func step(d *Daemon) error { return d.Step() }
 
 // call drives one request through the handler in process — no listener,
 // no goroutine — and returns the status code and body.
@@ -55,37 +53,26 @@ func firstInState(d *Daemon, state string) int {
 	return -1
 }
 
-// stepWithCancelMidAdmission runs one epoch and lands a /cancel for id
-// between the epoch taking its batch and the simulator admitting it: the
-// test holds the simulator lock so the epoch parks right after its
-// snapshot, cancels, then lets go.
-func stepWithCancelMidAdmission(t *testing.T, d *Daemon, h http.Handler, id int) {
-	t.Helper()
-	d.simMu.Lock()
-	errc := make(chan error, 1)
-	go func() { errc <- step(d) }()
-	deadline := time.Now().Add(30 * time.Second)
-	for taken := false; !taken; {
-		if time.Now().After(deadline) {
-			d.simMu.Unlock()
-			t.Fatalf("the epoch never took job %d off the queue", id)
-		}
-		d.mu.Lock()
-		taken = d.busy.Load()
-		for _, q := range d.queue {
-			taken = taken && q != id
-		}
-		d.mu.Unlock()
+// stepCancelling is Step with a /cancel of record id (none if negative)
+// landing between snapshot and simulate — where a live daemon's handlers
+// race the epoch: a queued record the batch just took is cancelled
+// mid-admission, an active one after this step's cancel list was cut.
+func stepCancelling(d *Daemon, h http.Handler, id int) error {
+	if id < 0 {
+		return d.Step()
 	}
-	code, body := call(h, http.MethodPost, fmt.Sprintf("/cancel?id=%d", id), nil)
-	d.simMu.Unlock()
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+	d.stepMu.Lock()
+	defer d.stepMu.Unlock()
+	snap := d.snapshot()
+	if code, body := call(h, http.MethodPost, fmt.Sprintf("/cancel?id=%d", id), nil); code != http.StatusOK {
+		return fmt.Errorf("mid-step cancel of %d: %d %s", id, code, body)
 	}
-	var sr SubmitResponse
-	if err := json.Unmarshal(body, &sr); err != nil || code != http.StatusOK || sr.State != StateCancelling {
-		t.Fatalf("mid-admission cancel of %d: %d %s, want 200 cancelling", id, code, body)
+	res, err := d.simulate(snap)
+	if err != nil {
+		return err
 	}
+	d.report(d.publish(snap, res), res)
+	return res.stepErr
 }
 
 // lifecycleFamilies are the lips_serve_ families the golden pins: every
@@ -142,7 +129,7 @@ func lifecycleScenario(t *testing.T, sch sim.Scheduler) string {
 	cancel := func(id int) { post(fmt.Sprintf("/cancel?id=%d", id), nil, http.StatusOK) }
 	mustStep := func() {
 		t.Helper()
-		if err := step(d); err != nil {
+		if err := d.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +163,12 @@ func lifecycleScenario(t *testing.T, sch sim.Scheduler) string {
 			// Taken off the queue, not yet in the simulator. A tenant with no
 			// usage yet ranks first, so the batch is sure to hold the job.
 			id := submit(SubmitRequest{Tenant: "dave", Name: "mid", Archetype: "pi", Tasks: 2, CPUSecPerTask: 500})
-			stepWithCancelMidAdmission(t, d, h, id)
+			if err := stepCancelling(d, h, id); err != nil {
+				t.Fatal(err)
+			}
+			if st := firstInState(d, StateCancelling); st != id {
+				t.Fatalf("mid-admission cancel of %d: first cancelling record is %d", id, st)
+			}
 			continue
 		case 10:
 			post("/admin/churn?node=3&kind=down", nil, http.StatusOK)
@@ -336,5 +328,110 @@ func TestLifecycleGolden(t *testing.T) {
 				t.Fatalf("%d lines now, %d in the golden; further differences not shown", len(g), len(w))
 			}
 		}
+	}
+}
+
+// TestTransitionTable tries every pair of states against transitionLocked:
+// a move the lifecycle table lists is made and counted; any other panics
+// under go test and, as in production, is refused, logged at Error and
+// counted, leaving the record and the per-state counts alone.
+func TestTransitionTable(t *testing.T) {
+	var logs lockedBuffer
+	d, err := New(cluster.Paper20(0.5), sched.NewFair(), obs.NewRegistry(),
+		Config{Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := []string{StateQueued, StateAdmitted, StateRunning, StateDone, StateCancelling, StateCancelled}
+	refused := 0.0
+	for _, from := range states {
+		for _, to := range states {
+			d.mu.Lock()
+			rec := d.newRecordLocked("alice", "job", submitSpec{})
+			d.countLocked(rec, -1)
+			rec.state = from // a test's shortcut to every starting state
+			d.countLocked(rec, +1)
+			legal := slices.Contains(lifecycle[from], to)
+			if !legal {
+				d.strict = true
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s → %s did not panic under go test", from, to)
+						}
+					}()
+					d.transitionLocked(rec, to, 60)
+				}()
+				d.strict = false
+				refused++
+			}
+			d.transitionLocked(rec, to, 60)
+			want := from
+			if legal {
+				want = to
+			}
+			if rec.state != want || (rec.span.Outcome != "") != (legal && terminal(to)) {
+				t.Errorf("%s → %s: record is %s with outcome %q", from, to, rec.state, rec.span.Outcome)
+			}
+			if got := d.sm.IllegalTransitions.Value(); got != refused {
+				t.Errorf("%s → %s: %g refusals counted, want %g", from, to, got, refused)
+			}
+			d.mu.Unlock()
+			if err := checkStep(d); err != nil && !strings.Contains(err.Error(), "no step will cancel it") {
+				t.Errorf("%s → %s: %v", from, to, err)
+			}
+		}
+	}
+	if msgs := logs.messages(t); len(msgs) != int(refused) || msgs[0] != "illegal job transition refused" {
+		t.Errorf("%g refusals, logged %q", refused, msgs)
+	}
+}
+
+// TestPublishAdmitError feeds publish a record the simulator refused at
+// admission — unreachable through /submit while validateSubmit stands. The
+// record ends cancelled like any other: one span, one e2e observation, one
+// SLO observation, one cancelled count, nothing left active.
+func TestPublishAdmitError(t *testing.T) {
+	d, err := New(cluster.Paper20(0.5), sched.NewFair(), obs.NewRegistry(), Config{SLOE2ESec: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := d.Handler()
+	if code, body := call(h, http.MethodPost, "/submit", SubmitRequest{Tenant: "alice", Archetype: "grep", InputMB: 64}); code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	snap := d.snapshot()
+	if len(snap.batch) != 1 {
+		t.Fatalf("batch of %d, want the one submission", len(snap.batch))
+	}
+	d.publish(snap, simResult{
+		start: 0, end: 60, admitted: 1,
+		jobs: []jobUpdate{{rec: snap.batch[0], admitErr: errors.New("sim: AddJob: refused")}},
+	})
+
+	var tr JobTrace
+	if code, body := call(h, http.MethodGet, "/jobs/0/trace", nil); code != http.StatusOK || json.Unmarshal(body, &tr) != nil {
+		t.Fatalf("trace: %d %s", code, body)
+	}
+	if tr.State != StateCancelled || tr.Outcome != obs.OutcomeCancelled || tr.AdmittedSim != -1 || tr.DoneSim != 0 || tr.AdmittedEpoch != 0 {
+		t.Errorf("trace of the refused record: %+v", tr)
+	}
+	if spans := d.spans.Snapshot(); len(spans) != 1 || spans[0] != tr.Span {
+		t.Errorf("span ring %+v, want the record's span once", spans)
+	}
+	if n := d.sm.TenantE2E.With("alice").Count(); n != 1 {
+		t.Errorf("%d e2e observations, want 1", n)
+	}
+	if at := d.burn.Attainments("alice"); len(at) != 1 || at[0].Total != 1 {
+		t.Errorf("SLO attainment %+v, want one e2e observation", at)
+	}
+	if c, s := d.sm.JobsCancelled.Value(), d.sm.Spans.With(obs.OutcomeCancelled).Value(); c != 1 || s != 1 {
+		t.Errorf("%g cancelled jobs, %g cancelled spans, want 1 and 1", c, s)
+	}
+	if !idle(d) {
+		t.Error("the refused record left work behind")
+	}
+	if err := checkStep(d); err != nil {
+		t.Error(err)
 	}
 }

@@ -36,7 +36,6 @@ func getJSON(t *testing.T, url string, v any) int {
 // epoch.
 func TestJobTraceEndpoint(t *testing.T) {
 	d, ts := newTestDaemon(t, Config{EpochSimSec: 60})
-	d.Start()
 	const jobs = 6
 	ids := make([]int, jobs)
 	for i := range ids {
@@ -46,7 +45,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 		}
 		ids[i] = id
 	}
-	waitStats(t, ts.URL, func(st *Stats) bool { return st.Jobs[StateDone] == jobs })
+	stepUntil(t, d, func(st *Stats) bool { return st.Jobs[StateDone] == jobs })
 
 	for _, id := range ids {
 		var tr JobTrace
@@ -113,8 +112,7 @@ func TestDebugEpochsRing(t *testing.T) {
 			t.Fatalf("submit: %d", code)
 		}
 	}
-	d.Start()
-	waitStats(t, ts.URL, func(st *Stats) bool { return st.Jobs[StateDone] == jobs })
+	stepUntil(t, d, func(st *Stats) bool { return st.Jobs[StateDone] == jobs })
 
 	var er EpochsResponse
 	if code := getJSON(t, ts.URL+"/debug/epochs", &er); code != http.StatusOK {

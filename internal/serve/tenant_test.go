@@ -137,12 +137,11 @@ func TestBudgetExhaustedDeferral(t *testing.T) {
 		// Any completed job blows through a thousandth of a cent.
 		Budgets: map[string]float64{"hog": 0.00001},
 	})
-	d.Start()
 	id0, code := submitOne(t, ts.URL, "hog")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
-	waitStats(t, ts.URL, func(st *Stats) bool { return st.Jobs[StateDone] == 1 })
+	stepUntil(t, d, func(st *Stats) bool { return st.Jobs[StateDone] == 1 })
 
 	// The first job's charges exhausted the budget; the next hog job must
 	// stay queued while an unbudgeted tenant sails past it.
@@ -153,30 +152,25 @@ func TestBudgetExhaustedDeferral(t *testing.T) {
 	if _, code := submitOne(t, ts.URL, "meek"); code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
-	waitStats(t, ts.URL, func(st *Stats) bool { return st.Jobs[StateDone] == 2 })
-	st := waitStats(t, ts.URL, func(st *Stats) bool { return st.Jobs[StateQueued] == 1 })
-	if st.Jobs[StateQueued] != 1 {
+	if st := stepUntil(t, d, func(st *Stats) bool { return st.Jobs[StateDone] == 2 }); st.Jobs[StateQueued] != 1 {
 		t.Fatalf("blocked job not queued: %+v", st.Jobs)
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
+	// The epoch that admitted meek's job passed hog's over, and said why.
+	var er EpochsResponse
+	if code := getJSON(t, ts.URL+"/debug/epochs", &er); code != http.StatusOK {
+		t.Fatalf("/debug/epochs: %d", code)
+	}
 	sawBudgetDeferral := false
-	for !sawBudgetDeferral && time.Now().Before(deadline) {
-		var er EpochsResponse
-		if code := getJSON(t, ts.URL+"/debug/epochs", &er); code != http.StatusOK {
-			t.Fatalf("/debug/epochs: %d", code)
-		}
-		for _, dec := range er.Epochs {
-			for _, df := range dec.Deferred {
-				if df.Reason == obs.ReasonBudgetExhausted {
-					if df.ID != id1 || df.Tenant != "hog" {
-						t.Errorf("budget deferral names %+v, want job %d of hog", df, id1)
-					}
-					sawBudgetDeferral = true
+	for _, dec := range er.Epochs {
+		for _, df := range dec.Deferred {
+			if df.Reason == obs.ReasonBudgetExhausted {
+				if df.ID != id1 || df.Tenant != "hog" {
+					t.Errorf("budget deferral names %+v, want job %d of hog", df, id1)
 				}
+				sawBudgetDeferral = true
 			}
 		}
-		time.Sleep(time.Millisecond)
 	}
 	if !sawBudgetDeferral {
 		t.Error("no budget-exhausted deferral ever surfaced on /debug/epochs")
