@@ -8,16 +8,19 @@
 // queue — and this package is that operating regime: the batch harness
 // runs one workload to completion, the daemon never finishes.
 //
-// Concurrency model. Submissions land in an admission queue guarded by a
-// fast mutex (d.mu) that no solver work ever holds, so the submit path's
-// latency is independent of epoch solve time — the p99 submit SLO the
-// smoke gate asserts. A single epoch goroutine drains the queue: each
-// wall tick it raises the busy flag, applies pending cancellations,
-// admits a tenant-fair batch into the simulator, advances simulated time
-// by one epoch (sim.StepUntil — this is where the LiPS LP solves), and
-// publishes per-job progress back under d.mu. Admission control sheds
-// load with 429 + Retry-After when the queue is full, or at half-full
-// while an epoch is running; draining shutdown answers 503.
+// A submission's life is the table in lifecycle.go, and transitionLocked
+// is the only code that moves a record through it. One epoch is Step,
+// whose callers — the ticker, or a test stepping by hand — run one at a
+// time, in four parts: snapshot, under d.mu, takes the pending cancels
+// and a tenant-fair batch off the admission queue; simulate, under
+// d.simMu, applies them and advances simulated time by one epoch
+// (sim.StepUntil — this is where the LiPS LP solves); publish, under d.mu
+// again, moves the records to where their jobs got to; report, holding
+// nothing, sets gauges and evaluates SLO burn. No solver work ever holds
+// d.mu, so the submit path's latency is independent of epoch solve time.
+// Admission control sheds load with 429 + Retry-After when the queue is
+// full, or at half-full while a Step is running; draining shutdown
+// answers 503.
 package serve
 
 import (

@@ -231,49 +231,50 @@ const (
 	maxTenants     = 1024
 )
 
-// validateSubmit turns a request into a spec, normalizing defaults.
-func validateSubmit(req *SubmitRequest) (submitSpec, error) {
-	var spec submitSpec
+// validateSubmit turns a request into the job the simulator will be
+// given, defaults filled in; admission stamps its name, owner and arrival.
+func validateSubmit(req *SubmitRequest) (workload.Job, error) {
+	var job workload.Job
 	if req.Tenant == "" {
-		return spec, fmt.Errorf("tenant is required")
+		return job, fmt.Errorf("tenant is required")
 	}
 	if len(req.Tenant) > maxNameLen || len(req.Name) > maxNameLen {
-		return spec, fmt.Errorf("tenant and name are limited to %d bytes", maxNameLen)
+		return job, fmt.Errorf("tenant and name are limited to %d bytes", maxNameLen)
 	}
 	a, err := workload.ByName(req.Archetype)
 	if err != nil {
-		return spec, err
+		return job, err
 	}
-	spec.archetype = a
+	job.Archetype, job.CPUSecPerMB = a.Name, a.CPUSecPerMB()
 	if a.HasInput() {
 		if req.InputMB <= 0 {
-			return spec, fmt.Errorf("archetype %q needs input_mb > 0", a.Name)
+			return job, fmt.Errorf("archetype %q needs input_mb > 0", a.Name)
 		}
 		if req.Tasks != 0 {
-			return spec, fmt.Errorf("archetype %q derives tasks from input_mb", a.Name)
+			return job, fmt.Errorf("archetype %q derives tasks from input_mb", a.Name)
 		}
 		if req.InputMB > maxTasksPerJob*cost.BlockMB {
-			return spec, fmt.Errorf("input_mb %g is more than %d blocks", req.InputMB, maxTasksPerJob)
+			return job, fmt.Errorf("input_mb %g is more than %d blocks", req.InputMB, maxTasksPerJob)
 		}
-		spec.inputMB = req.InputMB
+		job.InputMB = req.InputMB
 	} else {
 		if req.Tasks <= 0 {
-			return spec, fmt.Errorf("archetype %q needs tasks > 0", a.Name)
+			return job, fmt.Errorf("archetype %q needs tasks > 0", a.Name)
 		}
 		if req.Tasks > maxTasksPerJob {
-			return spec, fmt.Errorf("tasks %d is more than %d", req.Tasks, maxTasksPerJob)
+			return job, fmt.Errorf("tasks %d is more than %d", req.Tasks, maxTasksPerJob)
 		}
-		spec.tasks = req.Tasks
-		spec.cpuSecPerTask = req.CPUSecPerTask
-		if spec.cpuSecPerTask <= 0 {
-			spec.cpuSecPerTask = a.CPUSecPerTask
+		job.NumTasks = req.Tasks
+		job.CPUSecPerTask = req.CPUSecPerTask
+		if job.CPUSecPerTask <= 0 {
+			job.CPUSecPerTask = a.CPUSecPerTask
 		}
 	}
 	if req.AccessFrac < 0 || req.AccessFrac > 1 {
-		return spec, fmt.Errorf("access_frac %g outside [0, 1]", req.AccessFrac)
+		return job, fmt.Errorf("access_frac %g outside [0, 1]", req.AccessFrac)
 	}
-	spec.accessFrac = req.AccessFrac
-	return spec, nil
+	job.AccessFrac = req.AccessFrac
+	return job, nil
 }
 
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -287,7 +288,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		d.writeError(w, http.StatusBadRequest, "bad submit body: %v", err)
 		return
 	}
-	spec, err := validateSubmit(&req)
+	job, err := validateSubmit(&req)
 	if err != nil {
 		d.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -318,7 +319,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		decision, shedReason = "rejected", obs.ReasonSolverBackpressure
 	default:
 		decision = "accepted"
-		rec = d.newRecordLocked(req.Tenant, name, spec)
+		rec = d.newRecordLocked(req.Tenant, name, job)
 	}
 	var shedSpan obs.Span
 	if shedReason != "" {
@@ -378,7 +379,7 @@ func (d *Daemon) statusLocked(rec *jobRecord) JobStatus {
 	sp := &rec.span
 	return JobStatus{
 		ID: sp.Job, Tenant: sp.Tenant, Name: sp.Name,
-		Archetype: rec.spec.archetype.Name, State: rec.state,
+		Archetype: rec.job.Archetype, State: rec.state,
 		SubmittedSim: sp.SubmittedSim, AdmittedSim: max(sp.AdmittedSim, 0),
 		FirstLaunchSim: max(sp.FirstLaunchSim, 0), DoneSim: max(sp.DoneSim, 0),
 		Pending: rec.pending, Queued: rec.queued,

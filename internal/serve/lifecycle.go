@@ -38,28 +38,19 @@ func terminal(state string) bool { return state == StateDone || state == StateCa
 // per epoch, so reads are cheap and at most one epoch stale.
 type jobRecord struct {
 	span   obs.Span
-	spec   submitSpec
-	state  string // written by transitionLocked only
-	simJob int    // -1 until admitted; only Step touches it
+	job    workload.Job // as validated; name, owner and arrival are stamped at admission
+	state  string       // written by transitionLocked only
+	simJob int          // -1 until admitted; only Step touches it
 
 	pending, queued, running, doneTasks int
 }
 
-// submitSpec is the validated payload of one submission.
-type submitSpec struct {
-	archetype     workload.Archetype
-	inputMB       float64
-	accessFrac    float64
-	tasks         int
-	cpuSecPerTask float64
-}
-
 // newRecordLocked appends a queued record for an accepted submission.
-func (d *Daemon) newRecordLocked(tenant, name string, spec submitSpec) *jobRecord {
+func (d *Daemon) newRecordLocked(tenant, name string, job workload.Job) *jobRecord {
 	sp := obs.NewSpan(len(d.records))
 	sp.Name, sp.Tenant = fmt.Sprintf("%s-%d", name, sp.Job), tenant
 	sp.SubmittedSim = d.simNowLocked()
-	rec := &jobRecord{span: sp, spec: spec, state: StateQueued, simJob: -1}
+	rec := &jobRecord{span: sp, job: job, state: StateQueued, simJob: -1}
 	d.records = append(d.records, rec)
 	d.queue = append(d.queue, sp.Job)
 	if d.tenantJobs[tenant] == nil {

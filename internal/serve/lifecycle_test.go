@@ -19,6 +19,7 @@ import (
 	"lips/internal/obs"
 	"lips/internal/sched"
 	"lips/internal/sim"
+	"lips/internal/workload"
 )
 
 // call drives one request through the handler in process — no listener,
@@ -347,7 +348,7 @@ func TestTransitionTable(t *testing.T) {
 	for _, from := range states {
 		for _, to := range states {
 			d.mu.Lock()
-			rec := d.newRecordLocked("alice", "job", submitSpec{})
+			rec := d.newRecordLocked("alice", "job", workload.Job{})
 			d.countLocked(rec, -1)
 			rec.state = from // a test's shortcut to every starting state
 			d.countLocked(rec, +1)

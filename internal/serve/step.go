@@ -12,7 +12,6 @@ import (
 	"lips/internal/hdfs"
 	"lips/internal/obs"
 	"lips/internal/sched"
-	"lips/internal/workload"
 )
 
 // epochSnap is what snapshot takes out of the admission state for one step.
@@ -173,7 +172,7 @@ func (d *Daemon) snapshot() epochSnap {
 // simulate does, under d.simMu, everything that touches the simulator:
 // the cancels, the batch's AddJobs, one epoch of simulated time (where the
 // LiPS LP solves) and reading every live job back. It holds no d.mu, so of
-// a record it touches only what no handler does: name, tenant and spec,
+// a record it touches only what no handler does: name, tenant and job,
 // fixed at submission, and simJob, which is Step's alone. Step times
 // exactly this call: it is the decision ring's wall_ms.
 func (d *Daemon) simulate(snap epochSnap) (res simResult, err error) {
@@ -187,23 +186,11 @@ func (d *Daemon) simulate(snap epochSnap) (res simResult, err error) {
 	res.start, res.admitted = d.s.Now(), len(snap.batch)
 	res.jobs = make([]jobUpdate, 0, len(snap.batch)+len(snap.active))
 	for _, rec := range snap.batch {
-		job := workload.Job{
-			Name:          rec.span.Name,
-			Archetype:     rec.spec.archetype.Name,
-			User:          rec.span.Tenant,
-			ArrivalSec:    res.start,
-			NumTasks:      rec.spec.tasks,
-			AccessFrac:    rec.spec.accessFrac,
-			CPUSecPerMB:   rec.spec.archetype.CPUSecPerMB(),
-			CPUSecPerTask: rec.spec.cpuSecPerTask,
-		}
+		job := rec.job
+		job.Name, job.User, job.ArrivalSec = rec.span.Name, rec.span.Tenant, res.start
 		var obj *hdfs.DataObject
-		if rec.spec.archetype.HasInput() {
-			obj = &hdfs.DataObject{
-				Name:   rec.span.Name,
-				SizeMB: rec.spec.inputMB,
-				Origin: d.nextOrigin(),
-			}
+		if job.InputMB > 0 {
+			obj = &hdfs.DataObject{Name: job.Name, SizeMB: job.InputMB, Origin: d.nextOrigin()}
 		}
 		simJob, err := d.s.AddJob(job, obj)
 		if err == nil {
@@ -314,13 +301,7 @@ func (d *Daemon) publish(snap epochSnap, res simResult) epochSummary {
 			}
 		}
 	}
-	stillActive := d.active[:0]
-	for _, rec := range d.active {
-		if !terminal(rec.state) {
-			stillActive = append(stillActive, rec)
-		}
-	}
-	d.active = stillActive
+	d.active = slices.DeleteFunc(d.active, func(rec *jobRecord) bool { return terminal(rec.state) })
 	d.tenantCPU, d.tenantSpend = res.cpu, res.spend
 	d.epochs++
 	sum.queueDepth, sum.tenants = len(d.queue), len(d.tenantJobs)
