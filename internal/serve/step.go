@@ -242,7 +242,7 @@ func (d *Daemon) publish(snap epochSnap, res simResult) epochSummary {
 	for _, u := range res.jobs[:res.admitted] {
 		rec, sp := u.rec, &u.rec.span
 		if u.admitErr != nil {
-			// A malformed spec that slipped past validation: fail the
+			// A malformed job that slipped past validateSubmit: fail the
 			// record, not the daemon.
 			d.transitionLocked(rec, StateCancelled, res.start)
 			continue
