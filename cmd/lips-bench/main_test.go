@@ -1,38 +1,26 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"lips/internal/experiments"
 )
 
-var quick = experiments.Config{Quick: true, Seed: 1}
-
+// TestRunSingleExperiments selects each registry entry by name: run
+// prints that entry's section alone, titled as the registry says.
+// TestQuickGolden holds the bytes of every section under "all".
 func TestRunSingleExperiments(t *testing.T) {
-	for _, name := range []string{"table1", "table3", "table4", "fig1", "fig8", "overhead"} {
-		if err := run(name, quick); err != nil {
-			t.Errorf("%s: %v", name, err)
+	for _, e := range experiments.All {
+		out := captureStdout(t, func() error { return run(e.Name, experiments.Config{Quick: true, Seed: 1}) })
+		if !strings.HasPrefix(out, "== "+e.Title+" ==\n") || strings.Count(out, "\n== ") != 0 {
+			t.Errorf("%s printed:\n%s", e.Name, out)
 		}
 	}
 }
 
-func TestRunAblations(t *testing.T) {
-	if err := run("ablations", quick); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunExtensions(t *testing.T) {
-	if err := run("spot", quick); err != nil {
-		t.Error(err)
-	}
-	if err := run("baselines", quick); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("fig99", quick); err == nil {
+	if err := run("fig99", experiments.Config{Quick: true, Seed: 1}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"lips/internal/core"
 	"lips/internal/cost"
 	"lips/internal/lp"
-	"lips/internal/sched"
-	"lips/internal/sim"
 	"lips/internal/workload"
 )
 
@@ -174,26 +172,16 @@ type AblationBillingResult struct {
 func AblationBilling(cfg Config) (*AblationBillingResult, error) {
 	cfg = cfg.withDefaults()
 	res := &AblationBillingResult{}
-	type mk struct {
-		label string
-		make  func() sim.Scheduler
-		opts  sim.Options
-	}
-	for _, m := range []mk{
-		{"hadoop-default", func() sim.Scheduler { return sched.NewFIFO() }, sim.Options{}},
-		{"lips", func() sim.Scheduler { return cfg.newLiPS(Fig6Epoch) }, sim.Options{TaskTimeoutSec: 1200}},
-	} {
+	for _, m := range []runner{fifo(), lips(Fig6Epoch)} {
 		row := AblationBillingRow{Scheduler: m.label}
 		for _, occupancy := range []bool{false, true} {
-			c := cluster.Paper20(0.5)
-			w := fig6Workload(cfg, c)
-			p := shuffledPlacement(cfg, c, w)
+			c, w, p := testbed(cfg, 0.5)
 			opts := m.opts
 			opts.BillOccupancy = occupancy
 			label := fmt.Sprintf("billing %s occupancy=%v", m.label, occupancy)
-			r, err := sim.New(c, w, p, m.make(), cfg.simOptions(opts, label)).Run()
+			r, _, err := cfg.run(m, label, c, w, p, opts)
 			if err != nil {
-				return nil, fmt.Errorf("billing %s: %w", m.label, err)
+				return nil, err
 			}
 			if occupancy {
 				row.OccupancyCost = r.TotalCost()
@@ -234,12 +222,8 @@ type AblationPricingResult struct {
 func AblationPricing(cfg Config) (*AblationPricingResult, error) {
 	cfg = cfg.withDefaults()
 	c := cluster.Paper100()
-	stores := make([]cluster.StoreID, len(c.Stores))
-	for i := range stores {
-		stores[i] = cluster.StoreID(i)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	w := workload.SWIM(rng, stores, workload.SWIMSpec{Jobs: 20, DurationSec: 1})
+	w := workload.SWIM(rng, c.StoreIDs(), workload.SWIMSpec{Jobs: 20, DurationSec: 1})
 	res := &AblationPricingResult{}
 	for _, bland := range []bool{false, true} {
 		in, err := core.NewInstance(c, w.Jobs, w.Objects, w.Placement(), core.InstanceOptions{

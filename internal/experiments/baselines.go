@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"lips/internal/cluster"
 	"lips/internal/cost"
-	"lips/internal/sched"
-	"lips/internal/sim"
 )
 
 // BaselineRow is one scheduler's outcome in the all-baselines shoot-out.
@@ -30,29 +27,12 @@ type BaselinesResult struct {
 // Baselines runs the shoot-out.
 func Baselines(cfg Config) (*BaselinesResult, error) {
 	cfg = cfg.withDefaults()
-	type mk struct {
-		label string
-		make  func() sim.Scheduler
-		opts  sim.Options
-	}
 	res := &BaselinesResult{}
-	for _, m := range []mk{
-		{"hadoop-default", func() sim.Scheduler { return sched.NewFIFO() }, sim.Options{}},
-		{"delay", func() sim.Scheduler { return sched.NewDelay() }, sim.Options{}},
-		{"fair", func() sim.Scheduler { return sched.NewFair() }, sim.Options{}},
-		{"quincy-like", func() sim.Scheduler { return sched.NewQuincy() }, sim.Options{}},
-		{"lips", func() sim.Scheduler { return cfg.newLiPS(Fig6Epoch) }, sim.Options{TaskTimeoutSec: 1200}},
-	} {
-		c := cluster.Paper20(0.5)
-		w := fig6Workload(cfg, c)
-		p := shuffledPlacement(cfg, c, w)
-		scheduler := m.make()
-		r, err := sim.New(c, w, p, scheduler, cfg.simOptions(m.opts, "baselines "+m.label)).Run()
+	for _, m := range []runner{fifo(), delay(), fair(), quincy(), lips(Fig6Epoch)} {
+		c, w, p := testbed(cfg, 0.5)
+		r, _, err := cfg.run(m, "baselines "+m.label, c, w, p, m.opts)
 		if err != nil {
-			return nil, fmt.Errorf("baselines %s: %w", m.label, err)
-		}
-		if l, ok := scheduler.(*sched.LiPS); ok && l.Err != nil {
-			return nil, fmt.Errorf("baselines lips: %w", l.Err)
+			return nil, err
 		}
 		res.Rows = append(res.Rows, BaselineRow{
 			Scheduler: m.label, Cost: r.TotalCost(), Makespan: r.Makespan,

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
+
+	"lips/internal/sched"
+	"lips/internal/sim"
 )
 
 var quickCfg = Config{Quick: true, Seed: 1}
@@ -73,7 +77,7 @@ func TestFig6CostReductionGrowsWithHeterogeneity(t *testing.T) {
 	if len(r.Rows) != 9 {
 		t.Fatalf("%d rows", len(r.Rows))
 	}
-	var lipsRows []Fig6Row
+	var lipsRows []CompareRow
 	for _, row := range r.Rows {
 		if row.Scheduler == "lips" {
 			lipsRows = append(lipsRows, row)
@@ -271,22 +275,27 @@ func TestTablesRender(t *testing.T) {
 	}
 }
 
-func TestRendersNonEmpty(t *testing.T) {
-	f6, err := Fig6(quickCfg)
-	if err != nil {
-		t.Fatal(err)
+// TestRunFailsWithLatchedLiPSError drives run with a LiPS whose every
+// epoch solve hits the iteration limit: the planner latches the error,
+// the simulation still drains through the fallback, and run must fail
+// with that error instead of returning a result to print as a row.
+func TestRunFailsWithLatchedLiPSError(t *testing.T) {
+	var l *sched.LiPS
+	r := lips(Fig6Epoch)
+	r.make = func() sim.Scheduler {
+		l = sched.NewLiPS(Fig6Epoch)
+		l.LPOpts.MaxIters = 1
+		return l
 	}
-	for _, render := range []string{f6.Render()} {
-		if len(render) == 0 {
-			t.Error("empty render")
-		}
+	c, w, p := testbed(quickCfg.withDefaults(), 0.5)
+	res, _, err := quickCfg.run(r, "lips max-iters=1", c, w, p, r.opts)
+	if l.Err == nil {
+		t.Fatal("the planner latched no error at MaxIters 1")
 	}
-	f8, _ := Fig8(quickCfg)
-	f11, _ := Fig11(quickCfg)
-	ov, _ := Overhead(quickCfg)
-	for _, s := range []string{f8.Render(), f11.Render(), ov.Render()} {
-		if s == "" {
-			t.Error("empty render")
-		}
+	if !errors.Is(err, l.Err) || res != nil {
+		t.Fatalf("run returned (%v, %v), want the latched %v", res, err, l.Err)
+	}
+	if !strings.HasPrefix(err.Error(), "lips max-iters=1: ") {
+		t.Errorf("error %q does not name the run", err)
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"lips/internal/cluster"
 	"lips/internal/cost"
 	"lips/internal/sched"
 	"lips/internal/sim"
@@ -31,31 +30,16 @@ type AblationContentionResult struct {
 func AblationContention(cfg Config) (*AblationContentionResult, error) {
 	cfg = cfg.withDefaults()
 	res := &AblationContentionResult{}
-	type mk struct {
-		label string
-		make  func() sim.Scheduler
-		opts  sim.Options
-	}
-	for _, m := range []mk{
-		{"hadoop-default", func() sim.Scheduler { return sched.NewFIFO() }, sim.Options{}},
-		{"delay", func() sim.Scheduler { return sched.NewDelay() }, sim.Options{}},
-		{"lips", func() sim.Scheduler { return cfg.newLiPS(Fig6Epoch) }, sim.Options{TaskTimeoutSec: 1200}},
-	} {
+	for _, m := range []runner{fifo(), delay(), lips(Fig6Epoch)} {
 		row := AblationContentionRow{Scheduler: m.label}
 		for _, shared := range []bool{false, true} {
-			c := cluster.Paper20(0.5)
-			w := fig6Workload(cfg, c)
-			p := shuffledPlacement(cfg, c, w)
+			c, w, p := testbed(cfg, 0.5)
 			opts := m.opts
 			opts.SharedLinks = shared
-			scheduler := m.make()
 			label := fmt.Sprintf("contention %s shared=%v", m.label, shared)
-			r, err := sim.New(c, w, p, scheduler, cfg.simOptions(opts, label)).Run()
+			r, _, err := cfg.run(m, label, c, w, p, opts)
 			if err != nil {
-				return nil, fmt.Errorf("contention %s shared=%v: %w", m.label, shared, err)
-			}
-			if l, ok := scheduler.(*sched.LiPS); ok && l.Err != nil {
-				return nil, fmt.Errorf("contention lips: %w", l.Err)
+				return nil, err
 			}
 			if shared {
 				row.SharedMakespan, row.SharedCost = r.Makespan, r.TotalCost()
@@ -117,55 +101,34 @@ func SpotMarket(cfg Config) (*SpotMarketResult, error) {
 	const period = 800.0
 	schedule := SpotSchedule(period)
 	res := &SpotMarketResult{Period: period}
-	type mk struct {
-		label string
-		make  func(spot bool) (sim.Scheduler, sim.Options)
-	}
-	for _, m := range []mk{
-		{"hadoop-default", func(spot bool) (sim.Scheduler, sim.Options) {
-			opts := sim.Options{}
-			if spot {
-				opts.PriceMultiplier = schedule
-			}
-			return sched.NewFIFO(), opts
-		}},
-		{"lips-oblivious", func(spot bool) (sim.Scheduler, sim.Options) {
-			// Plans with static prices even when billed at spot rates —
-			// isolates the value of per-epoch repricing below.
-			l := cfg.newLiPS(400)
-			opts := sim.Options{TaskTimeoutSec: 1200}
-			if spot {
-				opts.PriceMultiplier = schedule
-			}
-			return l, opts
-		}},
-		{"lips-repricing", func(spot bool) (sim.Scheduler, sim.Options) {
-			l := cfg.newLiPS(400) // epoch shorter than the price period
-			opts := sim.Options{TaskTimeoutSec: 1200}
-			if spot {
-				l.PriceMultiplier = schedule
-				opts.PriceMultiplier = schedule
-			}
-			return l, opts
-		}},
-	} {
+	// Both LiPS variants plan every 400 s, inside the price period; the
+	// oblivious one plans with static prices even when billed at spot
+	// rates, which isolates the value of per-epoch repricing.
+	oblivious, repricing := lips(400), lips(400)
+	oblivious.label, repricing.label = "lips-oblivious", "lips-repricing"
+	for _, m := range []runner{fifo(), oblivious, repricing} {
 		row := SpotMarketRow{Scheduler: m.label}
 		for _, spot := range []bool{false, true} {
-			c := cluster.Paper20(0.5)
-			w := fig6Workload(cfg, c)
+			c, w, p := testbed(cfg, 0.5)
 			// Stagger arrivals across several price windows so planning
 			// decisions land both inside and outside spikes.
 			for i := range w.Jobs {
 				w.Jobs[i].ArrivalSec = float64(i) * period / 2
 			}
-			p := shuffledPlacement(cfg, c, w)
-			scheduler, opts := m.make(spot)
-			r, err := sim.New(c, w, p, scheduler, cfg.simOptions(opts, "spot "+m.label)).Run()
-			if err != nil {
-				return nil, fmt.Errorf("spot %s: %w", m.label, err)
+			run, opts := m, m.opts
+			if spot {
+				opts.PriceMultiplier = schedule
+				if m.label == repricing.label {
+					run.make = func() sim.Scheduler {
+						l := m.make().(*sched.LiPS)
+						l.PriceMultiplier = schedule
+						return l
+					}
+				}
 			}
-			if l, ok := scheduler.(*sched.LiPS); ok && l.Err != nil {
-				return nil, fmt.Errorf("spot lips: %w", l.Err)
+			r, _, err := cfg.run(run, fmt.Sprintf("spot %s spot=%v", m.label, spot), c, w, p, opts)
+			if err != nil {
+				return nil, err
 			}
 			if spot {
 				row.SpotCost = r.TotalCost()

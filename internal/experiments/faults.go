@@ -5,7 +5,6 @@ import (
 
 	"lips/internal/cluster"
 	"lips/internal/cost"
-	"lips/internal/sched"
 	"lips/internal/sim"
 )
 
@@ -38,7 +37,6 @@ type AblationFaultsResult struct {
 // Config.FaultSeed, so rows reproduce bit-identically.
 func AblationFaults(cfg Config) (*AblationFaultsResult, error) {
 	cfg = cfg.withDefaults()
-	c := cluster.Paper20(0.5)
 	spec := sim.FaultSpec{
 		Crashes:     cfg.FaultCrashes,
 		StoreLosses: 1,
@@ -48,33 +46,24 @@ func AblationFaults(cfg Config) (*AblationFaultsResult, error) {
 		WindowSec:   Fig6Epoch / 4,
 		DowntimeSec: Fig6Epoch / 4,
 	}
-	plan := sim.RandomFaultPlan(cfg.FaultSeed, c, spec)
+	plan := sim.RandomFaultPlan(cfg.FaultSeed, cluster.Paper20(0.5), spec)
 
 	res := &AblationFaultsResult{
 		Plan: fmt.Sprintf("%d crashes (+%.0fs recovery), %d store loss, %d slowdown in [0,%.0fs), seed %d",
 			spec.Crashes, spec.DowntimeSec, spec.StoreLosses, spec.Slowdowns, spec.WindowSec, cfg.FaultSeed),
 	}
-	type mk struct {
-		label string
-		make  func() sim.Scheduler
-		opts  sim.Options
-	}
-	for _, m := range []mk{
-		{"delay", func() sim.Scheduler { return sched.NewDelay() }, sim.Options{}},
-		{"lips", func() sim.Scheduler { return cfg.newLiPS(Fig6Epoch) }, sim.Options{TaskTimeoutSec: 1200}},
-	} {
+	for _, m := range []runner{delay(), lips(Fig6Epoch)} {
 		row := AblationFaultsRow{Scheduler: m.label}
 		for _, churn := range []bool{false, true} {
-			w := fig6Workload(cfg, c)
-			p := shuffledPlacement(cfg, c, w)
+			c, w, p := testbed(cfg, 0.5)
 			opts := m.opts
 			if churn {
 				opts.Faults = plan
 			}
 			label := fmt.Sprintf("faults %s churn=%v", m.label, churn)
-			r, err := sim.New(c, w, p, m.make(), cfg.simOptions(opts, label)).Run()
+			r, _, err := cfg.run(m, label, c, w, p, opts)
 			if err != nil {
-				return nil, fmt.Errorf("faults %s (churn=%v): %w", m.label, churn, err)
+				return nil, err
 			}
 			if churn {
 				row.ChurnCost = r.TotalCost()

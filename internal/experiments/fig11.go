@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-
-	"lips/internal/cluster"
-	"lips/internal/sim"
 )
 
 // Fig11Run is one epoch setting's per-node accumulated CPU time breakdown
@@ -30,17 +27,11 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 	cfg = cfg.withDefaults()
 	res := &Fig11Result{}
 	for _, epoch := range []float64{400, 600} {
-		c := cluster.Paper20(0.5)
-		w := fig6Workload(cfg, c)
-		p := shuffledPlacement(cfg, c, w)
-		l := cfg.newLiPS(epoch)
-		opts := cfg.simOptions(sim.Options{TaskTimeoutSec: 1200}, fmt.Sprintf("fig11 e=%g", epoch))
-		r, err := sim.New(c, w, p, l, opts).Run()
+		c, w, p := testbed(cfg, 0.5)
+		lr := lips(epoch)
+		r, _, err := cfg.run(lr, fmt.Sprintf("fig11 e=%g", epoch), c, w, p, lr.opts)
 		if err != nil {
-			return nil, fmt.Errorf("fig11 e=%g: %w", epoch, err)
-		}
-		if l.Err != nil {
-			return nil, fmt.Errorf("fig11 e=%g: %w", epoch, l.Err)
+			return nil, err
 		}
 		run := Fig11Run{
 			EpochSec:    epoch,

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"lips/internal/cluster"
 	"lips/internal/cost"
-	"lips/internal/sim"
 )
 
 // Fig8Row is one epoch length in the Fig. 8 trade-off sweep: total job
@@ -36,17 +34,11 @@ func Fig8(cfg Config) (*Fig8Result, error) {
 	}
 	res := &Fig8Result{}
 	for _, e := range epochs {
-		c := cluster.Paper20(0.5)
-		w := fig6Workload(cfg, c)
-		p := shuffledPlacement(cfg, c, w)
-		l := cfg.newLiPS(e)
-		opts := cfg.simOptions(sim.Options{TaskTimeoutSec: 1200}, fmt.Sprintf("fig8 e=%g", e))
-		r, err := sim.New(c, w, p, l, opts).Run()
+		c, w, p := testbed(cfg, 0.5)
+		lr := lips(e)
+		r, l, err := cfg.run(lr, fmt.Sprintf("fig8 e=%g", e), c, w, p, lr.opts)
 		if err != nil {
-			return nil, fmt.Errorf("fig8 e=%g: %w", e, err)
-		}
-		if l.Err != nil {
-			return nil, fmt.Errorf("fig8 e=%g: %w", e, l.Err)
+			return nil, err
 		}
 		res.Rows = append(res.Rows, Fig8Row{
 			EpochSec: e, Cost: r.TotalCost(), Makespan: r.Makespan,

@@ -39,10 +39,7 @@ func Overhead(cfg Config) (*OverheadResult, error) {
 	}
 	res := &OverheadResult{}
 	c := cluster.Paper100()
-	stores := make([]cluster.StoreID, len(c.Stores))
-	for i := range stores {
-		stores[i] = cluster.StoreID(i)
-	}
+	stores := c.StoreIDs()
 	for _, jobs := range sizes {
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		w := workload.SWIM(rng, stores, workload.SWIMSpec{Jobs: jobs, DurationSec: 1})

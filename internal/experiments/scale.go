@@ -41,6 +41,7 @@ func Scale(cfg Config) (*ScaleResult, error) {
 		sizes = []int{50, 200}
 	}
 	res := &ScaleResult{}
+	scale := runner{"scale", func() sim.Scheduler { return sched.NewScale() }, sim.Options{}}
 	for _, nodes := range sizes {
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		c := cluster.Random(rng, cluster.RandomSpec{Nodes: nodes})
@@ -49,11 +50,9 @@ func Scale(cfg Config) (*ScaleResult, error) {
 		p.Shuffle(rng, c.StoreIDs())
 
 		t0 := time.Now()
-		s := sim.New(c, w, p, sched.NewScale(),
-			cfg.simOptions(sim.Options{}, fmt.Sprintf("scale-%d", nodes)))
-		r, err := s.Run()
+		r, _, err := cfg.run(scale, fmt.Sprintf("scale-%d", nodes), c, w, p, scale.opts)
 		if err != nil {
-			return nil, fmt.Errorf("scale %d nodes: %w", nodes, err)
+			return nil, err
 		}
 		wall := time.Since(t0)
 

@@ -82,16 +82,12 @@ func Service(cfg Config) (*ServiceResult, error) {
 		jobs, perEpoch = 12, 3
 	}
 	res := &ServiceResult{}
-	for _, m := range []struct {
-		label string
-		make  func() sim.Scheduler
-	}{
-		{"lips", func() sim.Scheduler { return cfg.newLiPS(epoch) }},
-		{"fair", func() sim.Scheduler { return sched.NewFair() }},
-	} {
+	for _, m := range []runner{lips(epoch), fair()} {
 		c := cluster.Paper20(0.5)
 		rng := rand.New(rand.NewSource(cfg.Seed))
-		s := sim.New(c, &workload.Workload{}, nil, m.make(),
+		scheduler := m.make()
+		// The daemon's defaults, not the roster's batch options.
+		s := sim.New(c, &workload.Workload{}, nil, scheduler,
 			cfg.simOptions(sim.Options{}, "service "+m.label))
 		if err := s.Start(); err != nil {
 			return nil, fmt.Errorf("service %s: %w", m.label, err)
@@ -143,6 +139,9 @@ func Service(cfg Config) (*ServiceResult, error) {
 			if i > 100000 {
 				return nil, fmt.Errorf("service %s: never drained", m.label)
 			}
+		}
+		if l, ok := scheduler.(*sched.LiPS); ok && l.Err != nil {
+			return nil, fmt.Errorf("service %s: %w", m.label, l.Err)
 		}
 		// Latency means come from the per-job spans, so this table and
 		// the daemon's /jobs/{id}/trace agree on phase definitions; a

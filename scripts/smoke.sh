@@ -46,7 +46,7 @@ grep -q '^objective: -3$' "$T/expect.log"
 expect 2 lips-lp "$T/infeasible.lp" # lips-lp documents 2 as "no optimum"
 expect 1 lips-lp "$T/missing.lp"
 expect 0 lips-bench -experiment table1
-expect 1 lips-bench -experiment fig99
+expect 2 lips-bench -experiment fig99
 expect 2 lips-bench -trace-format svg
 expect 0 lips-balance -tasks 300
 expect 1 lips-balance -cluster random
