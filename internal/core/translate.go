@@ -65,7 +65,7 @@ func sameEpochShape(oldIn, newIn *Instance) bool {
 // machines are dropped (lp.TranslateBasis repairs their rows with slacks)
 // and a returning machine's columns enter at their default bounds. Returns
 // nil when the instances' job/data/store shape diverged or a column
-// collision makes the basis unrepairable — the caller cold-starts, exactly
+// collision makes the basis unrepairable — the caller starts cold, exactly
 // as it would have without a basis.
 func TranslateOnlineBasis(b *lp.Basis, oldIn, newIn *Instance) *lp.Basis {
 	if b == nil || !sameEpochShape(oldIn, newIn) {

@@ -47,13 +47,6 @@ func NewLedger() *Ledger {
 	}
 }
 
-// Charge records amount against the category and job, attributing the
-// money to the reserved UnattributedTenant. Job may be empty for charges
-// not attributable to one job (e.g. background replication).
-func (l *Ledger) Charge(cat Category, job string, amount Money) {
-	l.ChargeTenant(cat, job, "", amount)
-}
-
 // ChargeTenant records amount against the category, job, and owning
 // tenant. An empty tenant maps to UnattributedTenant so every microcent
 // lands in exactly one tenant bucket and the chargeback sum stays
@@ -88,16 +81,6 @@ func (l *Ledger) Category(cat Category) Money { return l.byCategory[cat] }
 
 // Job returns the total charged to one job.
 func (l *Ledger) Job(job string) Money { return l.byJob[job] }
-
-// Jobs returns the job names seen, sorted.
-func (l *Ledger) Jobs() []string {
-	names := make([]string, 0, len(l.byJob))
-	for n := range l.byJob {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Unattributed returns the money charged with an empty job key.
 func (l *Ledger) Unattributed() Money { return l.noJob }

@@ -219,71 +219,3 @@ func (p *Placement) Shuffle(rng *rand.Rand, stores []cluster.StoreID) {
 		}
 	}
 }
-
-// ChooseReplicaTargets mimics Hadoop's default ReplicationTargetChooser:
-// the first replica stays on the primary store, the second goes to a store
-// in a different zone ("off-rack"), the third to a different store in the
-// second replica's zone. It returns up to rf distinct stores.
-func ChooseReplicaTargets(c *cluster.Cluster, primary cluster.StoreID, rf int, rng *rand.Rand) []cluster.StoreID {
-	targets := []cluster.StoreID{primary}
-	if rf <= 1 {
-		return targets
-	}
-	primaryZone := c.Stores[primary].Zone
-	var offZone, sameZone []cluster.StoreID
-	for _, s := range c.Stores {
-		if s.ID == primary {
-			continue
-		}
-		if s.Zone == primaryZone {
-			sameZone = append(sameZone, s.ID)
-		} else {
-			offZone = append(offZone, s.ID)
-		}
-	}
-	pick := func(pool []cluster.StoreID) (cluster.StoreID, bool) {
-		for len(pool) > 0 {
-			i := rng.Intn(len(pool))
-			cand := pool[i]
-			dup := false
-			for _, t := range targets {
-				if t == cand {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				return cand, true
-			}
-			pool[i] = pool[len(pool)-1]
-			pool = pool[:len(pool)-1]
-		}
-		return 0, false
-	}
-	if second, ok := pick(append([]cluster.StoreID(nil), offZone...)); ok {
-		targets = append(targets, second)
-		if rf >= 3 {
-			zone2 := c.Stores[second].Zone
-			var pool []cluster.StoreID
-			for _, s := range c.Stores {
-				if s.Zone == zone2 && s.ID != second {
-					pool = append(pool, s.ID)
-				}
-			}
-			if third, ok := pick(pool); ok {
-				targets = append(targets, third)
-			}
-		}
-	} else if second, ok := pick(append([]cluster.StoreID(nil), sameZone...)); ok {
-		// Single-zone cluster: fall back to any other store.
-		targets = append(targets, second)
-	}
-	for len(targets) < rf {
-		t, ok := pick(append(append([]cluster.StoreID(nil), sameZone...), offZone...))
-		if !ok {
-			break
-		}
-		targets = append(targets, t)
-	}
-	return targets
-}

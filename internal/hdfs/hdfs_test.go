@@ -133,44 +133,3 @@ func TestQuickFractionsSumToOne(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestChooseReplicaTargets(t *testing.T) {
-	c := cluster.Paper20(0)
-	rng := rand.New(rand.NewSource(3))
-	got := ChooseReplicaTargets(c, 0, 3, rng)
-	if len(got) != 3 {
-		t.Fatalf("targets = %v", got)
-	}
-	if got[0] != 0 {
-		t.Error("first replica must be the primary")
-	}
-	z0 := c.Stores[got[0]].Zone
-	z1 := c.Stores[got[1]].Zone
-	z2 := c.Stores[got[2]].Zone
-	if z1 == z0 {
-		t.Error("second replica must be off-zone")
-	}
-	if z2 != z1 {
-		t.Error("third replica must share the second's zone")
-	}
-	seen := map[cluster.StoreID]bool{}
-	for _, s := range got {
-		if seen[s] {
-			t.Error("duplicate replica target")
-		}
-		seen[s] = true
-	}
-}
-
-func TestChooseReplicaTargetsSingleZone(t *testing.T) {
-	b := cluster.NewBuilder("za")
-	for i := 0; i < 4; i++ {
-		b.AddNode("za", "t", 1, 1, 0, 1000)
-	}
-	c := b.Build()
-	rng := rand.New(rand.NewSource(1))
-	got := ChooseReplicaTargets(c, 0, 3, rng)
-	if len(got) < 2 {
-		t.Fatalf("single-zone fallback failed: %v", got)
-	}
-}

@@ -144,7 +144,7 @@ func TestDualResolveHardCorpus(t *testing.T) {
 
 // TestDualOffKeepsLegacyFallback pins the default behavior: without
 // Options.Dual a primal-infeasible warm basis is rejected and the solver
-// cold-starts, exactly as before this option existed.
+// starts cold, exactly as before this option existed.
 func TestDualOffKeepsLegacyFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	p := lipsShapedLP(8, 6, 4, rand.New(rand.NewSource(7)), rng)

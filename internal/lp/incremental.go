@@ -9,7 +9,7 @@ package lp
 // rows on their slack, and marks new columns BasisAuto so the solver
 // places them at their default bound. It returns nil when the inputs are
 // inconsistent or the repair would need two columns in one slot — the
-// caller then simply cold-starts, so translation is always safe to
+// caller then simply starts cold, so translation is always safe to
 // attempt.
 //
 // The repaired basis is a valid (nonsingular up to factorization) basis of

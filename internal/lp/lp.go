@@ -247,39 +247,6 @@ func (p *Problem) SetCoef(c Con, v Var, coef float64) {
 // Cost returns the current objective coefficient of v.
 func (p *Problem) Cost(v Var) float64 { return p.vars[v].cost }
 
-// SetCost replaces the objective coefficient of v. Together with SetRHS
-// and SetBounds it supports in-place epoch-to-epoch drift (prices,
-// capacities, deadlines) without rebuilding the problem, which keeps
-// warm-start bases valid: the column structure is untouched.
-func (p *Problem) SetCost(v Var, cost float64) {
-	if math.IsNaN(cost) || math.IsInf(cost, 0) {
-		panic(fmt.Sprintf("lp: non-finite cost %g for var %d", cost, v))
-	}
-	p.vars[v].cost = cost
-}
-
-// SetRHS replaces the right-hand side of c.
-func (p *Problem) SetRHS(c Con, rhs float64) {
-	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
-		panic(fmt.Sprintf("lp: non-finite rhs %g for con %d", rhs, c))
-	}
-	p.cons[c].rhs = rhs
-}
-
-// SetBounds replaces the bounds of v, with the same validation as AddVar.
-func (p *Problem) SetBounds(v Var, lower, upper float64) {
-	if lower > upper {
-		panic(fmt.Sprintf("lp: variable %q set to inverted bounds [%g, %g]", p.VarName(v), lower, upper))
-	}
-	if math.IsInf(lower, 1) || math.IsInf(upper, -1) {
-		panic(fmt.Sprintf("lp: variable %q set to infinite bound of the wrong sign", p.VarName(v)))
-	}
-	if math.IsNaN(lower) || math.IsNaN(upper) {
-		panic(fmt.Sprintf("lp: variable %q set to NaN bound", p.VarName(v)))
-	}
-	p.vars[v].lower, p.vars[v].upper = lower, upper
-}
-
 // Bounds returns the bounds of v.
 func (p *Problem) Bounds(v Var) (lower, upper float64) {
 	return p.vars[v].lower, p.vars[v].upper

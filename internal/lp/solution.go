@@ -130,7 +130,7 @@ type Options struct {
 	// basis is primal infeasible but still dual feasible — the natural
 	// outcome of re-solving after right-hand sides or bounds drifted
 	// (epoch capacity changes, node churn row edits). Instead of
-	// discarding the basis and cold-starting, the solver pivots the most
+	// discarding the basis and starting cold, the solver pivots the most
 	// violated basic variables out against a dual ratio test until primal
 	// feasibility is restored, then finishes with the ordinary primal
 	// phase 2. Any numerical trouble falls back to the cold path, so the

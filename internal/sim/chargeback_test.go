@@ -77,8 +77,8 @@ func TestLedgerConservationUnderChurn(t *testing.T) {
 		// Per-job charges sum exactly to the category totals minus the
 		// unattributable remainder (background replication, plan moves).
 		var jobSum, catSum cost.Money
-		for _, name := range l.Jobs() {
-			jobSum += l.Job(name)
+		for _, j := range s.W.Jobs {
+			jobSum += l.Job(j.Name)
 		}
 		for _, cat := range cost.Categories {
 			catSum += l.Category(cat)
