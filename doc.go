@@ -12,7 +12,8 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-versus-measured results. The root-level
-// benchmarks (bench_test.go) regenerate each experiment:
+// BenchmarkExperiments regenerates each entry of experiments.All, the
+// list cmd/lips-bench prints from:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench BenchmarkExperiments .
 package lips
