@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	lips-lp [-bland] [-max-iters N] [-duals] [-presolve on|off]
+//	lips-lp [-bland] [-max-iters N] [-duals]
 //	        [-cpuprofile FILE] [-memprofile FILE] [file]
 //
 // With no file, the problem is read from standard input. The format:
@@ -13,7 +13,9 @@
 //	con <name> <sense> <rhs>              # sense: <=  >=  =
 //	coef <con-index> <var-index> <value>  # 0-based declaration order
 //
-// Minimization is implied.
+// Minimization is implied. Bounds, costs, right-hand sides and
+// coefficients must be numbers (bounds may also be infinite); a file that
+// breaks the format exits 1, and a problem with no optimum exits 2.
 package main
 
 import (
@@ -31,7 +33,6 @@ type cliOpts struct {
 	bland    bool
 	maxIters int
 	duals    bool
-	presolve string // "on" or "off"
 }
 
 func main() {
@@ -39,10 +40,9 @@ func main() {
 	flag.BoolVar(&o.bland, "bland", false, "force Bland's anti-cycling rule")
 	flag.IntVar(&o.maxIters, "max-iters", 0, "iteration budget (0 = automatic)")
 	flag.BoolVar(&o.duals, "duals", false, "also print the dual values")
-	flag.StringVar(&o.presolve, "presolve", "on", "presolve reduction pass: on or off")
 	cli := obs.NewCLI("lips-lp", obs.FlagProfiles)
 	cli.Start()
-	cli.Logger.Debug("lp config", "bland", o.bland, "presolve", o.presolve)
+	cli.Logger.Debug("lp config", "bland", o.bland)
 
 	var in io.Reader = os.Stdin
 	if flag.NArg() > 0 {
@@ -63,28 +63,20 @@ func main() {
 
 // run parses, solves and prints; it returns the process exit code.
 func run(in io.Reader, out io.Writer, o cliOpts) (int, error) {
+	if o.maxIters < 0 {
+		return 1, fmt.Errorf("-max-iters must be at least 0, got %d", o.maxIters)
+	}
 	p, err := lp.Parse(in)
 	if err != nil {
 		return 1, err
 	}
-	opts := lp.Options{Bland: o.bland, MaxIters: o.maxIters}
-	switch o.presolve {
-	case "", "on":
-	case "off":
-		opts.Presolve = lp.PresolveOff
-	default:
-		return 1, fmt.Errorf("-presolve must be on or off, got %q", o.presolve)
-	}
-	sol, err := p.Solve(opts)
+	sol, err := p.Solve(lp.Options{Bland: o.bland, MaxIters: o.maxIters})
 	if err != nil {
 		return 1, err
 	}
 	fmt.Fprintf(out, "problem %s: %d variables, %d constraints, %d nonzeros\n",
 		p.Name(), p.NumVars(), p.NumCons(), p.NumNonzeros())
 	fmt.Fprintf(out, "status: %v (%d iterations, %d in phase 1)\n", sol.Status, sol.Iters, sol.Phase1)
-	if sol.PresolveRows > 0 || sol.PresolveCols > 0 {
-		fmt.Fprintf(out, "presolve: removed %d rows, %d cols\n", sol.PresolveRows, sol.PresolveCols)
-	}
 	if sol.Status != lp.Optimal {
 		return 2, nil
 	}

@@ -58,21 +58,10 @@ func TestRunBland(t *testing.T) {
 	}
 }
 
-func TestRunPresolveOff(t *testing.T) {
-	var out bytes.Buffer
-	code, err := run(strings.NewReader(demoLP), &out, cliOpts{presolve: "off"})
-	if err != nil || code != 0 {
-		t.Fatalf("code=%d err=%v", code, err)
-	}
-	if !strings.Contains(out.String(), "objective: -6") {
-		t.Errorf("output: %s", out.String())
-	}
-}
-
 func TestRunBadKnob(t *testing.T) {
 	var out bytes.Buffer
-	code, err := run(strings.NewReader(demoLP), &out, cliOpts{presolve: "maybe"})
+	code, err := run(strings.NewReader(demoLP), &out, cliOpts{maxIters: -1})
 	if err == nil || code != 1 {
-		t.Errorf("-presolve maybe: code=%d err=%v, want rejection", code, err)
+		t.Errorf("-max-iters -1: code=%d err=%v, want rejection", code, err)
 	}
 }

@@ -65,7 +65,7 @@ func TestTranslateOnlineBasisChurn(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		tb := TranslateOnlineBasis(plan0.Basis, in0, in1)
-		warmOpts := lp.Options{WarmStart: tb, Dual: true, Presolve: lp.PresolveOff}
+		warmOpts := lp.Options{WarmStart: tb, Dual: true}
 		if tb == nil {
 			warmOpts = lp.Options{}
 		}
@@ -91,7 +91,7 @@ func TestTranslateOnlineBasisChurn(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		tb2 := TranslateOnlineBasis(plan1.Basis, in1, in2)
-		warmOpts = lp.Options{WarmStart: tb2, Dual: true, Presolve: lp.PresolveOff}
+		warmOpts = lp.Options{WarmStart: tb2, Dual: true}
 		if tb2 == nil {
 			warmOpts = lp.Options{}
 		}

@@ -47,11 +47,9 @@ const maxColGenRounds = 10000
 // appended columns enter nonbasic at their default bound, so primal
 // feasibility carries over and a round typically costs a few pivots.
 // p is mutated in place (it accumulates the generated columns);
-// opts.WarmStart, if set, seeds only the first round. Presolve is
-// disabled internally: restricted masters are small by construction, and
-// an infeasible round must surface its phase-1 duals (which presolve's
-// postsolve discards) so the oracle can price feasibility-restoring
-// columns instead of capitulating to a full reveal.
+// opts.WarmStart, if set, seeds only the first round. An infeasible round
+// hands the oracle its phase-1 duals, so it can price feasibility-
+// restoring columns instead of capitulating to a full reveal.
 //
 // At termination no unrevealed column can improve the objective, so the
 // returned solution is optimal for the full problem the oracle draws from,
@@ -62,7 +60,6 @@ func SolveColGen(p *Problem, oracle Oracle, opts Options) (*Solution, ColGenStat
 	for {
 		ro := opts
 		ro.WarmStart = warm
-		ro.Presolve = PresolveOff
 		sol, err := p.Solve(ro)
 		if err != nil {
 			return nil, st, err

@@ -190,10 +190,10 @@ func TestWarmStartFromOwnOptimum(t *testing.T) {
 	}
 }
 
-// junkedLiPSLP builds a LiPS-shaped LP and injects presolvable structure
+// junkedLiPSLP builds a LiPS-shaped LP and injects degenerate structure
 // around it: empty rows, fixed variables wired into capacity rows, empty
 // columns, singleton rows (one tightening an existing column's bound, one
-// chaining into an empty-column fix), and a dominated duplicate-column
+// the only row of a profitable column), and a dominated duplicate-column
 // pair. The junk is constructed so the optimal solution of the core LP is
 // perturbed only by the forced values, keeping the instance feasible.
 func junkedLiPSLP(seed int64) *Problem {
@@ -203,26 +203,25 @@ func junkedLiPSLP(seed int64) *Problem {
 	stores := 2 + rng.Intn(3)
 	p := lipsShapedLP(jobs, machines, stores, rand.New(rand.NewSource(seed)), nil)
 
-	// Empty rows: trivially satisfied, presolve drops them.
+	// Empty rows, trivially satisfied.
 	p.AddCon("junk-empty-le", LE, 1+rng.Float64())
 	p.AddCon("junk-empty-ge", GE, -1-rng.Float64())
 	p.AddCon("junk-empty-eq", EQ, 0)
 
 	// Fixed variables attached to capacity rows (small coefficient and
-	// value so the substituted right-hand sides stay comfortably positive).
+	// value so the right-hand sides they eat into stay comfortably
+	// positive).
 	for t := 0; t < 3; t++ {
 		v := p.AddVar("junk-fixed", 0.5, 0.5, rng.Float64()*10-5)
 		p.SetCoef(Con(rng.Intn(stores+machines)), v, 0.1+0.4*rng.Float64())
 	}
 
-	// Empty columns: each fixed at its cheaper bound.
+	// Empty columns, each optimal at its cheaper bound.
 	p.AddVar("junk-empty-pos", 0, 5, 1+rng.Float64())
 	p.AddVar("junk-empty-neg", 0, 5, -1-rng.Float64())
 	p.AddVar("junk-empty-zero", 1, 3, 0)
 
-	// Singleton row chaining into an empty-column fix: the row folds into
-	// an upper bound, leaving a profitable column with no rows that is
-	// then fixed at that bound.
+	// A profitable column bounded only by its singleton row.
 	w := p.AddVar("junk-chain", 0, Inf, -(1 + rng.Float64()))
 	cw := p.AddCon("junk-single", LE, 1+rng.Float64())
 	p.SetCoef(cw, w, 1+rng.Float64())
@@ -233,8 +232,7 @@ func junkedLiPSLP(seed int64) *Problem {
 	p.SetCoef(sr, Var(0), 1)
 
 	// Dominated pair over two shared LE rows: the winner is unbounded
-	// above, no more expensive, and at least as light in both rows, so
-	// presolve fixes the loser at its lower bound.
+	// above, no more expensive, and at least as light in both rows.
 	dj := p.AddVar("junk-dom-winner", 0, Inf, 5+rng.Float64())
 	dk := p.AddVar("junk-dom-loser", 0, 8, 6+rng.Float64())
 	for _, c := range []Con{Con(0), Con(stores)} {
@@ -245,16 +243,13 @@ func junkedLiPSLP(seed int64) *Problem {
 	return p
 }
 
-// TestPresolveDifferential is the presolve→solve→postsolve property test:
-// on randomized LiPS-shaped LPs with injected presolvable junk, the
-// default solve (presolve + sparse LU) must agree with the dense tableau
-// reference on status and objective, return a feasible primal point, have
-// actually removed rows and columns, and hand back a postsolved basis
-// that warm-starts a re-solve of the full problem in O(1) iterations.
-func TestPresolveDifferential(t *testing.T) {
-	const trials = 25
-	warmTested := 0
-	for trial := 0; trial < trials; trial++ {
+// TestJunkedLPsAgainstDense solves randomized LiPS-shaped LPs with injected
+// degenerate junk: the solve must agree with the dense tableau reference
+// on status and objective and return a feasible primal point. An empty row
+// that cannot hold (0 ≤ −1) must come back Infeasible with the phase-1
+// certificate naming that row.
+func TestJunkedLPsAgainstDense(t *testing.T) {
+	for trial := 0; trial < 25; trial++ {
 		seed := int64(4000 + trial)
 		p := junkedLiPSLP(seed)
 
@@ -267,90 +262,30 @@ func TestPresolveDifferential(t *testing.T) {
 			t.Fatalf("trial %d: dense solve: %v", trial, err)
 		}
 		if sol.Status != dense.Status {
-			t.Fatalf("trial %d: presolved status %v, dense status %v",
-				trial, sol.Status, dense.Status)
+			t.Fatalf("trial %d: status %v, dense status %v", trial, sol.Status, dense.Status)
 		}
 		if sol.Status != Optimal {
 			continue
 		}
-		// 3 empty rows + 2 singleton rows injected; 3 fixed + 3 empty +
-		// 1 chained + 1 dominated column.
-		if sol.PresolveRows < 5 {
-			t.Errorf("trial %d: PresolveRows = %d, want >= 5", trial, sol.PresolveRows)
-		}
-		if sol.PresolveCols < 7 {
-			t.Errorf("trial %d: PresolveCols = %d, want >= 7", trial, sol.PresolveCols)
-		}
 		if d := relDiff(sol.Objective, dense.Objective); d > 1e-6 {
-			t.Errorf("trial %d: presolved %.12g vs dense %.12g (rel %.2g)",
+			t.Errorf("trial %d: objective %.12g vs dense %.12g (rel %.2g)",
 				trial, sol.Objective, dense.Objective, d)
 		}
 		if err := p.CheckFeasible(sol.X, 1e-6); err != nil {
-			t.Errorf("trial %d: presolved point infeasible: %v", trial, err)
-		}
-
-		if sol.Basis == nil {
-			continue // legal per-instance; the counter below keeps us honest
-		}
-		warm, err := p.Solve(Options{WarmStart: sol.Basis})
-		if err != nil {
-			t.Fatalf("trial %d: warm re-solve: %v", trial, err)
-		}
-		if !warm.WarmStarted {
-			t.Errorf("trial %d: postsolved basis rejected by warm start", trial)
-			continue
-		}
-		warmTested++
-		if warm.Phase1 != 0 {
-			t.Errorf("trial %d: warm re-solve ran %d phase-1 iterations", trial, warm.Phase1)
-		}
-		if warm.Iters > 2 {
-			t.Errorf("trial %d: warm re-solve took %d iterations", trial, warm.Iters)
-		}
-		if d := relDiff(sol.Objective, warm.Objective); d > 1e-6 {
-			t.Errorf("trial %d: warm objective %.12g vs %.12g", trial,
-				warm.Objective, sol.Objective)
+			t.Errorf("trial %d: point infeasible: %v", trial, err)
 		}
 	}
-	if warmTested == 0 {
-		t.Fatal("no trial exercised the postsolved-basis warm start")
-	}
-	t.Logf("postsolved basis warm-started %d/%d trials", warmTested, trials)
-}
 
-// TestPresolveDominatedColumn pins the dominated-column rule: the loser of
-// a duplicate pair must be removed and the objective must match both the
-// dense reference and a presolve-off solve.
-func TestPresolveDominatedColumn(t *testing.T) {
-	p := New("dom")
-	// min 1·j + 2·k  s.t. j + 1.2k >= 3 (as -j - 1.2k <= -3), both >= 0.
-	j := p.AddVar("j", 0, Inf, 1)
-	k := p.AddVar("k", 0, 5, 2)
-	c := p.AddCon("need", GE, 3)
-	p.SetCoef(c, j, 1.2)
-	p.SetCoef(c, k, 1)
+	p := New("empty-row")
+	x := p.AddVar("x", 0, 1, 1)
+	p.SetCoef(p.AddCon("cap", LE, 1), x, 1)
+	p.AddCon("never", LE, -1)
 	sol, err := p.Solve(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := p.Solve(Options{Presolve: PresolveOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := p.SolveDense(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal {
-		t.Fatalf("status %v", sol.Status)
-	}
-	if sol.PresolveCols < 1 {
-		t.Errorf("PresolveCols = %d, want >= 1 (dominated column)", sol.PresolveCols)
-	}
-	for name, other := range map[string]*Solution{"presolve-off": off, "dense": dense} {
-		if d := relDiff(sol.Objective, other.Objective); d > 1e-9 {
-			t.Errorf("objective %.12g disagrees with %s %.12g", sol.Objective, name, other.Objective)
-		}
+	if sol.Status != Infeasible || len(sol.Dual) != 2 || sol.Dual[0] != 0 || sol.Dual[1] == 0 {
+		t.Errorf("0 ≤ −1: status %v, duals %v; want Infeasible with a certificate on row 1 alone", sol.Status, sol.Dual)
 	}
 }
 

@@ -46,7 +46,7 @@ func TestDualResolveMatchesColdLiPSShaped(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
-		warm, err := p.Solve(Options{WarmStart: base.Basis, Dual: true, Presolve: PresolveOff})
+		warm, err := p.Solve(Options{WarmStart: base.Basis, Dual: true})
 		if err != nil {
 			t.Fatalf("trial %d: warm+dual: %v", trial, err)
 		}
@@ -92,7 +92,7 @@ func TestDualResolveMatchesColdRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: cold: %v", seed, err)
 		}
-		warm, err := p.Solve(Options{WarmStart: base.Basis, Dual: true, Presolve: PresolveOff})
+		warm, err := p.Solve(Options{WarmStart: base.Basis, Dual: true})
 		if err != nil {
 			t.Fatalf("seed %d: warm+dual: %v", seed, err)
 		}
@@ -127,7 +127,7 @@ func TestDualResolveHardCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: cold: %v", tc.name, err)
 		}
-		warm, err := p.Solve(Options{WarmStart: base.Basis, Dual: true, Presolve: PresolveOff})
+		warm, err := p.Solve(Options{WarmStart: base.Basis, Dual: true})
 		if err != nil {
 			t.Fatalf("%s: warm+dual: %v", tc.name, err)
 		}
@@ -162,7 +162,7 @@ func TestDualOffKeepsLegacyFallback(t *testing.T) {
 			p.SetRHS(c, p.ConRHS(c)*0.3)
 		}
 	}
-	warm, err := p.Solve(Options{WarmStart: base.Basis, Presolve: PresolveOff})
+	warm, err := p.Solve(Options{WarmStart: base.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestDualOffKeepsLegacyFallback(t *testing.T) {
 	if warm.DualIters != 0 {
 		t.Fatalf("DualIters = %d without Options.Dual", warm.DualIters)
 	}
-	dual, err := p.Solve(Options{WarmStart: base.Basis, Dual: true, Presolve: PresolveOff})
+	dual, err := p.Solve(Options{WarmStart: base.Basis, Dual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestDualBoundDrift(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
-		warm, err := p.Solve(Options{WarmStart: base.Basis, Dual: true, Presolve: PresolveOff})
+		warm, err := p.Solve(Options{WarmStart: base.Basis, Dual: true})
 		if err != nil {
 			t.Fatalf("trial %d: warm+dual: %v", trial, err)
 		}

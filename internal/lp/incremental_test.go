@@ -30,7 +30,7 @@ func TestTranslateBasisIdentity(t *testing.T) {
 	if tb == nil {
 		t.Fatal("identity translation returned nil")
 	}
-	warm, err := p.Solve(Options{WarmStart: tb, Presolve: PresolveOff})
+	warm, err := p.Solve(Options{WarmStart: tb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestTranslateBasisColumnRemoval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: cold: %v", seed, err)
 		}
-		warm, err := q.Solve(Options{WarmStart: tb, Dual: true, Presolve: PresolveOff})
+		warm, err := q.Solve(Options{WarmStart: tb, Dual: true})
 		if err != nil {
 			t.Fatalf("seed %d: warm: %v", seed, err)
 		}
@@ -173,7 +173,7 @@ func TestTranslateBasisRowRemoval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: cold: %v", seed, err)
 		}
-		warm, err := q.Solve(Options{WarmStart: tb, Dual: true, Presolve: PresolveOff})
+		warm, err := q.Solve(Options{WarmStart: tb, Dual: true})
 		if err != nil {
 			t.Fatalf("seed %d: warm: %v", seed, err)
 		}
@@ -219,7 +219,7 @@ func TestExtendBasisAppend(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: cold: %v", seed, err)
 		}
-		warm, err := p.Solve(Options{WarmStart: eb, Presolve: PresolveOff})
+		warm, err := p.Solve(Options{WarmStart: eb})
 		if err != nil {
 			t.Fatalf("seed %d: warm: %v", seed, err)
 		}

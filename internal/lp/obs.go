@@ -30,10 +30,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 		om.WarmStarts.Inc()
 	}
 	om.Refactorizations.Add(float64(sol.Refactorizations))
-	om.PresolveRows.Add(float64(sol.PresolveRows))
-	om.PresolveCols.Add(float64(sol.PresolveCols))
 	om.PricingSeconds.Add(sol.PricingTime.Seconds())
 	om.FactorSeconds.Add((sol.FactorTime + sol.FtranTime + sol.BtranTime).Seconds())
-	om.PresolveSeconds.Add(sol.PresolveTime.Seconds())
 	return sol, err
 }

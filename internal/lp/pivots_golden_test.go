@@ -53,14 +53,13 @@ func pivotCorpus(t *testing.T) []string {
 	}
 	for _, hc := range hardCorpus() {
 		for _, f := range factorModes {
-			rec("hard/"+hc.name+"/"+f.name, hc.p(), Options{factor: f.mk, Presolve: PresolveOff})
+			rec("hard/"+hc.name+"/"+f.name, hc.p(), Options{factor: f.mk})
 		}
-		rec("hard/"+hc.name+"/presolved", hc.p(), Options{})
-		rec("hard/"+hc.name+"/bland", hc.p(), Options{Bland: true, Presolve: PresolveOff})
+		rec("hard/"+hc.name+"/bland", hc.p(), Options{Bland: true})
 	}
 	for seed := int64(0); seed < 40; seed++ {
 		p := randomProblem(rand.New(rand.NewSource(seed)))
-		rec(fmt.Sprintf("random/%d", seed), p, Options{Presolve: PresolveOff})
+		rec(fmt.Sprintf("random/%d", seed), p, Options{})
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		rec(fmt.Sprintf("junked/%d", seed), junkedLiPSLP(seed), Options{})
@@ -75,7 +74,7 @@ func pivotCorpus(t *testing.T) []string {
 		base := lipsShapedLP(12, 5, 4, rand.New(rand.NewSource(31)), nil)
 		prev := lipsShapedLP(12, 5, 4, rand.New(rand.NewSource(31)), rand.New(rand.NewSource(32)))
 		psol := rec("lips/prev/"+f.name, prev, Options{factor: f.mk})
-		csol := rec("lips/cold/"+f.name, base, Options{factor: f.mk, Presolve: PresolveOff})
+		csol := rec("lips/cold/"+f.name, base, Options{factor: f.mk})
 		rec("lips/warm/"+f.name, base, Options{factor: f.mk, WarmStart: psol.Basis})
 		drifted := lipsShapedLP(12, 5, 4, rand.New(rand.NewSource(31)), nil)
 		tightenLE(drifted, 0.9, rand.New(rand.NewSource(33)))
@@ -98,7 +97,7 @@ func pivotCorpus(t *testing.T) []string {
 	// refactorizations on both phases.
 	prev := epochScaleLP(rand.New(rand.NewSource(78)))
 	psol := rec("epoch/prev", prev, Options{})
-	rec("epoch/cold", epochScaleLP(nil), Options{Presolve: PresolveOff})
+	rec("epoch/cold", epochScaleLP(nil), Options{})
 	rec("epoch/warm", epochScaleLP(nil), Options{WarmStart: psol.Basis})
 
 	// Column generation: the hash is of the final round; the round and

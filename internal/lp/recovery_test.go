@@ -79,8 +79,7 @@ func TestWarmStartSingularBasisFallsBack(t *testing.T) {
 
 // TestUnsafePivotTriggersRefactorize constructs a solve whose second pivot
 // element is below the 1e-11 safety threshold, so iterate must refactorize
-// and retry before accepting it. Presolve is disabled because the tiny
-// coefficient lives in a singleton row it would otherwise fold away.
+// and retry before accepting it.
 func TestUnsafePivotTriggersRefactorize(t *testing.T) {
 	for _, fm := range factorModes {
 		t.Run(fm.name, func(t *testing.T) {
@@ -93,9 +92,7 @@ func TestUnsafePivotTriggersRefactorize(t *testing.T) {
 			p.SetCoef(c1, x, 1e-12)
 			// Tol below the pivot magnitude so the ratio test selects it;
 			// the 1e-11 safety threshold still rejects it once.
-			sol, err := p.Solve(Options{
-				factor: fm.mk, Presolve: PresolveOff, Tol: 1e-13,
-			})
+			sol, err := p.Solve(Options{factor: fm.mk, Tol: 1e-13})
 			if err != nil {
 				t.Fatalf("Solve: %v", err)
 			}

@@ -16,25 +16,17 @@ var debugSimplex = os.Getenv("LIPS_LP_DEBUG") == "1"
 //
 // The method maintains a sparse LU factorization of the basis (Markowitz
 // pivot ordering, product-form eta updates, periodic refactorisation from
-// scratch to bound eta growth and numerical drift). Cold solves first
-// pass through a presolve layer (see presolve.go) unless Options.Presolve
-// disables it. Upper bounds are honoured by the bounded-variable
-// pivoting rule — including bound flips — so no extra rows are created for
-// them. Infeasibility of the initial slack basis is repaired by per-row
-// artificial variables minimised in phase 1.
+// scratch to bound eta growth and numerical drift). Upper bounds are
+// honoured by the bounded-variable pivoting rule — including bound flips
+// — so no extra rows are created for them. Infeasibility of the initial
+// slack basis is repaired by per-row artificial variables minimised in
+// phase 1.
 func (p *Problem) solve(opts Options) (*Solution, error) {
 	m := len(p.cons)
 	n := len(p.vars)
 	opts = opts.withDefaults(m, n)
 	if m == 0 {
 		return p.solveUnconstrained(opts)
-	}
-	// Presolve only on cold solves: a warm-start basis addresses the
-	// unreduced problem and could not seed the reduced one.
-	if opts.Presolve != PresolveOff && opts.WarmStart == nil {
-		if sol, err, done := p.solvePresolved(opts); done {
-			return sol, err
-		}
 	}
 	s := newSimplexState(p, opts)
 	return s.run()

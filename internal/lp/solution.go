@@ -42,12 +42,10 @@ type Solution struct {
 	Objective float64   // objective value at X (valid when Status == Optimal)
 	X         []float64 // one value per structural variable
 	// Dual holds one multiplier per constraint row. On Optimal these are
-	// the usual LP duals; on Infeasible they are the phase-1 duals (a
-	// Farkas-style infeasibility certificate) when the simplex proved
-	// infeasibility itself, nil when presolve did.
+	// the usual LP duals; on Infeasible they are the phase-1 duals, a
+	// Farkas-style infeasibility certificate.
 	Dual []float64
-	// Stats is what the solve cost. After presolve it covers the reduced
-	// solve plus the presolve pass itself.
+	// Stats is what the solve cost.
 	Stats
 
 	// Basis is the final simplex basis, reusable as Options.WarmStart for
@@ -138,19 +136,13 @@ type Options struct {
 	Dual bool
 	// RecordPivots fills Solution.Pivots with the pivot sequence.
 	RecordPivots bool
-	// Presolve controls the reduction pass that removes empty rows and
-	// columns, fixed variables, singleton and forcing rows, and dominated
-	// columns before the simplex runs, postsolving the answer (including
-	// duals and the warm-startable Basis) back to the original problem.
-	// The default (PresolveAuto) runs it on cold solves; it is always
-	// skipped when Options.WarmStart is set, since a basis for the
-	// unreduced problem cannot seed the reduced one. PresolveOff disables
-	// it entirely.
+	// Deprecated: Presolve has no effect; there is no presolve pass. Its
+	// last reader is bench/replay.go.
 	Presolve PresolveMode
-	// Metrics, when non-nil, publishes per-solve statistics (iteration,
-	// refactorization and presolve counters, wall-clock phase timings)
-	// into the registry's lips_lp_* families. Nil costs nothing: the
-	// solver takes the instrumented path only when set.
+	// Metrics, when non-nil, publishes per-solve statistics (iteration and
+	// refactorization counters, wall-clock phase timings) into the
+	// registry's lips_lp_* families. Nil costs nothing: the solver takes
+	// the instrumented path only when set.
 	Metrics *obs.Registry
 
 	// pricingCheck, when non-nil, is shown every primal pricing step.
@@ -169,16 +161,13 @@ type pricingChecker interface {
 	reweighted(s *simplexState, prowOld []float64, pivot float64, entering, outVar int)
 }
 
-// PresolveMode controls the presolve reduction pass.
+// Deprecated: PresolveMode is the type of Options.Presolve, which has no
+// effect. Its last reader is bench/replay.go.
 type PresolveMode int8
 
-// Presolve modes.
-const (
-	// PresolveAuto runs presolve on cold solves (no warm-start basis).
-	PresolveAuto PresolveMode = iota
-	// PresolveOff disables presolve.
-	PresolveOff
-)
+// Deprecated: PresolveOff has no effect. Its last reader is
+// bench/replay.go.
+const PresolveOff PresolveMode = 1
 
 func (o Options) withDefaults(rows, cols int) Options {
 	if o.MaxIters == 0 {

@@ -20,10 +20,9 @@ type Stats struct {
 	// FactorNNZ is the nonzero count of the final basis factorization,
 	// L+U fill-in included. A snapshot, not a sum: see Add.
 	FactorNNZ int
-	// PresolveRows and PresolveCols count the constraint rows and columns
-	// presolve removed before the simplex saw the problem.
-	PresolveRows int
-	PresolveCols int
+	// Deprecated: PresolveRows and PresolveCols are always 0; there is no
+	// presolve pass. Their last reader is bench/replay.go.
+	PresolveRows, PresolveCols int
 
 	// PricingTime is the wall-clock spent in the pricing step (reduced-
 	// cost refresh, entering-column scan and Devex weight maintenance)
@@ -35,10 +34,6 @@ type Stats struct {
 	FactorTime time.Duration
 	FtranTime  time.Duration
 	BtranTime  time.Duration
-	// PresolveTime is the wall-clock spent reducing the problem and
-	// postsolving the answer back; zero when presolve did not run or
-	// found nothing to remove.
-	PresolveTime time.Duration
 }
 
 // Add folds a later solve into s: every counter and timer sums, and
@@ -50,17 +45,13 @@ func (s *Stats) Add(o Stats) {
 	s.DualIters += o.DualIters
 	s.Refactorizations += o.Refactorizations
 	s.FactorNNZ = o.FactorNNZ
-	s.PresolveRows += o.PresolveRows
-	s.PresolveCols += o.PresolveCols
 	s.PricingTime += o.PricingTime
 	s.FactorTime += o.FactorTime
 	s.FtranTime += o.FtranTime
 	s.BtranTime += o.BtranTime
-	s.PresolveTime += o.PresolveTime
 }
 
-// stats reads the solve's counters out of the working state. Presolve's
-// share is added by solvePresolved, which alone knows it.
+// stats reads the solve's counters out of the working state.
 func (s *simplexState) stats() Stats {
 	return Stats{
 		Iters: s.iter, Phase1: s.p1it, DualIters: s.dualIt,

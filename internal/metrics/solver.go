@@ -115,13 +115,12 @@ func (ss *SolverStats) AvgIters() float64 {
 // microsecond, since the line also describes single epochs.
 func (ss *SolverStats) String() string {
 	s := fmt.Sprintf(
-		"%d solves (%d/%d warm, %.0f%% accepted), %d iters (%.1f avg/solve, %d phase1, ~%d saved), solve %v (pricing %.0f%%, factor %v, ftran %v, btran %v, presolve %v), %d refactor (%d nnz), presolved %d rows/%d cols",
+		"%d solves (%d/%d warm, %.0f%% accepted), %d iters (%.1f avg/solve, %d phase1, ~%d saved), solve %v (pricing %.0f%%, factor %v, ftran %v, btran %v), %d refactor (%d nnz)",
 		ss.Solves, ss.WarmAccepted, ss.WarmAttempted, 100*ss.AcceptRate(),
 		ss.Iters, ss.AvgIters(), ss.Phase1, ss.IterationsSaved(),
 		ss.SolveTime.Round(time.Microsecond), 100*ss.PricingShare(),
 		ss.FactorTime.Round(time.Microsecond), ss.FtranTime.Round(time.Microsecond),
-		ss.BtranTime.Round(time.Microsecond), ss.PresolveTime.Round(time.Microsecond),
-		ss.Refactorizations, ss.FactorNNZ, ss.PresolveRows, ss.PresolveCols,
+		ss.BtranTime.Round(time.Microsecond), ss.Refactorizations, ss.FactorNNZ,
 	)
 	if ss.DualIters > 0 || ss.ColGenRounds > 0 {
 		s += fmt.Sprintf(", %d dual pivots, colgen %d rounds/%d columns",

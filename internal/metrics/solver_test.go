@@ -56,11 +56,13 @@ func TestSolverStatsEmpty(t *testing.T) {
 }
 
 // TestSolverStatsCarriesEveryLPStat ends the hand-copy class of bug: every
-// field of lp.Stats — today's twelve and any added later — must come
+// live field of lp.Stats — today's nine and any added later — must come
 // through Observe into the totals, through Merge into a suite's totals, and
-// into what String prints. A thirteenth counter that lp.Stats.Add or String
-// does not know fails here instead of going quietly missing.
+// into what String prints. A tenth counter that lp.Stats.Add or String
+// does not know fails here instead of going quietly missing. The two
+// deprecated presolve counts, always 0, are exempt.
 func TestSolverStatsCarriesEveryLPStat(t *testing.T) {
+	deprecated := map[string]bool{"PresolveRows": true, "PresolveCols": true}
 	primes := []int64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53}
 	var st lp.Stats
 	v := reflect.ValueOf(&st).Elem()
@@ -79,7 +81,9 @@ func TestSolverStatsCarriesEveryLPStat(t *testing.T) {
 		return 0
 	}
 	for i := 0; i < v.NumField(); i++ {
-		v.Field(i).SetInt(primes[i] * scale(v.Field(i)))
+		if !deprecated[v.Type().Field(i).Name] {
+			v.Field(i).SetInt(primes[i] * scale(v.Field(i)))
+		}
 	}
 
 	var ss SolverStats
@@ -104,6 +108,9 @@ func TestSolverStatsCarriesEveryLPStat(t *testing.T) {
 
 	line := ss.String()
 	for i := 0; i < v.NumField(); i++ {
+		if deprecated[v.Type().Field(i).Name] {
+			continue
+		}
 		moved := ss
 		f := reflect.ValueOf(&moved.Stats).Elem().Field(i)
 		f.SetInt(f.Int() + 50*scale(f))

@@ -37,20 +37,17 @@ const (
 	MSchedSolveSeconds = "lips_sched_epoch_solve_seconds"
 
 	// LP solver layer.
-	MLPSolves          = "lips_lp_solves_total"
-	MLPIters           = "lips_lp_iterations_total"
-	MLPPhase1          = "lips_lp_phase1_iterations_total"
-	MLPWarmStarts      = "lips_lp_warm_starts_total"
-	MLPRefactor        = "lips_lp_refactorizations_total"
-	MLPPresolveRows    = "lips_lp_presolve_rows_removed_total"
-	MLPPresolveCols    = "lips_lp_presolve_cols_removed_total"
-	MLPSolveSeconds    = "lips_lp_solve_seconds_total"
-	MLPPricingSeconds  = "lips_lp_pricing_seconds_total"
-	MLPFactorSeconds   = "lips_lp_factor_seconds_total"
-	MLPPresolveSeconds = "lips_lp_presolve_seconds_total"
-	MLPDualPivots      = "lips_lp_dual_pivots_total"
-	MLPColGenRounds    = "lips_lp_colgen_rounds_total"
-	MLPColGenColumns   = "lips_lp_colgen_columns_total"
+	MLPSolves         = "lips_lp_solves_total"
+	MLPIters          = "lips_lp_iterations_total"
+	MLPPhase1         = "lips_lp_phase1_iterations_total"
+	MLPWarmStarts     = "lips_lp_warm_starts_total"
+	MLPRefactor       = "lips_lp_refactorizations_total"
+	MLPSolveSeconds   = "lips_lp_solve_seconds_total"
+	MLPPricingSeconds = "lips_lp_pricing_seconds_total"
+	MLPFactorSeconds  = "lips_lp_factor_seconds_total"
+	MLPDualPivots     = "lips_lp_dual_pivots_total"
+	MLPColGenRounds   = "lips_lp_colgen_rounds_total"
+	MLPColGenColumns  = "lips_lp_colgen_columns_total"
 
 	// Service layer (the lips-serve daemon).
 	MServeQueueDepth    = "lips_serve_queue_depth"
@@ -222,11 +219,10 @@ func (m *SchedMetrics) ObserveEpoch(ep *trace.EpochInfo) {
 // LPMetrics bundles the simplex-solver handles. The pricing share of a
 // solve is lips_lp_pricing_seconds_total / lips_lp_solve_seconds_total.
 type LPMetrics struct {
-	Solves, Iterations, Phase1, WarmStarts       *Counter
-	Refactorizations, PresolveRows, PresolveCols *Counter
-	SolveSeconds, PricingSeconds, FactorSeconds  *Counter
-	PresolveSeconds                              *Counter
-	DualPivots, ColGenRounds, ColGenColumns      *Counter
+	Solves, Iterations, Phase1, WarmStarts      *Counter
+	Refactorizations, DualPivots                *Counter
+	SolveSeconds, PricingSeconds, FactorSeconds *Counter
+	ColGenRounds, ColGenColumns                 *Counter
 }
 
 // RegisterLP registers (or fetches) the LP solver families. Calling it
@@ -322,12 +318,9 @@ func registerLP(r *Registry) *LPMetrics {
 		Phase1:           r.Counter(MLPPhase1, "Phase-1 simplex iterations across all solves."),
 		WarmStarts:       r.Counter(MLPWarmStarts, "Solves that accepted a warm-start basis."),
 		Refactorizations: r.Counter(MLPRefactor, "From-scratch basis factorizations."),
-		PresolveRows:     r.Counter(MLPPresolveRows, "Constraint rows removed by presolve."),
-		PresolveCols:     r.Counter(MLPPresolveCols, "Columns removed by presolve."),
 		SolveSeconds:     r.Counter(MLPSolveSeconds, "Wall-clock seconds inside Problem.Solve."),
 		PricingSeconds:   r.Counter(MLPPricingSeconds, "Wall-clock seconds in the pricing step."),
 		FactorSeconds:    r.Counter(MLPFactorSeconds, "Wall-clock seconds factorizing and solving with the basis (FTRAN/BTRAN included)."),
-		PresolveSeconds:  r.Counter(MLPPresolveSeconds, "Wall-clock seconds in presolve and postsolve."),
 		DualPivots:       r.Counter(MLPDualPivots, "Dual-simplex repair pivots across all solves (Options.Dual warm starts)."),
 		ColGenRounds:     r.Counter(MLPColGenRounds, "Column-generation pricing rounds across all SolveColGen runs."),
 		ColGenColumns:    r.Counter(MLPColGenColumns, "Columns added by column-generation pricing oracles."),

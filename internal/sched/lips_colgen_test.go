@@ -51,8 +51,8 @@ func TestLiPSColGenMatchesDirect(t *testing.T) {
 // TestLiPSSolverMatchesLPCounters holds the run's SolverStats against the
 // lips_lp_* counters the solver publishes itself, solve by solve, on both
 // LP paths. Under ColGen an epoch is several solves: every total must sum
-// them all, as the iteration count always did — phase 1, refactorizations
-// and the presolve counts used to be the last pricing round's alone.
+// them all, as the iteration count always did — phase 1 and
+// refactorizations used to be the last pricing round's alone.
 func TestLiPSSolverMatchesLPCounters(t *testing.T) {
 	for _, colgen := range []bool{false, true} {
 		l := NewLiPS(400)
@@ -72,8 +72,6 @@ func TestLiPSSolverMatchesLPCounters(t *testing.T) {
 			{obs.MLPPhase1, l.Solver.Phase1},
 			{obs.MLPRefactor, l.Solver.Refactorizations},
 			{obs.MLPDualPivots, l.Solver.DualIters},
-			{obs.MLPPresolveRows, l.Solver.PresolveRows},
-			{obs.MLPPresolveCols, l.Solver.PresolveCols},
 		} {
 			if want, _ := reg.Value(c.family); float64(c.got) != want {
 				t.Errorf("colgen=%v: Solver reports %d, %s = %g", colgen, c.got, c.family, want)

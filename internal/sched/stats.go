@@ -69,7 +69,6 @@ func (r EpochRecord) traceInfo(scheduler string, timings bool) *trace.EpochInfo 
 		Jobs: r.Jobs, Pending: r.Pending,
 		Warm: r.WarmOffered, WarmAccepted: r.WarmStarted,
 		Iters: r.Iters, Phase1: r.Phase1,
-		PresolveRows: r.PresolveRows, PresolveCols: r.PresolveCols,
 		Launched: r.Launched, Deferred: r.Deferred,
 		BlocksMoved: r.BlocksMoved,
 	}
@@ -80,7 +79,6 @@ func (r EpochRecord) traceInfo(scheduler string, timings bool) *trace.EpochInfo 
 		info.ApplyMS = ms(r.ApplyTime)
 		info.PricingMS = ms(r.PricingTime)
 		info.FactorMS = ms(r.FactorTime)
-		info.PresolveMS = ms(r.PresolveTime)
 	}
 	return info
 }

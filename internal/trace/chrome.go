@@ -116,7 +116,6 @@ func (c *Chrome) closeEpoch(endT float64) {
 		args["solve_ms"] = ep.SolveMS
 		args["pricing_ms"] = ep.PricingMS
 		args["factor_ms"] = ep.FactorMS
-		args["presolve_ms"] = ep.PresolveMS
 	}
 	c.write(chromeEvent{
 		Name: fmt.Sprintf("epoch %d (%s)", ep.Epoch, start),

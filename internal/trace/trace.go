@@ -108,20 +108,17 @@ type EpochInfo struct {
 	WarmAccepted bool `json:"warm_accepted,omitempty"` // ... and the solver used it
 	Iters        int  `json:"iters"`
 	Phase1       int  `json:"phase1,omitempty"`
-	PresolveRows int  `json:"presolve_rows,omitempty"`
-	PresolveCols int  `json:"presolve_cols,omitempty"`
 
 	Launched    int `json:"launched"` // tasks enqueued by this epoch's plan
 	Deferred    int `json:"deferred"` // fake-node overflow: pending work left for the next epoch
 	BlocksMoved int `json:"blocks_moved,omitempty"`
 
-	BuildMS    float64 `json:"build_ms,omitempty"`
-	SolveMS    float64 `json:"solve_ms,omitempty"`
-	RoundMS    float64 `json:"round_ms,omitempty"`
-	ApplyMS    float64 `json:"apply_ms,omitempty"`
-	PricingMS  float64 `json:"pricing_ms,omitempty"`
-	FactorMS   float64 `json:"factor_ms,omitempty"`
-	PresolveMS float64 `json:"presolve_ms,omitempty"`
+	BuildMS   float64 `json:"build_ms,omitempty"`
+	SolveMS   float64 `json:"solve_ms,omitempty"`
+	RoundMS   float64 `json:"round_ms,omitempty"`
+	ApplyMS   float64 `json:"apply_ms,omitempty"`
+	PricingMS float64 `json:"pricing_ms,omitempty"`
+	FactorMS  float64 `json:"factor_ms,omitempty"`
 }
 
 // MoveInfo is the payload of a block relocation span.
