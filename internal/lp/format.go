@@ -12,7 +12,7 @@ import (
 // The lp package's text format is line-based and trivially diffable:
 //
 //	problem <name>
-//	var <name> <lower> <upper> <cost>     # "inf"/"-inf" allowed as bounds
+//	var <name> <lower> <upper> <cost>     # "inf"/"-inf" allowed as bounds only
 //	con <name> <sense> <rhs>              # sense is <=, >= or =
 //	coef <con-index> <var-index> <value>  # indices are 0-based declaration order
 //	# comment
@@ -45,7 +45,10 @@ func Write(w io.Writer, p *Problem) error {
 	return bw.Flush()
 }
 
-// Parse reads a problem in the text format.
+// Parse reads a problem in the text format. It rejects, with the line
+// number, every value the problem builder would panic on: NaN, inverted
+// or wrong-sign infinite bounds, and a non-finite cost, right-hand side
+// or coefficient.
 func Parse(r io.Reader) (*Problem, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -76,9 +79,12 @@ func Parse(r io.Reader) (*Problem, error) {
 			if err != nil {
 				return nil, fmt.Errorf("lp: line %d: %v", line, err)
 			}
-			cost, err := strconv.ParseFloat(fields[4], 64)
+			cost, err := parseFinite(fields[4])
 			if err != nil {
 				return nil, fmt.Errorf("lp: line %d: cost: %v", line, err)
+			}
+			if fault := varFault(lo, hi, cost); fault != "" {
+				return nil, fmt.Errorf("lp: line %d: variable %q %s", line, fields[1], fault)
 			}
 			p.AddVar(fields[1], lo, hi, cost)
 		case "con":
@@ -96,7 +102,7 @@ func Parse(r io.Reader) (*Problem, error) {
 			default:
 				return nil, fmt.Errorf("lp: line %d: unknown sense %q", line, fields[2])
 			}
-			rhs, err := strconv.ParseFloat(fields[3], 64)
+			rhs, err := parseFinite(fields[3])
 			if err != nil {
 				return nil, fmt.Errorf("lp: line %d: rhs: %v", line, err)
 			}
@@ -113,7 +119,7 @@ func Parse(r io.Reader) (*Problem, error) {
 			if err != nil || vi < 0 || vi >= p.NumVars() {
 				return nil, fmt.Errorf("lp: line %d: bad variable index %q", line, fields[2])
 			}
-			coef, err := strconv.ParseFloat(fields[3], 64)
+			coef, err := parseFinite(fields[3])
 			if err != nil {
 				return nil, fmt.Errorf("lp: line %d: value: %v", line, err)
 			}
@@ -159,6 +165,16 @@ func parseBound(s string) (float64, error) {
 		return math.Inf(-1), nil
 	}
 	return strconv.ParseFloat(s, 64)
+}
+
+// parseFinite parses a cost, right-hand side or coefficient, where the
+// problem builder takes only finite numbers.
+func parseFinite(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("%q is not a finite number", s)
+	}
+	return f, err
 }
 
 func formatNum(f float64) string {

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -84,6 +85,29 @@ func TestParseErrors(t *testing.T) {
 	} {
 		if _, err := Parse(strings.NewReader(bad)); err == nil {
 			t.Errorf("Parse(%q) succeeded", bad)
+		}
+	}
+	// Values the problem builder would panic on (or, for an infinite cost,
+	// solve to a NaN objective): each is a parse error naming its line.
+	for _, bad := range []string{
+		"var x 5 1 0\n",
+		"var x nan 1 0\n",
+		"var x 0 nan 0\n",
+		"var x inf inf 0\n",
+		"var x -inf -inf 0\n",
+		"var x 0 1 nan\n",
+		"var x 0 1 inf\n",
+		"var x 0 1 -inf\n",
+		"con c <= nan\n",
+		"con c <= inf\n",
+		"con c >= -inf\n",
+		"var x 0 1 0\ncon c <= 1\ncoef 0 0 inf\n",
+		"var x 0 1 0\ncon c <= 1\ncoef 0 0 nan\n",
+	} {
+		line := strings.Count(bad, "\n")
+		_, err := Parse(strings.NewReader(bad))
+		if want := fmt.Sprintf("lp: line %d: ", line); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("Parse(%q) = %v, want an error starting %q", bad, err, want)
 		}
 	}
 	// Comments and blanks are fine.

@@ -41,10 +41,13 @@ banner() { # LOG PATTERN: the URL a process printed once it was listening
 SECTION=flags
 printf 'var x 0 3 -1\ncon cap <= 4\ncoef 0 0 1\n' >"$T/ok.lp"
 printf 'var x 0 1 1\ncon c >= 5\ncoef 0 0 1\n' >"$T/infeasible.lp"
+printf 'var x 5 1 0\n' >"$T/bad.lp"
 expect 0 lips-lp -duals "$T/ok.lp"
 grep -q '^objective: -3$' "$T/expect.log"
 expect 2 lips-lp "$T/infeasible.lp" # lips-lp documents 2 as "no optimum"
 expect 1 lips-lp "$T/missing.lp"
+expect 1 lips-lp "$T/bad.lp" # a value the builder refuses is a parse error
+expect 2 lips-lp -presolve off "$T/ok.lp"
 expect 0 lips-bench -experiment table1
 expect 2 lips-bench -experiment fig99
 expect 2 lips-bench -trace-format svg
