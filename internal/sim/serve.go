@@ -30,6 +30,9 @@ func (s *Sim) Start() error {
 	if s.started {
 		return fmt.Errorf("sim: Start called twice")
 	}
+	if s.tableErr != nil {
+		return s.tableErr
+	}
 	if s.opts.Faults != nil {
 		if err := s.opts.Faults.validate(s.C); err != nil {
 			return err
@@ -188,21 +191,27 @@ func (s *Sim) AddJob(job workload.Job, obj *hdfs.DataObject) (int, error) {
 		if job.CPUSecPerMB < 0 {
 			return 0, fmt.Errorf("sim: AddJob %q: negative CPUSecPerMB", job.Name)
 		}
-		obj.ID = hdfs.ObjectID(len(s.W.Objects))
-		job.Object = obj.ID
-		job.InputMB = obj.SizeMB
 		job.NumTasks = obj.NumBlocks()
-		s.W.Objects = append(s.W.Objects, *obj)
-		s.P.AddObject(*obj)
 	} else {
-		job.Object = workload.NoObject
-		job.InputMB = 0
 		if job.NumTasks <= 0 {
 			return 0, fmt.Errorf("sim: AddJob %q: %d tasks", job.Name, job.NumTasks)
 		}
 		if job.CPUSecPerTask <= 0 {
 			return 0, fmt.Errorf("sim: AddJob %q: CPUSecPerTask %g", job.Name, job.CPUSecPerTask)
 		}
+	}
+	if total := int(s.taskBase[j]) + job.NumTasks; total > maxTasks {
+		return 0, errTaskTable(total)
+	}
+	if obj != nil {
+		obj.ID = hdfs.ObjectID(len(s.W.Objects))
+		job.Object = obj.ID
+		job.InputMB = obj.SizeMB
+		s.W.Objects = append(s.W.Objects, *obj)
+		s.P.AddObject(*obj)
+	} else {
+		job.Object = workload.NoObject
+		job.InputMB = 0
 	}
 	if job.ArrivalSec < s.clock {
 		job.ArrivalSec = s.clock

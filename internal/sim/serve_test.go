@@ -134,6 +134,43 @@ func TestAddJobValidation(t *testing.T) {
 	}
 }
 
+// TestTaskTableOverflow holds the flat task table's int32 offsets: a job
+// that would take the table past math.MaxInt32 tasks is refused before it
+// touches anything, and a batch workload already past it cannot start.
+func TestTaskTableOverflow(t *testing.T) {
+	s := New(oneNodeCluster(), twoTaskJob(), nil, greedyStub(), Options{})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Pretend the table is three tasks short of full.
+	s.taskBase[len(s.taskBase)-1] = math.MaxInt32 - 3
+	jobs, objects, tasks := len(s.W.Jobs), len(s.W.Objects), len(s.tasks)
+	for _, tc := range []struct {
+		name string
+		job  workload.Job
+		obj  *hdfs.DataObject
+	}{
+		{"no input", workload.Job{Name: "n", NumTasks: 4, CPUSecPerTask: 1}, nil},
+		{"input", workload.Job{Name: "i", AccessFrac: 1}, &hdfs.DataObject{SizeMB: 4 * 64, Origin: 0}},
+	} {
+		if _, err := s.AddJob(tc.job, tc.obj); err == nil {
+			t.Errorf("%s: a 4-task job past the table's end was accepted", tc.name)
+		}
+		if len(s.W.Jobs) != jobs || len(s.W.Objects) != objects || len(s.tasks) != tasks {
+			t.Errorf("%s: refused job left state behind: %d jobs, %d objects, %d tasks",
+				tc.name, len(s.W.Jobs), len(s.W.Objects), len(s.tasks))
+		}
+	}
+
+	big := &workload.Workload{Jobs: []workload.Job{
+		{Name: "a", NumTasks: math.MaxInt32, CPUSecPerTask: 1, Object: workload.NoObject},
+		{Name: "b", NumTasks: 1, CPUSecPerTask: 1, Object: workload.NoObject},
+	}}
+	if err := New(oneNodeCluster(), big, nil, greedyStub(), Options{}).Start(); err == nil {
+		t.Error("a workload of MaxInt32+1 tasks started")
+	}
+}
+
 // TestCancelJobMidRun kills a job with running attempts: the partial burn
 // is billed like a preempted speculative attempt, every task retires, and
 // the run drains without the job's remaining work.

@@ -24,6 +24,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -389,8 +390,11 @@ type Sim struct {
 
 	// Flat task table: task (j, t) lives at taskBase[j]+t. states is the
 	// hot column; specs/specFree pool the speculative side records.
+	// tableErr is set by New, and returned by Start, when the workload's
+	// tasks do not fit the table; New then allocates no task rows.
 	tasks    []taskInfo
 	taskBase []int32 // len(jobs)+1; taskBase[len(jobs)] = total tasks
+	tableErr error
 	states   []uint8
 	specs    []specAttempt
 	specFree []int32
@@ -473,6 +477,10 @@ func New(c *cluster.Cluster, w *workload.Workload, p *hdfs.Placement, sched Sche
 		s.jobs[j].firstLaunch = -1
 		s.jobs[j].firstEnqueue = -1
 	}
+	if total > maxTasks {
+		s.tableErr = errTaskTable(total)
+		return s
+	}
 	s.taskBase[len(w.Jobs)] = int32(total)
 	s.tasks = make([]taskInfo, total)
 	s.states = make([]uint8, total)
@@ -499,6 +507,15 @@ func New(c *cluster.Cluster, w *workload.Workload, p *hdfs.Placement, sched Sche
 	s.net = newNetEngine(s)
 	s.movingBlocks = make(map[[2]int]blockMove)
 	return s
+}
+
+// maxTasks bounds the flat task table, whose offsets are int32.
+const maxTasks = math.MaxInt32
+
+// errTaskTable is the refusal of a run or job that would take the flat
+// task table to total tasks, past maxTasks.
+func errTaskTable(total int) error {
+	return fmt.Errorf("sim: %d tasks overflow the flat task table (at most %d)", total, maxTasks)
 }
 
 // Now returns the simulation clock in seconds.
