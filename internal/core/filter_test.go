@@ -106,3 +106,35 @@ func TestFilterMachinesKeepsFakeNode(t *testing.T) {
 		t.Fatalf("machines = %+v, want only the fake overflow node", in.Machines)
 	}
 }
+
+// TestNoRealMachine plans a total outage with one input job and one without:
+// the fixed-placement plans have no machine to pick and say so, and column
+// generation parks every job on the fake node.
+func TestNoRealMachine(t *testing.T) {
+	in := filterInstance(t)
+	in.Jobs = append([]JobItem{{Name: "cpu-only", Data: NoData, CPUSec: 30, NumTasks: 2}}, in.Jobs...)
+	in.AddFakeNode(FakeNodePriceMC)
+	in.FilterMachines(func(cluster.NodeID) bool { return false })
+	xd := PlacementFractions(in)
+	// Both job sets: LocalOnlyPlan rejects the input job's remote read
+	// before it reaches the job without input.
+	for _, jobs := range [][]JobItem{in.Jobs, in.Jobs[:1]} {
+		sub := *in
+		sub.Jobs = jobs
+		if _, err := GreedyPlan(&sub, xd); err == nil {
+			t.Errorf("%d jobs: GreedyPlan planned a total outage", len(jobs))
+		}
+		if _, err := LocalOnlyPlan(&sub, xd); err == nil {
+			t.Errorf("%d jobs: LocalOnlyPlan planned a total outage", len(jobs))
+		}
+	}
+	plan, _, err := SolveOnlineColGen(in, ColGenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, f := range plan.DeferredFrac {
+		if f < 1-1e-9 {
+			t.Errorf("job %d: %g deferred to F, want all of it", k, f)
+		}
+	}
+}
