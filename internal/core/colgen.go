@@ -45,7 +45,8 @@ type ColGenOptions struct {
 	// pricing loop itself; Dual is worth enabling for epoch re-solves.
 	LP lp.Options
 	// SeedMachines materializes these machine indices up front — the hot
-	// columns of a previous epoch's plan. Seeding never affects the
+	// columns of a previous epoch's plan — ahead of the greedy plan's
+	// machines, which are always seeded. Seeding never affects the
 	// optimum (extra columns are merely priced into or out of the basis);
 	// it only saves pricing rounds when the guess is right.
 	SeedMachines []int
@@ -97,16 +98,26 @@ func NewOnlineColGen(in *Instance, opts ColGenOptions) (*OnlineColGen, error) {
 	cg.m.addExistRows()
 	cg.m.addFlowCols()
 
-	// Lazy part seeds: the fake node (feasibility), then any hints.
+	// Lazy part seeds: the fake node (feasibility), then any hints, then
+	// the greedy plan's machines. Without real machines in the master the
+	// first duals are the fake node's price, every bucket prices negative
+	// and every bucket opens; with them, round one prices against real
+	// costs. A total outage has no greedy plan, and F alone seeds.
 	for l, mach := range in.Machines {
 		if mach.Fake {
 			cg.materialize(l)
 		}
 	}
-	for _, l := range opts.SeedMachines {
-		if l >= 0 && l < len(in.Machines) && !cg.m.lay.isOpen(l) {
-			cg.materialize(l)
+	seed := func(ls []int) {
+		for _, l := range ls {
+			if l >= 0 && l < len(in.Machines) && !cg.m.lay.isOpen(l) {
+				cg.materialize(l)
+			}
 		}
+	}
+	seed(opts.SeedMachines)
+	if greedy, err := GreedyPlan(in, PlacementFractions(in)); err == nil {
+		seed(greedy.HotMachines())
 	}
 
 	cg.rebucket()

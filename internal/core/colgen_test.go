@@ -203,6 +203,54 @@ func TestOnlineColGenIntegralPlanMatchesFull(t *testing.T) {
 	}
 }
 
+// TestColGenColdSeedOneRound gates the cold master's pricing by counts on a
+// hetero-shaped instance — every unit its own price class in one of three
+// zones, a dear cross-zone read, capacity to spare: seeded with the greedy
+// plan's units, the first round prices nothing in. A master holding only F
+// prices every unit in at its first round and needs a second.
+func TestColGenColdSeedOneRound(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		in := synthInstance(8, 24, 3, 24, true, rng)
+		fillSS(in, rng)
+		in.Horizon = 1e5 // every job fits on any one unit
+		for l := range in.Machines {
+			for m := range in.Stores {
+				if l%3 != m {
+					in.MSPerMBMC[l][m] += 1
+				}
+			}
+		}
+		greedy, err := GreedyPlan(in, PlacementFractions(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := BuildOnlineModel(in.clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := model.Solve(lp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cg, err := NewOnlineColGen(in, ColGenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, st, err := cg.Solve(ColGenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := len(greedy.HotMachines()) + 1; st.Rounds != 1 || cg.machines > want {
+			t.Errorf("seed %d: %d rounds over %d of %d units, want 1 round over at most %d (greedy + F)",
+				seed, st.Rounds, cg.machines, len(in.Machines), want)
+		}
+		if d := relDiffF(plan.ObjectiveMC, direct.ObjectiveMC); d > 1e-9 {
+			t.Errorf("seed %d: colgen objective %g, direct %g (rel %g)", seed, plan.ObjectiveMC, direct.ObjectiveMC, d)
+		}
+	}
+}
+
 // TestOnlineColGenSeedHints solves, seeds a second build with the hot
 // machines of the first plan, and checks the optimum is unchanged.
 func TestOnlineColGenSeedHints(t *testing.T) {

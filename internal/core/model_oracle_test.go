@@ -308,7 +308,8 @@ func newOracleColGen(in *Instance, opts ColGenOptions) *oracleColGen {
 		cg.cpuRow[l] = -1
 	}
 
-	// Lazy part seeds: the fake node (feasibility), then any hints.
+	// Lazy part seeds: the fake node (feasibility), then any hints, then
+	// the greedy machines in ascending order.
 	for l, mach := range in.Machines {
 		if mach.Fake {
 			cg.materialize(l)
@@ -319,9 +320,53 @@ func newOracleColGen(in *Instance, opts ColGenOptions) *oracleColGen {
 			cg.materialize(l)
 		}
 	}
+	greedy := oracleGreedyMachines(in)
+	for l := range in.Machines {
+		if greedy[l] && !cg.open[l] {
+			cg.materialize(l)
+		}
+	}
 
 	cg.rebucket()
 	return cg
+}
+
+// oracleGreedyMachines marks the paper's §IV greedy choices by full scan:
+// for each job and each store holding part of its data (once, storeless,
+// for a job without input), the first real machine minimising
+// JM_kl + MS_lm·Size.
+func oracleGreedyMachines(in *Instance) []bool {
+	greedy := make([]bool, len(in.Machines))
+	for _, job := range in.Jobs {
+		stores := []int{noStore}
+		if job.Data != NoData {
+			stores = nil
+			for store := range in.Stores {
+				if in.Data[job.Data].Origin[store] > 1e-12 {
+					stores = append(stores, store)
+				}
+			}
+		}
+		for _, store := range stores {
+			best, bestMC := -1, 0.0
+			for l, mach := range in.Machines {
+				if mach.Fake {
+					continue
+				}
+				mc := job.CPUSec * mach.PerECUSecMC
+				if store != noStore {
+					mc += in.MSPerMBMC[l][store] * in.Data[job.Data].SizeMB
+				}
+				if best == -1 || mc < bestMC {
+					best, bestMC = l, mc
+				}
+			}
+			if best >= 0 {
+				greedy[best] = true
+			}
+		}
+	}
+	return greedy
 }
 
 // rebucket partitions the still-closed machines by price class: the exact

@@ -11,7 +11,8 @@ import (
 // TestLiPSColGenMatchesDirect runs the same workload through the direct
 // full-model LiPS and the column-generation LiPS. Both must complete,
 // land on comparable dollars, and the colgen run must actually have gone
-// through the restricted-master path (pricing rounds recorded).
+// through the restricted-master path: pricing rounds recorded, and a
+// master smaller than the direct LP of the same epoch.
 func TestLiPSColGenMatchesDirect(t *testing.T) {
 	run := func(l *LiPS) *sim.Result {
 		c := mixedCluster()
@@ -35,8 +36,13 @@ func TestLiPSColGenMatchesDirect(t *testing.T) {
 	if cg.Solver.ColGenRounds == 0 {
 		t.Errorf("colgen run recorded no pricing rounds: %s", cg.Solver.String())
 	}
-	if cg.Solver.ColGenColumns == 0 {
-		t.Errorf("colgen run recorded no generated columns: %s", cg.Solver.String())
+	dr, _ := direct.LastEpochStats()
+	cr, ok := cg.LastEpochStats()
+	if !ok || cr.Epoch != dr.Epoch {
+		t.Fatalf("last epochs differ: direct %d, colgen %d (%v)", dr.Epoch, cr.Epoch, ok)
+	}
+	if cr.Cols >= dr.Cols {
+		t.Errorf("epoch %d: the colgen master holds %d columns, the direct LP %d: every unit was materialized", cr.Epoch, cr.Cols, dr.Cols)
 	}
 
 	// Both solve the same exact LP per epoch, so dollars should agree
@@ -45,7 +51,8 @@ func TestLiPSColGenMatchesDirect(t *testing.T) {
 	if diff := cc - dc; diff > 0.05*dc {
 		t.Errorf("colgen cost %v > direct %v by %.1f%%", cgRes.TotalCost(), directRes.TotalCost(), 100*diff/dc)
 	}
-	t.Logf("direct=%v colgen=%v solver: %s", directRes.TotalCost(), cgRes.TotalCost(), cg.Solver.String())
+	t.Logf("direct=%v (%d columns) colgen=%v (%d columns) solver: %s",
+		directRes.TotalCost(), dr.Cols, cgRes.TotalCost(), cr.Cols, cg.Solver.String())
 }
 
 // TestLiPSSolverMatchesLPCounters holds the run's SolverStats against the
