@@ -275,8 +275,9 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 	if l.ColGen {
 		// Restricted-master path: no basis carries across epochs (the
 		// master's column layout depends on materialization order), but
-		// the previous plan's hot machines seed the new master so the
-		// first pricing round already holds the likely support.
+		// the previous plan's hot machines seed the new master, ahead of
+		// the greedy plan's, so the first pricing round already holds the
+		// likely support.
 		solving = time.Now()
 		plan, _, err = core.SolveOnlineColGen(in, core.ColGenOptions{
 			LP: opts, SeedMachines: seedMachines(in, l.prevHot),
