@@ -17,12 +17,12 @@ var updatePivots = flag.Bool("update-pivots", false, "rewrite testdata/pivots.go
 // acceptance, every pivot and the bit pattern of the objective.
 func pivotHash(sol *Solution) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%d/%d/%d/%v/%x|", sol.Status, sol.Iters, sol.Phase1, sol.DualIters,
+	fmt.Fprintf(h, "%d/%d/%d/%v/%x|", sol.Status, sol.Iters, sol.Phase1,
 		sol.WarmStarted, math.Float64bits(sol.Objective))
 	for _, pv := range sol.Pivots {
 		fmt.Fprintf(h, "%d:%d,", pv.Entering, pv.Leaving)
 	}
-	return fmt.Sprintf("%016x %v iters=%d dual=%d refactor=%d", h.Sum64(), sol.Status, sol.Iters, sol.DualIters, sol.Refactorizations)
+	return fmt.Sprintf("%016x %v iters=%d refactor=%d", h.Sum64(), sol.Status, sol.Iters, sol.Refactorizations)
 }
 
 // tightenLE shrinks every positive ≤ right-hand side by up to frac: the
