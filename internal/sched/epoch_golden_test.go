@@ -52,7 +52,6 @@ func TestEpochGolden(t *testing.T) {
 		name   string
 		build  func() (*cluster.Cluster, *workload.Workload)
 		colgen bool
-		dual   bool
 		faults func(*cluster.Cluster) *sim.FaultPlan
 	}{
 		{name: "warm", build: warmStartScenario},
@@ -63,7 +62,7 @@ func TestEpochGolden(t *testing.T) {
 					{At: 400, Kind: sim.FaultNodeUp, Node: 0},
 				}}
 			}},
-		{name: "random-faults", build: heavy, dual: true,
+		{name: "random-faults", build: heavy,
 			faults: func(c *cluster.Cluster) *sim.FaultPlan {
 				return sim.RandomFaultPlan(5, c, sim.FaultSpec{Crashes: 2, StoreLosses: 1, Slowdowns: 1, WindowSec: 600})
 			}},
@@ -72,7 +71,6 @@ func TestEpochGolden(t *testing.T) {
 			c, w := tc.build()
 			l := NewLiPS(200)
 			l.ColGen = tc.colgen
-			l.LPOpts.Dual = tc.dual
 			reg := obs.NewRegistry()
 			var buf bytes.Buffer
 			sink := trace.NewJSONL(&buf)
@@ -129,10 +127,10 @@ func TestEpochGolden(t *testing.T) {
 				tr = regexp.MustCompile(`"phase1":\d+,`).ReplaceAll(tr, nil)
 			}
 			ss := l.Solver
-			got := fmt.Sprintf("%s trace=%x metrics=%x epochs=%d lpiters=%d tasks=%d blocks=%d solver=%d/%d/%d/%d/%d/%d/%d records=%s",
+			got := fmt.Sprintf("%s trace=%x metrics=%x epochs=%d lpiters=%d tasks=%d blocks=%d solver=%d/%d/%d/%d/%d/%d records=%s",
 				tc.name, sha256.Sum256(tr), sha256.Sum256([]byte(kept.String())),
 				l.Epochs, l.LPIters, l.TasksMoved, l.BlocksMoved,
-				ss.Solves, ss.WarmAttempted, ss.WarmAccepted, ss.Iters, ss.DualIters,
+				ss.Solves, ss.WarmAttempted, ss.WarmAccepted, ss.Iters,
 				ss.ColGenRounds, ss.ColGenColumns, seq.String())
 			if !strings.Contains("\n"+string(golden), "\n"+got+"\n") {
 				t.Errorf("not a line of testdata/epoch.golden:\n%s", got)
