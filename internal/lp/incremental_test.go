@@ -1,6 +1,8 @@
 package lp
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -250,5 +252,91 @@ func TestTranslateBasisRejectsGarbage(t *testing.T) {
 	}
 	if TranslateBasis(b, []int{0, 1}, []int{0, 1}, 2, 1) != nil {
 		t.Error("long conMap should be rejected")
+	}
+}
+
+// requireDriftRejected re-solves p, whose right-hand sides or bounds
+// drifted since base was optimal, warm from base's basis and cold: the
+// stale basis is primal infeasible, so the warm solve must reject it and
+// land where the cold one does.
+func requireDriftRejected(t *testing.T, name string, p *Problem, base *Solution) {
+	t.Helper()
+	cold, err := p.Solve(Options{})
+	if err != nil {
+		t.Fatalf("%s: cold: %v", name, err)
+	}
+	warm, err := p.Solve(Options{WarmStart: base.Basis})
+	if err != nil {
+		t.Fatalf("%s: warm: %v", name, err)
+	}
+	if warm.WarmStarted {
+		t.Fatalf("%s: the drifted basis was accepted", name)
+	}
+	if warm.Status != cold.Status {
+		t.Fatalf("%s: warm status %v, cold %v", name, warm.Status, cold.Status)
+	}
+	if cold.Status == Optimal {
+		if d := relDiff(warm.Objective, cold.Objective); d > 1e-9 {
+			t.Errorf("%s: warm objective %g, cold %g (rel %g)", name, warm.Objective, cold.Objective, d)
+		}
+	}
+}
+
+// TestWarmStartRejectsRHSDrift shrinks the capacity (≤) rows under an
+// optimal basis — tightenLE over a spread of LiPS shapes, and a uniform
+// 0.3× cut — and requires the cold-start fallback.
+func TestWarmStartRejectsRHSDrift(t *testing.T) {
+	solve := func(name string, p *Problem) *Solution {
+		base, err := p.Solve(Options{})
+		if err != nil {
+			t.Fatalf("%s: base: %v", name, err)
+		}
+		if base.Status != Optimal || base.Basis == nil {
+			t.Fatalf("%s: unusable base solve: %v", name, base.Status)
+		}
+		return base
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(200 + seed))
+		jobs, machines, stores := 4+rng.Intn(8), 3+rng.Intn(5), 2+rng.Intn(4)
+		p := lipsShapedLP(jobs, machines, stores, rand.New(rand.NewSource(300+seed)), nil)
+		base := solve("tighten", p)
+		tightenLE(p, 0.9, rng)
+		requireDriftRejected(t, fmt.Sprintf("tighten/%d", seed), p, base)
+	}
+
+	p := lipsShapedLP(8, 6, 4, rand.New(rand.NewSource(7)), rand.New(rand.NewSource(23)))
+	base := solve("shrink", p)
+	for i := 0; i < p.NumCons(); i++ {
+		if c := Con(i); p.ConSense(c) == LE && p.ConRHS(c) > 0 {
+			p.SetRHS(c, p.ConRHS(c)*0.3)
+		}
+	}
+	requireDriftRejected(t, "shrink-0.3", p, base)
+}
+
+// TestWarmStartRejectsBoundDrift cuts every finite positive upper bound
+// to 70–100 % under an optimal basis and requires the cold-start
+// fallback.
+func TestWarmStartRejectsBoundDrift(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 20; trial++ {
+		p := lipsShapedLP(4+rng.Intn(6), 3+rng.Intn(5), 2+rng.Intn(4),
+			rand.New(rand.NewSource(int64(200+trial))), rng)
+		base, err := p.Solve(Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if base.Status != Optimal || base.Basis == nil {
+			continue
+		}
+		for j := 0; j < p.NumVars(); j++ {
+			v := Var(j)
+			lo, hi := p.Bounds(v)
+			if !math.IsInf(hi, 1) && hi > 0 {
+				p.SetBounds(v, lo, hi*(0.7+0.3*rng.Float64()))
+			}
+		}
+		requireDriftRejected(t, fmt.Sprintf("trial %d", trial), p, base)
 	}
 }
