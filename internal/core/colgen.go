@@ -42,7 +42,7 @@ type OnlineColGen struct {
 // ColGenOptions tunes SolveOnlineColGen beyond the LP options.
 type ColGenOptions struct {
 	// LP tunes the restricted-master solves. WarmStart is managed by the
-	// pricing loop itself; Dual is worth enabling for epoch re-solves.
+	// pricing loop itself.
 	LP lp.Options
 	// SeedMachines materializes these machine indices up front — the hot
 	// columns of a previous epoch's plan — ahead of the greedy plan's

@@ -149,7 +149,7 @@ func TestOnlineColGenMatchesFullObjective(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		plan, st, err := cg.Solve(ColGenOptions{LP: lp.Options{Dual: true}})
+		plan, st, err := cg.Solve(ColGenOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: colgen: %v", seed, err)
 		}

@@ -24,25 +24,22 @@ func solveColGenFull(t *testing.T, full *Problem, opts Options) (*Solution, ColG
 }
 
 // TestColGenMatchesFullHardCorpus pins the reveal-oracle colgen path to
-// the known optima of the hard corpus, with and without the dual-simplex
-// round re-solves.
+// the known optima of the hard corpus.
 func TestColGenMatchesFullHardCorpus(t *testing.T) {
 	for _, tc := range hardCorpus() {
-		for _, dual := range []bool{false, true} {
-			full := tc.p()
-			sol, st, x := solveColGenFull(t, full, Options{Dual: dual})
-			if sol.Status != Optimal {
-				t.Fatalf("%s dual=%v: status %v", tc.name, dual, sol.Status)
-			}
-			if d := relDiff(sol.Objective, tc.want); d > 1e-6 {
-				t.Errorf("%s dual=%v: objective %g, want %g (rel %g)", tc.name, dual, sol.Objective, tc.want, d)
-			}
-			if err := full.CheckFeasible(x, 1e-6); err != nil {
-				t.Errorf("%s dual=%v: expanded point infeasible: %v", tc.name, dual, err)
-			}
-			if st.Rounds < 1 {
-				t.Errorf("%s dual=%v: zero pricing rounds", tc.name, dual)
-			}
+		full := tc.p()
+		sol, st, x := solveColGenFull(t, full, Options{})
+		if sol.Status != Optimal {
+			t.Fatalf("%s: status %v", tc.name, sol.Status)
+		}
+		if d := relDiff(sol.Objective, tc.want); d > 1e-6 {
+			t.Errorf("%s: objective %g, want %g (rel %g)", tc.name, sol.Objective, tc.want, d)
+		}
+		if err := full.CheckFeasible(x, 1e-6); err != nil {
+			t.Errorf("%s: expanded point infeasible: %v", tc.name, err)
+		}
+		if st.Rounds < 1 {
+			t.Errorf("%s: zero pricing rounds", tc.name)
 		}
 	}
 }
@@ -62,7 +59,7 @@ func TestColGenMatchesFullLiPSShaped(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: direct: %v", trial, err)
 		}
-		sol, st, x := solveColGenFull(t, full, Options{Dual: true})
+		sol, st, x := solveColGenFull(t, full, Options{})
 		if sol.Status != direct.Status {
 			t.Fatalf("trial %d: colgen status %v, direct %v", trial, sol.Status, direct.Status)
 		}
@@ -133,7 +130,7 @@ func TestColGenJunkedCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: direct: %v", seed, err)
 		}
-		sol, _, _ := solveColGenFull(t, full, Options{Dual: true})
+		sol, _, _ := solveColGenFull(t, full, Options{})
 		if sol.Status != direct.Status {
 			t.Fatalf("seed %d: colgen status %v, direct %v", seed, sol.Status, direct.Status)
 		}

@@ -13,9 +13,9 @@ package lp
 // attempt.
 //
 // The repaired basis is a valid (nonsingular up to factorization) basis of
-// the edited problem but not necessarily primal feasible at the new data:
-// combine with Options.Dual so a dual-feasible survivor is repaired in a
-// few pivots instead of being rejected.
+// the edited problem but not necessarily primal feasible at the new data;
+// the solver accepts it as a warm start only if it is, and otherwise
+// starts cold.
 func TranslateBasis(b *Basis, varMap, conMap []int, newVars, newCons int) *Basis {
 	if b == nil || newVars < 0 || newCons < 0 ||
 		len(varMap) != b.NumVars || len(conMap) != b.NumCons ||

@@ -107,7 +107,7 @@ func TestTranslateBasisColumnRemoval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: cold: %v", seed, err)
 		}
-		warm, err := q.Solve(Options{WarmStart: tb, Dual: true})
+		warm, err := q.Solve(Options{WarmStart: tb})
 		if err != nil {
 			t.Fatalf("seed %d: warm: %v", seed, err)
 		}
@@ -175,7 +175,7 @@ func TestTranslateBasisRowRemoval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: cold: %v", seed, err)
 		}
-		warm, err := q.Solve(Options{WarmStart: tb, Dual: true})
+		warm, err := q.Solve(Options{WarmStart: tb})
 		if err != nil {
 			t.Fatalf("seed %d: warm: %v", seed, err)
 		}

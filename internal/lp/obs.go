@@ -25,7 +25,6 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	}
 	om.Iterations.Add(float64(sol.Iters))
 	om.Phase1.Add(float64(sol.Phase1))
-	om.DualPivots.Add(float64(sol.DualIters))
 	if sol.WarmStarted {
 		om.WarmStarts.Inc()
 	}

@@ -68,8 +68,8 @@ func pivotCorpus(t *testing.T) []string {
 	rec("sched-shaped/bland", schedulingShapedLP(12, 4, 4, rand.New(rand.NewSource(5))), Options{Bland: true})
 
 	// Two consecutive epochs of a LiPS-shaped LP: cold, warm accepted,
-	// then the right-hand sides drift under the cold basis: rejected
-	// without Dual, repaired with it.
+	// then the right-hand sides drift under the cold basis and it is
+	// rejected.
 	for _, f := range factorModes {
 		base := lipsShapedLP(12, 5, 4, rand.New(rand.NewSource(31)), nil)
 		prev := lipsShapedLP(12, 5, 4, rand.New(rand.NewSource(31)), rand.New(rand.NewSource(32)))
@@ -79,18 +79,14 @@ func pivotCorpus(t *testing.T) []string {
 		drifted := lipsShapedLP(12, 5, 4, rand.New(rand.NewSource(31)), nil)
 		tightenLE(drifted, 0.9, rand.New(rand.NewSource(33)))
 		rec("lips/warm-rejected/"+f.name, drifted, Options{factor: f.mk, WarmStart: csol.Basis})
-		rec("lips/dual/"+f.name, drifted, Options{factor: f.mk, WarmStart: csol.Basis, Dual: true})
 	}
 
-	// Dual repair over a spread of shapes (the dual ratio test walks the
-	// pivot row's columns in index order; its tie-breaks are order-bound).
+	// Cold solves over a spread of LiPS shapes.
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(200 + seed))
 		jobs, machines, stores := 4+rng.Intn(8), 3+rng.Intn(5), 2+rng.Intn(4)
 		p := lipsShapedLP(jobs, machines, stores, rand.New(rand.NewSource(300+seed)), nil)
-		bsol := rec(fmt.Sprintf("dual/%d/base", seed), p, Options{})
-		tightenLE(p, 0.9, rng)
-		rec(fmt.Sprintf("dual/%d/repair", seed), p, Options{WarmStart: bsol.Basis, Dual: true})
+		rec(fmt.Sprintf("dual/%d/base", seed), p, Options{})
 	}
 
 	// Epoch scale (≈5000 columns): long enough for mid-solve
@@ -104,7 +100,7 @@ func pivotCorpus(t *testing.T) []string {
 	// column counts pin the ones before it.
 	full := lipsShapedLP(8, 5, 4, rand.New(rand.NewSource(41)), nil)
 	rp, oracle := NewRestricted(full)
-	sol, st, err := SolveColGen(rp, oracle, Options{RecordPivots: true, Dual: true})
+	sol, st, err := SolveColGen(rp, oracle, Options{RecordPivots: true})
 	if err != nil {
 		t.Fatalf("colgen: %v", err)
 	}

@@ -60,7 +60,7 @@ func onlineInstance(jobs, machines, stores int, rng, drift *rand.Rand) *core.Ins
 
 // TestPricingOracleOnlineModels runs the reference pricer beside the
 // incremental one on the LPs LiPS actually solves: core's online model
-// cold, the next epoch warm-started from its basis with dual repair, and
+// cold, the next epoch offered its basis as a warm start, and
 // the same epoch by column generation.
 func TestPricingOracleOnlineModels(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
@@ -78,11 +78,11 @@ func TestPricingOracleOnlineModels(t *testing.T) {
 			t.Fatal(err)
 		}
 		warm, warmSteps := lp.WithPricingOracle(t, fmt.Sprintf("online/%d/warm", seed),
-			lp.Options{WarmStart: plan.Basis, Dual: true})
+			lp.Options{WarmStart: plan.Basis})
 		if _, err := build(rand.New(rand.NewSource(100 + seed))).Solve(warm); err != nil {
 			t.Fatal(err)
 		}
-		cg, cgSteps := lp.WithPricingOracle(t, fmt.Sprintf("online/%d/colgen", seed), lp.Options{Dual: true})
+		cg, cgSteps := lp.WithPricingOracle(t, fmt.Sprintf("online/%d/colgen", seed), lp.Options{})
 		cgPlan, st, err := core.SolveOnlineColGen(onlineInstance(jobs, machines, stores, rand.New(rand.NewSource(seed)), nil),
 			core.ColGenOptions{LP: cg})
 		if err != nil {

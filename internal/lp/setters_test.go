@@ -6,8 +6,9 @@ import (
 )
 
 // The tests drift a built problem in place — right-hand sides and bounds
-// change, the column structure does not — to exercise warm starts and
-// the dual repair on a basis the change left primal infeasible.
+// change, the column structure does not — to exercise warm starts,
+// accepted and rejected, on a basis the change may leave primal
+// infeasible.
 
 // SetRHS replaces the right-hand side of c.
 func (p *Problem) SetRHS(c Con, rhs float64) {

@@ -90,14 +90,13 @@ type simplexState struct {
 	factor factorizer // representation of B^{-1} (sparse LU)
 
 	// scratch
-	y      []float64 // duals c_B^T B^{-1}
-	cb     []float64 // slot-space basic costs handed to BTRAN
-	w      []float64 // B^{-1} A_q
-	rhs    []float64 // b − N x_N, the right-hand side of computeXB
-	devex  []float64 // Devex reference weights, one per column
-	iter   int
-	p1it   int
-	dualIt int // dual-simplex repair pivots (Options.Dual)
+	y     []float64 // duals c_B^T B^{-1}
+	cb    []float64 // slot-space basic costs handed to BTRAN
+	w     []float64 // B^{-1} A_q
+	rhs   []float64 // b − N x_N, the right-hand side of computeXB
+	devex []float64 // Devex reference weights, one per column
+	iter  int
+	p1it  int
 
 	// Incremental pricing (pricing.go): a row-major (CSR) index of the
 	// structural columns — a row's slack and phase-1 artificial are single
@@ -212,23 +211,8 @@ func (s *simplexState) run() (*Solution, error) {
 		}
 	}
 
-	needDual := false
 	if ws := s.opts.WarmStart; ws != nil {
-		s.warm, needDual = s.tryWarmStart(ws)
-	}
-	if needDual {
-		// The warm basis is primal infeasible but dual feasible: repair it
-		// with dual-simplex pivots instead of discarding it. Any trouble
-		// (stall, tiny pivots, claimed infeasibility) falls back to the
-		// cold two-phase path, which re-derives everything and is always
-		// correct.
-		repaired, dst := s.iterateDual(s.cost)
-		if !repaired {
-			if dst == IterLimit {
-				return &Solution{Status: IterLimit, Stats: s.stats(), WarmStarted: true, Pivots: s.pivots}, nil
-			}
-			s.warm = false
-		}
+		s.warm = s.tryWarmStart(ws)
 	}
 	if !s.warm {
 		s.coldStart()
@@ -395,14 +379,12 @@ func (s *simplexState) phase1() (st *Solution, done bool, err error) {
 	return nil, false, nil
 }
 
-// tryWarmStart seeds the state from a previous solve's basis. ok reports
-// whether the basis was accepted: it must match the problem's dimensions,
-// name a valid set of distinct columns, factorize, and be primal feasible
-// under the current bounds and right-hand sides — except that under
-// Options.Dual a primal-infeasible basis that is still dual feasible is
-// accepted with needDual set, and the caller repairs it with dual-simplex
-// pivots. On rejection the caller falls back to coldStart, which
-// overwrites everything touched here.
+// tryWarmStart seeds the state from a previous solve's basis and reports
+// whether it was accepted. There is one rule: the basis must match the
+// problem's dimensions, name a valid set of distinct columns, factorize,
+// and be primal feasible under the current bounds and right-hand sides.
+// Otherwise the caller starts cold through coldStart, which overwrites
+// everything touched here.
 //
 // The basis is reusable across epochs precisely because the LiPS online
 // model keeps its column structure between epochs — only bounds and RHS
@@ -411,19 +393,19 @@ func (s *simplexState) phase1() (st *Solution, done bool, err error) {
 // default start position). Columns marked BasisAuto — appended after the
 // basis was captured by ExtendBasis or TranslateBasis — start at their
 // default bound.
-func (s *simplexState) tryWarmStart(ws *Basis) (ok, needDual bool) {
+func (s *simplexState) tryWarmStart(ws *Basis) bool {
 	m := s.m
 	nb := s.nStruct + s.nSlack
 	if ws.NumVars != s.nStruct || ws.NumCons != m ||
 		len(ws.RowCol) != m || len(ws.ColStat) != nb {
-		return false, false
+		return false
 	}
 	seen := s.mark[:nb] // all false outside a refresh; left that way
 	defer clear(seen)
 	for i := 0; i < m; i++ {
 		j := int(ws.RowCol[i])
 		if j < 0 || j >= nb || seen[j] {
-			return false, false
+			return false
 		}
 		seen[j] = true
 	}
@@ -449,7 +431,7 @@ func (s *simplexState) tryWarmStart(ws *Basis) (ok, needDual bool) {
 		case int(BasisAuto):
 			st, _ = s.nonbasicStart(j)
 		default:
-			return false, false
+			return false
 		}
 		switch st {
 		case atLower:
@@ -467,7 +449,7 @@ func (s *simplexState) tryWarmStart(ws *Basis) (ok, needDual bool) {
 		s.value[j] = 0
 	}
 	if err := s.refactorize(); err != nil {
-		return false, false
+		return false
 	}
 	// Primal feasibility of the recomputed basic values. The acceptance
 	// tolerance is looser than the pivot tolerance — small epoch-to-epoch
@@ -478,48 +460,7 @@ func (s *simplexState) tryWarmStart(ws *Basis) (ok, needDual bool) {
 		bj := s.basis[i]
 		scale := ftol * (1 + math.Abs(s.xB[i]))
 		if s.xB[i] < s.lower[bj]-scale || s.xB[i] > s.upper[bj]+scale {
-			if s.opts.Dual && s.dualFeasible(s.cost) {
-				return true, true
-			}
-			return false, false
-		}
-	}
-	return true, false
-}
-
-// dualFeasible reports whether every nonbasic column's reduced cost under
-// the current basis respects its rest position — the entry condition for
-// the dual simplex. The tolerance is relative to the column's cost
-// magnitude, matching the primal pricing rule, and loosened the same way
-// the warm-start feasibility check is: small drift is repairable.
-func (s *simplexState) dualFeasible(cost []float64) bool {
-	s.computeDuals(cost)
-	dtol := math.Max(1e-7, 100*s.opts.Tol)
-	for j := range s.cols {
-		if s.status[j] == basic {
-			continue
-		}
-		if s.lower[j] == s.upper[j] && s.status[j] != atFree {
-			continue // fixed column: any reduced cost is fine
-		}
-		d := cost[j]
-		for _, e := range s.cols[j] {
-			d -= s.y[e.row] * e.coef
-		}
-		rel := dtol * (1 + math.Abs(cost[j]))
-		switch s.status[j] {
-		case atLower:
-			if d < -rel {
-				return false
-			}
-		case atUpper:
-			if d > rel {
-				return false
-			}
-		case atFree:
-			if math.Abs(d) > rel {
-				return false
-			}
+			return false
 		}
 	}
 	return true

@@ -124,16 +124,6 @@ type Options struct {
 	// warm start skips phase 1 entirely. Solution.WarmStarted reports
 	// which path ran.
 	WarmStart *Basis
-	// Dual enables the dual-simplex repair path for warm starts whose
-	// basis is primal infeasible but still dual feasible — the natural
-	// outcome of re-solving after right-hand sides or bounds drifted
-	// (epoch capacity changes, node churn row edits). Instead of
-	// discarding the basis and starting cold, the solver pivots the most
-	// violated basic variables out against a dual ratio test until primal
-	// feasibility is restored, then finishes with the ordinary primal
-	// phase 2. Any numerical trouble falls back to the cold path, so the
-	// option is always safe. Solution.DualIters counts the repair pivots.
-	Dual bool
 	// RecordPivots fills Solution.Pivots with the pivot sequence.
 	RecordPivots bool
 	// Deprecated: Presolve has no effect; there is no presolve pass. Its

@@ -10,11 +10,6 @@ import "time"
 type Stats struct {
 	Iters  int // total simplex iterations (both phases)
 	Phase1 int // iterations spent in phase 1 (0 on an accepted warm start)
-	// DualIters counts dual-simplex repair pivots (Options.Dual): warm
-	// starts whose basis was primal infeasible but dual feasible were
-	// driven back to feasibility by this many pivots instead of a cold
-	// two-phase restart. Included in Iters.
-	DualIters int
 	// Refactorizations counts from-scratch basis factorizations.
 	Refactorizations int
 	// FactorNNZ is the nonzero count of the final basis factorization,
@@ -42,7 +37,6 @@ type Stats struct {
 func (s *Stats) Add(o Stats) {
 	s.Iters += o.Iters
 	s.Phase1 += o.Phase1
-	s.DualIters += o.DualIters
 	s.Refactorizations += o.Refactorizations
 	s.FactorNNZ = o.FactorNNZ
 	s.PricingTime += o.PricingTime
@@ -54,7 +48,7 @@ func (s *Stats) Add(o Stats) {
 // stats reads the solve's counters out of the working state.
 func (s *simplexState) stats() Stats {
 	return Stats{
-		Iters: s.iter, Phase1: s.p1it, DualIters: s.dualIt,
+		Iters: s.iter, Phase1: s.p1it,
 		Refactorizations: s.nRefactor, FactorNNZ: s.factor.nnz(),
 		PricingTime: s.pricingNS, FactorTime: s.factorNS,
 		FtranTime: s.ftranNS, BtranTime: s.btranNS,

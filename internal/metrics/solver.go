@@ -122,9 +122,8 @@ func (ss *SolverStats) String() string {
 		ss.FactorTime.Round(time.Microsecond), ss.FtranTime.Round(time.Microsecond),
 		ss.BtranTime.Round(time.Microsecond), ss.Refactorizations, ss.FactorNNZ,
 	)
-	if ss.DualIters > 0 || ss.ColGenRounds > 0 {
-		s += fmt.Sprintf(", %d dual pivots, colgen %d rounds/%d columns",
-			ss.DualIters, ss.ColGenRounds, ss.ColGenColumns)
+	if ss.ColGenRounds > 0 {
+		s += fmt.Sprintf(", colgen %d rounds/%d columns", ss.ColGenRounds, ss.ColGenColumns)
 	}
 	return s
 }

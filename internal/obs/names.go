@@ -45,7 +45,6 @@ const (
 	MLPSolveSeconds   = "lips_lp_solve_seconds_total"
 	MLPPricingSeconds = "lips_lp_pricing_seconds_total"
 	MLPFactorSeconds  = "lips_lp_factor_seconds_total"
-	MLPDualPivots     = "lips_lp_dual_pivots_total"
 	MLPColGenRounds   = "lips_lp_colgen_rounds_total"
 	MLPColGenColumns  = "lips_lp_colgen_columns_total"
 
@@ -220,7 +219,7 @@ func (m *SchedMetrics) ObserveEpoch(ep *trace.EpochInfo) {
 // solve is lips_lp_pricing_seconds_total / lips_lp_solve_seconds_total.
 type LPMetrics struct {
 	Solves, Iterations, Phase1, WarmStarts      *Counter
-	Refactorizations, DualPivots                *Counter
+	Refactorizations                            *Counter
 	SolveSeconds, PricingSeconds, FactorSeconds *Counter
 	ColGenRounds, ColGenColumns                 *Counter
 }
@@ -321,7 +320,6 @@ func registerLP(r *Registry) *LPMetrics {
 		SolveSeconds:     r.Counter(MLPSolveSeconds, "Wall-clock seconds inside Problem.Solve."),
 		PricingSeconds:   r.Counter(MLPPricingSeconds, "Wall-clock seconds in the pricing step."),
 		FactorSeconds:    r.Counter(MLPFactorSeconds, "Wall-clock seconds factorizing and solving with the basis (FTRAN/BTRAN included)."),
-		DualPivots:       r.Counter(MLPDualPivots, "Dual-simplex repair pivots across all solves (Options.Dual warm starts)."),
 		ColGenRounds:     r.Counter(MLPColGenRounds, "Column-generation pricing rounds across all SolveColGen runs."),
 		ColGenColumns:    r.Counter(MLPColGenColumns, "Columns added by column-generation pricing oracles."),
 	}

@@ -64,7 +64,6 @@ func TestLiPSSolverMatchesLPCounters(t *testing.T) {
 	for _, colgen := range []bool{false, true} {
 		l := NewLiPS(400)
 		l.ColGen = colgen
-		l.LPOpts.Dual = true
 		reg := obs.NewRegistry()
 		runSched(t, mixedCluster(), smallJobSet(rand.New(rand.NewSource(3)), 3), nil, l,
 			sim.Options{TaskTimeoutSec: 1200, Metrics: reg})
@@ -78,7 +77,6 @@ func TestLiPSSolverMatchesLPCounters(t *testing.T) {
 			{obs.MLPIters, l.Solver.Iters},
 			{obs.MLPPhase1, l.Solver.Phase1},
 			{obs.MLPRefactor, l.Solver.Refactorizations},
-			{obs.MLPDualPivots, l.Solver.DualIters},
 		} {
 			if want, _ := reg.Value(c.family); float64(c.got) != want {
 				t.Errorf("colgen=%v: Solver reports %d, %s = %g", colgen, c.got, c.family, want)
