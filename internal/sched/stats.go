@@ -60,14 +60,14 @@ func (r EpochRecord) String() string {
 }
 
 // traceInfo projects the record onto the epoch event's wire format — the
-// only such copy. warm_accepted is the solver's flag as the event has
-// always carried it, offered or not. The wall-clock fields are
-// machine-dependent and stay zero unless timings is set.
+// only such copy. warm_accepted follows observe's rule: an offered basis
+// that the solver used. The wall-clock fields are machine-dependent and
+// stay zero unless timings is set.
 func (r EpochRecord) traceInfo(scheduler string, timings bool) *trace.EpochInfo {
 	info := &trace.EpochInfo{
 		Scheduler: scheduler, Epoch: r.Epoch,
 		Jobs: r.Jobs, Pending: r.Pending,
-		Warm: r.WarmOffered, WarmAccepted: r.WarmStarted,
+		Warm: r.WarmOffered, WarmAccepted: r.WarmOffered && r.WarmStarted,
 		Iters: r.Iters, Phase1: r.Phase1,
 		Launched: r.Launched, Deferred: r.Deferred,
 		BlocksMoved: r.BlocksMoved,

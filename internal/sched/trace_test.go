@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -120,5 +121,64 @@ func TestTraceEventStream(t *testing.T) {
 		if e.Kind == trace.KindEpoch && (e.Epoch.BuildMS <= 0 || e.Epoch.SolveMS <= 0) {
 			t.Errorf("epoch %d under TraceTimings lacks its phase durations: %+v", e.Epoch.Epoch, e.Epoch)
 		}
+	}
+}
+
+// TestColGenTraceClaimsOnlyOfferedWarmStarts: under ColGen the final
+// pricing round usually starts from the round before it with no basis
+// offered across epochs. Such an epoch must not be traced as warm — not
+// as warm_accepted in the event, and not as a "warm" slice in the Chrome
+// export of the same stream.
+func TestColGenTraceClaimsOnlyOfferedWarmStarts(t *testing.T) {
+	var buf bytes.Buffer
+	sink := trace.NewJSONL(&buf)
+	l := NewLiPS(200)
+	l.ColGen = true
+	runSched(t, mixedCluster(), smallJobSet(rand.New(rand.NewSource(3)), 3), nil, l,
+		sim.Options{TaskTimeoutSec: 1200, Tracer: sink})
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l.Solver.ColGenRounds <= l.Epochs {
+		t.Fatalf("%d pricing rounds over %d epochs: no epoch re-solved a warm master", l.Solver.ColGenRounds, l.Epochs)
+	}
+	events, err := trace.ReadAll(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chrome bytes.Buffer
+	ch := trace.NewChrome(&chrome)
+	epochs := 0
+	for _, e := range events {
+		ch.Emit(e)
+		if e.Kind == trace.KindEpoch {
+			epochs++
+			if e.Epoch.WarmAccepted && !e.Epoch.Warm {
+				t.Errorf("epoch %d: warm_accepted without warm", e.Epoch.Epoch)
+			}
+		}
+	}
+	if err := ch.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var slices []struct {
+		Cat  string         `json:"cat"`
+		Args map[string]any `json:"args"`
+	}
+	if err := json.Unmarshal(chrome.Bytes(), &slices); err != nil {
+		t.Fatal(err)
+	}
+	cold := 0
+	for _, s := range slices {
+		if s.Cat != "epoch" {
+			continue
+		}
+		if s.Args["start"] != "cold" {
+			t.Errorf("epoch slice %v: start %v, want cold", s.Args, s.Args["start"])
+		}
+		cold++
+	}
+	if cold != epochs || epochs == 0 {
+		t.Errorf("%d cold epoch slices for %d epoch events", cold, epochs)
 	}
 }
