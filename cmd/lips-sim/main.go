@@ -30,7 +30,6 @@ import (
 	"lips/internal/cluster"
 	"lips/internal/cost"
 	"lips/internal/hdfs"
-	"lips/internal/metrics"
 	"lips/internal/obs"
 	"lips/internal/sched"
 	"lips/internal/sim"
@@ -205,8 +204,8 @@ func runCfg(cfg config, cli *obs.CLI) error {
 	fmt.Printf("makespan: %.0f s;  Σ job time: %.0f s\n", result.Makespan, result.SumJobSec)
 	fmt.Printf("locality: %.1f%% node-local (%d local / %d zone / %d remote / %d no-input)\n",
 		100*result.Locality.LocalFraction(),
-		result.Locality.Count(metrics.NodeLocal), result.Locality.Count(metrics.ZoneLocal),
-		result.Locality.Count(metrics.Remote), result.Locality.Count(metrics.NoInput))
+		result.Locality.Count(sim.NodeLocal), result.Locality.Count(sim.ZoneLocal),
+		result.Locality.Count(sim.Remote), result.Locality.Count(sim.NoInput))
 	fmt.Printf("utilization: %.1f%%;  fairness (Jain over users): %.3f\n",
 		100*result.Utilization, result.Fairness)
 	if result.Faults.Any() {

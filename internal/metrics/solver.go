@@ -1,3 +1,10 @@
+// Package metrics holds SolverStats, a run's LP statistics summed over
+// its epochs. The simulator's tallies (locality, per-node CPU,
+// utilization, fairness, fault counts) live in package sim, which alone
+// writes them. SolverStats belongs beside sched.EpochRecord, which fills
+// it; it stays a package of its own only because bench/simdrive.go
+// names metrics.SolverStats, and moves into sched when bench/ stops
+// naming it.
 package metrics
 
 import (

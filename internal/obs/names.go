@@ -85,7 +85,7 @@ const (
 var (
 	// CostCategories mirrors internal/cost's Category values.
 	CostCategories = []string{"cpu", "transfer", "placement", "speculative", "fault"}
-	// Localities mirrors internal/metrics Locality.String values.
+	// Localities mirrors internal/sim Locality.String values.
 	Localities = []string{"node-local", "zone-local", "remote", "no-input"}
 	// TaskStates mirrors internal/sim's TaskState lifecycle.
 	TaskStates = []string{"pending", "queued", "running", "done"}

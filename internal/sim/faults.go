@@ -416,3 +416,36 @@ func (s *Sim) slowdownOf(n cluster.NodeID) float64 {
 	}
 	return 1
 }
+
+// FaultStats counts what fault injection did to a run: the injected
+// events themselves (crashes, recoveries, store losses, slowdowns) and
+// the damage the cluster absorbed (attempts killed and re-executed,
+// blocks re-replicated or lost outright). The dollar side of the same
+// story lives in the ledger's fault category.
+type FaultStats struct {
+	NodesCrashed   int // node-down events injected
+	NodesRecovered int // node-up events injected
+	StoresLost     int // store data-loss events injected
+	Slowdowns      int // straggler slowdown windows injected
+
+	TasksReexecuted  int // running attempts killed by a crash or store loss
+	BlocksReplicated int // replica copies created to replace lost ones
+	BlocksLost       int // blocks whose every replica was lost (re-materialized)
+}
+
+// Any reports whether any fault was injected or absorbed. The damage
+// counters matter on their own: a store loss replayed against a cheap
+// placement can re-execute tasks and re-replicate blocks even when the
+// injection counters alone would look quiet to a caller that only
+// checks one side.
+func (fs FaultStats) Any() bool {
+	return fs.NodesCrashed+fs.NodesRecovered+fs.StoresLost+fs.Slowdowns+
+		fs.TasksReexecuted+fs.BlocksReplicated+fs.BlocksLost > 0
+}
+
+// String summarises the stats on one line.
+func (fs FaultStats) String() string {
+	return fmt.Sprintf("%d crashes, %d recoveries, %d store losses, %d slowdowns; %d tasks re-executed, %d blocks re-replicated (%d lost outright)",
+		fs.NodesCrashed, fs.NodesRecovered, fs.StoresLost, fs.Slowdowns,
+		fs.TasksReexecuted, fs.BlocksReplicated, fs.BlocksLost)
+}

@@ -1,13 +1,13 @@
-// Package metrics computes the evaluation metrics the paper reports:
-// dollar cost (via cost.Ledger), makespan and total job execution time,
-// per-node accumulated CPU time (Fig. 11), data locality percentages, slot
-// utilization, and Jain's fairness index.
-package metrics
+package sim
 
 import (
 	"math"
 	"sort"
 )
+
+// The run's tallies beyond the ledger's dollars: data locality, per-node
+// accumulated CPU time (Fig. 11), slot utilization and Jain's fairness
+// index. The simulator alone writes them, into Sim and Result.
 
 // Locality classifies where a task read its input from.
 type Locality int

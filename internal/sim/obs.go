@@ -2,7 +2,6 @@ package sim
 
 import (
 	"lips/internal/cost"
-	"lips/internal/metrics"
 	"lips/internal/obs"
 	"lips/internal/trace"
 )
@@ -17,7 +16,7 @@ import (
 // label children resolved up front (obs vec lookups take a lock).
 type simMetrics struct {
 	m        *obs.SimMetrics
-	launched [4]*obs.Counter // by metrics.Locality
+	launched [4]*obs.Counter // by Locality
 	cost     map[cost.Category]*obs.Counter
 	tenant   map[tenantCatKey]*obs.Counter // chargeback children, cached per (tenant, category)
 	states   [4]*obs.Gauge                 // by TaskState
@@ -36,7 +35,7 @@ func newSimMetrics(reg *obs.Registry) *simMetrics {
 		cost:   make(map[cost.Category]*obs.Counter),
 		tenant: make(map[tenantCatKey]*obs.Counter),
 	}
-	for loc := metrics.NodeLocal; loc <= metrics.NoInput; loc++ {
+	for loc := NodeLocal; loc <= NoInput; loc++ {
 		om.launched[loc] = om.m.Launched[loc.String()]
 	}
 	for _, cat := range []cost.Category{cost.CatCPU, cost.CatTransfer,

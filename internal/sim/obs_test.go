@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"lips/internal/cost"
-	"lips/internal/metrics"
 	"lips/internal/obs"
 )
 
@@ -19,7 +18,7 @@ func TestNoObsNoAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.noteEnqueue(0, 0, 0, 0, 0)
-		s.noteLaunch(0, 0, 1, 0, 0, metrics.NodeLocal, false)
+		s.noteLaunch(0, 0, 1, 0, 0, NodeLocal, false)
 		s.noteDone(0, 0, 1, 0, 0, 1, 0, 1, 0, 0, false)
 		s.noteKill(0, 0, 0, "timeout", 0, false)
 		s.noteMove(0, 0, 0, 0, 64, 1, 0, "plan")
@@ -73,9 +72,9 @@ func TestLiveMetricsMatchRun(t *testing.T) {
 	if got, want := reg.Sum(obs.MSimCost), float64(r.Cost.Total()); got != want {
 		t.Errorf("cost sum = %g, want %g", got, want)
 	}
-	for loc, label := range map[metrics.Locality]string{
-		metrics.NodeLocal: "node-local", metrics.ZoneLocal: "zone-local",
-		metrics.Remote: "remote", metrics.NoInput: "no-input",
+	for loc, label := range map[Locality]string{
+		NodeLocal: "node-local", ZoneLocal: "zone-local",
+		Remote: "remote", NoInput: "no-input",
 	} {
 		if got := val(obs.MSimLaunched, label); got != float64(r.Locality.Count(loc)) {
 			t.Errorf("launched[%s] = %g, want %d", label, got, r.Locality.Count(loc))

@@ -31,7 +31,6 @@ import (
 	"lips/internal/cluster"
 	"lips/internal/cost"
 	"lips/internal/hdfs"
-	"lips/internal/metrics"
 	"lips/internal/obs"
 	"lips/internal/trace"
 	"lips/internal/workload"
@@ -354,10 +353,10 @@ type Sim struct {
 	P *hdfs.Placement
 
 	Ledger   *cost.Ledger
-	Locality metrics.LocalityCounter
-	NodeCPU  *metrics.NodeCPU
+	Locality LocalityCounter
+	NodeCPU  *NodeCPU
 	UserCPU  map[string]float64
-	Faults   metrics.FaultStats
+	Faults   FaultStats
 
 	opts  Options
 	sched Scheduler
@@ -440,7 +439,7 @@ func New(c *cluster.Cluster, w *workload.Workload, p *hdfs.Placement, sched Sche
 	s := &Sim{
 		C: c, W: w, P: p,
 		Ledger:  cost.NewLedger(),
-		NodeCPU: metrics.NewNodeCPU(),
+		NodeCPU: NewNodeCPU(),
 		UserCPU: make(map[string]float64),
 		opts:    opts.withDefaults(),
 		sched:   sched,
@@ -745,7 +744,7 @@ func (s *Sim) result() *Result {
 		}
 		r.SumJobSec += s.jobs[j].doneAt - s.W.Jobs[j].ArrivalSec
 	}
-	r.Utilization = metrics.Utilization(s.busySlotSec, float64(s.totalSlots), r.Makespan)
+	r.Utilization = Utilization(s.busySlotSec, float64(s.totalSlots), r.Makespan)
 	shares := make([]float64, 0, len(s.UserCPU))
 	users := make([]string, 0, len(s.UserCPU))
 	for u := range s.UserCPU {
@@ -755,7 +754,7 @@ func (s *Sim) result() *Result {
 	for _, u := range users {
 		shares = append(shares, s.UserCPU[u])
 	}
-	r.Fairness = metrics.JainIndex(shares)
+	r.Fairness = JainIndex(shares)
 	return r
 }
 
@@ -767,11 +766,11 @@ type Result struct {
 	SumJobSec float64 // Σ per-job (done − arrival), the paper's "total job execution time"
 
 	Cost     *cost.Ledger
-	Locality metrics.LocalityCounter
-	NodeCPU  *metrics.NodeCPU
+	Locality LocalityCounter
+	NodeCPU  *NodeCPU
 	JobDone  []float64
 	UserCPU  map[string]float64
-	Faults   metrics.FaultStats
+	Faults   FaultStats
 
 	Utilization float64
 	Fairness    float64 // Jain index over per-user CPU shares

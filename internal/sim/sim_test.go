@@ -113,7 +113,7 @@ func TestSingleJobExactAccounting(t *testing.T) {
 	if got := r.Cost.Category(cost.CatTransfer); got != 0 {
 		t.Errorf("transfer cost = %v, want 0", got)
 	}
-	if r.Locality.Count(0) != 2 { // metrics.NodeLocal
+	if r.Locality.Count(0) != 2 { // NodeLocal
 		t.Errorf("locality counts: %+v", r.Locality)
 	}
 	if r.JobDone[0] != r.Makespan {
@@ -157,7 +157,7 @@ func TestCrossZoneTransferBilled(t *testing.T) {
 	if math.Abs(r.Makespan-(64/31.25+64)) > 1e-6 {
 		t.Errorf("makespan = %g", r.Makespan)
 	}
-	if r.Locality.Count(2) != 1 { // metrics.Remote
+	if r.Locality.Count(2) != 1 { // Remote
 		t.Error("task should be remote")
 	}
 }

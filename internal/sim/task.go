@@ -5,7 +5,6 @@ import (
 
 	"lips/internal/cluster"
 	"lips/internal/cost"
-	"lips/internal/metrics"
 )
 
 // NoStore marks a launch without input data (Pi-style tasks).
@@ -35,17 +34,17 @@ func (s *Sim) taskDemand(job, task int) (cpuSec, mb float64) {
 
 // observeLocality classifies and records where a launched task reads
 // from, returning the classification.
-func (s *Sim) observeLocality(n cluster.NodeID, store cluster.StoreID, hasInput bool) metrics.Locality {
-	var l metrics.Locality
+func (s *Sim) observeLocality(n cluster.NodeID, store cluster.StoreID, hasInput bool) Locality {
+	var l Locality
 	switch {
 	case !hasInput:
-		l = metrics.NoInput
+		l = NoInput
 	case s.C.Nodes[n].Store == store:
-		l = metrics.NodeLocal
+		l = NodeLocal
 	case s.C.Nodes[n].Zone == s.C.Stores[store].Zone:
-		l = metrics.ZoneLocal
+		l = ZoneLocal
 	default:
-		l = metrics.Remote
+		l = Remote
 	}
 	s.Locality.Observe(l)
 	return l

@@ -3,7 +3,6 @@ package sim
 import (
 	"lips/internal/cluster"
 	"lips/internal/cost"
-	"lips/internal/metrics"
 	"lips/internal/trace"
 )
 
@@ -61,7 +60,7 @@ func (s *Sim) noteEnqueue(job, task int, n cluster.NodeID, store cluster.StoreID
 	}})
 }
 
-func (s *Sim) noteLaunch(job, task, attempt int, n cluster.NodeID, store cluster.StoreID, loc metrics.Locality, speculative bool) {
+func (s *Sim) noteLaunch(job, task, attempt int, n cluster.NodeID, store cluster.StoreID, loc Locality, speculative bool) {
 	if s.om != nil {
 		s.om.launched[loc].Inc()
 	}
@@ -159,10 +158,10 @@ func (s *Sim) emitSample() {
 		PlacementUC:   int64(s.Ledger.Category(cost.CatPlacement)),
 		SpeculativeUC: int64(s.Ledger.Category(cost.CatSpeculative)),
 		FaultUC:       int64(s.Ledger.Category(cost.CatFault)),
-		NodeLocal:     s.Locality.Count(metrics.NodeLocal),
-		ZoneLocal:     s.Locality.Count(metrics.ZoneLocal),
-		Remote:        s.Locality.Count(metrics.Remote),
-		NoInput:       s.Locality.Count(metrics.NoInput),
+		NodeLocal:     s.Locality.Count(NodeLocal),
+		ZoneLocal:     s.Locality.Count(ZoneLocal),
+		Remote:        s.Locality.Count(Remote),
+		NoInput:       s.Locality.Count(NoInput),
 	}
 	// Ledger.Tenants is sorted, so the chargeback lines (and the JSONL
 	// bytes) are deterministic for a given seed.
