@@ -74,7 +74,7 @@ func shrinkProblem(p *Problem, drop map[int]bool) (*Problem, []int) {
 
 // TestTranslateBasisColumnRemoval drops a deterministic subset of columns
 // — mimicking machines leaving the instance — translates the stale basis,
-// and checks the warm (plus dual-repaired) solve against a cold solve of
+// and checks the warm-offered solve against a cold solve of
 // the shrunken problem.
 func TestTranslateBasisColumnRemoval(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
