@@ -42,12 +42,3 @@ type factorizer interface {
 	// included.
 	nnz() int
 }
-
-// newFactorizer returns the sparse LU unless a test supplied its own
-// constructor through Options.factor.
-func newFactorizer(s *simplexState) factorizer {
-	if s.opts.factor != nil {
-		return s.opts.factor(s)
-	}
-	return newLUFactor(s)
-}

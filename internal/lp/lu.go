@@ -26,6 +26,11 @@ import (
 // column) instead of touching L/U; FTRAN applies them oldest first, BTRAN
 // newest first. needsRefactor bounds the eta file so solves stay within a
 // constant factor of the fresh-factorization cost.
+//
+// The factor lives in the pooled solve workspace, and every slice in it —
+// the per-step L and U rows, refactorize's active-submatrix copies and
+// the eta arena — keeps its capacity from one factorization to the next,
+// so a steady-state refactorization or update allocates nothing.
 type luFactor struct {
 	s *simplexState
 	m int
@@ -43,36 +48,54 @@ type luFactor struct {
 	fnnz  int         // L+U+diag nonzeros after the last refactorization
 
 	etas   []luEta
-	etaNNZ int
+	etaIdx []int32   // the arena every eta's nonzeros are carved from,
+	etaVal []float64 // emptied with the eta file
 
 	work  []float64 // row-space scratch
 	stepv []float64 // step-space scratch
 	prow  []float64 // pivotRow output buffer
 	cbuf  []float64 // pivotRow unit-vector input buffer
+
+	// refactorize's active submatrix: columns by basis slot, the slots
+	// each row meets, the U rows by slot before their remap to steps, the
+	// active counts, and the singleton queues.
+	colRow, rowSlot, uSlot [][]int32
+	colVal                 [][]float64
+	rowLen, colLen         []int
+	colQ, rowQ             []int32
 }
 
 // luEta is one product-form update: the basis column in slot r was
-// replaced by a column whose FTRAN image is w; wr = w[r] and idx/val hold
-// the remaining nonzeros of w.
+// replaced by a column whose FTRAN image is w; wr = w[r], and
+// etaIdx/etaVal[lo:hi] hold the remaining nonzeros of w.
 type luEta struct {
-	r   int32
-	wr  float64
-	idx []int32
-	val []float64
+	r      int32
+	wr     float64
+	lo, hi int
 }
 
-func newLUFactor(s *simplexState) *luFactor {
+// init sizes the factor for s's basis dimension. Its contents are set by
+// resetIdentity or refactorize before any solve reads them.
+func (f *luFactor) init(s *simplexState) {
 	m := s.m
-	return &luFactor{
-		s: s, m: m,
-		rowOf: make([]int32, m), slotOf: make([]int32, m),
-		posRow: make([]int32, m), posSlot: make([]int32, m),
-		lIdx: make([][]int32, m), lVal: make([][]float64, m),
-		uDiag: make([]float64, m),
-		uIdx:  make([][]int32, m), uVal: make([][]float64, m),
-		work: make([]float64, m), stepv: make([]float64, m),
-		prow: make([]float64, m), cbuf: make([]float64, m),
-	}
+	f.s, f.m = s, m
+	f.rowOf, f.slotOf = resize(f.rowOf, m), resize(f.slotOf, m)
+	f.posRow, f.posSlot = resize(f.posRow, m), resize(f.posSlot, m)
+	f.lIdx, f.lVal = resize(f.lIdx, m), resize(f.lVal, m)
+	f.uDiag = resize(f.uDiag, m)
+	f.uIdx, f.uVal = resize(f.uIdx, m), resize(f.uVal, m)
+	f.work, f.stepv = resize(f.work, m), resize(f.stepv, m)
+	f.prow, f.cbuf = resize(f.prow, m), resize(f.cbuf, m)
+	f.colRow, f.colVal = resize(f.colRow, m), resize(f.colVal, m)
+	f.rowSlot, f.uSlot = resize(f.rowSlot, m), resize(f.uSlot, m)
+	f.rowLen, f.colLen = resize(f.rowLen, m), resize(f.colLen, m)
+	f.fnnz = 0
+	f.clearEtas()
+}
+
+// clearEtas empties the eta file and its arena.
+func (f *luFactor) clearEtas() {
+	f.etas, f.etaIdx, f.etaVal = f.etas[:0], f.etaIdx[:0], f.etaVal[:0]
 }
 
 func (f *luFactor) resetIdentity() {
@@ -80,11 +103,11 @@ func (f *luFactor) resetIdentity() {
 		f.rowOf[k], f.slotOf[k] = int32(k), int32(k)
 		f.posRow[k], f.posSlot[k] = int32(k), int32(k)
 		f.uDiag[k] = 1
-		f.lIdx[k], f.lVal[k] = nil, nil
-		f.uIdx[k], f.uVal[k] = nil, nil
+		f.lIdx[k], f.lVal[k] = f.lIdx[k][:0], f.lVal[k][:0]
+		f.uIdx[k], f.uVal[k] = f.uIdx[k][:0], f.uVal[k][:0]
 	}
 	f.fnnz = f.m
-	f.etas, f.etaNNZ = f.etas[:0], 0
+	f.clearEtas()
 }
 
 func (f *luFactor) setUnitRow(i int, sign float64) {
@@ -104,30 +127,25 @@ func (f *luFactor) refactorize() error {
 	// Active-submatrix working copies, columns indexed by basis slot.
 	// Columns stay compact (entries of eliminated rows are removed as the
 	// rows go), so colRow[s] always lists exactly the active entries.
-	colRow := make([][]int32, m)
-	colVal := make([][]float64, m)
-	rowLen := make([]int, m)
-	colLen := make([]int, m)
-	nnzTotal := 0
+	colRow, colVal := f.colRow, f.colVal
+	rowLen, colLen := f.rowLen, f.colLen
+	clear(rowLen)
 	for i := 0; i < m; i++ {
-		col := s.cols[s.basis[i]]
-		cr := make([]int32, 0, len(col))
-		cv := make([]float64, 0, len(col))
-		for _, e := range col {
+		cr, cv := colRow[i][:0], colVal[i][:0]
+		for _, e := range s.cols[s.basis[i]] {
 			cr = append(cr, int32(e.row))
 			cv = append(cv, e.coef)
 			rowLen[e.row]++
 		}
 		colRow[i], colVal[i] = cr, cv
 		colLen[i] = len(cr)
-		nnzTotal += len(cr)
 	}
 	// rowSlot[r] lists the slots that ever held an entry in row r; slots
 	// already eliminated are skipped on use (entries only disappear when
 	// their row or column is eliminated, so no stale active slots occur).
-	rowSlot := make([][]int32, m)
+	rowSlot := f.rowSlot
 	for r := 0; r < m; r++ {
-		rowSlot[r] = make([]int32, 0, rowLen[r])
+		rowSlot[r] = rowSlot[r][:0]
 	}
 	for sl := 0; sl < m; sl++ {
 		for _, r := range colRow[sl] {
@@ -139,9 +157,9 @@ func (f *luFactor) refactorize() error {
 		f.posRow[k], f.posSlot[k] = -1, -1
 	}
 	// uSlot holds U entries by original slot; remapped to steps at the end.
-	uSlot := make([][]int32, m)
+	uSlot := f.uSlot
 
-	var colQ, rowQ []int32
+	colQ, rowQ := f.colQ[:0], f.rowQ[:0]
 	for sl := 0; sl < m; sl++ {
 		if colLen[sl] == 1 {
 			colQ = append(colQ, int32(sl))
@@ -235,8 +253,7 @@ func (f *luFactor) refactorize() error {
 		if math.Abs(piv) < 1e-12 {
 			return fmt.Errorf("lp: singular basis during refactorisation (step %d of %d)", k, m)
 		}
-		var li []int32
-		var lv []float64
+		li, lv := f.lIdx[k][:0], f.lVal[k][:0]
 		for idx, r := range colRow[pc] {
 			if r == pr {
 				continue
@@ -246,8 +263,7 @@ func (f *luFactor) refactorize() error {
 		}
 		// Collect the U row from the other active entries of row pr,
 		// removing them from their columns (row pr leaves the bump).
-		var ui []int32
-		var uv []float64
+		ui, uv := uSlot[k][:0], f.uVal[k][:0]
 		for _, sl := range rowSlot[pr] {
 			if sl == pc || f.posSlot[sl] >= 0 {
 				continue
@@ -284,7 +300,7 @@ func (f *luFactor) refactorize() error {
 				rowQ = append(rowQ, r)
 			}
 		}
-		colRow[pc], colVal[pc] = nil, nil
+		colRow[pc], colVal[pc] = colRow[pc][:0], colVal[pc][:0]
 		// Schur update: a[r][sl] -= mult · u for every (multiplier row,
 		// U entry) pair, creating fill-in where no entry existed.
 		for lidx, r := range li {
@@ -312,18 +328,14 @@ func (f *luFactor) refactorize() error {
 
 	// Remap U entries from slot indices to step indices.
 	for k := 0; k < m; k++ {
-		ui := uSlot[k]
-		if len(ui) == 0 {
-			f.uIdx[k] = nil
-			continue
-		}
-		mapped := make([]int32, len(ui))
-		for t, sl := range ui {
-			mapped[t] = f.posSlot[sl]
+		mapped := f.uIdx[k][:0]
+		for _, sl := range uSlot[k] {
+			mapped = append(mapped, f.posSlot[sl])
 		}
 		f.uIdx[k] = mapped
 	}
-	f.etas, f.etaNNZ = f.etas[:0], 0
+	f.colQ, f.rowQ = colQ, rowQ
+	f.clearEtas()
 	return nil
 }
 
@@ -361,8 +373,9 @@ func (f *luFactor) solveLU(v, out []float64) {
 		et := &f.etas[e]
 		t := out[et.r] / et.wr
 		if t != 0 {
-			for idx, i := range et.idx {
-				out[i] -= et.val[idx] * t
+			val := f.etaVal[et.lo:et.hi]
+			for idx, i := range f.etaIdx[et.lo:et.hi] {
+				out[i] -= val[idx] * t
 			}
 		}
 		out[et.r] = t
@@ -395,8 +408,9 @@ func (f *luFactor) btran(c, out []float64) {
 	for e := len(f.etas) - 1; e >= 0; e-- {
 		et := &f.etas[e]
 		sum := 0.0
-		for idx, i := range et.idx {
-			sum += buf[i] * et.val[idx]
+		val := f.etaVal[et.lo:et.hi]
+		for idx, i := range f.etaIdx[et.lo:et.hi] {
+			sum += buf[i] * val[idx]
 		}
 		buf[et.r] = (buf[et.r] - sum) / et.wr
 	}
@@ -436,29 +450,22 @@ func (f *luFactor) pivotRow(i int) []float64 {
 }
 
 func (f *luFactor) update(w []float64, leaving int) {
-	n := 0
-	for _, wi := range w {
-		if wi != 0 {
-			n++
-		}
-	}
-	idx := make([]int32, 0, n)
-	val := make([]float64, 0, n)
+	lo := len(f.etaIdx)
 	for i, wi := range w {
 		if wi != 0 && i != leaving {
-			idx = append(idx, int32(i))
-			val = append(val, wi)
+			f.etaIdx = append(f.etaIdx, int32(i))
+			f.etaVal = append(f.etaVal, wi)
 		}
 	}
-	f.etas = append(f.etas, luEta{r: int32(leaving), wr: w[leaving], idx: idx, val: val})
-	f.etaNNZ += len(idx) + 1
+	f.etas = append(f.etas, luEta{r: int32(leaving), wr: w[leaving], lo: lo, hi: len(f.etaIdx)})
 }
 
 // needsRefactor bounds the eta file: once applying the etas costs more
 // than a couple of fresh triangular solves, refactorizing wins. The
-// absolute cap matches the dense path's drift bound.
+// absolute cap matches the dense path's drift bound. The eta file holds
+// one nonzero per eta beside those in the arena: its pivot entry w[r].
 func (f *luFactor) needsRefactor(since int) bool {
-	return since >= 256 || f.etaNNZ > 4*f.fnnz+2*f.m
+	return since >= 256 || len(f.etaIdx)+len(f.etas) > 4*f.fnnz+2*f.m
 }
 
 func (f *luFactor) nnz() int { return f.fnnz }

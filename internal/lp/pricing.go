@@ -27,7 +27,8 @@ import "math"
 // appends at most one artificial per row). Called once per solve.
 func (s *simplexState) initPricing() {
 	m := s.m
-	s.rowStart = make([]int32, m+1)
+	s.rowStart = resize(s.rowStart, m+1)
+	clear(s.rowStart)
 	for _, col := range s.cols[:s.nStruct] {
 		for _, e := range col {
 			s.rowStart[e.row+1]++
@@ -36,7 +37,7 @@ func (s *simplexState) initPricing() {
 	for i := 0; i < m; i++ {
 		s.rowStart[i+1] += s.rowStart[i]
 	}
-	s.rowCol = make([]int32, s.rowStart[m])
+	s.rowCol = resize(s.rowCol, int(s.rowStart[m]))
 	// Fill with rowStart[i] as row i's cursor, then shift the cursors
 	// (now row ends) back into row starts.
 	for j, col := range s.cols[:s.nStruct] {
@@ -48,14 +49,17 @@ func (s *simplexState) initPricing() {
 	copy(s.rowStart[1:], s.rowStart[:m])
 	s.rowStart[0] = 0
 
-	n, ncap := len(s.cols), cap(s.cols)
-	s.artOf = make([]int32, m)
-	s.yPrev = make([]float64, m)
-	s.devex = make([]float64, n, ncap)
-	s.dir = make([]float64, n, ncap)
-	s.score = make([]float64, n, ncap)
-	s.mark = make([]bool, n, ncap)
-	s.dirty = make([]int32, 0, ncap)
+	n, ncap := len(s.cols), s.nStruct+2*m
+	s.artOf = resize(s.artOf, m)
+	clear(s.artOf)
+	s.yPrev = resize(s.yPrev, m)
+	s.devex = resize(s.devex, ncap)[:n]
+	s.dir = resize(s.dir, ncap)[:n]
+	s.score = resize(s.score, ncap)[:n]
+	s.mark = resize(s.mark, ncap)
+	clear(s.mark) // tryWarmStart borrows it as all-false scratch
+	s.mark = s.mark[:n]
+	s.dirty = resize(s.dirty, ncap)[:0]
 }
 
 // resetPricing starts a phase: the cache grows to the current column

@@ -30,7 +30,6 @@ func TestRefactorizeSingularBasis(t *testing.T) {
 			p, _, _ := duplicateColumnProblem()
 			opts := Options{factor: fm.mk}.withDefaults(len(p.cons), len(p.vars))
 			s := newSimplexState(p, opts)
-			s.allocate()
 			s.coldStart()
 			// Force both duplicate structural columns basic: B is the
 			// all-ones 2×2 matrix, rank 1.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sync"
 	"time"
 )
 
@@ -21,6 +22,11 @@ var debugSimplex = os.Getenv("LIPS_LP_DEBUG") == "1"
 // — so no extra rows are created for them. Infeasibility of the initial
 // slack basis is repaired by per-row artificial variables minimised in
 // phase 1.
+//
+// The working state is borrowed from statePool and returned when solve
+// returns, so a process that solves every epoch allocates little beyond
+// the Solution it hands back. A factorizer installed by a test is never
+// pooled.
 func (p *Problem) solve(opts Options) (*Solution, error) {
 	m := len(p.cons)
 	n := len(p.vars)
@@ -28,8 +34,38 @@ func (p *Problem) solve(opts Options) (*Solution, error) {
 	if m == 0 {
 		return p.solveUnconstrained(opts)
 	}
-	s := newSimplexState(p, opts)
+	if opts.factor != nil {
+		return newSimplexState(p, opts).run()
+	}
+	s := statePool.Get().(*simplexState)
+	defer s.release()
+	s.init(p, opts)
 	return s.run()
+}
+
+// statePool holds idle simplex workspaces. A pool rather than a field of
+// the caller: a busy process reuses one every solve, and an idle one keeps
+// nothing past two garbage collections.
+var statePool = sync.Pool{New: func() any { return new(simplexState) }}
+
+// release drops everything that belongs to the finished solve — the
+// problem, its column slices, the options and the pivot list the Solution
+// now owns — and returns the workspace to the pool.
+func (s *simplexState) release() {
+	clear(s.cols)
+	*s = simplexState{workspace: s.workspace}
+	statePool.Put(s)
+}
+
+// resize returns buf with length n, reusing its backing array when that is
+// large enough. Entries are not cleared: whatever a solve reads, it sets
+// first. Existing entries survive a grow, so a slice of slices keeps every
+// inner slice's capacity.
+func resize[T any](buf []T, n int) []T {
+	if n <= cap(buf) {
+		return buf[:n]
+	}
+	return append(buf[:cap(buf)], make([]T, n-cap(buf))...)
 }
 
 // solveUnconstrained handles the degenerate case of no constraint rows:
@@ -70,24 +106,54 @@ const (
 )
 
 // simplexState is the working state of one solve. Columns are laid out as
-// [structural | slack | artificial].
+// [structural | slack | artificial]. The scalars below are per solve; the
+// embedded workspace holds every vector and outlives the solve.
 type simplexState struct {
 	p    *Problem
 	opts Options
 
 	m, nStruct, nSlack, nArt int
 
+	factor factorizer // representation of B^{-1}: &lu unless a test installs its own
+
+	iter     int
+	p1it     int
+	priceAll bool // cost vector or reference framework reset: reprice everything
+	degenRun int  // consecutive degenerate pivots (triggers Bland)
+	nflips   int  // bound flips (debug accounting)
+
+	warm      bool    // warm-start basis accepted
+	pivots    []Pivot // recorded when opts.RecordPivots; the Solution takes it
+	pricingNS time.Duration
+	factorNS  time.Duration // wall-clock inside refactorize
+	ftranNS   time.Duration // wall-clock in FTRAN (entering columns + x_B)
+	btranNS   time.Duration // wall-clock in BTRAN (duals + Devex pivot rows)
+	nRefactor int
+
+	workspace
+}
+
+// workspace is every vector of a solve. init re-slices each one to the new
+// problem's size, allocating only when capacity is short, and nothing
+// relies on a fresh allocation's zeroes: every entry a solve reads it sets
+// first.
+type workspace struct {
 	cols  [][]nz    // sparse column entries
 	lower []float64 // per column
 	upper []float64
-	cost  []float64 // phase-2 (original) costs; artificials are 0
-	b     []float64 // row right-hand sides
+	cost  []float64 // phase-2 (original) costs; slacks and artificials are 0
+	b     []float64 // row right-hand sides, perturbed while iterating
+	bOrig []float64 // the unperturbed right-hand sides
 
-	status []int      // per column: atLower/atUpper/atFree/basic
-	value  []float64  // current value of each NONBASIC column (bound or 0)
-	basis  []int      // column index of the basic variable in each row
-	xB     []float64  // value of the basic variable in each row
-	factor factorizer // representation of B^{-1} (sparse LU)
+	slackNZ []nz      // backing array of the m unit slack columns
+	artNZ   []nz      // backing array of the phase-1 artificial columns
+	p1cost  []float64 // phase-1 costs: 1 on artificials, else 0
+
+	status []int     // per column: atLower/atUpper/atFree/basic
+	value  []float64 // current value of each NONBASIC column (bound or 0)
+	basis  []int     // column index of the basic variable in each row
+	xB     []float64 // value of the basic variable in each row
+	lu     luFactor
 
 	// scratch
 	y     []float64 // duals c_B^T B^{-1}
@@ -95,8 +161,6 @@ type simplexState struct {
 	w     []float64 // B^{-1} A_q
 	rhs   []float64 // b − N x_N, the right-hand side of computeXB
 	devex []float64 // Devex reference weights, one per column
-	iter  int
-	p1it  int
 
 	// Incremental pricing (pricing.go): a row-major (CSR) index of the
 	// structural columns — a row's slack and phase-1 artificial are single
@@ -110,30 +174,36 @@ type simplexState struct {
 	score    []float64 // d²/devex where dir ≠ 0, else 0
 	dirty    []int32   // columns to reprice at the next refresh
 	mark     []bool    // membership of dirty
-	priceAll bool      // cost vector or reference framework reset: reprice everything
-
-	degenRun int // consecutive degenerate pivots (triggers Bland)
-	nflips   int // bound flips (debug accounting)
-
-	warm      bool    // warm-start basis accepted
-	pivots    []Pivot // recorded when opts.RecordPivots
-	pricingNS time.Duration
-	factorNS  time.Duration // wall-clock inside refactorize
-	ftranNS   time.Duration // wall-clock in FTRAN (entering columns + x_B)
-	btranNS   time.Duration // wall-clock in BTRAN (duals + Devex pivot rows)
-	nRefactor int
 }
 
+// newSimplexState returns a freshly allocated state sized for p: what a
+// solve with a test's own factorizer runs on, and the reference a pooled
+// workspace is checked against.
 func newSimplexState(p *Problem, opts Options) *simplexState {
+	s := new(simplexState)
+	s.init(p, opts)
+	return s
+}
+
+// init readies the state for one solve of p: every per-solve field starts
+// from its zero value, and every vector is sized — with room for the at
+// most one artificial column per row phase 1 appends — and filled with
+// the problem's columns, bounds, costs and right-hand sides.
+func (s *simplexState) init(p *Problem, opts Options) {
 	m := len(p.cons)
 	n := len(p.vars)
-	s := &simplexState{p: p, opts: opts, m: m, nStruct: n, nSlack: m}
-	total := n + m // artificials appended later
-	s.cols = make([][]nz, total, total+m)
-	s.lower = make([]float64, total, total+m)
-	s.upper = make([]float64, total, total+m)
-	s.cost = make([]float64, total, total+m)
-	s.b = make([]float64, m)
+	*s = simplexState{p: p, opts: opts, m: m, nStruct: n, nSlack: m, workspace: s.workspace}
+	total, ncap := n+m, n+2*m
+	s.cols = resize(s.cols, ncap)[:total]
+	s.lower = resize(s.lower, ncap)[:total]
+	s.upper = resize(s.upper, ncap)[:total]
+	s.cost = resize(s.cost, ncap)[:total]
+	s.status = resize(s.status, ncap)[:total]
+	s.value = resize(s.value, ncap)[:total]
+	s.b = resize(s.b, m)
+	s.bOrig = resize(s.bOrig, m)
+	s.slackNZ = resize(s.slackNZ, m)
+	s.artNZ = resize(s.artNZ, m)
 	for j := 0; j < n; j++ {
 		v := &p.vars[j]
 		s.cols[j] = v.col
@@ -141,13 +211,13 @@ func newSimplexState(p *Problem, opts Options) *simplexState {
 		s.upper[j] = v.upper
 		s.cost[j] = v.cost
 	}
-	slack := make([]nz, m) // one backing array for the m unit columns
 	for i := 0; i < m; i++ {
 		c := &p.cons[i]
 		s.b[i] = c.rhs
 		sj := n + i
-		slack[i] = nz{row: i, coef: 1}
-		s.cols[sj] = slack[i : i+1 : i+1]
+		s.slackNZ[i] = nz{row: i, coef: 1}
+		s.cols[sj] = s.slackNZ[i : i+1 : i+1]
+		s.cost[sj] = 0
 		switch c.sense {
 		case LE:
 			s.lower[sj], s.upper[sj] = 0, Inf
@@ -157,7 +227,19 @@ func newSimplexState(p *Problem, opts Options) *simplexState {
 			s.lower[sj], s.upper[sj] = 0, 0
 		}
 	}
-	return s
+	s.basis = resize(s.basis, m)
+	s.xB = resize(s.xB, m)
+	s.y = resize(s.y, m)
+	s.cb = resize(s.cb, m)
+	s.w = resize(s.w, m)
+	s.rhs = resize(s.rhs, m)
+	if opts.factor != nil {
+		s.factor = opts.factor(s)
+	} else {
+		s.lu.init(s)
+		s.factor = &s.lu
+	}
+	s.initPricing()
 }
 
 // nonbasicStart picks the starting bound for a nonbasic column and returns
@@ -174,24 +256,8 @@ func (s *simplexState) nonbasicStart(j int) (int, float64) {
 	}
 }
 
-// allocate sizes the working vectors, once per solve.
-func (s *simplexState) allocate() {
-	m := s.m
-	s.status = make([]int, len(s.cols), cap(s.cols))
-	s.value = make([]float64, len(s.cols), cap(s.cols))
-	s.basis = make([]int, m)
-	s.xB = make([]float64, m)
-	s.factor = newFactorizer(s)
-	s.y = make([]float64, m)
-	s.cb = make([]float64, m)
-	s.w = make([]float64, m)
-	s.rhs = make([]float64, m)
-	s.initPricing()
-}
-
 func (s *simplexState) run() (*Solution, error) {
 	m := s.m
-	s.allocate()
 
 	// Anti-degeneracy perturbation: scheduling LPs are massively
 	// degenerate (symmetric machine groups, tied costs), which can stall
@@ -200,7 +266,7 @@ func (s *simplexState) run() (*Solution, error) {
 	// solutions distinct; the original b is restored before extracting
 	// the final answer, so the reported solution is exact up to the
 	// usual tolerances.
-	bOrig := append([]float64(nil), s.b...)
+	copy(s.bOrig, s.b)
 	for i := 0; i < m; i++ {
 		delta := 1e-8 * (1 + math.Abs(s.b[i])) * (0.5 + float64((i*2654435761)%1024)/1024)
 		switch s.p.cons[i].sense {
@@ -234,7 +300,7 @@ func (s *simplexState) run() (*Solution, error) {
 	}
 	// Undo the anti-degeneracy perturbation: re-derive the basic values
 	// from the original right-hand sides under the final (optimal) basis.
-	s.b = bOrig
+	copy(s.b, s.bOrig)
 	if err := s.refactorize(); err != nil {
 		return nil, err
 	}
@@ -315,7 +381,8 @@ func (s *simplexState) phase1() (st *Solution, done bool, err error) {
 			sign = -1
 		}
 		aj := len(s.cols)
-		s.cols = append(s.cols, []nz{{row: i, coef: sign}})
+		s.artNZ[s.nArt] = nz{row: i, coef: sign}
+		s.cols = append(s.cols, s.artNZ[s.nArt:s.nArt+1:s.nArt+1])
 		s.lower = append(s.lower, 0)
 		s.upper = append(s.upper, Inf)
 		s.cost = append(s.cost, 0)
@@ -335,7 +402,9 @@ func (s *simplexState) phase1() (st *Solution, done bool, err error) {
 		return nil, false, nil
 	}
 	// Phase 1: minimise the sum of artificials.
-	p1cost := make([]float64, len(s.cols))
+	s.p1cost = resize(s.p1cost, len(s.cols))
+	p1cost := s.p1cost
+	clear(p1cost[:s.nStruct+s.nSlack])
 	for j := s.nStruct + s.nSlack; j < len(s.cols); j++ {
 		p1cost[j] = 1
 	}
