@@ -320,6 +320,41 @@ func TestInstanceWithoutAggregation(t *testing.T) {
 	}
 }
 
+// TestNewInstanceRepeatable builds Fig. 5-shaped instances — aggregated
+// units holding several stores each, under a shuffled placement — thirty
+// times apiece and requires every build's origin mixes, and with them the
+// LP's place rows, to match the first to the bit.
+func TestNewInstanceRepeatable(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := cluster.Random(rng, cluster.RandomSpec{Nodes: 100, Types: 6})
+		w := workload.Random(rng, c.StoreIDs(), workload.RandomSpec{TotalTasks: 1000})
+		p := w.Placement()
+		p.Shuffle(rng, c.StoreIDs())
+		var first *Instance
+		for build := 0; build < 30; build++ {
+			in, err := NewInstance(c, w.Jobs, w.Objects, p, InstanceOptions{Aggregate: true, Horizon: 3600})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = in
+				continue
+			}
+			for i, d := range in.Data {
+				if len(d.Origin) != len(first.Data[i].Origin) {
+					t.Fatalf("seed %d, build %d: data %d has %d origins, first build %d", seed, build, i, len(d.Origin), len(first.Data[i].Origin))
+				}
+				for u, f := range d.Origin {
+					if g := first.Data[i].Origin[u]; math.Float64bits(f) != math.Float64bits(g) {
+						t.Fatalf("seed %d, build %d: data %d's share on unit %d is %x, first build %x", seed, build, i, u, f, g)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestLocalOnlyPlanIsLocal(t *testing.T) {
 	in := twoNodeInstance(t, 1, 2)
 	xd := PlacementFractions(in)
