@@ -206,7 +206,8 @@ func (r *AblationBillingResult) Render() string {
 }
 
 // AblationPricingRow compares simplex pricing rules on one co-scheduling
-// LP (Dantzig vs Bland), the design choice called out in DESIGN.md.
+// LP (the default Devex vs Bland), the design choice called out in
+// DESIGN.md.
 type AblationPricingRow struct {
 	Rule  string
 	Iters int
@@ -240,7 +241,7 @@ func AblationPricing(cfg Config) (*AblationPricingResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rule := "dantzig"
+		rule := "devex"
 		if bland {
 			rule = "bland"
 		} else {

@@ -113,7 +113,7 @@ type Options struct {
 	// Tol is the feasibility and optimality tolerance. 0 means 1e-9.
 	Tol float64
 	// Bland forces Bland's anti-cycling rule from the first iteration.
-	// The default is Dantzig pricing with an automatic Bland fallback
+	// The default is Devex pricing with an automatic Bland fallback
 	// after a long degenerate stall.
 	Bland bool
 	// WarmStart seeds the solve with a basis from a previous solve of a
