@@ -165,6 +165,13 @@ type Daemon struct {
 	decisions   *decisionRing  // /debug/epochs ring
 	shedCounts  map[string]int // 429/503 sheds since the last recorded epoch
 
+	// cut closes the next epoch's admission: a submission accepted at or
+	// after it waits for the epoch after, and simNowLocked already reads
+	// that epoch's start. The loop sets it to the next tick's time, a Step
+	// holds it at its snapshot until it publishes, and it is zero while
+	// nothing steps.
+	cut time.Time
+
 	// simMu guards the simulator; busy is set for the span of an epoch,
 	// which is all the admission path wants to know about the solver.
 	simMu sync.Mutex
@@ -278,9 +285,25 @@ func (d *Daemon) Err() error {
 	return d.loopErr
 }
 
-// simNowLocked returns the simulated clock (one epoch stale at most).
-func (d *Daemon) simNowLocked() float64 {
-	return float64(d.epochs) * d.cfg.EpochSimSec
+// simNowLocked returns the simulated clock: the start of the epoch that
+// would admit a submission accepted now.
+func (d *Daemon) simNowLocked() float64 { return d.simAtLocked(time.Now()) }
+
+// simAtLocked is simNowLocked for a submission accepted at wall time at.
+// Past the cut that is the epoch after the next one to publish, so a
+// submission's clock never depends on how long the running epoch takes.
+func (d *Daemon) simAtLocked(at time.Time) float64 {
+	epochs := d.epochs
+	if !d.cut.IsZero() && !at.Before(d.cut) {
+		epochs++
+	}
+	return float64(epochs) * d.cfg.EpochSimSec
+}
+
+func (d *Daemon) setCut(at time.Time) {
+	d.mu.Lock()
+	d.cut = at
+	d.mu.Unlock()
 }
 
 // Shutdown drains and stops the daemon: new submissions are refused with
@@ -322,16 +345,21 @@ func (d *Daemon) Shutdown() error {
 	return err
 }
 
+// loop steps once per tick. Each epoch admits what was accepted before
+// its tick, not before the moment this goroutine got to run: how late it
+// wakes must not decide which epoch a submission lands in.
 func (d *Daemon) loop() {
 	defer close(d.doneCh)
 	t := time.NewTicker(d.cfg.EpochWallInterval)
 	defer t.Stop()
+	d.setCut(time.Now().Add(d.cfg.EpochWallInterval))
+	defer d.setCut(time.Time{})
 	for {
 		select {
 		case <-d.stop:
 			return
-		case <-t.C:
-			if err := d.Step(); err != nil {
+		case tick := <-t.C:
+			if err := d.step(tick.Add(d.cfg.EpochWallInterval)); err != nil {
 				d.mu.Lock()
 				if d.loopErr == nil {
 					d.loopErr = err

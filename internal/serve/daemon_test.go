@@ -495,6 +495,132 @@ func TestCancelRacingLastTaskEndsDone(t *testing.T) {
 	}
 }
 
+// submitIn submits one grep job in process and returns its record ID.
+func submitIn(t *testing.T, h http.Handler) int {
+	t.Helper()
+	code, body := call(h, http.MethodPost, "/submit", SubmitRequest{Tenant: "alice", Archetype: "grep", InputMB: 128})
+	var sr SubmitResponse
+	if code != http.StatusAccepted || json.Unmarshal(body, &sr) != nil {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	return sr.ID
+}
+
+// statusIn reads one record's /status in process.
+func statusIn(t *testing.T, h http.Handler, id int) JobStatus {
+	t.Helper()
+	var js JobStatus
+	if code, body := call(h, http.MethodGet, fmt.Sprintf("/status?id=%d", id), nil); code != http.StatusOK || json.Unmarshal(body, &js) != nil {
+		t.Fatalf("status %d: %d %s", id, code, body)
+	}
+	return js
+}
+
+// TestMidEpochSubmissionWaitsNoSimulatedTime: a submission accepted while
+// an epoch runs cannot join it, so its clock is the next epoch's start and
+// it reports no queue wait. Stamped with the running epoch's clock, it
+// would wait one epoch of simulated time more than a submission accepted
+// a moment later, once the epoch had published — a wait that depended on
+// how long the epoch's solve took.
+func TestMidEpochSubmissionWaitsNoSimulatedTime(t *testing.T) {
+	hook := &cancelAtLastTask{Fair: sched.NewFair()}
+	d, err := New(cluster.Paper20(0.5), hook, obs.NewRegistry(), Config{EpochSimSec: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := d.Handler()
+	submitIn(t, h)
+	mid := -1
+	hook.fire = func() { mid = submitIn(t, h) }
+	for i := 0; i < 20 && !hook.fired; i++ {
+		if err := d.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if mid < 0 {
+		t.Fatal("no epoch finished a job, so nothing was submitted mid-epoch")
+	}
+	d.mu.Lock()
+	clock := d.simNowLocked()
+	d.mu.Unlock()
+	if js := statusIn(t, h, mid); js.SubmittedSim != clock {
+		t.Errorf("mid-epoch submission stamped at %g, want the published clock %g", js.SubmittedSim, clock)
+	}
+	if err := d.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if js := statusIn(t, h, mid); js.State == StateQueued || js.AdmittedSim != js.SubmittedSim {
+		t.Errorf("mid-epoch submission %s, submitted at %g and admitted at %g: want admitted with no wait", js.State, js.SubmittedSim, js.AdmittedSim)
+	}
+}
+
+// TestSubmissionPastTheCutWaitsForTheNextEpoch: once the loop's tick has
+// passed, the epoch it starts admits only what was accepted before it,
+// however late the epoch goroutine wakes. A later submission is already
+// stamped with the next epoch's clock, is no deferral of this epoch, and
+// the next epoch admits it with no wait.
+func TestSubmissionPastTheCutWaitsForTheNextEpoch(t *testing.T) {
+	d, err := New(cluster.Paper20(0.5), sched.NewFair(), obs.NewRegistry(), Config{EpochSimSec: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := d.Handler()
+	before := submitIn(t, h)
+	d.setCut(time.Now()) // the tick fires
+	after := submitIn(t, h)
+	if b, a := statusIn(t, h, before), statusIn(t, h, after); b.SubmittedSim != 0 || a.SubmittedSim != 60 {
+		t.Fatalf("submitted at %g and %g, want 0 before the tick and 60 after it", b.SubmittedSim, a.SubmittedSim)
+	}
+	if err := d.step(time.Now().Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if b, a := statusIn(t, h, before), statusIn(t, h, after); b.State == StateQueued || a.State != StateQueued {
+		t.Fatalf("after the first epoch: %s before the tick, %s after it; want admitted and queued", b.State, a.State)
+	}
+	var epochs EpochsResponse
+	if code, body := call(h, http.MethodGet, "/debug/epochs", nil); code != http.StatusOK || json.Unmarshal(body, &epochs) != nil {
+		t.Fatalf("/debug/epochs: %d %s", code, body)
+	}
+	if n := len(epochs.Epochs); n != 1 || epochs.Epochs[0].AdmittedCount != 1 || epochs.Epochs[0].DeferredCount != 0 {
+		t.Errorf("epoch decisions %+v, want one admitting one job and deferring none", epochs.Epochs)
+	}
+	if err := d.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if a := statusIn(t, h, after); a.State == StateQueued || a.AdmittedSim != 60 {
+		t.Errorf("after the second epoch the late submission is %s, admitted at %g; want admitted at 60", a.State, a.AdmittedSim)
+	}
+}
+
+// TestLiveLoopAdmitsWithoutWaitBelowTheCap submits against a running
+// 1 ms loop, so submissions land before, inside and after epochs. With
+// the admission cap never reached, every job must be admitted at the
+// clock it was stamped with, wherever its submission fell.
+func TestLiveLoopAdmitsWithoutWaitBelowTheCap(t *testing.T) {
+	d, err := New(cluster.Paper20(0.5), sched.NewFair(), obs.NewRegistry(), Config{
+		EpochSimSec: 60, EpochWallInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := d.Handler()
+	d.Start()
+	rng := rand.New(rand.NewSource(1))
+	ids := make([]int, 200)
+	for i := range ids {
+		ids[i] = submitIn(t, h)
+		time.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
+	}
+	if err := d.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if js := statusIn(t, h, id); js.State != StateDone || js.AdmittedSim != js.SubmittedSim {
+			t.Errorf("job %d ended %s, submitted at %g and admitted at %g", id, js.State, js.SubmittedSim, js.AdmittedSim)
+		}
+	}
+}
+
 // TestTenantFairShare: two equal-weight tenants submitting identical work
 // — one front-loading the queue — must converge to equal ECU-seconds, and
 // the latecomer must not wait behind the whole front-loaded backlog.

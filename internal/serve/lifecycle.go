@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"lips/internal/obs"
 	"lips/internal/workload"
@@ -41,6 +42,9 @@ type jobRecord struct {
 	job    workload.Job // as validated; name, owner and arrival are stamped at admission
 	state  string       // written by transitionLocked only
 	simJob int          // -1 until admitted; only Step touches it
+	// accepted is the wall time of the submission, which the epoch cut
+	// compares against; it never decreases along the queue.
+	accepted time.Time
 
 	pending, queued, running, doneTasks int
 }
@@ -49,8 +53,9 @@ type jobRecord struct {
 func (d *Daemon) newRecordLocked(tenant, name string, job workload.Job) *jobRecord {
 	sp := obs.NewSpan(len(d.records))
 	sp.Name, sp.Tenant = fmt.Sprintf("%s-%d", name, sp.Job), tenant
-	sp.SubmittedSim = d.simNowLocked()
-	rec := &jobRecord{span: sp, job: job, state: StateQueued, simJob: -1}
+	now := time.Now()
+	sp.SubmittedSim = d.simAtLocked(now)
+	rec := &jobRecord{span: sp, job: job, state: StateQueued, simJob: -1, accepted: now}
 	d.records = append(d.records, rec)
 	d.queue = append(d.queue, sp.Job)
 	if d.tenantJobs[tenant] == nil {

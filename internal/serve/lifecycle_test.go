@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"lips/internal/cluster"
 	"lips/internal/obs"
@@ -72,7 +73,7 @@ func stepCancelling(d *Daemon, h http.Handler, id int) error {
 	if err != nil {
 		return err
 	}
-	d.report(d.publish(snap, res), res)
+	d.report(d.publish(snap, res, time.Time{}), res)
 	return res.stepErr
 }
 
@@ -408,7 +409,7 @@ func TestPublishAdmitError(t *testing.T) {
 	d.publish(snap, simResult{
 		start: 0, end: 60, admitted: 1,
 		jobs: []jobUpdate{{rec: snap.batch[0], admitErr: errors.New("sim: AddJob: refused")}},
-	})
+	}, time.Time{})
 
 	var tr JobTrace
 	if code, body := call(h, http.MethodGet, "/jobs/0/trace", nil); code != http.StatusOK || json.Unmarshal(body, &tr) != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sort"
 	"time"
 
 	"lips/internal/cluster"
@@ -60,8 +61,12 @@ type epochSummary struct {
 // simulate one epoch of cluster time, publish the outcome into the
 // records, report it. The ticker calls it once per wall interval; a test
 // or tool may call it by hand instead. Callers are serialised, so two
-// epochs never interleave.
-func (d *Daemon) Step() error {
+// epochs never interleave. A Step by hand admits everything queued.
+func (d *Daemon) Step() error { return d.step(time.Time{}) }
+
+// step is Step with the time the next epoch's admission closes (the
+// loop's next tick), zero when the next epoch is stepped by hand.
+func (d *Daemon) step(nextCut time.Time) error {
 	d.stepMu.Lock()
 	defer d.stepMu.Unlock()
 	d.busy.Store(true) // admission control sheds a half-full queue meanwhile
@@ -74,7 +79,7 @@ func (d *Daemon) Step() error {
 	if err != nil {
 		return err
 	}
-	d.report(d.publish(snap, res), res)
+	d.report(d.publish(snap, res, nextCut), res)
 	if res.stepErr != nil {
 		return fmt.Errorf("serve: epoch step: %w", res.stepErr)
 	}
@@ -95,20 +100,20 @@ func (d *Daemon) overBudgetLocked(tenant string) bool {
 	return spent >= limit
 }
 
-// takeBatchLocked removes up to AdmitPerEpoch records from the queue in
-// tenant-fair order: tenants are served cheapest-first by accumulated
-// ECU-seconds over weight, FIFO within a tenant. Tenants that exhausted
-// their dollar budget (overBudget, for every tenant in the queue) are
-// passed over entirely and their records stay queued. The remainder
-// keeps its submission order.
-func (d *Daemon) takeBatchLocked() (batch []*jobRecord, overBudget map[string]bool) {
+// takeBatchLocked removes up to AdmitPerEpoch of the first n queued
+// records in tenant-fair order: tenants are served cheapest-first by
+// accumulated ECU-seconds over weight, FIFO within a tenant. Tenants that
+// exhausted their dollar budget (overBudget, for every tenant in the
+// queue) are passed over entirely and their records stay queued. The
+// remainder keeps its submission order.
+func (d *Daemon) takeBatchLocked(n int) (batch []*jobRecord, overBudget map[string]bool) {
 	type ranked struct {
 		pos     int
 		deficit float64
 	}
-	rank := make([]ranked, 0, len(d.queue))
+	rank := make([]ranked, 0, n)
 	overBudget = make(map[string]bool)
-	for i, id := range d.queue {
+	for i, id := range d.queue[:n] {
 		tenant := d.records[id].span.Tenant
 		over, seen := overBudget[tenant]
 		if !seen {
@@ -145,26 +150,40 @@ func (d *Daemon) takeBatchLocked() (batch []*jobRecord, overBudget map[string]bo
 }
 
 // snapshot takes, under d.mu, everything the step needs from the
-// admission state: the pending cancels, a tenant-fair batch, the
-// queue-side deferrals, the shed counts and the active set.
+// admission state: the pending cancels, a tenant-fair batch of the
+// records accepted before the cut, the queue-side deferrals, the shed
+// counts and the active set. Until publish the cut stays at or before
+// the snapshot, so a submission the batch missed is stamped with the
+// next epoch's clock.
 func (d *Daemon) snapshot() epochSnap {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	snap := epochSnap{cancels: d.cancels, shed: d.shedCounts}
 	d.cancels, d.shedCounts = nil, nil
-	batch, overBudget := d.takeBatchLocked()
+	eligible := len(d.queue)
+	if !d.cut.IsZero() {
+		eligible = sort.Search(len(d.queue), func(i int) bool {
+			return !d.records[d.queue[i]].accepted.Before(d.cut)
+		})
+	}
+	if now := time.Now(); d.cut.IsZero() || now.Before(d.cut) {
+		d.cut = now
+	}
+	batch, overBudget := d.takeBatchLocked(eligible)
 	snap.batch = batch
-	// Queue leftovers either sat out on an exhausted tenant budget or
+	// Eligible leftovers either sat out on an exhausted tenant budget or
 	// lost this epoch's fair-share ranking to the AdmitPerEpoch bound —
-	// the queue-side classes of typed deferrals.
-	for _, id := range d.queue[:min(len(d.queue), maxDecisionRefs)] {
+	// the queue-side classes of typed deferrals. They still head the
+	// queue; what follows them arrived after the cut.
+	left := eligible - len(batch)
+	for _, id := range d.queue[:min(left, maxDecisionRefs)] {
 		tenant, reason := d.records[id].span.Tenant, obs.ReasonFairShare
 		if overBudget[tenant] {
 			reason = obs.ReasonBudgetExhausted
 		}
 		snap.deferred = append(snap.deferred, Deferral{JobRef{id, tenant}, reason})
 	}
-	snap.deferredTotal = len(d.queue)
+	snap.deferredTotal = left
 	snap.active = slices.Clone(d.active)
 	return snap
 }
@@ -232,8 +251,11 @@ func (d *Daemon) nextOrigin() cluster.StoreID {
 // jobs: every state change goes through transitionLocked, and the epoch's
 // decision joins the /debug/epochs ring. The obs calls inside the
 // critical section are lock-free atomics (plus a family mutex on first
-// child creation) and never take d.mu, so no ordering hazard.
-func (d *Daemon) publish(snap epochSnap, res simResult) epochSummary {
+// child creation) and never take d.mu, so no ordering hazard. The clock
+// moves on with the cut: the next epoch's admission closes at nextCut, or
+// now if the step ran past it, and a hand-stepped one closes at its own
+// snapshot.
+func (d *Daemon) publish(snap epochSnap, res simResult, nextCut time.Time) epochSummary {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	sum := epochSummary{epoch: d.epochs + 1}
@@ -304,6 +326,10 @@ func (d *Daemon) publish(snap epochSnap, res simResult) epochSummary {
 	d.active = slices.DeleteFunc(d.active, func(rec *jobRecord) bool { return terminal(rec.state) })
 	d.tenantCPU, d.tenantSpend = res.cpu, res.spend
 	d.epochs++
+	d.cut = nextCut
+	if now := time.Now(); !nextCut.IsZero() && nextCut.Before(now) {
+		d.cut = now
+	}
 	sum.queueDepth, sum.tenants = len(d.queue), len(d.tenantJobs)
 	sum.done, sum.cancelled = d.jobs[StateDone]-doneBefore, d.jobs[StateCancelled]-cancelledBefore
 	if len(res.jobs) > 0 || len(snap.cancels) > 0 || len(snap.shed) > 0 || deferredTotal > 0 {
