@@ -125,8 +125,7 @@ func Paper100() *Cluster {
 	return b.Build()
 }
 
-// RandomSpec parameterises Random clusters with the ranges from the
-// paper's Fig. 5 caption.
+// RandomSpec sizes Random clusters.
 type RandomSpec struct {
 	Nodes int
 	// Types is the number of distinct synthetic instance types to draw;
@@ -135,13 +134,14 @@ type RandomSpec struct {
 	Types int
 	// Zones is the number of availability zones. Defaults to 3.
 	Zones int
-	// MaxCPUMillicent is the top of the per-ECU-second price range
-	// (paper: 0–5 millicents). Defaults to 5.
-	MaxCPUMillicent float64
-	// MaxTransferMillicentPerBlock is the top of the inter-zone transfer
-	// price range per 64 MB block (paper: 0–60 millicents). Defaults to 60.
-	MaxTransferMillicentPerBlock float64
 }
+
+// The tops of the Fig. 5 caption's price ranges: 0–5 millicents per
+// ECU-second, and 0–60 millicents per 64 MB block between zones.
+const (
+	maxCPUMillicent           = 5
+	maxTransferMillicentBlock = 60
+)
 
 func (s RandomSpec) withDefaults() RandomSpec {
 	if s.Types == 0 {
@@ -150,19 +150,12 @@ func (s RandomSpec) withDefaults() RandomSpec {
 	if s.Zones == 0 {
 		s.Zones = 3
 	}
-	if s.MaxCPUMillicent == 0 {
-		s.MaxCPUMillicent = 5
-	}
-	if s.MaxTransferMillicentPerBlock == 0 {
-		s.MaxTransferMillicentPerBlock = 60
-	}
 	return s
 }
 
 // Random builds a random heterogeneous cluster per the Fig. 5 simulation
-// setup: node CPU prices uniform in [0, MaxCPUMillicent] mc/ECU·s and
-// pairwise zone transfer prices uniform in [0, MaxTransferMillicentPerBlock]
-// mc per 64 MB block.
+// setup: node CPU prices uniform in [0, 5] mc/ECU·s and pairwise zone
+// transfer prices uniform in [0, 60] mc per 64 MB block.
 func Random(rng *rand.Rand, spec RandomSpec) *Cluster {
 	spec = spec.withDefaults()
 	zones := make([]string, spec.Zones)
@@ -180,7 +173,7 @@ func Random(rng *rand.Rand, spec RandomSpec) *Cluster {
 		types[i] = synthType{
 			name:  fmt.Sprintf("t%d", i),
 			ecu:   1 + float64(rng.Intn(5)), // 1–5 ECU
-			price: cost.Millicents(rng.Float64() * spec.MaxCPUMillicent),
+			price: cost.Millicents(rng.Float64() * maxCPUMillicent),
 		}
 	}
 	for i := 0; i < spec.Nodes; i++ {
@@ -190,7 +183,7 @@ func Random(rng *rand.Rand, spec RandomSpec) *Cluster {
 	}
 	for i := range zones {
 		for j := i + 1; j < len(zones); j++ {
-			perBlock := cost.Millicents(rng.Float64() * spec.MaxTransferMillicentPerBlock)
+			perBlock := cost.Millicents(rng.Float64() * maxTransferMillicentBlock)
 			b.SetZonePairPerGB(zones[i], zones[j], perBlock.MulFloat(1024/cost.BlockMB))
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // non-optimal outcome.
 func solveRecorded(t *testing.T, p *Problem, opts Options) *Solution {
 	t.Helper()
-	opts.RecordPivots = true
+	opts.recordPivots = true
 	sol, err := p.Solve(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func pivotCorpus(t *testing.T) []string {
 	t.Helper()
 	var out []string
 	rec := func(name string, p *Problem, opts Options) *Solution {
-		opts.RecordPivots = true
+		opts.recordPivots = true
 		sol, err := p.Solve(opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -100,7 +100,7 @@ func pivotCorpus(t *testing.T) []string {
 	// column counts pin the ones before it.
 	full := lipsShapedLP(8, 5, 4, rand.New(rand.NewSource(41)), nil)
 	rp, oracle := NewRestricted(full)
-	sol, st, err := SolveColGen(rp, oracle, Options{RecordPivots: true})
+	sol, st, err := SolveColGen(rp, oracle, Options{recordPivots: true})
 	if err != nil {
 		t.Fatalf("colgen: %v", err)
 	}

@@ -145,7 +145,7 @@ func (s *simplexState) reprice(cost []float64, j int) {
 	// node is ~10⁴× the real prices), an absolute tolerance lets
 	// cancellation noise on truly-zero reduced costs masquerade
 	// as improving columns and the solver churns at the optimum.
-	dtol := s.opts.Tol * (1 + math.Abs(cost[j]))
+	dtol := s.opts.tol * (1 + math.Abs(cost[j]))
 	dir := 0.0
 	switch st {
 	case atLower:

@@ -45,7 +45,7 @@ func (o *pricingOracle) priced(s *simplexState, cost []float64, useBland bool, e
 			for _, e := range s.cols[j] {
 				d -= s.y[e.row] * e.coef
 			}
-			dtol := s.opts.Tol * (1 + math.Abs(cost[j]))
+			dtol := s.opts.tol * (1 + math.Abs(cost[j]))
 			switch {
 			case st != atUpper && d < -dtol:
 				dir = 1

@@ -89,9 +89,9 @@ func TestUnsafePivotTriggersRefactorize(t *testing.T) {
 			c1 := p.AddCon("r1", LE, 1)
 			p.SetCoef(c0, y, 1)
 			p.SetCoef(c1, x, 1e-12)
-			// Tol below the pivot magnitude so the ratio test selects it;
+			// tol below the pivot magnitude so the ratio test selects it;
 			// the 1e-11 safety threshold still rejects it once.
-			sol, err := p.Solve(Options{factor: fm.mk, Tol: 1e-13})
+			sol, err := p.Solve(Options{factor: fm.mk, tol: 1e-13})
 			if err != nil {
 				t.Fatalf("Solve: %v", err)
 			}

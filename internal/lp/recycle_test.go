@@ -21,7 +21,7 @@ type recycleCase struct {
 func recycleCorpus(t *testing.T) []recycleCase {
 	var out []recycleCase
 	add := func(name string, p *Problem, opts Options) {
-		opts.RecordPivots = true
+		opts.recordPivots = true
 		out = append(out, recycleCase{name, p, opts})
 	}
 	random := func(from, to int64) {

@@ -123,7 +123,7 @@ type simplexState struct {
 	nflips   int  // bound flips (debug accounting)
 
 	warm      bool    // warm-start basis accepted
-	pivots    []Pivot // recorded when opts.RecordPivots; the Solution takes it
+	pivots    []Pivot // recorded when opts.recordPivots; the Solution takes it
 	pricingNS time.Duration
 	factorNS  time.Duration // wall-clock inside refactorize
 	ftranNS   time.Duration // wall-clock in FTRAN (entering columns + x_B)
@@ -353,7 +353,7 @@ func (s *simplexState) coldStart() {
 // an iteration limit, infeasibility, or a numeric failure.
 func (s *simplexState) phase1() (st *Solution, done bool, err error) {
 	m := s.m
-	tol := s.opts.Tol
+	tol := s.opts.tol
 	needPhase1 := false
 	for i := 0; i < m; i++ {
 		bj := s.basis[i]
@@ -524,7 +524,7 @@ func (s *simplexState) tryWarmStart(ws *Basis) bool {
 	// tolerance is looser than the pivot tolerance — small epoch-to-epoch
 	// RHS drift lands here — because the ratio test tolerates (and
 	// repairs) slightly out-of-bounds basic values.
-	ftol := math.Max(1e-7, 100*s.opts.Tol)
+	ftol := math.Max(1e-7, 100*s.opts.tol)
 	for i := 0; i < m; i++ {
 		bj := s.basis[i]
 		scale := ftol * (1 + math.Abs(s.xB[i]))
@@ -611,7 +611,7 @@ func (s *simplexState) refactorize() error {
 // termination.
 func (s *simplexState) iterate(cost []float64) (Status, error) {
 	m := s.m
-	tol := s.opts.Tol
+	tol := s.opts.tol
 	sinceRefactor := 0
 	s.resetPricing()
 	for {
@@ -737,7 +737,7 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 		if leaving == -1 {
 			// Bound flip: the entering variable crosses its whole span.
 			s.nflips++
-			if s.opts.RecordPivots {
+			if s.opts.recordPivots {
 				s.pivots = append(s.pivots, Pivot{Entering: int32(entering), Leaving: -1})
 			}
 			for i := 0; i < m; i++ {
@@ -790,7 +790,7 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 		s.touch(entering)
 		s.touch(outVar)
 
-		if s.opts.RecordPivots {
+		if s.opts.recordPivots {
 			s.pivots = append(s.pivots, Pivot{Entering: int32(entering), Leaving: int32(outVar)})
 		}
 

@@ -59,9 +59,9 @@ type Solution struct {
 	// false despite Options.WarmStart, the solver fell back to a cold
 	// two-phase start.
 	WarmStarted bool
-	// Pivots is the pivot sequence, recorded when Options.RecordPivots is
-	// set. Used by determinism tests to assert that a change to the
-	// solver's internals left the path alone.
+	// Pivots is the pivot sequence, recorded only under test. Determinism
+	// tests use it to assert that a change to the solver's internals left
+	// the path alone.
 	Pivots []Pivot
 }
 
@@ -110,8 +110,6 @@ type Options struct {
 	// MaxIters bounds the total number of simplex iterations across both
 	// phases. 0 means 200·(rows+cols)+10000.
 	MaxIters int
-	// Tol is the feasibility and optimality tolerance. 0 means 1e-9.
-	Tol float64
 	// Bland forces Bland's anti-cycling rule from the first iteration.
 	// The default is Devex pricing with an automatic Bland fallback
 	// after a long degenerate stall.
@@ -124,8 +122,6 @@ type Options struct {
 	// warm start skips phase 1 entirely. Solution.WarmStarted reports
 	// which path ran.
 	WarmStart *Basis
-	// RecordPivots fills Solution.Pivots with the pivot sequence.
-	RecordPivots bool
 	// Deprecated: Presolve has no effect; there is no presolve pass. Its
 	// last reader is bench/replay.go.
 	Presolve PresolveMode
@@ -135,6 +131,11 @@ type Options struct {
 	// the instrumented path only when set.
 	Metrics *obs.Registry
 
+	// tol is the feasibility and optimality tolerance; 0 means 1e-9.
+	// recordPivots fills Solution.Pivots with the pivot sequence. Tests
+	// set these; nothing else does.
+	tol          float64
+	recordPivots bool
 	// pricingCheck, when non-nil, is shown every primal pricing step.
 	// Tests hang the full-scan reference pricer here; nothing else sets it.
 	pricingCheck pricingChecker
@@ -163,8 +164,8 @@ func (o Options) withDefaults(rows, cols int) Options {
 	if o.MaxIters == 0 {
 		o.MaxIters = 200*(rows+cols) + 10000
 	}
-	if o.Tol == 0 {
-		o.Tol = 1e-9
+	if o.tol == 0 {
+		o.tol = 1e-9
 	}
 	return o
 }

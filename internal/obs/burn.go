@@ -52,9 +52,14 @@ type SLO struct {
 	Budget       float64 // allowed violation fraction, e.g. 0.05
 	ShortSec     float64 // short rolling window, simulated seconds
 	LongSec      float64 // long rolling window, simulated seconds
-	FireBurn     float64 // burn rate at or above which the alert trips (default 1)
-	ResolveBurn  float64 // burn rate at or below which a firing alert clears (default FireBurn/2)
 }
+
+// An alert trips when a window burns at or above fireBurn, and a firing
+// alert clears when both burn at or below resolveBurn.
+const (
+	fireBurn    = 1
+	resolveBurn = 0.5
+)
 
 // normalize fills defaults and validates the shape.
 func (s SLO) normalize() SLO {
@@ -72,12 +77,6 @@ func (s SLO) normalize() SLO {
 	}
 	if s.LongSec < s.ShortSec {
 		s.LongSec = 6 * s.ShortSec
-	}
-	if s.FireBurn <= 0 {
-		s.FireBurn = 1
-	}
-	if s.ResolveBurn <= 0 || s.ResolveBurn > s.FireBurn {
-		s.ResolveBurn = s.FireBurn / 2
 	}
 	return s
 }
@@ -264,9 +263,9 @@ func (e *BurnEngine) Evaluate(t float64) []Alert {
 		s.lastLong = s.long.badFrac(t) / s.slo.Budget
 		switch s.state {
 		case "":
-			if s.lastShort >= s.slo.FireBurn {
+			if s.lastShort >= fireBurn {
 				s.state, s.sinceSim = AlertPending, t
-				if s.lastLong >= s.slo.FireBurn {
+				if s.lastLong >= fireBurn {
 					s.state, s.firedSim = AlertFiring, t
 					out = append(out, s.alert(AlertFiring, t))
 				} else {
@@ -274,16 +273,16 @@ func (e *BurnEngine) Evaluate(t float64) []Alert {
 				}
 			}
 		case AlertPending:
-			if s.lastShort >= s.slo.FireBurn && s.lastLong >= s.slo.FireBurn {
+			if s.lastShort >= fireBurn && s.lastLong >= fireBurn {
 				s.state, s.firedSim = AlertFiring, t
 				out = append(out, s.alert(AlertFiring, t))
-			} else if s.lastShort <= s.slo.ResolveBurn {
+			} else if s.lastShort <= resolveBurn {
 				// A pending alert that subsides never paged anyone;
 				// it returns to ok silently.
 				s.state = ""
 			}
 		case AlertFiring:
-			if s.lastShort <= s.slo.ResolveBurn && s.lastLong <= s.slo.ResolveBurn {
+			if s.lastShort <= resolveBurn && s.lastLong <= resolveBurn {
 				a := s.alert(AlertResolved, t)
 				a.ResolvedSim = t
 				s.state = ""

@@ -6,7 +6,7 @@ import (
 )
 
 func engineSLO() SLO {
-	return SLO{Kind: SLOE2E, ObjectiveSec: 10, Budget: 0.1, ShortSec: 120, LongSec: 720, FireBurn: 1}
+	return SLO{Kind: SLOE2E, ObjectiveSec: 10, Budget: 0.1, ShortSec: 120, LongSec: 720}
 }
 
 // TestBurnEngineLifecycle drives one tenant through the full pending →

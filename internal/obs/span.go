@@ -138,10 +138,10 @@ func (s *Span) E2ESim() float64 {
 	return s.DoneSim - s.SubmittedSim
 }
 
-// SpanRing is a bounded, concurrency-safe ring of completed spans — the
+// Spans is a bounded, concurrency-safe ring of completed spans — the
 // daemon's after-the-fact explainability buffer. Once full, each Add
 // evicts the oldest span; Total keeps counting.
-type SpanRing struct {
+type Spans struct {
 	mu    sync.Mutex
 	buf   []Span
 	next  int
@@ -149,16 +149,16 @@ type SpanRing struct {
 	total int64
 }
 
-// NewSpanRing returns a ring holding up to n spans (n <= 0 selects 1024).
-func NewSpanRing(n int) *SpanRing {
+// NewSpans returns a ring holding up to n spans (n <= 0 selects 1024).
+func NewSpans(n int) *Spans {
 	if n <= 0 {
 		n = 1024
 	}
-	return &SpanRing{buf: make([]Span, n)}
+	return &Spans{buf: make([]Span, n)}
 }
 
 // Add records one completed span.
-func (r *SpanRing) Add(s Span) {
+func (r *Spans) Add(s Span) {
 	r.mu.Lock()
 	r.buf[r.next] = s
 	r.next++
@@ -170,7 +170,7 @@ func (r *SpanRing) Add(s Span) {
 }
 
 // Snapshot returns the retained spans, oldest first.
-func (r *SpanRing) Snapshot() []Span {
+func (r *Spans) Snapshot() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.full {
@@ -182,7 +182,7 @@ func (r *SpanRing) Snapshot() []Span {
 }
 
 // Total returns how many spans have ever been added.
-func (r *SpanRing) Total() int64 {
+func (r *Spans) Total() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total

@@ -86,7 +86,7 @@ func TestSpanPhasesOutcomeRename(t *testing.T) {
 // TestSpanRingBounds: the ring retains exactly the last n spans oldest
 // first while Total keeps counting everything ever added.
 func TestSpanRingBounds(t *testing.T) {
-	r := NewSpanRing(4)
+	r := NewSpans(4)
 	for i := 0; i < 10; i++ {
 		sp := NewSpan(i)
 		sp.Outcome = OutcomeDone
@@ -104,7 +104,7 @@ func TestSpanRingBounds(t *testing.T) {
 	if r.Total() != 10 {
 		t.Errorf("total %d, want 10", r.Total())
 	}
-	if n := len(NewSpanRing(0).buf); n != 1024 {
+	if n := len(NewSpans(0).buf); n != 1024 {
 		t.Errorf("default ring size %d, want 1024", n)
 	}
 }

@@ -8,24 +8,26 @@ import (
 // Delay is the delay scheduler of Zaharia et al. (EuroSys'10): when the
 // job that should run next cannot launch a node-local task on the free
 // slot, it briefly yields to later jobs instead of launching a non-local
-// task. A job skipped for longer than NodeWaitSec may launch zone-local
-// tasks; after an additional ZoneWaitSec it may launch anywhere. The
-// paper uses this as its "move computation" baseline — with enough small
-// jobs it reaches almost 100% data locality.
+// task. A job skipped for longer than W1 may launch zone-local tasks;
+// after an additional W2 it may launch anywhere. The paper uses this as
+// its "move computation" baseline — with enough small jobs it reaches
+// almost 100% data locality.
 type Delay struct {
 	sim.NopNodeEvents
 
-	// NodeWaitSec (W1) and ZoneWaitSec (W2) are the locality-relaxation
-	// thresholds. The zero value selects 15 s each, in line with the
-	// delay-scheduling paper's small multiples of the task length.
-	NodeWaitSec float64
-	ZoneWaitSec float64
+	// waitSec is both W1 and W2; 0 means delayWaitSec. A test sets it
+	// longer; nothing else sets it.
+	waitSec float64
 
 	skippedSince map[int]float64
 	retryArmed   map[cluster.NodeID]bool
 }
 
-// NewDelay returns a delay scheduler with the default thresholds.
+// delayWaitSec is each locality-relaxation threshold, W1 and W2, in line
+// with the delay-scheduling paper's small multiples of the task length.
+const delayWaitSec = 15
+
+// NewDelay returns a delay scheduler.
 func NewDelay() *Delay { return &Delay{} }
 
 // Name implements sim.Scheduler.
@@ -33,11 +35,8 @@ func (d *Delay) Name() string { return "delay" }
 
 // Init implements sim.Scheduler.
 func (d *Delay) Init(*sim.Sim) {
-	if d.NodeWaitSec == 0 {
-		d.NodeWaitSec = 15
-	}
-	if d.ZoneWaitSec == 0 {
-		d.ZoneWaitSec = 15
+	if d.waitSec == 0 {
+		d.waitSec = delayWaitSec
 	}
 	d.skippedSince = make(map[int]float64)
 	d.retryArmed = make(map[cluster.NodeID]bool)
@@ -60,7 +59,7 @@ func (d *Delay) OnSlotFree(s *sim.Sim, n cluster.NodeID) {
 			// its wait expires, or nothing will wake this slot up.
 			if d.anyPending(s) && !d.retryArmed[n] {
 				d.retryArmed[n] = true
-				s.At(s.Now()+d.NodeWaitSec/2+0.5, func() {
+				s.At(s.Now()+d.waitSec/2+0.5, func() {
 					d.retryArmed[n] = false
 					if s.FreeSlots(n) > 0 {
 						d.OnSlotFree(s, n)
@@ -107,10 +106,10 @@ func (d *Delay) assignOne(s *sim.Sim, n cluster.NodeID) bool {
 		}
 		waited := now - since
 		switch {
-		case rank == 1 && waited >= d.NodeWaitSec:
+		case rank == 1 && waited >= d.waitSec:
 			delete(d.skippedSince, j)
 			return s.Launch(j, t, n, store) == nil
-		case waited >= d.NodeWaitSec+d.ZoneWaitSec:
+		case waited >= 2*d.waitSec:
 			delete(d.skippedSince, j)
 			return s.Launch(j, t, n, store) == nil
 		default:

@@ -8,13 +8,12 @@ import (
 // Fair is Facebook's FairScheduler (paper §II): jobs belong to pools (we
 // pool by the job's User) and each pool gets a fair share of the cluster's
 // slots over time. When a slot frees, the pool furthest below its share —
-// the one with the fewest running tasks per unit weight — schedules next;
-// within a pool jobs run FIFO with locality-greedy task choice.
+// the one with the fewest running tasks, every pool weighing the same —
+// schedules next; within a pool jobs run FIFO with locality-greedy task
+// choice.
 type Fair struct {
 	sim.NopNodeEvents
 
-	// Weights gives per-pool weights; missing pools weigh 1.
-	Weights map[string]float64
 	// MinShare guarantees a pool a minimum number of concurrently
 	// running tasks; pools below their minimum are served first
 	// (FairScheduler's "guaranteed minimum number of slots").
@@ -32,7 +31,7 @@ type Fair struct {
 	preemptLive bool // a future preempt tick is in the heap
 }
 
-// NewFair returns a fair scheduler with equal pool weights.
+// NewFair returns a fair scheduler.
 func NewFair() *Fair { return &Fair{} }
 
 // Name implements sim.Scheduler.
@@ -236,17 +235,9 @@ func (f *Fair) pickFairTask(s *sim.Sim, n cluster.NodeID) (job, task int, store 
 		}
 	}
 	if best == "" {
-		var bestDeficit float64
 		for _, pool := range poolOrder {
-			w := 1.0
-			if f.Weights != nil {
-				if pw, okW := f.Weights[pool]; okW && pw > 0 {
-					w = pw
-				}
-			}
-			deficit := float64(running[pool]) / w
-			if best == "" || deficit < bestDeficit {
-				best, bestDeficit = pool, deficit
+			if best == "" || running[pool] < running[best] {
+				best = pool
 			}
 		}
 	}

@@ -46,7 +46,7 @@ func TestQuickLiPSAlwaysCompletes(t *testing.T) {
 		p.Shuffle(rng, stores)
 
 		l := NewLiPS(60 + rng.Float64()*600)
-		l.Aggregate = rng.Intn(2) == 0
+		l.perNode = rng.Intn(2) != 0
 		opts := sim.Options{TaskTimeoutSec: 1200, SharedLinks: rng.Intn(2) == 0}
 		r, err := sim.New(c, w, p, l, opts).Run()
 		if err != nil {

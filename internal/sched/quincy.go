@@ -14,7 +14,7 @@ import (
 // network whose edge costs encode data-locality penalties, and the flow
 // optimum becomes the task placement.
 //
-// This implementation batches rounds every BatchSec seconds and works at
+// This implementation batches rounds every quincyBatchSec and works at
 // job granularity: one network node per job, per cluster node, plus an
 // unscheduled sink, with per-task locality costs (node-local, zone-local,
 // remote). Quincy's fairness layer and preemption are not modelled; like
@@ -23,21 +23,22 @@ import (
 type Quincy struct {
 	sim.NopNodeEvents
 
-	// Locality costs per task (arbitrary units). Zero values select
-	// 0/10/25, roughly Quincy's data-volume proxies.
-	NodeLocalCost, ZoneLocalCost, RemoteCost int64
-	// UnschedCost is the cost of leaving a task pending this round;
-	// it must exceed RemoteCost or nothing remote ever schedules.
-	// Zero selects 100.
-	UnschedCost int64
-	// BatchSec is the scheduling round period. Zero selects 5 s.
-	BatchSec float64
-
 	// Rounds counts flow solves (readable after a run).
 	Rounds int
 }
 
-// NewQuincy returns a Quincy-like scheduler with default costs.
+// Per-task locality costs (arbitrary units, roughly Quincy's data-volume
+// proxies) and the round period. Leaving a task pending a round must cost
+// more than running it remotely, or nothing remote ever schedules.
+const (
+	nodeLocalCost  = 0
+	zoneLocalCost  = 10
+	remoteCost     = 25
+	unschedCost    = 100
+	quincyBatchSec = 5
+)
+
+// NewQuincy returns a Quincy-like scheduler.
 func NewQuincy() *Quincy { return &Quincy{} }
 
 // Name implements sim.Scheduler.
@@ -45,15 +46,6 @@ func (q *Quincy) Name() string { return "quincy-like" }
 
 // Init implements sim.Scheduler.
 func (q *Quincy) Init(s *sim.Sim) {
-	if q.NodeLocalCost == 0 && q.ZoneLocalCost == 0 && q.RemoteCost == 0 {
-		q.NodeLocalCost, q.ZoneLocalCost, q.RemoteCost = 0, 10, 25
-	}
-	if q.UnschedCost == 0 {
-		q.UnschedCost = 100
-	}
-	if q.BatchSec == 0 {
-		q.BatchSec = 5
-	}
 	s.At(0, func() { q.round(s) })
 }
 
@@ -78,7 +70,7 @@ func (q *Quincy) round(s *sim.Sim) {
 	if done {
 		return
 	}
-	defer s.At(s.Now()+q.BatchSec, func() { q.round(s) })
+	defer s.At(s.Now()+quincyBatchSec, func() { q.round(s) })
 
 	jobs := s.ArrivedJobs()
 	type jobInfo struct {
@@ -124,7 +116,7 @@ func (q *Quincy) round(s *sim.Sim) {
 		totalPending += pend
 		g.AddEdge(src, jobBase+ji, pend, 0)
 		// Leaving tasks unscheduled this round is allowed but costly.
-		g.AddEdge(jobBase+ji, sink, pend, q.UnschedCost)
+		g.AddEdge(jobBase+ji, sink, pend, unschedCost)
 		for ni, n := range freeNodes {
 			costPer := q.taskCost(s, info.job, info.pending, n)
 			id := g.AddEdge(jobBase+ji, nodeBase+ni, int64(s.FreeSlots(n)), costPer)
@@ -169,7 +161,7 @@ func (q *Quincy) round(s *sim.Sim) {
 // n: the best rank among the job's pending blocks on that node.
 func (q *Quincy) taskCost(s *sim.Sim, j int, pending []int, n cluster.NodeID) int64 {
 	if !s.W.Jobs[j].HasInput() {
-		return q.NodeLocalCost
+		return nodeLocalCost
 	}
 	best := 3
 	for _, t := range pending {
@@ -182,10 +174,10 @@ func (q *Quincy) taskCost(s *sim.Sim, j int, pending []int, n cluster.NodeID) in
 	}
 	switch best {
 	case 0:
-		return q.NodeLocalCost
+		return nodeLocalCost
 	case 1:
-		return q.ZoneLocalCost
+		return zoneLocalCost
 	default:
-		return q.RemoteCost
+		return remoteCost
 	}
 }

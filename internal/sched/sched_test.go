@@ -81,7 +81,7 @@ func TestDelayImprovesLocalityOverFIFO(t *testing.T) {
 	fifo := runSched(t, c, w, nil, NewFIFO(), sim.Options{})
 	c, w = build()
 	d := NewDelay()
-	d.NodeWaitSec, d.ZoneWaitSec = 60, 60 // ~3 task lengths, per the delay paper
+	d.waitSec = 60 // W1 = W2 ≈ 3 task lengths, per the delay paper
 	delay := runSched(t, c, w, nil, d, sim.Options{})
 	if delay.Locality.LocalFraction() < fifo.Locality.LocalFraction() {
 		t.Errorf("delay locality %.2f < fifo %.2f",
@@ -150,7 +150,7 @@ func TestLiPSWithoutAggregation(t *testing.T) {
 	c := mixedCluster()
 	w := smallJobSet(rand.New(rand.NewSource(5)), 3)
 	lips := NewLiPS(400)
-	lips.Aggregate = false
+	lips.perNode = true
 	r := runSched(t, c, w, nil, lips, sim.Options{TaskTimeoutSec: 1200})
 	if r.TotalCost() == 0 {
 		t.Fatal("no cost recorded")
@@ -165,7 +165,7 @@ func TestLiPSAggregationCostParity(t *testing.T) {
 		c := mixedCluster()
 		w := smallJobSet(rand.New(rand.NewSource(5)), 3)
 		lips := NewLiPS(400)
-		lips.Aggregate = agg
+		lips.perNode = !agg
 		r := runSched(t, c, w, nil, lips, sim.Options{TaskTimeoutSec: 1200})
 		return r.TotalCost()
 	}

@@ -31,7 +31,7 @@ func runLiPS(t *testing.T, warm bool) (*sim.Result, *LiPS) {
 	t.Helper()
 	c, w := warmStartScenario()
 	l := NewLiPS(200)
-	l.WarmStart = warm
+	l.cold = !warm
 	r, err := sim.New(c, w, w.Placement(), l, sim.Options{TaskTimeoutSec: 1e9}).Run()
 	if err != nil {
 		t.Fatalf("warm=%v: %v", warm, err)
@@ -56,7 +56,7 @@ func TestLiPSWarmStartAcrossEpochs(t *testing.T) {
 		t.Fatalf("%d solves recorded over %d epochs", l.Solver.Solves, l.Epochs)
 	}
 	if l.Solver.WarmAttempted == 0 {
-		t.Fatal("no warm start attempted despite WarmStart=true and multiple epochs")
+		t.Fatal("no warm start attempted in the warm configuration over multiple epochs")
 	}
 	if l.Solver.WarmAccepted == 0 {
 		t.Fatalf("no warm start accepted across %d attempts (stats: %s)",

@@ -58,17 +58,11 @@ type Config struct {
 	// DrainTimeout bounds how long Shutdown keeps stepping epochs to let
 	// in-flight jobs finish. Default 30s.
 	DrainTimeout time.Duration
-	// Weights are per-tenant fair-share weights for admission ordering;
-	// missing tenants weigh 1.
-	Weights map[string]float64
 	// Logger receives structured lifecycle, shed and slow-epoch events.
 	// nil selects a no-op logger, keeping the hot paths silent.
 	Logger *slog.Logger
 	// EpochRing bounds the /debug/epochs decision ring. Default 128.
 	EpochRing int
-	// SpanRing bounds the completed-span ring behind /debug/spans.
-	// Default 1024.
-	SpanRing int
 	// SLOE2ESec bounds submission→terminal latency per tenant in
 	// simulated seconds; 0 disables the e2e objective.
 	SLOE2ESec float64
@@ -113,9 +107,6 @@ func (c Config) withDefaults() Config {
 	if c.EpochRing <= 0 {
 		c.EpochRing = 128
 	}
-	if c.SpanRing <= 0 {
-		c.SpanRing = 1024
-	}
 	return c
 }
 
@@ -130,9 +121,9 @@ type Daemon struct {
 	sch sim.Scheduler // for LiPS's own record of its epochs
 	log *slog.Logger
 
-	// spans is the bounded ring of completed spans (done, cancelled,
-	// shed). It has its own lock and never takes d.mu.
-	spans *obs.SpanRing
+	// spans is the ring of the last 1024 completed spans (done,
+	// cancelled, shed). It has its own lock and never takes d.mu.
+	spans *obs.Spans
 
 	// burn is the SLO burn-rate engine (own lock, never takes d.mu);
 	// disabled when no objective is configured. budgets holds the
@@ -238,7 +229,7 @@ func New(c *cluster.Cluster, sch sim.Scheduler, reg *obs.Registry, cfg Config) (
 		s:           s,
 		sch:         sch,
 		log:         cfg.Logger,
-		spans:       obs.NewSpanRing(cfg.SpanRing),
+		spans:       obs.NewSpans(0),
 		burn:        obs.NewBurnEngine(slos...),
 		budgets:     budgets,
 		jobs:        make(map[string]int),

@@ -102,14 +102,14 @@ func (d *Daemon) overBudgetLocked(tenant string) bool {
 
 // takeBatchLocked removes up to AdmitPerEpoch of the first n queued
 // records in tenant-fair order: tenants are served cheapest-first by
-// accumulated ECU-seconds over weight, FIFO within a tenant. Tenants that
+// accumulated ECU-seconds, FIFO within a tenant. Tenants that
 // exhausted their dollar budget (overBudget, for every tenant in the
 // queue) are passed over entirely and their records stay queued. The
 // remainder keeps its submission order.
 func (d *Daemon) takeBatchLocked(n int) (batch []*jobRecord, overBudget map[string]bool) {
 	type ranked struct {
-		pos     int
-		deficit float64
+		pos   int
+		usage float64
 	}
 	rank := make([]ranked, 0, n)
 	overBudget = make(map[string]bool)
@@ -123,15 +123,11 @@ func (d *Daemon) takeBatchLocked(n int) (batch []*jobRecord, overBudget map[stri
 		if over {
 			continue
 		}
-		w := 1.0
-		if pw, ok := d.cfg.Weights[tenant]; ok && pw > 0 {
-			w = pw
-		}
-		rank = append(rank, ranked{pos: i, deficit: d.tenantCPU[tenant] / w})
+		rank = append(rank, ranked{pos: i, usage: d.tenantCPU[tenant]})
 	}
 	// Stable, so equal usage falls back to submission order and the batch
 	// is the same on every run.
-	slices.SortStableFunc(rank, func(a, b ranked) int { return cmp.Compare(a.deficit, b.deficit) })
+	slices.SortStableFunc(rank, func(a, b ranked) int { return cmp.Compare(a.usage, b.usage) })
 	rank = rank[:min(d.cfg.AdmitPerEpoch, len(rank))]
 	selected := make([]bool, len(d.queue))
 	batch = make([]*jobRecord, len(rank))

@@ -110,11 +110,14 @@ type FaultSpec struct {
 	WindowSec float64
 	// DowntimeSec separates each crash from its recovery. 0 means 300.
 	DowntimeSec float64
-	// SlowFactor is the straggler runtime multiplier. 0 means 3.
-	SlowFactor float64
-	// SlowDurationSec is the straggler window length. 0 means 600.
-	SlowDurationSec float64
 }
+
+// A random straggler window runs every task started on its node slowFactor
+// times slower for slowDurationSec.
+const (
+	slowFactor      = 3
+	slowDurationSec = 600
+)
 
 func (spec FaultSpec) withDefaults() FaultSpec {
 	if spec.WindowSec == 0 {
@@ -122,12 +125,6 @@ func (spec FaultSpec) withDefaults() FaultSpec {
 	}
 	if spec.DowntimeSec == 0 {
 		spec.DowntimeSec = 300
-	}
-	if spec.SlowFactor == 0 {
-		spec.SlowFactor = 3
-	}
-	if spec.SlowDurationSec == 0 {
-		spec.SlowDurationSec = 600
 	}
 	return spec
 }
@@ -157,7 +154,7 @@ func RandomFaultPlan(seed int64, c *cluster.Cluster, spec FaultSpec) *FaultPlan 
 		fs = append(fs, Fault{
 			At: rng.Float64() * spec.WindowSec, Kind: FaultSlowdown,
 			Node:   cluster.NodeID(rng.Intn(len(c.Nodes))),
-			Factor: spec.SlowFactor, DurationSec: spec.SlowDurationSec,
+			Factor: slowFactor, DurationSec: slowDurationSec,
 		})
 	}
 	sort.SliceStable(fs, func(i, j int) bool { return fs[i].At < fs[j].At })

@@ -135,7 +135,7 @@ func TestMaxAttemptsWaivesTimeout(t *testing.T) {
 		}
 	}
 	ss.onArrival = func(s *Sim, _ int) { s.KickIdleNodes() }
-	r, err := New(c, w, nil, ss, Options{MaxAttempts: 1}).Run()
+	r, err := New(c, w, nil, ss, Options{maxAttempts: 1}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

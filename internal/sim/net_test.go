@@ -140,7 +140,7 @@ func TestSharedLinksTimeoutCancelsFlow(t *testing.T) {
 		}
 	}
 	ss.onArrival = func(s *Sim, _ int) { s.KickIdleNodes() }
-	r, err := New(c, w, nil, ss, Options{SharedLinks: true, MaxAttempts: 1}).Run()
+	r, err := New(c, w, nil, ss, Options{SharedLinks: true, maxAttempts: 1}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func (s *Sim) charge(cat cost.Category, job int, amount cost.Money) {
 // setSampleGauges publishes one snapshot's task-state and slot numbers.
 // emitSample calls it with the scan it just traced (so a sample event
 // and the gauges at the same timestamp agree exactly); obsRefresh calls
-// it when the run samples on a different cadence or not at all.
+// it when the run does not sample.
 func (s *Sim) setSampleGauges(info *trace.SampleInfo) {
 	if s.om == nil {
 		return
@@ -105,6 +105,16 @@ func (s *Sim) setSampleGauges(info *trace.SampleInfo) {
 	s.om.states[Queued].Set(float64(info.Queued))
 	s.om.states[Running].Set(float64(info.Running))
 	s.om.states[Done].Set(float64(info.Done))
+}
+
+// snapshot is one tick of the snapshot chain: a trace sample, or a gauge
+// refresh when the run does not sample.
+func (s *Sim) snapshot() {
+	if s.snapSample {
+		s.emitSample()
+	} else {
+		s.obsRefresh()
+	}
 }
 
 // obsRefresh re-derives the sampled gauges from simulator state.

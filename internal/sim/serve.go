@@ -43,20 +43,19 @@ func (s *Sim) Start() error {
 		}
 	}
 	s.noteRun()
-	s.sampleWanted = s.traceOn && s.opts.SampleIntervalSec > 0
-	if s.sampleWanted {
-		s.emitSample()
-		s.schedule(s.clock+s.opts.SampleIntervalSec, evSample, 0, 0, 0, 0)
-		s.sampleLive = true
+	// One chain serves both snapshot consumers: a trace sample, which
+	// sets the gauges too, when sampling is on; a gauge refresh alone
+	// when only metrics are.
+	switch {
+	case s.traceOn && s.opts.SampleIntervalSec > 0:
+		s.snapEvery, s.snapSample = s.opts.SampleIntervalSec, true
+	case s.om != nil:
+		s.snapEvery = s.opts.MetricsSampleSec
 	}
-	// When trace sampling already refreshes the gauges on the same
-	// cadence, a second refresh chain would only race it at coincident
-	// ticks; run one only when the cadences differ.
-	s.obsWanted = s.om != nil && !(s.sampleWanted && s.opts.SampleIntervalSec == s.opts.MetricsSampleSec)
-	if s.obsWanted {
-		s.obsRefresh()
-		s.schedule(s.clock+s.opts.MetricsSampleSec, evObsRefresh, 0, 0, 0, 0)
-		s.obsLive = true
+	if s.snapEvery > 0 {
+		s.snapshot()
+		s.schedule(s.clock+s.snapEvery, evSnapshot, 0, 0, 0, 0)
+		s.snapLive = true
 	}
 	s.sched.Init(s)
 	for j, deps := range s.opts.Deps {
@@ -229,16 +228,12 @@ func (s *Sim) AddJob(job workload.Job, obj *hdfs.DataObject) (int, error) {
 	s.unarrived += job.NumTasks
 	s.remaining++
 	s.schedule(job.ArrivalSec, evArrive, int32(j), 0, 0, 0)
-	// The sample and gauge-refresh chains stop when the run drains; a
-	// newly added job must revive them or a long-lived daemon's scrapes
-	// would freeze at the last idle period's values.
-	if s.sampleWanted && !s.sampleLive {
-		s.sampleLive = true
-		s.schedule(s.clock+s.opts.SampleIntervalSec, evSample, 0, 0, 0, 0)
-	}
-	if s.obsWanted && !s.obsLive {
-		s.obsLive = true
-		s.schedule(s.clock+s.opts.MetricsSampleSec, evObsRefresh, 0, 0, 0, 0)
+	// The snapshot chain stops when the run drains; a newly added job
+	// must revive it or a long-lived daemon's scrapes would freeze at the
+	// last idle period's values.
+	if s.snapEvery > 0 && !s.snapLive {
+		s.snapLive = true
+		s.schedule(s.clock+s.snapEvery, evSnapshot, 0, 0, 0, 0)
 	}
 	return j, nil
 }

@@ -95,9 +95,6 @@ type Options struct {
 	// within the window — Hadoop's 10-minute progress timeout. LiPS
 	// raises it to 20 minutes. 0 means 600.
 	TaskTimeoutSec float64
-	// MaxAttempts is the per-task retry budget before the timeout is
-	// waived (prevents livelock on absurd topologies). 0 means 4.
-	MaxAttempts int
 	// MaxEvents aborts runaway simulations. 0 means 50 million.
 	MaxEvents int
 	// BillOccupancy charges CPU for a task's wall-clock slot occupancy
@@ -140,7 +137,8 @@ type Options struct {
 	// SampleIntervalSec emits a periodic time-series sample event
 	// (cumulative cost by category, queue depth, slot utilization,
 	// locality mix) every interval of simulated time while tracing is
-	// enabled. 0 disables sampling.
+	// enabled. 0 disables sampling. A sample also refreshes the Metrics
+	// gauges, so while sampling is on they follow this interval.
 	SampleIntervalSec float64
 	// TraceLabel names this run in multi-run traces (e.g. the experiment
 	// name when a benchmark suite traces every run into one file).
@@ -153,16 +151,22 @@ type Options struct {
 	Metrics *obs.Registry
 	// MetricsSampleSec is the simulated-time interval between refreshes
 	// of the sampled gauges (task states, slots, clock) while Metrics is
-	// set. 0 means SampleIntervalSec when sampling is on, else 60.
+	// set and trace sampling is off. 0 means 60. Every caller that sets
+	// it beside SampleIntervalSec sets the two equal.
 	MetricsSampleSec float64
+
+	// maxAttempts is the per-task retry budget before the timeout is
+	// waived (prevents livelock on absurd topologies). 0 means 4; tests
+	// set it lower, nothing else sets it.
+	maxAttempts int
 }
 
 func (o Options) withDefaults() Options {
 	if o.TaskTimeoutSec == 0 {
 		o.TaskTimeoutSec = 600
 	}
-	if o.MaxAttempts == 0 {
-		o.MaxAttempts = 4
+	if o.maxAttempts == 0 {
+		o.maxAttempts = 4
 	}
 	if o.MaxEvents == 0 {
 		o.MaxEvents = 50_000_000
@@ -171,11 +175,7 @@ func (o Options) withDefaults() Options {
 		o.Tracer = trace.Nop{}
 	}
 	if o.MetricsSampleSec == 0 {
-		if o.SampleIntervalSec > 0 {
-			o.MetricsSampleSec = o.SampleIntervalSec
-		} else {
-			o.MetricsSampleSec = 60
-		}
+		o.MetricsSampleSec = 60
 	}
 	return o
 }
@@ -198,13 +198,12 @@ const (
 type eventKind uint8
 
 const (
-	evClosure    eventKind = iota
-	evArrive               // a0 = job
-	evDispatch             // a0 = node (coalesced via nodeState.wakeAt)
-	evComplete             // a0 = job, a1 = task, a2 = gen, a3 = 1 if speculative
-	evTimeout              // a0 = job, a1 = task, a2 = gen
-	evSample               // periodic trace sample, self-rearming
-	evObsRefresh           // periodic gauge refresh, self-rearming
+	evClosure  eventKind = iota
+	evArrive             // a0 = job
+	evDispatch           // a0 = node (coalesced via nodeState.wakeAt)
+	evComplete           // a0 = job, a1 = task, a2 = gen, a3 = 1 if speculative
+	evTimeout            // a0 = job, a1 = task, a2 = gen
+	evSnapshot           // periodic sample or gauge refresh, self-rearming
 )
 
 // event is one scheduled occurrence; seq breaks same-time ties by
@@ -375,14 +374,14 @@ type Sim struct {
 	nevent int
 
 	// Serve-mode run state (serve.go): started guards the one-shot Start
-	// prelude; the Wanted/Live pairs track whether the self-rearming
-	// sample/gauge-refresh chains are configured and currently armed, so
-	// AddJob can revive a chain that died when the run drained.
-	started      bool
-	sampleWanted bool
-	sampleLive   bool
-	obsWanted    bool
-	obsLive      bool
+	// prelude. The snapshot chain ticks every snapEvery (0: no chain),
+	// each tick a trace sample when snapSample, else a gauge refresh;
+	// snapLive says a tick is armed, so AddJob can revive a chain that
+	// died when the run drained.
+	started    bool
+	snapEvery  float64
+	snapSample bool
+	snapLive   bool
 
 	nodes []nodeState
 	jobs  []jobState
@@ -553,19 +552,12 @@ func (s *Sim) exec(ev *event) {
 		s.completeEvent(int(ev.a0), int(ev.a1), ev.a2, ev.a3 == 1)
 	case evTimeout:
 		s.timeoutEvent(int(ev.a0), int(ev.a1), ev.a2)
-	case evSample:
-		s.emitSample()
+	case evSnapshot:
+		s.snapshot()
 		if s.remaining > 0 {
-			s.schedule(s.clock+s.opts.SampleIntervalSec, evSample, 0, 0, 0, 0)
+			s.schedule(s.clock+s.snapEvery, evSnapshot, 0, 0, 0, 0)
 		} else {
-			s.sampleLive = false // AddJob re-arms (serve.go)
-		}
-	case evObsRefresh:
-		s.obsRefresh()
-		if s.remaining > 0 {
-			s.schedule(s.clock+s.opts.MetricsSampleSec, evObsRefresh, 0, 0, 0, 0)
-		} else {
-			s.obsLive = false // AddJob re-arms (serve.go)
+			s.snapLive = false // AddJob re-arms (serve.go)
 		}
 	}
 }

@@ -262,7 +262,7 @@ func TestTimeoutRetries(t *testing.T) {
 		}
 	}
 	ss.onArrival = func(s *Sim, _ int) { s.KickIdleNodes() }
-	s := New(c, w, nil, ss, Options{MaxAttempts: 2})
+	s := New(c, w, nil, ss, Options{maxAttempts: 2})
 	r, err := s.Run()
 	if err != nil {
 		t.Fatal(err)

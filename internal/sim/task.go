@@ -146,7 +146,7 @@ func (s *Sim) startAttempt(job, task int, n cluster.NodeID, store cluster.StoreI
 		s.startSharedAttempt(job, task, n, store, cpuSec, mb, runSec, speculative, ti.gen)
 		return
 	}
-	timedOut := transferSec > s.opts.TaskTimeoutSec && int(ti.attempts) <= s.opts.MaxAttempts && !speculative
+	timedOut := transferSec > s.opts.TaskTimeoutSec && int(ti.attempts) <= s.opts.maxAttempts && !speculative
 	if timedOut {
 		// Hadoop's progress timeout: the task is killed after the
 		// timeout window; the bytes moved so far are still billed. No
@@ -250,7 +250,7 @@ func (s *Sim) startSharedAttempt(job, task int, n cluster.NodeID, store cluster.
 	})
 	ti.flow = fl
 	ti.doneAt = start + mb/fl.rate + runSec // optimistic estimate for speculation
-	if int(ti.attempts) <= s.opts.MaxAttempts {
+	if int(ti.attempts) <= s.opts.maxAttempts {
 		s.At(start+s.opts.TaskTimeoutSec, func() {
 			ti := s.task(job, task)
 			if ti.gen != gen || ti.flow == nil {

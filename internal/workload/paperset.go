@@ -41,59 +41,46 @@ func PaperJobSet(rng *rand.Rand, origins []cluster.StoreID) *Workload {
 	return w
 }
 
-// RandomSpec parameterises Random with the Fig. 5 caption's ranges.
+// RandomSpec sizes Random.
 type RandomSpec struct {
 	// TotalTasks is the approximate number of map tasks to generate
 	// ("J" on the Fig. 5 x-axis).
 	TotalTasks int
-	// MaxInputGB is the top of the per-job input size range (paper: 0–6 GB).
-	MaxInputGB float64
-	// MaxJobCPUSec is the top of the per-job CPU requirement range for
-	// no-input CPU jobs (paper: 0–1000 ECU-seconds).
-	MaxJobCPUSec float64
-	// CPUJobFraction is the fraction of jobs that are pure-CPU (no
-	// input). Defaults to 0.2.
-	CPUJobFraction float64
 }
 
-func (s RandomSpec) withDefaults() RandomSpec {
-	if s.MaxInputGB == 0 {
-		s.MaxInputGB = 6
-	}
-	if s.MaxJobCPUSec == 0 {
-		s.MaxJobCPUSec = 1000
-	}
-	if s.CPUJobFraction == 0 {
-		s.CPUJobFraction = 0.2
-	}
-	return s
-}
+// The Fig. 5 caption's ranges: per-job input up to 6 GB, and per-job CPU
+// work up to 1000 ECU-seconds for a no-input job. Each job is a no-input
+// one with probability cpuJobFraction.
+const (
+	maxInputGB     = 6
+	maxJobCPUSec   = 1000
+	cpuJobFraction = 0.2
+)
 
 // Random builds a random workload per the Fig. 5 simulation setup: jobs
-// with input sizes uniform in (0, MaxInputGB] and CPU intensity drawn from
-// the Table I archetypes, plus a fraction of pure-CPU jobs with total work
-// uniform in (0, MaxJobCPUSec]. Jobs are appended until TotalTasks map
+// with input sizes uniform in (0, 6 GB] and CPU intensity drawn from the
+// Table I archetypes, plus a fraction of pure-CPU jobs with total work
+// uniform in (0, 1000] ECU-seconds. Jobs are appended until TotalTasks map
 // tasks exist.
 func Random(rng *rand.Rand, origins []cluster.StoreID, spec RandomSpec) *Workload {
 	if len(origins) == 0 {
 		panic("workload: Random needs at least one origin store")
 	}
-	spec = spec.withDefaults()
 	inputArchs := []Archetype{Grep, Stress1, Stress2, WordCount}
 	b := NewBuilder()
 	tasks := 0
 	for i := 0; tasks < spec.TotalTasks; i++ {
 		name := fmt.Sprintf("rand-%d", i)
 		user := fmt.Sprintf("user%d", rng.Intn(4))
-		if rng.Float64() < spec.CPUJobFraction {
+		if rng.Float64() < cpuJobFraction {
 			n := 1 + rng.Intn(8)
-			per := (0.05 + 0.95*rng.Float64()) * spec.MaxJobCPUSec / float64(n)
+			per := (0.05 + 0.95*rng.Float64()) * maxJobCPUSec / float64(n)
 			b.AddNoInputJob(name, user, n, per, 0)
 			tasks += n
 			continue
 		}
 		a := inputArchs[rng.Intn(len(inputArchs))]
-		sizeMB := (0.05 + 0.95*rng.Float64()) * spec.MaxInputGB * 1024
+		sizeMB := (0.05 + 0.95*rng.Float64()) * maxInputGB * 1024
 		origin := origins[rng.Intn(len(origins))]
 		j := b.AddInputJob(name, user, a, sizeMB, origin, 0)
 		tasks += j.NumTasks
