@@ -16,11 +16,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-# The three sizes the ROADMAP tracks, so simplicity PRs report them alike.
+# The sizes the ROADMAP tracks, so simplicity PRs report them alike. The
+# settable values are testdata/settings.golden's lines, one per option
+# field a caller can set.
 loc:
 	@echo "non-test Go outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l) lines"
 	@echo "scripts/*.sh: $$(cat scripts/*.sh | wc -l) lines"
 	@echo "DESIGN.md: $$(grep -c '^## ' DESIGN.md) sections"
+	@echo "settable values: $$(wc -l < testdata/settings.golden)"
 
 # Five passes of every bench/ workload, then bench/cmp's spread per row.
 bench:

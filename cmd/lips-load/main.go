@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -153,6 +154,9 @@ func tenantPicker(n int, weights string) (func(*rand.Rand) int, error) {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || v <= 0 {
 			return nil, fmt.Errorf("-tenant-weights: want positive integers, got %q", p)
+		}
+		if v > math.MaxInt-sum {
+			return nil, fmt.Errorf("-tenant-weights: the weights sum past %d", math.MaxInt)
 		}
 		w[i] = v
 		sum += v

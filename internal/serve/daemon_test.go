@@ -215,6 +215,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Tenant: "a", Archetype: "grep", InputMB: 64*maxTasksPerJob + 1}, // one block over the cap
 		{Tenant: "a", Archetype: "pi", Tasks: 2e9},
 		{Tenant: "a", Archetype: "pi", Tasks: maxTasksPerJob + 1},
+		{Tenant: "a", Archetype: "pi", Tasks: maxTasksPerJob, CPUSecPerTask: 1e305}, // demand +Inf in the LP
+		{Tenant: "a", Archetype: "pi", Tasks: 1, CPUSecPerTask: 2 * maxCPUSecPerTask},
 		{Tenant: strings.Repeat("t", maxNameLen+1), Archetype: "grep", InputMB: 64},
 		{Tenant: "a", Name: strings.Repeat("n", maxNameLen+1), Archetype: "grep", InputMB: 64},
 		{Tenant: "a", Name: strings.Repeat("n", maxSubmitBody), Archetype: "grep", InputMB: 64}, // body over the limit
@@ -229,7 +231,7 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	for _, req := range []SubmitRequest{ // exactly at the caps
 		{Tenant: strings.Repeat("t", maxNameLen), Name: strings.Repeat("n", maxNameLen), Archetype: "grep", InputMB: 64 * maxTasksPerJob},
-		{Tenant: "a", Archetype: "pi", Tasks: maxTasksPerJob},
+		{Tenant: "a", Archetype: "pi", Tasks: maxTasksPerJob, CPUSecPerTask: maxCPUSecPerTask},
 	} {
 		if resp, _ := postJSON(t, ts.URL+"/submit", req); resp.StatusCode != http.StatusAccepted {
 			t.Errorf("at the caps (tasks=%d input_mb=%g): got %d, want 202", req.Tasks, req.InputMB, resp.StatusCode)
@@ -254,6 +256,29 @@ func TestSubmitValidation(t *testing.T) {
 		if _, code := submitOne(t, ts.URL, row.tenant); code != row.want {
 			t.Errorf("at the tenant cap, tenant %q: got %d, want %d", row.tenant, code, row.want)
 		}
+	}
+}
+
+// TestCPUCapJobPlans: a pi job at both per-job caps is admitted and
+// planned by LiPS without an error. Past the CPU cap its demand could
+// overflow to +Inf, which the LP refuses with a panic in the epoch loop.
+func TestCPUCapJobPlans(t *testing.T) {
+	l := sched.NewLiPS(60)
+	d, err := New(cluster.Paper20(0.5), l, obs.NewRegistry(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := SubmitRequest{Tenant: "a", Archetype: "pi", Tasks: maxTasksPerJob, CPUSecPerTask: maxCPUSecPerTask}
+	if code, body := call(d.Handler(), http.MethodPost, "/submit", req); code != http.StatusAccepted {
+		t.Fatalf("submit at the caps: %d %s", code, body)
+	}
+	for i := 0; i < 2; i++ {
+		if err := d.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.Epochs == 0 || l.Err != nil {
+		t.Fatalf("LiPS ran %d epochs, error %v", l.Epochs, l.Err)
 	}
 }
 

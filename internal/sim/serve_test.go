@@ -7,6 +7,7 @@ import (
 	"lips/internal/cluster"
 	"lips/internal/cost"
 	"lips/internal/hdfs"
+	"lips/internal/obs"
 	"lips/internal/trace"
 	"lips/internal/workload"
 )
@@ -289,6 +290,56 @@ func TestInjectFaultMidRun(t *testing.T) {
 	}
 	if err := s.InjectFault(Fault{At: s.Now(), Kind: FaultNodeDown, Node: 99}); err == nil {
 		t.Error("fault on a nonexistent node accepted")
+	}
+}
+
+// TestSnapshotChainRevivesAfterDrain: the snapshot chain dies when the
+// run drains, and a job added afterwards must re-arm it, or a daemon's
+// gauges and samples would freeze at the last idle tick. Untraced, the
+// chain refreshes the gauges alone; traced, each tick is a sample event.
+func TestSnapshotChainRevivesAfterDrain(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		buf := &eventBuf{}
+		opts := Options{Metrics: reg, MetricsSampleSec: 10}
+		if traced {
+			opts.Tracer, opts.SampleIntervalSec = buf, 10
+		}
+		s := New(oneNodeCluster(), &workload.Workload{}, nil, greedyStub(), opts)
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		snapshots := func() (clock, lastSample float64) {
+			clock, _ = reg.Value(obs.MSimClockSeconds)
+			lastSample = -1
+			for _, e := range buf.events {
+				if e.Kind == trace.KindSample {
+					lastSample = e.T
+				}
+			}
+			return clock, lastSample
+		}
+		// Nothing to run: the chain ticks at 0 and 10, then dies.
+		if err := s.StepUntil(100); err != nil {
+			t.Fatal(err)
+		}
+		clock, sample := snapshots()
+		if clock != 10 || traced && sample != 10 {
+			t.Fatalf("traced=%v: idle run's last snapshot at clock %g, sample %g; want 10", traced, clock, sample)
+		}
+		if _, err := s.AddJob(workload.Job{Name: "late", User: "u", NumTasks: 1, CPUSecPerTask: 5}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.StepUntil(115); err != nil {
+			t.Fatal(err)
+		}
+		clock, sample = snapshots()
+		if clock != 110 {
+			t.Errorf("traced=%v: clock gauge %g after the revival, want 110", traced, clock)
+		}
+		if traced && sample != 110 {
+			t.Errorf("last sample at %g after the revival, want 110", sample)
+		}
 	}
 }
 
