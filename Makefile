@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet loc bench benchpair smoke
+.PHONY: all build test race vet loc unreached bench benchpair smoke
 
 all: vet build test
 
@@ -24,6 +24,25 @@ loc:
 	@echo "scripts/*.sh: $$(cat scripts/*.sh | wc -l) lines"
 	@echo "DESIGN.md: $$(grep -c '^## ' DESIGN.md) sections"
 	@echo "settable values: $$(wc -l < testdata/settings.golden)"
+
+# Every lips/internal function some test binary links but no production
+# binary (cmd/, examples/, bench) does: code only tests reach. Inlining is
+# off on both sides so a call always leaves a symbol; closures count as
+# their enclosing function, and what _test.go files define is dropped.
+unreached:
+	@set -e; export LC_ALL=C; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; mkdir "$$d/bin" "$$d/test"; \
+	$(GO) build -gcflags=all=-l -o "$$d/bin/" ./cmd/... ./examples/... ./bench; \
+	for b in "$$d"/bin/*; do $(GO) tool nm "$$b"; done | \
+		awk '$$2 == "T" && $$3 ~ /^lips\/internal\// { print $$3 }' | sort -u > "$$d/prod"; \
+	i=0; for p in $$($(GO) list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...); do \
+		i=$$((i + 1)); $(GO) test -c -gcflags=all=-l -o "$$d/test/$$i.test" "$$p"; \
+	done; \
+	for b in "$$d"/test/*.test; do \
+		$(GO) tool nm "$$b" | awk '$$2 == "T" && $$3 ~ /^lips\/internal\// { print $$1, $$3 }' | \
+			sort -k2 | join -1 2 -2 1 -v 1 - "$$d/prod" | awk '{ print "0x" $$2 }' | \
+			$(GO) tool addr2line "$$b" | paste - - | \
+			awk '$$2 !~ /_test\.go:/ && $$2 !~ /^<autogenerated>/ { print $$1 }'; \
+	done | sed -E 's/(\.func[0-9]+)+$$//' | sort -u
 
 # Five passes of every bench/ workload, then bench/cmp's spread per row.
 bench:
