@@ -90,10 +90,9 @@ func TestScaleArrivalGrowsCursors(t *testing.T) {
 
 // TestFairArrivalJoinsPool: a job submitted mid-run by a brand-new user
 // must be placed in that user's pool (not silently dropped from the
-// fair-share accounting) and the preemption chain must revive with it.
+// fair-share accounting).
 func TestFairArrivalJoinsPool(t *testing.T) {
 	f := NewFair()
-	f.PreemptTimeoutSec = 120
 	s := sim.New(mixedCluster(), &workload.Workload{}, nil, f, sim.Options{})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -115,8 +114,8 @@ func TestFairArrivalJoinsPool(t *testing.T) {
 }
 
 // TestSchedulerReInit reuses one scheduler value across two full runs;
-// run-scoped state (epoch counters, warm bases, cursors, preemption
-// bookkeeping) must reset so both runs are bit-identical.
+// run-scoped state (epoch counters, warm bases, cursors, pool maps) must
+// reset so both runs are bit-identical.
 func TestSchedulerReInit(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -124,7 +123,7 @@ func TestSchedulerReInit(t *testing.T) {
 	}{
 		{"lips", NewLiPS(60)},
 		{"scale", NewScale()},
-		{"fair", func() *Fair { f := NewFair(); f.PreemptTimeoutSec = 300; return f }()},
+		{"fair", NewFair()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var first, second *sim.Result

@@ -265,20 +265,12 @@ func (s *Sim) recoverNode(n cluster.NodeID) {
 func (s *Sim) failAttempt(job, task int, freeSlot bool, reason string) {
 	ti := s.task(job, task)
 	n := ti.node
-	node := &s.C.Nodes[n]
 	if ti.flow != nil {
 		s.net.cancel(ti.flow)
 		ti.flow = nil
 	}
-	cpuSec, _ := s.taskDemand(job, task)
-	slotECU := node.ECU / float64(node.Slots)
-	burned := cpuSec - (ti.doneAt-s.clock)*slotECU
-	if burned > cpuSec {
-		burned = cpuSec
-	}
-	var billed cost.Money
-	if burned > 0 {
-		billed = cost.CPUCost(ti.price, burned)
+	billed, burned := s.partialBurn(job, task)
+	if burned {
 		s.charge(cost.CatFault, job, billed)
 	}
 	s.untrackPrimary(ti)

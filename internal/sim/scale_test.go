@@ -388,7 +388,27 @@ func verifyHits(t *testing.T, s *Sim, strict bool) {
 	}
 }
 
-// TestSlotIndexProperty drives random launch/kill/crash/recover churn
+// cancelRunningJob cancels a random arrived job that has running tasks and
+// is not already being cancelled — the daemon's kill path, entered here
+// from inside a scheduler callback, which may itself run inside another
+// job's cancel. It reports whether there was such a job.
+func cancelRunningJob(t *testing.T, s *Sim, rng *rand.Rand) bool {
+	var live []int
+	for _, j := range s.ArrivedJobs() {
+		if _, _, running, _ := s.JobStateCounts(j); running > 0 && !s.JobCancelled(j) {
+			live = append(live, j)
+		}
+	}
+	if len(live) == 0 {
+		return false
+	}
+	if err := s.CancelJob(live[rng.Intn(len(live))]); err != nil {
+		t.Fatal(err)
+	}
+	return true
+}
+
+// TestSlotIndexProperty drives random launch/cancel/crash/recover churn
 // through the simulator and checks, at every scheduler callback, that the
 // incremental indexes agree with recomputed-from-scratch copies.
 func TestSlotIndexProperty(t *testing.T) {
@@ -396,7 +416,7 @@ func TestSlotIndexProperty(t *testing.T) {
 		c, w := buildScaleRun(48, 600, seed)
 		faults := RandomFaultPlan(seed, c, FaultSpec{Crashes: 4, StoreLosses: 2, Slowdowns: 2})
 		rng := rand.New(rand.NewSource(seed * 97))
-		checks := 0
+		checks, cancels := 0, 0
 		ss := &stubSched{name: "churn-stub"}
 		ss.onSlotFree = func(s *Sim, n cluster.NodeID) {
 			verifyIndexes(t, s, false)
@@ -430,19 +450,8 @@ func TestSlotIndexProperty(t *testing.T) {
 		}
 		ss.onTaskDone = func(s *Sim, job, task int) {
 			verifyIndexes(t, s, true)
-			if rng.Intn(5) != 0 {
-				return
-			}
-			// Kill a random running task to churn the indexes.
-			for _, j := range s.ArrivedJobs() {
-				running := s.RunningTasks(j)
-				if len(running) == 0 {
-					continue
-				}
-				if err := s.KillTask(j, running[rng.Intn(len(running))]); err != nil {
-					t.Fatal(err)
-				}
-				break
+			if rng.Intn(50) == 0 && cancelRunningJob(t, s, rng) {
+				cancels++
 			}
 		}
 		p := w.Placement()
@@ -455,33 +464,25 @@ func TestSlotIndexProperty(t *testing.T) {
 		if checks == 0 {
 			t.Fatalf("seed %d: property never checked", seed)
 		}
+		if cancels == 0 || 2*cancels >= len(w.Jobs) {
+			t.Fatalf("seed %d: %d of %d jobs cancelled; the churn must hit some and let most finish", seed, cancels, len(w.Jobs))
+		}
 	}
 }
 
-// TestKillDuringBatchedSlotFree churns KillTask from inside a batched
+// TestKillDuringBatchedSlotFree churns CancelJob from inside a batched
 // OnSlotsFree sweep: killing work on nodes later in the same batch (and
-// re-killing on the node being filled) must leave the indexes coherent
-// and the run complete.
+// on the node being filled) must leave the indexes coherent and the run
+// complete.
 func TestKillDuringBatchedSlotFree(t *testing.T) {
 	c, w := buildScaleRun(48, 600, 5)
 	rng := rand.New(rand.NewSource(5))
 	bs := &batchStub{}
-	kills := 0
+	cancels := 0
 	bs.onFill = func(s *Sim, n cluster.NodeID) {
 		verifyIndexes(t, s, false)
-		if rng.Intn(4) != 0 {
-			return
-		}
-		for _, j := range s.ArrivedJobs() {
-			running := s.RunningTasks(j)
-			if len(running) == 0 {
-				continue
-			}
-			if err := s.KillTask(j, running[rng.Intn(len(running))]); err != nil {
-				t.Fatal(err)
-			}
-			kills++
-			break
+		if rng.Intn(100) == 0 && cancelRunningJob(t, s, rng) {
+			cancels++
 		}
 	}
 	p := w.Placement()
@@ -491,8 +492,8 @@ func TestKillDuringBatchedSlotFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyIndexes(t, s, true)
-	if kills == 0 {
-		t.Fatal("churn never killed anything; widen the trigger")
+	if cancels == 0 || 2*cancels >= len(w.Jobs) {
+		t.Fatalf("%d of %d jobs cancelled; the churn must hit some and let most finish", cancels, len(w.Jobs))
 	}
 	for j := range w.Jobs {
 		if got := s.JobRemaining(j); got != 0 {

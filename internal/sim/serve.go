@@ -239,7 +239,7 @@ func (s *Sim) AddJob(job workload.Job, obj *hdfs.DataObject) (int, error) {
 }
 
 // CancelJob withdraws a job from the run: running attempts are killed
-// (their partial burn billed, as with preemption), queued entries voided,
+// (their partial burn billed as speculative waste), queued entries voided,
 // and every not-yet-done task marked Done so the scheduler never sees the
 // job again. Idempotent; cancelling a completed job is a no-op. Tasks a
 // cancelled job already finished stay finished (and billed).
@@ -267,8 +267,9 @@ func (s *Sim) CancelJob(job int) error {
 			s.noteKill(job, int(f-base), cluster.NodeID(-1), "cancel", 0, false)
 		}
 	}
-	// Pass 2: kill the running attempts, billing each one's partial burn
-	// exactly as KillTask does.
+	// Pass 2: kill the running attempts, billing each one's partial burn.
+	// The charge is booked even at zero: it opens the tenant's ledger
+	// entry.
 	for f := base; f < end; f++ {
 		if TaskState(s.states[f]) != Running {
 			continue
@@ -276,17 +277,7 @@ func (s *Sim) CancelJob(job int) error {
 		ti := &s.tasks[f]
 		t := int(f - base)
 		n := ti.node
-		node := &s.C.Nodes[n]
-		cpuSec, _ := s.taskDemand(job, t)
-		slotECU := node.ECU / float64(node.Slots)
-		burned := cpuSec - (ti.doneAt-s.clock)*slotECU
-		if burned < 0 {
-			burned = 0
-		}
-		if burned > cpuSec {
-			burned = cpuSec
-		}
-		billed := cost.CPUCost(ti.price, burned)
+		billed, _ := s.partialBurn(job, t)
 		s.charge(cost.CatSpeculative, job, billed)
 		if ti.flow != nil {
 			s.net.cancel(ti.flow)

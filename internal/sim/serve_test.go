@@ -172,19 +172,19 @@ func TestTaskTableOverflow(t *testing.T) {
 	}
 }
 
-// TestCancelJobMidRun kills a job with running attempts: the partial burn
-// is billed like a preempted speculative attempt, every task retires, and
-// the run drains without the job's remaining work.
+// TestCancelJobMidRun kills a job with running attempts: each attempt's
+// elapsed burn is billed as speculative waste, every task retires, and the
+// run drains without the job's remaining work.
 func TestCancelJobMidRun(t *testing.T) {
 	s := New(oneNodeCluster(), twoTaskJob(), nil, greedyStub(), Options{})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.StepUntil(10); err != nil {
+	if err := s.StepUntil(32.64); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, running, _ := s.JobStateCounts(0); running != 2 {
-		t.Fatalf("want both tasks running at t=10, got %d", running)
+		t.Fatalf("want both tasks running at t=32.64, got %d", running)
 	}
 	if err := s.CancelJob(0); err != nil {
 		t.Fatal(err)
@@ -195,15 +195,15 @@ func TestCancelJobMidRun(t *testing.T) {
 	if _, _, _, done := s.JobStateCounts(0); done != 2 {
 		t.Errorf("tasks not retired: done = %d", done)
 	}
-	if s.JobDoneAt(0) != 10 {
-		t.Errorf("doneAt = %g, want 10", s.JobDoneAt(0))
+	if s.JobDoneAt(0) != 32.64 {
+		t.Errorf("doneAt = %g, want 32.64", s.JobDoneAt(0))
 	}
 	r := s.CurrentResult()
-	// Each attempt ran ~9.36 ECU-sec of its 64 before dying (launched
-	// after the 0.64 s transfer); the burn lands on the speculative/kill
-	// category, not CPU.
-	if got := r.Cost.Category(cost.CatSpeculative); got <= 0 {
-		t.Errorf("cancelled burn billed %v, want > 0", got)
+	// Both attempts launched at 0 and compute at slot ECU 1 after the
+	// 0.64 s transfer, so each burned 32 of its 64 ECU-sec by 32.64; the
+	// burn lands on the speculative/kill category, not CPU.
+	if got, want := r.Cost.Category(cost.CatSpeculative), 2*cost.CPUCost(cost.Millicents(1), 32); got != want {
+		t.Errorf("cancelled burn billed %v, want %v", got, want)
 	}
 	if got := r.Cost.Category(cost.CatCPU); got != 0 {
 		t.Errorf("cpu cost = %v, want 0 (nothing completed)", got)
@@ -218,6 +218,25 @@ func TestCancelJobMidRun(t *testing.T) {
 	}
 	if err := s.CancelJob(99); err == nil {
 		t.Error("out-of-range cancel accepted")
+	}
+}
+
+// TestCancelDuringTransferBillsNothing: an attempt cancelled while it
+// still reads its input has burned no CPU, so its bill is zero, never
+// negative.
+func TestCancelDuringTransferBillsNothing(t *testing.T) {
+	s := New(oneNodeCluster(), twoTaskJob(), nil, greedyStub(), Options{})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StepUntil(0.32); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CancelJob(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.CurrentResult().Cost.Category(cost.CatSpeculative); got != 0 {
+		t.Errorf("cancel mid-transfer billed %v, want 0", got)
 	}
 }
 

@@ -507,70 +507,23 @@ func (s *Sim) localityRank(n cluster.NodeID, store cluster.StoreID) int {
 	}
 }
 
-// KillTask preempts a Running task: its attempt is cancelled, the CPU it
-// burned so far is billed (work lost is work paid for, as with Hadoop's
-// fair-scheduler preemption), the slot frees, and the task returns to
-// Pending for rescheduling. Queued tasks simply return to Pending — the
-// queue entry is voided in place and dropped at the node's next drain,
-// not searched for. Killing a Pending or Done task is an error.
-func (s *Sim) KillTask(job, task int) error {
-	flat := s.flat(job, task)
-	ti := &s.tasks[flat]
-	switch TaskState(s.states[flat]) {
-	case Running:
-		n := ti.node
-		node := &s.C.Nodes[n]
-		// Bill the partial burn: we do not track per-attempt start, so
-		// charge the elapsed share of the expected runtime.
-		cpuSec, _ := s.taskDemand(job, task)
-		slotECU := node.ECU / float64(node.Slots)
-		remaining := ti.doneAt - s.clock
-		burned := cpuSec - remaining*slotECU
-		if burned < 0 {
-			burned = 0
-		}
-		if burned > cpuSec {
-			burned = cpuSec
-		}
-		billed := cost.CPUCost(ti.price, burned)
-		s.charge(cost.CatSpeculative, job, billed)
-		if ti.flow != nil {
-			s.net.cancel(ti.flow)
-			ti.flow = nil
-		}
-		// Untrack before the spec kill: its dispatch runs scheduler
-		// code, which must not find this half-dead attempt and
-		// speculate on it.
-		s.untrackPrimary(ti)
-		if ti.spec >= 0 {
-			s.killSpeculative(job, task)
-		}
-		ti.gen++
-		s.setStateFlat(flat, Pending)
-		s.noteKill(job, task, n, "preempt", billed, false)
-		s.slotFreed(n)
-		s.dispatch(n)
-		return nil
-	case Queued:
-		ti.qNode = -1
-		s.setStateFlat(flat, Pending)
-		s.noteKill(job, task, cluster.NodeID(-1), "dequeue", 0, false)
-		return nil
-	default:
-		return fmt.Errorf("sim: cannot kill task %d/%d in state %d", job, task, TaskState(s.states[flat]))
+// partialBurn prices what a Running attempt has burned if it is killed
+// now. No per-attempt start is kept, so the burn is the task's CPU demand
+// less what the slot would still run before doneAt, clamped to the
+// demand; burned is false when that is not positive, and billed is then 0.
+func (s *Sim) partialBurn(job, task int) (billed cost.Money, burned bool) {
+	ti := s.task(job, task)
+	node := &s.C.Nodes[ti.node]
+	cpuSec, _ := s.taskDemand(job, task)
+	slotECU := node.ECU / float64(node.Slots)
+	sec := cpuSec - (ti.doneAt-s.clock)*slotECU
+	if sec > cpuSec {
+		sec = cpuSec
 	}
-}
-
-// RunningTasks returns the Running task indices of a job, ascending.
-func (s *Sim) RunningTasks(job int) []int {
-	var out []int
-	base, end := s.taskBase[job], s.taskBase[job+1]
-	for f := base; f < end; f++ {
-		if TaskState(s.states[f]) == Running {
-			out = append(out, int(f-base))
-		}
+	if sec <= 0 {
+		return 0, false
 	}
-	return out
+	return cost.CPUCost(ti.price, sec), true
 }
 
 // Enqueue pins a task to node n's FIFO queue, to start no earlier than

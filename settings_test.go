@@ -48,7 +48,6 @@ var resultFields = map[string]bool{
 	"sched.LiPS.BlocksMoved": true,
 	"sched.LiPS.Solver":      true,
 	"sched.LiPS.Err":         true,
-	"sched.Fair.Preemptions": true,
 	"sched.Quincy.Rounds":    true,
 }
 
