@@ -33,7 +33,7 @@ func killCategory(reason string) (cost.Category, bool) {
 	switch reason {
 	case "timeout":
 		return cost.CatTransfer, true
-	case "speculative", "preempt", "dequeue", "cancel":
+	case "speculative", "cancel":
 		return cost.CatSpeculative, true
 	case "node-crash", "store-loss":
 		return cost.CatFault, true

@@ -24,7 +24,7 @@ func chargedTrace(t *testing.T, mutate func([]trace.Event)) string {
 		{T: 110, Kind: trace.KindKill, Task: &trace.TaskInfo{
 			Job: 1, Task: 0, Node: 1, Store: -1, Reason: "timeout", CostUC: 10}},
 		{T: 120, Kind: trace.KindKill, Task: &trace.TaskInfo{
-			Job: 0, Task: 1, Node: 0, Store: -1, Reason: "preempt", CostUC: 5}},
+			Job: 0, Task: 1, Node: 0, Store: -1, Reason: "cancel", CostUC: 5}},
 		{T: 130, Kind: trace.KindMove, Move: &trace.MoveInfo{
 			Object: 0, Block: 0, Src: 0, Dst: 1, MB: 64, Reason: "plan", CostUC: 7}},
 		{T: 140, Kind: trace.KindMove, Move: &trace.MoveInfo{

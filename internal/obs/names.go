@@ -90,7 +90,7 @@ var (
 	// TaskStates mirrors internal/sim's TaskState lifecycle.
 	TaskStates = []string{"pending", "queued", "running", "done"}
 	// KillReasons are the simulator's traceKill reason strings.
-	KillReasons = []string{"timeout", "speculative", "preempt", "dequeue", "node-crash", "store-loss", "cancel"}
+	KillReasons = []string{"timeout", "speculative", "node-crash", "store-loss", "cancel"}
 	// MoveReasons are the simulator's block-relocation reasons.
 	MoveReasons = []string{"plan", "re-replicate", "re-materialize"}
 	// FaultKinds mirrors internal/sim FaultKind.String values.

@@ -27,7 +27,7 @@ const (
 	KindEnqueue Kind = "enqueue" // task pinned to a node's queue
 	KindLaunch  Kind = "launch"  // attempt started on a node
 	KindDone    Kind = "done"    // attempt completed (task finished)
-	KindKill    Kind = "kill"    // attempt cancelled (timeout, speculation, preemption, fault)
+	KindKill    Kind = "kill"    // attempt cancelled (timeout, speculation, job cancel, fault)
 	KindEpoch   Kind = "epoch"   // one epoch LP solve of an epoch scheduler
 	KindMove    Kind = "move"    // block relocation (planned, balancer or fault repair)
 	KindFault   Kind = "fault"   // injected fault event
@@ -90,7 +90,7 @@ type TaskInfo struct {
 	CPUSec      float64 `json:"cpu_sec,omitempty"`  // done: billed ECU-seconds
 	CostUC      int64   `json:"cost_uc,omitempty"`  // microcents billed at this event
 	XferUC      int64   `json:"xfer_uc,omitempty"`  // done: transfer portion of CostUC (the rest is CPU)
-	Reason      string  `json:"reason,omitempty"`   // kill: timeout/speculative/preempt/dequeue/node-crash/store-loss
+	Reason      string  `json:"reason,omitempty"`   // kill: timeout/speculative/cancel/node-crash/store-loss
 }
 
 // EpochInfo is the payload of one epoch LP solve. The wall-clock *MS

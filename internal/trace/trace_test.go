@@ -65,7 +65,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 			Attempt: 1, Locality: "zone-local"}},
 		{T: 9, Kind: KindDone, Task: &TaskInfo{Job: 1, Task: 2, Node: 0, Store: 1,
 			Attempt: 1, DurSec: 7.5, XferSec: 0.5, CPUSec: 7, CostUC: 314159}},
-		{T: 10, Kind: KindKill, Task: &TaskInfo{Job: 1, Task: 3, Node: -1, Store: -1, Reason: "dequeue"}},
+		{T: 10, Kind: KindKill, Task: &TaskInfo{Job: 1, Task: 3, Node: -1, Store: -1, Reason: "cancel"}},
 		{T: 11, Kind: KindSample, Sample: &SampleInfo{Done: 1, TotalUC: 314159, CPUUC: 314159}},
 	}
 	var buf bytes.Buffer
