@@ -87,7 +87,7 @@ func NewOnlineColGen(in *Instance, opts ColGenOptions) (*OnlineColGen, error) {
 		}
 	}
 
-	cg := &OnlineColGen{m: newModel(in, Online, "lips-online-rmp", true, nil), tol: 1e-9}
+	cg := &OnlineColGen{m: newModel(in, Online, "lips-online-rmp", true), tol: 1e-9}
 
 	// Eager part: everything whose size does not scale with the machine
 	// count — job coverage, placement, store-capacity and data-existence

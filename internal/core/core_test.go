@@ -92,91 +92,6 @@ func TestBreakEvenExact(t *testing.T) {
 	}
 }
 
-func TestSimpleTaskMatchesGreedyWithAbundantCapacity(t *testing.T) {
-	// Paper §IV: with sufficient capacity the greedy algorithm is
-	// optimal, so the LP must agree with it.
-	in := twoNodeInstance(t, 2, 3)
-	xd := PlacementFractions(in)
-	m, err := BuildSimpleTaskModel(in, xd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lpPlan := solvePlan(t, m)
-	greedy, err := GreedyPlan(in, xd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lpPlan.TotalMC()-greedy.TotalMC()) > 1e-6*(1+greedy.TotalMC()) {
-		t.Errorf("LP %g != greedy %g with abundant capacity", lpPlan.TotalMC(), greedy.TotalMC())
-	}
-}
-
-func TestSimpleTaskBeatsGreedyUnderContention(t *testing.T) {
-	// Two jobs, but the cheap node can only hold one within the horizon.
-	// Greedy sends both to the cheap node (infeasible in reality); the
-	// LP respects capacity and splits.
-	b := cluster.NewBuilder("za")
-	b.AddNode("za", "cheap", 1, 2, cost.Millicents(1), 100*1024)
-	b.AddNode("za", "costly", 1, 2, cost.Millicents(5), 100*1024)
-	c := b.Build()
-	wb := workload.NewBuilder()
-	arch := workload.Archetype{Name: "syn", Property: workload.Mixed, CPUSecPerBlock: 64}
-	wb.AddInputJob("j1", "u", arch, 64, 0, 0)
-	wb.AddInputJob("j2", "u", arch, 64, 1, 0)
-	w := wb.Build()
-	// Each job needs 64 ECU-sec; horizon admits exactly one job per node.
-	in, err := NewInstance(c, w.Jobs, w.Objects, w.Placement(), InstanceOptions{Horizon: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xd := PlacementFractions(in)
-	m, err := BuildSimpleTaskModel(in, xd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := solvePlan(t, m)
-	// One job on each node: 64·1 + 64·5 = 384 mc (both stores are free
-	// to read intra-zone).
-	if math.Abs(plan.ExecMC-384) > 1 {
-		t.Errorf("ExecMC = %g, want 384 under contention", plan.ExecMC)
-	}
-	// Capacity respected per machine.
-	for l := range in.Machines {
-		used := 0.0
-		for k := range in.Jobs {
-			for lm, f := range plan.XT[k] {
-				if lm[0] == l {
-					used += f * in.Jobs[k].CPUSec
-				}
-			}
-		}
-		if used > in.Machines[l].ECU*in.Horizon+1e-6 {
-			t.Errorf("machine %d used %g > capacity %g", l, used, in.Machines[l].ECU*in.Horizon)
-		}
-	}
-}
-
-func TestCoScheduleNeverWorseThanSimple(t *testing.T) {
-	// Extra freedom (data movement) can only reduce cost.
-	for _, transfer := range []float64{0.5, 2, 8, 30} {
-		in := twoNodeInstance(t, 1.5, transfer)
-		xd := PlacementFractions(in)
-		ms, err := BuildSimpleTaskModel(in, xd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		simple := solvePlan(t, ms)
-		mc, err := BuildCoScheduleModel(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		co := solvePlan(t, mc)
-		if co.TotalMC() > simple.TotalMC()+1e-6*(1+simple.TotalMC()) {
-			t.Errorf("transfer %g: co %g > simple %g", transfer, co.TotalMC(), simple.TotalMC())
-		}
-	}
-}
-
 func TestOnlineOverflowsToFakeNode(t *testing.T) {
 	// Demand exceeds the epoch's capacity: the LP must stay feasible and
 	// park the overflow on F.
@@ -404,13 +319,13 @@ func TestValidationErrors(t *testing.T) {
 	if err := bad2.Validate(); err == nil {
 		t.Error("expected data range error")
 	}
-	if _, err := BuildSimpleTaskModel(in, [][]float64{}); err == nil {
+	if _, err := GreedyPlan(in, [][]float64{}); err == nil {
 		t.Error("expected xd shape error")
 	}
 }
 
 func TestKindString(t *testing.T) {
-	if SimpleTask.String() != "simple-task" || CoSchedule.String() != "co-schedule" || Online.String() != "online" {
+	if CoSchedule.String() != "co-schedule" || Online.String() != "online" {
 		t.Error("kind strings wrong")
 	}
 }

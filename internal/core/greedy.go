@@ -5,8 +5,9 @@ import "fmt"
 // GreedyPlan is the paper's §IV greedy reference: for each job and each
 // portion of its data on store m, pick the machine minimising
 // JM_kl + MS_lm·Size — ignoring machine capacity. With abundant capacity
-// this matches the LP optimum of the simple task model; under contention
-// it can be arbitrarily bad, which is the paper's argument for the LP.
+// this is the optimum of the paper's simple task model (Fig. 2, Fig. 3
+// with x^d fixed); under contention it can be arbitrarily bad, which is
+// the paper's argument for the LP.
 // NewOnlineColGen seeds its restricted master with this plan's machines,
 // so the first pricing round sees real prices. xd[i][m] is the fixed
 // fractional placement.
@@ -14,7 +15,7 @@ func GreedyPlan(in *Instance, xd [][]float64) (*Plan, error) {
 	if err := checkFixedPlan(in, xd); err != nil {
 		return nil, err
 	}
-	p := &Plan{In: in, Kind: SimpleTask}
+	p := &Plan{In: in}
 	p.XT = make([]map[[2]int]float64, len(in.Jobs))
 	for k, job := range in.Jobs {
 		p.XT[k] = make(map[[2]int]float64)
@@ -46,7 +47,7 @@ func LocalOnlyPlan(in *Instance, xd [][]float64) (*Plan, error) {
 	if in.CoMachine == nil {
 		return nil, fmt.Errorf("core: instance has no store→machine co-location map")
 	}
-	p := &Plan{In: in, Kind: SimpleTask}
+	p := &Plan{In: in}
 	p.XT = make([]map[[2]int]float64, len(in.Jobs))
 	for k, job := range in.Jobs {
 		p.XT[k] = make(map[[2]int]float64)

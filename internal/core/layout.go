@@ -12,7 +12,7 @@ import (
 const noStore = -1
 
 // layout is the one description of where every column and row of a LiPS
-// LP sits, for all three model kinds and for the restricted master of the
+// LP sits, for both model kinds and for the restricted master of the
 // online model. Indices are computed, never looked up: the builders emit
 // columns and rows in exactly this order, and pricing, extraction, basis
 // translation and the lazy names decode or re-encode through the same
@@ -22,9 +22,9 @@ const noStore = -1
 // then stores), then the task fractions xt[k,l,m] — job-major on the
 // direct path (jobs, machines, stores), unit-major in the master (units in
 // materialization order, then jobs, then stores). Rows: job, place, cap,
-// cpu, exist, xfer on the direct co-scheduling paths; job, exist, cpu for
-// SimpleTask; job, place, cap, exist and then each unit's cpu row and xfer
-// rows, at its materialization, in the master.
+// cpu, exist, xfer on the direct paths; job, place, cap, exist and then
+// each unit's cpu row and xfer rows, at its materialization, in the
+// master.
 type layout struct {
 	kind   Kind
 	master bool
@@ -37,15 +37,10 @@ type layout struct {
 	originOff, origins []int
 
 	// colOff[k] counts the x^t columns jobs before k have on one machine
-	// (one for a job without input, one per held store otherwise),
-	// existOff[k] their exist rows and dataRank[k] the jobs with input
-	// among them. realRank[l] counts the non-fake machines before l.
+	// (one for a job without input, one per store otherwise), existOff[k]
+	// their exist rows and dataRank[k] the jobs with input among them.
+	// realRank[l] counts the non-fake machines before l.
 	colOff, existOff, dataRank, realRank []int
-
-	// held[k] lists the stores job k may read its item from, ascending:
-	// SimpleTask's fixed placement, one table per data item shared by its
-	// readers. Nil means every store.
-	held [][]int
 
 	// First row of each block; unused blocks are empty.
 	placeRow0, capRow0, cpuRow0, existRow0, xferRow0 int
@@ -58,12 +53,11 @@ type layout struct {
 	cols, rows       int
 }
 
-// newLayout computes the layout of in's LP. held is SimpleTask's placement
-// filter, per job, and nil otherwise. A master layout starts with no unit
-// open.
-func newLayout(in *Instance, kind Kind, master bool, held [][]int) layout {
+// newLayout computes the layout of in's LP. A master layout starts with no
+// unit open.
+func newLayout(in *Instance, kind Kind, master bool) layout {
 	nj, nd, nm := len(in.Jobs), len(in.Data), len(in.Machines)
-	ly := layout{kind: kind, master: master, jobs: nj, stores: len(in.Stores), machines: nm, held: held}
+	ly := layout{kind: kind, master: master, jobs: nj, stores: len(in.Stores), machines: nm}
 
 	ly.originOff = make([]int, nd+1)
 	for i, d := range in.Data {
@@ -77,9 +71,6 @@ func newLayout(in *Instance, kind Kind, master bool, held [][]int) layout {
 		w := 1
 		if job.Data != NoData {
 			w = ly.stores
-			if held != nil {
-				w = len(held[k])
-			}
 			ly.existOff[k+1] = w
 			ly.dataRank[k+1] = 1
 		}
@@ -96,10 +87,6 @@ func newLayout(in *Instance, kind Kind, master bool, held [][]int) layout {
 
 	real, nexist := ly.realRank[nm], ly.existOff[nj]
 	switch {
-	case kind == SimpleTask:
-		ly.existRow0 = nj
-		ly.cpuRow0 = nj + nexist
-		ly.cols, ly.rows = nm*ly.colOff[nj], ly.cpuRow0+real
 	case master:
 		ly.placeRow0 = nj
 		ly.capRow0 = ly.placeRow0 + norig
@@ -124,12 +111,7 @@ func newLayout(in *Instance, kind Kind, master bool, held [][]int) layout {
 }
 
 // xt0 is the first x^t column: the placement flows come before it.
-func (ly *layout) xt0() int {
-	if ly.kind == SimpleTask {
-		return 0
-	}
-	return len(ly.origins) * ly.stores
-}
+func (ly *layout) xt0() int { return len(ly.origins) * ly.stores }
 
 // width is the number of x^t columns job k has on one machine.
 func (ly *layout) width(k int) int { return ly.colOff[k+1] - ly.colOff[k] }
@@ -159,11 +141,8 @@ func (ly *layout) hasData(k int) bool { return ly.dataRank[k+1] > ly.dataRank[k]
 // storeAt is the store behind the pos'th x^t column of job k on a machine,
 // noStore for a job without input.
 func (ly *layout) storeAt(k, pos int) int {
-	switch {
-	case !ly.hasData(k):
+	if !ly.hasData(k) {
 		return noStore
-	case ly.held != nil:
-		return ly.held[k][pos]
 	}
 	return pos
 }
@@ -286,10 +265,6 @@ func (ly *layout) rowAt(c lp.Con) (blk rowBlock, a, b int) {
 	switch {
 	case r < ly.jobs:
 		return rowJob, r, 0
-	case ly.kind == SimpleTask && r < ly.cpuRow0:
-		return exist(r - ly.existRow0)
-	case ly.kind == SimpleTask:
-		return rowCPU, rank(ly.realRank, r-ly.cpuRow0), 0
 	case r < ly.capRow0:
 		i := rank(ly.originOff, r-ly.placeRow0)
 		return rowPlace, i, r - ly.placeRow0 - ly.originOff[i]

@@ -8,17 +8,17 @@ import (
 	"lips/internal/lp"
 )
 
-// Kind identifies which of the paper's three LP formulations a Model uses.
+// Kind identifies which of the paper's LP formulations a Model uses. The
+// paper's third, the simple task model of Fig. 2, is CoSchedule with the
+// placement x^d fixed; it is never solved on its own, so it has no Kind.
 type Kind int
 
 // Model kinds.
 const (
-	// SimpleTask is the offline simple task scheduling model (Fig. 2):
-	// data placement is fixed, only task fractions are variables.
-	SimpleTask Kind = iota
 	// CoSchedule is the offline cost-efficient co-scheduling model
-	// (Fig. 3): data placement fractions join the variable set.
-	CoSchedule
+	// (Fig. 3): data placement fractions and task fractions are the
+	// variables.
+	CoSchedule Kind = iota
 	// Online is the epoch-based online model (Fig. 4): CoSchedule with
 	// the horizon set to the epoch length, the per-(job, machine)
 	// transfer-time constraint (21), and a fake overflow node F.
@@ -28,8 +28,6 @@ const (
 // String names the model kind.
 func (k Kind) String() string {
 	switch k {
-	case SimpleTask:
-		return "simple-task"
 	case CoSchedule:
 		return "co-schedule"
 	case Online:
@@ -56,8 +54,8 @@ type Model struct {
 }
 
 // newModel pairs an empty LP with its layout, which also names it.
-func newModel(in *Instance, kind Kind, name string, master bool, held [][]int) *Model {
-	m := &Model{In: in, Kind: kind, prob: lp.New(name), lay: newLayout(in, kind, master, held)}
+func newModel(in *Instance, kind Kind, name string, master bool) *Model {
+	m := &Model{In: in, Kind: kind, prob: lp.New(name), lay: newLayout(in, kind, master)}
 	m.prob.SetNamer(&m.lay)
 	return m
 }
@@ -79,52 +77,6 @@ func (m *Model) NumVars() int { return m.prob.NumVars() }
 
 // NumCons returns the LP's constraint count.
 func (m *Model) NumCons() int { return m.prob.NumCons() }
-
-// BuildSimpleTaskModel builds the Fig. 2 model: task scheduling against a
-// fixed fractional data placement xd, where xd[i][m] is the portion of
-// data item i on store unit m (rows must sum to ≥ 1).
-func BuildSimpleTaskModel(in *Instance, xd [][]float64) (*Model, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if len(xd) != len(in.Data) {
-		return nil, fmt.Errorf("core: xd has %d rows for %d data items", len(xd), len(in.Data))
-	}
-	for i := range xd {
-		if len(xd[i]) != len(in.Stores) {
-			return nil, fmt.Errorf("core: xd row %d has %d cols for %d stores", i, len(xd[i]), len(in.Stores))
-		}
-	}
-	// The simple model only allows stores that actually hold a portion of
-	// the data: one table of them per item, shared by the item's readers.
-	holding := make([][]int, len(in.Data))
-	for i := range xd {
-		for store, f := range xd[i] {
-			if f > 1e-12 {
-				holding[i] = append(holding[i], store)
-			}
-		}
-	}
-	held := make([][]int, len(in.Jobs))
-	for k, job := range in.Jobs {
-		if job.Data != NoData {
-			held[k] = holding[job.Data]
-		}
-	}
-	m := newModel(in, SimpleTask, "lips-simple", false, held)
-	m.reserve()
-
-	// Rows: (2) every job fully scheduled; (3) Σ_l xt_klm ≤ xd_im against
-	// the fixed placement; (4) CPU demand fits each machine's supply.
-	m.addJobRows()
-	for k, job := range in.Jobs {
-		for _, store := range held[k] {
-			m.prob.AddCon("", lp.LE, xd[job.Data][store])
-		}
-	}
-	m.addCPURows()
-	return m, m.addTaskCols()
-}
 
 // BuildCoScheduleModel builds the Fig. 3 model: joint data placement and
 // task scheduling over the instance's horizon (node uptime).
@@ -153,7 +105,7 @@ func buildCo(in *Instance, kind Kind) (*Model, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	m := newModel(in, kind, "lips-"+kind.String(), false, nil)
+	m := newModel(in, kind, "lips-"+kind.String(), false)
 	ly, prob := &m.lay, m.prob
 	m.reserve()
 
@@ -335,7 +287,7 @@ func (m *Model) Solve(opts lp.Options) (*Plan, error) {
 func (m *Model) extract(sol *lp.Solution) *Plan {
 	in := m.In
 	p := &Plan{
-		In: in, Kind: m.Kind, ObjectiveMC: sol.Objective,
+		In: in, ObjectiveMC: sol.Objective,
 		Rows: m.prob.NumCons(), Cols: m.prob.NumVars(), NNZ: m.prob.NumNonzeros(),
 		Stats: sol.Stats, Basis: sol.Basis, WarmStarted: sol.WarmStarted,
 	}
@@ -349,21 +301,19 @@ func (m *Model) extract(sol *lp.Solution) *Plan {
 			p.XT[k][[2]int{l, store}] = f
 		}
 	})
-	if m.Kind != SimpleTask {
-		p.XD = make([][]float64, len(in.Data))
-		p.XDFlows = make([]map[[2]int]float64, len(in.Data))
-		for i := range in.Data {
-			p.XD[i] = make([]float64, len(in.Stores))
-			p.XDFlows[i] = make(map[[2]int]float64)
-			for oi, o := range ly.origins[ly.originOff[i]:ly.originOff[i+1]] {
-				for j := range in.Stores {
-					f := sol.Value(ly.xd(i, oi, j))
-					if f <= 1e-9 {
-						continue
-					}
-					p.XD[i][j] += f
-					p.XDFlows[i][[2]int{o, j}] += f
+	p.XD = make([][]float64, len(in.Data))
+	p.XDFlows = make([]map[[2]int]float64, len(in.Data))
+	for i := range in.Data {
+		p.XD[i] = make([]float64, len(in.Stores))
+		p.XDFlows[i] = make(map[[2]int]float64)
+		for oi, o := range ly.origins[ly.originOff[i]:ly.originOff[i+1]] {
+			for j := range in.Stores {
+				f := sol.Value(ly.xd(i, oi, j))
+				if f <= 1e-9 {
+					continue
 				}
+				p.XD[i][j] += f
+				p.XDFlows[i][[2]int{o, j}] += f
 			}
 		}
 	}

@@ -29,18 +29,6 @@ func mixedOnlineInstance(t *testing.T, seed int64) *Instance {
 	return in
 }
 
-// sparseXD places each data item of in on one or two stores only.
-func sparseXD(in *Instance) [][]float64 {
-	xd := make([][]float64, len(in.Data))
-	for i := range xd {
-		xd[i] = make([]float64, len(in.Stores))
-		a, b := i%len(in.Stores), (2*i+1)%len(in.Stores)
-		xd[i][a] += 0.5
-		xd[i][b] += 0.5
-	}
-	return xd
-}
-
 // problemLine condenses one LP to a golden line: its shape and the SHA-256
 // of lp.Write's text — names, bounds, costs, senses, right-hand sides and
 // every coefficient in stored order.
@@ -101,13 +89,6 @@ func modelCorpus(t *testing.T) []string {
 	m, err = BuildCoScheduleModel(twoNodeInstance(t, 1, 0.01))
 	direct("coschedule/two-node", m, err)
 
-	rng = rand.New(rand.NewSource(13))
-	simple := synthInstance(6, 5, 4, 2, false, rng)
-	fillSS(simple, rng)
-	simple.Jobs[0].Data = NoData
-	m, err = BuildSimpleTaskModel(simple, sparseXD(simple))
-	direct("simple/sparse-xd", m, err)
-
 	master("master/mixed", mixedOnlineInstance(t, 11), ColGenOptions{})
 	rng = rand.New(rand.NewSource(14))
 	big := synthInstance(8, 60, 3, 4, false, rng)
@@ -122,7 +103,7 @@ func modelCorpus(t *testing.T) []string {
 }
 
 // TestModelGolden pins the LP every builder path emits — direct models of
-// all three kinds and the restricted master after its last pricing round —
+// both kinds and the restricted master after its last pricing round —
 // as recorded from the map-and-Sprintf builders. There is no update flag:
 // after an intended change, paste the printed line over the stale one.
 func TestModelGolden(t *testing.T) {

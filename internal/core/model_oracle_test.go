@@ -31,15 +31,6 @@ type oracleModel struct {
 	xdFlow map[[3]int]lp.Var // (item, origin unit, dest store) → flow
 }
 
-func oracleSimpleTask(in *Instance, xd [][]float64) *oracleModel {
-	m := &oracleModel{In: in, Kind: SimpleTask, prob: lp.New("lips-simple"), xt: make(map[xtKey]lp.Var)}
-	m.addTaskVars(func(i, store int) bool { return xd[i][store] > 1e-12 })
-	m.addJobCoverage()
-	m.addDataExistence(xd)
-	m.addMachineCapacity()
-	return m
-}
-
 func oracleCo(in *Instance, kind Kind) (*oracleModel, error) {
 	m := &oracleModel{In: in, Kind: kind, prob: lp.New("lips-" + kind.String()),
 		xt: make(map[xtKey]lp.Var), xdFlow: make(map[[3]int]lp.Var)}
@@ -57,7 +48,7 @@ func oracleCo(in *Instance, kind Kind) (*oracleModel, error) {
 		}
 	}
 
-	m.addTaskVars(func(i, store int) bool { return true })
+	m.addTaskVars()
 	m.addJobCoverage()
 
 	// Constraint (9)/(19): all data gets placed — every origin portion
@@ -135,9 +126,7 @@ func oracleCo(in *Instance, kind Kind) (*oracleModel, error) {
 
 // addTaskVars creates the x^t_{klm} variables with their objective terms
 // (7)+(8): execution cost JM_kl plus runtime transfer MS_lm·Size(D_i).
-// include filters (data item, store) pairs — the simple model only allows
-// stores that actually hold a portion of the data.
-func (m *oracleModel) addTaskVars(include func(dataItem, store int) bool) {
+func (m *oracleModel) addTaskVars() {
 	in := m.In
 	for k, job := range in.Jobs {
 		for l, mach := range in.Machines {
@@ -149,9 +138,6 @@ func (m *oracleModel) addTaskVars(include func(dataItem, store int) bool) {
 			}
 			traffic := in.Data[job.Data].SizeMB * job.accessFrac()
 			for store := range in.Stores {
-				if !include(job.Data, store) {
-					continue
-				}
 				transferMC := in.MSPerMBMC[l][store] * traffic
 				v := m.prob.AddVar(fmt.Sprintf("xt[%d,%d,%d]", k, l, store), 0, 1, execMC+transferMC)
 				m.xt[xtKey{k, l, store}] = v
@@ -194,35 +180,6 @@ func (m *oracleModel) addMachineCapacity() {
 			for store := range in.Stores {
 				if v, ok := m.xt[xtKey{k, l, store}]; ok {
 					m.prob.SetCoef(row, v, job.CPUSec)
-				}
-			}
-		}
-	}
-}
-
-// addDataExistence adds constraint (3) for the simple model, where xd is a
-// fixed placement: Σ_l xt_klm ≤ xd_im.
-func (m *oracleModel) addDataExistence(xd [][]float64) {
-	in := m.In
-	for k, job := range in.Jobs {
-		if job.Data == NoData {
-			continue
-		}
-		for store := range in.Stores {
-			hasVar := false
-			for l := range in.Machines {
-				if _, ok := m.xt[xtKey{k, l, store}]; ok {
-					hasVar = true
-					break
-				}
-			}
-			if !hasVar {
-				continue
-			}
-			row := m.prob.AddCon(fmt.Sprintf("exist[%d,%d]", k, store), lp.LE, xd[job.Data][store])
-			for l := range in.Machines {
-				if v, ok := m.xt[xtKey{k, l, store}]; ok {
-					m.prob.SetCoef(row, v, 1)
 				}
 			}
 		}
@@ -660,8 +617,8 @@ func withFake(in *Instance) *Instance {
 
 // TestModelOracle requires the arithmetic builders to emit, on random
 // instances, exactly the LP the map-and-Sprintf builders emit — compared as
-// lp.Write text, so names, order and every float must agree — for all three
-// model kinds and for the restricted master after its construction and
+// lp.Write text, so names, order and every float must agree — for both model
+// kinds and for the restricted master after its construction and
 // after every pricing round, and checks the layout's decoders against its
 // encoders and the oracle's maps on each.
 func TestModelOracle(t *testing.T) {
@@ -686,23 +643,6 @@ func TestModelOracle(t *testing.T) {
 		}
 		requireSameLP(t, label+" co-schedule", m.prob, om.prob)
 		requireLayoutRoundTrip(t, label+" co-schedule", m, om)
-
-		xd := make([][]float64, len(in.Data))
-		for i := range xd {
-			xd[i] = make([]float64, len(in.Stores))
-			for store := range xd[i] {
-				if rng.Intn(2) == 0 {
-					xd[i][store] = rng.Float64()
-				}
-			}
-		}
-		om = oracleSimpleTask(in.clone(), xd)
-		m, err = BuildSimpleTaskModel(in.clone(), xd)
-		if err != nil {
-			t.Fatalf("%s: simple: %v", label, err)
-		}
-		requireSameLP(t, label+" simple", m.prob, om.prob)
-		requireLayoutRoundTrip(t, label+" simple", m, om)
 
 		opts := ColGenOptions{}
 		for n := rng.Intn(3); n > 0; n-- {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -13,10 +12,9 @@ import (
 // XT[k] maps {machine, store} → the fraction of job k that runs on that
 // machine reading that store (store is noStore == -1 for jobs without
 // input). XD[i][j] is the fraction of data item i placed on store unit j
-// (nil for the simple task model, whose placement was an input).
+// (nil for GreedyPlan and LocalOnlyPlan, whose placement was an input).
 type Plan struct {
-	In   *Instance
-	Kind Kind
+	In *Instance
 
 	XT []map[[2]int]float64
 	XD [][]float64
@@ -309,10 +307,4 @@ func numBlocks(sizeMB float64) int {
 		return 0
 	}
 	return int(math.Ceil(sizeMB / 64))
-}
-
-// String summarises the plan.
-func (p *Plan) String() string {
-	return fmt.Sprintf("%s plan: %.1f mc (placement %.1f + exec %.1f + transfer %.1f), %d iters",
-		p.Kind, p.TotalMC(), p.PlacementMC, p.ExecMC, p.TransferMC, p.Iters)
 }

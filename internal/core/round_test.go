@@ -182,10 +182,3 @@ func TestRoundOnlineDefersFakeTasks(t *testing.T) {
 		t.Errorf("deferred %d tasks, want 5", ip.Deferred[0])
 	}
 }
-
-func TestPlanString(t *testing.T) {
-	_, p := roundedInstance(t)
-	if p.String() == "" {
-		t.Error("empty plan string")
-	}
-}

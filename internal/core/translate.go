@@ -72,7 +72,7 @@ func TranslateOnlineBasis(b *lp.Basis, oldIn, newIn *Instance) *lp.Basis {
 		return nil
 	}
 	mm := machineMap(oldIn, newIn)
-	oldLy, newLy := newLayout(oldIn, Online, false, nil), newLayout(newIn, Online, false, nil)
+	oldLy, newLy := newLayout(oldIn, Online, false), newLayout(newIn, Online, false)
 	if b.NumVars != oldLy.cols || b.NumCons != oldLy.rows {
 		return nil
 	}
