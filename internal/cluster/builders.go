@@ -67,15 +67,6 @@ func (b *Builder) AddInstance(zone string, t cost.InstanceType) NodeID {
 	return b.AddNode(zone, t.Name, t.ECU, 2, t.PerECUMid(), t.StorageGB*1024)
 }
 
-// AddRemoteStore adds a store with no co-located node (e.g. S3).
-func (b *Builder) AddRemoteStore(zone string, capacityMB float64) StoreID {
-	sid := StoreID(len(b.c.Stores))
-	b.c.Stores = append(b.c.Stores, Store{
-		ID: sid, Name: fmt.Sprintf("store-%d", sid), Zone: zone, Node: None, CapacityMB: capacityMB,
-	})
-	return sid
-}
-
 // Build validates and returns the cluster. It panics on an invalid
 // topology, since that is a programming error in the builder's caller.
 func (b *Builder) Build() *Cluster {

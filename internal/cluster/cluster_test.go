@@ -12,16 +12,12 @@ func TestBuilderBasics(t *testing.T) {
 	b := NewBuilder("za", "zb")
 	n0 := b.AddNode("za", "t0", 2, 2, cost.Millicents(1), 1000)
 	n1 := b.AddNode("zb", "t0", 2, 2, cost.Millicents(1), 1000)
-	s2 := b.AddRemoteStore("zb", 5000)
 	c := b.Build()
-	if len(c.Nodes) != 2 || len(c.Stores) != 3 {
+	if len(c.Nodes) != 2 || len(c.Stores) != 2 {
 		t.Fatalf("nodes=%d stores=%d", len(c.Nodes), len(c.Stores))
 	}
 	if c.Nodes[n0].Store != StoreID(0) || c.Nodes[n1].Store != StoreID(1) {
 		t.Errorf("co-location broken: %d %d", c.Nodes[n0].Store, c.Nodes[n1].Store)
-	}
-	if c.Stores[s2].Node != None {
-		t.Errorf("remote store has node %d", c.Stores[s2].Node)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,5 @@
 package cost
 
-import "fmt"
-
 // InstanceType describes one EC2 instance type from the paper's Table III.
 //
 // PerECULow/PerECUHigh are the paper's published millicent-per-ECU-second
@@ -51,13 +49,3 @@ var (
 
 // Catalog lists the instance types used in the paper's testbeds.
 var Catalog = []InstanceType{M1Small, M1Medium, C1Medium}
-
-// ByName returns the catalog entry with the given name.
-func ByName(name string) (InstanceType, error) {
-	for _, t := range Catalog {
-		if t.Name == name {
-			return t, nil
-		}
-	}
-	return InstanceType{}, fmt.Errorf("cost: unknown instance type %q", name)
-}

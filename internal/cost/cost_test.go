@@ -67,21 +67,6 @@ func TestCatalogTable3(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, want := range Catalog {
-		got, err := ByName(want.Name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", want.Name, err)
-		}
-		if got.Name != want.Name || got.ECU != want.ECU {
-			t.Errorf("ByName(%q) = %+v", want.Name, got)
-		}
-	}
-	if _, err := ByName("m7i.48xlarge"); err == nil {
-		t.Error("expected error for unknown type")
-	}
-}
-
 func TestPerECUMid(t *testing.T) {
 	mid := C1Medium.PerECUMid()
 	if mid <= C1Medium.PerECULow || mid >= C1Medium.PerECUHigh {
@@ -95,13 +80,13 @@ func TestTransferPricing(t *testing.T) {
 		t.Errorf("InterZonePerBlock = %v, want 62.5 mc", got.ToMillicents())
 	}
 	p := DefaultTransferPricing()
-	if p.Price("us-east-1a", "us-east-1a", 1024) != 0 {
+	if p.PerGB("us-east-1a", "us-east-1a") != 0 {
 		t.Error("intra-zone transfer must be free")
 	}
 	if p.PerGB("us-east-1a", "us-east-1b") != InterZonePerGB {
 		t.Error("inter-zone transfer must use the Amazon price")
 	}
-	if got := p.Price("a", "b", BlockMB); got != Millicents(62.5) {
+	if got := p.PerGB("a", "b").MulFloat(BlockMB / 1024); got != Millicents(62.5) {
 		t.Errorf("one block across zones = %v", got.ToMillicents())
 	}
 }

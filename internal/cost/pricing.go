@@ -34,11 +34,6 @@ func (t TransferPricing) PerGB(zoneA, zoneB string) Money {
 	return t.InterZonePerGB
 }
 
-// Price returns the cost of moving mb megabytes between the two zones.
-func (t TransferPricing) Price(zoneA, zoneB string, mb float64) Money {
-	return t.PerGB(zoneA, zoneB).MulFloat(mb / 1024)
-}
-
 // CPUCost returns the dollar cost of cpuSec ECU-seconds at the given
 // per-ECU-second price.
 func CPUCost(perECUSec Money, cpuSec float64) Money {

@@ -71,9 +71,6 @@ func NewPlacement(objects []DataObject) *Placement {
 	return p
 }
 
-// Objects returns the data objects (shared slice; do not mutate).
-func (p *Placement) Objects() []DataObject { return p.objects }
-
 // AddObject appends a new object to a live placement with every block on
 // the object's origin store (replication factor 1) — how a streaming
 // submission's input enters an already-running cluster. The object's ID

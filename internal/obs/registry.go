@@ -60,9 +60,6 @@ type Gauge struct{ f atomicFloat }
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.f.set(v) }
 
-// Add shifts the value.
-func (g *Gauge) Add(v float64) { g.f.add(v) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.f.load() }
 

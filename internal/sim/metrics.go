@@ -110,15 +110,6 @@ func (nc *NodeCPU) Nodes() []int {
 	return out
 }
 
-// Total sums over all nodes.
-func (nc *NodeCPU) Total() float64 {
-	t := 0.0
-	for _, s := range nc.secs {
-		t += s
-	}
-	return t
-}
-
 // ActiveNodes returns how many nodes accumulated more than threshold
 // ECU-seconds — the Fig. 11 parallelism measure.
 func (nc *NodeCPU) ActiveNodes(threshold float64) int {

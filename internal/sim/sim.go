@@ -770,9 +770,3 @@ type Result struct {
 
 // TotalCost is shorthand for the ledger total.
 func (r *Result) TotalCost() cost.Money { return r.Cost.Total() }
-
-// String gives a one-line summary.
-func (r *Result) String() string {
-	return fmt.Sprintf("%s: cost=%v makespan=%.0fs util=%.0f%% local=%.0f%%",
-		r.Scheduler, r.TotalCost(), r.Makespan, 100*r.Utilization, 100*r.Locality.LocalFraction())
-}
