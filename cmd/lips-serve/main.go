@@ -86,9 +86,12 @@ func main() {
 	if *epoch == 0 {
 		*epoch = *epochSim
 	}
-	sch, err := sched.ByName(*scheduler, *epoch)
-	if err != nil || (*scheduler != "lips" && *scheduler != "fair" && *scheduler != "scale") {
+	if *scheduler != "lips" && *scheduler != "fair" && *scheduler != "scale" {
 		cli.Usagef("unknown scheduler %q (want lips, fair or scale)", *scheduler)
+	}
+	sch, err := sched.ByName(*scheduler, *epoch)
+	if err != nil {
+		cli.Usagef("%v", err)
 	}
 	if l, ok := sch.(*sched.LiPS); ok {
 		l.ColGen = *colGen

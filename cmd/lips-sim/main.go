@@ -66,6 +66,9 @@ func main() {
 	if *nodes < 1 {
 		cli.Usagef("-nodes must be at least 1, got %d", *nodes)
 	}
+	if _, err := sched.ByName(*scheduler, *epoch); err != nil {
+		cli.Usagef("%v", err)
+	}
 	if *scale > 0 {
 		*clusterKind, *nodes, *wlKind = "random", *scale, "random"
 		tasksSet := false

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"testing"
 
@@ -53,6 +54,9 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run("paper20", 0, 0, "random", 0, 10, "nope", 0, false, false, 1, false); err == nil {
 		t.Error("unknown scheduler accepted")
+	}
+	if err := run("paper20", 0, 0, "random", 0, 10, "lips", math.NaN(), false, false, 1, false); err == nil {
+		t.Error("NaN LiPS epoch accepted")
 	}
 }
 

@@ -6,6 +6,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"lips/internal/cluster"
 	"lips/internal/sim"
@@ -15,7 +16,10 @@ import (
 var Names = []string{"fifo", "delay", "fair", "lips", "scale"}
 
 // ByName builds the scheduler a command line names; epochSec is the
-// LiPS planning epoch and means nothing to the others.
+// LiPS planning epoch and means nothing to the others. LiPS refuses an
+// epoch that is not finite or is shorter than 1 s: each would fail its
+// first LP or re-arm its tick at the same simulated time forever. 0
+// selects the default.
 func ByName(name string, epochSec float64) (sim.Scheduler, error) {
 	switch name {
 	case "fifo":
@@ -25,6 +29,9 @@ func ByName(name string, epochSec float64) (sim.Scheduler, error) {
 	case "fair":
 		return NewFair(), nil
 	case "lips":
+		if epochSec != 0 && !(epochSec >= 1 && !math.IsInf(epochSec, 1)) {
+			return nil, fmt.Errorf("LiPS epoch %g s: want a finite length of at least 1 s, or 0 for the default", epochSec)
+		}
 		return NewLiPS(epochSec), nil
 	case "scale":
 		return NewScale(), nil

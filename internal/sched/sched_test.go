@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -246,6 +247,16 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nope", 60); err == nil || !strings.Contains(err.Error(), "fifo delay fair lips scale") {
 		t.Errorf("unknown scheduler: %v", err)
+	}
+	for _, epoch := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5, 1e-300} {
+		if _, err := ByName("lips", epoch); err == nil || !strings.Contains(err.Error(), "LiPS epoch") {
+			t.Errorf("LiPS epoch %g: %v, want it refused", epoch, err)
+		}
+	}
+	for _, epoch := range []float64{0, 1, 600} {
+		if _, err := ByName("lips", epoch); err != nil {
+			t.Errorf("LiPS epoch %g: %v", epoch, err)
+		}
 	}
 	for _, name := range cluster.Names {
 		c, err := cluster.ByName(name, 0.5, 7, rand.New(rand.NewSource(1)))

@@ -56,8 +56,10 @@ expect 1 lips-balance -cluster random
 expect 1 lips-sim -cluster moon-base
 expect 2 lips-sim -nodes 0
 expect 2 lips-sim -log-level loud
+expect 2 lips-sim -scheduler lips -epoch NaN
 expect 2 lips-serve -cluster random -nodes 0
 expect 2 lips-serve -scheduler fifo
+expect 2 lips-serve -epoch 1e-300
 expect 2 lips-serve -budget alice
 expect 1 lips-serve -listen 127.0.0.1:99999
 expect 2 lips-load -rate 0
