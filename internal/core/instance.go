@@ -1,8 +1,9 @@
-// Package core implements LiPS itself: the three linear-programming
-// scheduling models from the paper (offline simple task scheduling, Fig. 2;
-// offline cost-efficient co-scheduling, Fig. 3; online epoch-based
-// co-scheduling with a fake overflow node, Fig. 4), solution extraction,
-// and the rounding of fractional schedules to integral task plans (§IV).
+// Package core implements LiPS itself: the paper's linear-programming
+// scheduling models (offline cost-efficient co-scheduling, Fig. 3; online
+// epoch-based co-scheduling with a fake overflow node, Fig. 4; the simple
+// task model of Fig. 2 is Fig. 3 with the placement fixed and is not built
+// on its own), solution extraction, and the rounding of fractional
+// schedules to integral task plans (§IV).
 //
 // Models are built over an Instance, whose machines and stores may be
 // either individual cluster nodes or aggregated groups of interchangeable
