@@ -92,6 +92,27 @@ func TestBreakEvenExact(t *testing.T) {
 	}
 }
 
+func TestCoScheduleNeverWorseThanSimple(t *testing.T) {
+	// Extra freedom (data movement) can only reduce cost. With the
+	// horizon's abundant capacity the greedy plan is the simple task
+	// model's optimum (paper §IV), the cost with the placement fixed.
+	for _, transfer := range []float64{0.5, 2, 8, 30} {
+		in := twoNodeInstance(t, 1.5, transfer)
+		simple, err := GreedyPlan(in, PlacementFractions(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc, err := BuildCoScheduleModel(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		co := solvePlan(t, mc)
+		if co.TotalMC() > simple.TotalMC()+1e-6*(1+simple.TotalMC()) {
+			t.Errorf("transfer %g: co %g > simple %g", transfer, co.TotalMC(), simple.TotalMC())
+		}
+	}
+}
+
 func TestOnlineOverflowsToFakeNode(t *testing.T) {
 	// Demand exceeds the epoch's capacity: the LP must stay feasible and
 	// park the overflow on F.
