@@ -373,6 +373,33 @@ func TestSpeculativeDisabled(t *testing.T) {
 	}
 }
 
+func TestKillTaskRunningBillsPartialBurn(t *testing.T) {
+	// The node crashes halfway through both tasks and rejoins at t=40:
+	// each attempt bills the 32 of its 64 ECU-sec it burned, and both
+	// tasks re-run to completion on the recovered slots.
+	plan := &FaultPlan{Faults: []Fault{
+		{At: 32.64, Kind: FaultNodeDown, Node: 0},
+		{At: 40, Kind: FaultNodeUp, Node: 0},
+	}}
+	s := New(oneNodeCluster(), twoTaskJob(), nil, greedyStub(), Options{Faults: plan})
+	r, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Launched t=0, transfer done 0.64, killed 32.64: burned 32 ECU-sec each.
+	if got, want := r.Cost.Category(cost.CatFault), 2*cost.CPUCost(cost.Millicents(1), 32); got != want {
+		t.Errorf("kill burn = %v, want %v", got, want)
+	}
+	// The re-runs still bill their full demand.
+	if got := r.Cost.Category(cost.CatCPU); got != cost.Millicents(128) {
+		t.Errorf("cpu cost = %v, want 128 mc", got)
+	}
+	// Re-run from 40 on the recovered slots: 40 + 0.64 + 64.
+	if math.Abs(r.Makespan-104.64) > 1e-6 {
+		t.Errorf("makespan = %g, want 104.64", r.Makespan)
+	}
+}
+
 func TestKillAttemptAfterSpeculativeWin(t *testing.T) {
 	// The speculative copy wins; the superseded primary bills half its
 	// demand as speculative waste (killAttempt's documented estimate).
