@@ -22,19 +22,23 @@ type factorizer interface {
 	// phase-1 artificial). Only valid immediately after resetIdentity,
 	// before any update.
 	setUnitRow(i int, sign float64)
-	// ftranCol computes out = B⁻¹ A_col for a sparse column.
-	ftranCol(col []nz, out []float64)
+	// ftranCol returns B⁻¹ A_col for a sparse column, with the slots
+	// where it is nonzero in ascending order. Both are valid until the
+	// next ftranCol or refactorize; callers must treat them as read-only.
+	ftranCol(col []nz) (w []float64, nzs []int32)
 	// ftranVec computes out = B⁻¹ v for a dense row-space vector.
 	ftranVec(v, out []float64)
 	// btran computes out = (cᵀ B⁻¹)ᵀ for a slot-space vector c. Zero
 	// entries of c are skipped.
 	btran(c, out []float64)
-	// pivotRow returns row i of B⁻¹ (the BTRAN of e_i), valid until the
-	// next update or refactorize; callers must treat it as read-only.
-	pivotRow(i int) []float64
+	// pivotRow returns row i of B⁻¹ (the BTRAN of e_i), with the rows
+	// where it is nonzero in ascending order, valid until the next
+	// pivotRow, update or refactorize; callers must treat both as
+	// read-only.
+	pivotRow(i int) (row []float64, nzs []int32)
 	// update replaces the basis column in slot `leaving` by the entering
-	// column whose FTRAN image is w (w = B⁻¹ A_enter).
-	update(w []float64, leaving int)
+	// column whose FTRAN image is w (w = B⁻¹ A_enter), nonzero at nzs.
+	update(w []float64, nzs []int32, leaving int)
 	// needsRefactor reports whether the representation wants a rebuild
 	// after `since` updates (eta growth and numerical drift).
 	needsRefactor(since int) bool

@@ -25,10 +25,24 @@ type denseFactor struct {
 	s    *simplexState
 	m    int
 	binv []float64 // dense m×m basis inverse, row-major
+	w    []float64 // ftranCol's result
+	wnz  []int32   // its nonzeros
+	pnz  []int32   // the nonzeros of pivotRow's result
 }
 
 func newDenseFactor(s *simplexState) *denseFactor {
-	return &denseFactor{s: s, m: s.m, binv: make([]float64, s.m*s.m)}
+	return &denseFactor{s: s, m: s.m, binv: make([]float64, s.m*s.m), w: make([]float64, s.m)}
+}
+
+// nonzeroScan returns the indices where v is nonzero, ascending, in buf.
+func nonzeroScan(v []float64, buf []int32) []int32 {
+	buf = buf[:0]
+	for i, x := range v {
+		if x != 0 {
+			buf = append(buf, int32(i))
+		}
+	}
+	return buf
 }
 
 // refactorize rebuilds the dense basis inverse from the basis columns by
@@ -105,8 +119,9 @@ func (f *denseFactor) setUnitRow(i int, sign float64) {
 	f.binv[i*m+i] = sign
 }
 
-func (f *denseFactor) ftranCol(col []nz, out []float64) {
+func (f *denseFactor) ftranCol(col []nz) ([]float64, []int32) {
 	m := f.m
+	out := f.w
 	for i := 0; i < m; i++ {
 		out[i] = 0
 	}
@@ -116,6 +131,8 @@ func (f *denseFactor) ftranCol(col []nz, out []float64) {
 			out[i] += f.binv[i*m+e.row] * c
 		}
 	}
+	f.wnz = nonzeroScan(out, f.wnz)
+	return out, f.wnz
 }
 
 func (f *denseFactor) ftranVec(v, out []float64) {
@@ -147,14 +164,16 @@ func (f *denseFactor) btran(c, out []float64) {
 	}
 }
 
-func (f *denseFactor) pivotRow(i int) []float64 {
-	return f.binv[i*f.m : i*f.m+f.m]
+func (f *denseFactor) pivotRow(i int) ([]float64, []int32) {
+	row := f.binv[i*f.m : i*f.m+f.m]
+	f.pnz = nonzeroScan(row, f.pnz)
+	return row, f.pnz
 }
 
 // update applies the elementary row transformation that moves B⁻¹ to the
 // post-pivot basis: divide the pivot row by w[leaving], then eliminate the
 // other rows.
-func (f *denseFactor) update(w []float64, leaving int) {
+func (f *denseFactor) update(w []float64, _ []int32, leaving int) {
 	m := f.m
 	prow := f.binv[leaving*m : leaving*m+m]
 	inv := 1 / w[leaving]

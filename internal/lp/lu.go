@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // luFactor represents B⁻¹ as a sparse LU factorization of the basis plus a
@@ -27,6 +28,16 @@ import (
 // newest first. needsRefactor bounds the eta file so solves stay within a
 // constant factor of the fresh-factorization cost.
 //
+// The two solves of every pivot — the entering column's FTRAN and the
+// Devex pivot row's BTRAN — have right-hand sides with one to a handful
+// of nonzeros and images with a dozen, so they cost what they touch
+// (Gilbert–Peierls): a symbolic pass collects the elimination steps the
+// right-hand side reaches, and only those are applied, in the order the
+// sweep would apply them. The sweep adds or subtracts exact zeros at
+// every other step, so both return the sweep's values (a zero may differ
+// in sign), each with its nonzero indices in ascending order. The solves
+// of dense right-hand sides — x_B and the duals — stay sweeps.
+//
 // The factor lives in the pooled solve workspace, and every slice in it —
 // the per-step L and U rows, refactorize's active-submatrix copies and
 // the eta arena — keeps its capacity from one factorization to the next,
@@ -47,14 +58,42 @@ type luFactor struct {
 	uVal  [][]float64 // …and their values
 	fnnz  int         // L+U+diag nonzeros after the last refactorization
 
+	// The transposes the reaches walk, rebuilt with L and U: the steps
+	// whose U row holds step j are utIdx[utStart[j]:utStart[j+1]], and the
+	// steps whose L column holds row rowOf[p] are ltIdx[ltStart[p]:ltStart[p+1]].
+	utStart, utIdx []int32
+	ltStart, ltIdx []int32
+
 	etas   []luEta
 	etaIdx []int32   // the arena every eta's nonzeros are carved from,
 	etaVal []float64 // emptied with the eta file
+	// slotEtas[i] lists, oldest first, the etas that hold slot i as their
+	// pivot or among their nonzeros: the only etas pivotRow must apply
+	// once slot i is nonzero.
+	slotEtas [][]int32
 
-	work  []float64 // row-space scratch
-	stepv []float64 // step-space scratch
-	prow  []float64 // pivotRow output buffer
-	cbuf  []float64 // pivotRow unit-vector input buffer
+	work  []float64 // row-space scratch of the sweeps
+	stepv []float64 // step-space scratch of the sweeps
+
+	// Scratch of the reach-based solves, all zero (false) between them:
+	// each solve clears exactly what it wrote.
+	sv      []float64 // row space
+	sz      []float64 // step space
+	sb      []float64 // slot space
+	seen    []bool    // steps already in the reach
+	smark   []bool    // slots already in a written set
+	slots   []int32   // written slots of pivotRow's eta stage
+	reachA  []int32   // reached steps
+	reachB  []int32
+	etaHeap []int32 // max-heap of etas pivotRow has still to apply
+	etaIn   []bool  // membership of etaHeap
+
+	// The results of ftranCol and pivotRow: each vector with every index
+	// it was written at (zeroed by the next call) and its nonzeros.
+	w, prow   []float64
+	wSet, wNZ []int32
+	pSet, pNZ []int32
+	touched   int // L, U and eta entries the reach-based solves read
 
 	// refactorize's active submatrix: columns by basis slot, the slots
 	// each row meets, the U rows by slot before their remap to steps, the
@@ -84,17 +123,38 @@ func (f *luFactor) init(s *simplexState) {
 	f.lIdx, f.lVal = resize(f.lIdx, m), resize(f.lVal, m)
 	f.uDiag = resize(f.uDiag, m)
 	f.uIdx, f.uVal = resize(f.uIdx, m), resize(f.uVal, m)
+	f.utStart, f.ltStart = resize(f.utStart, m+1), resize(f.ltStart, m+1)
+	f.slotEtas = resize(f.slotEtas, m)
+	for i := range f.slotEtas {
+		f.slotEtas[i] = f.slotEtas[i][:0]
+	}
 	f.work, f.stepv = resize(f.work, m), resize(f.stepv, m)
-	f.prow, f.cbuf = resize(f.prow, m), resize(f.cbuf, m)
+	f.sv, f.sz, f.sb = resize(f.sv, m), resize(f.sz, m), resize(f.sb, m)
+	f.seen, f.smark = resize(f.seen, m), resize(f.smark, m)
+	f.w, f.prow = resize(f.w, m), resize(f.prow, m)
+	for _, v := range [][]float64{f.sv, f.sz, f.sb, f.w, f.prow} {
+		clear(v)
+	}
+	clear(f.seen)
+	clear(f.smark)
+	clear(f.etaIn)
+	f.wSet, f.wNZ, f.pSet, f.pNZ = f.wSet[:0], f.wNZ[:0], f.pSet[:0], f.pNZ[:0]
+	f.touched = 0
 	f.colRow, f.colVal = resize(f.colRow, m), resize(f.colVal, m)
 	f.rowSlot, f.uSlot = resize(f.rowSlot, m), resize(f.uSlot, m)
 	f.rowLen, f.colLen = resize(f.rowLen, m), resize(f.colLen, m)
 	f.fnnz = 0
-	f.clearEtas()
+	f.etas, f.etaIdx, f.etaVal = f.etas[:0], f.etaIdx[:0], f.etaVal[:0]
 }
 
-// clearEtas empties the eta file and its arena.
+// clearEtas empties the eta file, its arena and the per-slot index.
 func (f *luFactor) clearEtas() {
+	for _, i := range f.etaIdx {
+		f.slotEtas[i] = f.slotEtas[i][:0]
+	}
+	for _, et := range f.etas {
+		f.slotEtas[et.r] = f.slotEtas[et.r][:0]
+	}
 	f.etas, f.etaIdx, f.etaVal = f.etas[:0], f.etaIdx[:0], f.etaVal[:0]
 }
 
@@ -107,6 +167,8 @@ func (f *luFactor) resetIdentity() {
 		f.uIdx[k], f.uVal[k] = f.uIdx[k][:0], f.uVal[k][:0]
 	}
 	f.fnnz = f.m
+	clear(f.utStart)
+	clear(f.ltStart)
 	f.clearEtas()
 }
 
@@ -335,8 +397,47 @@ func (f *luFactor) refactorize() error {
 		f.uIdx[k] = mapped
 	}
 	f.colQ, f.rowQ = colQ, rowQ
+	f.utIdx = transpose(f.utStart, f.utIdx, f.uIdx, nil)
+	f.ltIdx = transpose(f.ltStart, f.ltIdx, f.lIdx, f.posRow)
 	f.clearEtas()
 	return nil
+}
+
+// transpose fills start (length m+1) and returns idx as the compressed
+// transpose of the per-step lists adj: step k is listed under every step
+// its list names — through pos when adj holds rows rather than steps —
+// in ascending order of k.
+func transpose(start, idx []int32, adj [][]int32, pos []int32) []int32 {
+	m := len(adj)
+	clear(start)
+	n := 0
+	for _, a := range adj {
+		for _, j := range a {
+			if pos != nil {
+				j = pos[j]
+			}
+			start[j+1]++
+		}
+		n += len(a)
+	}
+	for j := 0; j < m; j++ {
+		start[j+1] += start[j]
+	}
+	idx = resize(idx, n)
+	// Fill with start[j] as list j's cursor, then shift the cursors (now
+	// list ends) back into list starts.
+	for k, a := range adj {
+		for _, j := range a {
+			if pos != nil {
+				j = pos[j]
+			}
+			idx[start[j]] = int32(k)
+			start[j]++
+		}
+	}
+	copy(start[1:], start[:m])
+	start[0] = 0
+	return idx
 }
 
 // solveLU runs the triangular solves for B x = v: v is a row-space vector
@@ -382,16 +483,125 @@ func (f *luFactor) solveLU(v, out []float64) {
 	}
 }
 
-func (f *luFactor) ftranCol(col []nz, out []float64) {
-	m := f.m
-	v := f.work
-	for i := 0; i < m; i++ {
-		v[i] = 0
+// ftranCol computes B⁻¹ A_col by solveLU's arithmetic restricted to the
+// steps the column reaches: the L steps reachable from its rows, applied
+// ascending; the U steps reachable from their nonzeros through Uᵀ,
+// applied descending; then the etas, oldest first. It returns the image
+// and its nonzero slots, ascending, both valid until the next ftranCol.
+func (f *luFactor) ftranCol(col []nz) ([]float64, []int32) {
+	out := f.w
+	for _, i := range f.wSet {
+		out[i] = 0
 	}
+	v, z, seen := f.sv, f.sz, f.seen
+	// Forward: L z = Pv over the steps the column's rows reach.
+	lr := f.reachA[:0]
 	for _, e := range col {
 		v[e.row] += e.coef
+		if k := f.posRow[e.row]; !seen[k] {
+			seen[k] = true
+			lr = append(lr, k)
+		}
 	}
-	f.solveLU(v, out)
+	for q := 0; q < len(lr); q++ {
+		li := f.lIdx[lr[q]]
+		f.touched += 1 + len(li)
+		for _, r := range li {
+			if p := f.posRow[r]; !seen[p] {
+				seen[p] = true
+				lr = append(lr, p)
+			}
+		}
+	}
+	slices.Sort(lr)
+	ur := f.reachB[:0]
+	for _, k := range lr {
+		seen[k] = false
+		r := f.rowOf[k]
+		t := v[r]
+		v[r] = 0 // no later step writes row r: it is pivoted here
+		if t != 0 {
+			li, lv := f.lIdx[k], f.lVal[k]
+			f.touched += len(li)
+			for idx, r := range li {
+				v[r] -= lv[idx] * t
+			}
+			z[k] = t
+			seen[k] = true
+			ur = append(ur, k)
+		}
+	}
+	// Backward: U x' = z over the steps the nonzeros of z reach in Uᵀ.
+	for q := 0; q < len(ur); q++ {
+		j := ur[q]
+		ut := f.utIdx[f.utStart[j]:f.utStart[j+1]]
+		f.touched += 1 + len(ut)
+		for _, k := range ut {
+			if !seen[k] {
+				seen[k] = true
+				ur = append(ur, k)
+			}
+		}
+	}
+	slices.Sort(ur)
+	for q := len(ur) - 1; q >= 0; q-- {
+		k := ur[q]
+		seen[k] = false
+		acc := z[k]
+		ui, uv := f.uIdx[k], f.uVal[k]
+		f.touched += len(ui)
+		for idx, j := range ui {
+			acc -= uv[idx] * z[j]
+		}
+		z[k] = acc / f.uDiag[k]
+	}
+	ws := f.wSet[:0]
+	for _, k := range ur {
+		i := f.slotOf[k]
+		out[i], z[k] = z[k], 0
+		f.smark[i] = true
+		ws = append(ws, i)
+	}
+	// Product-form updates, oldest first. An eta whose pivot slot is zero
+	// would only rewrite that zero.
+	f.touched += len(f.etas)
+	for e := range f.etas {
+		et := &f.etas[e]
+		x := out[et.r]
+		if x == 0 {
+			continue
+		}
+		t := x / et.wr
+		if t != 0 {
+			val := f.etaVal[et.lo:et.hi]
+			f.touched += len(val)
+			for idx, i := range f.etaIdx[et.lo:et.hi] {
+				out[i] -= val[idx] * t
+				if !f.smark[i] {
+					f.smark[i] = true
+					ws = append(ws, i)
+				}
+			}
+		}
+		out[et.r] = t
+	}
+	f.reachA, f.reachB = lr, ur
+	f.wSet, f.wNZ = f.nonzeros(out, ws, f.wNZ)
+	return out, f.wNZ
+}
+
+// nonzeros sorts the written indices set and unmarks them, and returns
+// set with nz refilled with those whose value in vec is nonzero.
+func (f *luFactor) nonzeros(vec []float64, set, nz []int32) ([]int32, []int32) {
+	slices.Sort(set)
+	nz = nz[:0]
+	for _, i := range set {
+		f.smark[i] = false
+		if vec[i] != 0 {
+			nz = append(nz, i)
+		}
+	}
+	return set, nz
 }
 
 func (f *luFactor) ftranVec(v, out []float64) {
@@ -440,24 +650,184 @@ func (f *luFactor) btran(c, out []float64) {
 	}
 }
 
-func (f *luFactor) pivotRow(i int) []float64 {
-	for k := range f.cbuf {
-		f.cbuf[k] = 0
+// pivotRow computes row i of B⁻¹ by btran's arithmetic on e_i restricted
+// to what e_i reaches: the etas holding a nonzero slot, newest first,
+// found through slotEtas; the Uᵀ steps the nonzero slots reach,
+// ascending; and the Lᵀ steps those reach, descending. It returns the row
+// and its nonzero rows, ascending, both valid until the next pivotRow.
+func (f *luFactor) pivotRow(i int) ([]float64, []int32) {
+	out := f.prow
+	for _, r := range f.pSet {
+		out[r] = 0
 	}
-	f.cbuf[i] = 1
-	f.btran(f.cbuf, f.prow)
-	return f.prow
-}
-
-func (f *luFactor) update(w []float64, leaving int) {
-	lo := len(f.etaIdx)
-	for i, wi := range w {
-		if wi != 0 && i != leaving {
-			f.etaIdx = append(f.etaIdx, int32(i))
-			f.etaVal = append(f.etaVal, wi)
+	b, t, seen := f.sb, f.sz, f.seen
+	b[i] = 1
+	f.smark[i] = true
+	slots := append(f.slots[:0], int32(i))
+	heap := f.pushEtas(f.etaHeap[:0], i, len(f.etas))
+	for len(heap) > 0 {
+		var e int32
+		e, heap = popMax(heap)
+		f.etaIn[e] = false
+		et := &f.etas[e]
+		sum := 0.0
+		val := f.etaVal[et.lo:et.hi]
+		f.touched += 1 + len(val)
+		for idx, j := range f.etaIdx[et.lo:et.hi] {
+			sum += b[j] * val[idx]
+		}
+		x := b[et.r]
+		b[et.r] = (x - sum) / et.wr
+		if !f.smark[et.r] {
+			f.smark[et.r] = true
+			slots = append(slots, et.r)
+		}
+		if x == 0 && b[et.r] != 0 {
+			heap = f.pushEtas(heap, int(et.r), int(e))
 		}
 	}
+	f.slots, f.etaHeap = slots, heap
+	// Uᵀ t = ĉ, forward with scattering, over the steps ĉ's nonzeros reach.
+	ur := f.reachA[:0]
+	for _, sl := range slots {
+		f.smark[sl] = false
+		if x := b[sl]; x != 0 {
+			k := f.posSlot[sl]
+			t[k] = x
+			seen[k] = true
+			ur = append(ur, k)
+		}
+		b[sl] = 0
+	}
+	for q := 0; q < len(ur); q++ {
+		ui := f.uIdx[ur[q]]
+		f.touched += 1 + len(ui)
+		for _, j := range ui {
+			if !seen[j] {
+				seen[j] = true
+				ur = append(ur, j)
+			}
+		}
+	}
+	slices.Sort(ur)
+	lr := f.reachB[:0]
+	for _, k := range ur {
+		seen[k] = false
+		tk := t[k] / f.uDiag[k]
+		t[k] = tk
+		if tk != 0 {
+			ui, uv := f.uIdx[k], f.uVal[k]
+			f.touched += len(ui)
+			for idx, j := range ui {
+				t[j] -= uv[idx] * tk
+			}
+			seen[k] = true
+			lr = append(lr, k)
+		}
+	}
+	// Lᵀ y = t, backward, over the steps t's nonzeros reach in Lᵀ.
+	for q := 0; q < len(lr); q++ {
+		p := lr[q]
+		lt := f.ltIdx[f.ltStart[p]:f.ltStart[p+1]]
+		f.touched += 1 + len(lt)
+		for _, k := range lt {
+			if !seen[k] {
+				seen[k] = true
+				lr = append(lr, k)
+			}
+		}
+	}
+	slices.Sort(lr)
+	ps := f.pSet[:0]
+	for q := len(lr) - 1; q >= 0; q-- {
+		k := lr[q]
+		seen[k] = false
+		a := t[k]
+		li, lv := f.lIdx[k], f.lVal[k]
+		f.touched += len(li)
+		for idx, r := range li {
+			a -= lv[idx] * out[r]
+		}
+		r := f.rowOf[k]
+		out[r] = a
+		f.smark[r] = true // rows now: every slot mark was cleared above
+		ps = append(ps, r)
+	}
+	for _, k := range ur {
+		t[k] = 0
+	}
+	f.reachA, f.reachB = ur, lr
+	f.pSet, f.pNZ = f.nonzeros(out, ps, f.pNZ)
+	return out, f.pNZ
+}
+
+// pushEtas pushes onto heap every eta older than below that holds slot i
+// and is not on it already.
+func (f *luFactor) pushEtas(heap []int32, i, below int) []int32 {
+	for _, e := range f.slotEtas[i] {
+		if int(e) >= below {
+			break
+		}
+		if !f.etaIn[e] {
+			f.etaIn[e] = true
+			heap = pushMax(heap, e)
+		}
+	}
+	return heap
+}
+
+// pushMax and popMax keep h a binary max-heap.
+func pushMax(h []int32, e int32) []int32 {
+	h = append(h, e)
+	for c := len(h) - 1; c > 0; {
+		p := (c - 1) / 2
+		if h[p] >= h[c] {
+			break
+		}
+		h[p], h[c] = h[c], h[p]
+		c = p
+	}
+	return h
+}
+
+func popMax(h []int32) (int32, []int32) {
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] > h[c] {
+			c++
+		}
+		if h[p] >= h[c] {
+			break
+		}
+		h[p], h[c] = h[c], h[p]
+		p = c
+	}
+	return top, h
+}
+
+// update appends the eta of a pivot in slot leaving whose entering column
+// has the FTRAN image w, nonzero at the slots nzs (ascending).
+func (f *luFactor) update(w []float64, nzs []int32, leaving int) {
+	e := int32(len(f.etas))
+	lo := len(f.etaIdx)
+	for _, i := range nzs {
+		if int(i) != leaving {
+			f.etaIdx = append(f.etaIdx, i)
+			f.etaVal = append(f.etaVal, w[i])
+			f.slotEtas[i] = append(f.slotEtas[i], e)
+		}
+	}
+	f.slotEtas[leaving] = append(f.slotEtas[leaving], e)
 	f.etas = append(f.etas, luEta{r: int32(leaving), wr: w[leaving], lo: lo, hi: len(f.etaIdx)})
+	if len(f.etaIn) < len(f.etas) {
+		f.etaIn = append(f.etaIn, false)
+	}
 }
 
 // needsRefactor bounds the eta file: once applying the etas costs more

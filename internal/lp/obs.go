@@ -30,6 +30,8 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	}
 	om.Refactorizations.Add(float64(sol.Refactorizations))
 	om.PricingSeconds.Add(sol.PricingTime.Seconds())
-	om.FactorSeconds.Add((sol.FactorTime + sol.FtranTime + sol.BtranTime).Seconds())
+	om.FactorSeconds.Add(sol.FactorTime.Seconds())
+	om.FtranSeconds.Add(sol.FtranTime.Seconds())
+	om.BtranSeconds.Add(sol.BtranTime.Seconds())
 	return sol, err
 }

@@ -38,12 +38,16 @@ func tightenLE(p *Problem, frac float64, rng *rand.Rand) {
 }
 
 // pivotCorpus solves a fixed set of problems down every solver path and
-// reports name → pivotHash lines in a fixed order.
-func pivotCorpus(t *testing.T) []string {
+// reports name → pivotHash lines in a fixed order. A non-nil lu builds
+// the factorization of every solve that would run on the sparse LU.
+func pivotCorpus(t *testing.T, lu func(*simplexState) factorizer) []string {
 	t.Helper()
 	var out []string
 	rec := func(name string, p *Problem, opts Options) *Solution {
 		opts.recordPivots = true
+		if opts.factor == nil {
+			opts.factor = lu
+		}
 		sol, err := p.Solve(opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -100,7 +104,7 @@ func pivotCorpus(t *testing.T) []string {
 	// column counts pin the ones before it.
 	full := lipsShapedLP(8, 5, 4, rand.New(rand.NewSource(41)), nil)
 	rp, oracle := NewRestricted(full)
-	sol, st, err := SolveColGen(rp, oracle, Options{recordPivots: true})
+	sol, st, err := SolveColGen(rp, oracle, Options{recordPivots: true, factor: lu})
 	if err != nil {
 		t.Fatalf("colgen: %v", err)
 	}
@@ -113,7 +117,7 @@ func pivotCorpus(t *testing.T) []string {
 // be a pure speed-up must leave every line as it is.
 func TestPivotSequenceGolden(t *testing.T) {
 	got := []byte{}
-	for _, line := range pivotCorpus(t) {
+	for _, line := range pivotCorpus(t, nil) {
 		got = append(got, line...)
 		got = append(got, '\n')
 	}

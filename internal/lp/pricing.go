@@ -21,6 +21,12 @@ import "math"
 // compute, and the entering column — highest score, ties to the lowest
 // index — is the same column: the pivot sequence cannot tell the two
 // apart. TestPricingOracle checks exactly that at every pricing step.
+//
+// The choice itself does not rescan the cache either. The columns are
+// cut into blocks of 64, and each block keeps its best column under the
+// same rule. A new score updates its block's entry in O(1), except when
+// the block's best column loses score: then the block is marked stale
+// and rescanned at the next pick. The pick reads one entry per block.
 
 // initPricing builds the row index over the structural columns and sizes
 // the per-column cache for every column the solve can ever have (phase 1
@@ -60,7 +66,19 @@ func (s *simplexState) initPricing() {
 	clear(s.mark) // tryWarmStart borrows it as all-false scratch
 	s.mark = s.mark[:n]
 	s.dirty = resize(s.dirty, ncap)[:0]
+	nb := (ncap + blockSize - 1) / blockSize
+	s.blockBest = resize(s.blockBest, nb)
+	s.blockVal = resize(s.blockVal, nb)
+	s.stale = resize(s.stale, nb)
+	s.staleList = resize(s.staleList, nb)[:0]
 }
+
+// blockSize is the number of columns one entry of the pick's index
+// stands for; blockShift is its base-2 logarithm.
+const (
+	blockShift = 6
+	blockSize  = 1 << blockShift
+)
 
 // resetPricing starts a phase: the cache grows to the current column
 // count, the Devex reference framework is reset, and the new cost vector
@@ -71,6 +89,8 @@ func (s *simplexState) resetPricing() {
 	for j := range s.devex {
 		s.devex[j] = 1
 	}
+	nb := (n + blockSize - 1) / blockSize
+	s.blockBest, s.blockVal, s.stale = s.blockBest[:nb], s.blockVal[:nb], s.stale[:nb]
 	s.priceAll = true
 }
 
@@ -93,13 +113,11 @@ func (s *simplexState) touchRow(i int) {
 	}
 }
 
-// touchPivotRow queues every column that meets a non-zero of prow, a row
-// of B⁻¹: the only columns whose α = prow·A_j can be non-zero.
-func (s *simplexState) touchPivotRow(prow []float64) {
-	for i, v := range prow {
-		if v != 0 {
-			s.touchRow(i)
-		}
+// touchPivotRow queues every column that meets a row in nzs, the nonzeros
+// of a row ρ of B⁻¹: the only columns whose α = ρ·A_j can be non-zero.
+func (s *simplexState) touchPivotRow(nzs []int32) {
+	for _, i := range nzs {
+		s.touchRow(int(i))
 	}
 }
 
@@ -110,6 +128,13 @@ func (s *simplexState) refreshPrices(cost []float64) {
 		s.priceAll = false
 		for j := range s.cols {
 			s.touch(j)
+		}
+		// Every score changes: rescan every block at the pick instead of
+		// maintaining entries that are about to be rebuilt.
+		s.staleList = s.staleList[:0]
+		for b := range s.stale {
+			s.stale[b] = true
+			s.staleList = append(s.staleList, int32(b))
 		}
 	} else {
 		for i, yi := range s.y {
@@ -128,13 +153,19 @@ func (s *simplexState) refreshPrices(cost []float64) {
 
 // reprice recomputes column j's cache entry from scratch.
 func (s *simplexState) reprice(cost []float64, j int) {
-	s.dir[j], s.score[j] = 0, 0
+	dir, score := s.price(cost, j)
+	s.dir[j] = dir
+	s.setScore(j, score)
+}
+
+// price computes column j's entering direction and Devex score.
+func (s *simplexState) price(cost []float64, j int) (dir, score float64) {
 	st := s.status[j]
 	if st == basic {
-		return
+		return 0, 0
 	}
 	if s.lower[j] == s.upper[j] && st != atFree {
-		return // fixed column can never improve
+		return 0, 0 // fixed column can never improve
 	}
 	d := cost[j]
 	for _, e := range s.cols[j] {
@@ -146,7 +177,6 @@ func (s *simplexState) reprice(cost []float64, j int) {
 	// cancellation noise on truly-zero reduced costs masquerade
 	// as improving columns and the solver churns at the optimum.
 	dtol := s.opts.tol * (1 + math.Abs(cost[j]))
-	dir := 0.0
 	switch st {
 	case atLower:
 		if d < -dtol {
@@ -164,12 +194,51 @@ func (s *simplexState) reprice(cost []float64, j int) {
 		}
 	}
 	if dir != 0 {
-		s.dir[j], s.score[j] = dir, d*d/s.devex[j]
+		score = d * d / s.devex[j]
+	}
+	return dir, score
+}
+
+// setScore caches column j's score and keeps its block's entry: the
+// block's highest score, ties to the lowest index, and -1 with score 0
+// when no column of the block is eligible.
+func (s *simplexState) setScore(j int, score float64) {
+	old := s.score[j]
+	s.score[j] = score
+	b := j >> blockShift
+	if s.stale[b] {
+		return
+	}
+	switch best := int(s.blockBest[b]); {
+	case best == j:
+		if score >= old {
+			s.blockVal[b] = score
+		} else { // lost score (or NaN, which the scan never picks)
+			s.stale[b] = true
+			s.staleList = append(s.staleList, int32(b))
+		}
+	case score > s.blockVal[b] || (score == s.blockVal[b] && score > 0 && j < best):
+		s.blockBest[b], s.blockVal[b] = int32(j), score
 	}
 }
 
-// pickEntering scans the cache for the entering column: the highest Devex
-// score, ties to the lowest index — or, under Bland's rule, the first
+// rescanBlock rebuilds block b's entry from the cached scores.
+func (s *simplexState) rescanBlock(b int) {
+	lo := b << blockShift
+	hi := min(lo+blockSize, len(s.score))
+	best, val := int32(-1), 0.0
+	for j, sc := range s.score[lo:hi] {
+		if sc > val {
+			best, val = int32(lo+j), sc
+		}
+	}
+	s.blockBest[b], s.blockVal[b], s.stale[b] = best, val, false
+	s.pickReads += hi - lo
+}
+
+// pickEntering chooses the entering column: the highest Devex score, ties
+// to the lowest index — read off the block entries, the blocks ascending
+// and strict > keeping the first — or, under Bland's rule, the first
 // eligible column. It returns -1 when no column can improve.
 func (s *simplexState) pickEntering(useBland bool) (entering int, enterDir float64) {
 	if useBland {
@@ -180,11 +249,16 @@ func (s *simplexState) pickEntering(useBland bool) (entering int, enterDir float
 		}
 		return -1, 0
 	}
+	for _, b := range s.staleList {
+		s.rescanBlock(int(b))
+	}
+	s.staleList = s.staleList[:0]
+	s.pickReads += len(s.blockVal)
 	entering = -1
 	best := 0.0
-	for j, sc := range s.score {
+	for b, sc := range s.blockVal {
 		if sc > best {
-			entering, best = j, sc
+			entering, best = int(s.blockBest[b]), sc
 		}
 	}
 	if entering < 0 {
@@ -195,13 +269,13 @@ func (s *simplexState) pickEntering(useBland bool) (entering int, enterDir float
 
 // updateDevex applies the Forrest–Goldfarb reference-weight update for the
 // pivot that just swapped entering for outVar on pivot element pivot, given
-// the pivot row prowOld of the pre-pivot B⁻¹. Only a column meeting a
+// the pivot row prowOld of the pre-pivot B⁻¹, nonzero at prowNZ. Only a column meeting a
 // non-zero of that row can have α ≠ 0; those columns are left queued, so
 // the next refresh rescores them under their new weights.
-func (s *simplexState) updateDevex(prowOld []float64, pivot float64, entering, outVar int) {
+func (s *simplexState) updateDevex(prowOld []float64, prowNZ []int32, pivot float64, entering, outVar int) {
 	wq := s.devex[entering]
 	pivotSq := pivot * pivot
-	s.touchPivotRow(prowOld)
+	s.touchPivotRow(prowNZ)
 	for _, j := range s.dirty {
 		if s.status[j] == basic || int(j) == entering {
 			continue

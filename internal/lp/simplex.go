@@ -129,6 +129,7 @@ type simplexState struct {
 	ftranNS   time.Duration // wall-clock in FTRAN (entering columns + x_B)
 	btranNS   time.Duration // wall-clock in BTRAN (duals + Devex pivot rows)
 	nRefactor int
+	pickReads int // cached scores the Devex picks read
 
 	workspace
 }
@@ -158,7 +159,6 @@ type workspace struct {
 	// scratch
 	y     []float64 // duals c_B^T B^{-1}
 	cb    []float64 // slot-space basic costs handed to BTRAN
-	w     []float64 // B^{-1} A_q
 	rhs   []float64 // b − N x_N, the right-hand side of computeXB
 	devex []float64 // Devex reference weights, one per column
 
@@ -174,6 +174,12 @@ type workspace struct {
 	score    []float64 // d²/devex where dir ≠ 0, else 0
 	dirty    []int32   // columns to reprice at the next refresh
 	mark     []bool    // membership of dirty
+	// The pick's index: per block of blockSize columns, the best column
+	// (-1 for none) and its score, unless the block is stale.
+	blockBest []int32
+	blockVal  []float64
+	stale     []bool
+	staleList []int32 // the stale blocks, to rescan at the next pick
 }
 
 // newSimplexState returns a freshly allocated state sized for p: what a
@@ -231,7 +237,6 @@ func (s *simplexState) init(p *Problem, opts Options) {
 	s.xB = resize(s.xB, m)
 	s.y = resize(s.y, m)
 	s.cb = resize(s.cb, m)
-	s.w = resize(s.w, m)
 	s.rhs = resize(s.rhs, m)
 	if opts.factor != nil {
 		s.factor = opts.factor(s)
@@ -660,13 +665,15 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 			return Optimal, nil
 		}
 
-		// FTRAN: w = B^{-1} A_q.
+		// FTRAN: w = B^{-1} A_q, nonzero at the slots wnz.
 		t0 = time.Now()
-		s.factor.ftranCol(s.cols[entering], s.w)
+		w, wnz := s.factor.ftranCol(s.cols[entering])
 		s.ftranNS += time.Since(t0)
 
 		// Ratio test. The entering variable moves by t ≥ 0 in direction
-		// enterDir; basic i changes by −enterDir·w[i]·t.
+		// enterDir; basic i changes by −enterDir·w[i]·t, so only the
+		// slots where w is nonzero can block it. They are visited in
+		// ascending order, as a scan of every slot would meet them.
 		limit := math.Inf(1)
 		if !math.IsInf(s.lower[entering], -1) && !math.IsInf(s.upper[entering], 1) {
 			limit = s.upper[entering] - s.lower[entering] // bound flip span
@@ -674,8 +681,9 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 		leaving := -1
 		leavePivot := 0.0
 		leaveToUpper := false
-		for i := 0; i < m; i++ {
-			delta := -enterDir * s.w[i]
+		for _, i32 := range wnz {
+			i := int(i32)
+			delta := -enterDir * w[i]
 			bj := s.basis[i]
 			var room float64
 			var hitsUpper bool
@@ -700,23 +708,23 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 			}
 			switch {
 			case room < limit-1e-12:
-				limit, leaving, leavePivot, leaveToUpper = room, i, s.w[i], hitsUpper
+				limit, leaving, leavePivot, leaveToUpper = room, i, w[i], hitsUpper
 			case room <= limit+1e-12 && leaving >= 0:
 				// Tie: Bland wants the smallest variable index;
 				// otherwise prefer the larger pivot for stability.
 				if useBland {
 					if s.basis[i] < s.basis[leaving] {
-						leaving, leavePivot, leaveToUpper = i, s.w[i], hitsUpper
+						leaving, leavePivot, leaveToUpper = i, w[i], hitsUpper
 					}
-				} else if math.Abs(s.w[i]) > math.Abs(leavePivot) {
-					leaving, leavePivot, leaveToUpper = i, s.w[i], hitsUpper
+				} else if math.Abs(w[i]) > math.Abs(leavePivot) {
+					leaving, leavePivot, leaveToUpper = i, w[i], hitsUpper
 				}
 			case room <= limit+1e-12 && leaving < 0:
 				// Ties the bound-flip span: take the basis change.
 				if room < limit {
 					limit = room
 				}
-				leaving, leavePivot, leaveToUpper = i, s.w[i], hitsUpper
+				leaving, leavePivot, leaveToUpper = i, w[i], hitsUpper
 			}
 		}
 
@@ -740,8 +748,8 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 			if s.opts.recordPivots {
 				s.pivots = append(s.pivots, Pivot{Entering: int32(entering), Leaving: -1})
 			}
-			for i := 0; i < m; i++ {
-				s.xB[i] -= enterDir * s.w[i] * t
+			for _, i := range wnz {
+				s.xB[i] -= enterDir * w[i] * t
 			}
 			if enterDir > 0 {
 				s.status[entering] = atUpper
@@ -770,11 +778,10 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 		if s.status[entering] == atFree {
 			enterVal = enterDir * t
 		}
-		for i := 0; i < m; i++ {
-			if i == leaving {
-				continue
+		for _, i := range wnz {
+			if int(i) != leaving {
+				s.xB[i] -= enterDir * w[i] * t
 			}
-			s.xB[i] -= enterDir * s.w[i] * t
 		}
 		outVar := s.basis[leaving]
 		if leaveToUpper {
@@ -798,10 +805,10 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 		// pivot row of the *pre-pivot* basis inverse.
 		if !useBland {
 			t0 = time.Now()
-			prowOld := s.factor.pivotRow(leaving) // pre-pivot B^{-1} row
+			prowOld, prowNZ := s.factor.pivotRow(leaving) // pre-pivot B^{-1} row
 			s.btranNS += time.Since(t0)
 			t0 = time.Now()
-			s.updateDevex(prowOld, leavePivot, entering, outVar)
+			s.updateDevex(prowOld, prowNZ, leavePivot, entering, outVar)
 			s.pricingNS += time.Since(t0)
 			if s.opts.pricingCheck != nil {
 				s.opts.pricingCheck.reweighted(s, prowOld, leavePivot, entering, outVar)
@@ -809,9 +816,9 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 		}
 
 		// Update the factorization: slot `leaving` now holds the entering
-		// column, whose FTRAN image is still in s.w.
+		// column, whose FTRAN image is still in w.
 		t0 = time.Now()
-		s.factor.update(s.w, leaving)
+		s.factor.update(w, wnz, leaving)
 		s.factorNS += time.Since(t0)
 		sinceRefactor++
 	}

@@ -45,6 +45,8 @@ const (
 	MLPSolveSeconds   = "lips_lp_solve_seconds_total"
 	MLPPricingSeconds = "lips_lp_pricing_seconds_total"
 	MLPFactorSeconds  = "lips_lp_factor_seconds_total"
+	MLPFtranSeconds   = "lips_lp_ftran_seconds_total"
+	MLPBtranSeconds   = "lips_lp_btran_seconds_total"
 	MLPColGenRounds   = "lips_lp_colgen_rounds_total"
 	MLPColGenColumns  = "lips_lp_colgen_columns_total"
 
@@ -221,6 +223,7 @@ type LPMetrics struct {
 	Solves, Iterations, Phase1, WarmStarts      *Counter
 	Refactorizations                            *Counter
 	SolveSeconds, PricingSeconds, FactorSeconds *Counter
+	FtranSeconds, BtranSeconds                  *Counter
 	ColGenRounds, ColGenColumns                 *Counter
 }
 
@@ -319,7 +322,9 @@ func registerLP(r *Registry) *LPMetrics {
 		Refactorizations: r.Counter(MLPRefactor, "From-scratch basis factorizations."),
 		SolveSeconds:     r.Counter(MLPSolveSeconds, "Wall-clock seconds inside Problem.Solve."),
 		PricingSeconds:   r.Counter(MLPPricingSeconds, "Wall-clock seconds in the pricing step."),
-		FactorSeconds:    r.Counter(MLPFactorSeconds, "Wall-clock seconds factorizing and solving with the basis (FTRAN/BTRAN included)."),
+		FactorSeconds:    r.Counter(MLPFactorSeconds, "Wall-clock seconds factorizing the basis and appending eta updates (FTRAN/BTRAN excluded)."),
+		FtranSeconds:     r.Counter(MLPFtranSeconds, "Wall-clock seconds in FTRAN: entering columns and basic values."),
+		BtranSeconds:     r.Counter(MLPBtranSeconds, "Wall-clock seconds in BTRAN: duals and Devex pivot rows."),
 		ColGenRounds:     r.Counter(MLPColGenRounds, "Column-generation pricing rounds across all SolveColGen runs."),
 		ColGenColumns:    r.Counter(MLPColGenColumns, "Columns added by column-generation pricing oracles."),
 	}

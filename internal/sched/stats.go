@@ -79,6 +79,8 @@ func (r EpochRecord) traceInfo(scheduler string, timings bool) *trace.EpochInfo 
 		info.ApplyMS = ms(r.ApplyTime)
 		info.PricingMS = ms(r.PricingTime)
 		info.FactorMS = ms(r.FactorTime)
+		info.FtranMS = ms(r.FtranTime)
+		info.BtranMS = ms(r.BtranTime)
 	}
 	return info
 }

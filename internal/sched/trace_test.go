@@ -100,7 +100,7 @@ func TestTraceEventStream(t *testing.T) {
 	// Epoch events carry no wall-clock timings unless opted in — then the
 	// same run's events say where each epoch went.
 	wall := func(ep *trace.EpochInfo) []float64 {
-		return []float64{ep.BuildMS, ep.SolveMS, ep.RoundMS, ep.ApplyMS, ep.PricingMS, ep.FactorMS}
+		return []float64{ep.BuildMS, ep.SolveMS, ep.RoundMS, ep.ApplyMS, ep.PricingMS, ep.FactorMS, ep.FtranMS, ep.BtranMS}
 	}
 	for _, e := range events {
 		if e.Kind != trace.KindEpoch {

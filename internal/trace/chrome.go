@@ -116,6 +116,8 @@ func (c *Chrome) closeEpoch(endT float64) {
 		args["solve_ms"] = ep.SolveMS
 		args["pricing_ms"] = ep.PricingMS
 		args["factor_ms"] = ep.FactorMS
+		args["ftran_ms"] = ep.FtranMS
+		args["btran_ms"] = ep.BtranMS
 	}
 	c.write(chromeEvent{
 		Name: fmt.Sprintf("epoch %d (%s)", ep.Epoch, start),

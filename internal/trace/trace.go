@@ -118,7 +118,9 @@ type EpochInfo struct {
 	RoundMS   float64 `json:"round_ms,omitempty"`
 	ApplyMS   float64 `json:"apply_ms,omitempty"`
 	PricingMS float64 `json:"pricing_ms,omitempty"`
-	FactorMS  float64 `json:"factor_ms,omitempty"`
+	FactorMS  float64 `json:"factor_ms,omitempty"` // factorizing only: the solves are below
+	FtranMS   float64 `json:"ftran_ms,omitempty"`
+	BtranMS   float64 `json:"btran_ms,omitempty"`
 }
 
 // MoveInfo is the payload of a block relocation span.
