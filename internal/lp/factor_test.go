@@ -28,10 +28,14 @@ type denseFactor struct {
 	w    []float64 // ftranCol's result
 	wnz  []int32   // its nonzeros
 	pnz  []int32   // the nonzeros of pivotRow's result
+	y, z []float64 // duals' result, and its scratch
+	rows []int32   // the rows where duals changed y
 }
 
 func newDenseFactor(s *simplexState) *denseFactor {
-	return &denseFactor{s: s, m: s.m, binv: make([]float64, s.m*s.m), w: make([]float64, s.m)}
+	m := s.m
+	return &denseFactor{s: s, m: m, binv: make([]float64, m*m), w: make([]float64, m),
+		y: make([]float64, m), z: make([]float64, m)}
 }
 
 // nonzeroScan returns the indices where v is nonzero, ascending, in buf.
@@ -147,8 +151,11 @@ func (f *denseFactor) ftranVec(v, out []float64) {
 	}
 }
 
-func (f *denseFactor) btran(c, out []float64) {
+// duals recomputes y in full, skipping zero entries of c, and diffs it
+// bitwise against the last call's.
+func (f *denseFactor) duals(c []float64, _ []int32) ([]float64, []int32) {
 	m := f.m
+	out := f.z
 	for k := 0; k < m; k++ {
 		out[k] = 0
 	}
@@ -162,6 +169,14 @@ func (f *denseFactor) btran(c, out []float64) {
 			out[k] += ci * row[k]
 		}
 	}
+	f.rows = f.rows[:0]
+	for k, yk := range out {
+		if math.Float64bits(yk) != math.Float64bits(f.y[k]) {
+			f.y[k] = yk
+			f.rows = append(f.rows, int32(k))
+		}
+	}
+	return f.y, f.rows
 }
 
 func (f *denseFactor) pivotRow(i int) ([]float64, []int32) {

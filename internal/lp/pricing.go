@@ -11,7 +11,8 @@ import "math"
 // its inputs changed:
 //
 //   - a row of y the column meets differs bitwise from the previous
-//     iteration's (found through the row index),
+//     iteration's (the dual solve lists those rows; the row index finds
+//     the columns),
 //   - the column's status changed (it entered, left or flipped bound),
 //   - its Devex weight may have changed (it meets a non-zero of the pivot
 //     row), or
@@ -58,7 +59,6 @@ func (s *simplexState) initPricing() {
 	n, ncap := len(s.cols), s.nStruct+2*m
 	s.artOf = resize(s.artOf, m)
 	clear(s.artOf)
-	s.yPrev = resize(s.yPrev, m)
 	s.devex = resize(s.devex, ncap)[:n]
 	s.dir = resize(s.dir, ncap)[:n]
 	s.score = resize(s.score, ncap)[:n]
@@ -122,7 +122,8 @@ func (s *simplexState) touchPivotRow(nzs []int32) {
 }
 
 // refreshPrices brings the cache up to date with the duals computeDuals
-// just produced.
+// just produced: their changed rows (s.yRows) name the columns whose
+// reduced cost may have moved.
 func (s *simplexState) refreshPrices(cost []float64) {
 	if s.priceAll {
 		s.priceAll = false
@@ -137,10 +138,8 @@ func (s *simplexState) refreshPrices(cost []float64) {
 			s.staleList = append(s.staleList, int32(b))
 		}
 	} else {
-		for i, yi := range s.y {
-			if math.Float64bits(yi) != math.Float64bits(s.yPrev[i]) {
-				s.touchRow(i)
-			}
+		for _, i := range s.yRows {
+			s.touchRow(int(i))
 		}
 	}
 	for _, j := range s.dirty {
@@ -148,7 +147,6 @@ func (s *simplexState) refreshPrices(cost []float64) {
 		s.reprice(cost, int(j))
 	}
 	s.dirty = s.dirty[:0]
-	copy(s.yPrev, s.y)
 }
 
 // reprice recomputes column j's cache entry from scratch.

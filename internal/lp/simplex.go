@@ -119,6 +119,7 @@ type simplexState struct {
 	iter     int
 	p1it     int
 	priceAll bool // cost vector or reference framework reset: reprice everything
+	newCost  bool // cost vector switched: computeDuals rebuilds c_B
 	degenRun int  // consecutive degenerate pivots (triggers Bland)
 	nflips   int  // bound flips (debug accounting)
 
@@ -130,6 +131,11 @@ type simplexState struct {
 	btranNS   time.Duration // wall-clock in BTRAN (duals + Devex pivot rows)
 	nRefactor int
 	pickReads int // cached scores the Devex picks read
+
+	// The duals c_Bᵀ B⁻¹ and the rows where the last computeDuals changed
+	// them bitwise: the factor's buffers, read-only here.
+	y     []float64
+	yRows []int32
 
 	workspace
 }
@@ -157,10 +163,10 @@ type workspace struct {
 	lu     luFactor
 
 	// scratch
-	y     []float64 // duals c_B^T B^{-1}
-	cb    []float64 // slot-space basic costs handed to BTRAN
-	rhs   []float64 // b − N x_N, the right-hand side of computeXB
-	devex []float64 // Devex reference weights, one per column
+	cb        []float64 // slot-space basic costs handed to the dual solve
+	cbChanged []int32   // slots whose basic column changed since the last dual solve
+	rhs       []float64 // b − N x_N, the right-hand side of computeXB
+	devex     []float64 // Devex reference weights, one per column
 
 	// Incremental pricing (pricing.go): a row-major (CSR) index of the
 	// structural columns — a row's slack and phase-1 artificial are single
@@ -169,7 +175,6 @@ type workspace struct {
 	rowStart []int32 // row i meets structurals rowCol[rowStart[i]:rowStart[i+1]]
 	rowCol   []int32
 	artOf    []int32   // artificial column of row i, 0 for none
-	yPrev    []float64 // the duals the cache was last refreshed against
 	dir      []float64 // entering direction, 0 when the column cannot improve
 	score    []float64 // d²/devex where dir ≠ 0, else 0
 	dirty    []int32   // columns to reprice at the next refresh
@@ -235,8 +240,8 @@ func (s *simplexState) init(p *Problem, opts Options) {
 	}
 	s.basis = resize(s.basis, m)
 	s.xB = resize(s.xB, m)
-	s.y = resize(s.y, m)
 	s.cb = resize(s.cb, m)
+	s.cbChanged = resize(s.cbChanged, m)[:0] // never nil: nil asks for a full dual solve
 	s.rhs = resize(s.rhs, m)
 	if opts.factor != nil {
 		s.factor = opts.factor(s)
@@ -581,14 +586,27 @@ func (s *simplexState) computeXB() {
 	s.ftranNS += time.Since(t0)
 }
 
-// computeDuals sets s.y = c_B^T B^{-1} for the given cost vector.
+// computeDuals sets s.y = c_B^T B^{-1} for the given cost vector, and
+// s.yRows to the rows where y changed bitwise since the last call. c_B is
+// refreshed in the slots whose basic column changed since then, or
+// throughout when the cost vector is new.
 func (s *simplexState) computeDuals(cost []float64) {
-	for i := 0; i < s.m; i++ {
-		s.cb[i] = cost[s.basis[i]]
+	changed := s.cbChanged
+	if s.newCost {
+		s.newCost = false
+		for i := 0; i < s.m; i++ {
+			s.cb[i] = cost[s.basis[i]]
+		}
+		changed = nil
+	} else {
+		for _, i := range changed {
+			s.cb[i] = cost[s.basis[i]]
+		}
 	}
 	t0 := time.Now()
-	s.factor.btran(s.cb, s.y)
+	s.y, s.yRows = s.factor.duals(s.cb, changed)
 	s.btranNS += time.Since(t0)
+	s.cbChanged = s.cbChanged[:0]
 }
 
 // refactorize rebuilds the basis factorization from the basis columns,
@@ -619,6 +637,7 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 	tol := s.opts.tol
 	sinceRefactor := 0
 	s.resetPricing()
+	s.newCost = true
 	for {
 		if s.iter >= s.opts.MaxIters {
 			return IterLimit, nil
@@ -792,6 +811,7 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 			s.value[outVar] = s.lower[outVar]
 		}
 		s.basis[leaving] = entering
+		s.cbChanged = append(s.cbChanged, int32(leaving))
 		s.status[entering] = basic
 		s.xB[leaving] = enterVal
 		s.touch(entering)
