@@ -17,6 +17,22 @@ import (
 	"lips/internal/workload"
 )
 
+// heavyScenario is CPU-heavy jobs arriving across the first epochs of a
+// 200 s LiPS: several epochs with several queued jobs each, deferrals,
+// and work in flight when faults land.
+func heavyScenario() (*cluster.Cluster, *workload.Workload) {
+	rng := rand.New(rand.NewSource(7))
+	arch := workload.Archetype{Name: "heavy", Property: workload.CPUBound, CPUSecPerBlock: 600}
+	wb := workload.NewBuilder()
+	wb.AddNoInputJob("pi", "user1", 4, workload.PiTaskCPUSec, 0)
+	for i, at := range []float64{0, 0, 150, 450, 700} {
+		wb.AddInputJob(fmt.Sprintf("heavy%d", i), fmt.Sprintf("user%d", i%3), arch,
+			float64(8+4*i)*64, cluster.StoreID(rng.Intn(3)), at)
+	}
+	wb.AddInputJob("wc", "user2", workload.WordCount, 16*64, cluster.StoreID(rng.Intn(3)), 300)
+	return mixedCluster(), wb.Build()
+}
+
 // TestEpochGolden pins everything one LiPS run says about its own epochs,
 // through every channel at once: the SHA-256 of the JSONL trace, the
 // SHA-256 of the lips_sched_* and lips_lp_* exposition lines (the
@@ -33,21 +49,6 @@ func TestEpochGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// CPU-heavy jobs arriving across the first epochs: several epochs with
-	// several queued jobs each, deferrals, and work in flight when the
-	// faults land.
-	heavy := func() (*cluster.Cluster, *workload.Workload) {
-		rng := rand.New(rand.NewSource(7))
-		arch := workload.Archetype{Name: "heavy", Property: workload.CPUBound, CPUSecPerBlock: 600}
-		wb := workload.NewBuilder()
-		wb.AddNoInputJob("pi", "user1", 4, workload.PiTaskCPUSec, 0)
-		for i, at := range []float64{0, 0, 150, 450, 700} {
-			wb.AddInputJob(fmt.Sprintf("heavy%d", i), fmt.Sprintf("user%d", i%3), arch,
-				float64(8+4*i)*64, cluster.StoreID(rng.Intn(3)), at)
-		}
-		wb.AddInputJob("wc", "user2", workload.WordCount, 16*64, cluster.StoreID(rng.Intn(3)), 300)
-		return mixedCluster(), wb.Build()
-	}
 	for _, tc := range []struct {
 		name   string
 		build  func() (*cluster.Cluster, *workload.Workload)
@@ -55,14 +56,14 @@ func TestEpochGolden(t *testing.T) {
 		faults func(*cluster.Cluster) *sim.FaultPlan
 	}{
 		{name: "warm", build: warmStartScenario},
-		{name: "colgen-churn", build: heavy, colgen: true,
+		{name: "colgen-churn", build: heavyScenario, colgen: true,
 			faults: func(*cluster.Cluster) *sim.FaultPlan {
 				return &sim.FaultPlan{Faults: []sim.Fault{
 					{At: 210, Kind: sim.FaultNodeDown, Node: 0},
 					{At: 400, Kind: sim.FaultNodeUp, Node: 0},
 				}}
 			}},
-		{name: "random-faults", build: heavy,
+		{name: "random-faults", build: heavyScenario,
 			faults: func(c *cluster.Cluster) *sim.FaultPlan {
 				return sim.RandomFaultPlan(5, c, sim.FaultSpec{Crashes: 2, StoreLosses: 1, Slowdowns: 1, WindowSec: 600})
 			}},
