@@ -6,6 +6,7 @@ import (
 
 	"lips/internal/cluster"
 	"lips/internal/cost"
+	"lips/internal/obs"
 	"lips/internal/workload"
 )
 
@@ -140,7 +141,8 @@ func TestSharedLinksTimeoutCancelsFlow(t *testing.T) {
 		}
 	}
 	ss.onArrival = func(s *Sim, _ int) { s.KickIdleNodes() }
-	r, err := New(c, w, nil, ss, Options{SharedLinks: true, maxAttempts: 1}).Run()
+	reg := obs.NewRegistry()
+	r, err := New(c, w, nil, ss, Options{SharedLinks: true, maxAttempts: 1, Metrics: reg}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +150,15 @@ func TestSharedLinksTimeoutCancelsFlow(t *testing.T) {
 	if r.Makespan < 3200 {
 		t.Errorf("makespan = %g", r.Makespan)
 	}
-	if r.Cost.Category(cost.CatTransfer) <= cost.Millicents(62.5) {
-		t.Error("partial transfer of the timed-out attempt not billed")
+	// One timeout kill billing the flow's partial read (600 s × 0.02 MB/s
+	// = 12 MB), then the full 64 MB block.
+	if kills, _ := reg.Value(obs.MSimKilled, "timeout"); kills != 1 {
+		t.Errorf("timeout kills = %g, want 1", kills)
+	}
+	perGB := c.MSPerGB(1, 0)
+	want := perGB.MulFloat(12.0/1024) + perGB.MulFloat(64.0/1024)
+	if got := r.Cost.Category(cost.CatTransfer); got != want {
+		t.Errorf("transfer = %d µc, want %d (a 12 MB partial read and the 64 MB block)", int64(got), int64(want))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"lips/internal/cluster"
 	"lips/internal/cost"
+	"lips/internal/obs"
 	"lips/internal/workload"
 )
 
@@ -262,7 +263,8 @@ func TestTimeoutRetries(t *testing.T) {
 		}
 	}
 	ss.onArrival = func(s *Sim, _ int) { s.KickIdleNodes() }
-	s := New(c, w, nil, ss, Options{maxAttempts: 2})
+	reg := obs.NewRegistry()
+	s := New(c, w, nil, ss, Options{maxAttempts: 2, Metrics: reg})
 	r, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -274,9 +276,15 @@ func TestTimeoutRetries(t *testing.T) {
 	if r.Makespan < 6400 {
 		t.Errorf("makespan = %g, want > 6400", r.Makespan)
 	}
-	// Partial transfers billed: 2 × 600 s × 0.01 MB/s = 12 MB worth.
-	if got := r.Cost.Category(cost.CatTransfer); got <= cost.Millicents(62.5) {
-		t.Errorf("transfer = %g mc, want > one block (wasted attempts billed)", got.ToMillicents())
+	// Two timeout kills, each billing its partial read (600 s × 0.01 MB/s
+	// = 6 MB), then the full 64 MB block.
+	if kills, _ := reg.Value(obs.MSimKilled, "timeout"); kills != 2 {
+		t.Errorf("timeout kills = %g, want 2", kills)
+	}
+	perGB := c.MSPerGB(1, 0)
+	want := 2*perGB.MulFloat(6.0/1024) + perGB.MulFloat(64.0/1024)
+	if got := r.Cost.Category(cost.CatTransfer); got != want {
+		t.Errorf("transfer = %d µc, want %d (two 6 MB partial reads and the 64 MB block)", int64(got), int64(want))
 	}
 }
 
