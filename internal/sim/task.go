@@ -169,9 +169,16 @@ func (s *Sim) timeoutEvent(job, task int, gen int32) {
 	if ti.gen != gen {
 		return
 	}
-	n, store := ti.node, ti.store
-	movedMB := s.opts.TaskTimeoutSec * s.C.BandwidthStoreNode(store, n)
-	billed := s.C.MSPerGB(n, store).MulFloat(movedMB / 1024)
+	movedMB := s.opts.TaskTimeoutSec * s.C.BandwidthStoreNode(ti.store, ti.node)
+	s.timeoutKill(job, task, ti, movedMB)
+}
+
+// timeoutKill ends a primary attempt at Hadoop's progress timeout, after
+// movedMB of its input crossed: it bills that partial read and the slot's
+// busy time, returns the task to Pending and frees the slot.
+func (s *Sim) timeoutKill(job, task int, ti *taskInfo, movedMB float64) {
+	n := ti.node
+	billed := s.C.MSPerGB(n, ti.store).MulFloat(movedMB / 1024)
 	s.charge(cost.CatTransfer, job, billed)
 	s.busySlotSec += s.opts.TaskTimeoutSec
 	s.untrackPrimary(ti)
@@ -258,15 +265,7 @@ func (s *Sim) startSharedAttempt(job, task int, n cluster.NodeID, store cluster.
 			}
 			moved := s.net.cancel(ti.flow)
 			ti.flow = nil
-			billed := s.C.MSPerGB(n, store).MulFloat(moved / 1024)
-			s.charge(cost.CatTransfer, job, billed)
-			s.busySlotSec += s.opts.TaskTimeoutSec
-			s.untrackPrimary(ti)
-			ti.gen++
-			s.setStateFlat(s.flat(job, task), Pending)
-			s.noteKill(job, task, n, "timeout", billed, false)
-			s.slotFreed(n)
-			s.dispatch(n)
+			s.timeoutKill(job, task, ti, moved)
 		})
 	}
 }
