@@ -45,11 +45,6 @@ type Plan struct {
 	// Stats is what the solve cost; under column generation, summed over
 	// every pricing round.
 	lp.Stats
-	// ColGenRounds and ColGenColumns describe the pricing loop when the
-	// plan came from SolveOnlineColGen: restricted-master solve rounds and
-	// x^t columns materialized beyond the seed. Zero for direct solves.
-	ColGenRounds  int
-	ColGenColumns int
 
 	// Basis is the optimal simplex basis, reusable as lp.Options.WarmStart
 	// when the next epoch's LP has the same shape. Nil when the solver

@@ -276,26 +276,28 @@ func TestTablesRender(t *testing.T) {
 }
 
 // TestRunFailsWithLatchedLiPSError drives run with a LiPS whose every
-// epoch solve hits the iteration limit: the planner latches the error,
-// the simulation still drains through the fallback, and run must fail
-// with that error instead of returning a result to print as a row.
+// epoch model is refused: the testbed has no bandwidth between nodes, so
+// BuildOnlineModel rejects each epoch's zero-bandwidth transfers. The
+// planner latches the error, the simulation still drains through the
+// data-local fallback, and run must fail with that error instead of
+// returning a result to print as a row.
 func TestRunFailsWithLatchedLiPSError(t *testing.T) {
 	var l *sched.LiPS
 	r := lips(Fig6Epoch)
 	r.make = func() sim.Scheduler {
 		l = sched.NewLiPS(Fig6Epoch)
-		l.LPOpts.MaxIters = 1
 		return l
 	}
 	c, w, p := testbed(quickCfg.withDefaults(), 0.5)
-	res, _, err := quickCfg.run(r, "lips max-iters=1", c, w, p, r.opts)
-	if l.Err == nil {
-		t.Fatal("the planner latched no error at MaxIters 1")
+	c.BW.IntraZoneMBps, c.BW.InterZoneMBps = 0, 0
+	res, _, err := quickCfg.run(r, "lips zero-bandwidth", c, w, p, r.opts)
+	if l.Err == nil || !strings.Contains(l.Err.Error(), "zero bandwidth") {
+		t.Fatalf("the planner latched %v, want the zero-bandwidth refusal", l.Err)
 	}
 	if !errors.Is(err, l.Err) || res != nil {
 		t.Fatalf("run returned (%v, %v), want the latched %v", res, err, l.Err)
 	}
-	if !strings.HasPrefix(err.Error(), "lips max-iters=1: ") {
+	if !strings.HasPrefix(err.Error(), "lips zero-bandwidth: ") {
 		t.Errorf("error %q does not name the run", err)
 	}
 }

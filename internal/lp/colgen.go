@@ -1,10 +1,6 @@
 package lp
 
-import (
-	"fmt"
-
-	"lips/internal/obs"
-)
+import "fmt"
 
 // Oracle prices a restricted master problem's optimal duals and extends
 // the problem with violating columns (and any rows those columns need).
@@ -28,7 +24,7 @@ type Oracle interface {
 // grew, and the simplex effort summed over every round (the Solution's own
 // Stats cover only the last re-solve).
 type ColGenStats struct {
-	Rounds     int // pricing rounds (solve + Price pairs), ≥ 1
+	Rounds     int // master solves, each priced unless the solver failed it; ≥ 1
 	WarmRounds int // rounds whose solve accepted the previous round's basis
 	Columns    int // columns the oracle added after the seed
 	Rows       int // rows the oracle added after the seed
@@ -61,10 +57,10 @@ func SolveColGen(p *Problem, oracle Oracle, opts Options) (*Solution, ColGenStat
 		ro := opts
 		ro.WarmStart = warm
 		sol, err := p.Solve(ro)
+		st.Rounds++
 		if err != nil {
 			return nil, st, err
 		}
-		st.Rounds++
 		if sol.WarmStarted {
 			st.WarmRounds++
 		}
@@ -72,11 +68,6 @@ func SolveColGen(p *Problem, oracle Oracle, opts Options) (*Solution, ColGenStat
 		v0, c0 := p.NumVars(), p.NumCons()
 		added := oracle.Price(p, sol)
 		if added == 0 && p.NumVars() == v0 && p.NumCons() == c0 {
-			if opts.Metrics != nil {
-				om := obs.RegisterLP(opts.Metrics)
-				om.ColGenRounds.Add(float64(st.Rounds))
-				om.ColGenColumns.Add(float64(st.Columns))
-			}
 			return sol, st, nil
 		}
 		st.Columns += p.NumVars() - v0

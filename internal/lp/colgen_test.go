@@ -3,8 +3,6 @@ package lp
 import (
 	"math/rand"
 	"testing"
-
-	"lips/internal/obs"
 )
 
 // solveColGenFull runs the reveal-oracle colgen pipeline on full and
@@ -165,26 +163,5 @@ func TestColGenWarmRounds(t *testing.T) {
 	}
 	if !sol.WarmStarted {
 		t.Error("final round did not warm-start from the previous round's basis")
-	}
-}
-
-// TestColGenPublishesMetrics checks the lips_lp_ colgen counters.
-func TestColGenPublishesMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	rng := rand.New(rand.NewSource(4))
-	full := lipsShapedLP(8, 6, 4, rand.New(rand.NewSource(2)), rng)
-	p, o := NewRestricted(full)
-	sol, st, err := SolveColGen(p, o, Options{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal {
-		t.Fatalf("status %v", sol.Status)
-	}
-	if v, ok := reg.Value(obs.MLPColGenRounds); !ok || v != float64(st.Rounds) {
-		t.Errorf("colgen rounds metric = %g (ok=%v), want %d", v, ok, st.Rounds)
-	}
-	if v, ok := reg.Value(obs.MLPColGenColumns); !ok || v != float64(st.Columns) {
-		t.Errorf("colgen columns metric = %g (ok=%v), want %d", v, ok, st.Columns)
 	}
 }

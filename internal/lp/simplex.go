@@ -11,9 +11,8 @@ import (
 // debugSimplex enables iteration tracing via LIPS_LP_DEBUG=1.
 var debugSimplex = os.Getenv("LIPS_LP_DEBUG") == "1"
 
-// solve is the uninstrumented core of Solve (obs.go): the two-phase
-// bounded-variable revised simplex method. The receiver is not modified
-// and may be reused.
+// Solve runs the two-phase bounded-variable revised simplex method and
+// returns the solution. The receiver is not modified and may be reused.
 //
 // The method maintains a sparse LU factorization of the basis (Markowitz
 // pivot ordering, product-form eta updates, periodic refactorisation from
@@ -27,7 +26,7 @@ var debugSimplex = os.Getenv("LIPS_LP_DEBUG") == "1"
 // returns, so a process that solves every epoch allocates little beyond
 // the Solution it hands back. A factorizer installed by a test is never
 // pooled.
-func (p *Problem) solve(opts Options) (*Solution, error) {
+func (p *Problem) Solve(opts Options) (*Solution, error) {
 	m := len(p.cons)
 	n := len(p.vars)
 	opts = opts.withDefaults(m, n)

@@ -1,10 +1,6 @@
 package lp
 
-import (
-	"fmt"
-
-	"lips/internal/obs"
-)
+import "fmt"
 
 // Status reports the outcome of a solve.
 type Status int
@@ -125,11 +121,6 @@ type Options struct {
 	// Deprecated: Presolve has no effect; there is no presolve pass. Its
 	// last reader is bench/replay.go.
 	Presolve PresolveMode
-	// Metrics, when non-nil, publishes per-solve statistics (iteration and
-	// refactorization counters, wall-clock phase timings) into the
-	// registry's lips_lp_* families. Nil costs nothing: the solver takes
-	// the instrumented path only when set.
-	Metrics *obs.Registry
 
 	// tol is the feasibility and optimality tolerance; 0 means 1e-9.
 	// recordPivots fills Solution.Pivots with the pivot sequence. Tests

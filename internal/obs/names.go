@@ -3,9 +3,10 @@ package obs
 import "lips/internal/trace"
 
 // Metric families, one vocabulary for the live instrumentation
-// (internal/sim, internal/sched, internal/lp) and the offline trace
-// replay sink (TraceSink), so a Prometheus scrape of a running
-// simulation and `lips-trace -metrics` over its JSONL trace line up.
+// (internal/sim, and internal/sched, which also renders the lips_lp_*
+// families from its epoch records) and the offline trace replay sink
+// (TraceSink), so a Prometheus scrape of a running simulation and
+// `lips-trace -metrics` over its JSONL trace line up.
 // Naming scheme (documented in DESIGN.md par.10): lips_<layer>_<what>,
 // base units (seconds, microcents, megabytes), counters suffixed _total.
 const (
@@ -217,8 +218,10 @@ func (m *SchedMetrics) ObserveEpoch(ep *trace.EpochInfo) {
 	}
 }
 
-// LPMetrics bundles the simplex-solver handles. The pricing share of a
-// solve is lips_lp_pricing_seconds_total / lips_lp_solve_seconds_total.
+// LPMetrics bundles the simplex-solver handles. The solver publishes
+// nothing itself: LiPS adds each epoch record's solves into them. The
+// pricing share of a solve is lips_lp_pricing_seconds_total /
+// lips_lp_solve_seconds_total.
 type LPMetrics struct {
 	Solves, Iterations, Phase1, WarmStarts      *Counter
 	Refactorizations                            *Counter
@@ -320,7 +323,7 @@ func registerLP(r *Registry) *LPMetrics {
 		Phase1:           r.Counter(MLPPhase1, "Phase-1 simplex iterations across all solves."),
 		WarmStarts:       r.Counter(MLPWarmStarts, "Solves that accepted a warm-start basis."),
 		Refactorizations: r.Counter(MLPRefactor, "From-scratch basis factorizations."),
-		SolveSeconds:     r.Counter(MLPSolveSeconds, "Wall-clock seconds inside Problem.Solve."),
+		SolveSeconds:     r.Counter(MLPSolveSeconds, "Wall-clock seconds of the epoch LP solves (under column generation, building the restricted master included)."),
 		PricingSeconds:   r.Counter(MLPPricingSeconds, "Wall-clock seconds in the pricing step."),
 		FactorSeconds:    r.Counter(MLPFactorSeconds, "Wall-clock seconds factorizing the basis and appending eta updates (FTRAN/BTRAN excluded)."),
 		FtranSeconds:     r.Counter(MLPFtranSeconds, "Wall-clock seconds in FTRAN: entering columns and basic values."),

@@ -55,28 +55,40 @@ func TestLiPSColGenMatchesDirect(t *testing.T) {
 		directRes.TotalCost(), dr.Cols, cgRes.TotalCost(), cr.Cols, cg.Solver.String())
 }
 
-// TestLiPSSolverMatchesLPCounters holds the run's SolverStats against the
-// lips_lp_* counters the solver publishes itself, solve by solve, on both
-// LP paths. Under ColGen an epoch is several solves: every total must sum
-// them all, as the iteration count always did — phase 1 and
-// refactorizations used to be the last pricing round's alone.
+// TestLiPSSolverMatchesLPCounters holds the lips_lp_* totals, which LiPS
+// renders from each epoch record's per-round sums, against the run's
+// SolverStats, which the same records reach through SolverStats.Observe,
+// on both LP paths. Under ColGen an epoch is several solves and every
+// total must sum them all: a solve per pricing round, a warm start per
+// re-solve after an epoch's first round (no basis crosses epochs on that
+// path), and every round's iterations, phase-1 iterations and
+// refactorizations — not the last round's alone.
 func TestLiPSSolverMatchesLPCounters(t *testing.T) {
 	for _, colgen := range []bool{false, true} {
-		l := NewLiPS(400)
+		c, w := heavyScenario()
+		l := NewLiPS(200)
 		l.ColGen = colgen
 		reg := obs.NewRegistry()
-		runSched(t, mixedCluster(), smallJobSet(rand.New(rand.NewSource(3)), 3), nil, l,
-			sim.Options{TaskTimeoutSec: 1200, Metrics: reg})
-		if l.Solver.Iters == 0 || l.Solver.Phase1 == 0 || l.Solver.Refactorizations == 0 {
-			t.Errorf("colgen=%v: run too small to tell: %s", colgen, l.Solver.String())
+		runSched(t, c, w, w.Placement(), l, sim.Options{TaskTimeoutSec: 1e9, Metrics: reg})
+		ss := l.Solver
+		solves, warm := ss.Solves, ss.WarmAccepted
+		if colgen {
+			solves, warm = ss.ColGenRounds, ss.ColGenRounds-l.Epochs
+		}
+		if ss.Phase1 == 0 || ss.Refactorizations == 0 || warm == 0 || colgen && ss.ColGenColumns == 0 {
+			t.Errorf("colgen=%v: run too small to tell: %s", colgen, ss.String())
 		}
 		for _, c := range []struct {
 			family string
 			got    int
 		}{
-			{obs.MLPIters, l.Solver.Iters},
-			{obs.MLPPhase1, l.Solver.Phase1},
-			{obs.MLPRefactor, l.Solver.Refactorizations},
+			{obs.MLPSolves, solves},
+			{obs.MLPWarmStarts, warm},
+			{obs.MLPIters, ss.Iters},
+			{obs.MLPPhase1, ss.Phase1},
+			{obs.MLPRefactor, ss.Refactorizations},
+			{obs.MLPColGenRounds, ss.ColGenRounds},
+			{obs.MLPColGenColumns, ss.ColGenColumns},
 		} {
 			if want, _ := reg.Value(c.family); float64(c.got) != want {
 				t.Errorf("colgen=%v: Solver reports %d, %s = %g", colgen, c.got, c.family, want)

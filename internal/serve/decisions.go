@@ -55,13 +55,14 @@ type EpochDecision struct {
 
 // SchedView is LiPS's own sched.EpochRecord of the epoch it planned inside
 // a step: its epoch counter, the tasks its LP deferred, that epoch's solve
-// as a one-liner, how big the LP was, and where the epoch's wall-clock
-// went — build, solve, round, apply, in order, all four inside the
-// decision's WallMS.
+// as a one-liner (and why it failed, if it did), how big the LP was, and
+// where the epoch's wall-clock went — build, solve, round, apply, in
+// order, all four inside the decision's WallMS.
 type SchedView struct {
 	SchedEpoch         int     `json:"sched_epoch"`
 	SchedDeferredTasks int     `json:"sched_deferred_tasks"`
 	Solver             string  `json:"solver"`
+	Status             string  `json:"status,omitempty"`
 	LPRows             int     `json:"lp_rows"`
 	LPCols             int     `json:"lp_cols"`
 	LPNNZ              int     `json:"lp_nnz"`
@@ -73,7 +74,7 @@ type SchedView struct {
 
 func newSchedView(r sched.EpochRecord) *SchedView {
 	return &SchedView{
-		SchedEpoch: r.Epoch, SchedDeferredTasks: r.Deferred, Solver: r.String(),
+		SchedEpoch: r.Epoch, SchedDeferredTasks: r.Deferred, Solver: r.String(), Status: r.Status,
 		LPRows: r.Rows, LPCols: r.Cols, LPNNZ: r.NNZ,
 		BuildMS: ms(r.BuildTime), SolveMS: ms(r.SolveTime),
 		RoundMS: ms(r.RoundTime), ApplyMS: ms(r.ApplyTime),

@@ -108,6 +108,9 @@ type EpochInfo struct {
 	WarmAccepted bool `json:"warm_accepted,omitempty"` // ... and the solver used it
 	Iters        int  `json:"iters"`
 	Phase1       int  `json:"phase1,omitempty"`
+	// Status is why the solve failed ("iteration limit", "infeasible", …);
+	// empty when it ended optimal.
+	Status string `json:"status,omitempty"`
 
 	Launched    int `json:"launched"` // tasks enqueued by this epoch's plan
 	Deferred    int `json:"deferred"` // fake-node overflow: pending work left for the next epoch
