@@ -148,6 +148,9 @@ func TestDebugEpochsRing(t *testing.T) {
 			t.Errorf("decision %d repeats scheduler epoch %d (last shown %d)", dec.Epoch, dec.SchedEpoch, lastSched)
 		}
 		lastSched = dec.SchedEpoch
+		if dec.Status != "" {
+			t.Errorf("decision %d: an optimal solve shows status %q", dec.Epoch, dec.Status)
+		}
 		if !strings.HasPrefix(dec.Solver, "1 solves") {
 			t.Errorf("decision %d: solver %q is not that epoch's one-liner", dec.Epoch, dec.Solver)
 		}
@@ -355,5 +358,24 @@ func TestShedSpansAndReasons(t *testing.T) {
 	}
 	if err := d.Shutdown(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSchedViewStatus checks a /debug/epochs entry names why its epoch's
+// solve failed and has no status key when the solve ended optimal.
+func TestSchedViewStatus(t *testing.T) {
+	for _, status := range []string{"", "iteration limit"} {
+		b, err := json.Marshal(newSchedView(sched.EpochRecord{Epoch: 3, Status: status}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := `"status":"` + status + `"`
+		if status == "" {
+			if strings.Contains(string(b), `"status"`) {
+				t.Errorf("optimal epoch shows a status: %s", b)
+			}
+		} else if !strings.Contains(string(b), want) {
+			t.Errorf("failed epoch: %s lacks %s", b, want)
+		}
 	}
 }
