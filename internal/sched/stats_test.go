@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"lips/internal/obs"
 	"lips/internal/sim"
 )
 
@@ -50,5 +51,32 @@ func TestLastEpochStats(t *testing.T) {
 	}
 	if _, ok := l.LastEpochStats(); ok {
 		t.Error("stats survived Init — run-scoped state leaked")
+	}
+}
+
+// TestObserveLPAbandonedSolve renders an epoch whose column generation the
+// solver abandoned (a singular basis, say): its rounds count as solves,
+// with the work the finished rounds reported, but not as a finished
+// pricing loop. An epoch that failed with a status counts both.
+func TestObserveLPAbandonedSolve(t *testing.T) {
+	for _, tc := range []struct {
+		status          string
+		rounds, columns float64 // the colgen totals it adds
+	}{{statusError, 0, 0}, {"iteration limit", 3, 8}} {
+		reg := obs.NewRegistry()
+		r := EpochRecord{Status: tc.status, LPSolves: 3, LPWarmStarts: 1, ColGenRounds: 3, ColGenColumns: 8}
+		r.Iters = 40
+		r.observeLP(obs.RegisterLP(reg))
+		for _, c := range []struct {
+			family string
+			want   float64
+		}{
+			{obs.MLPSolves, 3}, {obs.MLPWarmStarts, 1}, {obs.MLPIters, 40},
+			{obs.MLPColGenRounds, tc.rounds}, {obs.MLPColGenColumns, tc.columns},
+		} {
+			if got, _ := reg.Value(c.family); got != c.want {
+				t.Errorf("status %q: %s = %g, want %g", tc.status, c.family, got, c.want)
+			}
+		}
 	}
 }
