@@ -117,8 +117,9 @@ func (c *Cluster) Validate() error {
 	return nil
 }
 
-// zonePricePerGB resolves the per-GB transfer price between two zones.
-func (c *Cluster) zonePricePerGB(a, b string) cost.Money {
+// ZonePerGB resolves the per-GB transfer price between two zones: the
+// ZonePairPerGB entry when there is one, else Transfer's.
+func (c *Cluster) ZonePerGB(a, b string) cost.Money {
 	if c.ZonePairPerGB != nil {
 		if a > b {
 			a, b = b, a
@@ -137,7 +138,7 @@ func (c *Cluster) MSPerGB(n NodeID, s StoreID) cost.Money {
 	if c.Nodes[n].Store == s {
 		return 0
 	}
-	return c.zonePricePerGB(c.Nodes[n].Zone, c.Stores[s].Zone)
+	return c.ZonePerGB(c.Nodes[n].Zone, c.Stores[s].Zone)
 }
 
 // SSPerGB is the paper's SS matrix entry: the per-GB cost of relocating
@@ -146,7 +147,7 @@ func (c *Cluster) SSPerGB(a, b StoreID) cost.Money {
 	if a == b {
 		return 0
 	}
-	return c.zonePricePerGB(c.Stores[a].Zone, c.Stores[b].Zone)
+	return c.ZonePerGB(c.Stores[a].Zone, c.Stores[b].Zone)
 }
 
 // BandwidthStoreNode returns the MB/s available for moving data from store
@@ -155,10 +156,7 @@ func (c *Cluster) BandwidthStoreNode(s StoreID, n NodeID) float64 {
 	if c.Nodes[n].Store == s {
 		return c.BW.LocalMBps
 	}
-	if c.Stores[s].Zone == c.Nodes[n].Zone {
-		return c.BW.IntraZoneMBps
-	}
-	return c.BW.InterZoneMBps
+	return c.ZoneMBps(c.Stores[s].Zone, c.Nodes[n].Zone)
 }
 
 // BandwidthStoreStore returns the MB/s available between two stores.
@@ -166,7 +164,13 @@ func (c *Cluster) BandwidthStoreStore(a, b StoreID) float64 {
 	if a == b {
 		return c.BW.LocalMBps
 	}
-	if c.Stores[a].Zone == c.Stores[b].Zone {
+	return c.ZoneMBps(c.Stores[a].Zone, c.Stores[b].Zone)
+}
+
+// ZoneMBps returns the MB/s available between two zones for a read that
+// is not local: the intra-zone bandwidth within one, else inter-zone.
+func (c *Cluster) ZoneMBps(a, b string) float64 {
+	if a == b {
 		return c.BW.IntraZoneMBps
 	}
 	return c.BW.InterZoneMBps

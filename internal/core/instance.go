@@ -215,23 +215,40 @@ func NewInstance(c *cluster.Cluster, jobs []workload.Job, objects []hdfs.DataObj
 
 // Units is the part of an Instance that depends only on the cluster and
 // the aggregation choice: the machine and store units, which machine each
-// store unit is co-located with, and which unit each concrete store
-// belongs to. Instances built over one Units share its store units,
-// co-location and store table, and copy its machines, which
-// FilterMachines and a price multiplier edit per instance. The cost and
-// bandwidth matrices are not kept: they are per instance.
+// store unit is co-located with, which unit each concrete store belongs
+// to, and the transfer model at zone level. Instances built over one Units
+// share its store units, co-location and store table, and copy its
+// machines, which FilterMachines and a price multiplier edit per instance.
+// The cost and bandwidth matrices are not kept: each instance fills its
+// own from the zone rows, which is array copies, not cluster lookups.
+//
+// A unit is represented by its first node or store: units are composed of
+// interchangeable members, so any member yields the same zone-level
+// prices, and the first one decides whether a read is co-located.
 type Units struct {
-	c         *cluster.Cluster
 	machines  []Machine
 	stores    []StoreUnit
 	coMachine []int
 	storeUnit []int32 // cluster.StoreID → store unit, -1 for none
+
+	// Zone z's rows over the store units: the remote MS/SS price in
+	// millicents per MB and the remote bandwidth in MB/s of a read from
+	// each store unit into zone z. Zones are numbered as the
+	// representatives first name them.
+	priceRows, mbpsRows [][]float64
+	machineZone         []int // machine unit → zone row of its representative node
+	storeZone           []int // store unit → zone row of its representative store
+	// coStore[l] is the store unit whose representative is the store of
+	// machine unit l's representative node, or -1: the one entry of row
+	// l that is read locally and for free.
+	coStore   []int
+	localMBps float64
 }
 
 // NewUnits builds the units of cluster c: node groups with aggregate,
 // else one unit per node and per store.
 func NewUnits(c *cluster.Cluster, aggregate bool) *Units {
-	u := &Units{c: c, storeUnit: make([]int32, len(c.Stores))}
+	u := &Units{storeUnit: make([]int32, len(c.Stores))}
 	for i := range u.storeUnit {
 		u.storeUnit[i] = -1
 	}
@@ -265,6 +282,7 @@ func NewUnits(c *cluster.Cluster, aggregate bool) *Units {
 				addStore(StoreUnit{Name: s.Name, CapacityMB: s.CapacityMB, Stores: []cluster.StoreID{s.ID}}, -1)
 			}
 		}
+		u.zoneRows(c)
 		return u
 	}
 	for _, n := range c.Nodes {
@@ -281,7 +299,50 @@ func NewUnits(c *cluster.Cluster, aggregate bool) *Units {
 		}
 		addStore(StoreUnit{Name: s.Name, CapacityMB: s.CapacityMB, Stores: []cluster.StoreID{s.ID}}, co)
 	}
+	u.zoneRows(c)
 	return u
+}
+
+// zoneRows derives the transfer model of the units from the cluster, once
+// per run: the zone of every representative, the co-located entry of
+// every machine row, and each zone's remote prices and bandwidths.
+func (u *Units) zoneRows(c *cluster.Cluster) {
+	var zones []string
+	index := make(map[string]int)
+	zoneOf := func(zone string) int {
+		z, ok := index[zone]
+		if !ok {
+			z = len(zones)
+			index[zone] = z
+			zones = append(zones, zone)
+		}
+		return z
+	}
+	u.machineZone = make([]int, len(u.machines))
+	u.coStore = make([]int, len(u.machines))
+	for l, mach := range u.machines {
+		n := c.Nodes[mach.Nodes[0]]
+		u.machineZone[l] = zoneOf(n.Zone)
+		u.coStore[l] = -1
+		if n.Store != cluster.None {
+			if m := u.storeUnit[n.Store]; m >= 0 && u.stores[m].Stores[0] == n.Store {
+				u.coStore[l] = int(m)
+			}
+		}
+	}
+	u.storeZone = make([]int, len(u.stores))
+	for m, su := range u.stores {
+		u.storeZone[m] = zoneOf(c.Stores[su.Stores[0]].Zone)
+	}
+	ns := len(u.stores)
+	u.priceRows, u.mbpsRows = matrix(len(zones), ns, len(zones)), matrix(len(zones), ns, len(zones))
+	for z, zone := range zones {
+		for m, sz := range u.storeZone {
+			u.priceRows[z][m] = c.ZonePerGB(zone, zones[sz]).ToMillicents() / 1024
+			u.mbpsRows[z][m] = c.ZoneMBps(zones[sz], zone)
+		}
+	}
+	u.localMBps = c.BW.LocalMBps
 }
 
 // Instance builds an Instance over the units: jobs, their input objects
@@ -301,22 +362,21 @@ func (u *Units) Instance(jobs []workload.Job, objects []hdfs.DataObject, fractio
 		storeUnit: u.storeUnit,
 	}
 
-	// Cost and bandwidth matrices via unit representatives. Units are
-	// composed of interchangeable members, so any representative yields
-	// the same zone-level prices.
-	c := u.c
+	// Cost and bandwidth matrices from the zone rows: a machine row is
+	// its zone's, but for the co-located store, read locally and free; a
+	// store row is its zone's, but for itself, where a move is free.
 	in.MSPerMBMC, in.BandwidthMBps = matrix(nm, ns, nm+1), matrix(nm, ns, nm+1)
-	for l, mach := range u.machines {
-		for m, su := range u.stores {
-			in.MSPerMBMC[l][m] = c.MSPerGB(mach.Nodes[0], su.Stores[0]).ToMillicents() / 1024
-			in.BandwidthMBps[l][m] = c.BandwidthStoreNode(su.Stores[0], mach.Nodes[0])
+	for l, z := range u.machineZone {
+		copy(in.MSPerMBMC[l], u.priceRows[z])
+		copy(in.BandwidthMBps[l], u.mbpsRows[z])
+		if m := u.coStore[l]; m >= 0 {
+			in.MSPerMBMC[l][m], in.BandwidthMBps[l][m] = 0, u.localMBps
 		}
 	}
 	in.SSPerMBMC = matrix(ns, ns, ns)
-	for a, sa := range u.stores {
-		for b, sb := range u.stores {
-			in.SSPerMBMC[a][b] = c.SSPerGB(sa.Stores[0], sb.Stores[0]).ToMillicents() / 1024
-		}
+	for a, z := range u.storeZone {
+		copy(in.SSPerMBMC[a], u.priceRows[z])
+		in.SSPerMBMC[a][a] = 0
 	}
 
 	// Data items with origin fractions mapped onto store units. Several
