@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -61,7 +60,9 @@ func NewOnlineColGen(in *Instance, opts ColGenOptions) (*OnlineColGen, error) {
 		return nil, err
 	}
 	// buildCo rejects zero bandwidth lazily, as it materializes each xfer
-	// coefficient; here every machine must be priceable up front.
+	// coefficient; here every machine must be priceable up front. The
+	// check does not depend on the job, so it runs once, blaming the
+	// first job that reads input.
 	for k, job := range in.Jobs {
 		if job.Data == NoData {
 			continue
@@ -76,6 +77,7 @@ func NewOnlineColGen(in *Instance, opts ColGenOptions) (*OnlineColGen, error) {
 				}
 			}
 		}
+		break
 	}
 
 	cg := &OnlineColGen{m: newModel(in, Online, "lips-online-rmp", true), tol: 1e-9}
@@ -118,42 +120,71 @@ func NewOnlineColGen(in *Instance, opts ColGenOptions) (*OnlineColGen, error) {
 // rebucket partitions the still-closed machines by price class: the exact
 // float bits of CPU price, capacity (ECU and effective horizon), and the
 // MS cost and bandwidth rows. Within a bucket every machine's columns are
-// numerically identical, so one representative prices them all.
+// numerically identical, so one representative prices them all. Buckets
+// are ordered by their first member, and hold their members ascending.
 func (cg *OnlineColGen) rebucket() {
 	in := cg.m.In
-	cg.buckets = cg.buckets[:0]
-	cg.opened = cg.opened[:0]
-	byClass := make(map[string]int)
+	// A machine's bucket is found by its scalar key, then among the
+	// buckets of that key by comparing its rows with their first member's.
+	type bucket struct{ first, size, next int } // next: the key's next bucket, or -1
+	closed := len(in.Machines) - cg.machines
+	buckets := make([]bucket, 0, closed)
+	byKey := make(map[classKey]int) // key → its first bucket
+	newBucket := func(first int) int {
+		buckets = append(buckets, bucket{first: first, next: -1})
+		return len(buckets) - 1
+	}
+	bucketOf := make([]int, len(in.Machines))
 	for l, mach := range in.Machines {
+		bucketOf[l] = -1
 		if cg.m.lay.isOpen(l) {
 			continue
 		}
-		key := machineFingerprint(in, l, mach)
-		b, ok := byClass[key]
+		key := classKey{math.Float64bits(mach.PerECUSecMC), math.Float64bits(mach.ECU), math.Float64bits(in.HorizonOf(l))}
+		b, ok := byKey[key]
 		if !ok {
-			b = len(cg.buckets)
-			byClass[key] = b
-			cg.buckets = append(cg.buckets, nil)
-			cg.opened = append(cg.opened, 0)
+			b = newBucket(l)
+			byKey[key] = b
+		} else {
+			for !sameRows(in, buckets[b].first, l) {
+				if buckets[b].next < 0 {
+					buckets[b].next = newBucket(l)
+				}
+				b = buckets[b].next
+			}
 		}
-		cg.buckets[b] = append(cg.buckets[b], l)
+		bucketOf[l] = b
+		buckets[b].size++
 	}
+	// Lay the buckets out over one backing array.
+	members := make([]int, 0, closed)
+	cg.buckets = make([][]int, len(buckets))
+	for b, bk := range buckets {
+		cg.buckets[b] = members[len(members) : len(members) : len(members)+bk.size]
+		members = members[:len(members)+bk.size]
+	}
+	for l, b := range bucketOf {
+		if b >= 0 {
+			cg.buckets[b] = append(cg.buckets[b], l)
+		}
+	}
+	cg.opened = make([]int, len(buckets))
 }
 
-// machineFingerprint is the exact-bits price-class key of machine l.
-func machineFingerprint(in *Instance, l int, mach Machine) string {
-	buf := make([]byte, 0, 8*(3+2*len(in.Stores)))
-	put := func(f float64) {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-	}
-	put(mach.PerECUSecMC)
-	put(mach.ECU)
-	put(in.HorizonOf(l))
+// classKey is the scalar part of a price class: the bits of a machine's
+// CPU price, ECU and effective horizon.
+type classKey struct{ price, ecu, horizon uint64 }
+
+// sameRows reports whether machines a and b have bitwise equal MS cost and
+// bandwidth rows.
+func sameRows(in *Instance, a, b int) bool {
 	for m := range in.Stores {
-		put(in.MSPerMBMC[l][m])
-		put(in.BandwidthMBps[l][m])
+		if math.Float64bits(in.MSPerMBMC[a][m]) != math.Float64bits(in.MSPerMBMC[b][m]) ||
+			math.Float64bits(in.BandwidthMBps[a][m]) != math.Float64bits(in.BandwidthMBps[b][m]) {
+			return false
+		}
 	}
-	return string(buf)
+	return true
 }
 
 // materialize reveals machine l: its cpu row, its per-job xfer rows, and

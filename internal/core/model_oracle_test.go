@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -349,6 +350,22 @@ func (cg *oracleColGen) rebucket() {
 		}
 		cg.buckets[b] = append(cg.buckets[b], l)
 	}
+}
+
+// machineFingerprint is the exact-bits price-class key of machine l.
+func machineFingerprint(in *Instance, l int, mach Machine) string {
+	buf := make([]byte, 0, 8*(3+2*len(in.Stores)))
+	put := func(f float64) {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+	}
+	put(mach.PerECUSecMC)
+	put(mach.ECU)
+	put(in.HorizonOf(l))
+	for m := range in.Stores {
+		put(in.MSPerMBMC[l][m])
+		put(in.BandwidthMBps[l][m])
+	}
+	return string(buf)
 }
 
 // materialize reveals machine l: its cpu row, its per-job xfer rows, and
