@@ -62,11 +62,7 @@ func (ne *netEngine) linkFor(zoneA, zoneB string) *linkState {
 	id := mkLink(zoneA, zoneB)
 	ls, ok := ne.links[id]
 	if !ok {
-		cap := ne.s.C.BW.InterZoneMBps
-		if zoneA == zoneB {
-			cap = ne.s.C.BW.IntraZoneMBps
-		}
-		ls = &linkState{capacityMBps: cap, flows: make(map[int]*flow)}
+		ls = &linkState{capacityMBps: ne.s.C.ZoneMBps(zoneA, zoneB), flows: make(map[int]*flow)}
 		ne.links[id] = ls
 	}
 	return ls
