@@ -58,17 +58,13 @@ func (f *Fair) OnSlotFree(s *sim.Sim, n cluster.NodeID) {
 	}
 }
 
-// runningByPool counts currently running tasks per pool; computed live so
-// that timeouts and speculative copies cannot drift a cached counter.
+// runningByPool counts currently running tasks per pool from the
+// simulator's per-job counters, which timeouts and speculative copies
+// cannot drift.
 func (f *Fair) runningByPool(s *sim.Sim) map[string]int {
 	out := make(map[string]int)
-	for _, j := range s.ArrivedJobs() {
-		running := 0
-		for t := 0; t < s.W.Jobs[j].NumTasks; t++ {
-			if s.TaskState(j, t) == sim.Running {
-				running++
-			}
-		}
+	for j := s.NextArrived(-1); j >= 0; j = s.NextArrived(j) {
+		_, _, running, _ := s.JobStateCounts(j)
 		out[f.poolOf[j]] += running
 	}
 	return out
@@ -79,22 +75,19 @@ func (f *Fair) runningByPool(s *sim.Sim) map[string]int {
 func (f *Fair) pickFairTask(s *sim.Sim, n cluster.NodeID) (job, task int, store cluster.StoreID, ok bool) {
 	// Deterministic pool scan: jobs are already in FIFO order, so the
 	// first job of each pool defines the pool's order of appearance.
-	type cand struct {
-		job     int
-		pending []int
-	}
+	type cand struct{ job, first int }
 	byPool := make(map[string]cand)
 	var poolOrder []string
-	for _, j := range s.ArrivedJobs() {
+	for j := s.NextArrived(-1); j >= 0; j = s.NextArrived(j) {
 		pool := f.poolOf[j]
 		if _, seen := byPool[pool]; seen {
 			continue
 		}
-		pending := s.PendingTasks(j)
-		if len(pending) == 0 {
+		first := s.NextPending(j, 0)
+		if first < 0 {
 			continue
 		}
-		byPool[pool] = cand{job: j, pending: pending}
+		byPool[pool] = cand{job: j, first: first}
 		poolOrder = append(poolOrder, pool)
 	}
 	if len(poolOrder) == 0 {
@@ -108,6 +101,6 @@ func (f *Fair) pickFairTask(s *sim.Sim, n cluster.NodeID) (job, task int, store 
 		}
 	}
 	c := byPool[best]
-	t, st, _ := bestLocalityTask(s, c.job, c.pending, n)
+	t, st, _ := bestLocalityTask(s, c.job, c.first, n)
 	return c.job, t, st, true
 }

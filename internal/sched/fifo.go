@@ -78,26 +78,26 @@ func (f *FIFO) OnSlotFree(s *sim.Sim, n cluster.NodeID) {
 // oldestJobBestTask finds, in FIFO order, the first job with pending tasks
 // and its best-locality task for node n.
 func oldestJobBestTask(s *sim.Sim, n cluster.NodeID) (job, task int, store cluster.StoreID, ok bool) {
-	for _, j := range s.ArrivedJobs() {
-		pending := s.PendingTasks(j)
-		if len(pending) == 0 {
-			continue
+	for j := s.NextArrived(-1); j >= 0; j = s.NextArrived(j) {
+		if first := s.NextPending(j, 0); first >= 0 {
+			t, st, _ := bestLocalityTask(s, j, first, n)
+			return j, t, st, true
 		}
-		t, st, _ := bestLocalityTask(s, j, pending, n)
-		return j, t, st, true
 	}
 	return 0, 0, 0, false
 }
 
 // bestLocalityTask picks the pending task of job j whose input is closest
-// to n (ties to the lowest index) and returns its locality rank. Jobs
-// without input return NoStore with rank 0.
-func bestLocalityTask(s *sim.Sim, j int, pending []int, n cluster.NodeID) (int, cluster.StoreID, int) {
+// to n (ties to the lowest index) and returns its locality rank; first is
+// the job's lowest pending task. It walks the pending tasks in ascending
+// order and stops at the first node-local one. Jobs without input return
+// first with NoStore and rank 0.
+func bestLocalityTask(s *sim.Sim, j, first int, n cluster.NodeID) (int, cluster.StoreID, int) {
 	if !s.W.Jobs[j].HasInput() {
-		return pending[0], sim.NoStore, 0
+		return first, sim.NoStore, 0
 	}
 	bestT, bestStore, bestRank := -1, cluster.StoreID(0), 4
-	for _, t := range pending {
+	for t := first; t >= 0; t = s.NextPending(j, t+1) {
 		store, rank := s.BestReplicaRank(j, t, n)
 		if rank < bestRank {
 			bestT, bestStore, bestRank = t, store, rank

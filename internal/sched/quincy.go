@@ -60,14 +60,7 @@ func (q *Quincy) OnTaskDone(*sim.Sim, int, int) {}
 
 // round solves one flow network and launches the resulting assignment.
 func (q *Quincy) round(s *sim.Sim) {
-	done := true
-	for j := range s.W.Jobs {
-		if s.JobRemaining(j) > 0 {
-			done = false
-			break
-		}
-	}
-	if done {
+	if s.Drained() {
 		return
 	}
 	defer s.At(s.Now()+quincyBatchSec, func() { q.round(s) })

@@ -210,7 +210,7 @@ func (s *Sim) crashNode(n cluster.NodeID) {
 			continue // stale entry
 		}
 		ti.qNode = -1
-		s.setStateFlat(flat, Pending)
+		s.setStateFlat(int(e.job), flat, Pending)
 	}
 	ns.queue = ns.queue[:0]
 
@@ -275,7 +275,7 @@ func (s *Sim) failAttempt(job, task int, freeSlot bool, reason string) {
 	}
 	s.untrackPrimary(ti)
 	ti.gen++
-	s.setStateFlat(s.flat(job, task), Pending)
+	s.setStateFlat(job, s.flat(job, task), Pending)
 	s.Faults.TasksReexecuted++
 	s.noteKill(job, task, n, reason, billed, false)
 	if freeSlot {

@@ -145,22 +145,10 @@ func (s *Sim) JobSpan(job int) obs.Span {
 }
 
 // JobStateCounts returns how many tasks of one job sit in each lifecycle
-// state — O(NumTasks), for per-job status reporting.
+// state, in O(1) from the job index's counters.
 func (s *Sim) JobStateCounts(job int) (pending, queued, running, done int) {
-	base, end := s.taskBase[job], s.taskBase[job+1]
-	for f := base; f < end; f++ {
-		switch TaskState(s.states[f]) {
-		case Pending:
-			pending++
-		case Queued:
-			queued++
-		case Running:
-			running++
-		case Done:
-			done++
-		}
-	}
-	return
+	c := &s.jobs[job].counts
+	return int(c[Pending]), int(c[Queued]), int(c[Running]), int(c[Done])
 }
 
 // AddJob appends a job to the live workload and schedules its arrival,
@@ -216,7 +204,7 @@ func (s *Sim) AddJob(job workload.Job, obj *hdfs.DataObject) (int, error) {
 		job.ArrivalSec = s.clock
 	}
 	s.W.Jobs = append(s.W.Jobs, job)
-	s.jobs = append(s.jobs, jobState{remaining: job.NumTasks, firstLaunch: -1, firstEnqueue: -1})
+	s.jobs = append(s.jobs, newJobState(job.NumTasks))
 	s.taskBase = append(s.taskBase, s.taskBase[j]+int32(job.NumTasks))
 	for t := 0; t < job.NumTasks; t++ {
 		s.tasks = append(s.tasks, taskInfo{
@@ -259,11 +247,11 @@ func (s *Sim) CancelJob(job int) error {
 		switch TaskState(s.states[f]) {
 		case Pending:
 			s.tasks[f].gen++
-			s.setStateFlat(f, Done)
+			s.setStateFlat(job, f, Done)
 		case Queued:
 			s.tasks[f].qNode = -1 // the node's next drain drops the entry
 			s.tasks[f].gen++
-			s.setStateFlat(f, Done)
+			s.setStateFlat(job, f, Done)
 			s.noteKill(job, int(f-base), cluster.NodeID(-1), "cancel", 0, false)
 		}
 	}
@@ -288,7 +276,7 @@ func (s *Sim) CancelJob(job int) error {
 			s.cancelSpeculative(job, t, cost.CatSpeculative, true, "cancel")
 		}
 		ti.gen++
-		s.setStateFlat(f, Done)
+		s.setStateFlat(job, f, Done)
 		s.noteKill(job, t, n, "cancel", billed, false)
 		s.slotFreed(n)
 		s.dispatch(n)
@@ -300,6 +288,7 @@ func (s *Sim) CancelJob(job int) error {
 		s.unarrived -= s.W.Jobs[job].NumTasks
 	}
 	js.remaining = 0
+	s.unlinkActive(job)
 	js.doneAt = s.clock
 	s.remaining--
 	// Release dependents exactly as a real completion would (§III DAG
