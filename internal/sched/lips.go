@@ -488,11 +488,11 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 			}
 			return assignments[a].Store < assignments[b].Store
 		})
-		remaining := append([]int(nil), pendingOf[qi]...)
-		taken := make(map[int]bool)
+		pending := pendingOf[qi]
+		taken := make([]bool, len(pending)) // by position in pending
 		for _, a := range assignments {
 			for n := 0; n < a.Tasks; n++ {
-				t, ok := pickTask(remaining, taken, func(t int) bool {
+				t, ok := pickTask(pending, taken, func(t int) bool {
 					if !job.HasInput() {
 						return true
 					}
@@ -502,7 +502,7 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 					// Rounding mismatch between moves and assignments:
 					// take the unassigned task whose data is cheapest to
 					// read from this machine unit.
-					t, ok = cheapestTask(in, remaining, taken, a.Machine, func(t int) int {
+					t, ok = cheapestTask(in, pending, taken, a.Machine, func(t int) int {
 						if !job.HasInput() {
 							return 0
 						}
@@ -562,11 +562,12 @@ func seedMachines(in *core.Instance, names []string) []int {
 	return out
 }
 
-// pickTask selects the first untaken task satisfying pred.
-func pickTask(tasks []int, taken map[int]bool, pred func(int) bool) (int, bool) {
-	for _, t := range tasks {
-		if !taken[t] && pred(t) {
-			taken[t] = true
+// pickTask selects the first untaken task satisfying pred; taken[i]
+// marks tasks[i].
+func pickTask(tasks []int, taken []bool, pred func(int) bool) (int, bool) {
+	for i, t := range tasks {
+		if !taken[i] && pred(t) {
+			taken[i] = true
 			return t, true
 		}
 	}
@@ -574,23 +575,23 @@ func pickTask(tasks []int, taken map[int]bool, pred func(int) bool) (int, bool) 
 }
 
 // cheapestTask selects the untaken task whose data unit is cheapest to
-// read from the given machine unit.
-func cheapestTask(in *core.Instance, tasks []int, taken map[int]bool, machine int, unitOf func(int) int) (int, bool) {
+// read from the given machine unit; taken[i] marks tasks[i].
+func cheapestTask(in *core.Instance, tasks []int, taken []bool, machine int, unitOf func(int) int) (int, bool) {
 	best, bestMC := -1, 0.0
-	for _, t := range tasks {
-		if taken[t] {
+	for i, t := range tasks {
+		if taken[i] {
 			continue
 		}
 		mc := in.MSPerMBMC[machine][unitOf(t)]
 		if best == -1 || mc < bestMC {
-			best, bestMC = t, mc
+			best, bestMC = i, mc
 		}
 	}
 	if best == -1 {
 		return 0, false
 	}
 	taken[best] = true
-	return best, true
+	return tasks[best], true
 }
 
 // pickNode round-robins over the concrete nodes of a machine unit.
