@@ -98,6 +98,42 @@ func TestDelayImprovesLocalityOverFIFO(t *testing.T) {
 	}
 }
 
+// TestDelayForgetsCancelledYield cancels a job while it yields for
+// locality, beside a job that keeps running: the cancelled job must take
+// its yield stamp with it rather than leave it in the map for the life of
+// the run.
+func TestDelayForgetsCancelledYield(t *testing.T) {
+	c := mixedCluster()
+	wb := workload.NewBuilder()
+	// All of "local"'s blocks sit on node 0's store, so every other node
+	// makes it yield; "busy" fills those nodes meanwhile.
+	wb.AddInputJob("local", "u1", workload.Grep, 32*64, c.Nodes[0].Store, 0)
+	wb.AddNoInputJob("busy", "u2", 64, 600, 0)
+	d := NewDelay()
+	s := sim.New(c, wb.Build(), nil, d, sim.Options{})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StepUntil(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, yielding := d.skippedSince[0]; !yielding {
+		t.Fatalf("job 0 is not yielding at t=1: %v", d.skippedSince)
+	}
+	if err := s.CancelJob(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StepUntil(100); err != nil {
+		t.Fatal(err)
+	}
+	if s.JobRemaining(1) == 0 {
+		t.Fatal("the busy job finished; the check needs a job still active")
+	}
+	if len(d.skippedSince) != 0 {
+		t.Errorf("yield stamps after the cancel: %v, want none", d.skippedSince)
+	}
+}
+
 func TestLiPSSavesCostOnHeterogeneousCluster(t *testing.T) {
 	// The headline claim, in miniature: on a cluster with 4–5× cheaper
 	// ECU-seconds available (c1.medium), LiPS must beat the default and
