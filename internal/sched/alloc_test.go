@@ -73,3 +73,72 @@ func TestEpochAllocs(t *testing.T) {
 	}
 	t.Logf("steady-state epoch: %.0f allocations", allocs)
 }
+
+// pausable forwards every callback to the scheduler it wraps except
+// OnSlotFree, which it drops while paused: free slots and pending work
+// then pile up side by side, so that the scheduler's own OnSlotFree has
+// a real decision to make on every idle node.
+type pausable struct {
+	sim.Scheduler
+	paused bool
+}
+
+func (p *pausable) OnSlotFree(s *sim.Sim, n cluster.NodeID) {
+	if !p.paused {
+		p.Scheduler.OnSlotFree(s, n)
+	}
+}
+
+// TestSlotFreeAllocs gates what one slot-free decision of FIFO and of
+// Delay allocates — a count, like TestEpochAllocs. The paper's 100-node
+// SWIM day runs to 06:00; then the slot-free path pauses for two hours:
+// the jobs that arrive meanwhile wait with every task Pending (2020
+// tasks over 41 jobs), the running work drains, and each measured call
+// hands the scheduler another idle node. Walking the job index and the
+// pending tasks allocates nothing; the rescans it replaced allocated 13
+// times a call under FIFO and 71 under Delay. Delay's budget leaves one
+// allocation for its maps, whose growth differs between Go runtimes.
+func TestSlotFreeAllocs(t *testing.T) {
+	const runs = 20
+	for _, tc := range []struct {
+		name   string
+		sched  sim.Scheduler
+		budget float64
+	}{
+		{"fifo", NewFIFO(), 0},
+		{"delay", NewDelay(), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cluster.Paper100()
+			w := workload.SWIM(rand.New(rand.NewSource(1)), c.StoreIDs(), workload.DefaultSWIMSpec())
+			pl := w.Placement()
+			pl.Shuffle(rand.New(rand.NewSource(1)), c.StoreIDs())
+			p := &pausable{Scheduler: tc.sched}
+			s := sim.New(c, w, pl, p, sim.Options{})
+			if err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.StepUntil(6 * 3600); err != nil {
+				t.Fatal(err)
+			}
+			p.paused = true
+			if err := s.StepUntil(8 * 3600); err != nil {
+				t.Fatal(err)
+			}
+			pending, _, _, _ := s.StateCounts()
+			idle := s.IdleNodes(nil)
+			if pending == 0 || len(idle) <= runs {
+				t.Fatalf("paused with %d pending tasks and %d idle nodes", pending, len(idle))
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				tc.sched.OnSlotFree(s, idle[i])
+				i++
+			})
+			if allocs > tc.budget {
+				t.Errorf("one %s OnSlotFree allocates %.0f times, budget %.0f", tc.name, allocs, tc.budget)
+			}
+			t.Logf("%s OnSlotFree: %.0f allocations", tc.name, allocs)
+		})
+	}
+}
