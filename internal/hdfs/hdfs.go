@@ -49,9 +49,15 @@ func (d DataObject) BlockSizeMB(b int) float64 {
 
 // Placement tracks, for every object, the store(s) holding each block.
 // Index 0 of a block's replica list is the primary copy.
+//
+// Each object carries a generation that every mutator bumps when it
+// changes one of the object's replica lists, so a reader that caches a
+// view of an object's blocks (the simulator's locality index) can tell
+// the view is stale by comparing one integer.
 type Placement struct {
 	objects []DataObject
 	blocks  [][][]cluster.StoreID // [object][block][replica]
+	gen     []uint32              // [object] generation
 }
 
 // NewPlacement creates a placement with every block of every object on its
@@ -59,6 +65,7 @@ type Placement struct {
 func NewPlacement(objects []DataObject) *Placement {
 	p := &Placement{objects: append([]DataObject(nil), objects...)}
 	p.blocks = make([][][]cluster.StoreID, len(objects))
+	p.gen = make([]uint32, len(objects))
 	for i, d := range objects {
 		if d.ID != ObjectID(i) {
 			panic(fmt.Sprintf("hdfs: object %d has ID %d", i, d.ID))
@@ -85,7 +92,12 @@ func (p *Placement) AddObject(d DataObject) {
 		blocks[b] = []cluster.StoreID{d.Origin}
 	}
 	p.blocks = append(p.blocks, blocks)
+	p.gen = append(p.gen, 0)
 }
+
+// Gen returns an object's generation: it changes whenever one of the
+// object's replica lists does.
+func (p *Placement) Gen(obj ObjectID) uint32 { return p.gen[obj] }
 
 // Object returns one object by ID.
 func (p *Placement) Object(id ObjectID) DataObject { return p.objects[id] }
@@ -105,6 +117,7 @@ func (p *Placement) Primary(obj ObjectID, block int) cluster.StoreID {
 // dropping other replicas.
 func (p *Placement) SetPrimary(obj ObjectID, block int, s cluster.StoreID) {
 	p.blocks[obj][block] = []cluster.StoreID{s}
+	p.gen[obj]++
 }
 
 // AddReplica appends a replica for a block if not already present.
@@ -115,6 +128,7 @@ func (p *Placement) AddReplica(obj ObjectID, block int, s cluster.StoreID) {
 		}
 	}
 	p.blocks[obj][block] = append(p.blocks[obj][block], s)
+	p.gen[obj]++
 }
 
 // HasReplicaOn reports whether any replica of the block lives on s.
@@ -142,6 +156,7 @@ type BlockRef struct {
 // replica list.
 func (p *Placement) DropStore(s cluster.StoreID) (under, lost []BlockRef) {
 	for i := range p.blocks {
+		changed := false
 		for b := range p.blocks[i] {
 			reps := p.blocks[i][b]
 			kept := reps[:0:0]
@@ -154,12 +169,16 @@ func (p *Placement) DropStore(s cluster.StoreID) (under, lost []BlockRef) {
 				continue
 			}
 			p.blocks[i][b] = kept
+			changed = true
 			ref := BlockRef{Object: ObjectID(i), Block: b}
 			if len(kept) == 0 {
 				lost = append(lost, ref)
 			} else {
 				under = append(under, ref)
 			}
+		}
+		if changed {
+			p.gen[i]++
 		}
 	}
 	return under, lost
@@ -214,5 +233,6 @@ func (p *Placement) Shuffle(rng *rand.Rand, stores []cluster.StoreID) {
 		for b := range p.blocks[i] {
 			p.blocks[i][b] = []cluster.StoreID{stores[rng.Intn(len(stores))]}
 		}
+		p.gen[i]++
 	}
 }

@@ -133,3 +133,39 @@ func TestQuickFractionsSumToOne(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGenerationsFollowMutations checks that each mutator moves the
+// generation of exactly the objects whose replica lists it changed.
+func TestGenerationsFollowMutations(t *testing.T) {
+	objs := append(twoObjects(), DataObject{ID: 2, Name: "img", SizeMB: 128, Origin: 2})
+	p := NewPlacement(objs)
+	step := func(what string, changed []ObjectID, mutate func()) {
+		t.Helper()
+		before := make([]uint32, len(p.gen))
+		for i := range before {
+			before[i] = p.Gen(ObjectID(i))
+		}
+		mutate()
+		for i := range before {
+			moved := p.Gen(ObjectID(i)) != before[i]
+			want := false
+			for _, c := range changed {
+				want = want || c == ObjectID(i)
+			}
+			if moved != want {
+				t.Errorf("%s: object %d generation moved %v, want %v", what, i, moved, want)
+			}
+		}
+	}
+	step("SetPrimary", []ObjectID{1}, func() { p.SetPrimary(1, 0, 2) })
+	step("AddReplica of a new store", []ObjectID{0}, func() { p.AddReplica(0, 1, 3) })
+	step("AddReplica of a store it holds", nil, func() { p.AddReplica(0, 1, 3) })
+	step("DropStore", []ObjectID{0}, func() { p.DropStore(3) })
+	step("DropStore of an empty store", nil, func() { p.DropStore(7) })
+	step("DropStore of two objects' store", []ObjectID{1, 2}, func() { p.DropStore(2) })
+	step("AddObject", nil, func() { p.AddObject(DataObject{ID: 3, Name: "new", SizeMB: 64, Origin: 0}) })
+	if got := len(p.gen); got != 4 {
+		t.Fatalf("AddObject left %d generations for 4 objects", got)
+	}
+	step("Shuffle", []ObjectID{0, 1, 2, 3}, func() { p.Shuffle(rand.New(rand.NewSource(1)), []cluster.StoreID{0, 1}) })
+}
