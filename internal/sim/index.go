@@ -3,7 +3,7 @@ package sim
 // Incremental indexes over simulator state. The event loop must not scan
 // s.nodes or the task table per event at 10k-node/1M-task scale, and a
 // slot scheduler must not rescan every arrived job's tasks per decision,
-// so the hot paths maintain four structures as they go:
+// so the hot paths maintain five structures as they go:
 //
 //   - an idle-node bitset (bit n set ⇔ node n is live with ≥1 free slot)
 //     plus free- and live-slot totals, updated by slotTaken and
@@ -25,7 +25,14 @@ package sim
 //     younger job per completion. ArrivedJobs and NextArrived walk the
 //     list, JobStateCounts reads the counts, and PendingTasks and
 //     NextPending start at the cursor and return at once when the job
-//     has nothing pending.
+//     has nothing pending;
+//   - a locality index per job (locality.go): its tasks grouped by the
+//     stores and zones holding their blocks, built from the placement
+//     when a slot scheduler indexes an arriving job, rebuilt when the
+//     object's placement generation moves, and dropped by unlinkActive.
+//     BestLocalityTask walks it from the cursor instead of probing
+//     every pending task's replicas. Launches leave their entries in
+//     place, so setStateFlat does no work for it.
 //
 // Invariants (pinned by TestSlotIndexProperty against recomputed-from-
 // scratch copies):
@@ -43,9 +50,15 @@ package sim
 //	                  jobs[j].active marks its members
 //	jobs[j].counts  = #tasks of job j in each state
 //	jobs[j].cursor  ≤ every Pending task index of job j
+//	locs[j]         = nil unless jobs[j].active; while its gen equals
+//	                  the object's placement generation, its lists are
+//	                  the placement's (store, task) and (zone, task)
+//	                  pairs, so each Pending task of job j is in the list
+//	                  of every store and zone holding its block
 //
 // The full scans these replaced survive in verifyIndexes (scale_test.go),
-// which recounts every index at every scheduler callback, and in the
+// which recounts every index at every scheduler callback, in
+// bestLocalityScan (locality_test.go), and in the
 // testdata/dispatch.golden files of this package and of sched, the traces
 // the scans produced.
 
@@ -140,9 +153,12 @@ func (s *Sim) linkActive(job int) {
 	s.nActive++
 }
 
-// unlinkActive removes a job from the active list in O(1). It is a no-op
-// for a job that never arrived.
+// unlinkActive removes a job from the active list in O(1) and drops its
+// locality index; the list is left alone for a job that never arrived.
 func (s *Sim) unlinkActive(job int) {
+	if job < len(s.locs) {
+		s.locs[job] = nil
+	}
 	js := &s.jobs[job]
 	if !js.active {
 		return

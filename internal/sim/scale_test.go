@@ -351,6 +351,7 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 			t.Fatalf("job %d: state counts %v, recount %v", j, js.counts, counts)
 		}
 	}
+	verifyLocalityIndexes(t, s)
 
 	// Every ref in the running index must point back at itself through the
 	// attempt's stored position — the swap-remove fixup invariant.
@@ -464,7 +465,8 @@ func cancelRunningJob(t *testing.T, s *Sim, rng *rand.Rand) bool {
 
 // TestSlotIndexProperty drives random launch/cancel/crash/recover churn
 // through the simulator and checks, at every scheduler callback, that the
-// incremental indexes agree with recomputed-from-scratch copies. The
+// incremental indexes agree with recomputed-from-scratch copies, and
+// that BestLocalityTask agrees with the scan on a sample of nodes. The
 // queues variant also pins a quarter of its picks to random nodes'
 // queues, where drains and crashes re-pend them, and takes every other
 // pick in task order, so that jobs' cursors pass work that later re-pends
@@ -482,6 +484,7 @@ func slotIndexChurn(t *testing.T, seed int64, queues bool) {
 	faults := RandomFaultPlan(seed, c, FaultSpec{Crashes: 4, StoreLosses: 2, Slowdowns: 2})
 	rng := rand.New(rand.NewSource(seed * 97))
 	qrng := rand.New(rand.NewSource(seed * 89))
+	lrng := rand.New(rand.NewSource(seed * 83))
 	checks, cancels, queued := 0, 0, 0
 	// Picks in task order keep more jobs running at once, so the queues
 	// variant cancels half as often to let most of them finish.
@@ -492,6 +495,7 @@ func slotIndexChurn(t *testing.T, seed int64, queues bool) {
 	ss := &stubSched{name: "churn-stub"}
 	ss.onSlotFree = func(s *Sim, n cluster.NodeID) {
 		verifyIndexes(t, s, false)
+		verifyLocality(t, s, lrng)
 		checks++
 		for s.FreeSlots(n) > 0 {
 			if rng.Intn(10) == 0 {
@@ -536,6 +540,7 @@ func slotIndexChurn(t *testing.T, seed int64, queues bool) {
 	}
 	ss.onTaskDone = func(s *Sim, job, task int) {
 		verifyIndexes(t, s, true)
+		verifyLocality(t, s, lrng)
 		if rng.Intn(cancelEvery) == 0 && cancelRunningJob(t, s, rng) {
 			cancels++
 		}

@@ -13,9 +13,9 @@
 // in its own byte array), the event heap is a hand-rolled binary heap over
 // typed event structs (no per-event closure or interface boxing on the
 // steady-state paths), and free slots, running attempts, task-state
-// totals and the arrived jobs with their per-job task counts are kept in
-// incremental indexes (see index.go) instead of being recomputed by
-// scans.
+// totals, the arrived jobs with their per-job task counts and each job's
+// tasks by input location are kept in incremental indexes (see index.go)
+// instead of being recomputed by scans.
 //
 // Simplifications relative to a real cluster (documented in DESIGN.md):
 // transfers do not contend for link capacity (each gets the full pairwise
@@ -394,6 +394,14 @@ type Sim struct {
 	nodes []nodeState
 	jobs  []jobState
 
+	// nodeZone and storeZone intern C's zone names (locality.go), so
+	// locality checks compare integers. locs holds the jobs' locality
+	// indexes, by job; it stays nil in a run whose scheduler never asks
+	// BestLocalityTask, and an entry is nil outside the active list.
+	nodeZone  []int32
+	storeZone []int32
+	locs      []*locIndex
+
 	// Flat task table: task (j, t) lives at taskBase[j]+t. states is the
 	// hot column; specs/specFree pool the speculative side records.
 	// tableErr is set by New, and returned by Start, when the workload's
@@ -475,6 +483,7 @@ func New(c *cluster.Cluster, w *workload.Workload, p *hdfs.Placement, sched Sche
 	}
 	s.freeSlots = s.totalSlots
 	s.liveSlots = s.totalSlots
+	s.internZones()
 
 	s.jobs = make([]jobState, len(w.Jobs))
 	s.taskBase = make([]int32, len(w.Jobs)+1)
@@ -691,11 +700,6 @@ func (s *Sim) NextPending(job, from int) int {
 		}
 	}
 	return -1
-}
-
-// TaskState returns the state of one task.
-func (s *Sim) TaskState(job, task int) TaskState {
-	return TaskState(s.states[s.taskBase[job]+int32(task)])
 }
 
 // FreeSlots returns the free slot count of a node.

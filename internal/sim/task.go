@@ -41,7 +41,7 @@ func (s *Sim) observeLocality(n cluster.NodeID, store cluster.StoreID, hasInput 
 		l = NoInput
 	case s.C.Nodes[n].Store == store:
 		l = NodeLocal
-	case s.C.Nodes[n].Zone == s.C.Stores[store].Zone:
+	case s.nodeZone[n] == s.storeZone[store]:
 		l = ZoneLocal
 	default:
 		l = Remote
@@ -499,7 +499,7 @@ func (s *Sim) localityRank(n cluster.NodeID, store cluster.StoreID) int {
 	switch {
 	case s.C.Nodes[n].Store == store:
 		return 0
-	case s.C.Nodes[n].Zone == s.C.Stores[store].Zone:
+	case s.nodeZone[n] == s.storeZone[store]:
 		return 1
 	default:
 		return 2
