@@ -89,14 +89,15 @@ func (p *pausable) OnSlotFree(s *sim.Sim, n cluster.NodeID) {
 	}
 }
 
-// TestSlotFreeAllocs gates what one slot-free decision of FIFO and of
-// Delay allocates — a count, like TestEpochAllocs. The paper's 100-node
-// SWIM day runs to 06:00; then the slot-free path pauses for two hours:
-// the jobs that arrive meanwhile wait with every task Pending (2020
-// tasks over 41 jobs), the running work drains, and each measured call
-// hands the scheduler another idle node. Walking the job index and the
-// pending tasks allocates nothing; the rescans it replaced allocated 13
-// times a call under FIFO and 71 under Delay. Delay's budget leaves one
+// TestSlotFreeAllocs gates what one slot-free decision of FIFO, Delay
+// and Fair allocates — a count, like TestEpochAllocs. The paper's
+// 100-node SWIM day runs to 06:00; then the slot-free path pauses for two
+// hours: the jobs that arrive meanwhile wait with every task Pending
+// (2020 tasks over 41 jobs), the running work drains, and each measured
+// call hands the scheduler another idle node. Walking the job index and
+// asking the locality indexes allocates nothing; the rescans the job
+// index replaced allocated 13 times a call under FIFO and 71 under
+// Delay, and Fair's per-call pool maps 18. Delay's budget leaves one
 // allocation for its maps, whose growth differs between Go runtimes.
 func TestSlotFreeAllocs(t *testing.T) {
 	const runs = 20
@@ -107,6 +108,7 @@ func TestSlotFreeAllocs(t *testing.T) {
 	}{
 		{"fifo", NewFIFO(), 0},
 		{"delay", NewDelay(), 1},
+		{"fair", NewFair(), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := cluster.Paper100()

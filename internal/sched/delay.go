@@ -43,7 +43,10 @@ func (d *Delay) Init(*sim.Sim) {
 }
 
 // OnJobArrival implements sim.Scheduler.
-func (d *Delay) OnJobArrival(s *sim.Sim, _ int) { s.KickIdleNodes() }
+func (d *Delay) OnJobArrival(s *sim.Sim, j int) {
+	s.IndexLocality(j)
+	s.KickIdleNodes()
+}
 
 // OnTaskDone implements sim.Scheduler.
 func (d *Delay) OnTaskDone(*sim.Sim, int, int) {}
@@ -91,17 +94,12 @@ func (d *Delay) forgetLeft(s *sim.Sim) {
 func (d *Delay) assignOne(s *sim.Sim, n cluster.NodeID) bool {
 	now := s.Now()
 	for j := s.NextArrived(-1); j >= 0; j = s.NextArrived(j) {
-		first := s.NextPending(j, 0)
-		if first < 0 {
+		t, store, rank := s.BestLocalityTask(j, n)
+		if t < 0 {
 			continue
 		}
-		if !s.W.Jobs[j].HasInput() {
-			// No locality concern: launch immediately.
-			delete(d.skippedSince, j)
-			return s.Launch(j, first, n, sim.NoStore) == nil
-		}
-		t, store, rank := bestLocalityTask(s, j, first, n)
 		if rank == 0 {
+			// Node-local, or no input and so no locality concern.
 			delete(d.skippedSince, j)
 			return s.Launch(j, t, n, store) == nil
 		}

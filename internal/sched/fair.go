@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"lips/internal/cluster"
 	"lips/internal/sim"
 )
@@ -14,7 +16,15 @@ import (
 type Fair struct {
 	sim.NopNodeEvents
 
-	poolOf map[int]string // job → pool
+	poolOf []int32          // job → pool id
+	pools  map[string]int32 // pool (the job's User) → id
+
+	// Per-decision scratch, indexed by pool id: the pool's oldest job
+	// with pending work (-1 none) and its running tasks; order lists the
+	// pools with pending work as the FIFO walk meets them.
+	oldest  []int
+	running []int
+	order   []int32
 }
 
 // NewFair returns a fair scheduler.
@@ -23,21 +33,32 @@ func NewFair() *Fair { return &Fair{} }
 // Name implements sim.Scheduler.
 func (f *Fair) Name() string { return "fair" }
 
-// Init implements sim.Scheduler. The pool map is run-scoped and resets
+// Init implements sim.Scheduler. The pools are run-scoped and reset
 // here, so one *Fair reused across runs starts each run clean.
 func (f *Fair) Init(s *sim.Sim) {
-	f.poolOf = make(map[int]string)
-	for j, job := range s.W.Jobs {
-		f.poolOf[j] = job.User
+	f.poolOf = f.poolOf[:0]
+	f.pools = make(map[string]int32)
+	f.poolJobs(s)
+}
+
+// poolJobs gives every job not yet pooled its pool id.
+func (f *Fair) poolJobs(s *sim.Sim) {
+	for j := len(f.poolOf); j < len(s.W.Jobs); j++ {
+		user := s.W.Jobs[j].User
+		id, ok := f.pools[user]
+		if !ok {
+			id = int32(len(f.pools))
+			f.pools[user] = id
+		}
+		f.poolOf = append(f.poolOf, id)
 	}
 }
 
 // OnJobArrival implements sim.Scheduler. Jobs added after Init (serve
-// mode) enter the pool map here; Init covered only the workload it saw.
+// mode) join their pools here; Init covered only the workload it saw.
 func (f *Fair) OnJobArrival(s *sim.Sim, j int) {
-	if _, ok := f.poolOf[j]; !ok {
-		f.poolOf[j] = s.W.Jobs[j].User
-	}
+	f.poolJobs(s)
+	s.IndexLocality(j)
 	s.KickIdleNodes()
 }
 
@@ -58,49 +79,39 @@ func (f *Fair) OnSlotFree(s *sim.Sim, n cluster.NodeID) {
 	}
 }
 
-// runningByPool counts currently running tasks per pool from the
+// pickFairTask chooses the most-deficit pool with pending work, then the
+// pool's oldest job's best-locality task. Running tasks come from the
 // simulator's per-job counters, which timeouts and speculative copies
 // cannot drift.
-func (f *Fair) runningByPool(s *sim.Sim) map[string]int {
-	out := make(map[string]int)
-	for j := s.NextArrived(-1); j >= 0; j = s.NextArrived(j) {
-		_, _, running, _ := s.JobStateCounts(j)
-		out[f.poolOf[j]] += running
-	}
-	return out
-}
-
-// pickFairTask chooses the most-deficit pool with pending work, then the
-// pool's oldest job's best-locality task.
 func (f *Fair) pickFairTask(s *sim.Sim, n cluster.NodeID) (job, task int, store cluster.StoreID, ok bool) {
-	// Deterministic pool scan: jobs are already in FIFO order, so the
-	// first job of each pool defines the pool's order of appearance.
-	type cand struct{ job, first int }
-	byPool := make(map[string]cand)
-	var poolOrder []string
-	for j := s.NextArrived(-1); j >= 0; j = s.NextArrived(j) {
-		pool := f.poolOf[j]
-		if _, seen := byPool[pool]; seen {
-			continue
-		}
-		first := s.NextPending(j, 0)
-		if first < 0 {
-			continue
-		}
-		byPool[pool] = cand{job: j, first: first}
-		poolOrder = append(poolOrder, pool)
+	pools := len(f.pools)
+	f.oldest = slices.Grow(f.oldest[:0], pools)[:pools]
+	f.running = slices.Grow(f.running[:0], pools)[:pools]
+	for p := range f.oldest {
+		f.oldest[p], f.running[p] = -1, 0
 	}
-	if len(poolOrder) == 0 {
+	// Deterministic pool order: jobs come in FIFO order, so each pool's
+	// first job with pending work defines the pool's order of appearance.
+	f.order = f.order[:0]
+	for j := s.NextArrived(-1); j >= 0; j = s.NextArrived(j) {
+		p := f.poolOf[j]
+		_, _, running, _ := s.JobStateCounts(j)
+		f.running[p] += running
+		if f.oldest[p] < 0 && s.NextPending(j, 0) >= 0 {
+			f.oldest[p] = j
+			f.order = append(f.order, p)
+		}
+	}
+	if len(f.order) == 0 {
 		return 0, 0, 0, false
 	}
-	running := f.runningByPool(s)
-	best := ""
-	for _, pool := range poolOrder {
-		if best == "" || running[pool] < running[best] {
-			best = pool
+	best := f.order[0]
+	for _, p := range f.order[1:] {
+		if f.running[p] < f.running[best] {
+			best = p
 		}
 	}
-	c := byPool[best]
-	t, st, _ := bestLocalityTask(s, c.job, c.first, n)
-	return c.job, t, st, true
+	j := f.oldest[best]
+	t, st, _ := s.BestLocalityTask(j, n)
+	return j, t, st, true
 }

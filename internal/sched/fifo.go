@@ -55,7 +55,10 @@ func (f *FIFO) Name() string { return "hadoop-default" }
 func (f *FIFO) Init(*sim.Sim) {}
 
 // OnJobArrival implements sim.Scheduler.
-func (f *FIFO) OnJobArrival(s *sim.Sim, _ int) { s.KickIdleNodes() }
+func (f *FIFO) OnJobArrival(s *sim.Sim, j int) {
+	s.IndexLocality(j)
+	s.KickIdleNodes()
+}
 
 // OnTaskDone implements sim.Scheduler.
 func (f *FIFO) OnTaskDone(*sim.Sim, int, int) {}
@@ -79,32 +82,9 @@ func (f *FIFO) OnSlotFree(s *sim.Sim, n cluster.NodeID) {
 // and its best-locality task for node n.
 func oldestJobBestTask(s *sim.Sim, n cluster.NodeID) (job, task int, store cluster.StoreID, ok bool) {
 	for j := s.NextArrived(-1); j >= 0; j = s.NextArrived(j) {
-		if first := s.NextPending(j, 0); first >= 0 {
-			t, st, _ := bestLocalityTask(s, j, first, n)
+		if t, st, _ := s.BestLocalityTask(j, n); t >= 0 {
 			return j, t, st, true
 		}
 	}
 	return 0, 0, 0, false
-}
-
-// bestLocalityTask picks the pending task of job j whose input is closest
-// to n (ties to the lowest index) and returns its locality rank; first is
-// the job's lowest pending task. It walks the pending tasks in ascending
-// order and stops at the first node-local one. Jobs without input return
-// first with NoStore and rank 0.
-func bestLocalityTask(s *sim.Sim, j, first int, n cluster.NodeID) (int, cluster.StoreID, int) {
-	if !s.W.Jobs[j].HasInput() {
-		return first, sim.NoStore, 0
-	}
-	bestT, bestStore, bestRank := -1, cluster.StoreID(0), 4
-	for t := first; t >= 0; t = s.NextPending(j, t+1) {
-		store, rank := s.BestReplicaRank(j, t, n)
-		if rank < bestRank {
-			bestT, bestStore, bestRank = t, store, rank
-			if rank == 0 {
-				break
-			}
-		}
-	}
-	return bestT, bestStore, bestRank
 }

@@ -234,6 +234,22 @@ func TestFairBalancesUsers(t *testing.T) {
 	}
 }
 
+// TestFairPoolsEmptyUser: a job without a user is a pool like any other.
+// On one slot, two two-task jobs arrive together, the user-less one
+// first; when the slot frees with both pools idle, the tie goes to the
+// pool that appeared first, so the user-less job finishes first.
+func TestFairPoolsEmptyUser(t *testing.T) {
+	b := cluster.NewBuilder("za")
+	b.AddNode("za", "n", 1, 1, cost.Millicents(1), 1e6)
+	wb := workload.NewBuilder()
+	wb.AddNoInputJob("anon", "", 2, 100, 0)
+	wb.AddNoInputJob("named", "b", 2, 100, 0)
+	r := runSched(t, b.Build(), wb.Build(), nil, NewFair(), sim.Options{})
+	if r.JobDone[0] > r.JobDone[1] {
+		t.Errorf("the user-less job finished at %g, after the other pool's at %g", r.JobDone[0], r.JobDone[1])
+	}
+}
+
 func TestSpeculativeIncreasesCost(t *testing.T) {
 	// §VI-A: "keeping this feature enabled ... will also increase their
 	// dollar cost."
