@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -406,13 +407,15 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 		unit    int
 		readyAt float64
 	}
-	locs := make([]map[int]taskLoc, len(queued)) // qi → task → location
+	locs := make([][]taskLoc, len(queued)) // qi → position in pendingOf[qi] → location
 	for qi := range queued {
-		locs[qi] = make(map[int]taskLoc)
 		job := s.W.Jobs[queued[qi]]
 		if !job.HasInput() {
 			continue
 		}
+		pending := pendingOf[qi]
+		loc := make([]taskLoc, len(pending))
+		locs[qi] = loc
 		item := in.Jobs[qi].Data
 		obj := s.W.Objects[job.Object]
 		want := wantBlocks[item]
@@ -420,23 +423,23 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 		// with a relocation still in flight (issued by an earlier epoch,
 		// then orphaned by a crash or re-plan) are pinned to that move's
 		// destination rather than raced with a second move.
-		var homeless []int
-		for _, t := range pendingOf[qi] {
+		var homeless []int // positions in pending
+		for p, t := range pending {
 			if dst, doneAt, inFlight := s.BlockMove(int(obj.ID), t); inFlight {
 				u := unitOf(dst)
 				if want[u] > 0 {
 					want[u]--
 				}
-				locs[qi][t] = taskLoc{store: dst, unit: u, readyAt: doneAt}
+				loc[p] = taskLoc{store: dst, unit: u, readyAt: doneAt}
 				continue
 			}
 			st := s.P.Primary(obj.ID, t)
 			unit := unitOf(st)
 			if want[unit] > 0 {
 				want[unit]--
-				locs[qi][t] = taskLoc{store: st, unit: unit, readyAt: s.Now()}
+				loc[p] = taskLoc{store: st, unit: unit, readyAt: s.Now()}
 			} else {
-				homeless = append(homeless, t)
+				homeless = append(homeless, p)
 			}
 		}
 		// Pass 2: move the rest to units still owed blocks, each block
@@ -448,7 +451,8 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 			units = append(units, u)
 		}
 		sort.Ints(units)
-		for _, t := range homeless {
+		for _, p := range homeless {
+			t := pending[p]
 			st := s.P.Primary(obj.ID, t)
 			best, bestCost := -1, cost.Money(0)
 			for _, u := range units {
@@ -462,14 +466,14 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 			}
 			if best == -1 {
 				// Rounding mismatch: leave the block in place.
-				locs[qi][t] = taskLoc{store: st, unit: unitOf(st), readyAt: s.Now()}
+				loc[p] = taskLoc{store: st, unit: unitOf(st), readyAt: s.Now()}
 				continue
 			}
 			want[best]--
 			dst := l.pickStore(in, best)
 			doneAt := s.MoveBlock(int(obj.ID), t, dst)
 			blocksMoved++
-			locs[qi][t] = taskLoc{store: dst, unit: best, readyAt: doneAt}
+			loc[p] = taskLoc{store: dst, unit: best, readyAt: doneAt}
 		}
 	}
 
@@ -478,9 +482,9 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 	for _, a := range ip.Assignments {
 		byJob[a.Job] = append(byJob[a.Job], a)
 	}
+	buckets := newUnitBuckets(len(in.Stores))
 	for qi := range queued {
 		j := queued[qi]
-		job := s.W.Jobs[j]
 		assignments := byJob[qi]
 		sort.Slice(assignments, func(a, b int) bool {
 			if assignments[a].Machine != assignments[b].Machine {
@@ -488,34 +492,36 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 			}
 			return assignments[a].Store < assignments[b].Store
 		})
-		pending := pendingOf[qi]
+		pending, loc := pendingOf[qi], locs[qi]
+		unitAt := func(p int) int {
+			if loc == nil {
+				return 0 // no input: every position is in unit 0
+			}
+			return loc[p].unit
+		}
 		taken := make([]bool, len(pending)) // by position in pending
+		buckets.fill(len(pending), unitAt)
 		for _, a := range assignments {
+			unit := a.Store
+			if loc == nil {
+				unit = 0
+			}
 			for n := 0; n < a.Tasks; n++ {
-				t, ok := pickTask(pending, taken, func(t int) bool {
-					if !job.HasInput() {
-						return true
-					}
-					return locs[qi][t].unit == a.Store
-				})
+				p, ok := buckets.take(unit, taken)
 				if !ok {
 					// Rounding mismatch between moves and assignments:
 					// take the unassigned task whose data is cheapest to
 					// read from this machine unit.
-					t, ok = cheapestTask(in, pending, taken, a.Machine, func(t int) int {
-						if !job.HasInput() {
-							return 0
-						}
-						return locs[qi][t].unit
-					})
+					p, ok = cheapestTask(in, taken, a.Machine, unitAt)
 					if !ok {
 						break
 					}
 				}
+				t := pending[p]
 				node := l.pickNode(s, in, a.Machine)
 				store, readyAt := sim.NoStore, s.Now()
-				if job.HasInput() {
-					store, readyAt = locs[qi][t].store, locs[qi][t].readyAt
+				if loc != nil {
+					store, readyAt = loc[p].store, loc[p].readyAt
 				}
 				if err := s.Enqueue(j, t, node, store, readyAt); err != nil {
 					l.fail(err)
@@ -562,36 +568,75 @@ func seedMachines(in *core.Instance, names []string) []int {
 	return out
 }
 
-// pickTask selects the first untaken task satisfying pred; taken[i]
-// marks tasks[i].
-func pickTask(tasks []int, taken []bool, pred func(int) bool) (int, bool) {
-	for i, t := range tasks {
-		if !taken[i] && pred(t) {
-			taken[i] = true
-			return t, true
+// unitBuckets hands out one queued job's pending positions by data unit:
+// the positions grouped by unit (a counting sort, so each group stays
+// ascending), and per unit the next one to try. An assignment takes its
+// unit's lowest untaken position — what a scan of every position in
+// order would find — in amortized O(1).
+type unitBuckets struct {
+	pos       []int32 // positions, grouped by unit
+	next, end []int32 // per unit: the next index into pos to try, and its group's end
+}
+
+func newUnitBuckets(units int) *unitBuckets {
+	units = max(units, 1) // a job without input puts every position in unit 0
+	return &unitBuckets{next: make([]int32, units), end: make([]int32, units)}
+}
+
+// fill buckets positions 0..n-1 by unitAt.
+func (b *unitBuckets) fill(n int, unitAt func(int) int) {
+	clear(b.next)
+	for p := 0; p < n; p++ {
+		b.next[unitAt(p)]++
+	}
+	sum := int32(0)
+	for u, c := range b.next {
+		b.next[u], b.end[u] = sum, sum
+		sum += c
+	}
+	b.pos = slices.Grow(b.pos[:0], n)[:n]
+	for p := 0; p < n; p++ {
+		u := unitAt(p)
+		b.pos[b.end[u]] = int32(p)
+		b.end[u]++
+	}
+}
+
+// take returns the lowest position of unit that taken does not mark, and
+// marks it.
+func (b *unitBuckets) take(unit int, taken []bool) (int, bool) {
+	if unit < 0 || unit >= len(b.next) {
+		return 0, false
+	}
+	for b.next[unit] < b.end[unit] {
+		p := b.pos[b.next[unit]]
+		b.next[unit]++
+		if !taken[p] {
+			taken[p] = true
+			return int(p), true
 		}
 	}
 	return 0, false
 }
 
-// cheapestTask selects the untaken task whose data unit is cheapest to
-// read from the given machine unit; taken[i] marks tasks[i].
-func cheapestTask(in *core.Instance, tasks []int, taken []bool, machine int, unitOf func(int) int) (int, bool) {
+// cheapestTask selects the untaken position whose data unit is cheapest
+// to read from the given machine unit, and marks it taken.
+func cheapestTask(in *core.Instance, taken []bool, machine int, unitAt func(int) int) (int, bool) {
 	best, bestMC := -1, 0.0
-	for i, t := range tasks {
-		if taken[i] {
+	for p := range taken {
+		if taken[p] {
 			continue
 		}
-		mc := in.MSPerMBMC[machine][unitOf(t)]
+		mc := in.MSPerMBMC[machine][unitAt(p)]
 		if best == -1 || mc < bestMC {
-			best, bestMC = i, mc
+			best, bestMC = p, mc
 		}
 	}
 	if best == -1 {
 		return 0, false
 	}
 	taken[best] = true
-	return tasks[best], true
+	return best, true
 }
 
 // pickNode round-robins over the concrete nodes of a machine unit.
