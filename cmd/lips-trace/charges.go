@@ -14,109 +14,17 @@ import (
 
 // The trace's money-bearing events are the mirror of the simulator's
 // charge chokepoint: every microcent the ledger books rides on exactly
-// one done, kill or move event. eventCharges inverts that mapping, so
-// -audit can rebuild the ledger from the stream and prove it against
-// the cumulative sample snapshots, and -by-job can roll charges up to
-// the jobs that caused them.
+// one done, kill or move event, under the category and tenant the one
+// table in internal/trace (trace.Charges, RunInfo.JobTenant) gives. So
+// -audit can rebuild the ledger from the stream and prove it against the
+// cumulative sample snapshots, and -by-job can roll charges up to the
+// jobs that caused them.
 
-// charge is one (job, category, amount) booking recovered from an event.
-// Job is -1 for money no single job caused (block moves, repairs).
-type charge struct {
-	job    int
-	cat    cost.Category
-	amount int64
-}
-
-// killCategory maps a kill reason to the ledger category its CostUC was
-// billed under (the same mapping the simulator's kill sites use).
-func killCategory(reason string) (cost.Category, bool) {
-	switch reason {
-	case "timeout":
-		return cost.CatTransfer, true
-	case "speculative", "cancel":
-		return cost.CatSpeculative, true
-	case "node-crash", "store-loss":
-		return cost.CatFault, true
-	default:
-		return "", false
-	}
-}
-
-// moveCategory maps a move reason to its ledger category: planned and
-// balancer moves are placement spend, fault repairs are fault spend.
-func moveCategory(reason string) (cost.Category, bool) {
-	switch reason {
-	case "plan", "balance":
-		return cost.CatPlacement, true
-	case "re-replicate", "re-materialize":
-		return cost.CatFault, true
-	default:
-		return "", false
-	}
-}
-
-// eventCharges recovers the ledger bookings an event carries (nil for
-// kinds that bill nothing). A done event splits into its CPU and
-// transfer components; a kill bills its reason's category; a move is
-// never job-attributed.
-func eventCharges(e trace.Event) ([]charge, error) {
-	switch e.Kind {
-	case trace.KindDone:
-		t := e.Task
-		if t.XferUC > t.CostUC {
-			return nil, fmt.Errorf("done j%d/t%d: transfer %d exceeds total %d", t.Job, t.Task, t.XferUC, t.CostUC)
-		}
-		ch := []charge{{job: t.Job, cat: cost.CatCPU, amount: t.CostUC - t.XferUC}}
-		if t.XferUC > 0 {
-			ch = append(ch, charge{job: t.Job, cat: cost.CatTransfer, amount: t.XferUC})
-		}
-		return ch, nil
-	case trace.KindKill:
-		cat, ok := killCategory(e.Task.Reason)
-		if !ok {
-			return nil, fmt.Errorf("kill j%d/t%d: unknown reason %q", e.Task.Job, e.Task.Task, e.Task.Reason)
-		}
-		if e.Task.CostUC == 0 {
-			return nil, nil
-		}
-		return []charge{{job: e.Task.Job, cat: cat, amount: e.Task.CostUC}}, nil
-	case trace.KindMove:
-		cat, ok := moveCategory(e.Move.Reason)
-		if !ok {
-			return nil, fmt.Errorf("move %d/%d: unknown reason %q", e.Move.Object, e.Move.Block, e.Move.Reason)
-		}
-		if e.Move.CostUC == 0 {
-			return nil, nil
-		}
-		return []charge{{job: -1, cat: cat, amount: e.Move.CostUC}}, nil
-	default:
-		return nil, nil
-	}
-}
-
-// tenantOf resolves a charge's owning tenant from the run header's
-// job→user table. Jobless charges and jobs with no recorded user land
-// on the reserved unattributed tenant, mirroring Sim.charge. ok is
-// false when the header cannot attribute the job (serve-mode traces
-// carry no job table), which disables per-tenant auditing.
-func tenantOf(info *trace.RunInfo, job int) (string, bool) {
-	if job < 0 {
-		return cost.UnattributedTenant, true
-	}
-	if info == nil || job >= len(info.JobUsers) {
-		return "", false
-	}
-	if info.JobUsers[job] == "" {
-		return cost.UnattributedTenant, true
-	}
-	return info.JobUsers[job], true
-}
-
-// auditRun streams one run's events in file order, rebuilding the
-// cumulative per-category and per-tenant ledgers from the money-bearing
-// events, and proves them — to the exact microcent — against every
-// sample snapshot the producer embedded. A drift anywhere is an error
-// naming the first diverging sample.
+// auditRun streams one run's events in file order, rebuilding the run's
+// ledger from the money-bearing events, and proves its category and
+// tenant lines — to the exact microcent — against every sample snapshot
+// the producer embedded. A drift anywhere is an error naming the first
+// diverging sample.
 func auditRun(out io.Writer, r runGroup) error {
 	name := "(headerless)"
 	if r.info != nil {
@@ -126,100 +34,55 @@ func auditRun(out io.Writer, r runGroup) error {
 		}
 	}
 
-	cats := make(map[cost.Category]int64)
-	tenants := make(map[string]map[cost.Category]int64)
-	var total int64
+	l := cost.NewLedger()
 	tenantsOK := true
 	charges, samples := 0, 0
-
 	for i, e := range r.events {
-		chs, err := eventCharges(e)
+		chs, err := trace.Charges(e)
 		if err != nil {
 			return fmt.Errorf("audit %s: event %d: %v", name, i, err)
 		}
 		for _, ch := range chs {
-			if ch.amount < 0 {
-				return fmt.Errorf("audit %s: event %d: negative charge %d", name, i, ch.amount)
+			if ch.UC < 0 {
+				return fmt.Errorf("audit %s: event %d: negative charge %d", name, i, ch.UC)
 			}
-			cats[ch.cat] += ch.amount
-			total += ch.amount
+			tn, ok := r.info.JobTenant(ch.Job)
+			tenantsOK = tenantsOK && ok
+			l.ChargeTenant(ch.Cat, "", tn, cost.Money(ch.UC))
 			charges++
-			if tn, ok := tenantOf(r.info, ch.job); ok {
-				m := tenants[tn]
-				if m == nil {
-					m = make(map[cost.Category]int64)
-					tenants[tn] = m
-				}
-				m[ch.cat] += ch.amount
-			} else {
-				tenantsOK = false
-			}
 		}
 		if e.Kind != trace.KindSample {
 			continue
 		}
 		samples++
 		s := e.Sample
-		for _, c := range []struct {
-			cat  cost.Category
-			want int64
-		}{
-			{cost.CatCPU, s.CPUUC}, {cost.CatTransfer, s.TransferUC},
-			{cost.CatPlacement, s.PlacementUC}, {cost.CatSpeculative, s.SpeculativeUC},
-			{cost.CatFault, s.FaultUC},
-		} {
-			if cats[c.cat] != c.want {
-				return fmt.Errorf("audit %s: sample at t=%.0fs: %s rebuilt %s, ledger says %s",
-					name, e.T, c.cat, usd(cats[c.cat]), usd(c.want))
-			}
+		at := fmt.Sprintf("audit %s: sample at t=%.0fs", name, e.T)
+		if err := sameLine(at+":", l.Category, s.CPUUC, s.TransferUC, s.PlacementUC, s.SpeculativeUC, s.FaultUC); err != nil {
+			return err
 		}
-		if total != s.TotalUC {
-			return fmt.Errorf("audit %s: sample at t=%.0fs: total rebuilt %s, ledger says %s",
-				name, e.T, usd(total), usd(s.TotalUC))
+		if total := int64(l.Total()); total != s.TotalUC {
+			return fmt.Errorf("%s: total rebuilt %s, ledger says %s", at, usd(total), usd(s.TotalUC))
 		}
 		if !tenantsOK {
 			continue
 		}
 		var tenantSum int64
+		listed := make(map[string]bool, len(s.Tenants))
 		for _, tc := range s.Tenants {
 			tenantSum += tc.TotalUC
-			got := tenants[tc.Tenant]
-			for _, c := range []struct {
-				cat  cost.Category
-				want int64
-			}{
-				{cost.CatCPU, tc.CPUUC}, {cost.CatTransfer, tc.TransferUC},
-				{cost.CatPlacement, tc.PlacementUC}, {cost.CatSpeculative, tc.SpeculativeUC},
-				{cost.CatFault, tc.FaultUC},
-			} {
-				if got[c.cat] != c.want {
-					return fmt.Errorf("audit %s: sample at t=%.0fs: tenant %s %s rebuilt %s, ledger says %s",
-						name, e.T, tc.Tenant, c.cat, usd(got[c.cat]), usd(c.want))
-				}
+			listed[tc.Tenant] = true
+			got := func(cat cost.Category) cost.Money { return l.TenantCategory(tc.Tenant, cat) }
+			if err := sameLine(at+": tenant "+tc.Tenant, got,
+				tc.CPUUC, tc.TransferUC, tc.PlacementUC, tc.SpeculativeUC, tc.FaultUC); err != nil {
+				return err
 			}
 		}
 		if tenantSum != s.TotalUC {
-			return fmt.Errorf("audit %s: sample at t=%.0fs: tenant chargebacks sum to %s, ledger total is %s",
-				name, e.T, usd(tenantSum), usd(s.TotalUC))
+			return fmt.Errorf("%s: tenant chargebacks sum to %s, ledger total is %s", at, usd(tenantSum), usd(s.TotalUC))
 		}
-		for tn, m := range tenants {
-			var sum int64
-			for _, v := range m {
-				sum += v
-			}
-			if sum == 0 {
-				continue
-			}
-			found := false
-			for _, tc := range s.Tenants {
-				if tc.Tenant == tn {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("audit %s: sample at t=%.0fs: rebuilt tenant %s (%s) missing from ledger",
-					name, e.T, tn, usd(sum))
+		for _, tn := range l.Tenants() {
+			if sum := int64(l.TenantTotal(tn)); sum != 0 && !listed[tn] {
+				return fmt.Errorf("%s: rebuilt tenant %s (%s) missing from ledger", at, tn, usd(sum))
 			}
 		}
 	}
@@ -228,16 +91,22 @@ func auditRun(out io.Writer, r runGroup) error {
 		return fmt.Errorf("audit %s: no sample snapshots to reconcile against (trace produced without -sample?)", name)
 	}
 	fmt.Fprintf(out, "audit %s: OK — %d charge bookings over %d samples reconciled to the microcent, %s total",
-		name, charges, samples, usd(total))
+		name, charges, samples, usd(int64(l.Total())))
 	if tenantsOK {
-		names := make([]string, 0, len(tenants))
-		for tn := range tenants {
-			names = append(names, tn)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(out, " across %d tenants %v\n", len(names), names)
+		fmt.Fprintf(out, " across %d tenants %v\n", len(l.Tenants()), l.Tenants())
 	} else {
 		fmt.Fprintf(out, " (no job→tenant table in the run header; tenant lines not audited)\n")
+	}
+	return nil
+}
+
+// sameLine checks one rebuilt ledger line against a sample's, whose
+// microcents come in cost.Categories order.
+func sameLine(who string, got func(cost.Category) cost.Money, want ...int64) error {
+	for i, cat := range cost.Categories {
+		if g := int64(got(cat)); g != want[i] {
+			return fmt.Errorf("%s %s rebuilt %s, ledger says %s", who, cat, usd(g), usd(want[i]))
+		}
 	}
 	return nil
 }
@@ -266,30 +135,27 @@ func rollupJobs(r runGroup) ([]*jobBill, error) {
 			b = &jobBill{job: job, byCat: make(map[cost.Category]int64)}
 			b.name = fmt.Sprintf("j%d", job)
 			b.tenant = "?"
+			if tn, ok := r.info.JobTenant(job); ok {
+				b.tenant = tn
+			}
 			if job < 0 {
 				b.name = "(system)"
-				b.tenant = cost.UnattributedTenant
-			} else if r.info != nil {
-				if job < len(r.info.JobNames) && r.info.JobNames[job] != "" {
-					b.name = r.info.JobNames[job]
-				}
-				if tn, ok := tenantOf(r.info, job); ok {
-					b.tenant = tn
-				}
+			} else if r.info != nil && job < len(r.info.JobNames) && r.info.JobNames[job] != "" {
+				b.name = r.info.JobNames[job]
 			}
 			bills[job] = b
 		}
 		return b
 	}
 	for i, e := range r.events {
-		chs, err := eventCharges(e)
+		chs, err := trace.Charges(e)
 		if err != nil {
 			return nil, fmt.Errorf("event %d: %v", i, err)
 		}
 		for _, ch := range chs {
-			b := get(ch.job)
-			b.byCat[ch.cat] += ch.amount
-			b.totalUC += ch.amount
+			b := get(ch.Job)
+			b.byCat[ch.Cat] += ch.UC
+			b.totalUC += ch.UC
 		}
 		switch e.Kind {
 		case trace.KindDone:
