@@ -1,7 +1,8 @@
 // Command lips-balance demonstrates the HDFS balancer on a synthetic
 // cluster: it skews a workload's block placement, runs hdfs.Balance, and
 // prints per-store utilization before and after plus the transfer bill the
-// moves would incur.
+// moves would incur. With -trace and -listen the moves go to the trace and
+// to the live lips_sim_* move counters, as a lips-sim -balance run's do.
 //
 // Usage:
 //
@@ -19,6 +20,7 @@ import (
 	"lips/internal/cost"
 	"lips/internal/hdfs"
 	"lips/internal/obs"
+	"lips/internal/sim"
 	"lips/internal/workload"
 )
 
@@ -78,18 +80,7 @@ func run(out *os.File, clusterKind string, tasks int, threshold float64, seed in
 		bill += c.SSPerGB(m.From, m.To).MulFloat(mb / 1024)
 	}
 	fmt.Fprintf(out, "\nbalancer: %d block moves, transfer bill %v\n\n", len(moves), bill)
-	if reg := cli.Registry; reg != nil {
-		movedMB := 0.0
-		for _, m := range moves {
-			movedMB += p.Object(m.Object).BlockSizeMB(m.Block)
-		}
-		reg.Counter("lips_balance_moves_total", "Block moves the balancer planned.").Add(float64(len(moves)))
-		reg.Counter("lips_balance_moved_megabytes_total", "Megabytes the planned moves relocate.").Add(movedMB)
-		reg.Counter("lips_balance_bill_microcents_total", "Transfer bill of the planned moves, in microcents.").Add(float64(bill))
-	}
 	show("after balancing")
-	if cli.Trace != nil {
-		hdfs.EmitMoves(cli.Trace, 0, p, moves, "balance")
-	}
+	sim.NoteMoves(cli.Trace, cli.Registry, 0, p, moves, "balance")
 	return nil
 }

@@ -148,9 +148,7 @@ func runCfg(cfg config, cli *obs.CLI) error {
 	placement.Shuffle(rng, stores)
 	if cfg.Balance {
 		moves := hdfs.Balance(c, placement, 0.1)
-		if cli.Trace != nil {
-			hdfs.EmitMoves(cli.Trace, 0, placement, moves, "balance")
-		}
+		sim.NoteMoves(cli.Trace, cli.Registry, 0, placement, moves, "balance")
 		fmt.Printf("balancer: %d blocks relocated before scheduling\n", len(moves))
 	}
 

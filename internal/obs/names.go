@@ -1,12 +1,20 @@
 package obs
 
-import "lips/internal/trace"
+import (
+	"sync"
 
-// Metric families, one vocabulary for the live instrumentation
-// (internal/sim, and internal/sched, which also renders the lips_lp_*
-// families from its epoch records) and the offline trace replay sink
-// (TraceSink), so a Prometheus scrape of a running simulation and
-// `lips-trace -metrics` over its JSONL trace line up.
+	"lips/internal/cost"
+	"lips/internal/trace"
+)
+
+// Metric families, one vocabulary for every producer. The lips_sim_*,
+// lips_cost_* and lips_sched_* families have one producer each, the
+// observers of SimMetrics and SchedMetrics: the simulator and the LiPS
+// scheduler call them live, the trace replay sink (TraceSink) calls them
+// for each event it reads, so a Prometheus scrape of a running
+// simulation and `lips-trace -metrics` over its JSONL trace line up
+// byte for byte. The lips_lp_* families are live only: LiPS renders them
+// from its epoch records, which the epoch event does not carry whole.
 // Naming scheme (documented in DESIGN.md par.10): lips_<layer>_<what>,
 // base units (seconds, microcents, megabytes), counters suffixed _total.
 const (
@@ -86,15 +94,16 @@ const (
 // at zero from the first scrape (and so the trace replay registers the
 // identical family shapes).
 var (
-	// CostCategories mirrors internal/cost's Category values.
-	CostCategories = []string{"cpu", "transfer", "placement", "speculative", "fault"}
 	// Localities mirrors internal/sim Locality.String values.
 	Localities = []string{"node-local", "zone-local", "remote", "no-input"}
 	// TaskStates mirrors internal/sim's TaskState lifecycle.
 	TaskStates = []string{"pending", "queued", "running", "done"}
-	// KillReasons are the simulator's traceKill reason strings.
+	// KillReasons are the simulator's kill reasons; trace.KillCategory
+	// says what each bills.
 	KillReasons = []string{"timeout", "speculative", "node-crash", "store-loss", "cancel"}
-	// MoveReasons are the simulator's block-relocation reasons.
+	// MoveReasons are the simulator's block-relocation reasons
+	// (trace.MoveCategory); the balancer's "balance" moves come from
+	// lips-sim -balance and lips-balance only and are not pre-registered.
 	MoveReasons = []string{"plan", "re-replicate", "re-materialize"}
 	// FaultKinds mirrors internal/sim FaultKind.String values.
 	FaultKinds = []string{"node-down", "node-up", "store-loss", "slowdown"}
@@ -105,18 +114,25 @@ var (
 	AlertStates = []string{AlertPending, AlertFiring, AlertResolved}
 )
 
-// SimMetrics bundles the simulator's metric handles. Counters are exact
-// (bumped at the same chokepoints that emit trace events and ledger
-// charges); the gauges are refreshed on the simulated-time sampling
-// cadence and so lag by at most one interval.
+// SimMetrics bundles the simulator's handles. Like SchedMetrics, they
+// move only through its observers, which the simulator's chokepoints
+// call live and TraceSink calls for each event it reads, so a replayed
+// trace reproduces the live values by construction. Counters are exact;
+// the gauges move on the simulated-time sampling cadence and so lag by
+// at most one interval. The hot observers (launches, completions,
+// charges, samples) use children resolved at registration, a tenant's on
+// its first charge; none allocates.
 type SimMetrics struct {
-	Clock, BusySlot, FreeSlots, LiveSlots *Gauge
-	Tasks                                 *GaugeVec // by state
-	Enqueued, Done, MovedMB               *Counter
-	Cost                                  map[string]*Counter // by category
-	TenantCost                            *CounterVec2        // by tenant, category
-	Launched                              map[string]*Counter // by locality
-	Killed, Moves, Faults                 *CounterVec         // by reason / reason / kind
+	clock, busySlot, freeSlots, liveSlots *Gauge
+	tasks                                 [4]*Gauge // in TaskStates order
+	enqueued, done, movedMB               *Counter
+	launched                              map[string]*Counter // by locality
+	killed, moves, faults                 *CounterVec         // by reason / reason / kind
+	cost                                  map[cost.Category]*Counter
+	tenantCost                            *CounterVec2 // by tenant, category
+
+	mu     sync.Mutex
+	tenant map[[2]string]*Counter // tenantCost's children charged so far, by (tenant, category)
 }
 
 // RegisterSim registers (or fetches) the simulator families. Calling it
@@ -127,43 +143,100 @@ func RegisterSim(r *Registry) *SimMetrics {
 
 func registerSim(r *Registry) *SimMetrics {
 	m := &SimMetrics{
-		Clock:     r.Gauge(MSimClockSeconds, "Simulated clock at the last gauge refresh, in seconds."),
-		BusySlot:  r.Gauge(MSimBusySlotSeconds, "Cumulative busy slot-seconds at the last gauge refresh."),
-		FreeSlots: r.Gauge(MSimFreeSlots, "Free task slots on live nodes at the last gauge refresh."),
-		LiveSlots: r.Gauge(MSimLiveSlots, "Total task slots on live nodes at the last gauge refresh."),
-		Tasks:     r.GaugeVec(MSimTasks, "Tasks of arrived jobs by lifecycle state at the last gauge refresh.", "state"),
-		Enqueued:  r.Counter(MSimEnqueued, "Tasks pinned to a node queue."),
-		Done:      r.Counter(MSimDone, "Task completions."),
-		MovedMB:   r.Counter(MSimMovedMB, "Megabytes relocated between stores."),
-		Cost:      make(map[string]*Counter, len(CostCategories)),
-		Launched:  make(map[string]*Counter, len(Localities)),
-		Killed:    r.CounterVec(MSimKilled, "Attempts killed, by reason.", "reason"),
-		Moves:     r.CounterVec(MSimMoves, "Blocks relocated between stores, by reason.", "reason"),
-		Faults:    r.CounterVec(MSimFaults, "Injected faults, by kind.", "kind"),
+		clock:     r.Gauge(MSimClockSeconds, "Simulated clock at the last gauge refresh, in seconds."),
+		busySlot:  r.Gauge(MSimBusySlotSeconds, "Cumulative busy slot-seconds at the last gauge refresh."),
+		freeSlots: r.Gauge(MSimFreeSlots, "Free task slots on live nodes at the last gauge refresh."),
+		liveSlots: r.Gauge(MSimLiveSlots, "Total task slots on live nodes at the last gauge refresh."),
+		enqueued:  r.Counter(MSimEnqueued, "Tasks pinned to a node queue."),
+		done:      r.Counter(MSimDone, "Task completions."),
+		movedMB:   r.Counter(MSimMovedMB, "Megabytes relocated between stores."),
+		launched:  make(map[string]*Counter, len(Localities)),
+		killed:    r.CounterVec(MSimKilled, "Attempts killed, by reason.", "reason"),
+		moves:     r.CounterVec(MSimMoves, "Blocks relocated between stores, by reason.", "reason"),
+		faults:    r.CounterVec(MSimFaults, "Injected faults, by kind.", "kind"),
+		cost:      make(map[cost.Category]*Counter, len(cost.Categories)),
+		tenantCost: r.CounterVec2(MCost, "Chargeback ledger in exact microcents, by owning tenant and category.",
+			"tenant", "category"),
+		tenant: make(map[[2]string]*Counter),
 	}
-	costVec := r.CounterVec(MSimCost, "Ledger charges in exact microcents, by category.", "category")
-	for _, c := range CostCategories {
-		m.Cost[c] = costVec.With(c)
+	tasks := r.GaugeVec(MSimTasks, "Tasks of arrived jobs by lifecycle state at the last gauge refresh.", "state")
+	for i, s := range TaskStates {
+		m.tasks[i] = tasks.With(s)
 	}
-	m.TenantCost = r.CounterVec2(MCost, "Chargeback ledger in exact microcents, by owning tenant and category.",
-		"tenant", "category")
 	launchVec := r.CounterVec(MSimLaunched, "Attempt launches, by input locality.", "locality")
 	for _, l := range Localities {
-		m.Launched[l] = launchVec.With(l)
+		m.launched[l] = launchVec.With(l)
 	}
-	for _, s := range TaskStates {
-		m.Tasks.With(s)
+	costVec := r.CounterVec(MSimCost, "Ledger charges in exact microcents, by category.", "category")
+	for _, c := range cost.Categories {
+		m.cost[c] = costVec.With(string(c))
 	}
-	for _, k := range KillReasons {
-		m.Killed.With(k)
-	}
-	for _, k := range MoveReasons {
-		m.Moves.With(k)
-	}
-	for _, k := range FaultKinds {
-		m.Faults.With(k)
+	for vec, vocab := range map[*CounterVec][]string{m.killed: KillReasons, m.moves: MoveReasons, m.faults: FaultKinds} {
+		for _, label := range vocab {
+			vec.With(label)
+		}
 	}
 	return m
+}
+
+// Enqueue counts a task pinned to a node queue.
+func (m *SimMetrics) Enqueue() { m.enqueued.Inc() }
+
+// Launch counts an attempt launch at input locality loc, one of
+// Localities.
+func (m *SimMetrics) Launch(loc string) {
+	if c := m.launched[loc]; c != nil {
+		c.Inc()
+	}
+}
+
+// Done counts a task completion.
+func (m *SimMetrics) Done() { m.done.Inc() }
+
+// Kill counts an attempt killed for reason.
+func (m *SimMetrics) Kill(reason string) { m.killed.With(reason).Inc() }
+
+// Move counts a block of mb megabytes relocated for reason.
+func (m *SimMetrics) Move(reason string, mb float64) {
+	m.moves.With(reason).Inc()
+	m.movedMB.Add(mb)
+}
+
+// Fault counts an injected fault of kind.
+func (m *SimMetrics) Fault(kind string) { m.faults.With(kind).Inc() }
+
+// Charge adds uc microcents to category cat and, when tenant is set, to
+// the tenant's chargeback line (the replay leaves it empty for a job its
+// run header does not list). A zero charge moves nothing, on either
+// side: an event cannot show one. The ledger itself still books it.
+func (m *SimMetrics) Charge(tenant string, cat cost.Category, uc int64) {
+	if uc == 0 {
+		return
+	}
+	m.cost[cat].Add(float64(uc))
+	if tenant == "" {
+		return
+	}
+	k := [2]string{tenant, string(cat)}
+	m.mu.Lock()
+	c := m.tenant[k]
+	if c == nil {
+		c = m.tenantCost.With(tenant, string(cat))
+		m.tenant[k] = c
+	}
+	m.mu.Unlock()
+	c.Add(float64(uc))
+}
+
+// Sample sets the gauges to one snapshot taken at simulated time t.
+func (m *SimMetrics) Sample(t float64, s *trace.SampleInfo) {
+	m.clock.Set(t)
+	m.busySlot.Set(s.BusySlotSec)
+	m.freeSlots.Set(float64(s.FreeSlots))
+	m.liveSlots.Set(float64(s.LiveSlots))
+	for i, n := range [...]int{s.Pending, s.Queued, s.Running, s.Done} {
+		m.tasks[i].Set(float64(n))
+	}
 }
 
 // SchedMetrics bundles the LiPS epoch-loop handles. They move only in

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"lips/internal/cost"
 	"lips/internal/trace"
 )
 
@@ -29,15 +30,13 @@ func TestProgressMatchesSamplerCSV(t *testing.T) {
 func TestSnapshotReadsRegistry(t *testing.T) {
 	reg := NewRegistry()
 	m := RegisterSim(reg)
-	m.Clock.Set(120)
-	m.Cost["cpu"].Add(1e8)
-	m.Cost["transfer"].Add(5e7)
-	m.Tasks.With("running").Set(4)
-	m.FreeSlots.Set(2)
-	m.LiveSlots.Set(8)
-	m.BusySlot.Set(90)
-	m.Launched["node-local"].Add(6)
-	m.Faults.With("node-down").Inc()
+	m.Sample(120, &trace.SampleInfo{Running: 4, FreeSlots: 2, LiveSlots: 8, BusySlotSec: 90})
+	m.Charge("alice", cost.CatCPU, 1e8)
+	m.Charge("", cost.CatTransfer, 5e7)
+	for i := 0; i < 6; i++ {
+		m.Launch("node-local")
+	}
+	m.Fault("node-down")
 	RegisterSched(reg).ObserveEpoch(&trace.EpochInfo{Epoch: 2, Deferred: 5})
 
 	p := Snapshot(reg)

@@ -9,18 +9,19 @@ import (
 
 	"lips/internal/lp"
 	"lips/internal/obs"
+	"lips/internal/obs/obstest"
 	"lips/internal/sim"
 	"lips/internal/trace"
 )
 
-// TestLiveMetricsMatchTraceReplay is the shared-vocabulary contract: a
-// LiPS run scraped live and the same run's JSONL trace replayed through
-// obs.NewTraceSink must agree on every deterministic family — lifecycle
-// counters, epoch counters, and the sampled gauges (live runs on the same
+// TestLiveMetricsMatchTraceReplay is the one-producer contract: a LiPS
+// run scraped live and the same run's JSONL trace replayed through
+// obs.NewTraceSink must expose the same lips_sim_*, lips_cost_* and
+// lips_sched_* bytes — lifecycle counters, epoch counters, cost by
+// category and tenant, and the sampled gauges (live runs on the same
 // cadence as the trace sampler, so the last refresh and the last sample
-// coincide). Wall-clock histograms and the cost counters are excluded:
-// the replay derives cost from the cumulative sample series, which stops
-// at the last sample rather than the end-of-run ledger.
+// coincide). The faulted run books a 0 µ¢ charge, which neither side
+// may show.
 func TestLiveMetricsMatchTraceReplay(t *testing.T) {
 	liveReg := obs.NewRegistry()
 	var buf bytes.Buffer
@@ -36,7 +37,7 @@ func TestLiveMetricsMatchTraceReplay(t *testing.T) {
 		Tracer: sink, SampleIntervalSec: 50,
 		Metrics: liveReg, MetricsSampleSec: 50,
 	}
-	runSched(t, c, w, nil, NewLiPS(200), opts)
+	r := runSched(t, c, w, nil, NewLiPS(200), opts)
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -50,59 +51,22 @@ func TestLiveMetricsMatchTraceReplay(t *testing.T) {
 	for _, e := range events {
 		replay.Emit(e)
 	}
-
-	check := func(name string, labels ...string) {
-		t.Helper()
-		if len(labels) == 0 {
-			labels = []string{""}
-		}
-		for _, lv := range labels {
-			var live, rep float64
-			var ok1, ok2 bool
-			if lv == "" {
-				live, ok1 = liveReg.Value(name)
-				rep, ok2 = replayReg.Value(name)
-			} else {
-				live, ok1 = liveReg.Value(name, lv)
-				rep, ok2 = replayReg.Value(name, lv)
-			}
-			if !ok1 || !ok2 {
-				t.Errorf("%s{%s}: registered live=%v replay=%v", name, lv, ok1, ok2)
-				continue
-			}
-			if live != rep {
-				t.Errorf("%s{%s}: live %g != replay %g", name, lv, live, rep)
-			}
-		}
-	}
-
-	check(obs.MSimEnqueued)
-	check(obs.MSimDone)
-	check(obs.MSimLaunched, obs.Localities...)
-	check(obs.MSimKilled, obs.KillReasons...)
-	check(obs.MSimMoves, obs.MoveReasons...)
-	check(obs.MSimMovedMB)
-	check(obs.MSimFaults, obs.FaultKinds...)
-	check(obs.MSchedEpochs)
-	check(obs.MSchedEpochNumber)
-	check(obs.MSchedDeferred)
-	check(obs.MSchedWarmOffers)
-	check(obs.MSchedWarmHits)
-	check(obs.MSchedLaunched)
-	check(obs.MSchedIters) // histogram Value is the observation count
-	// Sampled gauges: identical cadences make the last live refresh and
-	// the last replayed sample the same scan.
-	check(obs.MSimClockSeconds)
-	check(obs.MSimBusySlotSeconds)
-	check(obs.MSimFreeSlots)
-	check(obs.MSimLiveSlots)
-	check(obs.MSimTasks, obs.TaskStates...)
+	obstest.SameExposition(t, liveReg, replayReg, obstest.Replayed...)
 
 	if v, _ := liveReg.Value(obs.MSimDone); v == 0 {
 		t.Error("run completed no tasks — the comparison is vacuous")
 	}
 	if v, _ := liveReg.Value(obs.MSchedEpochs); v == 0 {
 		t.Error("run solved no epochs — the comparison is vacuous")
+	}
+	zero := false
+	for _, tn := range r.Cost.Tenants() {
+		for _, uc := range r.Cost.TenantBreakdown(tn) {
+			zero = zero || uc == 0
+		}
+	}
+	if !zero {
+		t.Error("run booked no 0 µ¢ charge — the zero-charge rule goes untested")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"lips/internal/cluster"
 	"lips/internal/cost"
 	"lips/internal/hdfs"
+	"lips/internal/trace"
 )
 
 // Fault injection. A FaultPlan is a deterministic script of node crashes,
@@ -223,7 +224,7 @@ func (s *Sim) crashHit(flat int32, n cluster.NodeID) {
 	ti := &s.tasks[flat]
 	j, t := int(ti.job), int(ti.idx)
 	if ti.spec >= 0 && s.specs[ti.spec].node == n {
-		s.cancelSpeculative(j, t, cost.CatFault, false, "node-crash")
+		s.cancelSpeculative(j, t, false, "node-crash")
 	}
 	if TaskState(s.states[flat]) == Running && ti.node == n {
 		// Untrack first: the spec kill's dispatch runs scheduler code,
@@ -233,7 +234,7 @@ func (s *Sim) crashHit(flat int32, n cluster.NodeID) {
 			// The surviving speculative copy could in principle be
 			// promoted; Hadoop instead re-runs the task, and so do
 			// we — both copies die with the primary's node.
-			s.cancelSpeculative(j, t, cost.CatFault, true, "node-crash")
+			s.cancelSpeculative(j, t, true, "node-crash")
 		}
 		s.failAttempt(j, t, false, "node-crash")
 	}
@@ -271,7 +272,7 @@ func (s *Sim) failAttempt(job, task int, freeSlot bool, reason string) {
 	}
 	billed, burned := s.partialBurn(job, task)
 	if burned {
-		s.charge(cost.CatFault, job, billed)
+		s.charge(trace.KillCategory(reason), job, billed)
 	}
 	s.untrackPrimary(ti)
 	ti.gen++
@@ -303,7 +304,6 @@ func (s *Sim) loseStore(st cluster.StoreID) {
 		s.P.AddReplica(br.Object, br.Block, dst)
 		mb := s.P.Object(br.Object).BlockSizeMB(br.Block)
 		billed := s.C.SSPerGB(src, dst).MulFloat(mb / 1024)
-		s.charge(cost.CatFault, -1, billed)
 		s.Faults.BlocksReplicated++
 		s.noteMove(int(br.Object), br.Block, src, dst, mb, 0, billed, "re-replicate")
 	}
@@ -319,7 +319,6 @@ func (s *Sim) loseStore(st cluster.StoreID) {
 		s.P.SetPrimary(br.Object, br.Block, dst)
 		mb := obj.BlockSizeMB(br.Block)
 		billed := s.C.SSPerGB(st, dst).MulFloat(mb / 1024)
-		s.charge(cost.CatFault, -1, billed)
 		s.Faults.BlocksLost++
 		s.Faults.BlocksReplicated++
 		s.noteMove(int(br.Object), br.Block, st, dst, mb, 0, billed, "re-materialize")
@@ -342,7 +341,7 @@ func (s *Sim) storeLossHit(flat int32, st cluster.StoreID) {
 	if ti.spec >= 0 {
 		sp := &s.specs[ti.spec]
 		if sp.store == st && s.clock < sp.transferEndAt-1e-9 {
-			s.cancelSpeculative(j, t, cost.CatFault, true, "store-loss")
+			s.cancelSpeculative(j, t, true, "store-loss")
 		}
 	}
 	if TaskState(s.states[flat]) == Running && ti.store == st && s.inTransfer(ti) {

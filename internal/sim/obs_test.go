@@ -30,6 +30,43 @@ func TestNoObsNoAllocs(t *testing.T) {
 	}
 }
 
+// TestMetricsNoAllocs is TestNoObsNoAllocs with Options.Metrics set:
+// every chokepoint calls its obs.SimMetrics observer through handles
+// resolved at registration, and a charge's tenant counter is resolved on
+// its first charge (AllocsPerRun's warm-up call), so none allocates.
+func TestMetricsNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates")
+	}
+	s := New(oneNodeCluster(), twoTaskJob(), nil, greedyStub(), Options{Metrics: obs.NewRegistry()})
+	if s.om == nil {
+		t.Fatal("om unset with Options.Metrics")
+	}
+	type chokepoint struct {
+		name string
+		f    func()
+	}
+	cps := []chokepoint{
+		{"noteEnqueue", func() { s.noteEnqueue(0, 0, 0, 0, 0) }},
+		{"noteLaunch", func() { s.noteLaunch(0, 0, 1, 0, 0, NodeLocal, false) }},
+		{"noteDone", func() { s.noteDone(0, 0, 1, 0, 0, 1, 0, 1, 0, 0, false) }},
+		{"noteFault", func() { s.noteFault(Fault{Kind: FaultNodeDown}) }},
+		{"charge", func() { s.charge(cost.CatCPU, 0, 1) }},
+		{"obsRefresh", s.obsRefresh},
+	}
+	for _, r := range obs.KillReasons {
+		cps = append(cps, chokepoint{"noteKill " + r, func() { s.noteKill(0, 0, 0, r, 1, false) }})
+	}
+	for _, r := range obs.MoveReasons {
+		cps = append(cps, chokepoint{"noteMove " + r, func() { s.noteMove(0, 0, 0, 0, 64, 1, 1, r) }})
+	}
+	for _, cp := range cps {
+		if allocs := testing.AllocsPerRun(100, cp.f); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per call with metrics on, want 0", cp.name, allocs)
+		}
+	}
+}
+
 // TestLiveMetricsMatchRun runs a workload with a live registry and checks
 // the scraped values against the run's own result: lifecycle counters and
 // cost counters are exact, final gauges land on the end-of-run state.

@@ -16,9 +16,9 @@ import (
 	"fmt"
 
 	"lips/internal/cluster"
-	"lips/internal/cost"
 	"lips/internal/hdfs"
 	"lips/internal/obs"
+	"lips/internal/trace"
 	"lips/internal/workload"
 )
 
@@ -266,14 +266,14 @@ func (s *Sim) CancelJob(job int) error {
 		t := int(f - base)
 		n := ti.node
 		billed, _ := s.partialBurn(job, t)
-		s.charge(cost.CatSpeculative, job, billed)
+		s.charge(trace.KillCategory("cancel"), job, billed)
 		if ti.flow != nil {
 			s.net.cancel(ti.flow)
 			ti.flow = nil
 		}
 		s.untrackPrimary(ti)
 		if ti.spec >= 0 {
-			s.cancelSpeculative(job, t, cost.CatSpeculative, true, "cancel")
+			s.cancelSpeculative(job, t, true, "cancel")
 		}
 		ti.gen++
 		s.setStateFlat(job, f, Done)

@@ -374,7 +374,7 @@ type Sim struct {
 	// are disabled — the same cached-guard discipline (see obs.go).
 	tr      trace.Tracer
 	traceOn bool
-	om      *simMetrics
+	om      *obs.SimMetrics
 
 	clock  float64
 	seq    int64
@@ -468,7 +468,7 @@ func New(c *cluster.Cluster, w *workload.Workload, p *hdfs.Placement, sched Sche
 	s.tr = s.opts.Tracer
 	s.traceOn = s.tr.Enabled()
 	if s.opts.Metrics != nil {
-		s.om = newSimMetrics(s.opts.Metrics)
+		s.om = obs.RegisterSim(s.opts.Metrics)
 	}
 
 	s.nodes = make([]nodeState, len(c.Nodes))

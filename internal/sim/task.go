@@ -5,6 +5,7 @@ import (
 
 	"lips/internal/cluster"
 	"lips/internal/cost"
+	"lips/internal/trace"
 )
 
 // NoStore marks a launch without input data (Pi-style tasks).
@@ -179,7 +180,7 @@ func (s *Sim) timeoutEvent(job, task int, gen int32) {
 func (s *Sim) timeoutKill(job, task int, ti *taskInfo, movedMB float64) {
 	n := ti.node
 	billed := s.C.MSPerGB(n, ti.store).MulFloat(movedMB / 1024)
-	s.charge(cost.CatTransfer, job, billed)
+	s.charge(trace.KillCategory("timeout"), job, billed)
 	s.busySlotSec += s.opts.TaskTimeoutSec
 	s.untrackPrimary(ti)
 	ti.gen++
@@ -307,18 +308,7 @@ func (s *Sim) completeAttempt(job, task int, n cluster.NodeID, store cluster.Sto
 	}
 	s.slotFreed(n)
 
-	if s.om != nil {
-		s.om.m.Done.Inc()
-	}
-	if s.traceOn {
-		xferSec := transferEnd - (s.clock - wallSec)
-		if xferSec < 0 {
-			xferSec = 0
-		} else if xferSec > wallSec {
-			xferSec = wallSec
-		}
-		s.noteDone(job, task, int(ti.attempts), n, store, wallSec, xferSec, billedCPUSec, billed, xferBilled, speculative)
-	}
+	s.noteDone(job, task, int(ti.attempts), n, store, wallSec, transferEnd, billedCPUSec, billed, xferBilled, speculative)
 
 	// Settle the twin attempt, if any.
 	if speculative {
@@ -364,13 +354,13 @@ func (s *Sim) completeAttempt(job, task int, n cluster.NodeID, store cluster.Sto
 // killSpeculative cancels a running speculative copy, billing the CPU it
 // burned so far to the speculative-waste category.
 func (s *Sim) killSpeculative(job, task int) {
-	s.cancelSpeculative(job, task, cost.CatSpeculative, true, "speculative")
+	s.cancelSpeculative(job, task, true, "speculative")
 }
 
 // cancelSpeculative cancels a running speculative copy, billing its burn
-// to the given category. freeSlot is false when the copy's node crashed
-// and took the slot with it; reason labels the kill in the trace.
-func (s *Sim) cancelSpeculative(job, task int, cat cost.Category, freeSlot bool, reason string) {
+// under the kill reason's category (trace.KillCategory). freeSlot is
+// false when the copy's node crashed and took the slot with it.
+func (s *Sim) cancelSpeculative(job, task int, freeSlot bool, reason string) {
 	ti := s.task(job, task)
 	if ti.spec < 0 {
 		return
@@ -391,7 +381,7 @@ func (s *Sim) cancelSpeculative(job, task int, cat cost.Category, freeSlot bool,
 		burned = sp.cpuSec
 	}
 	billed := cost.CPUCost(sp.price, burned)
-	s.charge(cat, job, billed)
+	s.charge(trace.KillCategory(reason), job, billed)
 	s.busySlotSec += elapsed
 	s.untrackRunning(sp.runPos)
 	s.freeSpec(ti)
@@ -414,7 +404,7 @@ func (s *Sim) killAttempt(job, task int, n cluster.NodeID) {
 	// demand as a conservative estimate of the wasted burn.
 	cpuSec, _ := s.taskDemand(job, task)
 	billed := cost.CPUCost(ti.price, cpuSec/2)
-	s.charge(cost.CatSpeculative, job, billed)
+	s.charge(trace.KillCategory("speculative"), job, billed)
 	s.untrackPrimary(ti)
 	s.noteKill(job, task, n, "speculative", billed, false)
 	s.slotFreed(n)
@@ -617,7 +607,6 @@ func (s *Sim) MoveBlock(obj int, block int, dst cluster.StoreID) float64 {
 	}
 	mb := j.BlockSizeMB(block)
 	billed := s.C.SSPerGB(src, dst).MulFloat(mb / 1024)
-	s.charge(cost.CatPlacement, -1, billed)
 	doneAt := s.clock + mb/s.C.BandwidthStoreStore(src, dst)
 	s.noteMove(obj, block, src, dst, mb, doneAt-s.clock, billed, "plan")
 	key := [2]int{obj, block}
