@@ -37,18 +37,24 @@ func TestValidate(t *testing.T) {
 		}
 	}
 	bad := []Event{
-		{T: -1, Kind: KindSample, Sample: &SampleInfo{}},                     // negative time
-		{T: 1, Kind: Kind("bogus")},                                          // unknown kind
-		{T: 1, Kind: KindRun},                                                // missing payload
-		{T: 1, Kind: KindRun, Run: &RunInfo{}},                               // missing scheduler
-		{T: 1, Kind: KindDone},                                               // missing task
-		{T: 1, Kind: KindDone, Task: &TaskInfo{Node: -2}},                    // invalid node id
-		{T: 1, Kind: KindDone, Task: &TaskInfo{Job: -1}},                     // invalid task key
-		{T: 1, Kind: KindEpoch, Epoch: &EpochInfo{Scheduler: "lips"}},        // epoch 0
-		{T: 1, Kind: KindMove, Move: &MoveInfo{Block: -1}},                   // invalid block
-		{T: 1, Kind: KindFault, Fault: &FaultInfo{}},                         // missing fault kind
-		{T: 1, Kind: KindSample, Sample: &SampleInfo{Running: -1}},           // negative count
-		{T: 1, Kind: KindSample, Sample: &SampleInfo{}, Fault: &FaultInfo{}}, // two payloads
+		{T: -1, Kind: KindSample, Sample: &SampleInfo{}},                                      // negative time
+		{T: 1, Kind: Kind("bogus")},                                                           // unknown kind
+		{T: 1, Kind: KindRun},                                                                 // missing payload
+		{T: 1, Kind: KindRun, Run: &RunInfo{}},                                                // missing scheduler
+		{T: 1, Kind: KindDone},                                                                // missing task
+		{T: 1, Kind: KindDone, Task: &TaskInfo{Node: -2}},                                     // invalid node id
+		{T: 1, Kind: KindDone, Task: &TaskInfo{Job: -1}},                                      // invalid task key
+		{T: 1, Kind: KindEpoch, Epoch: &EpochInfo{Scheduler: "lips"}},                         // epoch 0
+		{T: 1, Kind: KindEpoch, Epoch: &EpochInfo{Scheduler: "lips", Epoch: 1, Launched: -1}}, // negative launches
+		{T: 1, Kind: KindMove, Move: &MoveInfo{Block: -1}},                                    // invalid block
+		{T: 1, Kind: KindKill, Task: &TaskInfo{CostUC: -1}},                                   // negative kill charge
+		{T: 1, Kind: KindDone, Task: &TaskInfo{CostUC: -1}},                                   // negative done charge
+		{T: 1, Kind: KindDone, Task: &TaskInfo{CostUC: 5, XferUC: -1}},                        // negative transfer charge
+		{T: 1, Kind: KindMove, Move: &MoveInfo{CostUC: -1}},                                   // negative move charge
+		{T: 1, Kind: KindMove, Move: &MoveInfo{MB: -1}},                                       // negative move size
+		{T: 1, Kind: KindFault, Fault: &FaultInfo{}},                                          // missing fault kind
+		{T: 1, Kind: KindSample, Sample: &SampleInfo{Running: -1}},                            // negative count
+		{T: 1, Kind: KindSample, Sample: &SampleInfo{}, Fault: &FaultInfo{}},                  // two payloads
 	}
 	for _, e := range bad {
 		if err := Validate(e); err == nil {
