@@ -126,6 +126,17 @@ func fillSS(in *Instance, rng *rand.Rand) {
 	}
 }
 
+// nodedInstance is synthInstance with one concrete node behind every
+// machine, so FilterMachines has something to kill.
+func nodedInstance(jobs, machines, stores, classes int, rng *rand.Rand) *Instance {
+	in := synthInstance(jobs, machines, stores, classes, false, rng)
+	fillSS(in, rng)
+	for l := range in.Machines {
+		in.Machines[l].Nodes = []cluster.NodeID{cluster.NodeID(l)}
+	}
+	return in
+}
+
 // TestOnlineColGenMatchesFullObjective is the core differential: at
 // bucketed scale, column generation must reproduce the full model's
 // optimal cost to 1e-6 relative while materializing only part of the

@@ -11,16 +11,17 @@ import (
 //
 // XT[k] maps {machine, store} → the fraction of job k that runs on that
 // machine reading that store (store is noStore == -1 for jobs without
-// input). XD[i][j] is the fraction of data item i placed on store unit j
-// (nil for GreedyPlan and LocalOnlyPlan, whose placement was an input).
+// input). XD[i][j] is the fraction of data item i placed on store unit j.
+// XDFlows[i] maps {origin unit, dest store} → flow fraction, the exact
+// transportation decomposition behind XD. A solved model sets both, and
+// GreedyPlan and LocalOnlyPlan, whose placement was an input, set neither:
+// computeCosts sees the two both set or both nil and prices placement from
+// XDFlows alone.
 type Plan struct {
 	In *Instance
 
-	XT []map[[2]int]float64
-	XD [][]float64
-	// XDFlows[i] maps {origin unit, dest store} → flow fraction; the
-	// exact transportation decomposition behind XD (nil for plans with
-	// fixed placement).
+	XT      []map[[2]int]float64
+	XD      [][]float64
 	XDFlows []map[[2]int]float64
 
 	// ObjectiveMC is the LP objective at the optimum, in millicents —
@@ -63,29 +64,12 @@ func (p *Plan) computeCosts() {
 	in := p.In
 	p.DeferredFrac = make([]float64, len(in.Jobs))
 	p.PlacementMC, p.ExecMC, p.TransferMC = 0, 0, 0
-	switch {
-	case p.XDFlows != nil:
-		// All three accumulations below run in sorted key order: float
-		// addition is not associative, so map-iteration order would give
-		// the totals different low bits on every run.
-		for i, d := range in.Data {
-			for _, oj := range sortedKeys(p.XDFlows[i]) {
-				p.PlacementMC += p.XDFlows[i][oj] * in.SSPerMBMC[oj[0]][oj[1]] * d.SizeMB
-			}
-		}
-	case p.XD != nil:
-		// Legacy weighted-origin pricing for plans without flows.
-		for i, d := range in.Data {
-			for j, f := range p.XD[i] {
-				if f <= 1e-12 {
-					continue
-				}
-				perMB := 0.0
-				for _, o := range sortedOrigins(d) {
-					perMB += d.Origin[o] * in.SSPerMBMC[o][j]
-				}
-				p.PlacementMC += f * perMB * d.SizeMB
-			}
+	// All three accumulations below run in sorted key order: float
+	// addition is not associative, so map-iteration order would give the
+	// totals different low bits on every run.
+	for i, flows := range p.XDFlows {
+		for _, oj := range sortedKeys(flows) {
+			p.PlacementMC += flows[oj] * in.SSPerMBMC[oj[0]][oj[1]] * in.Data[i].SizeMB
 		}
 	}
 	for k, job := range in.Jobs {

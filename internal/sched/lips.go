@@ -33,9 +33,9 @@ import (
 // Consecutive epochs share the LP's column structure whenever the pending
 // job set is stable, so the old basis is often primal feasible under the
 // new bounds/RHS and phase 1 is skipped entirely; when shapes diverge the
-// solver silently falls back to a cold start. Across node churn the basis
-// is translated onto the new machine layout (core.TranslateOnlineBasis)
-// instead of dropped.
+// solver silently falls back to a cold start. A node going down or up
+// drops the basis, so the epoch after churn solves cold, exactly as a run
+// that never warm-starts would.
 type LiPS struct {
 	// EpochSec is the scheduling epoch e. The zero value selects 400 s
 	// (one of the two epoch lengths of Fig. 11).
@@ -70,15 +70,13 @@ type LiPS struct {
 	Solver      metrics.SolverStats // per-solve LP statistics
 	Err         error               // first scheduling error, if any
 
-	stale       int  // consecutive epochs with pending work but no launches
-	armed       bool // a future tick is in the heap (the chain dies when drained)
-	rrNode      map[int]int
-	rrStore     map[int]int
-	units       *core.Units    // the cluster's units, built on the run's first epoch
-	prevBasis   *lp.Basis      // last epoch's optimal basis (warm-start seed)
-	prevIn      *core.Instance // instance the basis belongs to (for translation)
-	prevHot     []string       // hot machine unit names (ColGen seed hints)
-	topoChanged bool           // a node went down or up since the last solve
+	stale     int  // consecutive epochs with pending work but no launches
+	armed     bool // a future tick is in the heap (the chain dies when drained)
+	rrNode    map[int]int
+	rrStore   map[int]int
+	units     *core.Units // the cluster's units, built on the run's first epoch
+	prevBasis *lp.Basis   // last epoch's optimal basis (warm-start seed)
+	prevHot   []string    // hot machine unit names (ColGen seed hints)
 
 	lastEpoch EpochRecord // most recent epoch (see LastEpochStats)
 
@@ -119,9 +117,7 @@ func (l *LiPS) Init(s *sim.Sim) {
 	l.stale = 0
 	l.units = nil
 	l.prevBasis = nil
-	l.prevIn = nil
 	l.prevHot = nil
-	l.topoChanged = false
 	l.rrNode = make(map[int]int)
 	l.rrStore = make(map[int]int)
 	l.om, l.lm = nil, nil
@@ -137,11 +133,12 @@ func (l *LiPS) Init(s *sim.Sim) {
 // is dropped. The simulator already returned the node's tasks to Pending,
 // where the next tick picks them up (overflow beyond the surviving
 // capacity parks on the fake node as usual).
-func (l *LiPS) OnNodeDown(*sim.Sim, cluster.NodeID) { l.topoChanged = true }
+func (l *LiPS) OnNodeDown(*sim.Sim, cluster.NodeID) { l.prevBasis = nil }
 
 // OnNodeUp implements sim.Scheduler: the recovered node re-enters the
-// next epoch's LP, changing the column structure again.
-func (l *LiPS) OnNodeUp(*sim.Sim, cluster.NodeID) { l.topoChanged = true }
+// next epoch's LP, changing the column structure again, so the basis is
+// dropped here too.
+func (l *LiPS) OnNodeUp(*sim.Sim, cluster.NodeID) { l.prevBasis = nil }
 
 // OnJobArrival implements sim.Scheduler: LiPS waits for the next epoch
 // ("non-greedy patience", paper §V-B). The tick chain dies once every job
@@ -281,14 +278,6 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 			l.fail(mErr)
 			return 0
 		}
-		if l.topoChanged && l.prevBasis != nil && l.prevIn != nil {
-			// Nodes came or went since the basis was saved: translate it
-			// onto the new machine layout (departed units' columns drop,
-			// returning units' enter at their bounds) instead of throwing
-			// it away. Untranslatable shapes yield nil — a cold start,
-			// exactly the old behavior.
-			l.prevBasis = core.TranslateOnlineBasis(l.prevBasis, l.prevIn, in)
-		}
 		if !l.cold {
 			opts.WarmStart = l.prevBasis
 		}
@@ -325,9 +314,8 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 	if l.ColGen {
 		l.prevHot = hotMachineNames(in, plan)
 	} else if !l.cold {
-		l.prevBasis, l.prevIn = plan.Basis, in
+		l.prevBasis = plan.Basis
 	}
-	l.topoChanged = false
 
 	ip := plan.Round()
 	rounded := time.Now()

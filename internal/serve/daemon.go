@@ -364,7 +364,7 @@ func (d *Daemon) loop() {
 
 // Churn injects a node-down or node-up fault at the current simulated
 // time; the next epoch applies it and the scheduler reconfigures through
-// OnNodeDown/OnNodeUp (LiPS translates its warm-start basis).
+// OnNodeDown/OnNodeUp (LiPS drops its warm-start basis).
 func (d *Daemon) Churn(node cluster.NodeID, down bool) error {
 	kind := sim.FaultNodeUp
 	label := "up"

@@ -699,9 +699,9 @@ func TestTenantFairShare(t *testing.T) {
 }
 
 // TestChurnMidRun downs a node over the admin API while jobs flow and
-// expects the daemon to keep scheduling epochs and finish everything —
-// under LiPS by offering the next epoch's LP the translated basis, not
-// by cold restarts.
+// expects the daemon to keep scheduling epochs and finish everything.
+// Under LiPS the churn drops the warm-start basis, and the epochs after
+// it warm-start again.
 func TestChurnMidRun(t *testing.T) {
 	for name, sch := range map[string]sim.Scheduler{"fair": sched.NewFair(), "lips": sched.NewLiPS(60)} {
 		t.Run(name, func(t *testing.T) {
@@ -733,9 +733,9 @@ func TestChurnMidRun(t *testing.T) {
 			}
 			waitStats(t, ts.URL, func(st *Stats) bool { return st.Jobs[StateDone] == 10 })
 			// Where the two churn calls fall among the epochs above is the
-			// scheduler's luck: each may land between two LPs and leave a
-			// basis that cannot be translated. Two more jobs, one after the
-			// other, plan two LPs with no churn between them.
+			// scheduler's luck: each may land between two LPs and drop the
+			// basis. Two more jobs, one after the other, plan two LPs with
+			// no churn between them.
 			for done := 11; done <= 12; done++ {
 				if _, code := submitOne(t, ts.URL, "a"); code != http.StatusAccepted {
 					t.Fatalf("submit: %d", code)
