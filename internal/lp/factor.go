@@ -28,12 +28,9 @@ type factorizer interface {
 	ftranCol(col []nz) (w []float64, nzs []int32)
 	// ftranVec computes out = B⁻¹ v for a dense row-space vector.
 	ftranVec(v, out []float64)
-	// duals returns y = (cᵀ B⁻¹)ᵀ for the slot-space basic costs c, with
-	// the rows where y differs bitwise from the last call's y, in
-	// ascending order. changed lists the slots where c may differ from
-	// the last call's c; nil means a new c throughout. Both results are
-	// valid until the next duals; callers must treat them as read-only.
-	duals(c []float64, changed []int32) (y []float64, rows []int32)
+	// btran computes y = (cᵀ B⁻¹)ᵀ, the row-space duals of the slot-space
+	// basic costs c.
+	btran(c, y []float64)
 	// pivotRow returns row i of B⁻¹ (the BTRAN of e_i), with the rows
 	// where it is nonzero in ascending order, valid until the next
 	// pivotRow, update or refactorize; callers must treat both as

@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -51,15 +50,13 @@ func sweepFtranCol(f *luFactor, col []nz) []float64 {
 func sweepPivotRow(f *luFactor, i int) []float64 {
 	c := make([]float64, f.m)
 	c[i] = 1
-	_, _, y := sweepDuals(f, c)
-	return y
+	return sweepDuals(f, c)
 }
 
-// sweepDuals is the dual solve's reference, kept naive: the slot-space c
-// through every eta, newest first, then a forward sweep over every Uᵀ
-// step and a backward sweep over every Lᵀ step. It returns ĉ (c after
-// the etas, by slot), t (after Uᵀ, by step) and y.
-func sweepDuals(f *luFactor, c []float64) (chat, t, y []float64) {
+// sweepDuals is the dual solve kept naive: the slot-space c through every
+// eta, newest first, then a forward sweep over every Uᵀ step and a
+// backward sweep over every Lᵀ step.
+func sweepDuals(f *luFactor, c []float64) []float64 {
 	m := f.m
 	buf, t, out := slices.Clone(c), make([]float64, m), make([]float64, m)
 	for e := len(f.etas) - 1; e >= 0; e-- {
@@ -89,7 +86,7 @@ func sweepDuals(f *luFactor, c []float64) (chat, t, y []float64) {
 		}
 		out[f.rowOf[k]] = a
 	}
-	return buf, t, out
+	return out
 }
 
 // sweepCheck is the sparse LU with every entering FTRAN and every pivot
@@ -173,108 +170,11 @@ func TestHypersparseMatchesSweep(t *testing.T) {
 	}
 }
 
-// dualCheck is the sparse LU with every dual solve held against
-// sweepDuals: ĉ, t and y Float64bits-equal to the sweep's, and the
-// changed rows equal to a bitwise diff of y against the last call's.
-type dualCheck struct {
-	*luFactor
-	t    testing.TB
-	prev []float64 // y of the last call
-
-	solves, updates int
-	// rebuilds right after a refactorize, updates after a bound flip (no
-	// changed slot), on a warm start and past 100 etas, and phase 1 → 2
-	// switches
-	fresh, flips, hot, deep, switches int
-}
-
-func (c *dualCheck) duals(cb []float64, changed []int32) ([]float64, []int32) {
-	f, s := c.luFactor, c.luFactor.s
-	update := f.dualsOK && changed != nil
-	y, rows := f.duals(cb, changed)
-	chat, tv, want := sweepDuals(f, cb)
-	where := fmt.Sprintf("iter %d, %d etas, %d changed slots (update %v)", s.iter, len(f.etas), len(changed), update)
-	for _, v := range []struct {
-		name      string
-		got, want []float64
-	}{{"ĉ", f.chat, chat}, {"t", f.dt, tv}, {"y", y, want}} {
-		for i := range v.want {
-			if !sameBits(v.got[i], v.want[i]) {
-				c.t.Fatalf("%s: %s[%d] = %x, sweep %x", where, v.name, i, v.got[i], v.want[i])
-			}
-		}
-	}
-	var diff []int32
-	for i := range want {
-		if !sameBits(want[i], c.prev[i]) {
-			diff = append(diff, int32(i))
-		}
-	}
-	if !slices.Equal(rows, diff) {
-		c.t.Fatalf("%s: changed rows %v, bitwise diff %v", where, rows, diff)
-	}
-	copy(c.prev, want)
-	c.solves++
-	switch {
-	case !update:
-		if len(f.etas) == 0 && f.fnnz > f.m {
-			c.fresh++
-		}
-		if changed == nil && s.nArt > 0 && s.p1it > 0 {
-			c.switches++
-		}
-	default:
-		c.updates++
-		if len(changed) == 0 {
-			c.flips++
-		}
-		if s.warm {
-			c.hot++
-		}
-		if len(f.etas) > 100 {
-			c.deep++
-		}
-	}
-	return y, rows
-}
-
-// TestDualsMatchSweep runs pivotCorpus with every LU dual solve checked
-// against the full sweep, and requires the corpus to walk the same
-// pivots as without the check.
-func TestDualsMatchSweep(t *testing.T) {
-	var checks []*dualCheck
-	lu := func(s *simplexState) factorizer {
-		c := &dualCheck{luFactor: new(luFactor), t: t, prev: make([]float64, s.m)}
-		c.init(s)
-		checks = append(checks, c)
-		return c
-	}
-	got, want := pivotCorpus(t, lu), pivotCorpus(t, nil)
-	if !slices.Equal(got, want) {
-		t.Fatalf("the checked corpus walked other pivots:\n got %q\nwant %q", got, want)
-	}
-	var sum dualCheck
-	for _, c := range checks {
-		sum.solves += c.solves
-		sum.updates += c.updates
-		sum.fresh += c.fresh
-		sum.flips += c.flips
-		sum.hot += c.hot
-		sum.deep += c.deep
-		sum.switches += c.switches
-	}
-	t.Logf("%d solves: %d dual solves, %d of them updates; %d rebuilds right after a refactorize, %d phase switches; updates: %d after a bound flip, %d warm, %d past 100 etas",
-		len(checks), sum.solves, sum.updates, sum.fresh, sum.switches, sum.flips, sum.hot, sum.deep)
-	if sum.solves < 3000 || sum.updates < 2000 || sum.fresh == 0 || sum.switches == 0 || sum.flips == 0 || sum.hot == 0 || sum.deep < 100 {
-		t.Errorf("corpus too thin for the check")
-	}
-}
-
-// workCount counts the entries the reach-based solves and the dual solve
-// read, next to what the sweeps they replaced would read.
+// workCount counts the entries the reach-based solves read, next to what
+// the sweeps they replaced would read.
 type workCount struct {
 	*luFactor
-	solves, touched, sweep [3]int // FTRAN, pivot-row BTRAN, duals
+	solves, touched, sweep [2]int // FTRAN, pivot-row BTRAN
 }
 
 func (c *workCount) count(op int, do func()) {
@@ -297,17 +197,11 @@ func (c *workCount) pivotRow(i int) (row []float64, nzs []int32) {
 	return row, nzs
 }
 
-func (c *workCount) duals(cb []float64, changed []int32) (y []float64, rows []int32) {
-	c.count(2, func() { y, rows = c.luFactor.duals(cb, changed) })
-	return y, rows
-}
-
 // TestHypersparseWork gates the work of a pivot at epoch scale, cold and
-// warm, by counts: the L, U and eta entries an entering FTRAN, a pivot
-// row and a dual solve — its rebuilds included — read must average at
-// most a quarter of what the sweep reads (m + nnz(L+U) + the eta
-// nonzeros), and the scores a Devex pick reads at most a quarter of the
-// column count.
+// warm, by counts: the L, U and eta entries an entering FTRAN and a pivot
+// row read must average at most a quarter of what the sweep reads (m +
+// nnz(L+U) + the eta nonzeros), and the scores a Devex pick reads at most
+// a quarter of the column count.
 func TestHypersparseWork(t *testing.T) {
 	psol, err := epochScaleLP(rand.New(rand.NewSource(78))).Solve(Options{})
 	if err != nil || psol.Basis == nil {
@@ -330,7 +224,7 @@ func TestHypersparseWork(t *testing.T) {
 		if err != nil || sol.Status != Optimal || sol.WarmStarted != (tc.ws != nil) {
 			t.Fatalf("%s: %v, status %v, warm started %v", tc.name, err, sol.Status, sol.WarmStarted)
 		}
-		for op, name := range []string{"FTRAN", "pivot-row BTRAN", "dual solve"} {
+		for op, name := range []string{"FTRAN", "pivot-row BTRAN"} {
 			if c.solves[op] == 0 {
 				t.Fatalf("%s: no %s", tc.name, name)
 			}

@@ -37,13 +37,9 @@ import (
 // every other step, so both return the sweep's values (a zero may differ
 // in sign), each with its nonzero indices in ascending order.
 //
-// The duals' right-hand side c_B is dense, but from one pivot to the
-// next it changes in about one slot. The dual solve therefore keeps the
-// intermediates of its last run — each eta's output, ĉ, t and y — and
-// recomputes only the steps whose inputs changed bitwise, each with the
-// sweep's formula and operand order, so every value is the sweep's bit
-// for bit. The sweep itself runs once after each refactorization and on
-// a new cost vector, to rebuild that memo. x_B's solve stays a sweep.
+// The dual solve's right-hand side c_B is dense, and it runs only when the
+// simplex prices every column afresh (pricing.go), so it stays a sweep,
+// like x_B's solve.
 //
 // The factor lives in the pooled solve workspace, and every slice in it —
 // the per-step L and U rows, refactorize's active-submatrix copies and
@@ -78,23 +74,10 @@ type luFactor struct {
 	etaVal []float64 // emptied with the eta file
 	// slotEtas[i] lists, oldest first, the etas that hold slot i as their
 	// pivot or among their nonzeros: the only etas pivotRow must apply
-	// once slot i is nonzero. writers[i] lists, oldest first, those that
-	// pivot in slot i.
-	slotEtas, writers [][]int32
+	// once slot i is nonzero.
+	slotEtas [][]int32
 
-	// The memo of the last dual solve, valid while dualsOK: c_B and ĉ
-	// (c_B after the eta stage) by slot, each eta's output in luEta.out,
-	// the Uᵀ stage's t by step, and y with the rows where it changed.
-	// dualEtas counts the etas the memo covers.
-	dualsOK      bool
-	dualEtas     int
-	cb, chat, dt []float64
-	y            []float64
-	yRows        []int32
-	stepHeap     []int32 // the steps duals has still to recompute
-	tSteps       []int32 // the steps whose t it changed
-
-	work  []float64 // row-space scratch of the sweeps
+	work  []float64 // row- or slot-space scratch of the sweeps
 	stepv []float64 // step-space scratch of the sweeps
 
 	// Scratch of the reach-based solves, all zero (false) between them:
@@ -128,12 +111,11 @@ type luFactor struct {
 
 // luEta is one product-form update: the basis column in slot r was
 // replaced by a column whose FTRAN image is w; wr = w[r], and
-// etaIdx/etaVal[lo:hi] hold the remaining nonzeros of w. out is the value
-// the last dual solve wrote to slot r through it.
+// etaIdx/etaVal[lo:hi] hold the remaining nonzeros of w.
 type luEta struct {
-	r       int32
-	wr, out float64
-	lo, hi  int
+	r      int32
+	wr     float64
+	lo, hi int
 }
 
 // init sizes the factor for s's basis dimension. Its contents are set by
@@ -147,13 +129,10 @@ func (f *luFactor) init(s *simplexState) {
 	f.uDiag = resize(f.uDiag, m)
 	f.uIdx, f.uVal = resize(f.uIdx, m), resize(f.uVal, m)
 	f.utStart, f.ltStart = resize(f.utStart, m+1), resize(f.ltStart, m+1)
-	f.slotEtas, f.writers = resize(f.slotEtas, m), resize(f.writers, m)
+	f.slotEtas = resize(f.slotEtas, m)
 	for i := range f.slotEtas {
-		f.slotEtas[i], f.writers[i] = f.slotEtas[i][:0], f.writers[i][:0]
+		f.slotEtas[i] = f.slotEtas[i][:0]
 	}
-	f.cb, f.chat, f.dt = resize(f.cb, m), resize(f.chat, m), resize(f.dt, m)
-	f.y = resize(f.y, m)
-	f.dualsOK = false
 	f.work, f.stepv = resize(f.work, m), resize(f.stepv, m)
 	f.sv, f.sz, f.sb = resize(f.sv, m), resize(f.sz, m), resize(f.sb, m)
 	f.seen, f.smark = resize(f.seen, m), resize(f.smark, m)
@@ -179,10 +158,9 @@ func (f *luFactor) clearEtas() {
 		f.slotEtas[i] = f.slotEtas[i][:0]
 	}
 	for _, et := range f.etas {
-		f.slotEtas[et.r], f.writers[et.r] = f.slotEtas[et.r][:0], f.writers[et.r][:0]
+		f.slotEtas[et.r] = f.slotEtas[et.r][:0]
 	}
 	f.etas, f.etaIdx, f.etaVal = f.etas[:0], f.etaIdx[:0], f.etaVal[:0]
-	f.dualsOK = false
 }
 
 func (f *luFactor) resetIdentity() {
@@ -643,28 +621,11 @@ func (f *luFactor) ftranVec(v, out []float64) {
 	f.solveLU(f.work, out)
 }
 
-// duals solves yᵀB = cᵀ for the slot-space basic costs c, given the
-// slots where c may differ from the last call's (nil: everywhere). It
-// returns y and the rows where y changed bitwise, ascending, both valid
-// until the next duals. Without a memo, or on a new c, it sweeps;
-// otherwise it recomputes from the memo only what the changed slots
-// reach.
-func (f *luFactor) duals(c []float64, changed []int32) ([]float64, []int32) {
-	if !f.dualsOK || changed == nil {
-		f.rebuildDuals(c)
-	} else {
-		f.updateDuals(c, changed)
-	}
-	f.dualsOK, f.dualEtas = true, len(f.etas)
-	return f.y, f.yRows
-}
-
-// rebuildDuals is the full dual solve, a sweep that rebuilds the memo:
-// the etas newest first, then Uᵀ forward, then Lᵀ backward.
-func (f *luFactor) rebuildDuals(c []float64) {
+// btran solves yᵀB = cᵀ for the slot-space basic costs c into y, by a
+// sweep: the etas newest first, then Uᵀ forward, then Lᵀ backward.
+func (f *luFactor) btran(c, y []float64) {
 	m := f.m
-	copy(f.cb, c)
-	buf := f.chat
+	buf := f.work
 	copy(buf, c)
 	for e := len(f.etas) - 1; e >= 0; e-- {
 		et := &f.etas[e]
@@ -674,10 +635,9 @@ func (f *luFactor) rebuildDuals(c []float64) {
 			sum += buf[i] * val[idx]
 		}
 		buf[et.r] = (buf[et.r] - sum) / et.wr
-		et.out = buf[et.r]
 	}
 	// Uᵀ t = ĉ with ĉ[k] = buf[slotOf[k]], solved forward with scattering.
-	t := f.dt
+	t := f.stepv
 	for k := 0; k < m; k++ {
 		t[k] = buf[f.slotOf[k]]
 	}
@@ -692,187 +652,17 @@ func (f *luFactor) rebuildDuals(c []float64) {
 		}
 	}
 	// Lᵀ y = t, backward; rows pivoted later are already solved.
-	y, rows := f.y, f.yRows[:0]
 	for k := m - 1; k >= 0; k-- {
 		a := t[k]
 		li, lv := f.lIdx[k], f.lVal[k]
 		for idx, r := range li {
 			a -= lv[idx] * y[r]
 		}
-		if r := f.rowOf[k]; math.Float64bits(a) != math.Float64bits(y[r]) {
-			y[r] = a
-			rows = append(rows, r)
-		}
+		y[f.rowOf[k]] = a
 	}
-	slices.Sort(rows)
-	f.yRows = rows
-	f.touched += f.fnnz + len(f.etaIdx) + len(f.etas)
 }
 
-// updateDuals brings the memo up to date with c by the sweep's
-// arithmetic restricted to the steps whose inputs changed bitwise: the
-// etas, newest first, that read a changed slot — every eta appended
-// since the last call among them; the Uᵀ steps, ascending, that read a
-// changed ĉ or t; and the Lᵀ steps, descending, that read a changed t or
-// y. A step whose result equals the memo's bitwise changes nothing
-// downstream of it.
-func (f *luFactor) updateDuals(c []float64, changed []int32) {
-	heap := f.etaHeap[:0]
-	for e := f.dualEtas; e < len(f.etas); e++ {
-		f.etaIn[e] = true
-		heap = pushMax(heap, int32(e))
-	}
-	// The Uᵀ steps to recompute, as a min-heap: ^k in a max-heap.
-	steps := f.stepHeap[:0]
-	for _, i := range changed {
-		if math.Float64bits(c[i]) == math.Float64bits(f.cb[i]) {
-			continue
-		}
-		f.cb[i] = c[i]
-		heap = f.pushReaders(heap, i, int32(len(f.etas)))
-		if len(f.writers[i]) == 0 {
-			steps = f.setChat(steps, i, c[i])
-		}
-	}
-	for len(heap) > 0 {
-		var e int32
-		e, heap = popMax(heap)
-		f.etaIn[e] = false
-		et := &f.etas[e]
-		sum := 0.0
-		val := f.etaVal[et.lo:et.hi]
-		f.touched += 1 + len(val)
-		for idx, i := range f.etaIdx[et.lo:et.hi] {
-			sum += f.etaInput(i, e) * val[idx]
-		}
-		x := (f.etaInput(et.r, e) - sum) / et.wr
-		if int(e) < f.dualEtas && math.Float64bits(x) == math.Float64bits(et.out) {
-			continue
-		}
-		et.out = x
-		heap = f.pushReaders(heap, et.r, e)
-		if f.writers[et.r][0] == e {
-			steps = f.setChat(steps, et.r, x)
-		}
-	}
-	f.etaHeap = heap
-
-	// Uᵀ t = ĉ: each step gathers, ascending, the U entries of its column
-	// whose t is nonzero — the terms the sweep scatters into it, in the
-	// sweep's order.
-	t, seen := f.dt, f.seen
-	ts := f.tSteps[:0]
-	for len(steps) > 0 {
-		var nk int32
-		nk, steps = popMax(steps)
-		k := ^nk
-		seen[k] = false
-		acc := f.chat[f.slotOf[k]]
-		lo, hi := f.utStart[k], f.utStart[k+1]
-		f.touched += 1 + int(hi-lo)
-		for q := lo; q < hi; q++ {
-			if tj := t[f.utIdx[q]]; tj != 0 {
-				acc -= f.utVal[q] * tj
-			}
-		}
-		tk := acc / f.uDiag[k]
-		if math.Float64bits(tk) == math.Float64bits(t[k]) {
-			continue
-		}
-		t[k] = tk
-		ts = append(ts, k)
-		f.touched += len(f.uIdx[k])
-		for _, j := range f.uIdx[k] {
-			if !seen[j] {
-				seen[j] = true
-				steps = pushMax(steps, ^j)
-			}
-		}
-	}
-	f.tSteps = ts
-
-	// Lᵀ y = t, backward.
-	for _, k := range ts {
-		seen[k] = true
-		steps = pushMax(steps, k)
-	}
-	y, rows := f.y, f.yRows[:0]
-	for len(steps) > 0 {
-		var k int32
-		k, steps = popMax(steps)
-		seen[k] = false
-		a := t[k]
-		li, lv := f.lIdx[k], f.lVal[k]
-		f.touched += 1 + len(li)
-		for idx, r := range li {
-			a -= lv[idx] * y[r]
-		}
-		r := f.rowOf[k]
-		if math.Float64bits(a) == math.Float64bits(y[r]) {
-			continue
-		}
-		y[r] = a
-		rows = append(rows, r)
-		lt := f.ltIdx[f.ltStart[k]:f.ltStart[k+1]]
-		f.touched += len(lt)
-		for _, j := range lt {
-			if !seen[j] {
-				seen[j] = true
-				steps = pushMax(steps, j)
-			}
-		}
-	}
-	f.stepHeap = steps
-	slices.Sort(rows)
-	f.yRows = rows
-}
-
-// etaInput is the value of slot i when the dual solve applies eta e: the
-// output of the nearest newer eta that pivots in slot i, or else c_B[i].
-func (f *luFactor) etaInput(i, e int32) float64 {
-	w := f.writers[i]
-	if q, _ := slices.BinarySearch(w, e+1); q < len(w) {
-		return f.etas[w[q]].out
-	}
-	return f.cb[i]
-}
-
-// pushReaders pushes onto heap the etas older than below that read the
-// value slot i holds just past below — c_B[i], or the output of eta below
-// that pivots in slot i: those holding slot i, newest first, down to and
-// including the next one that pivots in it.
-func (f *luFactor) pushReaders(heap []int32, i, below int32) []int32 {
-	se := f.slotEtas[i]
-	q, _ := slices.BinarySearch(se, below)
-	for q--; q >= 0; q-- {
-		e := se[q]
-		f.touched++
-		if !f.etaIn[e] {
-			f.etaIn[e] = true
-			heap = pushMax(heap, e)
-		}
-		if f.etas[e].r == i {
-			break
-		}
-	}
-	return heap
-}
-
-// setChat records ĉ[i] = x and, when that changes it bitwise, queues the
-// Uᵀ step of slot i on the min-heap steps.
-func (f *luFactor) setChat(steps []int32, i int32, x float64) []int32 {
-	if math.Float64bits(x) == math.Float64bits(f.chat[i]) {
-		return steps
-	}
-	f.chat[i] = x
-	if k := f.posSlot[i]; !f.seen[k] {
-		f.seen[k] = true
-		steps = pushMax(steps, ^k)
-	}
-	return steps
-}
-
-// pivotRow computes row i of B⁻¹ by rebuildDuals' arithmetic on e_i
+// pivotRow computes row i of B⁻¹ by btran's arithmetic on e_i
 // restricted to what e_i reaches: the etas holding a nonzero slot, newest
 // first, found through slotEtas; the Uᵀ steps the nonzero slots reach,
 // ascending; and the Lᵀ steps those reach, descending. It returns the row
@@ -1046,7 +836,6 @@ func (f *luFactor) update(w []float64, nzs []int32, leaving int) {
 		}
 	}
 	f.slotEtas[leaving] = append(f.slotEtas[leaving], e)
-	f.writers[leaving] = append(f.writers[leaving], e)
 	f.etas = append(f.etas, luEta{r: int32(leaving), wr: w[leaving], lo: lo, hi: len(f.etaIdx)})
 	if len(f.etaIn) < len(f.etas) {
 		f.etaIn = append(f.etaIn, false)

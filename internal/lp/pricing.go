@@ -1,27 +1,34 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"time"
+)
 
-// Incremental pricing. A pivot changes the duals y in a handful of rows
-// and the Devex weights of the columns that meet the pivot row of B⁻¹;
-// every other column's reduced cost, eligibility and score are what they
-// were an iteration ago. The state therefore caches, per column, the
-// entering direction and the Devex score, and recomputes an entry — with
-// the arithmetic of a from-scratch scan, term for term — only when one of
-// its inputs changed:
+// Incremental pricing. The state caches, per column, the reduced cost
+// d_j = c_j − yᵀa_j, the entering direction and the Devex score, and
+// keeps them current pivot by pivot without solving for the duals y:
 //
-//   - a row of y the column meets differs bitwise from the previous
-//     iteration's (the dual solve lists those rows; the row index finds
-//     the columns),
-//   - the column's status changed (it entered, left or flipped bound),
-//   - its Devex weight may have changed (it meets a non-zero of the pivot
-//     row), or
-//   - the cost vector or the reference framework was reset (priceAll).
+//   - A basis change with entering column q, pivot row r and pivot
+//     α_rq moves every reduced cost by the textbook update
+//     d_j −= θ_d·α_rj with θ_d = d_q/α_rq, where α_rj = ρ_r·a_j and ρ_r
+//     is row r of the pre-pivot B⁻¹. Only a column meeting a non-zero of
+//     ρ_r has α_rj ≠ 0, and the Devex update walks exactly those columns
+//     already, so it updates d beside the weights. Then d_q = 0, and the
+//     leaving column's d is −θ_d: the sign the pivot gave it, which keeps
+//     it from re-entering on roundoff.
+//   - A bound flip changes no reduced cost, only the column's status.
+//   - A phase start, a refactorization and a Devex reset set priceAll:
+//     the next pricing step solves for y once and recomputes every d_j
+//     and score from it (freshPrices). The simplex reports Optimal only
+//     on reduced costs fresh from a dual solve (iterate).
 //
-// Every cached value is therefore bit for bit what the full scan would
-// compute, and the entering column — highest score, ties to the lowest
-// index — is the same column: the pivot sequence cannot tell the two
-// apart. TestPricingOracle checks exactly that at every pricing step.
+// A column's direction and score are recomputed only when its d, its
+// status or its Devex weight may have changed: the queue of dirty
+// columns. The entering column — highest score, ties to the lowest index
+// — is therefore the one a scan of the cached scores would pick;
+// TestPricingOracle checks that at every pricing step, and holds every
+// cached d_j to c_j − yᵀa_j from a dual solve of its own.
 //
 // The choice itself does not rescan the cache either. The columns are
 // cut into blocks of 64, and each block keeps its best column under the
@@ -60,6 +67,7 @@ func (s *simplexState) initPricing() {
 	s.artOf = resize(s.artOf, m)
 	clear(s.artOf)
 	s.devex = resize(s.devex, ncap)[:n]
+	s.d = resize(s.d, ncap)[:n]
 	s.dir = resize(s.dir, ncap)[:n]
 	s.score = resize(s.score, ncap)[:n]
 	s.mark = resize(s.mark, ncap)
@@ -85,7 +93,7 @@ const (
 // invalidates every cached entry.
 func (s *simplexState) resetPricing() {
 	n := len(s.cols)
-	s.devex, s.dir, s.score, s.mark = s.devex[:n], s.dir[:n], s.score[:n], s.mark[:n]
+	s.devex, s.d, s.dir, s.score, s.mark = s.devex[:n], s.d[:n], s.dir[:n], s.score[:n], s.mark[:n]
 	for j := range s.devex {
 		s.devex[j] = 1
 	}
@@ -121,42 +129,46 @@ func (s *simplexState) touchPivotRow(nzs []int32) {
 	}
 }
 
-// refreshPrices brings the cache up to date with the duals computeDuals
-// just produced: their changed rows (s.yRows) name the columns whose
-// reduced cost may have moved.
-func (s *simplexState) refreshPrices(cost []float64) {
-	if s.priceAll {
-		s.priceAll = false
-		for j := range s.cols {
-			s.touch(j)
+// freshPrices solves for the duals and recomputes every column's reduced
+// cost from them, and queues every column for repricing.
+func (s *simplexState) freshPrices(cost []float64) {
+	s.priceAll = false
+	s.computeDuals(cost)
+	t0 := time.Now()
+	for j, col := range s.cols {
+		d := 0.0
+		if s.status[j] != basic {
+			d = cost[j]
+			for _, e := range col {
+				d -= s.y[e.row] * e.coef
+			}
 		}
-		// Every score changes: rescan every block at the pick instead of
-		// maintaining entries that are about to be rebuilt.
-		s.staleList = s.staleList[:0]
-		for b := range s.stale {
-			s.stale[b] = true
-			s.staleList = append(s.staleList, int32(b))
-		}
-	} else {
-		for _, i := range s.yRows {
-			s.touchRow(int(i))
-		}
+		s.d[j] = d
+		s.touch(j)
 	}
+	// Every score changes: rescan every block at the pick instead of
+	// maintaining entries that are about to be rebuilt.
+	s.staleList = s.staleList[:0]
+	for b := range s.stale {
+		s.stale[b] = true
+		s.staleList = append(s.staleList, int32(b))
+	}
+	s.clock.since(phPricing, t0)
+}
+
+// refreshPrices reprices the queued columns.
+func (s *simplexState) refreshPrices(cost []float64) {
 	for _, j := range s.dirty {
 		s.mark[j] = false
-		s.reprice(cost, int(j))
+		dir, score := s.price(cost, int(j))
+		s.dir[j] = dir
+		s.setScore(int(j), score)
 	}
 	s.dirty = s.dirty[:0]
 }
 
-// reprice recomputes column j's cache entry from scratch.
-func (s *simplexState) reprice(cost []float64, j int) {
-	dir, score := s.price(cost, j)
-	s.dir[j] = dir
-	s.setScore(j, score)
-}
-
-// price computes column j's entering direction and Devex score.
+// price computes column j's entering direction and Devex score from its
+// cached reduced cost.
 func (s *simplexState) price(cost []float64, j int) (dir, score float64) {
 	st := s.status[j]
 	if st == basic {
@@ -165,10 +177,7 @@ func (s *simplexState) price(cost []float64, j int) (dir, score float64) {
 	if s.lower[j] == s.upper[j] && st != atFree {
 		return 0, 0 // fixed column can never improve
 	}
-	d := cost[j]
-	for _, e := range s.cols[j] {
-		d -= s.y[e.row] * e.coef
-	}
+	d := s.d[j]
 	// Dual feasibility is judged RELATIVE to the column's cost
 	// magnitude: with mixed cost scales (the online model's fake
 	// node is ~10⁴× the real prices), an absolute tolerance lets
@@ -265,17 +274,19 @@ func (s *simplexState) pickEntering(useBland bool) (entering int, enterDir float
 	return entering, s.dir[entering]
 }
 
-// updateDevex applies the Forrest–Goldfarb reference-weight update for the
-// pivot that just swapped entering for outVar on pivot element pivot, given
-// the pivot row prowOld of the pre-pivot B⁻¹, nonzero at prowNZ. Only a column meeting a
-// non-zero of that row can have α ≠ 0; those columns are left queued, so
-// the next refresh rescores them under their new weights.
-func (s *simplexState) updateDevex(prowOld []float64, prowNZ []int32, pivot float64, entering, outVar int) {
+// updatePrices follows the basis change that swapped entering for outVar
+// on pivot element pivot = α_rq, given the pivot row prowOld of the
+// pre-pivot B⁻¹, nonzero at prowNZ: every column meeting a non-zero of that
+// row — the only ones with α_rj ≠ 0 — gets d_j −= θ_d·α_rj and, when devex
+// is set, the Forrest–Goldfarb reference-weight update. Those columns are
+// left queued, so the next refresh rescores them.
+func (s *simplexState) updatePrices(prowOld []float64, prowNZ []int32, pivot float64, entering, outVar int, devex bool) {
+	thetaD := s.d[entering] / pivot
 	wq := s.devex[entering]
 	pivotSq := pivot * pivot
 	s.touchPivotRow(prowNZ)
 	for _, j := range s.dirty {
-		if s.status[j] == basic || int(j) == entering {
+		if s.status[j] == basic { // entering is basic already
 			continue
 		}
 		alpha := 0.0
@@ -285,9 +296,14 @@ func (s *simplexState) updateDevex(prowOld []float64, prowNZ []int32, pivot floa
 		if alpha == 0 {
 			continue
 		}
-		if cand := (alpha * alpha / pivotSq) * wq; cand > s.devex[j] {
+		s.d[j] -= thetaD * alpha
+		if cand := (alpha * alpha / pivotSq) * wq; devex && cand > s.devex[j] {
 			s.devex[j] = cand
 		}
+	}
+	s.d[entering], s.d[outVar] = 0, -thetaD
+	if !devex {
+		return
 	}
 	lw := wq / pivotSq
 	if lw < 1 {

@@ -7,20 +7,36 @@ import (
 	"testing"
 )
 
-// pricingOracle is the pricer the incremental cache replaced: a full scan
-// of every column at every step, kept as naive as possible. Hung on
-// Options.pricingCheck it recomputes, from nothing but the duals, statuses
-// and bounds, what every column's direction and Devex score must be and
-// which column must enter, and — from its own copy of the weights — what
-// the Forrest–Goldfarb update must leave behind, and fails the test on the
-// first bit that differs.
+// pricingOracle is the pricer the incremental cache replaced, kept as
+// naive as possible and hung on Options.pricingCheck. At every pricing
+// step it solves for the duals of the current basis itself — its own c_B
+// through the factorization's full dual solve, never the solver's
+// reduced costs — and fails the test when
+//
+//   - a cached reduced cost d_j is further than driftTol·(1 + |c_j| +
+//     max_i |y_i|·‖a_j‖₁) from its own c_j − yᵀa_j, or a basic column's
+//     is not 0;
+//   - a cached direction or score differs by a bit from what the cached
+//     d_j gives, or the entering column is not the argmax of the cached
+//     scores (the first eligible column under Bland's rule);
+//   - a phase reports Optimal while a column is eligible under its d.
+//
+// From its own copy of the weights it also recomputes what the
+// Forrest–Goldfarb update must leave behind.
 type pricingOracle struct {
 	t     testing.TB
 	label string
 	devex []float64 // the weights as of the last pricing step
+	cb, y []float64 // its own basic costs and duals
+	maxY  float64   // max_i |y_i|
 
-	steps, blandSteps, reweights, resets int
+	steps, blandSteps, reweights, resets, optima int
+	drift                                        float64 // the largest scaled drift seen
 }
+
+// driftTol bounds how far, relative to the column's scale, an updated
+// reduced cost may drift from a fresh one between dual solves.
+const driftTol = 1e-9
 
 // withOracle attaches a fresh oracle to opts.
 func withOracle(t testing.TB, label string, opts Options) (Options, *pricingOracle) {
@@ -31,33 +47,76 @@ func withOracle(t testing.TB, label string, opts Options) (Options, *pricingOrac
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+// reducedCost returns column j's reduced cost under the oracle's duals
+// and the column's scale 1 + |c_j| + Y·‖a_j‖₁ with Y = max_i |y_i|: the
+// roundoff in y, and so in d, scales with the largest dual (the online
+// model's fake node prices every row it meets), not with the column's own.
+func (o *pricingOracle) reducedCost(s *simplexState, cost []float64, j int) (d, scale float64) {
+	d, norm := cost[j], 0.0
+	for _, e := range s.cols[j] {
+		d -= o.y[e.row] * e.coef
+		norm += math.Abs(e.coef)
+	}
+	return d, 1 + math.Abs(cost[j]) + o.maxY*norm
+}
+
+// solveDuals sets o.y to the duals of the current basis under cost.
+func (o *pricingOracle) solveDuals(s *simplexState, cost []float64) {
+	o.cb, o.y = resize(o.cb, s.m), resize(o.y, s.m)
+	for i, j := range s.basis {
+		o.cb[i] = cost[j]
+	}
+	s.factor.btran(o.cb, o.y)
+	o.maxY = 0
+	for _, y := range o.y {
+		o.maxY = math.Max(o.maxY, math.Abs(y))
+	}
+}
+
+// eligible is the direction a column with reduced cost d and status st
+// may enter in, 0 for none.
+func eligible(s *simplexState, cost []float64, j int, d float64) float64 {
+	st := s.status[j]
+	if st == basic || (s.lower[j] == s.upper[j] && st != atFree) {
+		return 0
+	}
+	dtol := s.opts.tol * (1 + math.Abs(cost[j]))
+	switch {
+	case st != atUpper && d < -dtol:
+		return 1
+	case st != atLower && d > dtol:
+		return -1
+	}
+	return 0
+}
+
 func (o *pricingOracle) priced(s *simplexState, cost []float64, useBland bool, entering int, enterDir float64) {
 	o.steps++
 	if useBland {
 		o.blandSteps++
 	}
+	o.solveDuals(s, cost)
 	wantJ, wantDir, best := -1, 0.0, 0.0
 	for j := range s.cols {
-		dir, score := 0.0, 0.0
-		st := s.status[j]
-		if st != basic && (s.lower[j] != s.upper[j] || st == atFree) {
-			d := cost[j]
-			for _, e := range s.cols[j] {
-				d -= s.y[e.row] * e.coef
+		if s.status[j] == basic {
+			if s.d[j] != 0 {
+				o.t.Fatalf("%s: step %d (iter %d): basic column %d has reduced cost %g", o.label, o.steps, s.iter, j, s.d[j])
 			}
-			dtol := s.opts.tol * (1 + math.Abs(cost[j]))
-			switch {
-			case st != atUpper && d < -dtol:
-				dir = 1
-			case st != atLower && d > dtol:
-				dir = -1
-			}
-			if dir != 0 {
-				score = d * d / s.devex[j]
+		} else {
+			d, scale := o.reducedCost(s, cost, j)
+			drift := math.Abs(s.d[j]-d) / scale
+			o.drift = math.Max(o.drift, drift)
+			if drift > driftTol {
+				o.t.Fatalf("%s: step %d (iter %d): column %d cached d=%g, fresh duals give %g (drift %.3g of scale %g)",
+					o.label, o.steps, s.iter, j, s.d[j], d, drift, scale)
 			}
 		}
+		dir, score := eligible(s, cost, j, s.d[j]), 0.0
+		if dir != 0 {
+			score = s.d[j] * s.d[j] / s.devex[j]
+		}
 		if dir != s.dir[j] || !sameBits(score, s.score[j]) {
-			o.t.Fatalf("%s: step %d (iter %d): column %d cached dir=%g score=%x, full scan dir=%g score=%x",
+			o.t.Fatalf("%s: step %d (iter %d): column %d cached dir=%g score=%x, from its d dir=%g score=%x",
 				o.label, o.steps, s.iter, j, s.dir[j], s.score[j], dir, score)
 		}
 		if dir == 0 {
@@ -76,6 +135,17 @@ func (o *pricingOracle) priced(s *simplexState, cost []float64, useBland bool, e
 			o.label, o.steps, s.iter, entering, enterDir, wantJ, wantDir)
 	}
 	o.devex = append(o.devex[:0], s.devex...)
+}
+
+func (o *pricingOracle) optimal(s *simplexState, cost []float64) {
+	o.optima++
+	o.solveDuals(s, cost)
+	for j := range s.cols {
+		if d, _ := o.reducedCost(s, cost, j); eligible(s, cost, j, d) != 0 {
+			o.t.Fatalf("%s: iter %d: Optimal, but column %d (status %d) has reduced cost %g under fresh duals",
+				o.label, s.iter, j, s.status[j], d)
+		}
+	}
 }
 
 func (o *pricingOracle) reweighted(s *simplexState, prowOld []float64, pivot float64, entering, outVar int) {
@@ -135,11 +205,13 @@ func devexResetLP() *Problem {
 // TestPricingOracle runs the reference pricer beside the incremental one
 // at every pricing step and every Devex update of every solver path.
 func TestPricingOracle(t *testing.T) {
-	steps, blandSteps, reweights := 0, 0, 0
+	steps, blandSteps, reweights, optima, drift := 0, 0, 0, 0, 0.0
 	tally := func(o *pricingOracle) {
 		steps += o.steps
 		blandSteps += o.blandSteps
 		reweights += o.reweights
+		optima += o.optima
+		drift = math.Max(drift, o.drift)
 	}
 
 	for _, f := range factorModes {
@@ -220,6 +292,15 @@ func TestPricingOracle(t *testing.T) {
 		}
 	}
 
+	// The scheduler's LPs the simplex once cycled on.
+	for _, name := range recordedLPs {
+		sol, o := oracleSolve(t, "recorded/"+name, readRecordedLP(t, name), Options{})
+		if sol.Status != Optimal {
+			t.Errorf("recorded/%s: status %v", name, sol.Status)
+		}
+		tally(o)
+	}
+
 	// Epoch scale on the default factorization: ~5000 columns, long enough
 	// that the eta file forces refactorizations between pricing steps.
 	esol, o := oracleSolve(t, "epoch/cold", epochScaleLP(nil), Options{})
@@ -227,7 +308,9 @@ func TestPricingOracle(t *testing.T) {
 	if esol.Refactorizations < 4 {
 		t.Errorf("epoch/cold: %d refactorizations, want mid-solve ones", esol.Refactorizations)
 	}
-	if steps < 5000 || blandSteps == 0 || reweights < 3000 {
-		t.Errorf("oracle saw %d pricing steps (%d under Bland) and %d Devex updates: corpus too thin", steps, blandSteps, reweights)
+	t.Logf("oracle saw %d pricing steps (%d under Bland), %d Devex updates and %d optima; largest drift %.3g",
+		steps, blandSteps, reweights, optima, drift)
+	if steps < 5000 || blandSteps == 0 || reweights < 3000 || optima < 400 {
+		t.Errorf("corpus too thin")
 	}
 }

@@ -117,24 +117,15 @@ type simplexState struct {
 
 	iter     int
 	p1it     int
-	priceAll bool // cost vector or reference framework reset: reprice everything
-	newCost  bool // cost vector switched: computeDuals rebuilds c_B
+	priceAll bool // duals, cost vector or reference framework reset: reprice everything
 	degenRun int  // consecutive degenerate pivots (triggers Bland)
 	nflips   int  // bound flips (debug accounting)
 
 	warm      bool    // warm-start basis accepted
 	pivots    []Pivot // recorded when opts.recordPivots; the Solution takes it
-	pricingNS time.Duration
-	factorNS  time.Duration // wall-clock inside refactorize
-	ftranNS   time.Duration // wall-clock in FTRAN (entering columns + x_B)
-	btranNS   time.Duration // wall-clock in BTRAN (duals + Devex pivot rows)
+	clock     phaseClock
 	nRefactor int
 	pickReads int // cached scores the Devex picks read
-
-	// The duals c_Bᵀ B⁻¹ and the rows where the last computeDuals changed
-	// them bitwise: the factor's buffers, read-only here.
-	y     []float64
-	yRows []int32
 
 	workspace
 }
@@ -162,18 +153,20 @@ type workspace struct {
 	lu     luFactor
 
 	// scratch
-	cb        []float64 // slot-space basic costs handed to the dual solve
-	cbChanged []int32   // slots whose basic column changed since the last dual solve
-	rhs       []float64 // b − N x_N, the right-hand side of computeXB
-	devex     []float64 // Devex reference weights, one per column
+	cb    []float64 // slot-space basic costs handed to the dual solve
+	y     []float64 // the duals c_Bᵀ B⁻¹ of the last dual solve
+	rhs   []float64 // b − N x_N, the right-hand side of computeXB
+	devex []float64 // Devex reference weights, one per column
 
 	// Incremental pricing (pricing.go): a row-major (CSR) index of the
 	// structural columns — a row's slack and phase-1 artificial are single
-	// implied entries — and per column the cached entering direction and
-	// Devex score, with the queue of columns whose entry is stale.
+	// implied entries — and per column the reduced cost, the cached
+	// entering direction and Devex score, with the queue of columns whose
+	// entry is stale.
 	rowStart []int32 // row i meets structurals rowCol[rowStart[i]:rowStart[i+1]]
 	rowCol   []int32
 	artOf    []int32   // artificial column of row i, 0 for none
+	d        []float64 // reduced cost c_j − yᵀa_j, updated pivot by pivot; 0 on basic columns
 	dir      []float64 // entering direction, 0 when the column cannot improve
 	score    []float64 // d²/devex where dir ≠ 0, else 0
 	dirty    []int32   // columns to reprice at the next refresh
@@ -240,7 +233,7 @@ func (s *simplexState) init(p *Problem, opts Options) {
 	s.basis = resize(s.basis, m)
 	s.xB = resize(s.xB, m)
 	s.cb = resize(s.cb, m)
-	s.cbChanged = resize(s.cbChanged, m)[:0] // never nil: nil asks for a full dual solve
+	s.y = resize(s.y, m)
 	s.rhs = resize(s.rhs, m)
 	if opts.factor != nil {
 		s.factor = opts.factor(s)
@@ -582,43 +575,32 @@ func (s *simplexState) computeXB() {
 	}
 	t0 := time.Now()
 	s.factor.ftranVec(rhs, s.xB)
-	s.ftranNS += time.Since(t0)
+	s.clock.since(phFtran, t0)
 }
 
-// computeDuals sets s.y = c_B^T B^{-1} for the given cost vector, and
-// s.yRows to the rows where y changed bitwise since the last call. c_B is
-// refreshed in the slots whose basic column changed since then, or
-// throughout when the cost vector is new.
+// computeDuals sets s.y = c_Bᵀ B⁻¹ for the given cost vector.
 func (s *simplexState) computeDuals(cost []float64) {
-	changed := s.cbChanged
-	if s.newCost {
-		s.newCost = false
-		for i := 0; i < s.m; i++ {
-			s.cb[i] = cost[s.basis[i]]
-		}
-		changed = nil
-	} else {
-		for _, i := range changed {
-			s.cb[i] = cost[s.basis[i]]
-		}
+	for i, j := range s.basis {
+		s.cb[i] = cost[j]
 	}
 	t0 := time.Now()
-	s.y, s.yRows = s.factor.duals(s.cb, changed)
-	s.btranNS += time.Since(t0)
-	s.cbChanged = s.cbChanged[:0]
+	s.factor.btran(s.cb, s.y)
+	s.clock.since(phBtran, t0)
 }
 
 // refactorize rebuilds the basis factorization from the basis columns,
-// then recomputes x_B.
+// then recomputes x_B. The next pricing step solves for the duals afresh
+// and reprices every column from them.
 func (s *simplexState) refactorize() error {
 	t0 := time.Now()
 	err := s.factor.refactorize()
-	s.factorNS += time.Since(t0)
+	s.clock.since(phFactor, t0)
 	s.nRefactor++
 	if err != nil {
 		return err
 	}
 	s.computeXB()
+	s.priceAll = true
 	return nil
 }
 
@@ -630,13 +612,17 @@ func (s *simplexState) refactorize() error {
 // zigzagging Dantzig suffers on scheduling LPs whose reduced costs are
 // dominated by one huge price (the online model's fake node); a long
 // degenerate stall still falls back to Bland's rule for guaranteed
-// termination.
+// termination. The reduced costs are updated from the pivot row
+// (pricing.go); the duals are solved for only when a phase starts and
+// after each refactorization, and Optimal is only ever reported on
+// reduced costs fresh from them.
 func (s *simplexState) iterate(cost []float64) (Status, error) {
 	m := s.m
 	tol := s.opts.tol
 	sinceRefactor := 0
+	start, exact := time.Now(), s.clock.exactSum()
+	defer func() { s.clock.loop += time.Since(start) - (s.clock.exactSum() - exact) }()
 	s.resetPricing()
-	s.newCost = true
 	for {
 		if s.iter >= s.opts.MaxIters {
 			return IterLimit, nil
@@ -647,7 +633,9 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 			}
 			sinceRefactor = 0
 		}
-		s.computeDuals(cost)
+		if s.priceAll {
+			s.freshPrices(cost)
+		}
 		if debugSimplex && s.iter%2000 == 0 {
 			obj := 0.0
 			for i := 0; i < m; i++ {
@@ -663,30 +651,40 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 		useBland := s.opts.Bland || s.degenRun > 2*m+200
 
 		// Pricing: pick the entering column — Devex score d²/weight, or
-		// the first eligible column under Bland's rule.
-		t0 := time.Now()
+		// the first eligible column under Bland's rule. One pivot in
+		// timingStride is timed (t non-zero).
+		var t time.Time
+		if s.iter%timingStride == 0 {
+			t = time.Now()
+		}
 		s.refreshPrices(cost)
 		entering, enterDir := s.pickEntering(useBland)
-		s.pricingNS += time.Since(t0)
+		t = s.clock.lap(phPricing, t)
 		if s.opts.pricingCheck != nil {
 			s.opts.pricingCheck.priced(s, cost, useBland, entering, enterDir)
 		}
 		if entering == -1 {
-			// No improving column: optimal for this cost vector.
-			// Refactorise once for a clean final answer if drift is
-			// plausible.
-			if sinceRefactor > 0 {
-				if err := s.refactorize(); err != nil {
-					return 0, err
+			// No improving column. With no pivot since the last
+			// factorization the reduced costs come straight from a dual
+			// solve, and this is optimal for this cost vector. Otherwise
+			// refactorize — a clean x_B, and fresh duals — and price
+			// again: a column the updates missed still enters.
+			if sinceRefactor == 0 {
+				if s.opts.pricingCheck != nil {
+					s.opts.pricingCheck.optimal(s, cost)
 				}
+				return Optimal, nil
 			}
-			return Optimal, nil
+			if err := s.refactorize(); err != nil {
+				return 0, err
+			}
+			sinceRefactor = 0
+			continue
 		}
 
 		// FTRAN: w = B^{-1} A_q, nonzero at the slots wnz.
-		t0 = time.Now()
 		w, wnz := s.factor.ftranCol(s.cols[entering])
-		s.ftranNS += time.Since(t0)
+		t = s.clock.lap(phFtran, t)
 
 		// Ratio test. The entering variable moves by t ≥ 0 in direction
 		// enterDir; basic i changes by −enterDir·w[i]·t, so only the
@@ -749,11 +747,11 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 		if math.IsInf(limit, 1) {
 			return Unbounded, nil
 		}
-		t := limit
-		if t < 0 {
-			t = 0
+		step := limit
+		if step < 0 {
+			step = 0
 		}
-		if t <= tol {
+		if step <= tol {
 			s.degenRun++
 		} else {
 			s.degenRun = 0
@@ -762,12 +760,13 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 
 		if leaving == -1 {
 			// Bound flip: the entering variable crosses its whole span.
+			// The basis, and so every reduced cost, stays.
 			s.nflips++
 			if s.opts.recordPivots {
 				s.pivots = append(s.pivots, Pivot{Entering: int32(entering), Leaving: -1})
 			}
 			for _, i := range wnz {
-				s.xB[i] -= enterDir * w[i] * t
+				s.xB[i] -= enterDir * w[i] * step
 			}
 			if enterDir > 0 {
 				s.status[entering] = atUpper
@@ -792,13 +791,13 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 			sinceRefactor = 0
 			continue
 		}
-		enterVal := s.value[entering] + enterDir*t
+		enterVal := s.value[entering] + enterDir*step
 		if s.status[entering] == atFree {
-			enterVal = enterDir * t
+			enterVal = enterDir * step
 		}
 		for _, i := range wnz {
 			if int(i) != leaving {
-				s.xB[i] -= enterDir * w[i] * t
+				s.xB[i] -= enterDir * w[i] * step
 			}
 		}
 		outVar := s.basis[leaving]
@@ -810,7 +809,6 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 			s.value[outVar] = s.lower[outVar]
 		}
 		s.basis[leaving] = entering
-		s.cbChanged = append(s.cbChanged, int32(leaving))
 		s.status[entering] = basic
 		s.xB[leaving] = enterVal
 		s.touch(entering)
@@ -820,25 +818,22 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 			s.pivots = append(s.pivots, Pivot{Entering: int32(entering), Leaving: int32(outVar)})
 		}
 
-		// Devex reference-weight update (Forrest–Goldfarb), using the
-		// pivot row of the *pre-pivot* basis inverse.
-		if !useBland {
-			t0 = time.Now()
-			prowOld, prowNZ := s.factor.pivotRow(leaving) // pre-pivot B^{-1} row
-			s.btranNS += time.Since(t0)
-			t0 = time.Now()
-			s.updateDevex(prowOld, prowNZ, leavePivot, entering, outVar)
-			s.pricingNS += time.Since(t0)
-			if s.opts.pricingCheck != nil {
-				s.opts.pricingCheck.reweighted(s, prowOld, leavePivot, entering, outVar)
-			}
+		// The reduced costs and, off Bland's rule, the Devex weights
+		// follow the pivot through row `leaving` of the *pre-pivot*
+		// basis inverse.
+		t = restart(t)
+		prowOld, prowNZ := s.factor.pivotRow(leaving)
+		t = s.clock.lap(phBtran, t)
+		s.updatePrices(prowOld, prowNZ, leavePivot, entering, outVar, !useBland)
+		t = s.clock.lap(phPricing, t)
+		if !useBland && s.opts.pricingCheck != nil {
+			s.opts.pricingCheck.reweighted(s, prowOld, leavePivot, entering, outVar)
 		}
 
 		// Update the factorization: slot `leaving` now holds the entering
 		// column, whose FTRAN image is still in w.
-		t0 = time.Now()
 		s.factor.update(w, wnz, leaving)
-		s.factorNS += time.Since(t0)
+		s.clock.lap(phFactor, t)
 		sinceRefactor++
 	}
 }

@@ -137,10 +137,12 @@ type Options struct {
 
 // pricingChecker observes the incremental pricer (pricing.go): priced
 // after each choice of entering column, reweighted after each Devex
-// update, before the factorization moves on from the pivot row.
+// update, before the factorization moves on from the pivot row, and
+// optimal before a phase reports Optimal.
 type pricingChecker interface {
 	priced(s *simplexState, cost []float64, useBland bool, entering int, enterDir float64)
 	reweighted(s *simplexState, prowOld []float64, pivot float64, entering, outVar int)
+	optimal(s *simplexState, cost []float64)
 }
 
 // Deprecated: PresolveMode is the type of Options.Presolve, which has no
