@@ -281,7 +281,8 @@ func (cg *OnlineColGen) Solve(opts ColGenOptions) (*Plan, lp.ColGenStats, error)
 		return nil, st, err
 	}
 	if sol.Status != lp.Optimal {
-		return nil, st, &SolveError{Kind: Online, Status: sol.Status, Stats: st.Stats, WarmStarted: sol.WarmStarted}
+		return nil, st, &SolveError{Kind: Online, Status: sol.Status, Stats: st.Stats, WarmStarted: sol.WarmStarted,
+			Rows: cg.m.prob.NumCons(), Cols: cg.m.prob.NumVars()}
 	}
 	plan := cg.m.extract(sol)
 	plan.Stats = st.Stats // every pricing round, not only the last re-solve

@@ -277,19 +277,22 @@ func (m *Model) Solve(opts lp.Options) (*Plan, error) {
 		return nil, err
 	}
 	if sol.Status != lp.Optimal {
-		return nil, &SolveError{Kind: m.Kind, Status: sol.Status, Stats: sol.Stats, WarmStarted: sol.WarmStarted}
+		return nil, &SolveError{Kind: m.Kind, Status: sol.Status, Stats: sol.Stats, WarmStarted: sol.WarmStarted,
+			Rows: m.prob.NumCons(), Cols: m.prob.NumVars()}
 	}
 	return m.extract(sol), nil
 }
 
-// SolveError is a solve that ended without an optimum: the final status
-// and what it cost (summed over every pricing round under column
-// generation), so a caller can account for it like one that succeeded.
+// SolveError is a solve that ended without an optimum: the final status,
+// what it cost (summed over every pricing round under column generation)
+// and the LP's size (under column generation, the last restricted
+// master's), so a caller can account for it like one that succeeded.
 type SolveError struct {
 	Kind        Kind
 	Status      lp.Status
 	Stats       lp.Stats
 	WarmStarted bool
+	Rows, Cols  int
 }
 
 func (e *SolveError) Error() string {

@@ -294,6 +294,7 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 		r.Stats, r.WarmStarted = plan.Stats, plan.WarmStarted
 	case errors.As(err, &failed):
 		r.Status, r.Stats, r.WarmStarted = failed.Status.String(), failed.Stats, failed.WarmStarted
+		r.Rows, r.Cols = failed.Rows, failed.Cols
 	default:
 		r.Status = statusError
 	}
@@ -305,6 +306,7 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 		r.Stats, r.LPSolves, r.LPWarmStarts = cgStats.Stats, cgStats.Rounds, cgStats.WarmRounds
 		r.ColGenRounds, r.ColGenColumns = cgStats.Rounds, cgStats.Columns
 	}
+	r.Stalled = r.stalled()
 	if err != nil {
 		r.Deferred = r.Pending
 		l.fail(fmt.Errorf("epoch %d: %w", l.Epochs, err))

@@ -150,6 +150,11 @@ func TestIterLimitEpochs(t *testing.T) {
 				if es.Status != "" && (es.Launched != 0 || es.Deferred != es.Pending) {
 					t.Errorf("colgen=%v: failed epoch %d launched %d and deferred %d of %d", tc.colgen, es.Epoch, es.Launched, es.Deferred, es.Pending)
 				}
+				// The failed solve's LP is sized like a finished one's, and a
+				// budget of a few pivots is far from a stall.
+				if es.Rows == 0 || es.Cols == 0 || es.Stalled {
+					t.Errorf("colgen=%v: epoch %d recorded as %d×%d, stalled %v", tc.colgen, es.Epoch, es.Rows, es.Cols, es.Stalled)
+				}
 			}
 		}
 		if err := sink.Close(); err != nil {

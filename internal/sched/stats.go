@@ -38,6 +38,11 @@ type EpochRecord struct {
 	// Status is why the solve failed: the solver's final status
 	// ("iteration limit", …) or statusError; empty when it was optimal.
 	Status string
+	// Stalled marks a solve that took more than stallFactor·(Rows+Cols)
+	// pivots (under ColGen, every round's against the last master's
+	// size), failed or not: a simplex that terminates needs a few passes
+	// over its LP, and one that cycles runs on to the iteration limit.
+	Stalled bool
 	// Stats is what the solve cost, summed over the pricing rounds under
 	// ColGen, whose round and generated-column counts follow.
 	lp.Stats
@@ -59,6 +64,14 @@ type EpochRecord struct {
 // observe folds the epoch's solve into a SolverStats accumulation.
 func (r EpochRecord) observe(ss *metrics.SolverStats) {
 	ss.Observe(r.Stats, r.WarmOffered, r.WarmOffered && r.WarmStarted, r.SolveTime, r.ColGenRounds, r.ColGenColumns)
+}
+
+// stallFactor is how many pivots per row and column make a solve stalled.
+const stallFactor = 20
+
+// stalled is the rule Stalled records.
+func (r EpochRecord) stalled() bool {
+	return r.Rows+r.Cols > 0 && r.Iters > stallFactor*(r.Rows+r.Cols)
 }
 
 // statusError is the Status of a solve abandoned without a final status:
@@ -100,7 +113,7 @@ func (r EpochRecord) traceInfo(scheduler string, timings bool) *trace.EpochInfo 
 		Scheduler: scheduler, Epoch: r.Epoch,
 		Jobs: r.Jobs, Pending: r.Pending,
 		Warm: r.WarmOffered, WarmAccepted: r.WarmOffered && r.WarmStarted,
-		Iters: r.Iters, Phase1: r.Phase1, Status: r.Status,
+		Iters: r.Iters, Phase1: r.Phase1, Status: r.Status, Stalled: r.Stalled,
 		Launched: r.Launched, Deferred: r.Deferred,
 		BlocksMoved: r.BlocksMoved,
 	}

@@ -1,10 +1,12 @@
 package sched
 
 import (
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"lips/internal/lp"
 	"lips/internal/obs"
 	"lips/internal/sim"
 )
@@ -77,6 +79,30 @@ func TestObserveLPAbandonedSolve(t *testing.T) {
 			if got, _ := reg.Value(c.family); got != c.want {
 				t.Errorf("status %q: %s = %g, want %g", tc.status, c.family, got, c.want)
 			}
+		}
+	}
+}
+
+// TestStalledEpochShows: a solve past 20·(rows+cols) pivots is stalled,
+// one at the bound or with no LP is not; a stalled epoch says so in its
+// trace event, and an epoch that is not leaves the key out, like status.
+func TestStalledEpochShows(t *testing.T) {
+	for _, tc := range []struct {
+		iters, rows, cols int
+		want              bool
+	}{{8200, 70, 340, false}, {8201, 70, 340, true}, {5, 0, 0, false}} {
+		r := EpochRecord{Stats: lp.Stats{Iters: tc.iters}, Rows: tc.rows, Cols: tc.cols}
+		if got := r.stalled(); got != tc.want {
+			t.Errorf("%d pivots on %d×%d: stalled %v, want %v", tc.iters, tc.rows, tc.cols, got, tc.want)
+		}
+	}
+	for _, stalled := range []bool{false, true} {
+		b, err := json.Marshal(EpochRecord{Epoch: 3, Rows: 70, Cols: 340, Stalled: stalled}.traceInfo("lips", false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(string(b), `"stalled":true`); got != stalled || (!stalled && strings.Contains(string(b), "stalled")) {
+			t.Errorf("stalled=%v: epoch event %s", stalled, b)
 		}
 	}
 }

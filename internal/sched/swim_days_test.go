@@ -40,7 +40,7 @@ func TestSWIMDaysComplete(t *testing.T) {
 			}
 			last = es.Epoch
 			pivots += es.Iters
-			if size := es.Rows + es.Cols; es.Iters > 5*size {
+			if size := es.Rows + es.Cols; es.Iters > 5*size || es.Stalled {
 				t.Errorf("seed %d epoch %d: %d pivots on a %d × %d LP, budget 5·(rows+cols) = %d",
 					seed, es.Epoch, es.Iters, es.Rows, es.Cols, 5*size)
 			}

@@ -63,6 +63,7 @@ type SchedView struct {
 	SchedDeferredTasks int     `json:"sched_deferred_tasks"`
 	Solver             string  `json:"solver"`
 	Status             string  `json:"status,omitempty"`
+	Stalled            bool    `json:"stalled,omitempty"`
 	LPRows             int     `json:"lp_rows"`
 	LPCols             int     `json:"lp_cols"`
 	LPNNZ              int     `json:"lp_nnz"`
@@ -74,7 +75,7 @@ type SchedView struct {
 
 func newSchedView(r sched.EpochRecord) *SchedView {
 	return &SchedView{
-		SchedEpoch: r.Epoch, SchedDeferredTasks: r.Deferred, Solver: r.String(), Status: r.Status,
+		SchedEpoch: r.Epoch, SchedDeferredTasks: r.Deferred, Solver: r.String(), Status: r.Status, Stalled: r.Stalled,
 		LPRows: r.Rows, LPCols: r.Cols, LPNNZ: r.NNZ,
 		BuildMS: ms(r.BuildTime), SolveMS: ms(r.SolveTime),
 		RoundMS: ms(r.RoundTime), ApplyMS: ms(r.ApplyTime),

@@ -111,8 +111,10 @@ type EpochInfo struct {
 	Iters        int  `json:"iters"`
 	Phase1       int  `json:"phase1,omitempty"`
 	// Status is why the solve failed ("iteration limit", "infeasible", …);
-	// empty when it ended optimal.
-	Status string `json:"status,omitempty"`
+	// empty when it ended optimal. Stalled marks a solve that took more
+	// than 20·(rows+cols) pivots, failed or not.
+	Status  string `json:"status,omitempty"`
+	Stalled bool   `json:"stalled,omitempty"`
 
 	Launched    int `json:"launched"` // tasks enqueued by this epoch's plan
 	Deferred    int `json:"deferred"` // fake-node overflow: pending work left for the next epoch
