@@ -620,8 +620,8 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 	m := s.m
 	tol := s.opts.tol
 	sinceRefactor := 0
-	start, exact := time.Now(), s.clock.exactSum()
-	defer func() { s.clock.loop += time.Since(start) - (s.clock.exactSum() - exact) }()
+	start, exact := time.Now(), s.clock.exactSum
+	defer func() { s.clock.loop += time.Since(start) - (s.clock.exactSum - exact) }()
 	s.resetPricing()
 	for {
 		if s.iter >= s.opts.MaxIters {

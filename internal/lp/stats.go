@@ -20,7 +20,7 @@ type Stats struct {
 	PresolveRows, PresolveCols int
 
 	// The wall-clock split by phase. These four are estimates: the
-	// simplex reads the clock on one pivot in timingStride, and scales
+	// simplex reads the clock on one pivot in 64, and scales
 	// what those pivots spent so that the four sum to the wall-clock of
 	// its pivot loops (see phaseClock); refactorizations and the full
 	// dual solves are timed every time. So none exceeds the solve's
@@ -83,11 +83,15 @@ const timingStride = 64
 // scales sampled up to loop.
 type phaseClock struct {
 	exact, sampled [nPhases]time.Duration
-	loop           time.Duration
+	exactSum, loop time.Duration
 }
 
 // since adds the time since t0 to phase ph's exact time.
-func (c *phaseClock) since(ph int, t0 time.Time) { c.exact[ph] += time.Since(t0) }
+func (c *phaseClock) since(ph int, t0 time.Time) {
+	d := time.Since(t0)
+	c.exact[ph] += d
+	c.exactSum += d
+}
 
 // lap adds the time since t to phase ph's sampled time and returns the
 // time now. On a pivot that is not timed t is zero, and lap reads no
@@ -107,15 +111,6 @@ func restart(t time.Time) time.Time {
 		return t
 	}
 	return time.Now()
-}
-
-// exactSum is the exact time taken so far.
-func (c *phaseClock) exactSum() time.Duration {
-	var sum time.Duration
-	for _, d := range c.exact {
-		sum += d
-	}
-	return sum
 }
 
 // estimate is each phase's exact time plus its share, by the sampled
