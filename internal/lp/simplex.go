@@ -115,11 +115,12 @@ type simplexState struct {
 
 	factor factorizer // representation of B^{-1}: &lu unless a test installs its own
 
-	iter     int
-	p1it     int
-	priceAll bool // duals, cost vector or reference framework reset: reprice everything
-	degenRun int  // consecutive degenerate pivots (triggers Bland)
-	nflips   int  // bound flips (debug accounting)
+	iter       int
+	p1it       int
+	priceAll   bool // cost vector or reference framework reset: reprice everything
+	freshDuals bool // refactorized: solve for the duals and reprice what moved
+	degenRun   int  // consecutive degenerate pivots (triggers Bland)
+	nflips     int  // bound flips (debug accounting)
 
 	warm      bool    // warm-start basis accepted
 	pivots    []Pivot // recorded when opts.recordPivots; the Solution takes it
@@ -302,10 +303,10 @@ func (s *simplexState) run() (*Solution, error) {
 	}
 	// Undo the anti-degeneracy perturbation: re-derive the basic values
 	// from the original right-hand sides under the final (optimal) basis.
+	// iterate reports Optimal only with no pivot since the basis was last
+	// factorized, so the factorization is fresh.
 	copy(s.b, s.bOrig)
-	if err := s.refactorize(); err != nil {
-		return nil, err
-	}
+	s.computeXB()
 	sol.X = make([]float64, s.nStruct)
 	for j := 0; j < s.nStruct; j++ {
 		if s.status[j] == basic {
@@ -600,7 +601,7 @@ func (s *simplexState) refactorize() error {
 		return err
 	}
 	s.computeXB()
-	s.priceAll = true
+	s.freshDuals = true
 	return nil
 }
 
@@ -633,7 +634,7 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 			}
 			sinceRefactor = 0
 		}
-		if s.priceAll {
+		if s.priceAll || s.freshDuals {
 			s.freshPrices(cost)
 		}
 		if debugSimplex && s.iter%2000 == 0 {
