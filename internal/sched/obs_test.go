@@ -108,7 +108,7 @@ func TestIterLimitEpochs(t *testing.T) {
 		want     string
 		statuses string // per epoch, "-" for an optimal solve
 	}{
-		{false, 22, "solves=7 iterations=98 phase1_iterations=73 warm_starts=2 refactorizations=13 colgen_rounds=0 colgen_columns=0",
+		{false, 22, "solves=7 iterations=98 phase1_iterations=73 warm_starts=2 refactorizations=9 colgen_rounds=0 colgen_columns=0",
 			"L L L - - - -"},
 		{true, 10, "solves=6 iterations=60 phase1_iterations=39 warm_starts=0 refactorizations=3 colgen_rounds=6 colgen_columns=0",
 			"L L L L L L"},
