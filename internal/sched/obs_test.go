@@ -104,17 +104,19 @@ func TestLiPSRegistersLPFamilies(t *testing.T) {
 func TestIterLimitEpochs(t *testing.T) {
 	for _, tc := range []struct {
 		colgen   bool
+		epochSec float64
 		maxIters int
 		want     string
 		statuses string // per epoch, "-" for an optimal solve
 	}{
-		{false, 22, "solves=7 iterations=98 phase1_iterations=73 warm_starts=2 refactorizations=9 colgen_rounds=0 colgen_columns=0",
+		{false, 200, 22, "solves=7 iterations=98 phase1_iterations=73 warm_starts=2 refactorizations=9 colgen_rounds=0 colgen_columns=0",
 			"L L L - - - -"},
-		{true, 10, "solves=6 iterations=60 phase1_iterations=39 warm_starts=0 refactorizations=3 colgen_rounds=6 colgen_columns=0",
+		// Two of these epochs run out in their second pricing round.
+		{true, 100, 10, "solves=8 iterations=68 phase1_iterations=39 warm_starts=2 refactorizations=8 colgen_rounds=8 colgen_columns=60",
 			"L L L L L L"},
 	} {
 		c, w := heavyScenario()
-		l := NewLiPS(200)
+		l := NewLiPS(tc.epochSec)
 		l.ColGen = tc.colgen
 		l.maxIters = tc.maxIters
 		reg := obs.NewRegistry()
