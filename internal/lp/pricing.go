@@ -18,12 +18,10 @@ import (
 //     leaving column's d is −θ_d: the sign the pivot gave it, which keeps
 //     it from re-entering on roundoff.
 //   - A bound flip changes no reduced cost, only the column's status.
-//   - A refactorization sets freshDuals: the next pricing step solves
-//     for y once, recomputes every d_j from it and requeues the columns
-//     whose d_j moved (freshPrices). A phase start (new costs, weights
-//     reset to 1) and a Devex reset set priceAll, which requeues every
-//     column. The simplex reports Optimal only on reduced costs fresh
-//     from a dual solve (iterate).
+//   - A phase start, a refactorization and a Devex reset set priceAll:
+//     the next pricing step solves for y once and recomputes every d_j
+//     and score from it (freshPrices). The simplex reports Optimal only
+//     on reduced costs fresh from a dual solve (iterate).
 //
 // A column's direction and score are recomputed only when its d, its
 // status or its Devex weight may have changed: the queue of dirty
@@ -132,12 +130,9 @@ func (s *simplexState) touchPivotRow(nzs []int32) {
 }
 
 // freshPrices solves for the duals and recomputes every column's reduced
-// cost from them. It queues the columns whose reduced cost moved — a
-// column whose d, status and weight all stand keeps its entry — or, under
-// priceAll, every column.
+// cost from them, and queues every column for repricing.
 func (s *simplexState) freshPrices(cost []float64) {
-	all := s.priceAll
-	s.priceAll, s.freshDuals = false, false
+	s.priceAll = false
 	s.computeDuals(cost)
 	t0 := time.Now()
 	for j, col := range s.cols {
@@ -148,19 +143,15 @@ func (s *simplexState) freshPrices(cost []float64) {
 				d -= s.y[e.row] * e.coef
 			}
 		}
-		if all || d != s.d[j] {
-			s.d[j] = d
-			s.touch(j)
-		}
+		s.d[j] = d
+		s.touch(j)
 	}
-	if all {
-		// Every score changes: rescan every block at the pick instead of
-		// maintaining entries that are about to be rebuilt.
-		s.staleList = s.staleList[:0]
-		for b := range s.stale {
-			s.stale[b] = true
-			s.staleList = append(s.staleList, int32(b))
-		}
+	// Every score changes: rescan every block at the pick instead of
+	// maintaining entries that are about to be rebuilt.
+	s.staleList = s.staleList[:0]
+	for b := range s.stale {
+		s.stale[b] = true
+		s.staleList = append(s.staleList, int32(b))
 	}
 	s.clock.since(phPricing, t0)
 }

@@ -115,12 +115,11 @@ type simplexState struct {
 
 	factor factorizer // representation of B^{-1}: &lu unless a test installs its own
 
-	iter       int
-	p1it       int
-	priceAll   bool // cost vector or reference framework reset: reprice everything
-	freshDuals bool // refactorized: solve for the duals and reprice what moved
-	degenRun   int  // consecutive degenerate pivots (triggers Bland)
-	nflips     int  // bound flips (debug accounting)
+	iter     int
+	p1it     int
+	priceAll bool // duals, cost vector or reference framework reset: reprice everything
+	degenRun int  // consecutive degenerate pivots (triggers Bland)
+	nflips   int  // bound flips (debug accounting)
 
 	warm      bool    // warm-start basis accepted
 	pivots    []Pivot // recorded when opts.recordPivots; the Solution takes it
@@ -601,7 +600,7 @@ func (s *simplexState) refactorize() error {
 		return err
 	}
 	s.computeXB()
-	s.freshDuals = true
+	s.priceAll = true
 	return nil
 }
 
@@ -634,7 +633,7 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 			}
 			sinceRefactor = 0
 		}
-		if s.priceAll || s.freshDuals {
+		if s.priceAll {
 			s.freshPrices(cost)
 		}
 		if debugSimplex && s.iter%2000 == 0 {
