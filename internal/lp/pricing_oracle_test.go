@@ -73,8 +73,8 @@ func (o *pricingOracle) solveDuals(s *simplexState, cost []float64) {
 	}
 }
 
-// eligible is the direction a column with reduced cost d and status st
-// may enter in, 0 for none.
+// eligible is the direction column j may enter in at reduced cost d, 0
+// for none.
 func eligible(s *simplexState, cost []float64, j int, d float64) float64 {
 	st := s.status[j]
 	if st == basic || (s.lower[j] == s.upper[j] && st != atFree) {
