@@ -47,7 +47,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed for -cluster random")
 		scheduler   = flag.String("scheduler", "lips", "lips, fair or scale")
 		epoch       = flag.Float64("epoch", 0, "LiPS planning epoch in seconds (0 = the -epoch-sim value)")
-		colGen      = flag.Bool("colgen", false, "solve LiPS epochs by column generation (large clusters)")
 		epochSim    = flag.Float64("epoch-sim", 60, "simulated seconds advanced per serve epoch")
 		epochWall   = flag.Duration("epoch-wall", 25*time.Millisecond, "wall-clock pacing between serve epochs")
 		queueCap    = flag.Int("queue-cap", 4096, "admission queue bound (429 beyond it)")
@@ -92,9 +91,6 @@ func main() {
 	sch, err := sched.ByName(*scheduler, *epoch)
 	if err != nil {
 		cli.Usagef("%v", err)
-	}
-	if l, ok := sch.(*sched.LiPS); ok {
-		l.ColGen = *colGen
 	}
 
 	reg := obs.NewRegistry()

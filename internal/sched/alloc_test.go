@@ -19,8 +19,8 @@ import (
 // run is the daemon's: a 1k-node cluster stepped in 60 s epochs with five
 // grep jobs admitted before each, measured long after the first epochs
 // have sized every reused workspace. The budget covers admission, the
-// simulated epoch and planEpoch together; the plan, the solution and the
-// basis kept for the next warm start are most of what remains.
+// simulated epoch and planEpoch together; the restricted master, its
+// rounds' solutions and the plan are most of what remains.
 func TestEpochAllocs(t *testing.T) {
 	const warmup, measured, perEpoch = 100, 40, 5
 	c := cluster.Random(rand.New(rand.NewSource(1)), cluster.RandomSpec{Nodes: 1000})
@@ -64,10 +64,7 @@ func TestEpochAllocs(t *testing.T) {
 	if planned := l.Epochs - before; planned < measured {
 		t.Fatalf("%d of %d measured steps planned an epoch", planned, measured+1)
 	}
-	if !l.lastEpoch.WarmStarted {
-		t.Errorf("the last measured epoch started cold; the budget is for the warm steady state")
-	}
-	const budget = 1000
+	const budget = 600
 	if allocs > budget {
 		t.Errorf("a steady-state epoch allocates %.0f times, budget %d", allocs, budget)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -33,30 +32,20 @@ func heavyScenario() (*cluster.Cluster, *workload.Workload) {
 	return mixedCluster(), wb.Build()
 }
 
-// TestEpochGolden pins everything one LiPS run says about its own epochs,
-// through every channel at once: the SHA-256 of the JSONL trace, the
-// SHA-256 of the lips_sched_* and lips_lp_* exposition lines (the
-// machine-dependent *_seconds* families dropped), the run totals, and the
-// (epoch, jobs, deferred) triple LastEpochStats reports after each epoch.
-// The lines were recorded before the epoch record replaced the per-channel
-// copies; the record must keep reproducing them byte for byte. What was
-// last-round-only under ColGen at that commit stays out of the line: the
-// phase-1 and refactorization totals, and the phase1 key of that run's
-// epoch events. To re-record after an intended change, paste the printed
-// lines.
-func TestEpochGolden(t *testing.T) {
-	golden, err := os.ReadFile("testdata/epoch.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name   string
-		build  func() (*cluster.Cluster, *workload.Workload)
-		colgen bool
-		faults func(*cluster.Cluster) *sim.FaultPlan
-	}{
+// epochScenario is a LiPS run whose every epoch the tests below read.
+type epochScenario struct {
+	name   string
+	build  func() (*cluster.Cluster, *workload.Workload)
+	faults func(*cluster.Cluster) *sim.FaultPlan
+}
+
+// epochScenarios are TestEpochGolden's runs: one job spread over many
+// epochs, several queued jobs with a node down and back, and random
+// crashes, a store loss and a slowdown.
+func epochScenarios() []epochScenario {
+	return []epochScenario{
 		{name: "warm", build: warmStartScenario},
-		{name: "colgen-churn", build: heavyScenario, colgen: true,
+		{name: "colgen-churn", build: heavyScenario,
 			faults: func(*cluster.Cluster) *sim.FaultPlan {
 				return &sim.FaultPlan{Faults: []sim.Fault{
 					{At: 210, Kind: sim.FaultNodeDown, Node: 0},
@@ -67,11 +56,24 @@ func TestEpochGolden(t *testing.T) {
 			faults: func(c *cluster.Cluster) *sim.FaultPlan {
 				return sim.RandomFaultPlan(5, c, sim.FaultSpec{Crashes: 2, StoreLosses: 1, Slowdowns: 1, WindowSec: 600})
 			}},
-	} {
+	}
+}
+
+// TestEpochGolden pins everything one LiPS run says about its own epochs,
+// through every channel at once: the SHA-256 of the JSONL trace, the
+// SHA-256 of the lips_sched_* and lips_lp_* exposition lines (the
+// machine-dependent *_seconds* families dropped), the run totals, and the
+// (epoch, jobs, deferred) triple LastEpochStats reports after each epoch.
+// To re-record after an intended change, paste the printed lines.
+func TestEpochGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/epoch.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range epochScenarios() {
 		t.Run(tc.name, func(t *testing.T) {
 			c, w := tc.build()
 			l := NewLiPS(200)
-			l.ColGen = tc.colgen
 			reg := obs.NewRegistry()
 			var buf bytes.Buffer
 			sink := trace.NewJSONL(&buf)
@@ -123,13 +125,9 @@ func TestEpochGolden(t *testing.T) {
 					kept.WriteString(line)
 				}
 			}
-			tr := buf.Bytes()
-			if tc.colgen {
-				tr = regexp.MustCompile(`"phase1":\d+,`).ReplaceAll(tr, nil)
-			}
 			ss := l.Solver
 			got := fmt.Sprintf("%s trace=%x metrics=%x epochs=%d lpiters=%d tasks=%d blocks=%d solver=%d/%d/%d/%d/%d/%d records=%s",
-				tc.name, sha256.Sum256(tr), sha256.Sum256([]byte(kept.String())),
+				tc.name, sha256.Sum256(buf.Bytes()), sha256.Sum256([]byte(kept.String())),
 				l.Epochs, l.LPIters, l.TasksMoved, l.BlocksMoved,
 				ss.Solves, ss.WarmAttempted, ss.WarmAccepted, ss.Iters,
 				ss.ColGenRounds, ss.ColGenColumns, seq.String())

@@ -92,7 +92,7 @@ func TestSchedulersCompleteUnderChurn(t *testing.T) {
 // TestLiPSReuseAcrossRuns re-runs one *LiPS instance and requires the
 // second run to match both the first and a fresh instance — Init must
 // reset every piece of run-scoped state (stats, error, staleness,
-// warm-start basis, round-robin cursors).
+// seed hints, round-robin cursors).
 func TestLiPSReuseAcrossRuns(t *testing.T) {
 	run := func(l *LiPS) *sim.Result {
 		c, w := warmStartScenario()

@@ -25,45 +25,40 @@ type EpochRecord struct {
 	Deferred    int // Pending - Launched: work the LP left for later epochs
 	BlocksMoved int // block relocations the plan issued
 
-	// WarmOffered: the previous epoch's basis was offered to the solve.
-	// WarmStarted: the solver's final solve started from a basis — under
-	// ColGen usually the pricing round before it, with nothing offered, so
-	// only the two together mean an epoch-to-epoch warm start.
-	WarmOffered bool
-	WarmStarted bool
-
-	// Rows, Cols and NNZ size the LP the epoch solved: under ColGen, the
-	// restricted master of the last pricing round.
+	// Rows, Cols and NNZ size the LP the epoch solved: the restricted
+	// master of the last pricing round.
 	Rows, Cols, NNZ int
 	// Status is why the solve failed: the solver's final status
 	// ("iteration limit", …) or statusError; empty when it was optimal.
 	Status string
 	// Stalled marks a solve that took more than stallFactor·(Rows+Cols)
-	// pivots (under ColGen, every round's against the last master's
-	// size), failed or not: a simplex that terminates needs a few passes
+	// pivots (every round's against the last master's size), failed or
+	// not: a simplex that terminates needs a few passes
 	// over its LP, and one that cycles runs on to the iteration limit.
 	Stalled bool
-	// Stats is what the solve cost, summed over the pricing rounds under
-	// ColGen, whose round and generated-column counts follow.
+	// Stats is what the solve cost, summed over the pricing rounds, whose
+	// count and generated-column count follow.
 	lp.Stats
 	ColGenRounds  int
 	ColGenColumns int
-	// LPSolves counts the epoch's simplex solves, one per pricing round
-	// under ColGen, and LPWarmStarts those that started from a basis.
+	// LPSolves counts the epoch's simplex solves, one per pricing round,
+	// and LPWarmStarts those that started from a basis: the rounds after
+	// the first that accepted the previous round's.
 	LPSolves, LPWarmStarts int
 
 	// Where the epoch's wall-clock went, in order: building the instance
-	// and the LP over the queued work, solving (the restricted master of
-	// ColGen is built inside the solve), rounding, applying the plan.
+	// over the queued work, solving (the restricted master is built inside
+	// the solve), rounding, applying the plan.
 	BuildTime time.Duration
 	SolveTime time.Duration
 	RoundTime time.Duration
 	ApplyTime time.Duration
 }
 
-// observe folds the epoch's solve into a SolverStats accumulation.
+// observe folds the epoch's solve into a SolverStats accumulation. No
+// basis is offered across epochs, so none is attempted or accepted there.
 func (r EpochRecord) observe(ss *metrics.SolverStats) {
-	ss.Observe(r.Stats, r.WarmOffered, r.WarmOffered && r.WarmStarted, r.SolveTime, r.ColGenRounds, r.ColGenColumns)
+	ss.Observe(r.Stats, false, false, r.SolveTime, r.ColGenRounds, r.ColGenColumns)
 }
 
 // stallFactor is how many pivots per row and column make a solve stalled.
@@ -105,14 +100,13 @@ func (r EpochRecord) String() string {
 }
 
 // traceInfo projects the record onto the epoch event's wire format — the
-// only such copy. warm_accepted follows observe's rule: an offered basis
-// that the solver used. The wall-clock fields are machine-dependent and
-// stay zero unless timings is set.
+// only such copy. Its warm keys, an epoch-to-epoch basis offered and
+// used, stay unset: no basis crosses epochs. The wall-clock fields are
+// machine-dependent and stay zero unless timings is set.
 func (r EpochRecord) traceInfo(scheduler string, timings bool) *trace.EpochInfo {
 	info := &trace.EpochInfo{
 		Scheduler: scheduler, Epoch: r.Epoch,
 		Jobs: r.Jobs, Pending: r.Pending,
-		Warm: r.WarmOffered, WarmAccepted: r.WarmOffered && r.WarmStarted,
 		Iters: r.Iters, Phase1: r.Phase1, Status: r.Status, Stalled: r.Stalled,
 		Launched: r.Launched, Deferred: r.Deferred,
 		BlocksMoved: r.BlocksMoved,

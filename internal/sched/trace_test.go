@@ -124,16 +124,15 @@ func TestTraceEventStream(t *testing.T) {
 	}
 }
 
-// TestColGenTraceClaimsOnlyOfferedWarmStarts: under ColGen the final
-// pricing round usually starts from the round before it with no basis
-// offered across epochs. Such an epoch must not be traced as warm — not
+// TestColGenTraceClaimsOnlyOfferedWarmStarts: an epoch's final pricing
+// round usually starts from the round before it, with no basis offered
+// across epochs. Such an epoch must not be traced as warm — not
 // as warm_accepted in the event, and not as a "warm" slice in the Chrome
 // export of the same stream.
 func TestColGenTraceClaimsOnlyOfferedWarmStarts(t *testing.T) {
 	var buf bytes.Buffer
 	sink := trace.NewJSONL(&buf)
 	l := NewLiPS(200)
-	l.ColGen = true
 	runSched(t, mixedCluster(), smallJobSet(rand.New(rand.NewSource(3)), 3), nil, l,
 		sim.Options{TaskTimeoutSec: 1200, Tracer: sink})
 	if err := sink.Close(); err != nil {
