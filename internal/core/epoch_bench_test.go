@@ -94,22 +94,24 @@ func BenchmarkInstance10k(b *testing.B) {
 	}
 }
 
-// BenchmarkEpochWide measures the cold solve of one stream-1k-wide-shaped
-// epoch LP, built by BuildOnlineModel as sched.LiPS builds it: the
-// simplex code the live path spends most of that workload's epoch in.
+// BenchmarkEpochWide measures one stream-1k-wide-shaped epoch as
+// sched.LiPS solves it: SolveOnlineColGen builds the restricted master
+// over wideInstance and prices it to the full LP's optimum — the code the
+// live path spends most of that workload's epoch in.
 func BenchmarkEpochWide(b *testing.B) {
-	m, err := BuildOnlineModel(wideInstance(b))
-	if err != nil {
-		b.Fatal(err)
-	}
+	in := wideInstance(b)
+	var plan *Plan
+	var st lp.ColGenStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := m.Solve(lp.Options{})
-		if err != nil {
+		var err error
+		if plan, st, err = SolveOnlineColGen(in, ColGenOptions{}); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(plan.Iters), "iters")
 	}
-	b.ReportMetric(float64(m.NumCons()), "rows")
-	b.ReportMetric(float64(m.NumVars()), "cols")
+	b.StopTimer()
+	b.ReportMetric(float64(plan.Iters), "iters")
+	b.ReportMetric(float64(st.Rounds), "rounds")
+	b.ReportMetric(float64(plan.Rows), "rows")
+	b.ReportMetric(float64(plan.Cols), "cols")
 }
