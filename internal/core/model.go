@@ -277,7 +277,7 @@ func (m *Model) Solve(opts lp.Options) (*Plan, error) {
 		return nil, err
 	}
 	if sol.Status != lp.Optimal {
-		return nil, &SolveError{Kind: m.Kind, Status: sol.Status, Stats: sol.Stats, WarmStarted: sol.WarmStarted,
+		return nil, &SolveError{Kind: m.Kind, Status: sol.Status, Stats: sol.Stats,
 			Rows: m.prob.NumCons(), Cols: m.prob.NumVars()}
 	}
 	return m.extract(sol), nil
@@ -288,11 +288,10 @@ func (m *Model) Solve(opts lp.Options) (*Plan, error) {
 // and the LP's size (under column generation, the last restricted
 // master's), so a caller can account for it like one that succeeded.
 type SolveError struct {
-	Kind        Kind
-	Status      lp.Status
-	Stats       lp.Stats
-	WarmStarted bool
-	Rows, Cols  int
+	Kind       Kind
+	Status     lp.Status
+	Stats      lp.Stats
+	Rows, Cols int
 }
 
 func (e *SolveError) Error() string {
@@ -308,7 +307,7 @@ func (m *Model) extract(sol *lp.Solution) *Plan {
 	p := &Plan{
 		In: in, ObjectiveMC: sol.Objective,
 		Rows: m.prob.NumCons(), Cols: m.prob.NumVars(), NNZ: m.prob.NumNonzeros(),
-		Stats: sol.Stats, Basis: sol.Basis, WarmStarted: sol.WarmStarted,
+		Stats: sol.Stats, Basis: sol.Basis,
 	}
 	p.XT = make([]map[[2]int]float64, len(in.Jobs))
 	for k := range in.Jobs {

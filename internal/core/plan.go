@@ -48,11 +48,9 @@ type Plan struct {
 	lp.Stats
 
 	// Basis is the optimal simplex basis, reusable as lp.Options.WarmStart
-	// when the next epoch's LP has the same shape. Nil when the solver
+	// on a later solve of an LP with the same shape. Nil when the solver
 	// could not express one.
 	Basis *lp.Basis
-	// WarmStarted reports whether this solve reused a previous basis.
-	WarmStarted bool
 }
 
 // TotalMC returns the executed-work cost: placement + execution + runtime
