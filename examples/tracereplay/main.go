@@ -70,7 +70,7 @@ func main() {
 	w := load()
 	fmt.Printf("replaying %d jobs / %d map tasks / %.1f GB on %d nodes\n",
 		len(w.Jobs), w.TotalTasks(), w.TotalInputMB()/1024, len(c.Nodes))
-	fmt.Println("(reduce stages: see TestFullMapReducePipeline and workload.ExpandReduces)")
+	fmt.Println("(map stages only: a reduce stage is a job gated by sim.Options.Deps)")
 	fmt.Println()
 
 	fmt.Println("scheduler        cost       makespan    Σ job time")

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"math/rand"
-	"strings"
 	"testing"
 
 	"lips/internal/cluster"
@@ -10,29 +8,22 @@ import (
 	"lips/internal/workload"
 )
 
-// TestFullMapReducePipeline runs map + shuffle + reduce end to end: a
-// SWIM-style trace is expanded with reduce companions gated on map
-// completion, then scheduled by LiPS and by the Hadoop default scheduler.
+// TestFullMapReducePipeline runs map + shuffle + reduce end to end: a sort
+// job's reduce stage is a companion job over its 256 MB shuffle output,
+// gated on the map job through sim.Options.Deps, beside a map-only grep
+// job, scheduled by LiPS and by the Hadoop default scheduler.
 func TestFullMapReducePipeline(t *testing.T) {
-	const trace = "sortjob\t0\t0\t536870912\t268435456\t134217728\n" + // 8 maps, 256 MB shuffle
-		"grepjob\t5\t5\t268435456\t0\t1048576\n" // 4 maps, map-only
-
+	// reduce is the reduce side's intensity: 0.5 ECU-s/MB, sort+merge
+	// dominated.
+	reduce := workload.Archetype{Name: "reduce", Property: workload.IOBound, CPUSecPerBlock: 32}
 	build := func() (*cluster.Cluster, *workload.Workload, [][]int) {
-		c := mixedCluster()
-		stores := make([]cluster.StoreID, len(c.Stores))
-		for i := range stores {
-			stores[i] = cluster.StoreID(i)
-		}
-		rng := rand.New(rand.NewSource(6))
-		w, metas, err := workload.ReadSWIMNative(strings.NewReader(trace), rng, stores[:3])
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, deps, err := workload.ExpandReduces(w, workload.SWIMReduceSpecs(metas))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, full, deps
+		wb := workload.NewBuilder()
+		wb.AddInputJob("sortjob", "swim", workload.Stress2, 512, 0, 0) // 8 maps
+		wb.AddInputJob("grepjob", "swim", workload.Grep, 256, 1, 5)    // 4 maps, map-only
+		// The shuffle stages where the map input lived; reducers pull it
+		// across the network, one reduce task per 64 MB partition.
+		wb.AddInputJob("sortjob-reduce", "swim", reduce, 256, 0, 0)
+		return mixedCluster(), wb.Build(), [][]int{nil, nil, {0}}
 	}
 
 	for _, mk := range []struct {
@@ -54,15 +45,11 @@ func TestFullMapReducePipeline(t *testing.T) {
 		if l, ok := scheduler.(*LiPS); ok && l.Err != nil {
 			t.Fatalf("lips: %v", l.Err)
 		}
-		// The reduce stage must start only after its map stage: sortjob
-		// is job 0, its companion is job 2 ("sortjob-reduce").
-		if w.Jobs[2].Name != "sortjob-reduce" {
-			t.Fatalf("unexpected job layout: %v", w.Jobs[2].Name)
-		}
+		// The reduce stage (job 2) must finish only after its map stage
+		// (job 0).
 		if r.JobDone[2] <= r.JobDone[0] {
 			t.Errorf("%s: reduce finished at %g before maps at %g", mk.name, r.JobDone[2], r.JobDone[0])
 		}
-		// Everything completes and the shuffle's CPU demand is billed.
 		for j, done := range r.JobDone {
 			if done <= 0 {
 				t.Errorf("%s: job %d (%s) unfinished", mk.name, j, w.Jobs[j].Name)
