@@ -37,6 +37,11 @@ import (
 // columns; each pricing round warm-starts from the round before it, and
 // no basis crosses epochs.
 type LiPS struct {
+	// Node crashes and recoveries need no hook: the next epoch's instance
+	// asks the simulator which nodes are alive, and a dead node's tasks are
+	// already back in Pending for the next tick.
+	sim.NopNodeEvents
+
 	// EpochSec is the scheduling epoch e. The zero value selects 400 s
 	// (one of the two epoch lengths of Fig. 11).
 	EpochSec float64
@@ -123,17 +128,6 @@ func (l *LiPS) Init(s *sim.Sim) {
 	l.armed = true
 	s.At(0, func() { l.tick(s) })
 }
-
-// OnNodeDown implements sim.Scheduler: the next epoch's instance leaves
-// the dead node out (buildInstance asks the simulator), and the simulator
-// already returned its tasks to Pending, where the next tick picks them up
-// (overflow beyond the surviving capacity parks on the fake node as
-// usual).
-func (l *LiPS) OnNodeDown(*sim.Sim, cluster.NodeID) {}
-
-// OnNodeUp implements sim.Scheduler: the recovered node re-enters the
-// next epoch's instance.
-func (l *LiPS) OnNodeUp(*sim.Sim, cluster.NodeID) {}
 
 // OnJobArrival implements sim.Scheduler: LiPS waits for the next epoch
 // ("non-greedy patience", paper §V-B). The tick chain dies once every job
