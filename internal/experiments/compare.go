@@ -31,8 +31,8 @@ type CompareRow struct {
 // Figs. 9 & 10 (one setting).
 type CompareResult struct {
 	Rows []CompareRow
-	// Solver aggregates the LiPS rows' per-epoch LP statistics (warm-start
-	// accept rate, iteration counts, where the solve wall-clock went).
+	// Solver aggregates the LiPS rows' per-epoch LP statistics (iteration
+	// counts, where the solve wall-clock went).
 	Solver metrics.SolverStats
 }
 

@@ -11,47 +11,35 @@ import (
 
 func TestSolverStatsAccounting(t *testing.T) {
 	var ss SolverStats
-	// First solve: cold (nothing to warm-start from).
-	ss.Observe(lp.Stats{Iters: 100, Phase1: 40, PricingTime: 2 * time.Millisecond}, false, false, 10*time.Millisecond, 0, 0)
-	// Second: warm attempted and accepted.
-	ss.Observe(lp.Stats{Iters: 5, PricingTime: 200 * time.Microsecond}, true, true, time.Millisecond, 0, 0)
-	// Third: warm attempted but rejected → cold path.
-	ss.Observe(lp.Stats{Iters: 80, Phase1: 30, PricingTime: time.Millisecond}, true, false, 8*time.Millisecond, 0, 0)
+	ss.Observe(lp.Stats{Iters: 100, Phase1: 40, PricingTime: 2 * time.Millisecond}, 10*time.Millisecond, 2, 30)
+	ss.Observe(lp.Stats{Iters: 5, PricingTime: 200 * time.Microsecond}, time.Millisecond, 1, 0)
+	ss.Observe(lp.Stats{Iters: 80, Phase1: 30, PricingTime: time.Millisecond}, 8*time.Millisecond, 3, 12)
 
-	if ss.Solves != 3 || ss.WarmAttempted != 2 || ss.WarmAccepted != 1 {
+	if ss.Solves != 3 || ss.Iters != 185 || ss.Phase1 != 70 {
 		t.Fatalf("counts: %+v", ss)
-	}
-	if ss.Iters != 185 || ss.WarmIters != 5 || ss.ColdIters != 180 {
-		t.Fatalf("iters: %+v", ss)
-	}
-	if ss.Phase1 != 70 {
-		t.Fatalf("phase1: %d", ss.Phase1)
 	}
 	if ss.SolveTime != 19*time.Millisecond {
 		t.Fatalf("solve time: %v", ss.SolveTime)
 	}
-	// One warm solve replaced an average cold solve (180/2 = 90 iters)
-	// with 5 iterations.
-	if saved := ss.IterationsSaved(); saved != 85 {
-		t.Fatalf("iterations saved: %d", saved)
+	if ss.ColGenRounds != 6 || ss.ColGenColumns != 42 {
+		t.Fatalf("colgen: %d rounds/%d columns", ss.ColGenRounds, ss.ColGenColumns)
 	}
-	if r := ss.AcceptRate(); r != 0.5 {
-		t.Fatalf("accept rate: %g", r)
+	if a := ss.AvgIters(); a != 185.0/3 {
+		t.Fatalf("avg iters: %g", a)
 	}
-	if s := ss.String(); !strings.Contains(s, "1/2 warm") {
-		t.Fatalf("string: %q", s)
+	want := "3 solves, 185 iters (61.7 avg/solve, 70 phase1), solve 19ms (pricing 17%, factor 0s, ftran 0s, btran 0s), 0 refactor (0 nnz), colgen 6 rounds/42 columns"
+	if s := ss.String(); s != want {
+		t.Fatalf("string:\n got %q\nwant %q", s, want)
 	}
 }
 
 func TestSolverStatsEmpty(t *testing.T) {
 	var ss SolverStats
-	if ss.IterationsSaved() != 0 || ss.AcceptRate() != 0 {
+	if ss.AvgIters() != 0 || ss.PricingShare() != 0 {
 		t.Fatal("empty stats should report zeros")
 	}
-	// All-warm runs have no cold baseline to estimate savings from.
-	ss.Observe(lp.Stats{Iters: 3}, true, true, time.Millisecond, 0, 0)
-	if ss.IterationsSaved() != 0 {
-		t.Fatalf("saved without a cold baseline: %d", ss.IterationsSaved())
+	if s := ss.String(); strings.Contains(s, "colgen") {
+		t.Fatalf("no colgen rounds, yet %q", s)
 	}
 }
 
@@ -87,7 +75,7 @@ func TestSolverStatsCarriesEveryLPStat(t *testing.T) {
 	}
 
 	var ss SolverStats
-	ss.Observe(st, false, false, time.Second, 0, 0)
+	ss.Observe(st, time.Second, 0, 0)
 	if ss.Stats != st {
 		t.Errorf("one Observe:\n got %+v\nwant %+v", ss.Stats, st)
 	}

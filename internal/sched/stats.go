@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"time"
 
 	"lips/internal/lp"
@@ -55,10 +56,9 @@ type EpochRecord struct {
 	ApplyTime time.Duration
 }
 
-// observe folds the epoch's solve into a SolverStats accumulation. No
-// basis is offered across epochs, so none is attempted or accepted there.
+// observe folds the epoch's solve into a SolverStats accumulation.
 func (r EpochRecord) observe(ss *metrics.SolverStats) {
-	ss.Observe(r.Stats, false, false, r.SolveTime, r.ColGenRounds, r.ColGenColumns)
+	ss.Observe(r.Stats, r.SolveTime, r.ColGenRounds, r.ColGenColumns)
 }
 
 // stallFactor is how many pivots per row and column make a solve stalled.
@@ -92,11 +92,14 @@ func (r EpochRecord) observeLP(m *obs.LPMetrics) {
 	}
 }
 
-// String is the epoch's solve as a SolverStats one-liner.
+// String is the epoch's solve as a SolverStats one-liner over its own
+// simplex solves, one per pricing round, ending with how many of them
+// started warm.
 func (r EpochRecord) String() string {
 	var ss metrics.SolverStats
 	r.observe(&ss)
-	return ss.String()
+	ss.Solves = r.LPSolves
+	return fmt.Sprintf("%s, %d warm", ss.String(), r.LPWarmStarts)
 }
 
 // traceInfo projects the record onto the epoch event's wire format — the

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -42,8 +43,9 @@ func TestLastEpochStats(t *testing.T) {
 	if es.Rows < es.Jobs || es.Cols <= 0 || es.NNZ < es.Cols {
 		t.Errorf("LP of %d jobs recorded as %d×%d with %d nonzeros", es.Jobs, es.Rows, es.Cols, es.NNZ)
 	}
-	if !strings.HasPrefix(es.String(), "1 solves") {
-		t.Errorf("solver one-liner %q does not describe the one epoch", es.String())
+	if line := es.String(); !strings.HasPrefix(line, fmt.Sprintf("%d solves, ", es.LPSolves)) ||
+		!strings.HasSuffix(line, fmt.Sprintf(", %d warm", es.LPWarmStarts)) {
+		t.Errorf("solver one-liner %q does not describe the epoch's %d solves, %d warm", line, es.LPSolves, es.LPWarmStarts)
 	}
 
 	// Init (a new run) resets the snapshot.
@@ -53,6 +55,18 @@ func TestLastEpochStats(t *testing.T) {
 	}
 	if _, ok := l.LastEpochStats(); ok {
 		t.Error("stats survived Init — run-scoped state leaked")
+	}
+}
+
+// TestEpochStringCountsRounds: an epoch's one-liner counts its own
+// simplex solves, one per pricing round, and those that started warm —
+// not the one epoch every record is.
+func TestEpochStringCountsRounds(t *testing.T) {
+	r := EpochRecord{LPSolves: 3, LPWarmStarts: 2, ColGenRounds: 3, ColGenColumns: 52}
+	r.Iters = 19
+	want := "3 solves, 19 iters (6.3 avg/solve, 0 phase1), solve 0s (pricing 0%, factor 0s, ftran 0s, btran 0s), 0 refactor (0 nnz), colgen 3 rounds/52 columns, 2 warm"
+	if got := r.String(); got != want {
+		t.Errorf("epoch one-liner:\n got %q\nwant %q", got, want)
 	}
 }
 
