@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet loc unreached unexercised bench benchpair smoke
+.PHONY: all build test race vet loc unexercised bench benchpair smoke
 
 all: vet build test
 
@@ -25,40 +25,49 @@ loc:
 	@echo "DESIGN.md: $$(grep -c '^## ' DESIGN.md) sections"
 	@echo "settable values: $$(wc -l < testdata/settings.golden)"
 
-# Every lips/internal function some test binary links but no production
-# binary (cmd/, examples/, bench) does: code only tests reach. Inlining is
-# off on both sides so a call always leaves a symbol; closures count as
-# their enclosing function, and what _test.go files define is dropped.
-unreached:
-	@set -e; export LC_ALL=C; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; mkdir "$$d/bin" "$$d/test"; \
-	$(GO) build -gcflags=all=-l -o "$$d/bin/" ./cmd/... ./examples/... ./bench; \
-	for b in "$$d"/bin/*; do $(GO) tool nm "$$b"; done | \
-		awk '$$2 == "T" && $$3 ~ /^lips\/internal\// { print $$3 }' | sort -u > "$$d/prod"; \
-	i=0; for p in $$($(GO) list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...); do \
-		i=$$((i + 1)); $(GO) test -c -gcflags=all=-l -o "$$d/test/$$i.test" "$$p"; \
-	done; \
-	for b in "$$d"/test/*.test; do \
-		$(GO) tool nm "$$b" | awk '$$2 == "T" && $$3 ~ /^lips\/internal\// { print $$1, $$3 }' | \
-			sort -k2 | join -1 2 -2 1 -v 1 - "$$d/prod" | awk '{ print "0x" $$2 }' | \
-			$(GO) tool addr2line "$$b" | paste - - | \
-			awk '$$2 !~ /_test\.go:/ && $$2 !~ /^<autogenerated>/ { print $$1 }'; \
-	done | sed -E 's/(\.func[0-9]+)+$$//' | sort -u
-
-# Every lips/internal function the production traffic below never runs:
-# coverage-instrumented lips-sim and bench binaries run every bench
-# workload for a second, then lips-sim under LiPS, FIFO, Delay and Fair on
-# faulted paper20 and paper100 SWIM days; the functions left at 0.0% are
-# printed. Where unreached lists code no binary links, this lists code
-# they link but that the traffic does not execute.
+# Every lips/internal function no shipped entry point runs, held to
+# testdata/unexercised.allow (~45 s). The traffic, all built with -cover:
+# bench runs every workload for a second; lips-sim runs LiPS, FIFO, Delay
+# and Fair on faulted paper20 and paper100 SWIM days, then one faulted day
+# traced as JSON lines and one as a Chrome trace; lips-trace reads the
+# JSON-lines trace in its report, -metrics, -by-job and -csv modes;
+# lips-bench runs every experiment at quick scale; each examples/ binary
+# runs once; scripts/smoke.sh runs as it stands under GOFLAGS=-cover.
+# Printed: the functions left at 0.0%, then every lips/internal package
+# no cmd/, examples/ or bench binary links (coverage cannot see those).
+# The target fails on any printed entry the allow list does not name; an
+# allow-list entry pkg.Name covers the function Name and every method Name
+# in pkg. Allow-list entries the traffic now runs are reported, not failed.
 unexercised:
-	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; mkdir "$$d/cov"; \
-	$(GO) build -cover -coverpkg=lips/... -o "$$d/" ./cmd/lips-sim ./bench; \
-	GOCOVERDIR="$$d/cov" "$$d/bench" --seconds 1 >/dev/null; \
+	@set -e; export LC_ALL=C; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	mkdir "$$d/cov" "$$d/bin" "$$d/examples"; export GOCOVERDIR="$$d/cov"; b="$$d/bin"; \
+	$(GO) build -cover -coverpkg=lips/... -o "$$b/" ./bench ./cmd/lips-sim ./cmd/lips-trace ./cmd/lips-bench; \
+	$(GO) build -cover -coverpkg=lips/... -o "$$d/examples/" ./examples/...; \
+	"$$b/bench" --seconds 1 >/dev/null; \
 	for c in paper20 paper100; do for s in lips fifo delay fair; do \
-		GOCOVERDIR="$$d/cov" "$$d/lips-sim" -scheduler $$s -cluster $$c -workload swim \
+		"$$b/lips-sim" -scheduler $$s -cluster $$c -workload swim \
 			-faults 3 -fault-stores 1 -fault-slowdowns 1 -speculative >/dev/null; \
 	done; done; \
-	$(GO) tool covdata func -i "$$d/cov" | awk '$$1 ~ /^lips\/internal\// && $$NF == "0.0%" { print $$1, $$2 }'
+	run="-workload swim -jobs 40 -faults 2 -fault-stores 1 -fault-slowdowns 2 -speculative -sample-interval 120"; \
+	"$$b/lips-sim" $$run -trace "$$d/run.jsonl" >/dev/null; \
+	"$$b/lips-sim" $$run -trace "$$d/run.json" -trace-format chrome >/dev/null; \
+	for m in "" -metrics "-by-job 5" "-csv $$d/run.csv" "-by-job 5 -csv $$d/jobs.csv"; do \
+		"$$b/lips-trace" $$m "$$d/run.jsonl" >/dev/null; \
+	done; \
+	"$$b/lips-bench" >/dev/null; \
+	for e in "$$d"/examples/*; do "$$e" >/dev/null; done; \
+	GOFLAGS='-cover -coverpkg=lips/...' scripts/smoke.sh >/dev/null; \
+	$(GO) list ./internal/... | sort > "$$d/packages"; \
+	{ $(GO) tool covdata func -i "$$d/cov" | \
+		awk '$$1 ~ /^lips\/internal\// && $$NF == "0.0%" { sub(/\/[^\/]*:[0-9]+:$$/, "", $$1); print $$1 "." $$2 }' | sort -u; \
+	  $(GO) list -deps ./cmd/... ./examples/... ./bench/... | sort | comm -13 - "$$d/packages"; } | tee "$$d/found"; \
+	awk 'FILENAME == ARGV[1] { sub(/#.*/, ""); if (NF) allow[$$1] = 0; next } \
+		{ short = $$0; if (match($$0, /\.[^.\/]*$$/)) short = substr($$0, 1, index($$0, ".") - 1) substr($$0, RSTART) } \
+		$$0 in allow { allow[$$0]++; next } \
+		short in allow { allow[short]++; next } \
+		{ print "unexercised: not in testdata/unexercised.allow: " $$0; bad = 1 } \
+		END { for (k in allow) if (!allow[k]) print "unexercised: allow-listed but exercised now: " k; exit bad }' \
+		testdata/unexercised.allow "$$d/found" >&2
 
 # Five passes of every bench/ workload, then bench/cmp's spread per row.
 bench:
