@@ -41,9 +41,9 @@ func TestBuildAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if m.NumVars() != tc.cols || cg.m.NumVars() != tc.cols || cg.machines != 19 {
+		if m.NumVars() != tc.cols || cg.m.NumVars() != tc.cols || len(cg.m.lay.units) != 19 {
 			t.Fatalf("%d jobs: direct has %d columns, master %d over %d units; want %d on 19 units",
-				tc.jobs, m.NumVars(), cg.m.NumVars(), cg.machines, tc.cols)
+				tc.jobs, m.NumVars(), cg.m.NumVars(), len(cg.m.lay.units), tc.cols)
 		}
 		if direct > float64(tc.direct) {
 			t.Errorf("%d jobs: BuildOnlineModel allocates %.0f times, budget %d", tc.jobs, direct, tc.direct)
@@ -72,7 +72,7 @@ func TestBuildAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if closed := units + 1 - cg.machines; len(cg.buckets) != closed {
+		if closed := units + 1 - len(cg.m.lay.units); len(cg.buckets) != closed {
 			t.Fatalf("%d units: %d buckets for %d closed machines, want one each", units, len(cg.buckets), closed)
 		}
 		if allocs > closedBudget {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -32,10 +31,9 @@ import (
 type OnlineColGen struct {
 	m *Model // its layout knows which machines are materialized, and where
 
-	buckets  [][]int // closed machines per price class, ascending index
-	opened   []int   // machines materialized per bucket (doubling batch size)
-	tol      float64
-	machines int // materialized machine count, fake included
+	buckets [][]int // closed machines per price class, ascending index
+	opened  []int   // machines materialized per bucket (doubling batch size)
+	tol     float64
 }
 
 // ColGenOptions tunes SolveOnlineColGen beyond the LP options.
@@ -56,62 +54,29 @@ type ColGenOptions struct {
 // BuildOnlineModel does.
 func NewOnlineColGen(in *Instance, opts ColGenOptions) (*OnlineColGen, error) {
 	ensureFakeNode(in)
-	if err := in.Validate(); err != nil {
+	m, err := newModel(in, Online, "lips-online-rmp")
+	if err != nil {
 		return nil, err
 	}
-	// buildCo rejects zero bandwidth lazily, as it materializes each xfer
-	// coefficient; here every machine must be priceable up front. The
-	// check does not depend on the job, so it runs once, blaming the
-	// first job that reads input.
-	for k, job := range in.Jobs {
-		if job.Data == NoData {
-			continue
-		}
-		for l, mach := range in.Machines {
-			if mach.Fake {
-				continue
-			}
-			for m := range in.Stores {
-				if in.BandwidthMBps[l][m] <= 0 {
-					return nil, fmt.Errorf("core: zero bandwidth between machine %d and store %d (job %d)", l, m, k)
-				}
-			}
-		}
-		break
-	}
+	cg := &OnlineColGen{m: m, tol: 1e-9}
 
-	cg := &OnlineColGen{m: newModel(in, Online, "lips-online-rmp", true), tol: 1e-9}
-
-	// Eager part: everything whose size does not scale with the machine
-	// count — job coverage, placement, store-capacity and data-existence
-	// rows, then the placement flows that meet them.
-	cg.m.reserve()
-	cg.m.addJobRows()
-	cg.m.addPlacementRows()
-	cg.m.addExistRows()
-	cg.m.addFlowCols()
-
-	// Lazy part seeds: the fake node (feasibility), then any hints, then
-	// the greedy plan's machines. Without real machines in the master the
-	// first duals are the fake node's price, every bucket prices negative
-	// and every bucket opens; with them, round one prices against real
-	// costs. A total outage has no greedy plan, and F alone seeds.
+	// Seeds, opened in this order: the fake node (feasibility), then any
+	// hints, then the greedy plan's machines. Without real machines in
+	// the master the first duals are the fake node's price, every bucket
+	// prices negative and every bucket opens; with them, round one prices
+	// against real costs. A total outage has no greedy plan, and F alone
+	// seeds.
+	var seed []int
 	for l, mach := range in.Machines {
 		if mach.Fake {
-			cg.materialize(l)
+			seed = append(seed, l)
 		}
 	}
-	seed := func(ls []int) {
-		for _, l := range ls {
-			if l >= 0 && l < len(in.Machines) && !cg.m.lay.isOpen(l) {
-				cg.materialize(l)
-			}
-		}
-	}
-	seed(opts.SeedMachines)
+	seed = append(seed, opts.SeedMachines...)
 	if greedy, err := GreedyPlan(in, PlacementFractions(in)); err == nil {
-		seed(greedy.HotMachines())
+		seed = append(seed, greedy.HotMachines()...)
 	}
+	m.open(seed)
 
 	cg.rebucket()
 	return cg, nil
@@ -127,7 +92,7 @@ func (cg *OnlineColGen) rebucket() {
 	// A machine's bucket is found by its scalar key, then among the
 	// buckets of that key by comparing its rows with their first member's.
 	type bucket struct{ first, size, next int } // next: the key's next bucket, or -1
-	closed := len(in.Machines) - cg.machines
+	closed := len(in.Machines) - len(cg.m.lay.units)
 	buckets := make([]bucket, 0, closed)
 	byKey := make(map[classKey]int) // key → its first bucket
 	newBucket := func(first int) int {
@@ -187,28 +152,6 @@ func sameRows(in *Instance, a, b int) bool {
 	return true
 }
 
-// materialize reveals machine l: its cpu row, its per-job xfer rows, and
-// then every x^t column it hosts.
-func (cg *OnlineColGen) materialize(l int) {
-	in, ly, prob := cg.m.In, &cg.m.lay, cg.m.prob
-	ly.openUnit(l)
-	cg.machines++
-	cg.m.reserve()
-	if !ly.isFake(l) {
-		prob.AddCon("", lp.LE, in.Machines[l].ECU*in.HorizonOf(l))
-		for k := range in.Jobs {
-			if ly.hasData(k) {
-				prob.AddCon("", lp.LE, in.Horizon)
-			}
-		}
-	}
-	for k := range in.Jobs {
-		if err := cg.m.addJobOnMachine(k, l); err != nil {
-			panic(err) // NewOnlineColGen vetted every bandwidth
-		}
-	}
-}
-
 // Price implements lp.Oracle. An unmaterialized machine's cpu and xfer
 // rows carry implied dual zero, so the reduced cost of its column for
 // (job k, store m) is cost(k, class, m) − y_job[k] − y_exist[k,m] — the
@@ -236,10 +179,7 @@ func (cg *OnlineColGen) Price(_ *lp.Problem, sol *lp.Solution) int {
 		if n > len(closed) {
 			n = len(closed)
 		}
-		for _, l := range closed[:n] {
-			cg.materialize(l)
-			added++
-		}
+		added += cg.m.open(closed[:n])
 		cg.buckets[b] = closed[n:]
 		cg.opened[b] += n
 	}

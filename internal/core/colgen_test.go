@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lips/internal/cluster"
@@ -170,7 +171,7 @@ func TestOnlineColGenMatchesFullObjective(t *testing.T) {
 		if st.Rounds < 1 {
 			t.Errorf("seed %d: no pricing rounds", seed)
 		}
-		if cg.machines < len(in.Machines) {
+		if len(cg.m.lay.units) < len(in.Machines) {
 			sawPartial = true
 		}
 	}
@@ -252,9 +253,9 @@ func TestColGenColdSeedOneRound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := len(greedy.HotMachines()) + 1; st.Rounds != 1 || cg.machines > want {
+		if want := len(greedy.HotMachines()) + 1; st.Rounds != 1 || len(cg.m.lay.units) > want {
 			t.Errorf("seed %d: %d rounds over %d of %d units, want 1 round over at most %d (greedy + F)",
-				seed, st.Rounds, cg.machines, len(in.Machines), want)
+				seed, st.Rounds, len(cg.m.lay.units), len(in.Machines), want)
 		}
 		if d := relDiffF(plan.ObjectiveMC, direct.ObjectiveMC); d > 1e-9 {
 			t.Errorf("seed %d: colgen objective %g, direct %g (rel %g)", seed, plan.ObjectiveMC, direct.ObjectiveMC, d)
@@ -366,9 +367,8 @@ func TestRebucketMatchesFingerprint(t *testing.T) {
 }
 
 // TestZeroBandwidthRefused: both online builders refuse an instance with a
-// zero bandwidth entry, naming the machine and store, and the restricted
-// master the first job that reads input — here job 1, after a job
-// without input.
+// zero bandwidth entry with one message, naming the machine, the store and
+// the first job that reads input — here job 1, after a job without input.
 func TestZeroBandwidthRefused(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	in := synthInstance(2, 4, 3, 2, false, rng)
@@ -377,12 +377,40 @@ func TestZeroBandwidthRefused(t *testing.T) {
 	in.BandwidthMBps[2] = append([]float64(nil), in.BandwidthMBps[2]...)
 	in.BandwidthMBps[2][1] = 0
 
-	_, err := NewOnlineColGen(in.clone(), ColGenOptions{})
-	if want := "core: zero bandwidth between machine 2 and store 1 (job 1)"; err == nil || err.Error() != want {
+	const want = "core: zero bandwidth between machine 2 and store 1 (job 1)"
+	if _, err := NewOnlineColGen(in.clone(), ColGenOptions{}); err == nil || err.Error() != want {
 		t.Errorf("NewOnlineColGen: %v, want %q", err, want)
 	}
-	_, err = BuildOnlineModel(in.clone())
-	if want := "core: zero bandwidth between machine 2 and store 1"; err == nil || err.Error() != want {
+	if _, err := BuildOnlineModel(in.clone()); err == nil || err.Error() != want {
 		t.Errorf("BuildOnlineModel: %v, want %q", err, want)
+	}
+}
+
+// TestDirectModelIsOpenMaster: the direct online model is the restricted
+// master with every machine seeded in ascending order — the fake node
+// opens first either way — the same LP in lp.Write's text but for the
+// problem's name, on the oracle's random instances.
+func TestDirectModelIsOpenMaster(t *testing.T) {
+	for seed := int64(0); seed < 150; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		in := randomOracleInstance(rng)
+		m, err := BuildOnlineModel(in.clone())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		all := make([]int, len(m.In.Machines))
+		for l := range all {
+			all[l] = l
+		}
+		cg, err := NewOnlineColGen(in.clone(), ColGenOptions{SeedMachines: all})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		direct, ok := strings.CutPrefix(lpText(t, m.prob), "problem lips-online\n")
+		master, mok := strings.CutPrefix(lpText(t, cg.m.prob), "problem lips-online-rmp\n")
+		if !ok || !mok {
+			t.Fatalf("seed %d: problem names %q and %q", seed, m.prob.Name(), cg.m.prob.Name())
+		}
+		requireSameText(t, fmt.Sprintf("seed %d: BuildOnlineModel against the fully seeded master", seed), direct, master)
 	}
 }
