@@ -15,10 +15,10 @@ import (
 )
 
 // SolverStats accumulates per-solve LP statistics across the epochs of a
-// run: how many epochs solved, the iteration counts, and where the solve
-// wall-clock went.
+// run: how many simplex solves ran, the iteration counts, and where the
+// solve wall-clock went.
 type SolverStats struct {
-	Solves int // epoch solves observed
+	Solves int // simplex solves observed, one per pricing round
 	// WarmAttempted and WarmAccepted would count epoch solves offered a
 	// starting basis and those that used it. No basis crosses epochs, so
 	// both stay 0; they remain only because bench/live.go and
@@ -39,9 +39,9 @@ type SolverStats struct {
 }
 
 // Observe records one epoch's solve: st is what the solver reported
-// (summed over pricing rounds), solve the wall-clock around it.
-func (ss *SolverStats) Observe(st lp.Stats, solve time.Duration, colgenRounds, colgenColumns int) {
-	ss.Solves++
+// (summed over its solves simplex solves), solve the wall-clock around it.
+func (ss *SolverStats) Observe(st lp.Stats, solves int, solve time.Duration, colgenRounds, colgenColumns int) {
+	ss.Solves += solves
 	ss.Stats.Add(st)
 	ss.SolveTime += solve
 	ss.ColGenRounds += colgenRounds
@@ -70,7 +70,7 @@ func (ss *SolverStats) PricingShare() float64 {
 	return float64(ss.PricingTime) / float64(ss.SolveTime)
 }
 
-// AvgIters is the mean simplex iteration count per solve.
+// AvgIters is the mean simplex iteration count per simplex solve.
 func (ss *SolverStats) AvgIters() float64 {
 	if ss.Solves == 0 {
 		return 0

@@ -11,11 +11,11 @@ import (
 
 func TestSolverStatsAccounting(t *testing.T) {
 	var ss SolverStats
-	ss.Observe(lp.Stats{Iters: 100, Phase1: 40, PricingTime: 2 * time.Millisecond}, 10*time.Millisecond, 2, 30)
-	ss.Observe(lp.Stats{Iters: 5, PricingTime: 200 * time.Microsecond}, time.Millisecond, 1, 0)
-	ss.Observe(lp.Stats{Iters: 80, Phase1: 30, PricingTime: time.Millisecond}, 8*time.Millisecond, 3, 12)
+	ss.Observe(lp.Stats{Iters: 100, Phase1: 40, PricingTime: 2 * time.Millisecond}, 2, 10*time.Millisecond, 2, 30)
+	ss.Observe(lp.Stats{Iters: 5, PricingTime: 200 * time.Microsecond}, 1, time.Millisecond, 1, 0)
+	ss.Observe(lp.Stats{Iters: 80, Phase1: 30, PricingTime: time.Millisecond}, 3, 8*time.Millisecond, 3, 12)
 
-	if ss.Solves != 3 || ss.Iters != 185 || ss.Phase1 != 70 {
+	if ss.Solves != 6 || ss.Iters != 185 || ss.Phase1 != 70 {
 		t.Fatalf("counts: %+v", ss)
 	}
 	if ss.SolveTime != 19*time.Millisecond {
@@ -24,10 +24,10 @@ func TestSolverStatsAccounting(t *testing.T) {
 	if ss.ColGenRounds != 6 || ss.ColGenColumns != 42 {
 		t.Fatalf("colgen: %d rounds/%d columns", ss.ColGenRounds, ss.ColGenColumns)
 	}
-	if a := ss.AvgIters(); a != 185.0/3 {
+	if a := ss.AvgIters(); a != 185.0/6 {
 		t.Fatalf("avg iters: %g", a)
 	}
-	want := "3 solves, 185 iters (61.7 avg/solve, 70 phase1), solve 19ms (pricing 17%, factor 0s, ftran 0s, btran 0s), 0 refactor (0 nnz), colgen 6 rounds/42 columns"
+	want := "6 solves, 185 iters (30.8 avg/solve, 70 phase1), solve 19ms (pricing 17%, factor 0s, ftran 0s, btran 0s), 0 refactor (0 nnz), colgen 6 rounds/42 columns"
 	if s := ss.String(); s != want {
 		t.Fatalf("string:\n got %q\nwant %q", s, want)
 	}
@@ -75,7 +75,7 @@ func TestSolverStatsCarriesEveryLPStat(t *testing.T) {
 	}
 
 	var ss SolverStats
-	ss.Observe(st, time.Second, 0, 0)
+	ss.Observe(st, 1, time.Second, 0, 0)
 	if ss.Stats != st {
 		t.Errorf("one Observe:\n got %+v\nwant %+v", ss.Stats, st)
 	}

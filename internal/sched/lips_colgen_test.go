@@ -132,7 +132,7 @@ func TestLiPSSolverMatchesLPCounters(t *testing.T) {
 		family string
 		got    int
 	}{
-		{obs.MLPSolves, ss.ColGenRounds},
+		{obs.MLPSolves, ss.Solves},
 		{obs.MLPWarmStarts, warm},
 		{obs.MLPIters, ss.Iters},
 		{obs.MLPPhase1, ss.Phase1},

@@ -58,7 +58,7 @@ type EpochRecord struct {
 
 // observe folds the epoch's solve into a SolverStats accumulation.
 func (r EpochRecord) observe(ss *metrics.SolverStats) {
-	ss.Observe(r.Stats, r.SolveTime, r.ColGenRounds, r.ColGenColumns)
+	ss.Observe(r.Stats, r.LPSolves, r.SolveTime, r.ColGenRounds, r.ColGenColumns)
 }
 
 // stallFactor is how many pivots per row and column make a solve stalled.
@@ -98,7 +98,6 @@ func (r EpochRecord) observeLP(m *obs.LPMetrics) {
 func (r EpochRecord) String() string {
 	var ss metrics.SolverStats
 	r.observe(&ss)
-	ss.Solves = r.LPSolves
 	return fmt.Sprintf("%s, %d warm", ss.String(), r.LPWarmStarts)
 }
 
