@@ -19,13 +19,21 @@
 //	lips-sim -scheduler lips -trace run.jsonl            # inspect with lips-trace
 //	lips-sim -scheduler lips -trace run.json -trace-format chrome  # open in Perfetto
 //	lips-sim -scheduler lips -workload swim -listen :8080  # scrape /metrics live
+//
+// SIGINT or SIGTERM stops the run between two simulation steps; the trace,
+// the profiles and the listener are closed as after a finished run, and
+// lips-sim exits 1 with "interrupted".
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"os/signal"
 	"sort"
+	"syscall"
 
 	"lips/internal/cluster"
 	"lips/internal/cost"
@@ -91,8 +99,13 @@ func main() {
 	cli.Logger.Debug("run config",
 		"cluster", cfg.Cluster, "nodes", cfg.Nodes, "workload", cfg.Workload,
 		"jobs", cfg.Jobs, "scheduler", cfg.Scheduler, "seed", cfg.Seed)
-	cli.ExitOn(cli.Stop(runCfg(cfg, cli)))
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	cli.ExitOn(cli.Stop(runCfg(cfg, cli, stop)))
 }
+
+// errInterrupted is the run a signal stopped.
+var errInterrupted = errors.New("interrupted")
 
 // config carries one simulation's command-line settings.
 type config struct {
@@ -122,8 +135,9 @@ type config struct {
 }
 
 // runCfg runs one simulation; cli carries the trace file, the live
-// registry and the sampling interval the shared flags selected.
-func runCfg(cfg config, cli *obs.CLI) error {
+// registry and the sampling interval the shared flags selected. A value on
+// stop ends the run between two steps with errInterrupted.
+func runCfg(cfg config, cli *obs.CLI, stop <-chan os.Signal) error {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	c, err := cluster.ByName(cfg.Cluster, cfg.FracC1, cfg.Nodes, rng)
@@ -188,7 +202,7 @@ func runCfg(cfg config, cli *obs.CLI) error {
 	fmt.Printf("workload: %s (%d jobs, %d tasks, %.1f GB input, %.0f ECU-sec demand)\n",
 		cfg.Workload, len(w.Jobs), w.TotalTasks(), w.TotalInputMB()/1024, w.TotalCPUSec())
 
-	result, err := sim.New(c, w, placement, s, opts).Run()
+	result, err := drive(sim.New(c, w, placement, s, opts), stop)
 	if err = cli.CloseTrace(err); err != nil {
 		return err
 	}
@@ -230,4 +244,23 @@ func runCfg(cfg config, cli *obs.CLI) error {
 		}
 	}
 	return nil
+}
+
+// drive runs s as Sim.Run does, on this goroutine, and returns
+// errInterrupted at the first step boundary after a value arrives on stop.
+func drive(s *sim.Sim, stop <-chan os.Signal) (*sim.Result, error) {
+	if err := s.Start(); err != nil {
+		return nil, err
+	}
+	for t, ok := s.NextEventAt(); ok; t, ok = s.NextEventAt() {
+		select {
+		case <-stop:
+			return nil, errInterrupted
+		default:
+		}
+		if err := s.StepUntil(t); err != nil {
+			return nil, err
+		}
+	}
+	return s.Finish()
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"testing"
@@ -19,7 +20,7 @@ func run(clusterKind string, fracC1 float64, nodes int, wlKind string, jobs, tas
 		Scheduler: scheduler, Epoch: epoch,
 		Speculative: speculative, BillOccupancy: occupancy,
 		Seed: seed, Verbose: verbose,
-	}, &obs.CLI{})
+	}, &obs.CLI{}, nil)
 }
 
 func TestRunAllSchedulers(t *testing.T) {
@@ -65,7 +66,7 @@ func TestRunCfgExtras(t *testing.T) {
 		Cluster: "paper20", FracC1: 0.5, Workload: "random", Tasks: 60,
 		Scheduler: "fifo", SharedLinks: true, Balance: true, Seed: 4,
 	}
-	if err := runCfg(cfg, &obs.CLI{}); err != nil {
+	if err := runCfg(cfg, &obs.CLI{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// -trace-format chrome writes one JSON array Perfetto can load (the
@@ -76,7 +77,7 @@ func TestRunCfgExtras(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runCfg(cfg, &obs.CLI{Trace: sink, SampleInterval: 60}); err != nil {
+	if err := runCfg(cfg, &obs.CLI{Trace: sink, SampleInterval: 60}, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -95,5 +96,35 @@ func TestRunCfgExtras(t *testing.T) {
 		if !seen[ph] {
 			t.Errorf("chrome trace has no %q records", ph)
 		}
+	}
+}
+
+// TestRunInterrupted: a signal already queued stops the run before its
+// first step with errInterrupted, and the trace is still closed — flushed
+// and readable — as after a finished run.
+func TestRunInterrupted(t *testing.T) {
+	path := t.TempDir() + "/run.jsonl"
+	sink, err := trace.NewSink(path, "jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan os.Signal, 1)
+	stop <- os.Interrupt
+	cli := &obs.CLI{Trace: sink, SampleInterval: 60}
+	cfg := config{Cluster: "paper20", FracC1: 0.5, Workload: "random", Tasks: 60, Scheduler: "lips", Epoch: 400, Seed: 1}
+	if err := runCfg(cfg, cli, stop); !errors.Is(err, errInterrupted) {
+		t.Fatalf("runCfg: %v, want %v", err, errInterrupted)
+	}
+	if cli.Trace != nil {
+		t.Error("the trace was left open")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := trace.ReadAll(f)
+	if err != nil || len(events) == 0 {
+		t.Fatalf("interrupted trace: %d events, %v", len(events), err)
 	}
 }

@@ -5,9 +5,8 @@ package sim
 // opposite contract — the caller owns the loop, jobs arrive while it
 // runs, and the simulation never "finishes". Start performs Run's prelude
 // without entering the loop; StepUntil drains the heap up to a target
-// time; AddJob, CancelJob and InjectFault mutate the live run. Run is now
-// a thin wrapper over Start plus a drain-to-empty loop, so batch behavior
-// is unchanged.
+// time; AddJob, CancelJob and InjectFault mutate the live run. Run is
+// Start, StepUntil to each NextEventAt until the heap drains, and Finish.
 //
 // None of these methods are goroutine-safe: the simulator remains
 // single-threaded and the daemon serializes access around it.
@@ -102,6 +101,15 @@ func (s *Sim) StepUntil(t float64) error {
 		s.clock = t
 	}
 	return nil
+}
+
+// NextEventAt returns the time of the earliest scheduled event, and false
+// once none is left: StepUntil to each such time replays Run's event loop.
+func (s *Sim) NextEventAt() (float64, bool) {
+	if len(s.events) == 0 {
+		return 0, false
+	}
+	return s.events[0].at, true
 }
 
 // Drained reports whether every submitted job has completed (or been

@@ -589,21 +589,24 @@ func (s *Sim) exec(ev *event) {
 }
 
 // Run executes the simulation to completion and returns the result. It is
-// the batch driver: Start's prelude, then the event loop until the heap
-// drains. Long-running callers use Start + StepUntil instead (serve.go).
+// the batch driver: Start's prelude, StepUntil to each event time in turn
+// until the heap drains, then Finish. A caller that must stop between
+// steps (lips-sim on a signal) drives the same three itself.
 func (s *Sim) Run() (*Result, error) {
 	if err := s.Start(); err != nil {
 		return nil, err
 	}
-	for len(s.events) > 0 {
-		s.nevent++
-		if s.nevent > s.opts.MaxEvents {
-			return nil, fmt.Errorf("sim: aborted after %d events at t=%.1f (%d jobs incomplete)", s.nevent, s.clock, s.remaining)
+	for t, ok := s.NextEventAt(); ok; t, ok = s.NextEventAt() {
+		if err := s.StepUntil(t); err != nil {
+			return nil, err
 		}
-		ev := s.pop()
-		s.clock = ev.at
-		s.exec(&ev)
 	}
+	return s.Finish()
+}
+
+// Finish ends a batch run whose heap has drained: its Result, or the
+// deadlock error when jobs remain incomplete.
+func (s *Sim) Finish() (*Result, error) {
 	if s.remaining > 0 {
 		return nil, fmt.Errorf("sim: deadlock: %d jobs incomplete at t=%.1f under %s", s.remaining, s.clock, s.sched.Name())
 	}

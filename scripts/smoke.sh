@@ -78,7 +78,7 @@ cmp "$T/run.jsonl" "$T/run2.jsonl" # same seed, same bytes
 
 # --- listen: a batch run scraped over TCP while it is still running -----
 SECTION=listen
-"$T/lips-sim" -cluster paper100 -workload random -tasks 10000 -scheduler lips \
+"$T/lips-sim" -cluster paper100 -workload random -tasks 10000 -scheduler lips -epoch 60 \
 	-listen 127.0.0.1:0 >"$T/listen.log" 2>&1 &
 PIDS+=($!)
 URL=$(banner "$T/listen.log" 'metrics: serving')
@@ -94,6 +94,10 @@ retry live
 curl -fsS "$URL/progress" | jq -e '.t_sec > 0 and has("free_slots") and has("epoch")' >/dev/null
 kill -0 "${PIDS[0]}" # still running: the scrape was mid-run
 kill "${PIDS[0]}"
+got=0
+wait "${PIDS[0]}" || got=$? # SIGTERM stops the run between steps: exit 1
+[ "$got" -eq 1 ]
+grep -q '^lips-sim: interrupted$' "$T/listen.log"
 
 # --- serve: one daemon, a load generator, SIGTERM -----------------------
 SECTION=serve
