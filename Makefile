@@ -22,7 +22,7 @@ vet:
 loc:
 	@echo "non-test Go outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l) lines"
 	@echo "scripts/*.sh: $$(cat scripts/*.sh | wc -l) lines"
-	@echo "DESIGN.md: $$(grep -c '^## ' DESIGN.md) sections"
+	@echo "DESIGN.md: $$(grep -c '^## ' DESIGN.md) sections, $$(wc -l < DESIGN.md) lines"
 	@echo "settable values: $$(wc -l < testdata/settings.golden)"
 
 # Every lips/internal function no shipped entry point runs, held to
