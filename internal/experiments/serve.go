@@ -73,7 +73,7 @@ func (r *ServiceResult) Render() string {
 // feeds its simulator), a tenth of them are cancelled one epoch after
 // submission, and the run is then stepped until it drains. Everything is
 // seeded, so the table is reproducible — the batch-harness counterpart of
-// `make servesmoke`'s live gate.
+// the serve section of scripts/smoke.sh, which drives a real lips-serve.
 func Service(cfg Config) (*ServiceResult, error) {
 	cfg = cfg.withDefaults()
 	const epoch = 60.0
