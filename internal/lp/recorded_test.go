@@ -104,6 +104,41 @@ func TestRecordedLPsTerminate(t *testing.T) {
 	}
 }
 
+// TestRandomDayStallEnds solves testdata/random12k-epoch2: the first
+// restricted-master round of epoch 2 of `lips-sim -cluster paper100
+// -workload random -tasks 12000 -scheduler lips` (seed 1) as the master
+// was built while it still started from the slack basis, with the parked
+// basis core offers it now (every job on the fake node, every block where
+// it is) beside it. From that basis the solve runs no phase 1 and reaches
+// the optimum within the 5·(rows+cols) pivots an epoch may take, to the
+// objective of a cold solve under Bland's rule. A cold solve under the
+// default pricing stalls on this LP (phase 1 ends after 902 pivots; 20 000
+// pivots and ~40 s later it has not reached the optimum), so it is not
+// run here.
+func TestRandomDayStallEnds(t *testing.T) {
+	p, ws := readRecordedLP(t, "random12k-epoch2", true)
+	budget := 5 * (p.NumCons() + p.NumVars())
+	sol, err := p.Solve(Options{MaxIters: budget, WarmStart: ws})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d rows × %d cols: %v after %d pivots (budget %d, warm %v), objective %.10g",
+		p.NumCons(), p.NumVars(), sol.Status, sol.Iters, budget, sol.WarmStarted, sol.Objective)
+	if sol.Status != Optimal || !sol.WarmStarted || sol.Phase1 != 0 {
+		t.Fatalf("%v after %d pivots, warm %v, %d in phase 1: want an optimum from the parked basis", sol.Status, sol.Iters, sol.WarmStarted, sol.Phase1)
+	}
+	if err := p.CheckFeasible(sol.X, 1e-6); err != nil {
+		t.Error(err)
+	}
+	bland, err := p.Solve(Options{MaxIters: budget, Bland: true})
+	if err != nil || bland.Status != Optimal {
+		t.Fatalf("cold under Bland's rule: %v / %v", bland, err)
+	}
+	if relDiff(sol.Objective, bland.Objective) > 1e-9 {
+		t.Errorf("objective %.12g from the parked basis, %.12g cold under Bland's rule", sol.Objective, bland.Objective)
+	}
+}
+
 // TestRoundoffOnly holds the stop rule the recorded warm rounds need to
 // its bound: boxed columns whose |d_j|·(u_j − l_j) sum to at most
 // 1e-12·(1 + |z|) are roundoff; more than that, or any admitted column
