@@ -30,12 +30,13 @@ import (
 // The LP is built over node groups rather than individual nodes
 // (lossless for class-structured clusters; see DESIGN.md) and solved by
 // column generation over a restricted master (core.SolveOnlineColGen),
-// seeded with the fake node, the previous epoch's hot units and the
-// greedy plan's units: a unit's (job, store) columns are materialized
-// only once the pricing oracle proves they can lower the objective. The
-// loop ends at the full LP's optimum while holding a fraction of its
-// columns; each pricing round warm-starts from the round before it, and
-// no basis crosses epochs.
+// seeded with the fake node, every unit that has carried work in the run
+// and the greedy plan's units: a unit's (job, store) columns are
+// materialized only once the pricing oracle proves they can lower the
+// objective. The loop ends at the full LP's optimum while holding a
+// fraction of its columns; the first pricing round starts from the plan
+// that parks every job on the fake node, each later one from the round
+// before it, and no basis crosses epochs.
 type LiPS struct {
 	// Node crashes and recoveries need no hook: the next epoch's instance
 	// asks the simulator which nodes are alive, and a dead node's tasks are
@@ -76,7 +77,7 @@ type LiPS struct {
 	rrNode  map[int]int
 	rrStore map[int]int
 	units   *core.Units // the cluster's units, built on the run's first epoch
-	prevHot []string    // hot machine unit names (the next master's seed hints)
+	prevHot []string    // names of every unit that has carried work since Init (the master's seed hints)
 
 	lastEpoch EpochRecord // most recent epoch (see LastEpochStats)
 
@@ -242,7 +243,7 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 		l.fail(err)
 		return 0
 	}
-	// The previous plan's hot machines seed the new master, ahead of the
+	// The units earlier plans used seed the new master, ahead of the
 	// greedy plan's, so the first pricing round already holds the likely
 	// support. The master is built inside the solve.
 	solving := time.Now()
@@ -278,7 +279,7 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 	if l.checkPlan != nil {
 		l.checkPlan(in, plan)
 	}
-	l.prevHot = hotMachineNames(in, plan)
+	l.prevHot = addHotNames(l.prevHot, in, plan)
 
 	ip := plan.Round()
 	rounded := time.Now()
@@ -485,14 +486,14 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 	return launched, blocksMoved
 }
 
-// hotMachineNames lists the non-fake machine units carrying work in the
-// plan, by name — names are the stable identity across per-epoch
-// instances, whose unit indices shift with churn.
-func hotMachineNames(in *core.Instance, p *core.Plan) []string {
-	var names []string
+// addHotNames appends to names each non-fake machine unit carrying work in
+// the plan that names lacks, by name — names are the stable identity
+// across per-epoch instances, whose unit indices shift with churn. The
+// list is bounded by the cluster's unit count.
+func addHotNames(names []string, in *core.Instance, p *core.Plan) []string {
 	for _, l := range p.HotMachines() {
-		if !in.Machines[l].Fake {
-			names = append(names, in.Machines[l].Name)
+		if n := in.Machines[l].Name; !in.Machines[l].Fake && !slices.Contains(names, n) {
+			names = append(names, n)
 		}
 	}
 	return names

@@ -115,17 +115,21 @@ func TestLiPSColGenMatchesDirect(t *testing.T) {
 // renders from each epoch record's per-round sums, against the run's
 // SolverStats, which the same records reach through SolverStats.Observe.
 // An epoch is several solves and every total must sum them all: a solve
-// per pricing round, a warm start per re-solve after an epoch's first
-// round (no basis crosses epochs), and every round's iterations, phase-1
-// iterations and refactorizations — not the last round's alone.
+// per pricing round, a warm start per round (the first starts at the
+// parked basis, each later one at the round before it), and every round's
+// iterations and refactorizations — not the last round's alone. No round
+// runs phase 1.
 func TestLiPSSolverMatchesLPCounters(t *testing.T) {
 	c, w := heavyScenario()
 	l := NewLiPS(200)
 	reg := obs.NewRegistry()
 	runSched(t, c, w, w.Placement(), l, sim.Options{TaskTimeoutSec: 1e9, Metrics: reg})
 	ss := l.Solver
-	warm := ss.ColGenRounds - l.Epochs
-	if ss.Phase1 == 0 || ss.Refactorizations == 0 || warm == 0 || ss.ColGenColumns == 0 {
+	warm := ss.ColGenRounds
+	if ss.Phase1 != 0 {
+		t.Errorf("%d phase-1 iterations: some round did not start from a basis", ss.Phase1)
+	}
+	if ss.Refactorizations == 0 || ss.ColGenRounds <= l.Epochs || ss.ColGenColumns == 0 {
 		t.Errorf("run too small to tell: %s", ss.String())
 	}
 	for _, c := range []struct {

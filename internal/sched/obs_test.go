@@ -7,11 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"lips/internal/cluster"
+	"lips/internal/cost"
 	"lips/internal/lp"
 	"lips/internal/obs"
 	"lips/internal/obs/obstest"
 	"lips/internal/sim"
 	"lips/internal/trace"
+	"lips/internal/workload"
 )
 
 // TestLiveMetricsMatchTraceReplay is the one-producer contract: a LiPS
@@ -95,18 +98,44 @@ func TestLiPSRegistersLPFamilies(t *testing.T) {
 
 // TestIterLimitEpochs runs LiPS under an iteration budget that some
 // epoch solves exhaust. It pins the run's lips_lp_* totals: a failed
-// solve counts like any other, its solves, iterations, warm starts and
-// refactorizations, and the pricing rounds and columns that came before
-// the round that ran out. And a failed epoch is an epoch record like any
-// other: LastEpochStats and the trace carry its status, it defers all its
-// pending work, and lips_sched_epochs_total counts it.
+// solve counts like any other, its solves, iterations, phase-1
+// iterations, warm starts and refactorizations, and the pricing rounds
+// and columns that came before the round that ran out. And a failed epoch
+// is an epoch record like any other: LastEpochStats and the trace carry
+// its status, it defers all its pending work, and lips_sched_epochs_total
+// counts it. Every master starts at the parked basis, so only a run whose
+// stores already hold more than their capacity (the m1.medium stores
+// shrunk to 100 MB each) runs phase 1, and its every epoch runs out there.
 func TestIterLimitEpochs(t *testing.T) {
-	const (
-		// Two of these epochs run out in their second pricing round.
-		want     = "solves=8 iterations=68 phase1_iterations=39 warm_starts=2 refactorizations=8 colgen_rounds=8 colgen_columns=60"
-		statuses = "L L L L L L" // per epoch, "-" for an optimal solve
-	)
-	c, w := heavyScenario()
+	for _, tc := range []struct {
+		name           string
+		storeMB        float64 // the m1.medium stores' capacity; 0 keeps it
+		want, statuses string  // statuses: per epoch, "-" for an optimal solve
+	}{
+		{"parked", 0,
+			"solves=9 iterations=78 phase1_iterations=0 warm_starts=9 refactorizations=12 colgen_rounds=9 colgen_columns=82",
+			"L L L - L L L"},
+		{"over-capacity", 100,
+			"solves=8 iterations=68 phase1_iterations=39 warm_starts=2 refactorizations=12 colgen_rounds=8 colgen_columns=60",
+			"L L L L L L"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, w := heavyScenario()
+			if tc.storeMB > 0 {
+				for s := range c.Stores {
+					if c.Nodes[c.Stores[s].Node].Type == cost.M1Medium.Name {
+						c.Stores[s].CapacityMB = tc.storeMB
+					}
+				}
+			}
+			iterLimitRun(t, c, w, tc.want, tc.statuses)
+		})
+	}
+}
+
+// iterLimitRun is one TestIterLimitEpochs run: LiPS at 100 s epochs with
+// ten pivots a solve.
+func iterLimitRun(t *testing.T, c *cluster.Cluster, w *workload.Workload, want, statuses string) {
 	l := NewLiPS(100)
 	l.maxIters = 10
 	reg := obs.NewRegistry()
