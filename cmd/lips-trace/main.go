@@ -287,19 +287,15 @@ func printEpochs(out io.Writer, epochs []trace.Event) {
 	}
 	fmt.Fprintln(out, "\nepoch timeline:")
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "  t\tepoch\tstart\tjobs\tpending\titers\tlaunched\tdeferred\tmoves\tsolve")
+	fmt.Fprintln(tw, "  t\tepoch\tphase1\tjobs\tpending\titers\tlaunched\tdeferred\tmoves\tsolve")
 	for _, e := range epochs {
 		ep := e.Epoch
-		start := "cold"
-		if ep.WarmAccepted {
-			start = "warm"
-		}
 		solve := ""
 		if ep.SolveMS > 0 {
 			solve = fmt.Sprintf("%.1fms", ep.SolveMS)
 		}
-		fmt.Fprintf(tw, "  %.0fs\t%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
-			e.T, ep.Epoch, start, ep.Jobs, ep.Pending, ep.Iters,
+		fmt.Fprintf(tw, "  %.0fs\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
+			e.T, ep.Epoch, ep.Phase1, ep.Jobs, ep.Pending, ep.Iters,
 			ep.Launched, ep.Deferred, ep.BlocksMoved, solve)
 	}
 	tw.Flush()

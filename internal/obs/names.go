@@ -39,8 +39,6 @@ const (
 	MSchedEpochs       = "lips_sched_epochs_total"
 	MSchedEpochNumber  = "lips_sched_epoch_number"
 	MSchedDeferred     = "lips_sched_deferred_tasks"
-	MSchedWarmOffers   = "lips_sched_warm_start_offers_total"
-	MSchedWarmHits     = "lips_sched_warm_start_hits_total"
 	MSchedLaunched     = "lips_sched_tasks_launched_total"
 	MSchedIters        = "lips_sched_epoch_iterations"
 	MSchedSolveSeconds = "lips_sched_epoch_solve_seconds"
@@ -243,9 +241,9 @@ func (m *SimMetrics) Sample(t float64, s *trace.SampleInfo) {
 // ObserveEpoch, which the live scheduler and the trace replay both call,
 // so a replayed trace reproduces the live values by construction.
 type SchedMetrics struct {
-	epochs, warmOffers, warmHits, launched *Counter
-	epochNumber, deferred                  *Gauge
-	iterations, solveSeconds               *Histogram
+	epochs, launched         *Counter
+	epochNumber, deferred    *Gauge
+	iterations, solveSeconds *Histogram
 }
 
 // RegisterSched registers (or fetches) the scheduler families. Calling it
@@ -257,8 +255,6 @@ func RegisterSched(r *Registry) *SchedMetrics {
 func registerSched(r *Registry) *SchedMetrics {
 	return &SchedMetrics{
 		epochs:      r.Counter(MSchedEpochs, "Scheduling epochs with queued work (LP solves attempted)."),
-		warmOffers:  r.Counter(MSchedWarmOffers, "Epoch solves offered the previous epoch's basis."),
-		warmHits:    r.Counter(MSchedWarmHits, "Epoch solves that accepted the warm-start basis."),
 		launched:    r.Counter(MSchedLaunched, "Tasks enqueued by epoch plans."),
 		epochNumber: r.Gauge(MSchedEpochNumber, "Number of the most recent scheduling epoch."),
 		deferred:    r.Gauge(MSchedDeferred, "Tasks the last epoch's LP parked on the fake overflow node."),
@@ -279,12 +275,6 @@ func (m *SchedMetrics) ObserveEpoch(ep *trace.EpochInfo) {
 	m.epochNumber.Set(float64(ep.Epoch))
 	m.deferred.Set(float64(ep.Deferred))
 	m.launched.Add(float64(ep.Launched))
-	if ep.Warm {
-		m.warmOffers.Inc()
-		if ep.WarmAccepted {
-			m.warmHits.Inc()
-		}
-	}
 	m.iterations.Observe(float64(ep.Iters))
 	if ep.SolveMS > 0 {
 		m.solveSeconds.Observe(ep.SolveMS / 1e3)

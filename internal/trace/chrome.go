@@ -97,12 +97,8 @@ func (c *Chrome) closeEpoch(endT float64) {
 	if dur <= 0 {
 		dur = 1
 	}
-	start := "cold"
-	if ep.WarmAccepted {
-		start = "warm"
-	}
 	args := map[string]any{
-		"start":    start,
+		"phase1":   ep.Phase1,
 		"jobs":     ep.Jobs,
 		"pending":  ep.Pending,
 		"iters":    ep.Iters,
@@ -120,7 +116,7 @@ func (c *Chrome) closeEpoch(endT float64) {
 		args["btran_ms"] = ep.BtranMS
 	}
 	c.write(chromeEvent{
-		Name: fmt.Sprintf("epoch %d (%s)", ep.Epoch, start),
+		Name: fmt.Sprintf("epoch %d", ep.Epoch),
 		Ph:   "X", Ts: e.T * 1e6, Dur: dur, Pid: c.pid, Tid: 0,
 		Cat: "epoch", Args: args,
 	})

@@ -29,7 +29,7 @@ func chromeFixture() []Event {
 		{T: 720, Kind: KindDone, Task: &TaskInfo{Job: 0, Task: 0, Node: 0, Store: 0,
 			Attempt: 1, DurSec: 100, XferSec: 10, CPUSec: 90, CostUC: 120000}},
 		{T: 1200, Kind: KindEpoch, Epoch: &EpochInfo{Scheduler: "lips(e=600s)", Epoch: 2,
-			Jobs: 1, Pending: 1, Warm: true, WarmAccepted: true, Iters: 3, Launched: 1}},
+			Jobs: 1, Pending: 1, Iters: 3, Phase1: 2, Launched: 1}},
 		{T: 1300, Kind: KindDone, Task: &TaskInfo{Job: 0, Task: 1, Node: 0, Store: 1,
 			Attempt: 2, DurSec: 95, CPUSec: 95, CostUC: 110000}},
 	}

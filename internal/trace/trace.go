@@ -106,10 +106,8 @@ type EpochInfo struct {
 	Jobs      int    `json:"jobs"`    // queued jobs planned this epoch
 	Pending   int    `json:"pending"` // pending tasks offered to the LP
 
-	Warm         bool `json:"warm,omitempty"`          // a warm-start basis was offered
-	WarmAccepted bool `json:"warm_accepted,omitempty"` // ... and the solver used it
-	Iters        int  `json:"iters"`
-	Phase1       int  `json:"phase1,omitempty"`
+	Iters  int `json:"iters"`
+	Phase1 int `json:"phase1,omitempty"`
 	// Status is why the solve failed ("iteration limit", "infeasible", …);
 	// empty when it ended optimal. Stalled marks a solve that took more
 	// than 20·(rows+cols) pivots, failed or not.
