@@ -175,7 +175,7 @@ func (cfg Config) run(r runner, label string, c *cluster.Cluster, w *workload.Wo
 // simOptions decorates a run's simulator options with the suite's
 // tracing configuration, labeling the run for multi-run traces.
 func (cfg Config) simOptions(o sim.Options, label string) sim.Options {
-	if cfg.Tracer != nil && cfg.Tracer.Enabled() {
+	if cfg.Tracer != nil {
 		o.Tracer = cfg.Tracer
 		o.SampleIntervalSec = cfg.SampleIntervalSec
 		o.TraceLabel = label

@@ -24,9 +24,6 @@ func NewTraceSink(reg *Registry) *TraceSink {
 	return &TraceSink{sim: RegisterSim(reg), sched: RegisterSched(reg)}
 }
 
-// Enabled implements trace.Tracer.
-func (t *TraceSink) Enabled() bool { return true }
-
 // Emit implements trace.Tracer.
 func (t *TraceSink) Emit(e trace.Event) {
 	switch e.Kind {

@@ -307,7 +307,7 @@ func (l *LiPS) record(s *sim.Sim, r EpochRecord) {
 		l.om.ObserveEpoch(r.traceInfo(l.Name(), true))
 		r.observeLP(l.lm)
 	}
-	if tr := s.Tracer(); tr.Enabled() {
+	if tr := s.Tracer(); tr != nil {
 		tr.Emit(trace.Event{T: r.SimTime, Kind: trace.KindEpoch, Epoch: r.traceInfo(l.Name(), l.TraceTimings)})
 	}
 }

@@ -115,7 +115,6 @@ func TestLedgerConservationUnderChurn(t *testing.T) {
 // eventBuf captures trace events in memory for replay tests.
 type eventBuf struct{ events []trace.Event }
 
-func (b *eventBuf) Enabled() bool      { return true }
 func (b *eventBuf) Emit(e trace.Event) { b.events = append(b.events, e) }
 
 // TestTenantChargebackLiveMatchesReplay runs a faulty multi-tenant

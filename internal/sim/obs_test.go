@@ -7,21 +7,23 @@ import (
 	"lips/internal/obs"
 )
 
-// TestNoObsNoAllocs pins the disabled-path contract, mirroring
-// TestNopTracerNoAllocs in internal/trace: with Options.Metrics unset,
-// every lifecycle chokepoint is a nil check plus the trace guard and
-// allocates nothing.
+// TestNoObsNoAllocs pins the disabled-path contract: with Options.Tracer
+// and Options.Metrics unset (a nil tracer is the one way tracing is off),
+// every lifecycle chokepoint is two nil checks and allocates nothing.
 func TestNoObsNoAllocs(t *testing.T) {
 	s := New(oneNodeCluster(), twoTaskJob(), nil, greedyStub(), Options{})
-	if s.om != nil {
-		t.Fatal("om set without Options.Metrics")
+	if s.om != nil || s.Tracer() != nil {
+		t.Fatal("om or tracer set without Options.Metrics or Options.Tracer")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
+		s.noteRun()
 		s.noteEnqueue(0, 0, 0, 0, 0)
 		s.noteLaunch(0, 0, 1, 0, 0, NodeLocal, false)
 		s.noteDone(0, 0, 1, 0, 0, 1, 0, 1, 0, 0, false)
 		s.noteKill(0, 0, 0, "timeout", 0, false)
 		s.noteMove(0, 0, 0, 0, 64, 1, 0, "plan")
+		s.noteFault(Fault{Kind: FaultNodeDown})
+		s.emitSample()
 		s.charge(cost.CatCPU, 0, 0)
 		s.obsRefresh()
 	})

@@ -46,7 +46,7 @@ func (s *Sim) Start() error {
 	// sets the gauges too, when sampling is on; a gauge refresh alone
 	// when only metrics are.
 	switch {
-	case s.traceOn && s.opts.SampleIntervalSec > 0:
+	case s.tr != nil && s.opts.SampleIntervalSec > 0:
 		s.snapEvery, s.snapSample = s.opts.SampleIntervalSec, true
 	case s.om != nil:
 		s.snapEvery = s.opts.MetricsSampleSec

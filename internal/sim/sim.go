@@ -131,9 +131,8 @@ type Options struct {
 	// disables fault injection.
 	Faults *FaultPlan
 	// Tracer receives structured run events (task lifecycle, block moves,
-	// faults, epoch solves via Sim.Tracer). Nil or trace.Nop disables
-	// tracing; the disabled path is one branch per call site and
-	// allocation-free.
+	// faults, epoch solves via Sim.Tracer). Nil disables tracing; the
+	// disabled path is one nil check per call site and allocation-free.
 	Tracer trace.Tracer
 	// SampleIntervalSec emits a periodic time-series sample event
 	// (cumulative cost by category, queue depth, slot utilization,
@@ -171,9 +170,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxEvents == 0 {
 		o.MaxEvents = 50_000_000
-	}
-	if o.Tracer == nil {
-		o.Tracer = trace.Nop{}
 	}
 	if o.MetricsSampleSec == 0 {
 		o.MetricsSampleSec = 60
@@ -369,12 +365,11 @@ type Sim struct {
 	sched Scheduler
 	batch BatchScheduler // sched when it opts into batched notifications
 
-	// tr is the event sink; traceOn caches Enabled so the disabled path
-	// costs one boolean load per call site. om is nil when live metrics
-	// are disabled — the same cached-guard discipline (see obs.go).
-	tr      trace.Tracer
-	traceOn bool
-	om      *obs.SimMetrics
+	// tr is the event sink, nil when tracing is disabled, so the disabled
+	// path costs one nil check per call site. om is nil when live metrics
+	// are disabled — the same guard discipline (see obs.go).
+	tr trace.Tracer
+	om *obs.SimMetrics
 
 	clock  float64
 	seq    int64
@@ -466,7 +461,6 @@ func New(c *cluster.Cluster, w *workload.Workload, p *hdfs.Placement, sched Sche
 		s.batch = b
 	}
 	s.tr = s.opts.Tracer
-	s.traceOn = s.tr.Enabled()
 	if s.opts.Metrics != nil {
 		s.om = obs.RegisterSim(s.opts.Metrics)
 	}

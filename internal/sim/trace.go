@@ -9,15 +9,14 @@ import (
 )
 
 // Lifecycle chokepoints: every noteX helper feeds both the structured
-// trace (guarded by s.traceOn, a plain boolean load) and the live
-// metrics, through the obs.SimMetrics observer that obs.TraceSink calls
-// for the same event (guarded by s.om != nil, a pointer check). With
-// both disabled each call site costs two branches and allocates nothing
-// (TestNopTracerNoAllocs in internal/trace, TestNoObsNoAllocs here).
+// trace (guarded by s.tr != nil) and the live metrics, through the
+// obs.SimMetrics observer that obs.TraceSink calls for the same event
+// (guarded by s.om != nil). With both disabled each call site costs two
+// nil checks and allocates nothing (TestNoObsNoAllocs).
 // Event payloads, and the arithmetic only they need, are built once the
 // trace guard passes.
 
-// Tracer returns the run's tracer (trace.Nop when tracing is disabled),
+// Tracer returns the run's tracer (nil when tracing is disabled),
 // for schedulers that emit their own spans (e.g. LiPS epoch solves).
 func (s *Sim) Tracer() trace.Tracer { return s.tr }
 
@@ -25,7 +24,7 @@ func (s *Sim) Tracer() trace.Tracer { return s.tr }
 // workload shape, so trace tools can interpret node ids without the
 // cluster object.
 func (s *Sim) noteRun() {
-	if !s.traceOn {
+	if s.tr == nil {
 		return
 	}
 	slots := make([]int, len(s.C.Nodes))
@@ -56,7 +55,7 @@ func (s *Sim) noteEnqueue(job, task int, n cluster.NodeID, store cluster.StoreID
 	if s.om != nil {
 		s.om.Enqueue()
 	}
-	if !s.traceOn {
+	if s.tr == nil {
 		return
 	}
 	s.tr.Emit(trace.Event{T: s.clock, Kind: trace.KindEnqueue, Task: &trace.TaskInfo{
@@ -68,7 +67,7 @@ func (s *Sim) noteLaunch(job, task, attempt int, n cluster.NodeID, store cluster
 	if s.om != nil {
 		s.om.Launch(loc.String())
 	}
-	if !s.traceOn {
+	if s.tr == nil {
 		return
 	}
 	s.tr.Emit(trace.Event{T: s.clock, Kind: trace.KindLaunch, Task: &trace.TaskInfo{
@@ -84,7 +83,7 @@ func (s *Sim) noteDone(job, task, attempt int, n cluster.NodeID, store cluster.S
 	if s.om != nil {
 		s.om.Done()
 	}
-	if !s.traceOn {
+	if s.tr == nil {
 		return
 	}
 	xferSec := transferEnd - (s.clock - wallSec)
@@ -104,7 +103,7 @@ func (s *Sim) noteKill(job, task int, n cluster.NodeID, reason string, billed co
 	if s.om != nil {
 		s.om.Kill(reason)
 	}
-	if !s.traceOn {
+	if s.tr == nil {
 		return
 	}
 	s.tr.Emit(trace.Event{T: s.clock, Kind: trace.KindKill, Task: &trace.TaskInfo{
@@ -120,7 +119,7 @@ func (s *Sim) noteMove(obj, block int, src, dst cluster.StoreID, mb, durSec floa
 	if s.om != nil {
 		s.om.Move(reason, mb)
 	}
-	if !s.traceOn {
+	if s.tr == nil {
 		return
 	}
 	s.tr.Emit(trace.Event{T: s.clock, Kind: trace.KindMove, Move: &trace.MoveInfo{
@@ -133,7 +132,7 @@ func (s *Sim) noteFault(f Fault) {
 	if s.om != nil {
 		s.om.Fault(f.Kind.String())
 	}
-	if !s.traceOn {
+	if s.tr == nil {
 		return
 	}
 	node, store := -1, -1
@@ -166,7 +165,7 @@ func (s *Sim) scanSample(info *trace.SampleInfo) {
 // ledger category, task-state counts, slot availability and the
 // locality mix so far.
 func (s *Sim) emitSample() {
-	if !s.traceOn {
+	if s.tr == nil {
 		return
 	}
 	info := &trace.SampleInfo{
@@ -216,7 +215,7 @@ func NoteMoves(tr trace.Tracer, reg *obs.Registry, t float64, p *hdfs.Placement,
 		if om != nil {
 			om.Move(reason, mb)
 		}
-		if tr != nil && tr.Enabled() {
+		if tr != nil {
 			tr.Emit(trace.Event{T: t, Kind: trace.KindMove, Move: &trace.MoveInfo{
 				Object: int(mv.Object), Block: mv.Block,
 				Src: int(mv.From), Dst: int(mv.To), MB: mb, Reason: reason,

@@ -40,9 +40,6 @@ func NewChrome(w io.Writer) *Chrome {
 	return c
 }
 
-// Enabled implements Tracer.
-func (c *Chrome) Enabled() bool { return true }
-
 // chromeEvent is one object of the trace-event array.
 type chromeEvent struct {
 	Name  string         `json:"name"`

@@ -23,9 +23,6 @@ func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{w: bufio.NewWriter(w)}
 }
 
-// Enabled implements Tracer.
-func (j *JSONL) Enabled() bool { return true }
-
 // Emit implements Tracer. The first encoding or write error sticks and
 // is reported by Close.
 func (j *JSONL) Emit(e Event) {

@@ -22,9 +22,6 @@ type SampleRow struct {
 // NewSampler returns an empty sampler sink.
 func NewSampler() *Sampler { return &Sampler{} }
 
-// Enabled implements Tracer.
-func (s *Sampler) Enabled() bool { return true }
-
 // Emit implements Tracer, keeping sample events only.
 func (s *Sampler) Emit(e Event) {
 	if e.Kind == KindSample && e.Sample != nil {

@@ -21,9 +21,8 @@ type fileSink struct {
 	f     *os.File
 }
 
-func (s *fileSink) Enabled() bool { return true }
-func (s *fileSink) Emit(e Event)  { s.inner.Emit(e) }
-func (s *fileSink) Events() int   { return s.inner.Events() }
+func (s *fileSink) Emit(e Event) { s.inner.Emit(e) }
+func (s *fileSink) Events() int  { return s.inner.Events() }
 func (s *fileSink) Close() error {
 	err := s.inner.Close()
 	if cerr := s.f.Close(); err == nil {

@@ -7,9 +7,9 @@
 // the money table (charges.go) that says under which ledger category and
 // tenant each event's charge is booked.
 //
-// Tracing is off by default. The disabled path is a single boolean check
-// at each call site and allocates nothing (guarded by
-// TestNopTracerNoAllocs). Traces contain only simulated-time and
+// Tracing is off by default: a nil Tracer. The disabled path is a single
+// nil check at each call site and allocates nothing (guarded by
+// sim.TestNoObsNoAllocs). Traces contain only simulated-time and
 // count-valued fields unless the producer opts into wall-clock timings,
 // so two runs with the same seed produce byte-identical JSONL output.
 package trace
@@ -198,24 +198,13 @@ type TenantCost struct {
 // concurrent use: the simulator is single-threaded and emits events in
 // deterministic order.
 //
-// Hot paths must guard event construction with Enabled so the disabled
-// tracer costs one predictable branch and zero allocations.
+// A nil Tracer is the one way to turn tracing off: hot paths build an
+// event only when the tracer is not nil, so the disabled path costs one
+// predictable branch and zero allocations.
 type Tracer interface {
-	// Enabled reports whether Emit does anything; callers skip building
-	// events when false.
-	Enabled() bool
 	// Emit records one event.
 	Emit(e Event)
 }
-
-// Nop is the disabled tracer; its zero value is ready to use.
-type Nop struct{}
-
-// Enabled implements Tracer.
-func (Nop) Enabled() bool { return false }
-
-// Emit implements Tracer.
-func (Nop) Emit(Event) {}
 
 // Validate checks one event against the schema: a known kind, a
 // finite non-negative timestamp, the payload matching the kind (and no

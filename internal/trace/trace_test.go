@@ -7,20 +7,6 @@ import (
 	"testing"
 )
 
-// TestNopTracerNoAllocs pins the disabled-path contract: checking
-// Enabled and calling Emit on the nop tracer allocates nothing.
-func TestNopTracerNoAllocs(t *testing.T) {
-	var tr Tracer = Nop{}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if tr.Enabled() {
-			tr.Emit(Event{T: 1, Kind: KindDone})
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("nop tracer path allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	ok := []Event{
 		{T: 0, Kind: KindRun, Run: &RunInfo{Scheduler: "fifo"}},
