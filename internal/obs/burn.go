@@ -7,11 +7,12 @@ import (
 )
 
 // SLO burn-rate engine: rolling-window error-budget accounting over the
-// serve daemon's span stream, in simulated time. Each tenant×objective
-// pair owns two windows (short and long); the burn rate is the window's
-// violation fraction divided by the error budget, so burn 1.0 means the
-// tenant is spending budget exactly as fast as the SLO allows and burn
-// 10 means ten times too fast. An alert fires only when BOTH windows
+// serve daemon's span stream, in simulated time. One policy holds every
+// tenant: an error budget, a short and a long window, and a latency
+// objective per kind. Each tenant×objective pair owns the two windows;
+// the burn rate is the window's violation fraction divided by the error
+// budget, so burn 1.0 means the tenant is spending budget exactly as fast
+// as the SLO allows and burn 10 means ten times too fast. An alert fires only when BOTH windows
 // burn hot — the multi-window pattern that suppresses blips (short
 // window recovers fast) without missing slow leaks (long window keeps
 // the history).
@@ -28,9 +29,6 @@ const (
 	SLOQueueWait = "queue-wait" // submission → admission latency
 )
 
-// SLOKinds is the closed vocabulary of objective kinds.
-var SLOKinds = []string{SLOE2E, SLOQueueWait}
-
 // Alert states. A pending alert has a hot short window; it fires when
 // the long window confirms; it resolves when both windows cool.
 const (
@@ -45,41 +43,12 @@ const (
 	WindowLong  = "long"
 )
 
-// SLO is one latency objective with its error budget and windows.
-type SLO struct {
-	Kind         string  // SLOE2E or SLOQueueWait
-	ObjectiveSec float64 // an observation above this is a violation
-	Budget       float64 // allowed violation fraction, e.g. 0.05
-	ShortSec     float64 // short rolling window, simulated seconds
-	LongSec      float64 // long rolling window, simulated seconds
-}
-
 // An alert trips when a window burns at or above fireBurn, and a firing
 // alert clears when both burn at or below resolveBurn.
 const (
 	fireBurn    = 1
 	resolveBurn = 0.5
 )
-
-// normalize fills defaults and validates the shape.
-func (s SLO) normalize() SLO {
-	if s.Kind != SLOE2E && s.Kind != SLOQueueWait {
-		panic(fmt.Sprintf("obs: unknown SLO kind %q", s.Kind))
-	}
-	if s.ObjectiveSec <= 0 {
-		panic(fmt.Sprintf("obs: SLO %s objective must be positive", s.Kind))
-	}
-	if s.Budget <= 0 || s.Budget >= 1 {
-		s.Budget = 0.05
-	}
-	if s.ShortSec <= 0 {
-		s.ShortSec = 300
-	}
-	if s.LongSec < s.ShortSec {
-		s.LongSec = 6 * s.ShortSec
-	}
-	return s
-}
 
 // burnBuckets fixes the rolling-window resolution: the window is split
 // into this many time buckets and slides one bucket at a time.
@@ -149,8 +118,8 @@ type Alert struct {
 
 // sloSeries is one tenant×SLO accounting line.
 type sloSeries struct {
-	tenant string
-	slo    SLO
+	tenant, kind string
+	objective    float64 // seconds; an observation above it is a violation
 
 	short, long         burnWindow
 	goodTotal, badTotal int64 // lifetime attainment
@@ -169,51 +138,59 @@ type Attainment struct {
 	Ratio        float64 `json:"ratio"` // 1.0 when empty: no observations, no violations
 }
 
-// BurnEngine evaluates a set of SLOs across every tenant it observes.
+// BurnEngine evaluates one SLO policy across every tenant it observes.
 // Safe for concurrent use.
 type BurnEngine struct {
-	mu       sync.Mutex
-	slos     []SLO
-	series   map[string]*sloSeries // tenant + "\xff" + kind
-	resolved []Alert               // most recent resolved alerts, oldest first
+	mu                sync.Mutex
+	budget            float64               // allowed violation fraction
+	shortSec, longSec float64               // the two rolling windows
+	objectives        map[string]float64    // kind → objective seconds
+	kinds             []string              // objectives' kinds, sorted
+	series            map[string]*sloSeries // tenant + "\xff" + kind
+	resolved          []Alert               // most recent resolved alerts, oldest first
 }
 
 // maxResolvedAlerts bounds the resolved-alert history on /alerts.
 const maxResolvedAlerts = 64
 
-// NewBurnEngine returns an engine evaluating the given objectives for
-// every tenant that shows up in Observe. Objectives are normalized
-// (defaults filled); at most one per kind is kept.
-func NewBurnEngine(slos ...SLO) *BurnEngine {
-	e := &BurnEngine{series: make(map[string]*sloSeries)}
-	seen := map[string]bool{}
-	for _, s := range slos {
-		s = s.normalize()
-		if !seen[s.Kind] {
-			seen[s.Kind] = true
-			e.slos = append(e.slos, s)
+// NewBurnEngine returns an engine holding every tenant that shows up in
+// Observe to one policy: the error budget (a fraction in (0, 1)), the
+// short and long windows in simulated seconds (0 < shortSec <= longSec),
+// and an objective in seconds per kind (SLOE2E, SLOQueueWait); a kind
+// whose objective is not positive is not evaluated.
+func NewBurnEngine(budget, shortSec, longSec float64, objectives map[string]float64) *BurnEngine {
+	if budget <= 0 || budget >= 1 || shortSec <= 0 || longSec < shortSec {
+		panic(fmt.Sprintf("obs: SLO budget %g, windows %g/%g s", budget, shortSec, longSec))
+	}
+	e := &BurnEngine{budget: budget, shortSec: shortSec, longSec: longSec,
+		objectives: make(map[string]float64), series: make(map[string]*sloSeries)}
+	for kind, sec := range objectives {
+		if kind != SLOE2E && kind != SLOQueueWait {
+			panic(fmt.Sprintf("obs: unknown SLO kind %q", kind))
+		}
+		if sec > 0 {
+			e.objectives[kind] = sec
+			e.kinds = append(e.kinds, kind)
 		}
 	}
+	sort.Strings(e.kinds)
 	return e
 }
 
 // Enabled reports whether any objective is configured.
-func (e *BurnEngine) Enabled() bool { return e != nil && len(e.slos) > 0 }
+func (e *BurnEngine) Enabled() bool { return e != nil && len(e.kinds) > 0 }
 
 func (e *BurnEngine) get(tenant, kind string) *sloSeries {
 	key := tenant + "\xff" + kind
 	s := e.series[key]
 	if s == nil {
-		for _, slo := range e.slos {
-			if slo.Kind == kind {
-				s = &sloSeries{
-					tenant: tenant, slo: slo,
-					short: newBurnWindow(slo.ShortSec),
-					long:  newBurnWindow(slo.LongSec),
-				}
-				e.series[key] = s
-				break
+		if sec, ok := e.objectives[kind]; ok {
+			s = &sloSeries{
+				tenant: tenant, kind: kind, objective: sec,
+				short: newBurnWindow(e.shortSec),
+				long:  newBurnWindow(e.longSec),
 			}
+			e.series[key] = s
 		}
 	}
 	return s
@@ -231,7 +208,7 @@ func (e *BurnEngine) Observe(tenant, kind string, t, value float64) {
 	if s == nil {
 		return
 	}
-	bad := value > s.slo.ObjectiveSec
+	bad := value > s.objective
 	s.short.observe(t, bad)
 	s.long.observe(t, bad)
 	if bad {
@@ -259,23 +236,23 @@ func (e *BurnEngine) Evaluate(t float64) []Alert {
 	var out []Alert
 	for _, k := range keys {
 		s := e.series[k]
-		s.lastShort = s.short.badFrac(t) / s.slo.Budget
-		s.lastLong = s.long.badFrac(t) / s.slo.Budget
+		s.lastShort = s.short.badFrac(t) / e.budget
+		s.lastLong = s.long.badFrac(t) / e.budget
 		switch s.state {
 		case "":
 			if s.lastShort >= fireBurn {
 				s.state, s.sinceSim = AlertPending, t
 				if s.lastLong >= fireBurn {
 					s.state, s.firedSim = AlertFiring, t
-					out = append(out, s.alert(AlertFiring, t))
+					out = append(out, e.alert(s, AlertFiring, t))
 				} else {
-					out = append(out, s.alert(AlertPending, t))
+					out = append(out, e.alert(s, AlertPending, t))
 				}
 			}
 		case AlertPending:
 			if s.lastShort >= fireBurn && s.lastLong >= fireBurn {
 				s.state, s.firedSim = AlertFiring, t
-				out = append(out, s.alert(AlertFiring, t))
+				out = append(out, e.alert(s, AlertFiring, t))
 			} else if s.lastShort <= resolveBurn {
 				// A pending alert that subsides never paged anyone;
 				// it returns to ok silently.
@@ -283,7 +260,7 @@ func (e *BurnEngine) Evaluate(t float64) []Alert {
 			}
 		case AlertFiring:
 			if s.lastShort <= resolveBurn && s.lastLong <= resolveBurn {
-				a := s.alert(AlertResolved, t)
+				a := e.alert(s, AlertResolved, t)
 				a.ResolvedSim = t
 				s.state = ""
 				e.resolved = append(e.resolved, a)
@@ -297,10 +274,10 @@ func (e *BurnEngine) Evaluate(t float64) []Alert {
 	return out
 }
 
-func (s *sloSeries) alert(state string, t float64) Alert {
+func (e *BurnEngine) alert(s *sloSeries, state string, t float64) Alert {
 	a := Alert{
-		Tenant: s.tenant, SLO: s.slo.Kind, State: state,
-		ObjectiveSec: s.slo.ObjectiveSec, Budget: s.slo.Budget,
+		Tenant: s.tenant, SLO: s.kind, State: state,
+		ObjectiveSec: s.objective, Budget: e.budget,
 		BurnShort: s.lastShort, BurnLong: s.lastLong,
 		SinceSim: s.sinceSim,
 	}
@@ -326,7 +303,7 @@ func (e *BurnEngine) Alerts() []Alert {
 	var out []Alert
 	for _, k := range keys {
 		if s := e.series[k]; s.state != "" {
-			out = append(out, s.alert(s.state, s.sinceSim))
+			out = append(out, e.alert(s, s.state, s.sinceSim))
 		}
 	}
 	return append(out, e.resolved...)
@@ -365,7 +342,7 @@ func (e *BurnEngine) BurnRates() []Alert {
 	for _, k := range keys {
 		s := e.series[k]
 		out = append(out, Alert{
-			Tenant: s.tenant, SLO: s.slo.Kind, State: s.state,
+			Tenant: s.tenant, SLO: s.kind, State: s.state,
 			BurnShort: s.lastShort, BurnLong: s.lastLong,
 		})
 	}
@@ -373,17 +350,17 @@ func (e *BurnEngine) BurnRates() []Alert {
 }
 
 // Attainments returns the lifetime SLO attainment for one tenant, one
-// entry per configured objective in registration order.
+// entry per configured objective, sorted by kind.
 func (e *BurnEngine) Attainments(tenant string) []Attainment {
 	if !e.Enabled() {
 		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]Attainment, 0, len(e.slos))
-	for _, slo := range e.slos {
-		a := Attainment{SLO: slo.Kind, ObjectiveSec: slo.ObjectiveSec, Ratio: 1}
-		if s := e.series[tenant+"\xff"+slo.Kind]; s != nil {
+	out := make([]Attainment, 0, len(e.kinds))
+	for _, kind := range e.kinds {
+		a := Attainment{SLO: kind, ObjectiveSec: e.objectives[kind], Ratio: 1}
+		if s := e.series[tenant+"\xff"+kind]; s != nil {
 			a.Good, a.Total = s.goodTotal, s.goodTotal+s.badTotal
 			if a.Total > 0 {
 				a.Ratio = float64(a.Good) / float64(a.Total)

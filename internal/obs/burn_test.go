@@ -5,14 +5,19 @@ import (
 	"testing"
 )
 
-func engineSLO() SLO {
-	return SLO{Kind: SLOE2E, ObjectiveSec: 10, Budget: 0.1, ShortSec: 120, LongSec: 720}
+// shortSec is the test policy's short window.
+const shortSec = 120
+
+// testEngine holds tenants to a 10 s end-to-end objective at a 10 %
+// budget over 120 s and 720 s windows.
+func testEngine() *BurnEngine {
+	return NewBurnEngine(0.1, shortSec, 720, map[string]float64{SLOE2E: 10})
 }
 
 // TestBurnEngineLifecycle drives one tenant through the full pending →
 // firing → resolved lifecycle with deterministic observations.
 func TestBurnEngineLifecycle(t *testing.T) {
-	e := NewBurnEngine(engineSLO())
+	e := testEngine()
 	if !e.Enabled() {
 		t.Fatal("engine with an objective must be enabled")
 	}
@@ -78,8 +83,7 @@ func TestBurnEngineLifecycle(t *testing.T) {
 // TestBurnEnginePendingSubsides checks a short-window blip that never
 // confirms in the long window goes back to ok without a transition.
 func TestBurnEnginePendingSubsides(t *testing.T) {
-	s := engineSLO()
-	e := NewBurnEngine(s)
+	e := testEngine()
 	// Build a healthy long-window history.
 	for i := 0; i < 600; i++ {
 		e.Observe("a", SLOE2E, float64(i), 1)
@@ -96,7 +100,7 @@ func TestBurnEnginePendingSubsides(t *testing.T) {
 	}
 	// The burst ages out of the short window; the pending alert subsides
 	// with no resolved event (it never paged).
-	tr = e.Evaluate(620 + 2*s.ShortSec)
+	tr = e.Evaluate(620 + 2*shortSec)
 	if len(tr) != 0 {
 		t.Fatalf("subsiding pending alert emitted %+v", tr)
 	}
@@ -111,7 +115,7 @@ func TestBurnEngineDisabled(t *testing.T) {
 	if nilEngine.Enabled() {
 		t.Error("nil engine enabled")
 	}
-	e := NewBurnEngine()
+	e := NewBurnEngine(0.1, shortSec, 720, map[string]float64{SLOE2E: 0})
 	e.Observe("a", SLOE2E, 0, 100)
 	if tr := e.Evaluate(10); tr != nil {
 		t.Errorf("disabled engine evaluated: %+v", tr)

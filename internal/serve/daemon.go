@@ -107,6 +107,15 @@ func (c Config) withDefaults() Config {
 	if c.EpochRing <= 0 {
 		c.EpochRing = 128
 	}
+	if c.SLOBudget <= 0 || c.SLOBudget >= 1 {
+		c.SLOBudget = 0.05
+	}
+	if c.SLOShortSec <= 0 {
+		c.SLOShortSec = 300
+	}
+	if c.SLOLongSec < c.SLOShortSec {
+		c.SLOLongSec = 6 * c.SLOShortSec
+	}
 	return c
 }
 
@@ -207,21 +216,14 @@ func New(c *cluster.Cluster, sch sim.Scheduler, reg *obs.Registry, cfg Config) (
 	if err := s.Start(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	var slos []obs.SLO
-	if cfg.SLOE2ESec > 0 {
-		slos = append(slos, obs.SLO{Kind: obs.SLOE2E, ObjectiveSec: cfg.SLOE2ESec,
-			Budget: cfg.SLOBudget, ShortSec: cfg.SLOShortSec, LongSec: cfg.SLOLongSec})
-	}
-	if cfg.SLOQueueWaitSec > 0 {
-		slos = append(slos, obs.SLO{Kind: obs.SLOQueueWait, ObjectiveSec: cfg.SLOQueueWaitSec,
-			Budget: cfg.SLOBudget, ShortSec: cfg.SLOShortSec, LongSec: cfg.SLOLongSec})
-	}
 	budgets := make(map[string]cost.Money, len(cfg.Budgets))
 	for tenant, usd := range cfg.Budgets {
 		if usd > 0 {
 			budgets[tenant] = cost.Dollars(usd)
 		}
 	}
+	burn := obs.NewBurnEngine(cfg.SLOBudget, cfg.SLOShortSec, cfg.SLOLongSec,
+		map[string]float64{obs.SLOE2E: cfg.SLOE2ESec, obs.SLOQueueWait: cfg.SLOQueueWaitSec})
 	d := &Daemon{
 		cfg:         cfg,
 		reg:         reg,
@@ -230,7 +232,7 @@ func New(c *cluster.Cluster, sch sim.Scheduler, reg *obs.Registry, cfg Config) (
 		sch:         sch,
 		log:         cfg.Logger,
 		spans:       obs.NewSpans(0),
-		burn:        obs.NewBurnEngine(slos...),
+		burn:        burn,
 		budgets:     budgets,
 		jobs:        make(map[string]int),
 		tenantJobs:  make(map[string]map[string]int),

@@ -11,7 +11,6 @@ import (
 	"lips/internal/core"
 	"lips/internal/experiments"
 	"lips/internal/lp"
-	"lips/internal/obs"
 	"lips/internal/sched"
 	"lips/internal/serve"
 	"lips/internal/sim"
@@ -31,7 +30,6 @@ var settingTypes = []any{
 	sched.Fair{},
 	sched.Quincy{},
 	serve.Config{},
-	obs.SLO{},
 	cluster.RandomSpec{},
 	workload.RandomSpec{},
 	workload.SWIMSpec{},
