@@ -1,15 +1,10 @@
 package lp
 
 import (
-	"fmt"
 	"math"
-	"os"
 	"sync"
 	"time"
 )
-
-// debugSimplex enables iteration tracing via LIPS_LP_DEBUG=1.
-var debugSimplex = os.Getenv("LIPS_LP_DEBUG") == "1"
 
 // Solve runs the two-phase bounded-variable revised simplex method and
 // returns the solution. The receiver is not modified and may be reused.
@@ -119,7 +114,6 @@ type simplexState struct {
 	p1it     int
 	priceAll bool // duals, cost vector or reference framework reset: reprice everything
 	degenRun int  // consecutive degenerate pivots (triggers Bland)
-	nflips   int  // bound flips (debug accounting)
 
 	warm      bool    // warm-start basis accepted
 	pivots    []Pivot // recorded when opts.recordPivots; the Solution takes it
@@ -677,9 +671,6 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 		if s.priceAll {
 			s.freshPrices(cost)
 		}
-		if debugSimplex && s.iter%2000 == 0 {
-			fmt.Fprintf(os.Stderr, "lp: iter=%d obj=%.15g degenRun=%d flips=%d\n", s.iter, s.objective(cost), s.degenRun, s.nflips)
-		}
 		useBland := s.opts.Bland || s.degenRun > 2*m+200
 
 		// Pricing: pick the entering column — Devex score d²/weight, or
@@ -796,7 +787,6 @@ func (s *simplexState) iterate(cost []float64) (Status, error) {
 		if leaving == -1 {
 			// Bound flip: the entering variable crosses its whole span.
 			// The basis, and so every reduced cost, stays.
-			s.nflips++
 			if s.opts.recordPivots {
 				s.pivots = append(s.pivots, Pivot{Entering: int32(entering), Leaving: -1})
 			}
