@@ -11,11 +11,11 @@ import (
 // tenant: an error budget, a short and a long window, and a latency
 // objective per kind. Each tenant×objective pair owns the two windows;
 // the burn rate is the window's violation fraction divided by the error
-// budget, so burn 1.0 means the tenant is spending budget exactly as fast
-// as the SLO allows and burn 10 means ten times too fast. An alert fires only when BOTH windows
-// burn hot — the multi-window pattern that suppresses blips (short
-// window recovers fast) without missing slow leaks (long window keeps
-// the history).
+// budget, so burn 1.0 means the tenant is spending budget exactly as
+// fast as the SLO allows and burn 10 means ten times too fast. An alert
+// fires only when BOTH windows burn hot — the multi-window pattern that
+// suppresses blips (short window recovers fast) without missing slow
+// leaks (long window keeps the history).
 //
 // The engine is deliberately daemon-agnostic: Observe feeds it
 // (tenant, kind, value) samples, Evaluate advances the pending →
