@@ -33,9 +33,13 @@ import (
 type OnlineColGen struct {
 	m *Model // its layout knows which machines are materialized, and where
 
-	buckets [][]int // closed machines per price class, ascending index
-	opened  []int   // machines materialized per bucket (doubling batch size)
+	buckets [][]int   // closed machines per price class, ascending index
+	opened  []int     // machines materialized per bucket (doubling batch size)
+	minMS   []float64 // per bucket: the smallest entry of its members' (equal) MS rows
 	tol     float64
+
+	maxExist []float64 // per job: its largest exist-row dual this round, −Inf without input
+	scans    int       // (bucket, job) pairs whose stores were scanned, for the count test
 }
 
 // ColGenOptions tunes SolveOnlineColGen beyond the LP options.
@@ -61,7 +65,7 @@ func NewOnlineColGen(in *Instance, opts ColGenOptions) (*OnlineColGen, error) {
 	if err != nil {
 		return nil, err
 	}
-	cg := &OnlineColGen{m: m, tol: 1e-9}
+	cg := &OnlineColGen{m: m, tol: 1e-9, maxExist: make([]float64, len(in.Jobs))}
 
 	// Seeds, opened in this order: the fake node (feasibility), then any
 	// hints, then the greedy plan's machines. Without real machines in
@@ -137,6 +141,16 @@ func (cg *OnlineColGen) rebucket() {
 		}
 	}
 	cg.opened = make([]int, len(buckets))
+	cg.minMS = make([]float64, len(buckets))
+	for b, bk := range buckets {
+		lo := math.Inf(1)
+		for _, v := range in.MSPerMBMC[bk.first] {
+			if v < lo || v != v { // a NaN sticks
+				lo = v
+			}
+		}
+		cg.minMS[b] = lo
+	}
 }
 
 // classKey is the scalar part of a price class: the bits of a machine's
@@ -166,13 +180,14 @@ func (cg *OnlineColGen) Price(_ *lp.Problem, sol *lp.Solution) int {
 	if sol.Status != lp.Optimal {
 		return 0
 	}
+	cg.boundExistDuals(sol.Dual)
 	added := 0
 	for b := range cg.buckets {
 		closed := cg.buckets[b]
 		if len(closed) == 0 {
 			continue
 		}
-		if !cg.bucketPricesNegative(closed[0], sol.Dual) {
+		if !cg.bucketPricesNegative(b, sol.Dual) {
 			continue
 		}
 		n := cg.opened[b]
@@ -189,10 +204,36 @@ func (cg *OnlineColGen) Price(_ *lp.Problem, sol *lp.Solution) int {
 	return added
 }
 
-// bucketPricesNegative reports whether any (job, store) column of the
-// still-closed machine l has negative reduced cost under the duals y.
-func (cg *OnlineColGen) bucketPricesNegative(l int, y []float64) bool {
+// boundExistDuals sets maxExist to each input job's largest exist-row
+// dual under y, NaN if any of them is NaN.
+func (cg *OnlineColGen) boundExistDuals(y []float64) {
+	ly := &cg.m.lay
+	for k := range cg.maxExist {
+		mx := math.Inf(-1)
+		for _, v := range y[ly.existRow0+ly.existOff[k] : ly.existRow0+ly.existOff[k+1]] {
+			if v > mx || v != v { // a NaN sticks
+				mx = v
+			}
+		}
+		cg.maxExist[k] = mx
+	}
+}
+
+// bucketPricesNegative reports whether any (job, store) column of bucket
+// b's still-closed machines has negative reduced cost under the duals y,
+// whose exist-row maxima boundExistDuals has taken.
+//
+// A job's stores are scanned only when a lower bound on all their reduced
+// costs fails to rule them out. The bound is the scan's own expression
+// with every store's MS entry replaced by the bucket's smallest and every
+// store's exist dual by the job's largest. With traffic ≥ 0 each rounded
+// operation is monotone in those operands, so no store's d is below the
+// bound; and the scan's threshold −tol·(1+|c|) is at most −tol, so a
+// bound ≥ −tol passes every store. A NaN bound fails the test and scans,
+// as does negative or NaN traffic.
+func (cg *OnlineColGen) bucketPricesNegative(b int, y []float64) bool {
 	in, ly := cg.m.In, &cg.m.lay
+	l := cg.buckets[b][0]
 	mach := in.Machines[l]
 	for k, job := range in.Jobs {
 		execMC := job.CPUSec * mach.PerECUSecMC
@@ -204,6 +245,10 @@ func (cg *OnlineColGen) bucketPricesNegative(l int, y []float64) bool {
 			continue
 		}
 		traffic := in.Data[job.Data].SizeMB * job.accessFrac()
+		if traffic >= 0 && execMC+cg.minMS[b]*traffic-y[ly.jobRow(k)]-cg.maxExist[k] >= -cg.tol {
+			continue
+		}
+		cg.scans++
 		for store := range in.Stores {
 			c := execMC + in.MSPerMBMC[l][store]*traffic
 			d := c - y[ly.jobRow(k)] - y[ly.existRow(k, store)]

@@ -115,3 +115,25 @@ func BenchmarkEpochWide(b *testing.B) {
 	b.ReportMetric(float64(plan.Rows), "rows")
 	b.ReportMetric(float64(plan.Cols), "cols")
 }
+
+// BenchmarkEpochHetero measures one stream-10k-hetero epoch's solve as
+// sched.LiPS runs it: SolveOnlineColGen over hetero10k's 180 units, each
+// its own price class, so pricing the closed ones is a share of the
+// epoch that BenchmarkEpochWide's shape does not show.
+func BenchmarkEpochHetero(b *testing.B) {
+	build := hetero10k(b)
+	var plan *Plan
+	var st lp.ColGenStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if plan, st, err = SolveOnlineColGen(build(), ColGenOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(plan.Iters), "iters")
+	b.ReportMetric(float64(st.Rounds), "rounds")
+	b.ReportMetric(float64(st.OracleTime.Microseconds())/1e3, "oracle-ms")
+}

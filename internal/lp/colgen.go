@@ -1,6 +1,9 @@
 package lp
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // Oracle prices a restricted master problem's optimal duals and extends
 // the problem with violating columns (and any rows those columns need).
@@ -28,7 +31,10 @@ type ColGenStats struct {
 	WarmRounds int // rounds whose solve accepted the previous round's basis
 	Columns    int // columns the oracle added after the seed
 	Rows       int // rows the oracle added after the seed
-	Stats          // summed over all rounds
+	// OracleTime is the wall-clock spent in the oracle's Price calls,
+	// outside every solve.
+	OracleTime time.Duration
+	Stats      // summed over all rounds
 }
 
 // maxColGenRounds bounds the pricing loop against a buggy oracle that
@@ -66,7 +72,9 @@ func SolveColGen(p *Problem, oracle Oracle, opts Options) (*Solution, ColGenStat
 		}
 		st.Stats.Add(sol.Stats)
 		v0, c0 := p.NumVars(), p.NumCons()
+		priced := time.Now()
 		added := oracle.Price(p, sol)
+		st.OracleTime += time.Since(priced)
 		if added == 0 && p.NumVars() == v0 && p.NumCons() == c0 {
 			return sol, st, nil
 		}

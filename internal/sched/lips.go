@@ -259,7 +259,7 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 	// The solver's own sums over every round, kept when it gave up
 	// mid-loop.
 	r.Stats, r.LPSolves, r.LPWarmStarts = cg.Stats, cg.Rounds, cg.WarmRounds
-	r.ColGenRounds, r.ColGenColumns = cg.Rounds, cg.Columns
+	r.ColGenRounds, r.ColGenColumns, r.OracleTime = cg.Rounds, cg.Columns, cg.OracleTime
 	var failed *core.SolveError
 	switch {
 	case err == nil:
@@ -324,7 +324,9 @@ func (l *LiPS) buildInstance(s *sim.Sim, jobs []workload.Job, objects []hdfs.Dat
 	}
 	// Crashed nodes offer no capacity this epoch; shrink (or drop) their
 	// units. Stores keep their units — data outlives co-located compute.
-	in.FilterMachines(s.NodeAlive)
+	if s.NodesDown() > 0 {
+		in.FilterMachines(s.NodeAlive)
+	}
 	if l.PriceMultiplier != nil {
 		now := s.Now()
 		for i := range in.Machines {

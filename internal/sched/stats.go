@@ -47,6 +47,10 @@ type EpochRecord struct {
 	// the first that accepted the previous round's.
 	LPSolves, LPWarmStarts int
 
+	// OracleTime is the part of SolveTime spent pricing the closed
+	// machines between the master's rounds.
+	OracleTime time.Duration
+
 	// Where the epoch's wall-clock went, in order: building the instance
 	// over the queued work, solving (the restricted master is built inside
 	// the solve), rounding, applying the plan.

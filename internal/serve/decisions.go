@@ -57,7 +57,8 @@ type EpochDecision struct {
 // a step: its epoch counter, the tasks its LP deferred, that epoch's solve
 // as a one-liner (and why it failed, if it did), how big the LP was, and
 // where the epoch's wall-clock went — build, solve, round, apply, in
-// order, all four inside the decision's WallMS.
+// order, all four inside the decision's WallMS — with the part of the
+// solve its pricing oracle took.
 type SchedView struct {
 	SchedEpoch         int     `json:"sched_epoch"`
 	SchedDeferredTasks int     `json:"sched_deferred_tasks"`
@@ -69,6 +70,7 @@ type SchedView struct {
 	LPNNZ              int     `json:"lp_nnz"`
 	BuildMS            float64 `json:"build_ms"`
 	SolveMS            float64 `json:"solve_ms"`
+	OracleMS           float64 `json:"oracle_ms,omitempty"`
 	RoundMS            float64 `json:"round_ms"`
 	ApplyMS            float64 `json:"apply_ms"`
 }
@@ -77,7 +79,7 @@ func newSchedView(r sched.EpochRecord) *SchedView {
 	return &SchedView{
 		SchedEpoch: r.Epoch, SchedDeferredTasks: r.Deferred, Solver: r.String(), Status: r.Status, Stalled: r.Stalled,
 		LPRows: r.Rows, LPCols: r.Cols, LPNNZ: r.NNZ,
-		BuildMS: ms(r.BuildTime), SolveMS: ms(r.SolveTime),
+		BuildMS: ms(r.BuildTime), SolveMS: ms(r.SolveTime), OracleMS: ms(r.OracleTime),
 		RoundMS: ms(r.RoundTime), ApplyMS: ms(r.ApplyTime),
 	}
 }

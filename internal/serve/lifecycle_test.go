@@ -268,7 +268,7 @@ func lifecycleScenario(t *testing.T, sch sim.Scheduler) string {
 	for _, dec := range er.Epochs {
 		dec.WallMS = 0
 		if v := dec.SchedView; v != nil {
-			v.BuildMS, v.SolveMS, v.RoundMS, v.ApplyMS = 0, 0, 0, 0
+			v.BuildMS, v.SolveMS, v.OracleMS, v.RoundMS, v.ApplyMS = 0, 0, 0, 0, 0
 			v.Solver = solverWall.ReplaceAllString(v.Solver, "solve (-)")
 		}
 		line(dec)

@@ -97,7 +97,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 // ring: admissions are attributed, deferral reasons stay inside the
 // typed taxonomy, and each LiPS epoch surfaces once — its number, its
 // solver one-liner and its four phase durations, which lie inside the
-// step's wall-clock.
+// step's wall-clock, and the oracle's part of the solve.
 func TestDebugEpochsRing(t *testing.T) {
 	d, err := New(cluster.Paper20(0.5), sched.NewLiPS(60), obs.NewRegistry(),
 		Config{EpochSimSec: 60, EpochWallInterval: time.Millisecond, AdmitPerEpoch: 2})
@@ -163,6 +163,10 @@ func TestDebugEpochsRing(t *testing.T) {
 		// of these fields; only the two long phases are surely non-zero.
 		if dec.SchedEpoch <= 0 || dec.BuildMS <= 0 || dec.SolveMS <= 0 || dec.RoundMS < 0 || dec.ApplyMS < 0 {
 			t.Errorf("decision %d misses a phase duration: %+v", dec.Epoch, dec)
+		}
+		// The oracle prices between the master's solves, inside the solve.
+		if dec.OracleMS < 0 || dec.OracleMS > dec.SolveMS {
+			t.Errorf("decision %d: oracle took %.3f ms of a %.3f ms solve", dec.Epoch, dec.OracleMS, dec.SolveMS)
 		}
 		// Each phase is truncated to the microsecond, like WallMS, so the
 		// sum cannot exceed it by rounding.

@@ -180,6 +180,9 @@ func (s *Sim) inject(f Fault) {
 // NodeAlive reports whether node n is currently up.
 func (s *Sim) NodeAlive(n cluster.NodeID) bool { return !s.nodes[n].down }
 
+// NodesDown reports how many nodes are currently down.
+func (s *Sim) NodesDown() int { return s.downNodes }
+
 // crashNode takes a node down: every attempt running on it (primary or
 // speculative) is killed, its pinned queue drains back to Pending, its
 // slots vanish, and the scheduler is told via OnNodeDown. Partially
@@ -194,6 +197,7 @@ func (s *Sim) crashNode(n cluster.NodeID) {
 		return
 	}
 	ns.down = true
+	s.downNodes++
 	s.freeSlots -= ns.free
 	s.liveSlots -= s.C.Nodes[n].Slots
 	ns.free = 0
@@ -247,6 +251,7 @@ func (s *Sim) recoverNode(n cluster.NodeID) {
 		return
 	}
 	ns.down = false
+	s.downNodes--
 	slots := s.C.Nodes[n].Slots
 	ns.free = slots
 	s.freeSlots += slots

@@ -40,6 +40,7 @@ package sim
 //	idle bit n      ⇔ !nodes[n].down && nodes[n].free > 0
 //	freeSlots       = Σ nodes[n].free over live nodes
 //	liveSlots       = Σ C.Nodes[n].Slots over live nodes
+//	downNodes       = #nodes with nodes[n].down
 //	running         = exactly one ref per Running primary (flat<<1, at
 //	                  tasks[flat].runPos) and one per live speculative
 //	                  copy (flat<<1|1, at specs[tasks[flat].spec].runPos)

@@ -247,7 +247,7 @@ func TestDispatchGolden(t *testing.T) {
 // pass strict=false; OnTaskDone and end-of-run use strict=true.
 func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 	t.Helper()
-	freeSlots, liveSlots := 0, 0
+	freeSlots, liveSlots, down := 0, 0, 0
 	for n := range s.nodes {
 		ns := &s.nodes[n]
 		idle := s.idle[n>>6]&(1<<(uint(n)&63)) != 0
@@ -255,6 +255,7 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 			t.Fatalf("node %d: idle bit %v, want %v (down=%v free=%d)", n, idle, !idle, ns.down, ns.free)
 		}
 		if ns.down {
+			down++
 			continue
 		}
 		freeSlots += ns.free
@@ -263,6 +264,9 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 	if freeSlots != s.freeSlots || liveSlots != s.liveSlots {
 		t.Fatalf("slots: live (%d free, %d total), recomputed (%d, %d)",
 			s.freeSlots, s.liveSlots, freeSlots, liveSlots)
+	}
+	if down != s.NodesDown() {
+		t.Fatalf("down nodes: kept %d, recounted %d", s.NodesDown(), down)
 	}
 
 	var stateCount [4]int

@@ -414,6 +414,7 @@ type Sim struct {
 	freeSlots  int
 	liveSlots  int
 	totalSlots int
+	downNodes  int
 	stateCount [4]int
 	unarrived  int   // tasks of not-yet-arrived jobs (always Pending)
 	actHead    int32 // oldest arrived, incomplete job; -1 none
