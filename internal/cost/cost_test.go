@@ -158,17 +158,38 @@ func TestLedgerTenantDimension(t *testing.T) {
 func TestLedgerReconcileCatchesDrift(t *testing.T) {
 	l := NewLedger()
 	l.ChargeTenant(CatCPU, "j", "alice", Millicents(10))
-	l.byCategory[CatCPU] += Microcent // cook the books by one microcent
+	l.byCat[CatCPU.Index()] += Microcent // cook the books by one microcent
 	if err := l.Reconcile(); err == nil {
 		t.Error("Reconcile missed a one-microcent drift")
 	}
-	l.byCategory[CatCPU] -= Microcent
+	l.byCat[CatCPU.Index()] -= Microcent
 	if err := l.Reconcile(); err != nil {
 		t.Errorf("Reconcile after repair: %v", err)
 	}
 	l.total += Microcent
 	if err := l.Reconcile(); err == nil {
 		t.Error("Reconcile missed a total drift")
+	}
+	l.total -= Microcent
+	l.byJob[0] += Microcent
+	if err := l.Reconcile(); err == nil {
+		t.Error("Reconcile missed a job-line drift")
+	}
+	l.byJob[0] -= Microcent
+	l.tenants[0].by[CatCPU.Index()] += Microcent
+	if err := l.Reconcile(); err == nil {
+		t.Error("Reconcile missed a tenant-line drift")
+	}
+}
+
+func TestCategoryIndex(t *testing.T) {
+	for i, c := range Categories {
+		if c.Index() != i {
+			t.Errorf("%s.Index() = %d, want %d", c, c.Index(), i)
+		}
+	}
+	if Category("mystery").Index() != -1 {
+		t.Error("a category outside Categories must index -1")
 	}
 }
 
