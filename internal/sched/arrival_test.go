@@ -108,7 +108,7 @@ func TestFairArrivalJoinsPool(t *testing.T) {
 	if s.JobDoneAt(j) <= quiet {
 		t.Fatalf("newcomer's job never finished (doneAt %g)", s.JobDoneAt(j))
 	}
-	if got := s.UserCPU["newcomer"]; got <= 0 {
+	if got := s.UserCPU()["newcomer"]; got <= 0 {
 		t.Errorf("newcomer accrued %g ECU-sec — not in the fair-share books", got)
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -226,7 +225,7 @@ func (d *Daemon) simulate(snap epochSnap) (res simResult, err error) {
 			u.pending, u.queued, u.running, u.done = d.s.JobStateCounts(u.rec.simJob)
 		}
 	}
-	res.cpu = maps.Clone(d.s.UserCPU)
+	res.cpu = d.s.UserCPU()
 	res.spend = make(map[string]map[cost.Category]cost.Money)
 	for _, tn := range d.s.Ledger.Tenants() {
 		res.spend[tn] = d.s.Ledger.TenantBreakdown(tn)

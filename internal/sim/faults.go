@@ -308,7 +308,7 @@ func (s *Sim) loseStore(st cluster.StoreID) {
 		}
 		s.P.AddReplica(br.Object, br.Block, dst)
 		mb := s.P.Object(br.Object).BlockSizeMB(br.Block)
-		billed := s.C.SSPerGB(src, dst).MulFloat(mb / 1024)
+		billed := s.ssPerGB(src, dst).MulFloat(mb / 1024)
 		s.Faults.BlocksReplicated++
 		s.noteMove(int(br.Object), br.Block, src, dst, mb, 0, billed, "re-replicate")
 	}
@@ -323,7 +323,7 @@ func (s *Sim) loseStore(st cluster.StoreID) {
 		}
 		s.P.SetPrimary(br.Object, br.Block, dst)
 		mb := obj.BlockSizeMB(br.Block)
-		billed := s.C.SSPerGB(st, dst).MulFloat(mb / 1024)
+		billed := s.ssPerGB(st, dst).MulFloat(mb / 1024)
 		s.Faults.BlocksLost++
 		s.Faults.BlocksReplicated++
 		s.noteMove(int(br.Object), br.Block, st, dst, mb, 0, billed, "re-materialize")
@@ -370,7 +370,7 @@ func (s *Sim) replicaTarget(obj hdfs.ObjectID, block int, exclude cluster.StoreI
 		if cand.ID == exclude || s.P.HasReplicaOn(obj, block, cand.ID) {
 			continue
 		}
-		c := s.C.SSPerGB(src, cand.ID)
+		c := s.ssPerGB(src, cand.ID)
 		if best == cluster.None || c < bestCost {
 			best, bestCost = cand.ID, c
 		}

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"lips/internal/cluster"
+	"lips/internal/cost"
 )
 
 // locIndex is one job's locality index: the job's task indices grouped
@@ -24,14 +25,18 @@ type locIndex struct {
 }
 
 // internZones gives every node and store the index of its zone among
-// the distinct zones, so locality checks compare integers.
+// the distinct zones, so locality checks compare integers, and tabulates
+// the cluster's ZonePerGB and ZoneMBps over every pair of those zones, so
+// an attempt prices and times its read with two array reads.
 func (s *Sim) internZones() {
 	ids := make(map[string]int32, len(s.C.Zones))
+	var names []string
 	id := func(z string) int32 {
 		v, ok := ids[z]
 		if !ok {
 			v = int32(len(ids))
 			ids[z] = v
+			names = append(names, z)
 		}
 		return v
 	}
@@ -43,6 +48,48 @@ func (s *Sim) internZones() {
 	for st := range s.C.Stores {
 		s.storeZone[st] = id(s.C.Stores[st].Zone)
 	}
+	z := len(names)
+	s.zones = z
+	s.zonePerGB = make([]cost.Money, z*z)
+	s.zoneMBps = make([]float64, z*z)
+	for a, za := range names {
+		for b, zb := range names {
+			s.zonePerGB[a*z+b] = s.C.ZonePerGB(za, zb)
+			s.zoneMBps[a*z+b] = s.C.ZoneMBps(za, zb)
+		}
+	}
+}
+
+// msPerGB is C.MSPerGB(n, st) from the zone table.
+func (s *Sim) msPerGB(n cluster.NodeID, st cluster.StoreID) cost.Money {
+	if s.C.Nodes[n].Store == st {
+		return 0
+	}
+	return s.zonePerGB[int(s.nodeZone[n])*s.zones+int(s.storeZone[st])]
+}
+
+// ssPerGB is C.SSPerGB(a, b) from the zone table.
+func (s *Sim) ssPerGB(a, b cluster.StoreID) cost.Money {
+	if a == b {
+		return 0
+	}
+	return s.zonePerGB[int(s.storeZone[a])*s.zones+int(s.storeZone[b])]
+}
+
+// bandwidthStoreNode is C.BandwidthStoreNode(st, n) from the zone table.
+func (s *Sim) bandwidthStoreNode(st cluster.StoreID, n cluster.NodeID) float64 {
+	if s.C.Nodes[n].Store == st {
+		return s.C.BW.LocalMBps
+	}
+	return s.zoneMBps[int(s.storeZone[st])*s.zones+int(s.nodeZone[n])]
+}
+
+// bandwidthStoreStore is C.BandwidthStoreStore(a, b) from the zone table.
+func (s *Sim) bandwidthStoreStore(a, b cluster.StoreID) float64 {
+	if a == b {
+		return s.C.BW.LocalMBps
+	}
+	return s.zoneMBps[int(s.storeZone[a])*s.zones+int(s.storeZone[b])]
 }
 
 // IndexLocality builds the locality index of an arrived, incomplete job

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // The run's tallies beyond the ledger's dollars: data locality, per-node
 // accumulated CPU time (Fig. 11), slot utilization and Jain's fairness
@@ -86,27 +83,35 @@ func (lc *LocalityCounter) LocalFraction() float64 {
 	return float64(lc.counts[NodeLocal]) / float64(withInput)
 }
 
-// NodeCPU tracks accumulated ECU-seconds per node (Fig. 11's breakdown).
+// NodeCPU tracks accumulated ECU-seconds per node (Fig. 11's breakdown),
+// in slices indexed by node id.
 type NodeCPU struct {
-	secs map[int]float64
+	secs []float64
+	seen []bool // accrued at least once, zero included
 }
 
-// NewNodeCPU returns an empty tracker.
-func NewNodeCPU() *NodeCPU { return &NodeCPU{secs: make(map[int]float64)} }
+// NewNodeCPU returns an empty tracker for node ids below nodes.
+func NewNodeCPU(nodes int) *NodeCPU {
+	return &NodeCPU{secs: make([]float64, nodes), seen: make([]bool, nodes)}
+}
 
 // Add accrues ECU-seconds to a node.
-func (nc *NodeCPU) Add(node int, ecuSec float64) { nc.secs[node] += ecuSec }
+func (nc *NodeCPU) Add(node int, ecuSec float64) {
+	nc.secs[node] += ecuSec
+	nc.seen[node] = true
+}
 
 // Of returns the accumulated ECU-seconds of one node.
 func (nc *NodeCPU) Of(node int) float64 { return nc.secs[node] }
 
 // Nodes returns the node ids seen, sorted.
 func (nc *NodeCPU) Nodes() []int {
-	out := make([]int, 0, len(nc.secs))
-	for n := range nc.secs {
-		out = append(out, n)
+	out := []int{}
+	for n, seen := range nc.seen {
+		if seen {
+			out = append(out, n)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -114,8 +119,8 @@ func (nc *NodeCPU) Nodes() []int {
 // ECU-seconds — the Fig. 11 parallelism measure.
 func (nc *NodeCPU) ActiveNodes(threshold float64) int {
 	n := 0
-	for _, s := range nc.secs {
-		if s > threshold {
+	for i, seen := range nc.seen {
+		if seen && nc.secs[i] > threshold {
 			n++
 		}
 	}

@@ -77,7 +77,7 @@ func TestLocalityString(t *testing.T) {
 }
 
 func TestNodeCPU(t *testing.T) {
-	nc := NewNodeCPU()
+	nc := NewNodeCPU(100)
 	nc.Add(3, 10)
 	nc.Add(1, 5)
 	nc.Add(3, 2)

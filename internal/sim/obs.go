@@ -20,23 +20,84 @@ import (
 // LiPS epoch histograms in Init).
 func (s *Sim) Registry() *obs.Registry { return s.opts.Metrics }
 
+// book is where one job's money and CPU time land, resolved once when
+// the job enters the workload (New, AddJob) so that the attempt path
+// indexes slices instead of hashing names: the job's ledger line and
+// its user, whose slot holds the user's CPU time and, when metrics are
+// on, the live cost counters of the user's tenant. The tenant follows
+// trace.Tenant, the rule the trace replay applies.
+type book struct {
+	ref  cost.Ref
+	user int32
+}
+
+// userBook is one workload User's CPU time and, when metrics are on,
+// the live cost counters of the user's tenant.
+type userBook struct {
+	name string
+	cpu  float64
+	seen bool // an attempt of the user's completed: UserCPU lists it
+	line *obs.CostLine
+}
+
+// resolveSystem resolves the book of money no single job caused —
+// background replication, block moves — whose user is -1 and whose cost
+// counters are sysLine.
+func (s *Sim) resolveSystem() {
+	tenant := trace.Tenant(-1, "")
+	s.sysBook = book{ref: s.Ledger.Resolve("", tenant), user: -1}
+	if s.om != nil {
+		s.sysLine = s.om.CostLine(tenant)
+	}
+}
+
+// resolveBook resolves a job's book, adding its user on first sight.
+func (s *Sim) resolveBook(job int) book {
+	j := &s.W.Jobs[job]
+	tenant := trace.Tenant(job, j.User)
+	u, ok := s.userIdx[j.User]
+	if !ok {
+		u = int32(len(s.users))
+		s.userIdx[j.User] = u
+		ub := userBook{name: j.User}
+		if s.om != nil {
+			ub.line = s.om.CostLine(tenant)
+		}
+		s.users = append(s.users, ub)
+	}
+	return book{ref: s.Ledger.Resolve(j.Name, tenant), user: u}
+}
+
 // charge bills the ledger and the live cost counters, keeping them in
 // exact agreement. It is the single chokepoint every dollar flows
-// through: job indexes a workload job (whose Name keys the per-job
-// ledger and whose User owns the chargeback), or is -1 for money no
-// single job caused — background replication, block moves. The tenant
-// follows trace.Tenant, the rule the trace replay applies.
+// through: job indexes a workload job, whose book holds its lines, or is
+// -1 for money no single job caused.
 func (s *Sim) charge(cat cost.Category, job int, amount cost.Money) {
-	name, user := "", ""
+	b := &s.sysBook
 	if job >= 0 {
-		j := &s.W.Jobs[job]
-		name, user = j.Name, j.User
+		b = &s.books[job]
 	}
-	tenant := trace.Tenant(job, user)
-	s.Ledger.ChargeTenant(cat, name, tenant, amount)
+	s.Ledger.ChargeRef(cat, b.ref, amount)
 	if s.om != nil {
-		s.om.Charge(tenant, cat, int64(amount))
+		line := s.sysLine
+		if b.user >= 0 {
+			line = s.users[b.user].line
+		}
+		s.om.ChargeLine(line, cat, int64(amount))
 	}
+}
+
+// UserCPU returns the CPU-seconds each user's completed attempts have
+// run so far, in a fresh map keyed by workload User (empty included),
+// listing every user with a completed attempt.
+func (s *Sim) UserCPU() map[string]float64 {
+	out := make(map[string]float64)
+	for _, u := range s.users {
+		if u.seen {
+			out[u.name] = u.cpu
+		}
+	}
+	return out
 }
 
 // snapshot is one tick of the snapshot chain: a trace sample, or a gauge

@@ -3,8 +3,10 @@ package sim
 import (
 	"testing"
 
+	"lips/internal/cluster"
 	"lips/internal/cost"
 	"lips/internal/obs"
+	"lips/internal/workload"
 )
 
 // TestNoObsNoAllocs pins the disabled-path contract: with Options.Tracer
@@ -142,5 +144,54 @@ func TestLiveMetricsMatchRun(t *testing.T) {
 	p := obs.Snapshot(reg)
 	if p.Done != int64(w.TotalTasks()) || p.TotalUC != int64(r.Cost.Total()) {
 		t.Errorf("progress = %+v", p)
+	}
+}
+
+// TestAttemptNoAllocs is the attempt path's count gate: with metrics off
+// and on, a steady-state attempt — a launch reading its block across
+// zones, its completion event and the CPU and transfer charges it books
+// through its job's resolved lines — allocates nothing. The warm-up call
+// creates the tenant's metric children.
+func TestAttemptNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates")
+	}
+	for _, metrics := range []bool{false, true} {
+		b := cluster.NewBuilder("za", "zb")
+		b.AddNode("za", "t", 2, 2, cost.Millicents(1), 1e6)
+		b.AddNode("zb", "t", 2, 2, cost.Millicents(1), 1e6)
+		c := b.Build()
+		wb := workload.NewBuilder()
+		arch := workload.Archetype{Name: "syn", Property: workload.Mixed, CPUSecPerBlock: 64}
+		wb.AddInputJob("j", "u", arch, 64*200, 1, 0) // 200 blocks on store 1
+		opts := Options{}
+		if metrics {
+			opts.Metrics = obs.NewRegistry()
+		}
+		s := New(c, wb.Build(), nil, &stubSched{}, opts)
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.StepUntil(0); err != nil {
+			t.Fatal(err)
+		}
+		task := 0
+		attempt := func() {
+			if err := s.Launch(0, task, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+			done := s.task(0, task).doneAt
+			task++
+			if err := s.StepUntil(done); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, attempt); allocs != 0 {
+			t.Errorf("metrics %v: an attempt allocates %.1f objects, want 0", metrics, allocs)
+		}
+		if s.Ledger.Category(cost.CatTransfer) == 0 || s.JobRemaining(0) != 200-task {
+			t.Errorf("metrics %v: %d attempts left %d tasks and %v transfer: the attempts did not run as set up",
+				metrics, task, s.JobRemaining(0), s.Ledger.Category(cost.CatTransfer))
+		}
 	}
 }

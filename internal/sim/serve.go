@@ -212,6 +212,7 @@ func (s *Sim) AddJob(job workload.Job, obj *hdfs.DataObject) (int, error) {
 		job.ArrivalSec = s.clock
 	}
 	s.W.Jobs = append(s.W.Jobs, job)
+	s.books = append(s.books, s.resolveBook(j))
 	s.jobs = append(s.jobs, newJobState(job.NumTasks))
 	s.taskBase = append(s.taskBase, s.taskBase[j]+int32(job.NumTasks))
 	for t := 0; t < job.NumTasks; t++ {

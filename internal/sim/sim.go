@@ -11,11 +11,14 @@
 // The core is sized for 10k-node clusters running millions of tasks: task
 // state lives in one flat index-addressed table (with the hot state column
 // in its own byte array), the event heap is a hand-rolled binary heap over
-// typed event structs (no per-event closure or interface boxing on the
-// steady-state paths), and free slots, running attempts, task-state
+// pointer-free typed event structs (the rare closure events keep their
+// func in a side table), and free slots, running attempts, task-state
 // totals, the arrived jobs with their per-job task counts and each job's
 // tasks by input location are kept in incremental indexes (see index.go)
-// instead of being recomputed by scans.
+// instead of being recomputed by scans. An attempt's start and completion
+// read arrays only: zone-pair price and bandwidth tables, and each job's
+// ledger, metrics and CPU-time lines resolved when it enters the workload
+// (see obs.go).
 //
 // Simplifications relative to a real cluster (documented in DESIGN.md):
 // transfers do not contend for link capacity (each gets the full pairwise
@@ -192,15 +195,18 @@ const (
 // reserved for the rare paths (fault injection, block moves, shared-link
 // flows); everything the steady state schedules is a small struct in the
 // heap's backing slice, so an event costs no allocation at all.
+// Every event is pointer-free: a closure event carries the index of its
+// func in Sim.fns, so a sift moves plain words past no write barrier and
+// the collector never scans the heap.
 type eventKind uint8
 
 const (
-	evClosure  eventKind = iota
-	evArrive             // a0 = job
-	evDispatch           // a0 = node (coalesced via nodeState.wakeAt)
-	evComplete           // a0 = job, a1 = task, a2 = gen, a3 = 1 if speculative
-	evTimeout            // a0 = job, a1 = task, a2 = gen
-	evSnapshot           // periodic sample or gauge refresh, self-rearming
+	evClosure  eventKind = iota // a0 = slot in Sim.fns
+	evArrive                    // a0 = job
+	evDispatch                  // a0 = node (coalesced via nodeState.wakeAt)
+	evComplete                  // a0 = job, a1 = task, a2 = gen, a3 = 1 if speculative
+	evTimeout                   // a0 = job, a1 = task, a2 = gen
+	evSnapshot                  // periodic sample or gauge refresh, self-rearming
 )
 
 // event is one scheduled occurrence; seq breaks same-time ties by
@@ -210,7 +216,6 @@ type event struct {
 	seq            int64
 	kind           eventKind
 	a0, a1, a2, a3 int32
-	fn             func() // evClosure only
 }
 
 func eventBefore(a, b *event) bool {
@@ -238,14 +243,12 @@ func (s *Sim) push(ev event) {
 	s.events = h
 }
 
-// pop removes the earliest event. The vacated tail slot is zeroed so the
-// heap does not pin dead closures.
+// pop removes the earliest event.
 func (s *Sim) pop() event {
 	h := s.events
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{}
 	h = h[:n]
 	i := 0
 	for {
@@ -358,7 +361,6 @@ type Sim struct {
 	Ledger   *cost.Ledger
 	Locality LocalityCounter
 	NodeCPU  *NodeCPU
-	UserCPU  map[string]float64
 	Faults   FaultStats
 
 	opts  Options
@@ -376,6 +378,21 @@ type Sim struct {
 	events []event // binary heap ordered by (at, seq)
 	nevent int
 
+	// fns holds the funcs of the closure events in the heap; a slot is
+	// nil again once its event runs, and fnFree lists those slots.
+	fns    []func()
+	fnFree []int32
+
+	// books are the jobs' resolved ledger lines and users, by job;
+	// sysBook is the book of money no job caused, and sysLine its cost
+	// counters (obs.go). users holds the distinct workload Users,
+	// indexed by userIdx.
+	books   []book
+	sysBook book
+	sysLine *obs.CostLine
+	users   []userBook
+	userIdx map[string]int32
+
 	// Serve-mode run state (serve.go): started guards the one-shot Start
 	// prelude. The snapshot chain ticks every snapEvery (0: no chain),
 	// each tick a trace sample when snapSample, else a gauge refresh;
@@ -390,11 +407,16 @@ type Sim struct {
 	jobs  []jobState
 
 	// nodeZone and storeZone intern C's zone names (locality.go), so
-	// locality checks compare integers. locs holds the jobs' locality
-	// indexes, by job; it stays nil in a run whose scheduler never asks
-	// BestLocalityTask, and an entry is nil outside the active list.
+	// locality checks compare integers. zonePerGB and zoneMBps hold C's
+	// ZonePerGB and ZoneMBps of every interned zone pair a, b at
+	// a*zones+b. locs holds the jobs' locality indexes, by job; it stays
+	// nil in a run whose scheduler never asks BestLocalityTask, and an
+	// entry is nil outside the active list.
 	nodeZone  []int32
 	storeZone []int32
+	zones     int
+	zonePerGB []cost.Money
+	zoneMBps  []float64
 	locs      []*locIndex
 
 	// Flat task table: task (j, t) lives at taskBase[j]+t. states is the
@@ -453,10 +475,10 @@ func New(c *cluster.Cluster, w *workload.Workload, p *hdfs.Placement, sched Sche
 	s := &Sim{
 		C: c, W: w, P: p,
 		Ledger:  cost.NewLedger(),
-		NodeCPU: NewNodeCPU(),
-		UserCPU: make(map[string]float64),
+		NodeCPU: NewNodeCPU(len(c.Nodes)),
 		opts:    opts.withDefaults(),
 		sched:   sched,
+		userIdx: make(map[string]int32),
 	}
 	if b, ok := sched.(BatchScheduler); ok {
 		s.batch = b
@@ -479,6 +501,7 @@ func New(c *cluster.Cluster, w *workload.Workload, p *hdfs.Placement, sched Sche
 	s.freeSlots = s.totalSlots
 	s.liveSlots = s.totalSlots
 	s.internZones()
+	s.resolveSystem()
 
 	s.jobs = make([]jobState, len(w.Jobs))
 	s.taskBase = make([]int32, len(w.Jobs)+1)
@@ -494,6 +517,10 @@ func New(c *cluster.Cluster, w *workload.Workload, p *hdfs.Placement, sched Sche
 		return s
 	}
 	s.taskBase[len(w.Jobs)] = int32(total)
+	s.books = make([]book, len(w.Jobs))
+	for j := range w.Jobs {
+		s.books[j] = s.resolveBook(j)
+	}
 	s.tasks = make([]taskInfo, total)
 	s.states = make([]uint8, total)
 	flat := int32(0)
@@ -545,7 +572,16 @@ func (s *Sim) At(t float64, fn func()) {
 	if t < s.clock {
 		t = s.clock
 	}
-	s.push(event{at: t, kind: evClosure, fn: fn})
+	var slot int32
+	if n := len(s.fnFree); n > 0 {
+		slot = s.fnFree[n-1]
+		s.fnFree = s.fnFree[:n-1]
+		s.fns[slot] = fn
+	} else {
+		slot = int32(len(s.fns))
+		s.fns = append(s.fns, fn)
+	}
+	s.push(event{at: t, kind: evClosure, a0: slot})
 }
 
 // schedule enqueues a typed (allocation-free) event at time t.
@@ -560,7 +596,10 @@ func (s *Sim) schedule(t float64, kind eventKind, a0, a1, a2, a3 int32) {
 func (s *Sim) exec(ev *event) {
 	switch ev.kind {
 	case evClosure:
-		ev.fn()
+		fn := s.fns[ev.a0]
+		s.fns[ev.a0] = nil
+		s.fnFree = append(s.fnFree, ev.a0)
+		fn()
 	case evArrive:
 		s.arrive(int(ev.a0))
 	case evDispatch:
@@ -779,7 +818,7 @@ func (s *Sim) result() *Result {
 		Locality:  s.Locality,
 		NodeCPU:   s.NodeCPU,
 		JobDone:   make([]float64, len(s.jobs)),
-		UserCPU:   s.UserCPU,
+		UserCPU:   s.UserCPU(),
 		Faults:    s.Faults,
 	}
 	for j := range s.jobs {
@@ -790,14 +829,14 @@ func (s *Sim) result() *Result {
 		r.SumJobSec += s.jobs[j].doneAt - s.W.Jobs[j].ArrivalSec
 	}
 	r.Utilization = Utilization(s.busySlotSec, float64(s.totalSlots), r.Makespan)
-	shares := make([]float64, 0, len(s.UserCPU))
-	users := make([]string, 0, len(s.UserCPU))
-	for u := range s.UserCPU {
+	shares := make([]float64, 0, len(r.UserCPU))
+	users := make([]string, 0, len(r.UserCPU))
+	for u := range r.UserCPU {
 		users = append(users, u)
 	}
 	sort.Strings(users)
 	for _, u := range users {
-		shares = append(shares, s.UserCPU[u])
+		shares = append(shares, r.UserCPU[u])
 	}
 	r.Fairness = JainIndex(shares)
 	return r

@@ -24,12 +24,11 @@ func (s *Sim) priceOf(node *cluster.Node) cost.Money {
 // task. Partial-access jobs (fractional JD) touch only their access
 // fraction of each block.
 func (s *Sim) taskDemand(job, task int) (cpuSec, mb float64) {
-	j := s.W.Jobs[job]
+	j := &s.W.Jobs[job]
 	if !j.HasInput() {
 		return j.CPUSecPerTask, 0
 	}
-	obj := s.W.Objects[j.Object]
-	mb = obj.BlockSizeMB(task) * j.EffectiveAccessFrac()
+	mb = s.W.Objects[j.Object].BlockSizeMB(task) * j.EffectiveAccessFrac()
 	return mb * j.CPUSecPerMB, mb
 }
 
@@ -68,7 +67,7 @@ func (s *Sim) Launch(job, task int, n cluster.NodeID, store cluster.StoreID) err
 	if s.nodes[n].free <= 0 {
 		return fmt.Errorf("sim: no free slot on node %d", n)
 	}
-	j := s.W.Jobs[job]
+	j := &s.W.Jobs[job]
 	if j.HasInput() {
 		if store == NoStore {
 			return fmt.Errorf("sim: task %d/%d needs an input store", job, task)
@@ -92,7 +91,7 @@ func (s *Sim) Launch(job, task int, n cluster.NodeID, store cluster.StoreID) err
 func (s *Sim) startAttempt(job, task int, n cluster.NodeID, store cluster.StoreID, speculative bool) {
 	flat := s.flat(job, task)
 	ti := &s.tasks[flat]
-	j := s.W.Jobs[job]
+	j := &s.W.Jobs[job]
 	node := &s.C.Nodes[n]
 	s.slotTaken(n)
 
@@ -100,7 +99,7 @@ func (s *Sim) startAttempt(job, task int, n cluster.NodeID, store cluster.StoreI
 	slotECU := node.ECU / float64(node.Slots)
 	transferSec := 0.0
 	if mb > 0 {
-		transferSec = mb / s.C.BandwidthStoreNode(store, n)
+		transferSec = mb / s.bandwidthStoreNode(store, n)
 	}
 	runSec := cpuSec / slotECU * s.slowdownOf(n)
 
@@ -170,7 +169,7 @@ func (s *Sim) timeoutEvent(job, task int, gen int32) {
 	if ti.gen != gen {
 		return
 	}
-	movedMB := s.opts.TaskTimeoutSec * s.C.BandwidthStoreNode(ti.store, ti.node)
+	movedMB := s.opts.TaskTimeoutSec * s.bandwidthStoreNode(ti.store, ti.node)
 	s.timeoutKill(job, task, ti, movedMB)
 }
 
@@ -179,7 +178,7 @@ func (s *Sim) timeoutEvent(job, task int, gen int32) {
 // busy time, returns the task to Pending and frees the slot.
 func (s *Sim) timeoutKill(job, task int, ti *taskInfo, movedMB float64) {
 	n := ti.node
-	billed := s.C.MSPerGB(n, ti.store).MulFloat(movedMB / 1024)
+	billed := s.msPerGB(n, ti.store).MulFloat(movedMB / 1024)
 	s.charge(trace.KillCategory("timeout"), job, billed)
 	s.busySlotSec += s.opts.TaskTimeoutSec
 	s.untrackPrimary(ti)
@@ -276,7 +275,6 @@ func (s *Sim) startSharedAttempt(job, task int, n cluster.NodeID, store cluster.
 func (s *Sim) completeAttempt(job, task int, n cluster.NodeID, store cluster.StoreID, cpuSec, mb, wallSec float64, speculative bool) {
 	flat := s.flat(job, task)
 	ti := &s.tasks[flat]
-	j := s.W.Jobs[job]
 	node := &s.C.Nodes[n]
 
 	billedCPUSec := cpuSec
@@ -294,12 +292,14 @@ func (s *Sim) completeAttempt(job, task int, n cluster.NodeID, store cluster.Sto
 	s.charge(cost.CatCPU, job, billed)
 	var xferBilled cost.Money
 	if mb > 0 {
-		xferBilled = s.C.MSPerGB(n, store).MulFloat(mb / 1024)
+		xferBilled = s.msPerGB(n, store).MulFloat(mb / 1024)
 		s.charge(cost.CatTransfer, job, xferBilled)
 		billed += xferBilled
 	}
 	s.NodeCPU.Add(int(n), cpuSec)
-	s.UserCPU[j.User] += cpuSec
+	u := &s.users[s.books[job].user]
+	u.cpu += cpuSec
+	u.seen = true
 	s.busySlotSec += wallSec
 	if speculative {
 		s.untrackRunning(s.specs[ti.spec].runPos)
@@ -606,8 +606,8 @@ func (s *Sim) MoveBlock(obj int, block int, dst cluster.StoreID) float64 {
 		return s.clock
 	}
 	mb := j.BlockSizeMB(block)
-	billed := s.C.SSPerGB(src, dst).MulFloat(mb / 1024)
-	doneAt := s.clock + mb/s.C.BandwidthStoreStore(src, dst)
+	billed := s.ssPerGB(src, dst).MulFloat(mb / 1024)
+	doneAt := s.clock + mb/s.bandwidthStoreStore(src, dst)
 	s.noteMove(obj, block, src, dst, mb, doneAt-s.clock, billed, "plan")
 	key := [2]int{obj, block}
 	mv := s.movingBlocks[key]

@@ -65,7 +65,7 @@ func (s *Sim) noteEnqueue(job, task int, n cluster.NodeID, store cluster.StoreID
 
 func (s *Sim) noteLaunch(job, task, attempt int, n cluster.NodeID, store cluster.StoreID, loc Locality, speculative bool) {
 	if s.om != nil {
-		s.om.Launch(loc.String())
+		s.om.LaunchAt(int(loc)) // Localities is in Locality order
 	}
 	if s.tr == nil {
 		return

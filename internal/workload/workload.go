@@ -95,7 +95,7 @@ type Job struct {
 }
 
 // EffectiveAccessFrac returns AccessFrac, defaulting to a full scan.
-func (j Job) EffectiveAccessFrac() float64 {
+func (j *Job) EffectiveAccessFrac() float64 {
 	if j.AccessFrac <= 0 {
 		return 1
 	}
@@ -103,10 +103,10 @@ func (j Job) EffectiveAccessFrac() float64 {
 }
 
 // HasInput reports whether the job reads input data.
-func (j Job) HasInput() bool { return j.Object != NoObject }
+func (j *Job) HasInput() bool { return j.Object != NoObject }
 
 // TotalCPUSec returns CPU(J): the job's total ECU-second demand.
-func (j Job) TotalCPUSec() float64 {
+func (j *Job) TotalCPUSec() float64 {
 	if j.HasInput() {
 		return j.CPUSecPerMB * j.InputMB * j.EffectiveAccessFrac()
 	}
