@@ -29,7 +29,7 @@ import (
 //
 // The LP is built over node groups rather than individual nodes
 // (lossless for class-structured clusters; see DESIGN.md) and solved by
-// column generation over a restricted master (core.SolveOnlineColGen),
+// column generation over a restricted master (core.NewOnlineColGen),
 // seeded with the fake node, every unit that has carried work in the run
 // and the greedy plan's units: a unit's (job, store) columns are
 // materialized only once the pricing oracle proves they can lower the
@@ -245,11 +245,16 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 	}
 	// The units earlier plans used seed the new master, ahead of the
 	// greedy plan's, so the first pricing round already holds the likely
-	// support. The master is built inside the solve.
+	// support. The master's build is on the build clock, its pricing
+	// loop alone on the solve clock.
+	opts := core.ColGenOptions{LP: lp.Options{MaxIters: l.maxIters}, SeedMachines: seedMachines(in, l.prevHot)}
+	master, err := core.NewOnlineColGen(in, opts)
+	if err != nil {
+		l.fail(err)
+		return 0
+	}
 	solving := time.Now()
-	plan, cg, err := core.SolveOnlineColGen(in, core.ColGenOptions{
-		LP: lp.Options{MaxIters: l.maxIters}, SeedMachines: seedMachines(in, l.prevHot),
-	})
+	plan, cg, err := master.Solve(opts)
 	if cg.Rounds == 0 { // the master was refused before any solve
 		l.fail(err)
 		return 0

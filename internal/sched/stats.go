@@ -51,9 +51,9 @@ type EpochRecord struct {
 	// machines between the master's rounds.
 	OracleTime time.Duration
 
-	// Where the epoch's wall-clock went, in order: building the instance
-	// over the queued work, solving (the restricted master is built inside
-	// the solve), rounding, applying the plan.
+	// Where the epoch's wall-clock went, in order: building (gathering
+	// the queued work, its instance and the restricted master), solving
+	// (the column-generation loop alone), rounding, applying the plan.
 	BuildTime time.Duration
 	SolveTime time.Duration
 	RoundTime time.Duration
