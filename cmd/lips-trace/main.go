@@ -11,10 +11,11 @@
 // queue depth, slot counts, locality mix) as CSV; -validate only
 // schema-checks the file and reports the event census; -metrics replays
 // the trace through the live metrics observers and prints the resulting
-// Prometheus text exposition — the lips_sim_*, lips_cost_* and
-// lips_sched_* lines a lips-sim -listen scrape at the end of that run
-// would show, cost counted per event up to the last one (lips_lp_* is
-// live only). -by-job rolls charges up to the N most
+// Prometheus text exposition — the lips_sim_*, lips_cost_*, lips_sched_*
+// and lips_lp_* lines a lips-sim -listen scrape at the end of that run
+// would show, cost counted per event up to the last one (the wall-clock
+// families only when the trace was recorded with lips-sim -trace-timings).
+// -by-job rolls charges up to the N most
 // expensive jobs (with -csv, the full rollup is exported instead of the
 // time series); -audit rebuilds the ledger from the money-bearing
 // events and proves it, to the exact microcent, against every embedded

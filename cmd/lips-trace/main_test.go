@@ -30,7 +30,8 @@ func writeTrace(t *testing.T) string {
 		{T: 0, Kind: trace.KindSample, Sample: &trace.SampleInfo{Pending: 3, FreeSlots: 4, LiveSlots: 4}},
 		{T: 10, Kind: trace.KindEnqueue, Task: &trace.TaskInfo{Job: 0, Task: 0, Node: -1, Store: 0}},
 		{T: 600, Kind: trace.KindEpoch, Epoch: &trace.EpochInfo{
-			Scheduler: "lips(e=600s)", Epoch: 1, Jobs: 1, Pending: 3, Iters: 7, Launched: 3}},
+			Scheduler: "lips(e=600s)", Epoch: 1, Jobs: 1, Pending: 3, Iters: 7, Launched: 3,
+			Rows: 9, Cols: 14, NNZ: 30, Solves: 2, WarmStarts: 2, Refactorizations: 3, ColGenRounds: 2, ColGenColumns: 5}},
 		{T: 610, Kind: trace.KindLaunch, Task: &trace.TaskInfo{Job: 0, Task: 0, Node: 0, Store: 0, Attempt: 1, Locality: "node-local"}},
 		{T: 700, Kind: trace.KindDone, Task: &trace.TaskInfo{
 			Job: 0, Task: 0, Node: 0, Store: 0, Attempt: 1, DurSec: 90, XferSec: 5, CPUSec: 85, CostUC: 120000}},

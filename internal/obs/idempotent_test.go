@@ -19,16 +19,12 @@ func TestRegisterBundlesIdempotent(t *testing.T) {
 	if sched1 != sched2 {
 		t.Error("RegisterSched returned distinct bundles on repeat call")
 	}
-	lp1, lp2 := RegisterLP(r), RegisterLP(r)
-	if lp1 != lp2 {
-		t.Error("RegisterLP returned distinct bundles on repeat call")
-	}
 	// Counters accumulate across re-registration rather than resetting.
-	lp1.Solves.Inc()
+	sched1.solves.Inc()
 	if got, ok := r.Value(MLPSolves); !ok || got != 1 {
 		t.Errorf("solves after re-registration = %g (ok=%v), want 1", got, ok)
 	}
-	RegisterLP(r).Solves.Inc()
+	RegisterSched(r).solves.Inc()
 	if got, _ := r.Value(MLPSolves); got != 2 {
 		t.Errorf("solves after third registration = %g, want 2", got)
 	}
@@ -41,18 +37,18 @@ func TestRegisterBundlesConcurrent(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
 	sims := make([]*SimMetrics, 16)
-	lps := make([]*LPMetrics, 16)
+	scheds := make([]*SchedMetrics, 16)
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			sims[i] = RegisterSim(r)
-			lps[i] = RegisterLP(r)
+			scheds[i] = RegisterSched(r)
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < 16; i++ {
-		if sims[i] != sims[0] || lps[i] != lps[0] {
+		if sims[i] != sims[0] || scheds[i] != scheds[0] {
 			t.Fatalf("goroutine %d got a different bundle", i)
 		}
 	}

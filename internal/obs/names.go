@@ -10,15 +10,15 @@ import (
 )
 
 // Metric families, one vocabulary for every producer. The lips_sim_*,
-// lips_cost_* and lips_sched_* families have one producer each, the
-// observers of SimMetrics and SchedMetrics: the simulator and the LiPS
-// scheduler call them live, the trace replay sink (TraceSink) calls them
-// for each event it reads, so a Prometheus scrape of a running
-// simulation and `lips-trace -metrics` over its JSONL trace line up
-// byte for byte. The lips_lp_* families are live only: LiPS renders them
-// from its epoch records, which the epoch event does not carry whole.
-// Naming scheme (documented in DESIGN.md par.10): lips_<layer>_<what>,
-// base units (seconds, microcents, megabytes), counters suffixed _total.
+// lips_cost_*, lips_sched_* and lips_lp_* families have one producer
+// each, the observers of SimMetrics and SchedMetrics: the simulator and
+// the LiPS scheduler call them live, the trace replay sink (TraceSink)
+// calls them for each event it reads, so a Prometheus scrape of a
+// running simulation and `lips-trace -metrics` over its JSONL trace line
+// up byte for byte (the wall-clock families only when the trace was
+// recorded with timings). Naming scheme (documented in DESIGN.md par.10):
+// lips_<layer>_<what>, base units (seconds, microcents, megabytes),
+// counters suffixed _total.
 const (
 	// Simulator layer: task lifecycle counters, sampled state gauges,
 	// per-category cost counters.
@@ -275,17 +275,24 @@ func (m *SimMetrics) Sample(t float64, s *trace.SampleInfo) {
 	}
 }
 
-// SchedMetrics bundles the LiPS epoch-loop handles. They move only in
-// ObserveEpoch, which the live scheduler and the trace replay both call,
-// so a replayed trace reproduces the live values by construction.
+// SchedMetrics bundles the LiPS epoch-loop handles and the lips_lp_*
+// families its epochs' solves fill (the solver publishes nothing itself).
+// They move only in ObserveEpoch, which the live scheduler and the trace
+// replay both call, so a replayed trace reproduces the live values by
+// construction. The pricing share of a solve is
+// lips_lp_pricing_seconds_total / lips_lp_solve_seconds_total.
 type SchedMetrics struct {
 	epochs, launched         *Counter
 	epochNumber, deferred    *Gauge
 	iterations, solveSeconds *Histogram
+
+	solves, lpIters, phase1, warmStarts, refactorizations *Counter
+	lpSolveSec, pricingSec, factorSec, ftranSec, btranSec *Counter
+	colgenRounds, colgenColumns                           *Counter
 }
 
-// RegisterSched registers (or fetches) the scheduler families. Calling it
-// again on the same registry returns the identical bundle.
+// RegisterSched registers (or fetches) the scheduler and LP families.
+// Calling it again on the same registry returns the identical bundle.
 func RegisterSched(r *Registry) *SchedMetrics {
 	return r.bundle("sched", func() any { return registerSched(r) }).(*SchedMetrics)
 }
@@ -301,13 +308,27 @@ func registerSched(r *Registry) *SchedMetrics {
 		solveSeconds: r.Histogram(MSchedSolveSeconds, "Wall-clock seconds per epoch LP solve (machine-dependent).",
 			// 100µs … 10s in half-decade steps.
 			[]float64{1e-4, 3.16e-4, 1e-3, 3.16e-3, 0.01, 0.0316, 0.1, 0.316, 1, 3.16, 10}),
+
+		solves:           r.Counter(MLPSolves, "LP solves."),
+		lpIters:          r.Counter(MLPIters, "Simplex iterations across all solves (both phases)."),
+		phase1:           r.Counter(MLPPhase1, "Phase-1 simplex iterations across all solves."),
+		warmStarts:       r.Counter(MLPWarmStarts, "Solves that accepted a warm-start basis."),
+		refactorizations: r.Counter(MLPRefactor, "From-scratch basis factorizations."),
+		lpSolveSec:       r.Counter(MLPSolveSeconds, "Wall-clock seconds of the epoch LP solves (under column generation, building the restricted master included)."),
+		pricingSec:       r.Counter(MLPPricingSeconds, "Wall-clock seconds in the pricing step."),
+		factorSec:        r.Counter(MLPFactorSeconds, "Wall-clock seconds factorizing the basis and appending eta updates (FTRAN/BTRAN excluded)."),
+		ftranSec:         r.Counter(MLPFtranSeconds, "Wall-clock seconds in FTRAN: entering columns and basic values."),
+		btranSec:         r.Counter(MLPBtranSeconds, "Wall-clock seconds in BTRAN: duals and Devex pivot rows."),
+		colgenRounds:     r.Counter(MLPColGenRounds, "Column-generation pricing rounds across all SolveColGen runs."),
+		colgenColumns:    r.Counter(MLPColGenColumns, "Columns added by column-generation pricing oracles."),
 	}
 }
 
-// ObserveEpoch folds one epoch event into the scheduler families. The
-// solve-seconds histogram fills only when the event carries timings: the
-// live scheduler always passes them, a trace only has them when it was
-// recorded with TraceTimings.
+// ObserveEpoch folds one epoch event into the scheduler and LP families.
+// The wall-clock ones fill only when the event carries timings: the live
+// scheduler always passes them, a trace only has them when it was
+// recorded with TraceTimings. An abandoned solve (trace.StatusError)
+// counts its solves, but not as a finished pricing loop.
 func (m *SchedMetrics) ObserveEpoch(ep *trace.EpochInfo) {
 	m.epochs.Inc()
 	m.epochNumber.Set(float64(ep.Epoch))
@@ -317,24 +338,21 @@ func (m *SchedMetrics) ObserveEpoch(ep *trace.EpochInfo) {
 	if ep.SolveMS > 0 {
 		m.solveSeconds.Observe(ep.SolveMS / 1e3)
 	}
-}
 
-// LPMetrics bundles the simplex-solver handles. The solver publishes
-// nothing itself: LiPS adds each epoch record's solves into them. The
-// pricing share of a solve is lips_lp_pricing_seconds_total /
-// lips_lp_solve_seconds_total.
-type LPMetrics struct {
-	Solves, Iterations, Phase1, WarmStarts      *Counter
-	Refactorizations                            *Counter
-	SolveSeconds, PricingSeconds, FactorSeconds *Counter
-	FtranSeconds, BtranSeconds                  *Counter
-	ColGenRounds, ColGenColumns                 *Counter
-}
-
-// RegisterLP registers (or fetches) the LP solver families. Calling it
-// again on the same registry returns the identical bundle.
-func RegisterLP(r *Registry) *LPMetrics {
-	return r.bundle("lp", func() any { return registerLP(r) }).(*LPMetrics)
+	m.solves.Add(float64(ep.Solves))
+	m.lpIters.Add(float64(ep.Iters))
+	m.phase1.Add(float64(ep.Phase1))
+	m.warmStarts.Add(float64(ep.WarmStarts))
+	m.refactorizations.Add(float64(ep.Refactorizations))
+	m.lpSolveSec.Add(ep.SolveMS / 1e3)
+	m.pricingSec.Add(ep.PricingMS / 1e3)
+	m.factorSec.Add(ep.FactorMS / 1e3)
+	m.ftranSec.Add(ep.FtranMS / 1e3)
+	m.btranSec.Add(ep.BtranMS / 1e3)
+	if ep.Status != trace.StatusError {
+		m.colgenRounds.Add(float64(ep.ColGenRounds))
+		m.colgenColumns.Add(float64(ep.ColGenColumns))
+	}
 }
 
 // ServeMetrics bundles the lips-serve daemon's handles. Submit latency is
@@ -415,21 +433,4 @@ func registerServe(r *Registry) *ServeMetrics {
 		m.AlertTransitions.With(s)
 	}
 	return m
-}
-
-func registerLP(r *Registry) *LPMetrics {
-	return &LPMetrics{
-		Solves:           r.Counter(MLPSolves, "LP solves."),
-		Iterations:       r.Counter(MLPIters, "Simplex iterations across all solves (both phases)."),
-		Phase1:           r.Counter(MLPPhase1, "Phase-1 simplex iterations across all solves."),
-		WarmStarts:       r.Counter(MLPWarmStarts, "Solves that accepted a warm-start basis."),
-		Refactorizations: r.Counter(MLPRefactor, "From-scratch basis factorizations."),
-		SolveSeconds:     r.Counter(MLPSolveSeconds, "Wall-clock seconds of the epoch LP solves (under column generation, building the restricted master included)."),
-		PricingSeconds:   r.Counter(MLPPricingSeconds, "Wall-clock seconds in the pricing step."),
-		FactorSeconds:    r.Counter(MLPFactorSeconds, "Wall-clock seconds factorizing the basis and appending eta updates (FTRAN/BTRAN excluded)."),
-		FtranSeconds:     r.Counter(MLPFtranSeconds, "Wall-clock seconds in FTRAN: entering columns and basic values."),
-		BtranSeconds:     r.Counter(MLPBtranSeconds, "Wall-clock seconds in BTRAN: duals and Devex pivot rows."),
-		ColGenRounds:     r.Counter(MLPColGenRounds, "Column-generation pricing rounds across all SolveColGen runs."),
-		ColGenColumns:    r.Counter(MLPColGenColumns, "Columns added by column-generation pricing oracles."),
-	}
 }

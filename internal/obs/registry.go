@@ -222,8 +222,8 @@ func NewRegistry() *Registry {
 }
 
 // bundle returns the registry's cached handle bundle under key, building
-// it at most once. RegisterSim/RegisterSched/RegisterLP go through here so
-// repeated registration — e.g. sched.LiPS.Init eagerly registering the LP
+// it at most once. RegisterSim/RegisterSched/RegisterServe go through here so
+// repeated registration — e.g. sched.LiPS.Init eagerly registering its
 // families on every Run of a double-Run harness — hands back the identical
 // pointers instead of rebuilding the structs (the underlying families were
 // already register-or-fetch, so this only removes allocation and lock

@@ -9,16 +9,17 @@ import "lips/internal/trace"
 // reproduce the live values; cost is counted per money-bearing event by
 // trace.Charges, so it covers the whole run, not just up to the last
 // sample. A charge's tenant comes from the run header's job→user table;
-// a job the header does not list books its category only. Wall-clock
-// histograms fill only when the trace was recorded with timings enabled.
+// a job the header does not list books its category only. The
+// wall-clock families fill only when the trace was recorded with timings
+// enabled.
 type TraceSink struct {
 	sim   *SimMetrics
 	sched *SchedMetrics
 	run   *trace.RunInfo // the current run's header
 }
 
-// NewTraceSink returns a sink feeding reg. The sim and sched families
-// are registered up front so even an empty trace yields a complete,
+// NewTraceSink returns a sink feeding reg. The sim, sched and lp
+// families are registered up front so even an empty trace yields a complete,
 // all-zero exposition.
 func NewTraceSink(reg *Registry) *TraceSink {
 	return &TraceSink{sim: RegisterSim(reg), sched: RegisterSched(reg)}

@@ -90,16 +90,27 @@ type LiPS struct {
 	maxIters  int
 	checkPlan func(*core.Instance, *core.Plan)
 
-	om *obs.SchedMetrics // live epoch metrics; nil when metrics are off
-	lm *obs.LPMetrics    // ... and the solves' lips_lp_* families
+	name string            // Name, formatted by Init for the run's records
+	om   *obs.SchedMetrics // live epoch metrics; nil when metrics are off
 }
 
 // NewLiPS returns a LiPS scheduler with the given epoch length (0 selects
 // the 400 s default).
 func NewLiPS(epochSec float64) *LiPS { return &LiPS{EpochSec: epochSec} }
 
-// Name implements sim.Scheduler.
-func (l *LiPS) Name() string { return fmt.Sprintf("lips(e=%.0fs)", l.EpochSec) }
+// defaultEpochSec is the epoch a zero EpochSec selects.
+const defaultEpochSec = 400
+
+// Name implements sim.Scheduler. It names the epoch the run uses, the
+// default included, from construction on: the simulator reads it for
+// the run header before Init.
+func (l *LiPS) Name() string {
+	e := l.EpochSec
+	if e == 0 {
+		e = defaultEpochSec
+	}
+	return fmt.Sprintf("lips(e=%.0fs)", e)
+}
 
 // Init implements sim.Scheduler. It resets every piece of run-scoped
 // state — stats, error, staleness counter, round-robin cursors, the
@@ -107,8 +118,9 @@ func (l *LiPS) Name() string { return fmt.Sprintf("lips(e=%.0fs)", l.EpochSec) }
 // across sim.Run calls and each run behaves identically.
 func (l *LiPS) Init(s *sim.Sim) {
 	if l.EpochSec == 0 {
-		l.EpochSec = 400
+		l.EpochSec = defaultEpochSec
 	}
+	l.name = l.Name()
 	l.Epochs = 0
 	l.SolveTime = 0
 	l.LPIters = 0
@@ -122,9 +134,9 @@ func (l *LiPS) Init(s *sim.Sim) {
 	l.prevHot = nil
 	l.rrNode = make(map[int]int)
 	l.rrStore = make(map[int]int)
-	l.om, l.lm = nil, nil
+	l.om = nil
 	if reg := s.Registry(); reg != nil {
-		l.om, l.lm = obs.RegisterSched(reg), obs.RegisterLP(reg)
+		l.om = obs.RegisterSched(reg)
 	}
 	l.armed = true
 	s.At(0, func() { l.tick(s) })
@@ -272,7 +284,7 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 	case errors.As(err, &failed):
 		r.Status, r.Rows, r.Cols = failed.Status.String(), failed.Rows, failed.Cols
 	default:
-		r.Status = statusError
+		r.Status = trace.StatusError
 	}
 	r.Stalled = r.stalled()
 	if err != nil {
@@ -298,22 +310,21 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 }
 
 // record is the one place an epoch is reported: it folds the record into
-// the run totals, keeps it for LastEpochStats, and renders it into the live
-// lips_sched_* and lips_lp_* metrics (with wall-clock) and the trace
+// the run totals and LiPS.Solver, keeps it for LastEpochStats, and hands
+// its one projection to the live metrics (with wall-clock) and the trace
 // (without, unless TraceTimings).
 func (l *LiPS) record(s *sim.Sim, r EpochRecord) {
 	l.SolveTime += r.SolveTime
 	l.LPIters += r.Iters
 	l.TasksMoved += r.Launched
 	l.BlocksMoved += r.BlocksMoved
-	r.observe(&l.Solver)
+	l.Solver.Observe(r.Stats, r.LPSolves, r.SolveTime, r.ColGenRounds, r.ColGenColumns)
 	l.lastEpoch = r
 	if l.om != nil {
-		l.om.ObserveEpoch(r.traceInfo(l.Name(), true))
-		r.observeLP(l.lm)
+		l.om.ObserveEpoch(r.TraceInfo(l.name, true))
 	}
 	if tr := s.Tracer(); tr != nil {
-		tr.Emit(trace.Event{T: r.SimTime, Kind: trace.KindEpoch, Epoch: r.traceInfo(l.Name(), l.TraceTimings)})
+		tr.Emit(trace.Event{T: r.SimTime, Kind: trace.KindEpoch, Epoch: r.TraceInfo(l.name, l.TraceTimings)})
 	}
 }
 

@@ -19,41 +19,14 @@ import (
 
 // TestLiveMetricsMatchTraceReplay is the one-producer contract: a LiPS
 // run scraped live and the same run's JSONL trace replayed through
-// obs.NewTraceSink must expose the same lips_sim_*, lips_cost_* and
-// lips_sched_* bytes — lifecycle counters, epoch counters, cost by
-// category and tenant, and the sampled gauges (live runs on the same
-// cadence as the trace sampler, so the last refresh and the last sample
-// coincide). The faulted run books a 0 µ¢ charge, which neither side
-// may show.
+// obs.NewTraceSink must expose the same lips_sim_*, lips_cost_*,
+// lips_sched_* and lips_lp_* bytes — lifecycle counters, epoch and solve
+// counters, cost by category and tenant, and the sampled gauges (live
+// runs on the same cadence as the trace sampler, so the last refresh and
+// the last sample coincide). The faulted run books a 0 µ¢ charge, which
+// neither side may show.
 func TestLiveMetricsMatchTraceReplay(t *testing.T) {
-	liveReg := obs.NewRegistry()
-	var buf bytes.Buffer
-	sink := trace.NewJSONL(&buf)
-	c := mixedCluster()
-	w := smallJobSet(rand.New(rand.NewSource(7)), 3)
-	plan := &sim.FaultPlan{Faults: []sim.Fault{
-		{At: 210, Kind: sim.FaultNodeDown, Node: 0},
-		{At: 400, Kind: sim.FaultNodeUp, Node: 0},
-	}}
-	opts := sim.Options{
-		TaskTimeoutSec: 1200, Faults: plan,
-		Tracer: sink, SampleIntervalSec: 50,
-		Metrics: liveReg, MetricsSampleSec: 50,
-	}
-	r := runSched(t, c, w, nil, NewLiPS(200), opts)
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	events, err := trace.ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayReg := obs.NewRegistry()
-	replay := obs.NewTraceSink(replayReg)
-	for _, e := range events {
-		replay.Emit(e)
-	}
+	liveReg, replayReg, r := liveAndReplay(t, false)
 	obstest.SameExposition(t, liveReg, replayReg, obstest.Replayed...)
 
 	if v, _ := liveReg.Value(obs.MSimDone); v == 0 {
@@ -71,6 +44,55 @@ func TestLiveMetricsMatchTraceReplay(t *testing.T) {
 	if !zero {
 		t.Error("run booked no 0 µ¢ charge — the zero-charge rule goes untested")
 	}
+}
+
+// TestTimedLiveMetricsMatchTraceReplay is the same contract for a trace
+// recorded with TraceTimings: live and replay observe the same
+// microsecond-resolution epoch events, so every LiPS family line, the
+// wall-clock ones included, is byte-identical.
+func TestTimedLiveMetricsMatchTraceReplay(t *testing.T) {
+	liveReg, replayReg, _ := liveAndReplay(t, true)
+	obstest.SameTimedExposition(t, liveReg, replayReg, "lips_sched_", "lips_lp_")
+	if v, _ := liveReg.Value(obs.MLPSolveSeconds); v == 0 {
+		t.Error("run timed no solve — the comparison is vacuous")
+	}
+}
+
+// liveAndReplay runs LiPS over a faulted small job set with live metrics
+// and a JSONL trace (timed or not), and replays the trace into a fresh
+// registry.
+func liveAndReplay(t *testing.T, timed bool) (live, replay *obs.Registry, r *sim.Result) {
+	live = obs.NewRegistry()
+	var buf bytes.Buffer
+	sink := trace.NewJSONL(&buf)
+	c := mixedCluster()
+	w := smallJobSet(rand.New(rand.NewSource(7)), 3)
+	plan := &sim.FaultPlan{Faults: []sim.Fault{
+		{At: 210, Kind: sim.FaultNodeDown, Node: 0},
+		{At: 400, Kind: sim.FaultNodeUp, Node: 0},
+	}}
+	opts := sim.Options{
+		TaskTimeoutSec: 1200, Faults: plan,
+		Tracer: sink, SampleIntervalSec: 50,
+		Metrics: live, MetricsSampleSec: 50,
+	}
+	l := NewLiPS(200)
+	l.TraceTimings = timed
+	r = runSched(t, c, w, nil, l, opts)
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	events, err := trace.ReadAll(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay = obs.NewRegistry()
+	rs := obs.NewTraceSink(replay)
+	for _, e := range events {
+		rs.Emit(e)
+	}
+	return live, replay, r
 }
 
 // TestLiPSRegistersLPFamilies checks Init registers the lips_lp_* families

@@ -2,19 +2,20 @@ package sched
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"lips/internal/lp"
 	"lips/internal/obs"
 	"lips/internal/sim"
+	"lips/internal/trace"
 )
 
 // TestLastEpochStats: before any run LiPS reports no epoch; after a run
 // the snapshot reflects the final planning epoch — a positive epoch
-// counter within the run's total, the solver one-liner, and a
+// counter within the run's total, the size of its LP, and a
 // launched/deferred split consistent with the pending count. Init must
 // reset it so a reused scheduler does not leak the previous run's view.
 func TestLastEpochStats(t *testing.T) {
@@ -43,10 +44,6 @@ func TestLastEpochStats(t *testing.T) {
 	if es.Rows < es.Jobs || es.Cols <= 0 || es.NNZ < es.Cols {
 		t.Errorf("LP of %d jobs recorded as %d×%d with %d nonzeros", es.Jobs, es.Rows, es.Cols, es.NNZ)
 	}
-	if line := es.String(); !strings.HasPrefix(line, fmt.Sprintf("%d solves, ", es.LPSolves)) ||
-		!strings.HasSuffix(line, fmt.Sprintf(", %d warm", es.LPWarmStarts)) {
-		t.Errorf("solver one-liner %q does not describe the epoch's %d solves, %d warm", line, es.LPSolves, es.LPWarmStarts)
-	}
 
 	// Init (a new run) resets the snapshot.
 	s := sim.New(mixedCluster(), smallJobSet(rand.New(rand.NewSource(4)), 3), nil, l, sim.Options{})
@@ -58,31 +55,43 @@ func TestLastEpochStats(t *testing.T) {
 	}
 }
 
-// TestEpochStringCountsRounds: an epoch's one-liner counts its own
-// simplex solves, one per pricing round, and those that started warm —
-// not the one epoch every record is.
-func TestEpochStringCountsRounds(t *testing.T) {
-	r := EpochRecord{LPSolves: 3, LPWarmStarts: 2, ColGenRounds: 3, ColGenColumns: 52}
-	r.Iters = 19
-	want := "3 solves, 19 iters (6.3 avg/solve, 0 phase1), solve 0s (pricing 0%, factor 0s, ftran 0s, btran 0s), 0 refactor (0 nnz), colgen 3 rounds/52 columns, 2 warm"
-	if got := r.String(); got != want {
-		t.Errorf("epoch one-liner:\n got %q\nwant %q", got, want)
+// TestEpochInfoCountsRounds: an epoch's wire form counts its own simplex
+// solves, one per pricing round, and those that started warm — not the
+// one epoch every record is — and shows no wall-clock key unless timed,
+// the oracle's part of the solve included.
+func TestEpochInfoCountsRounds(t *testing.T) {
+	r := EpochRecord{Epoch: 1, Rows: 41, Cols: 103, NNZ: 361, LPSolves: 3, LPWarmStarts: 2, ColGenRounds: 3, ColGenColumns: 52}
+	r.Iters, r.Refactorizations = 19, 4
+	r.SolveTime, r.OracleTime = 2*time.Millisecond, 1500*time.Microsecond
+	want := `"iters":19,"launched":0,"deferred":0,"rows":41,"cols":103,"nnz":361,"solves":3,"warm_starts":2,"refactorizations":4,"colgen_rounds":3,"colgen_columns":52`
+	for _, timed := range []bool{false, true} {
+		b, err := json.Marshal(r.TraceInfo("lips", timed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(b), want) {
+			t.Errorf("timed=%v: epoch event %s lacks %s", timed, b, want)
+		}
+		if got := strings.Contains(string(b), `"solve_ms":2,"oracle_ms":1.5`); got != timed || (!timed && strings.Contains(string(b), "_ms")) {
+			t.Errorf("timed=%v: epoch event %s", timed, b)
+		}
 	}
 }
 
-// TestObserveLPAbandonedSolve renders an epoch whose column generation the
-// solver abandoned (a singular basis, say): its rounds count as solves,
-// with the work the finished rounds reported, but not as a finished
-// pricing loop. An epoch that failed with a status counts both.
+// TestObserveLPAbandonedSolve renders into the lips_lp_* families an
+// epoch whose column generation the solver abandoned (a singular basis,
+// say): its rounds count as solves, with the work the finished rounds
+// reported, but not as a finished pricing loop. An epoch that failed with
+// a status counts both.
 func TestObserveLPAbandonedSolve(t *testing.T) {
 	for _, tc := range []struct {
 		status          string
 		rounds, columns float64 // the colgen totals it adds
-	}{{statusError, 0, 0}, {"iteration limit", 3, 8}} {
+	}{{trace.StatusError, 0, 0}, {"iteration limit", 3, 8}} {
 		reg := obs.NewRegistry()
-		r := EpochRecord{Status: tc.status, LPSolves: 3, LPWarmStarts: 1, ColGenRounds: 3, ColGenColumns: 8}
+		r := EpochRecord{Epoch: 1, Status: tc.status, LPSolves: 3, LPWarmStarts: 1, ColGenRounds: 3, ColGenColumns: 8}
 		r.Iters = 40
-		r.observeLP(obs.RegisterLP(reg))
+		obs.RegisterSched(reg).ObserveEpoch(r.TraceInfo("lips", false))
 		for _, c := range []struct {
 			family string
 			want   float64
@@ -111,7 +120,7 @@ func TestStalledEpochShows(t *testing.T) {
 		}
 	}
 	for _, stalled := range []bool{false, true} {
-		b, err := json.Marshal(EpochRecord{Epoch: 3, Rows: 70, Cols: 340, Stalled: stalled}.traceInfo("lips", false))
+		b, err := json.Marshal(EpochRecord{Epoch: 3, Rows: 70, Cols: 340, Stalled: stalled}.TraceInfo("lips", false))
 		if err != nil {
 			t.Fatal(err)
 		}

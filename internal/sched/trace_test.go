@@ -100,7 +100,7 @@ func TestTraceEventStream(t *testing.T) {
 	// Epoch events carry no wall-clock timings unless opted in — then the
 	// same run's events say where each epoch went.
 	wall := func(ep *trace.EpochInfo) []float64 {
-		return []float64{ep.BuildMS, ep.SolveMS, ep.RoundMS, ep.ApplyMS, ep.PricingMS, ep.FactorMS, ep.FtranMS, ep.BtranMS}
+		return []float64{ep.BuildMS, ep.SolveMS, ep.RoundMS, ep.ApplyMS, ep.PricingMS, ep.FactorMS, ep.FtranMS, ep.BtranMS, ep.OracleMS}
 	}
 	for _, e := range events {
 		if e.Kind != trace.KindEpoch {
@@ -121,6 +121,39 @@ func TestTraceEventStream(t *testing.T) {
 		if e.Kind == trace.KindEpoch && (e.Epoch.BuildMS <= 0 || e.Epoch.SolveMS <= 0) {
 			t.Errorf("epoch %d under TraceTimings lacks its phase durations: %+v", e.Epoch.Epoch, e.Epoch)
 		}
+	}
+}
+
+// TestDefaultEpochNamesTheRun: a LiPS built with epoch 0 runs at the
+// 400 s default, and the run header, written before Init, names that
+// epoch like every epoch event and the result do.
+func TestDefaultEpochNamesTheRun(t *testing.T) {
+	var buf bytes.Buffer
+	sink := trace.NewJSONL(&buf)
+	res := runSched(t, mixedCluster(), smallJobSet(rand.New(rand.NewSource(3)), 3), nil, NewLiPS(0),
+		sim.Options{TaskTimeoutSec: 1200, Tracer: sink})
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := trace.ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "lips(e=400s)"
+	if res.Scheduler != want || events[0].Kind != trace.KindRun || events[0].Run.Scheduler != want {
+		t.Fatalf("result names %q, header %+v; want %q", res.Scheduler, events[0].Run, want)
+	}
+	epochs := 0
+	for _, e := range events {
+		if e.Kind == trace.KindEpoch {
+			epochs++
+			if e.Epoch.Scheduler != want {
+				t.Errorf("epoch %d names %q, want %q", e.Epoch.Epoch, e.Epoch.Scheduler, want)
+			}
+		}
+	}
+	if epochs == 0 {
+		t.Error("run planned no epoch")
 	}
 }
 

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"time"
-
-	"lips/internal/sched"
-)
+import "lips/internal/trace"
 
 // JobRef identifies one submission inside an epoch decision.
 type JobRef struct {
@@ -48,44 +44,13 @@ type EpochDecision struct {
 
 	QueueDepth int `json:"queue_depth"`
 
-	// SchedView is nil on steps in which LiPS planned no epoch: a pointer,
-	// so the ring, sized for every step, carries it only where there is one.
-	*SchedView
+	// Sched is the epoch LiPS planned inside the step, timed, in the form
+	// its trace event and metrics take (sched.EpochRecord.TraceInfo): its
+	// four phases sum to at most WallMS. It is nil on steps in which LiPS
+	// planned no epoch: a pointer, so the ring, sized for every step,
+	// carries one only where there is one.
+	Sched *trace.EpochInfo `json:"sched,omitempty"`
 }
-
-// SchedView is LiPS's own sched.EpochRecord of the epoch it planned inside
-// a step: its epoch counter, the tasks its LP deferred, that epoch's solve
-// as a one-liner (and why it failed, if it did), how big the LP was, and
-// where the epoch's wall-clock went — build, solve, round, apply, in
-// order, all four inside the decision's WallMS — with the part of the
-// solve its pricing oracle took.
-type SchedView struct {
-	SchedEpoch         int     `json:"sched_epoch"`
-	SchedDeferredTasks int     `json:"sched_deferred_tasks"`
-	Solver             string  `json:"solver"`
-	Status             string  `json:"status,omitempty"`
-	Stalled            bool    `json:"stalled,omitempty"`
-	LPRows             int     `json:"lp_rows"`
-	LPCols             int     `json:"lp_cols"`
-	LPNNZ              int     `json:"lp_nnz"`
-	BuildMS            float64 `json:"build_ms"`
-	SolveMS            float64 `json:"solve_ms"`
-	OracleMS           float64 `json:"oracle_ms,omitempty"`
-	RoundMS            float64 `json:"round_ms"`
-	ApplyMS            float64 `json:"apply_ms"`
-}
-
-func newSchedView(r sched.EpochRecord) *SchedView {
-	return &SchedView{
-		SchedEpoch: r.Epoch, SchedDeferredTasks: r.Deferred, Solver: r.String(), Status: r.Status, Stalled: r.Stalled,
-		LPRows: r.Rows, LPCols: r.Cols, LPNNZ: r.NNZ,
-		BuildMS: ms(r.BuildTime), SolveMS: ms(r.SolveTime), OracleMS: ms(r.OracleTime),
-		RoundMS: ms(r.RoundTime), ApplyMS: ms(r.ApplyTime),
-	}
-}
-
-// ms is d in milliseconds at microsecond resolution.
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
 // decisionRing is a bounded ring of epoch decisions. It has no lock of
 // its own: the daemon guards it with d.mu.

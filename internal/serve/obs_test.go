@@ -96,8 +96,8 @@ func TestJobTraceEndpoint(t *testing.T) {
 // TestDebugEpochsRing runs a LiPS-backed daemon and checks the decision
 // ring: admissions are attributed, deferral reasons stay inside the
 // typed taxonomy, and each LiPS epoch surfaces once — its number, its
-// solver one-liner and its four phase durations, which lie inside the
-// step's wall-clock, and the oracle's part of the solve.
+// solve counts and LP size, and its four phase durations, which lie
+// inside the step's wall-clock, and the oracle's part of the solve.
 func TestDebugEpochsRing(t *testing.T) {
 	d, err := New(cluster.Paper20(0.5), sched.NewLiPS(60), obs.NewRegistry(),
 		Config{EpochSimSec: 60, EpochWallInterval: time.Millisecond, AdmitPerEpoch: 2})
@@ -125,7 +125,7 @@ func TestDebugEpochsRing(t *testing.T) {
 	for _, r := range obs.DeferralReasons {
 		valid[r] = true
 	}
-	admitted, sawDeferral, sawSolver, lastSched := 0, false, false, 0
+	admitted, sawDeferral, sawSched, lastSched := 0, false, false, 0
 	for _, dec := range er.Epochs {
 		if dec.Epoch <= 0 || dec.SimEnd < dec.SimStart {
 			t.Errorf("decision %+v has a bad frame", dec)
@@ -140,37 +140,39 @@ func TestDebugEpochsRing(t *testing.T) {
 				t.Errorf("deferral reason %q outside the taxonomy", df.Reason)
 			}
 		}
-		if dec.SchedView == nil {
+		v := dec.Sched
+		if v == nil {
 			continue
 		}
-		sawSolver = true
-		if dec.SchedEpoch <= lastSched {
-			t.Errorf("decision %d repeats scheduler epoch %d (last shown %d)", dec.Epoch, dec.SchedEpoch, lastSched)
+		sawSched = true
+		if v.Epoch <= lastSched {
+			t.Errorf("decision %d repeats scheduler epoch %d (last shown %d)", dec.Epoch, v.Epoch, lastSched)
 		}
-		lastSched = dec.SchedEpoch
-		if dec.Status != "" {
-			t.Errorf("decision %d: an optimal solve shows status %q", dec.Epoch, dec.Status)
+		lastSched = v.Epoch
+		if v.Status != "" {
+			t.Errorf("decision %d: an optimal solve shows status %q", dec.Epoch, v.Status)
 		}
-		if !strings.HasPrefix(dec.Solver, "1 solves") {
-			t.Errorf("decision %d: solver %q is not that epoch's one-liner", dec.Epoch, dec.Solver)
+		// Two jobs admitted a step: one pricing round each epoch.
+		if v.Scheduler != "lips(e=60s)" || v.Solves != 1 || v.ColGenRounds != 1 {
+			t.Errorf("decision %d: %s epoch shows %d solves, %d rounds", dec.Epoch, v.Scheduler, v.Solves, v.ColGenRounds)
 		}
 		// An epoch that plans has jobs, so rows and columns, and every
 		// LiPS column meets at least its job row.
-		if dec.LPRows <= 0 || dec.LPCols <= 0 || dec.LPNNZ < dec.LPCols {
-			t.Errorf("decision %d: LP size %d×%d with %d nonzeros", dec.Epoch, dec.LPRows, dec.LPCols, dec.LPNNZ)
+		if v.Rows <= 0 || v.Cols <= 0 || v.NNZ < v.Cols {
+			t.Errorf("decision %d: LP size %d×%d with %d nonzeros", dec.Epoch, v.Rows, v.Cols, v.NNZ)
 		}
 		// Rounding a two-job plan takes a few microseconds, the resolution
 		// of these fields; only the two long phases are surely non-zero.
-		if dec.SchedEpoch <= 0 || dec.BuildMS <= 0 || dec.SolveMS <= 0 || dec.RoundMS < 0 || dec.ApplyMS < 0 {
-			t.Errorf("decision %d misses a phase duration: %+v", dec.Epoch, dec)
+		if v.Epoch <= 0 || v.BuildMS <= 0 || v.SolveMS <= 0 || v.RoundMS < 0 || v.ApplyMS < 0 {
+			t.Errorf("decision %d misses a phase duration: %+v", dec.Epoch, v)
 		}
 		// The oracle prices between the master's solves, inside the solve.
-		if dec.OracleMS < 0 || dec.OracleMS > dec.SolveMS {
-			t.Errorf("decision %d: oracle took %.3f ms of a %.3f ms solve", dec.Epoch, dec.OracleMS, dec.SolveMS)
+		if v.OracleMS < 0 || v.OracleMS > v.SolveMS {
+			t.Errorf("decision %d: oracle took %.3f ms of a %.3f ms solve", dec.Epoch, v.OracleMS, v.SolveMS)
 		}
 		// Each phase is truncated to the microsecond, like WallMS, so the
 		// sum cannot exceed it by rounding.
-		if sum := dec.BuildMS + dec.SolveMS + dec.RoundMS + dec.ApplyMS; sum > dec.WallMS+1e-9 {
+		if sum := v.BuildMS + v.SolveMS + v.RoundMS + v.ApplyMS; sum > dec.WallMS+1e-9 {
 			t.Errorf("decision %d: phases sum to %.3f ms inside a %.3f ms step", dec.Epoch, sum, dec.WallMS)
 		}
 	}
@@ -181,8 +183,8 @@ func TestDebugEpochsRing(t *testing.T) {
 	if !sawDeferral {
 		t.Error("no deferral recorded despite AdmitPerEpoch < queue depth")
 	}
-	if !sawSolver {
-		t.Error("no solver one-liner surfaced from the LiPS epochs")
+	if !sawSched {
+		t.Error("no LiPS epoch surfaced in the decisions")
 	}
 	if err := d.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -365,11 +367,11 @@ func TestShedSpansAndReasons(t *testing.T) {
 	}
 }
 
-// TestSchedViewStatus checks a /debug/epochs entry names why its epoch's
-// solve failed and has no status key when the solve ended optimal.
-func TestSchedViewStatus(t *testing.T) {
+// TestDecisionSchedStatus checks a /debug/epochs entry names why its
+// epoch's solve failed and has no status key when the solve ended optimal.
+func TestDecisionSchedStatus(t *testing.T) {
 	for _, status := range []string{"", "iteration limit"} {
-		b, err := json.Marshal(newSchedView(sched.EpochRecord{Epoch: 3, Status: status}))
+		b, err := json.Marshal(EpochDecision{Sched: sched.EpochRecord{Epoch: 3, Status: status}.TraceInfo("lips", true)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 	"lips/internal/hdfs"
 	"lips/internal/obs"
 	"lips/internal/sched"
+	"lips/internal/trace"
 )
 
 // epochSnap is what snapshot takes out of the admission state for one step.
@@ -332,7 +333,7 @@ func (d *Daemon) publish(snap epochSnap, res simResult, nextCut time.Time) epoch
 		// something.
 		dec := EpochDecision{
 			Epoch: sum.epoch, SimStart: res.start, SimEnd: res.end,
-			WallMS:   ms(res.wall),
+			WallMS:   trace.MS(res.wall),
 			Admitted: admittedRefs, AdmittedCount: sum.admitted,
 			Deferred: deferred, DeferredCount: deferredTotal,
 			Shed: snap.shed, QueueDepth: sum.queueDepth,
@@ -342,7 +343,7 @@ func (d *Daemon) publish(snap epochSnap, res simResult, nextCut time.Time) epoch
 		if l, ok := d.sch.(*sched.LiPS); ok {
 			if r, ok := l.LastEpochStats(); ok && r.Epoch != d.schedEpoch {
 				d.schedEpoch = r.Epoch
-				dec.SchedView = newSchedView(r)
+				dec.Sched = r.TraceInfo(l.Name(), true)
 			}
 		}
 		d.decisions.add(dec)
@@ -395,8 +396,8 @@ func (d *Daemon) report(sum epochSummary, res simResult) {
 	if res.wall > d.cfg.EpochWallInterval {
 		d.log.Warn("slow epoch",
 			obs.LogEpoch, sum.epoch,
-			"step_wall_ms", ms(res.wall),
-			"interval_ms", ms(d.cfg.EpochWallInterval),
+			"step_wall_ms", trace.MS(res.wall),
+			"interval_ms", trace.MS(d.cfg.EpochWallInterval),
 			"queue_depth", sum.queueDepth)
 	}
 	if sum.admitted > 0 || sum.done > 0 || sum.cancelled > 0 {

@@ -17,6 +17,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"time"
 )
 
 // Kind labels one trace event. Kinds are stable strings: they are the
@@ -95,11 +96,13 @@ type TaskInfo struct {
 	Reason      string  `json:"reason,omitempty"`   // kill: timeout/speculative/cancel/node-crash/store-loss
 }
 
-// EpochInfo is the payload of one epoch LP solve. The wall-clock *MS
-// fields are zero unless the producer opted into timings (they make
-// traces machine-dependent; see sched.LiPS.TraceTimings): the epoch's
-// four phases in order — build, solve, round, apply — then the solver's
-// own split of the solve.
+// EpochInfo is the payload of one epoch LP solve, and the one wire form
+// of an epoch scheduler's record: the trace event, the lips_sched_* and
+// lips_lp_* observers and the daemon's /debug/epochs entries all read it.
+// The wall-clock *MS fields are zero unless the producer opted into
+// timings (they make traces machine-dependent; see
+// sched.LiPS.TraceTimings): the epoch's four phases in order — build,
+// solve, round, apply — then the solver's own split of the solve.
 type EpochInfo struct {
 	Scheduler string `json:"scheduler"`
 	Epoch     int    `json:"epoch"`
@@ -108,15 +111,28 @@ type EpochInfo struct {
 
 	Iters  int `json:"iters"`
 	Phase1 int `json:"phase1,omitempty"`
-	// Status is why the solve failed ("iteration limit", "infeasible", …);
-	// empty when it ended optimal. Stalled marks a solve that took more
-	// than 20·(rows+cols) pivots, failed or not.
+	// Status is why the solve failed ("iteration limit", "infeasible",
+	// StatusError, …); empty when it ended optimal. Stalled marks a solve
+	// that took more than 20·(rows+cols) pivots, failed or not.
 	Status  string `json:"status,omitempty"`
 	Stalled bool   `json:"stalled,omitempty"`
 
 	Launched    int `json:"launched"` // tasks enqueued by this epoch's plan
 	Deferred    int `json:"deferred"` // fake-node overflow: pending work left for the next epoch
 	BlocksMoved int `json:"blocks_moved,omitempty"`
+
+	// Rows, Cols and NNZ size the LP the epoch solved (under column
+	// generation, the last restricted master). Solves counts its simplex
+	// solves, one per pricing round, and WarmStarts those that started
+	// from a basis; the rest sum over them.
+	Rows             int `json:"rows"`
+	Cols             int `json:"cols"`
+	NNZ              int `json:"nnz"`
+	Solves           int `json:"solves"`
+	WarmStarts       int `json:"warm_starts,omitempty"`
+	Refactorizations int `json:"refactorizations,omitempty"`
+	ColGenRounds     int `json:"colgen_rounds,omitempty"`
+	ColGenColumns    int `json:"colgen_columns,omitempty"`
 
 	BuildMS   float64 `json:"build_ms,omitempty"`
 	SolveMS   float64 `json:"solve_ms,omitempty"`
@@ -126,7 +142,16 @@ type EpochInfo struct {
 	FactorMS  float64 `json:"factor_ms,omitempty"` // factorizing only: the solves are below
 	FtranMS   float64 `json:"ftran_ms,omitempty"`
 	BtranMS   float64 `json:"btran_ms,omitempty"`
+	OracleMS  float64 `json:"oracle_ms,omitempty"` // pricing closed machines between the master's rounds, inside SolveMS
 }
+
+// StatusError is the Status of a solve abandoned without a final status:
+// a singular basis, or column generation that never converged. Its
+// pricing rounds count as solves, but not as a finished pricing loop.
+const StatusError = "error"
+
+// MS is d in milliseconds at the wire's microsecond resolution.
+func MS(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
 // MoveInfo is the payload of a block relocation span.
 type MoveInfo struct {
