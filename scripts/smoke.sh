@@ -73,6 +73,10 @@ grep -q '^faults: ' "$T/sim.log"
 "$T/lips-trace" -validate "$T/run.jsonl" >"$T/validate.log"
 "$T/lips-trace" -audit "$T/run.jsonl" >"$T/audit.log"
 grep -q OK "$T/audit.log"
+# The replay rebuilds the LP families from the epoch events in the file.
+"$T/lips-trace" -metrics "$T/run.jsonl" | awk '
+	$1 == "lips_lp_solves_total" && $2 > 0 { s = 1 }
+	END { exit !s }'
 "$T/lips-sim" "${run[@]}" -trace "$T/run2.jsonl" >/dev/null
 cmp "$T/run.jsonl" "$T/run2.jsonl" # same seed, same bytes
 
@@ -120,7 +124,7 @@ alldone() { curl -fsS "$URL/stats" | jq -e --argjson n $N '.jobs.done == $n'; }
 retry alldone
 
 curl -fsS "$URL/jobs/0/trace" | jq -e '.outcome == "done" and .e2e_sim > 0' >/dev/null
-curl -fsS "$URL/debug/epochs" | jq -e '.total > 0 and (.epochs | length) > 0' >/dev/null
+curl -fsS "$URL/debug/epochs" | jq -e '.total > 0 and any(.epochs[]; .sched.solves > 0)' >/dev/null
 curl -fsS "$URL/tenants/tenant-0" | jq -e '.budget_usd == 5' >/dev/null # -budget arrived
 curl -fsS "$URL/alerts" | jq -e '.enabled' >/dev/null                   # -slo-e2e arrived
 curl -fsS -XPOST "$URL/admin/churn?node=3&kind=down" >/dev/null
