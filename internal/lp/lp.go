@@ -119,14 +119,31 @@ func (p *Problem) NumVars() int { return len(p.vars) }
 // NumCons returns the number of constraint rows added so far.
 func (p *Problem) NumCons() int { return len(p.cons) }
 
+// Reset empties p and renames it, keeping the storage of its variables,
+// rows, name tables and the last arena chunk, so a builder that makes one
+// problem after another of about the same size stops allocating once the
+// first few have sized them. The namer is dropped. Every column of the old
+// problem is invalid afterwards: the next AddCol overwrites its entries.
+func (p *Problem) Reset(name string) {
+	clear(p.vars) // drop the old columns' slices
+	clear(p.varNames)
+	clear(p.conNames)
+	*p = Problem{
+		name: name, vars: p.vars[:0], cons: p.cons[:0], arena: p.arena[:0],
+		varNames: p.varNames[:0], conNames: p.conNames[:0],
+	}
+}
+
 // Grow reserves room for vars more variables, cons more constraint rows
 // and nnz more AddCol entries, so a builder that knows its sizes pays one
-// allocation for each instead of amortized doubling.
+// allocation for each instead of amortized doubling. A short arena is
+// replaced by a chunk of at least twice its capacity, so a problem that is
+// Reset and rebuilt comes to hold all its entries in one chunk.
 func (p *Problem) Grow(vars, cons, nnz int) {
 	p.vars = slices.Grow(p.vars, vars)
 	p.cons = slices.Grow(p.cons, cons)
 	if cap(p.arena)-len(p.arena) < nnz {
-		p.arena = make([]nz, 0, nnz)
+		p.arena = make([]nz, 0, max(nnz, 2*cap(p.arena)))
 	}
 }
 

@@ -160,3 +160,59 @@ func TestRecycledWorkspaceMatchesFresh(t *testing.T) {
 		})
 	}
 }
+
+// rebuild makes q a copy of p through Reset and the builder calls, each
+// column's entries in p's stored order: AddCol where they ascend, AddVar
+// and SetCoef where a SetCoef on p left them out of order.
+func rebuild(q, p *Problem) {
+	q.Reset(p.Name())
+	q.Grow(p.NumVars(), p.NumCons(), p.NumNonzeros())
+	for i, c := range p.cons {
+		q.AddCon(p.ConName(Con(i)), c.sense, c.rhs)
+	}
+	var ents []Entry
+	for j := range p.vars {
+		v := &p.vars[j]
+		ents = ents[:0]
+		ascending := true
+		for k, e := range v.col {
+			ascending = ascending && (k == 0 || e.row > v.col[k-1].row)
+			ents = append(ents, Entry{Con: Con(e.row), Coef: e.coef})
+		}
+		if ascending {
+			q.AddCol(v.lower, v.upper, v.cost, ents)
+			continue
+		}
+		x := q.AddVar("", v.lower, v.upper, v.cost)
+		for _, e := range ents {
+			q.SetCoef(e.Con, x, e.Coef)
+		}
+	}
+}
+
+// TestResetProblemMatchesFresh rebuilds every problem of the recycled-
+// workspace corpus into one Problem through Reset, larger and smaller in
+// turn, and requires each solve, its pivot sequence included, to equal the
+// fresh problem's: nothing a Reset keeps — variables, rows, names, the
+// arena chunk — may reach the next problem built on it.
+func TestResetProblemMatchesFresh(t *testing.T) {
+	q := New("recycled")
+	for _, c := range recycleCorpus(t) {
+		want, err := solveFresh(c.p, c.opts)
+		if err != nil {
+			t.Fatalf("%s: fresh solve: %v", c.name, err)
+		}
+		rebuild(q, c.p)
+		if q.NumVars() != c.p.NumVars() || q.NumCons() != c.p.NumCons() || q.NumNonzeros() != c.p.NumNonzeros() {
+			t.Fatalf("%s: rebuilt %d × %d with %d nonzeros, want %d × %d with %d", c.name,
+				q.NumCons(), q.NumVars(), q.NumNonzeros(), c.p.NumCons(), c.p.NumVars(), c.p.NumNonzeros())
+		}
+		got, err := solveFresh(q, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if d := solutionDiff(want, got); d != "" {
+			t.Fatalf("%s: %s", c.name, d)
+		}
+	}
+}
