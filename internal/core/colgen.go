@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"lips/internal/lp"
 )
@@ -30,8 +31,17 @@ import (
 // proves the full instance infeasible and no Farkas pricing is needed.
 // Parking every job on it is also where the first round starts
 // (Model.parkedBasis), so a master needs no phase 1.
+//
+// A master's storage — the LP, the layout, the price classes — comes from
+// a pool and goes back on Release, so a process that plans every epoch
+// rewrites one master's slices instead of allocating them anew.
 type OnlineColGen struct {
-	m *Model // its layout knows which machines are materialized, and where
+	*master // nil once released
+}
+
+// master is an OnlineColGen's storage, pooled across epochs.
+type master struct {
+	m Model // its layout knows which machines are materialized, and where
 
 	buckets [][]int   // closed machines per price class, ascending index
 	opened  []int     // machines materialized per bucket (doubling batch size)
@@ -40,6 +50,35 @@ type OnlineColGen struct {
 
 	maxExist []float64 // per job: its largest exist-row dual this round, −Inf without input
 	scans    int       // (bucket, job) pairs whose stores were scanned, for the count test
+
+	// Scratch of build and rebucket.
+	classes  []priceClass
+	byKey    map[classKey]int // key → its first class
+	bucketOf []int            // per machine: its class, -1 for an open one
+	members  []int            // the buckets' one backing array
+	seed     []int            // NewOnlineColGen's seed machines
+}
+
+// masterPool holds released masters' storage. A pool rather than a field
+// of the scheduler, like lp's simplex workspaces: a busy process reuses
+// one master every epoch, and an idle one keeps nothing past two garbage
+// collections.
+var masterPool = sync.Pool{New: func() any { return newMaster() }}
+
+func newMaster() *master { return &master{byKey: make(map[classKey]int)} }
+
+// Release returns the master's storage to the pool, and with it the
+// instance matrices Units.Instance drew from its own pool. Neither the
+// master nor its instance's MSPerMBMC, BandwidthMBps and SSPerMBMC may be
+// used afterwards: they are nil, so a late read panics instead of seeing
+// another epoch's numbers. The Plans Solve returned stay valid apart from
+// their instance's matrices.
+func (cg *OnlineColGen) Release() {
+	ms := cg.master
+	cg.master = nil
+	ms.m.In.releaseMatrices()
+	ms.m.In = nil
+	masterPool.Put(ms)
 }
 
 // ColGenOptions tunes SolveOnlineColGen beyond the LP options.
@@ -60,12 +99,23 @@ type ColGenOptions struct {
 // overflow node is appended if the instance lacks one, exactly as
 // BuildOnlineModel does.
 func NewOnlineColGen(in *Instance, opts ColGenOptions) (*OnlineColGen, error) {
-	ensureFakeNode(in)
-	m, err := newModel(in, Online, "lips-online-rmp")
-	if err != nil {
+	ms := masterPool.Get().(*master)
+	if err := ms.build(in, opts); err != nil {
+		ms.m.In = nil
+		masterPool.Put(ms)
 		return nil, err
 	}
-	cg := &OnlineColGen{m: m, tol: 1e-9, maxExist: make([]float64, len(in.Jobs))}
+	return &OnlineColGen{ms}, nil
+}
+
+// build is NewOnlineColGen on ms's storage.
+func (ms *master) build(in *Instance, opts ColGenOptions) error {
+	ensureFakeNode(in)
+	if err := ms.m.build(in, Online, "lips-online-rmp"); err != nil {
+		return err
+	}
+	ms.tol, ms.scans = 1e-9, 0
+	ms.maxExist = resize(ms.maxExist, len(in.Jobs))
 
 	// Seeds, opened in this order: the fake node (feasibility), then any
 	// hints, then the greedy plan's machines. Without real machines in
@@ -73,7 +123,7 @@ func NewOnlineColGen(in *Instance, opts ColGenOptions) (*OnlineColGen, error) {
 	// prices negative and every bucket opens; with them, round one prices
 	// against real costs. A total outage has no greedy plan, and F alone
 	// seeds.
-	var seed []int
+	seed := ms.seed[:0]
 	for l, mach := range in.Machines {
 		if mach.Fake {
 			seed = append(seed, l)
@@ -83,10 +133,11 @@ func NewOnlineColGen(in *Instance, opts ColGenOptions) (*OnlineColGen, error) {
 	if greedy, err := GreedyPlan(in, PlacementFractions(in)); err == nil {
 		seed = append(seed, greedy.HotMachines()...)
 	}
-	m.open(seed)
+	ms.m.open(seed)
+	ms.seed = seed
 
-	cg.rebucket()
-	return cg, nil
+	ms.rebucket()
+	return nil
 }
 
 // rebucket partitions the still-closed machines by price class: the exact
@@ -94,64 +145,69 @@ func NewOnlineColGen(in *Instance, opts ColGenOptions) (*OnlineColGen, error) {
 // MS cost and bandwidth rows. Within a bucket every machine's columns are
 // numerically identical, so one representative prices them all. Buckets
 // are ordered by their first member, and hold their members ascending.
-func (cg *OnlineColGen) rebucket() {
-	in := cg.m.In
-	// A machine's bucket is found by its scalar key, then among the
-	// buckets of that key by comparing its rows with their first member's.
-	type bucket struct{ first, size, next int } // next: the key's next bucket, or -1
-	closed := len(in.Machines) - len(cg.m.lay.units)
-	buckets := make([]bucket, 0, closed)
-	byKey := make(map[classKey]int) // key → its first bucket
-	newBucket := func(first int) int {
-		buckets = append(buckets, bucket{first: first, next: -1})
-		return len(buckets) - 1
+func (ms *master) rebucket() {
+	in := ms.m.In
+	// A machine's class is found by its scalar key, then among the
+	// classes of that key by comparing its rows with their first member's.
+	closed := len(in.Machines) - len(ms.m.lay.units)
+	classes := ms.classes[:0]
+	clear(ms.byKey)
+	newClass := func(first int) int {
+		classes = append(classes, priceClass{first: first, next: -1})
+		return len(classes) - 1
 	}
-	bucketOf := make([]int, len(in.Machines))
+	bucketOf := resize(ms.bucketOf, len(in.Machines))
 	for l, mach := range in.Machines {
 		bucketOf[l] = -1
-		if cg.m.lay.isOpen(l) {
+		if ms.m.lay.isOpen(l) {
 			continue
 		}
 		key := classKey{math.Float64bits(mach.PerECUSecMC), math.Float64bits(mach.ECU), math.Float64bits(in.HorizonOf(l))}
-		b, ok := byKey[key]
+		b, ok := ms.byKey[key]
 		if !ok {
-			b = newBucket(l)
-			byKey[key] = b
+			b = newClass(l)
+			ms.byKey[key] = b
 		} else {
-			for !sameRows(in, buckets[b].first, l) {
-				if buckets[b].next < 0 {
-					buckets[b].next = newBucket(l)
+			for !sameRows(in, classes[b].first, l) {
+				if classes[b].next < 0 {
+					classes[b].next = newClass(l)
 				}
-				b = buckets[b].next
+				b = classes[b].next
 			}
 		}
 		bucketOf[l] = b
-		buckets[b].size++
+		classes[b].size++
 	}
 	// Lay the buckets out over one backing array.
-	members := make([]int, 0, closed)
-	cg.buckets = make([][]int, len(buckets))
-	for b, bk := range buckets {
-		cg.buckets[b] = members[len(members) : len(members) : len(members)+bk.size]
-		members = members[:len(members)+bk.size]
+	members := resize(ms.members, closed)[:0]
+	ms.buckets = resize(ms.buckets, len(classes))
+	for b, c := range classes {
+		ms.buckets[b] = members[len(members) : len(members) : len(members)+c.size]
+		members = members[:len(members)+c.size]
 	}
 	for l, b := range bucketOf {
 		if b >= 0 {
-			cg.buckets[b] = append(cg.buckets[b], l)
+			ms.buckets[b] = append(ms.buckets[b], l)
 		}
 	}
-	cg.opened = make([]int, len(buckets))
-	cg.minMS = make([]float64, len(buckets))
-	for b, bk := range buckets {
+	ms.opened = resize(ms.opened, len(classes))
+	clear(ms.opened)
+	ms.minMS = resize(ms.minMS, len(classes))
+	for b, c := range classes {
 		lo := math.Inf(1)
-		for _, v := range in.MSPerMBMC[bk.first] {
+		for _, v := range in.MSPerMBMC[c.first] {
 			if v < lo || v != v { // a NaN sticks
 				lo = v
 			}
 		}
-		cg.minMS[b] = lo
+		ms.minMS[b] = lo
 	}
+	ms.classes, ms.bucketOf, ms.members = classes, bucketOf, members
 }
+
+// priceClass is one bucket while rebucket sorts machines into them: its
+// first member, its size, and the next class with the same classKey, or -1.
+type priceClass struct{ first, size, next int }
 
 // classKey is the scalar part of a price class: the bits of a machine's
 // CPU price, ECU and effective horizon.

@@ -46,6 +46,12 @@ func wideInstance(b *testing.B) *Instance {
 // object whole on its origin store. The function it returns lays that
 // epoch over the units with a 60 s horizon, as each sched.LiPS epoch does.
 func hetero10k(tb testing.TB) func() *Instance {
+	_, build := hetero10kOn(tb)
+	return build
+}
+
+// hetero10kOn is hetero10k with the cluster it draws.
+func hetero10kOn(tb testing.TB) (*cluster.Cluster, func() *Instance) {
 	c := cluster.Random(rand.New(rand.NewSource(1)), cluster.RandomSpec{Nodes: 10000, Types: 60})
 	u := NewUnits(c, true)
 	rng := rand.New(rand.NewSource(2))
@@ -66,7 +72,7 @@ func hetero10k(tb testing.TB) func() *Instance {
 			AccessFrac: 0.5 + 0.5*rng.Float64(), CPUSecPerMB: workload.Grep.CPUSecPerMB(),
 		}
 	}
-	return func() *Instance {
+	return c, func() *Instance {
 		in, err := u.Instance(jobs, objects, fractions, 60)
 		if err != nil {
 			tb.Fatal(err)
@@ -78,7 +84,8 @@ func hetero10k(tb testing.TB) func() *Instance {
 // BenchmarkInstance10k measures the glue of one stream-10k-hetero epoch
 // before its first solve, on the live path's calls: Units.Instance over
 // the 180 units, FilterMachines with a node down, and NewOnlineColGen's
-// restricted master with its greedy seed and price classes.
+// restricted master with its greedy seed and price classes, released as
+// sched.LiPS releases it, so each build reuses the one before's storage.
 func BenchmarkInstance10k(b *testing.B) {
 	build := hetero10k(b)
 	down := build().Machines[0].Nodes[0]
@@ -88,9 +95,11 @@ func BenchmarkInstance10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		in := build()
 		in.FilterMachines(alive)
-		if _, err := NewOnlineColGen(in, ColGenOptions{}); err != nil {
+		cg, err := NewOnlineColGen(in, ColGenOptions{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		cg.Release()
 	}
 }
 
@@ -117,9 +126,10 @@ func BenchmarkEpochWide(b *testing.B) {
 }
 
 // BenchmarkEpochHetero measures one stream-10k-hetero epoch's solve as
-// sched.LiPS runs it: SolveOnlineColGen over hetero10k's 180 units, each
-// its own price class, so pricing the closed ones is a share of the
-// epoch that BenchmarkEpochWide's shape does not show.
+// sched.LiPS runs it: the restricted master over hetero10k's 180 units,
+// each its own price class, so pricing the closed ones is a share of the
+// epoch that BenchmarkEpochWide's shape does not show, solved and then
+// released to the pool.
 func BenchmarkEpochHetero(b *testing.B) {
 	build := hetero10k(b)
 	var plan *Plan
@@ -127,10 +137,14 @@ func BenchmarkEpochHetero(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if plan, st, err = SolveOnlineColGen(build(), ColGenOptions{}); err != nil {
+		cg, err := NewOnlineColGen(build(), ColGenOptions{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		if plan, st, err = cg.Solve(ColGenOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		cg.Release()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(plan.Iters), "iters")

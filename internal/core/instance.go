@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"lips/internal/cluster"
 	"lips/internal/hdfs"
@@ -113,6 +114,10 @@ type Instance struct {
 	// storeUnit[s] is the store unit of concrete store s, -1 for none;
 	// shared with the Units the instance was built over (see StoreUnit).
 	storeUnit []int32
+
+	// mats holds MSPerMBMC, BandwidthMBps and SSPerMBMC when they came
+	// from matrixPool (Units.Instance), until releaseMatrices.
+	mats *matrices
 }
 
 // Validate checks the matrix shapes and index ranges.
@@ -335,7 +340,7 @@ func (u *Units) zoneRows(c *cluster.Cluster) {
 		u.storeZone[m] = zoneOf(c.Stores[su.Stores[0]].Zone)
 	}
 	ns := len(u.stores)
-	u.priceRows, u.mbpsRows = matrix(len(zones), ns, len(zones)), matrix(len(zones), ns, len(zones))
+	u.priceRows, u.mbpsRows = new(matrixBuf).matrix(len(zones), ns, len(zones)), new(matrixBuf).matrix(len(zones), ns, len(zones))
 	for z, zone := range zones {
 		for m, sz := range u.storeZone {
 			u.priceRows[z][m] = c.ZonePerGB(zone, zones[sz]).ToMillicents() / 1024
@@ -365,7 +370,9 @@ func (u *Units) Instance(jobs []workload.Job, objects []hdfs.DataObject, fractio
 	// Cost and bandwidth matrices from the zone rows: a machine row is
 	// its zone's, but for the co-located store, read locally and free; a
 	// store row is its zone's, but for itself, where a move is free.
-	in.MSPerMBMC, in.BandwidthMBps = matrix(nm, ns, nm+1), matrix(nm, ns, nm+1)
+	// The storage is pooled: every entry is written here.
+	in.mats = matrixPool.Get().(*matrices)
+	in.MSPerMBMC, in.BandwidthMBps = in.mats.ms.matrix(nm, ns, nm+1), in.mats.bw.matrix(nm, ns, nm+1)
 	for l, z := range u.machineZone {
 		copy(in.MSPerMBMC[l], u.priceRows[z])
 		copy(in.BandwidthMBps[l], u.mbpsRows[z])
@@ -373,7 +380,7 @@ func (u *Units) Instance(jobs []workload.Job, objects []hdfs.DataObject, fractio
 			in.MSPerMBMC[l][m], in.BandwidthMBps[l][m] = 0, u.localMBps
 		}
 	}
-	in.SSPerMBMC = matrix(ns, ns, ns)
+	in.SSPerMBMC = in.mats.ss.matrix(ns, ns, ns)
 	for a, z := range u.storeZone {
 		copy(in.SSPerMBMC[a], u.priceRows[z])
 		in.SSPerMBMC[a][a] = 0
@@ -434,15 +441,45 @@ func (u *Units) Instance(jobs []workload.Job, objects []hdfs.DataObject, fractio
 	return in, nil
 }
 
+// matrixBuf is the storage of one matrix: its entries and its row headers.
+type matrixBuf struct {
+	flat []float64
+	rows [][]float64
+}
+
 // matrix returns a rows × cols matrix over one backing array, with room
-// for capRows rows.
-func matrix(rows, cols, capRows int) [][]float64 {
-	flat := make([]float64, rows*cols)
-	out := make([][]float64, rows, capRows)
-	for r := range out {
-		out[r] = flat[r*cols : (r+1)*cols : (r+1)*cols]
+// for capRows rows, on b's storage when that is large enough. Entries are
+// not cleared.
+func (b *matrixBuf) matrix(rows, cols, capRows int) [][]float64 {
+	b.flat = resize(b.flat, rows*cols)
+	if cap(b.rows) < capRows {
+		b.rows = make([][]float64, rows, capRows)
 	}
-	return out
+	b.rows = b.rows[:rows]
+	for r := range b.rows {
+		b.rows[r] = b.flat[r*cols : (r+1)*cols : (r+1)*cols]
+	}
+	return b.rows
+}
+
+// matrices is the storage of an instance's MS, B and SS matrices.
+type matrices struct{ ms, bw, ss matrixBuf }
+
+// matrixPool holds the matrices of released instances: Units.Instance
+// refills them every epoch, and OnlineColGen.Release returns them.
+var matrixPool = sync.Pool{New: func() any { return new(matrices) }}
+
+// releaseMatrices returns in's pooled matrices, if it has any, and nils
+// the three fields that shared them.
+func (in *Instance) releaseMatrices() {
+	if in.mats == nil {
+		return
+	}
+	for _, b := range []*matrixBuf{&in.mats.ms, &in.mats.bw, &in.mats.ss} {
+		clear(b.rows[:cap(b.rows)]) // AddFakeNode's rows are not ours to keep
+	}
+	matrixPool.Put(in.mats)
+	in.mats, in.MSPerMBMC, in.BandwidthMBps, in.SSPerMBMC = nil, nil, nil, nil
 }
 
 // StoreUnit returns the store unit holding concrete store s. It reports

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lips/internal/lp"
@@ -53,39 +54,53 @@ type layout struct {
 	cols, rows       int
 }
 
-// newLayout computes the layout of in's LP with no unit open.
-func newLayout(in *Instance, kind Kind) layout {
+// reset lays out in's LP with no unit open, reusing ly's slices.
+func (ly *layout) reset(in *Instance, kind Kind) {
 	nj, nd, nm := len(in.Jobs), len(in.Data), len(in.Machines)
-	ly := layout{kind: kind, jobs: nj, stores: len(in.Stores)}
+	*ly = layout{
+		kind: kind, jobs: nj, stores: len(in.Stores),
+		originOff: resize(ly.originOff, nd+1), origins: ly.origins[:0],
+		colOff: resize(ly.colOff, nj+1), existOff: resize(ly.existOff, nj+1), dataRank: resize(ly.dataRank, nj+1),
+		fake: resize(ly.fake, nm), units: ly.units[:0], unitCol: resize(ly.unitCol, nm), unitRow: resize(ly.unitRow, nm),
+	}
 
-	ly.originOff = make([]int, nd+1)
+	ly.originOff[0] = 0
 	for i, d := range in.Data {
-		ly.origins = append(ly.origins, sortedOrigins(d)...)
+		from := len(ly.origins)
+		for o := range d.Origin {
+			ly.origins = append(ly.origins, o)
+		}
+		slices.Sort(ly.origins[from:])
 		ly.originOff[i+1] = len(ly.origins)
 	}
 	norig := len(ly.origins)
-	ly.colOff, ly.existOff, ly.dataRank = make([]int, nj+1), make([]int, nj+1), make([]int, nj+1)
+	ly.colOff[0], ly.existOff[0], ly.dataRank[0] = 0, 0, 0
 	for k, job := range in.Jobs {
-		w := 1
+		w, exist, data := 1, 0, 0
 		if job.Data != NoData {
-			w = ly.stores
-			ly.existOff[k+1] = w
-			ly.dataRank[k+1] = 1
+			w, exist, data = ly.stores, ly.stores, 1
 		}
 		ly.colOff[k+1] = ly.colOff[k] + w
-		ly.existOff[k+1] += ly.existOff[k]
-		ly.dataRank[k+1] += ly.dataRank[k]
+		ly.existOff[k+1] = ly.existOff[k] + exist
+		ly.dataRank[k+1] = ly.dataRank[k] + data
 	}
 
 	ly.placeRow0 = nj
 	ly.capRow0 = ly.placeRow0 + norig
 	ly.existRow0 = ly.capRow0 + ly.stores
 	ly.cols, ly.rows = norig*ly.stores, ly.existRow0+ly.existOff[nj]
-	ly.fake, ly.unitCol, ly.unitRow = make([]bool, nm), make([]int, nm), make([]int, nm)
 	for l, mach := range in.Machines {
-		ly.fake[l], ly.unitCol[l] = mach.Fake, -1
+		ly.fake[l], ly.unitCol[l], ly.unitRow[l] = mach.Fake, -1, 0
 	}
-	return ly
+}
+
+// resize returns buf with length n, reusing its backing array when that
+// is large enough. Entries are not cleared: the caller sets every one.
+func resize[T any](buf []T, n int) []T {
+	if n <= cap(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // width is the number of x^t columns job k has on one machine.

@@ -49,30 +49,42 @@ type Model struct {
 	In   *Instance
 	Kind Kind
 
-	prob *lp.Problem
-	lay  layout // where every column and row of prob sits
+	prob   *lp.Problem
+	lay    layout   // where every column and row of prob sits
+	parked lp.Basis // parkedBasis's storage
+
+	ents    []lp.Entry // addFlowCols's scratch, reused by a pooled master
+	readers []int
 }
 
-// newModel validates in and starts its LP with everything that belongs to
+// build validates in and starts m's LP with everything that belongs to
 // no machine: the job, place, cap and exist rows, then the placement flows
-// that meet them. No machine is open yet; open adds them as units.
-func newModel(in *Instance, kind Kind, name string) (*Model, error) {
+// that meet them. No machine is open yet; open adds them as units. A
+// pooled master's LP, layout and parked basis are rewritten, not
+// reallocated.
+func (m *Model) build(in *Instance, kind Kind, name string) error {
 	if err := in.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if kind == Online {
 		if err := checkBandwidth(in); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	m := &Model{In: in, Kind: kind, prob: lp.New(name), lay: newLayout(in, kind)}
+	if m.prob == nil {
+		m.prob = lp.New(name)
+	} else {
+		m.prob.Reset(name)
+	}
+	m.In, m.Kind = in, kind
+	m.lay.reset(in, kind)
 	m.prob.SetNamer(&m.lay)
 	m.reserve()
 	m.addJobRows()
 	m.addPlacementRows()
 	m.addExistRows()
 	m.addFlowCols()
-	return m, nil
+	return nil
 }
 
 // checkBandwidth refuses a zero bandwidth between a real machine and a
@@ -175,8 +187,8 @@ func ensureFakeNode(in *Instance) {
 // buildCo builds a direct model: the restricted master with every machine
 // open, the fake node first and then the rest in ascending order.
 func buildCo(in *Instance, kind Kind) (*Model, error) {
-	m, err := newModel(in, kind, "lips-"+kind.String())
-	if err != nil {
+	m := new(Model)
+	if err := m.build(in, kind, "lips-"+kind.String()); err != nil {
 		return nil, err
 	}
 	units := make([]int, 0, len(in.Machines))
@@ -202,7 +214,8 @@ func buildCo(in *Instance, kind Kind) (*Model, error) {
 // meets every row unless a store already holds at least its capacity
 // (exactly full, the simplex's anti-degeneracy perturbation of the place
 // rows pushes it over); the solver then rejects the basis and starts
-// cold. Nil when F is not open.
+// cold. Nil when F is not open. The basis lives in m and is rewritten by
+// the next call.
 func (m *Model) parkedBasis() *lp.Basis {
 	in, ly := m.In, &m.lay
 	f := -1
@@ -217,7 +230,9 @@ func (m *Model) parkedBasis() *lp.Basis {
 	nv, nc := m.prob.NumVars(), m.prob.NumCons()
 	// Every nonbasic column rests at its lower bound (a GE row's slack,
 	// bounded above only, at its upper bound 0).
-	b := &lp.Basis{NumVars: nv, NumCons: nc, RowCol: make([]int32, nc), ColStat: make([]int8, nv+nc)}
+	b := &m.parked
+	*b = lp.Basis{NumVars: nv, NumCons: nc, RowCol: resize(b.RowCol, nc), ColStat: resize(b.ColStat, nv+nc)}
+	clear(b.ColStat)
 	for i := range b.RowCol {
 		b.RowCol[i] = int32(nv + i)
 	}
@@ -282,8 +297,7 @@ func (m *Model) addExistRows() {
 // cap row and the exist row of every job reading the item — ascending.
 func (m *Model) addFlowCols() {
 	in, ly := m.In, &m.lay
-	var ents []lp.Entry
-	var readers []int
+	ents, readers := m.ents, m.readers
 	for i, d := range in.Data {
 		readers = readers[:0]
 		for k, job := range in.Jobs {
@@ -303,6 +317,7 @@ func (m *Model) addFlowCols() {
 			}
 		}
 	}
+	m.ents, m.readers = ents, readers
 }
 
 // addJobOnMachine emits the x^t_{klm} columns of job k on machine l with

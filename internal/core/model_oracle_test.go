@@ -687,7 +687,7 @@ func TestModelOracle(t *testing.T) {
 		for round := 0; ; round++ {
 			rl := fmt.Sprintf("%s master round %d", label, round)
 			requireSameLP(t, rl, cg.m.prob, ocg.m.prob)
-			requireLayoutRoundTrip(t, rl, cg.m, ocg.m)
+			requireLayoutRoundTrip(t, rl, &cg.m, ocg.m)
 			sol, err := cg.m.prob.Solve(lp.Options{})
 			if err != nil {
 				t.Fatalf("%s: %v", rl, err)

@@ -5,6 +5,8 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"lips/internal/cluster"
@@ -14,28 +16,48 @@ import (
 	"lips/internal/workload"
 )
 
-// TestEpochAllocs gates what one steady-state LiPS epoch allocates — a
-// count, so it holds on any machine where a wall-clock bound cannot. The
-// run is the daemon's: a 1k-node cluster stepped in 60 s epochs with five
-// grep jobs admitted before each, measured long after the first epochs
-// have sized every reused workspace. The budget covers admission, the
-// simulated epoch and planEpoch together; the restricted master, its
-// rounds' solutions and the plan are most of what remains.
-func TestEpochAllocs(t *testing.T) {
-	const warmup, measured, perEpoch = 100, 40, 5
-	c := cluster.Random(rand.New(rand.NewSource(1)), cluster.RandomSpec{Nodes: 1000})
+// stream is a LiPS run the way the daemon drives it: a random cluster
+// stepped in 60 s epochs, with perEpoch grep jobs of 4–15 blocks admitted
+// before each. With churn, one node is down for the second half of every
+// eight epochs, so FilterMachines reshapes the instance as it does on
+// stream-10k-hetero.
+type stream struct {
+	l     *LiPS
+	epoch func()
+}
+
+// newStream starts a stream that runs at most epochs epochs. The job
+// names are formatted up front, so a measured epoch counts none of it.
+func newStream(t *testing.T, spec cluster.RandomSpec, perEpoch, epochs int, churn bool) *stream {
+	t.Helper()
+	c := cluster.Random(rand.New(rand.NewSource(1)), spec)
 	l := NewLiPS(60)
 	s := sim.New(c, &workload.Workload{}, nil, l, sim.Options{Metrics: obs.NewRegistry()})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	names := make([]string, (warmup+measured+1)*perEpoch)
+	names := make([]string, epochs*perEpoch)
 	for i := range names {
 		names[i] = fmt.Sprintf("grep-%d", i)
 	}
-	submitted := 0
-	epoch := func() {
+	submitted, ran := 0, 0
+	victim := cluster.NodeID(rng.Intn(len(c.Nodes)))
+	st := &stream{l: l}
+	st.epoch = func() {
+		if ran == epochs {
+			t.Fatalf("the stream runs at most %d epochs", epochs)
+		}
+		if churn && ran%4 == 0 {
+			kind := sim.FaultNodeDown
+			if ran%8 == 0 {
+				kind = sim.FaultNodeUp
+			}
+			if err := s.InjectFault(sim.Fault{At: s.Now(), Kind: kind, Node: victim}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ran++
 		for i := 0; i < perEpoch; i++ {
 			name := names[submitted]
 			submitted++
@@ -53,22 +75,106 @@ func TestEpochAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for e := 0; e < warmup; e++ {
-		epoch()
+	return st
+}
+
+// noGC runs f with the collector off and on one P, and restores both
+// settings. The epoch draws its LP, instance matrices and simplex
+// workspace from sync.Pools. A collection empties them, and a Get on
+// another P than the last Put's misses the item, so a count taken on the
+// default runtime drifts with when a collection runs and where the
+// goroutine is scheduled. Under noGC every measured epoch finds the pools
+// as the epoch before it left them.
+func noGC(f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+}
+
+// steady runs warmup epochs of st, the last ten under noGC so the pools
+// hold what the epochs need, then measure(epoch), and checks that every
+// measured epoch planned.
+func (st *stream) steady(t *testing.T, warmup, measured int, measure func(epoch func())) {
+	t.Helper()
+	const settle = 10
+	for e := 0; e < warmup-settle; e++ {
+		st.epoch()
 	}
-	before := l.Epochs
-	allocs := testing.AllocsPerRun(measured, epoch)
-	if l.Err != nil {
-		t.Fatal(l.Err)
+	var before int
+	noGC(func() {
+		for e := 0; e < settle; e++ {
+			st.epoch()
+		}
+		before = st.l.Epochs
+		measure(st.epoch)
+	})
+	if st.l.Err != nil {
+		t.Fatal(st.l.Err)
 	}
-	if planned := l.Epochs - before; planned < measured {
-		t.Fatalf("%d of %d measured steps planned an epoch", planned, measured+1)
+	if planned := st.l.Epochs - before; planned < measured {
+		t.Fatalf("%d of %d measured epochs planned", planned, measured)
 	}
-	const budget = 600
+}
+
+// TestEpochAllocs gates what one steady-state LiPS epoch allocates — a
+// count, so it holds on any machine where a wall-clock bound cannot. The
+// run is the daemon's: a 1k-node cluster stepped in 60 s epochs with five
+// grep jobs admitted before each, measured long after the first epochs
+// have sized every reused workspace. The budget covers admission, the
+// simulated epoch and planEpoch together; the restricted master, the
+// instance matrices and the simplex workspace come from pools, so what
+// remains is mostly the rounds' solutions, the greedy seed, the plan and
+// its rounding: 400–409 allocations, where a fresh master each epoch cost
+// 484–489. The count still moves a little from run to run because the
+// hash-seeded maps on the path grow differently.
+func TestEpochAllocs(t *testing.T) {
+	const warmup, measured = 100, 40
+	st := newStream(t, cluster.RandomSpec{Nodes: 1000}, 5, warmup+measured+1, false)
+	var allocs float64
+	st.steady(t, warmup, measured, func(epoch func()) { allocs = testing.AllocsPerRun(measured, epoch) })
+	const budget = 430
 	if allocs > budget {
 		t.Errorf("a steady-state epoch allocates %.0f times, budget %d", allocs, budget)
 	}
 	t.Logf("steady-state epoch: %.0f allocations", allocs)
+}
+
+// TestEpochBytes gates the bytes a steady-state LiPS epoch allocates, on
+// the 1k-node shape of TestEpochAllocs and on stream-10k-hetero's: 10k
+// nodes of 60 instance types, eight jobs an epoch and node churn. Reusing
+// the epoch's LP, the master's layout and the instance matrices is what
+// keeps these small: 58 KB and 280–282 KB, where a fresh master and fresh
+// matrices each epoch cost 136 KB and 2 016–2 019 KB.
+func TestEpochBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		spec     cluster.RandomSpec
+		perEpoch int
+		churn    bool
+		budgetKB uint64
+	}{
+		{"1k", cluster.RandomSpec{Nodes: 1000}, 5, false, 66},
+		{"hetero10k", cluster.RandomSpec{Nodes: 10000, Types: 60}, 8, true, 320},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const warmup, measured = 20, 40
+			st := newStream(t, tc.spec, tc.perEpoch, warmup+measured, tc.churn)
+			var perEpoch uint64
+			st.steady(t, warmup, measured, func(epoch func()) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for e := 0; e < measured; e++ {
+					epoch()
+				}
+				runtime.ReadMemStats(&after)
+				perEpoch = (after.TotalAlloc - before.TotalAlloc) / measured
+			})
+			if kb := perEpoch / 1024; kb > tc.budgetKB {
+				t.Errorf("a steady-state epoch allocates %d KB, budget %d KB", kb, tc.budgetKB)
+			}
+			t.Logf("steady-state epoch: %d KB", perEpoch/1024)
+		})
+	}
 }
 
 // pausable forwards every callback to the scheduler it wraps except

@@ -265,6 +265,9 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 		l.fail(err)
 		return 0
 	}
+	// apply is the instance's last reader: the master's storage and the
+	// instance matrices go back to their pools after it.
+	defer master.Release()
 	solving := time.Now()
 	plan, cg, err := master.Solve(opts)
 	if cg.Rounds == 0 { // the master was refused before any solve
