@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"lips/internal/lp"
@@ -257,11 +259,11 @@ func sortedKeys(m map[[2]int]float64) [][2]int {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
+	slices.SortFunc(keys, func(a, b [2]int) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return keys[a][1] < keys[b][1]
+		return cmp.Compare(a[1], b[1])
 	})
 	return keys
 }

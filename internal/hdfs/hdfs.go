@@ -35,16 +35,27 @@ func (d DataObject) NumBlocks() int {
 }
 
 // BlockSizeMB returns the size of block b (the final block may be short).
+// A bad index panics with a blockRangeError, which is built, not
+// formatted, here: that keeps the call small enough to inline.
 func (d DataObject) BlockSizeMB(b int) float64 {
 	n := d.NumBlocks()
-	if b < 0 || b >= n {
-		panic(fmt.Sprintf("hdfs: block %d out of range for %q (%d blocks)", b, d.Name, n))
+	if uint(b) >= uint(n) {
+		panic(blockRangeError{d.Name, b, n})
 	}
 	if b == n-1 {
-		rem := d.SizeMB - float64(n-1)*cost.BlockMB
-		return rem
+		return d.SizeMB - float64(n-1)*cost.BlockMB
 	}
 	return cost.BlockMB
+}
+
+// blockRangeError is BlockSizeMB's panic value.
+type blockRangeError struct {
+	name          string
+	block, blocks int
+}
+
+func (e blockRangeError) Error() string {
+	return fmt.Sprintf("hdfs: block %d out of range for %q (%d blocks)", e.block, e.name, e.blocks)
 }
 
 // Placement tracks, for every object, the store(s) holding each block.

@@ -41,11 +41,43 @@ func TestNumBlocksAndSizes(t *testing.T) {
 
 func TestBlockSizePanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+		err, ok := recover().(error)
+		if !ok || err.Error() != `hdfs: block 1 out of range for "x" (1 blocks)` {
+			t.Errorf("panic value %v", err)
 		}
 	}()
 	DataObject{Name: "x", SizeMB: 64}.BlockSizeMB(1)
+}
+
+// TestBlockSizeMatchesFormula holds BlockSizeMB to the formula written
+// out, bit for bit, at the edges: sizes on and next to exact multiples of
+// 64 MB, sizes far below one block, and sizes of millions of blocks.
+func TestBlockSizeMatchesFormula(t *testing.T) {
+	want := func(size float64, b int) float64 {
+		n := int(math.Ceil(size / 64))
+		if b == n-1 {
+			return size - float64(n-1)*64
+		}
+		return 64
+	}
+	var sizes []float64
+	for _, blocks := range []float64{1, 2, 3, 15, 64, 1000, 1 << 20, 1 << 40} {
+		mb := blocks * 64
+		sizes = append(sizes, mb, math.Nextafter(mb, 0), math.Nextafter(mb, math.Inf(1)), mb-1e-9, mb+0.5)
+	}
+	sizes = append(sizes, math.SmallestNonzeroFloat64, 1e-300, 1e-9, 0.001, 1, 63.999999)
+	for _, size := range sizes {
+		d := DataObject{Name: "x", SizeMB: size}
+		n := d.NumBlocks()
+		for _, b := range []int{0, 1, n / 2, n - 2, n - 1} {
+			if b < 0 || b >= n {
+				continue
+			}
+			if got, w := d.BlockSizeMB(b), want(size, b); math.Float64bits(got) != math.Float64bits(w) {
+				t.Errorf("%g MB, block %d of %d: %g, formula %g", size, b, n, got, w)
+			}
+		}
+	}
 }
 
 func TestNewPlacementOnOrigin(t *testing.T) {

@@ -25,7 +25,8 @@ type locIndex struct {
 }
 
 // internZones gives every node and store the index of its zone among
-// the distinct zones, so locality checks compare integers, and tabulates
+// the distinct zones, so locality checks compare integers, copies every
+// node's store into a dense column, and tabulates
 // the cluster's ZonePerGB and ZoneMBps over every pair of those zones, so
 // an attempt prices and times its read with two array reads.
 func (s *Sim) internZones() {
@@ -41,8 +42,10 @@ func (s *Sim) internZones() {
 		return v
 	}
 	s.nodeZone = make([]int32, len(s.C.Nodes))
+	s.nodeStore = make([]int32, len(s.C.Nodes))
 	for n := range s.C.Nodes {
 		s.nodeZone[n] = id(s.C.Nodes[n].Zone)
+		s.nodeStore[n] = int32(s.C.Nodes[n].Store)
 	}
 	s.storeZone = make([]int32, len(s.C.Stores))
 	for st := range s.C.Stores {
@@ -62,7 +65,7 @@ func (s *Sim) internZones() {
 
 // msPerGB is C.MSPerGB(n, st) from the zone table.
 func (s *Sim) msPerGB(n cluster.NodeID, st cluster.StoreID) cost.Money {
-	if s.C.Nodes[n].Store == st {
+	if cluster.StoreID(s.nodeStore[n]) == st {
 		return 0
 	}
 	return s.zonePerGB[int(s.nodeZone[n])*s.zones+int(s.storeZone[st])]
@@ -78,7 +81,7 @@ func (s *Sim) ssPerGB(a, b cluster.StoreID) cost.Money {
 
 // bandwidthStoreNode is C.BandwidthStoreNode(st, n) from the zone table.
 func (s *Sim) bandwidthStoreNode(st cluster.StoreID, n cluster.NodeID) float64 {
-	if s.C.Nodes[n].Store == st {
+	if cluster.StoreID(s.nodeStore[n]) == st {
 		return s.C.BW.LocalMBps
 	}
 	return s.zoneMBps[int(s.storeZone[st])*s.zones+int(s.nodeZone[n])]
@@ -175,7 +178,7 @@ func (s *Sim) BestLocalityTask(job int, n cluster.NodeID) (task int, store clust
 		ix = s.indexLocality(job)
 	}
 	t := -1
-	if st := s.C.Nodes[n].Store; st != cluster.None {
+	if st := cluster.StoreID(s.nodeStore[n]); st != cluster.None {
 		t = s.walkLocality(job, ix.entries, uint64(st))
 	}
 	if t < 0 {

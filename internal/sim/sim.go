@@ -407,12 +407,14 @@ type Sim struct {
 	jobs  []jobState
 
 	// nodeZone and storeZone intern C's zone names (locality.go), so
-	// locality checks compare integers. zonePerGB and zoneMBps hold C's
-	// ZonePerGB and ZoneMBps of every interned zone pair a, b at
-	// a*zones+b. locs holds the jobs' locality indexes, by job; it stays
-	// nil in a run whose scheduler never asks BestLocalityTask, and an
-	// entry is nil outside the active list.
+	// locality checks compare integers, and nodeStore is C.Nodes[n].Store
+	// as a dense column, so they read no 88-byte node record. zonePerGB
+	// and zoneMBps hold C's ZonePerGB and ZoneMBps of every interned zone
+	// pair a, b at a*zones+b. locs holds the jobs' locality indexes, by
+	// job; it stays nil in a run whose scheduler never asks
+	// BestLocalityTask, and an entry is nil outside the active list.
 	nodeZone  []int32
+	nodeStore []int32
 	storeZone []int32
 	zones     int
 	zonePerGB []cost.Money

@@ -39,7 +39,7 @@ func (s *Sim) observeLocality(n cluster.NodeID, store cluster.StoreID, hasInput 
 	switch {
 	case !hasInput:
 		l = NoInput
-	case s.C.Nodes[n].Store == store:
+	case cluster.StoreID(s.nodeStore[n]) == store:
 		l = NodeLocal
 	case s.nodeZone[n] == s.storeZone[store]:
 		l = ZoneLocal
@@ -487,7 +487,7 @@ func (s *Sim) BestReplicaRank(job, task int, n cluster.NodeID) (cluster.StoreID,
 
 func (s *Sim) localityRank(n cluster.NodeID, store cluster.StoreID) int {
 	switch {
-	case s.C.Nodes[n].Store == store:
+	case cluster.StoreID(s.nodeStore[n]) == store:
 		return 0
 	case s.nodeZone[n] == s.storeZone[store]:
 		return 1
