@@ -66,38 +66,7 @@ func TestValidateCatchesViolations(t *testing.T) {
 // optimal plan against the independent constraint checker.
 func TestQuickSolverPlansAlwaysValid(t *testing.T) {
 	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nodes := 2 + rng.Intn(5)
-		b := cluster.NewBuilder("za", "zb", "zc")
-		zones := []string{"za", "zb", "zc"}
-		for i := 0; i < nodes; i++ {
-			b.AddNode(zones[rng.Intn(3)], "t"+string(rune('a'+rng.Intn(3))),
-				1+float64(rng.Intn(4)), 2, cost.Millicents(rng.Float64()*5), 1e5)
-		}
-		c := b.Build()
-		wb := workload.NewBuilder()
-		jobs := 1 + rng.Intn(4)
-		for j := 0; j < jobs; j++ {
-			arch := workload.Archetype{Name: "syn", Property: workload.Mixed,
-				CPUSecPerBlock: 1 + rng.Float64()*90}
-			blocks := 1 + rng.Intn(12)
-			wb.AddInputJob("j", "u", arch, float64(blocks)*64, cluster.StoreID(rng.Intn(nodes)), 0)
-		}
-		w := wb.Build()
-		in, err := NewInstance(c, w.Jobs, w.Objects, w.Placement(), InstanceOptions{
-			Aggregate: rng.Intn(2) == 0,
-			Horizon:   200 + rng.Float64()*2000,
-		})
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		m, err := BuildOnlineModel(in)
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		plan, err := m.Solve(lp.Options{})
+		in, plan, err := quickSolverPlan(seed)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -123,4 +92,41 @@ func TestQuickSolverPlansAlwaysValid(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// quickSolverPlan draws TestQuickSolverPlansAlwaysValid's instance for
+// seed — two to six nodes over three zones, one to four input jobs — and
+// solves its online model directly.
+func quickSolverPlan(seed int64) (*Instance, *Plan, error) {
+	rng := rand.New(rand.NewSource(seed))
+	nodes := 2 + rng.Intn(5)
+	b := cluster.NewBuilder("za", "zb", "zc")
+	zones := []string{"za", "zb", "zc"}
+	for i := 0; i < nodes; i++ {
+		b.AddNode(zones[rng.Intn(3)], "t"+string(rune('a'+rng.Intn(3))),
+			1+float64(rng.Intn(4)), 2, cost.Millicents(rng.Float64()*5), 1e5)
+	}
+	c := b.Build()
+	wb := workload.NewBuilder()
+	jobs := 1 + rng.Intn(4)
+	for j := 0; j < jobs; j++ {
+		arch := workload.Archetype{Name: "syn", Property: workload.Mixed,
+			CPUSecPerBlock: 1 + rng.Float64()*90}
+		blocks := 1 + rng.Intn(12)
+		wb.AddInputJob("j", "u", arch, float64(blocks)*64, cluster.StoreID(rng.Intn(nodes)), 0)
+	}
+	w := wb.Build()
+	in, err := NewInstance(c, w.Jobs, w.Objects, w.Placement(), InstanceOptions{
+		Aggregate: rng.Intn(2) == 0,
+		Horizon:   200 + rng.Float64()*2000,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := BuildOnlineModel(in)
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, err := m.Solve(lp.Options{})
+	return in, plan, err
 }
