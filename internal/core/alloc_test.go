@@ -25,14 +25,15 @@ func allocsNoGC(runs int, f func()) float64 {
 // at most 1 % of what the map-and-Sprintf builders spent (12 092 / 48 109
 // allocations for BuildOnlineModel at 2 880 / 11 520 columns, 12 201 /
 // 48 228 for the master with every unit materialized). A master released
-// after each build reuses the last one's LP, layout and price classes;
-// what it still allocates (46 / 166) is the greedy plan it seeds from.
+// after each build reuses the last one's LP, layout and price classes,
+// and finds its greedy seed in its own seed list: all it allocates is the
+// OnlineColGen handle (1 / 1, where a map-based greedy plan cost 46 / 166).
 func TestBuildAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		jobs, cols, direct, master, recycled int
 	}{
-		{8, 2880, 120, 400, 60},
-		{32, 11520, 480, 800, 190},
+		{8, 2880, 120, 400, 1},
+		{32, 11520, 480, 800, 1},
 	} {
 		rng := rand.New(rand.NewSource(1))
 		in := synthInstance(tc.jobs, 18, 18, 6, true, rng)
@@ -84,9 +85,10 @@ func TestBuildAllocs(t *testing.T) {
 	// A fresh master leaves all but its greedy seed closed, and sorts
 	// those into price classes. Here every unit is a class of its own, so
 	// nothing is shared, yet one budget holds at 180 and at 1 800 units:
-	// 99 and 117 allocations, where a fingerprint string per closed
-	// machine cost 661 and 5 544.
-	const closedBudget = 140
+	// 57 and 76 allocations, where a fingerprint string per closed
+	// machine cost 661 and 5 544 and a map-based greedy seed plan 99 and
+	// 117.
+	const closedBudget = 90
 	for _, units := range []int{180, 1800} {
 		rng := rand.New(rand.NewSource(1))
 		in := synthInstance(8, units, 18, 6, true, rng)

@@ -88,7 +88,7 @@ type ColGenOptions struct {
 	// before it.
 	LP lp.Options
 	// SeedMachines materializes these machine indices up front — the
-	// units earlier epochs' plans used — ahead of the greedy plan's
+	// units earlier epochs' plans used — ahead of the §IV greedy
 	// machines, which are always seeded. Seeding never affects the
 	// optimum (extra columns are merely priced into or out of the basis);
 	// it only saves pricing rounds when the guess is right.
@@ -118,21 +118,18 @@ func (ms *master) build(in *Instance, opts ColGenOptions) error {
 	ms.maxExist = resize(ms.maxExist, len(in.Jobs))
 
 	// Seeds, opened in this order: the fake node (feasibility), then any
-	// hints, then the greedy plan's machines. Without real machines in
-	// the master the first duals are the fake node's price, every bucket
-	// prices negative and every bucket opens; with them, round one prices
-	// against real costs. A total outage has no greedy plan, and F alone
-	// seeds.
+	// hints, then the §IV greedy machines (greedySeed). Without real
+	// machines in the master the first duals are the fake node's price,
+	// every bucket prices negative and every bucket opens; with them,
+	// round one prices against real costs. A total outage has no greedy
+	// machine, and F alone seeds.
 	seed := ms.seed[:0]
 	for l, mach := range in.Machines {
 		if mach.Fake {
 			seed = append(seed, l)
 		}
 	}
-	seed = append(seed, opts.SeedMachines...)
-	if greedy, err := GreedyPlan(in, PlacementFractions(in)); err == nil {
-		seed = append(seed, greedy.HotMachines()...)
-	}
+	seed = greedySeed(in, append(seed, opts.SeedMachines...))
 	ms.m.open(seed)
 	ms.seed = seed
 

@@ -1,39 +1,9 @@
 package core
 
-import "fmt"
-
-// GreedyPlan is the paper's §IV greedy reference: for each job and each
-// portion of its data on store m, pick the machine minimising
-// JM_kl + MS_lm·Size — ignoring machine capacity. With abundant capacity
-// this is the optimum of the paper's simple task model (Fig. 2, Fig. 3
-// with x^d fixed); under contention it can be arbitrarily bad, which is
-// the paper's argument for the LP.
-// NewOnlineColGen seeds its restricted master with this plan's machines,
-// so the first pricing round sees real prices. xd[i][m] is the fixed
-// fractional placement.
-func GreedyPlan(in *Instance, xd [][]float64) (*Plan, error) {
-	if err := checkFixedPlan(in, xd); err != nil {
-		return nil, err
-	}
-	p := &Plan{In: in}
-	p.XT = make([]map[[2]int]float64, len(in.Jobs))
-	for k, job := range in.Jobs {
-		p.XT[k] = make(map[[2]int]float64)
-		if job.Data == NoData {
-			p.XT[k][[2]int{cheapestMachine(in, job, noStore), noStore}] = 1
-			continue
-		}
-		for m, frac := range xd[job.Data] {
-			if frac <= 1e-12 {
-				continue
-			}
-			p.XT[k][[2]int{cheapestMachine(in, job, m), m}] += frac
-		}
-		normalizeFracs(p.XT[k])
-	}
-	p.computeCosts()
-	return p, nil
-}
+import (
+	"fmt"
+	"slices"
+)
 
 // LocalOnlyPlan is the Fig. 5 baseline: every data portion is processed on
 // the machine co-located with its store — 100% data locality, the
@@ -71,7 +41,7 @@ func LocalOnlyPlan(in *Instance, xd [][]float64) (*Plan, error) {
 	return p, nil
 }
 
-// checkFixedPlan vets what both fixed-placement plans need: a valid
+// checkFixedPlan vets what a fixed-placement plan needs: a valid
 // instance, one xd row per data item, and a real machine to pick — with
 // every unit filtered out (all nodes down) only the fake node is left.
 func checkFixedPlan(in *Instance, xd [][]float64) error {
@@ -87,6 +57,33 @@ func checkFixedPlan(in *Instance, xd [][]float64) error {
 		}
 	}
 	return fmt.Errorf("core: no real machine to plan on")
+}
+
+// greedySeed appends to seed, ascending and each once, the machines of
+// the paper's §IV greedy plan over the placement as it stands: for each
+// job, the cheapest machine reading each store that holds part of its
+// input, or reading none. A total outage leaves no real machine to pick,
+// and appends none.
+func greedySeed(in *Instance, seed []int) []int {
+	first := len(seed)
+	for _, job := range in.Jobs {
+		if job.Data == NoData {
+			if l := cheapestMachine(in, job, noStore); l >= 0 {
+				seed = append(seed, l)
+			}
+			continue
+		}
+		for m, frac := range in.Data[job.Data].Origin {
+			if frac <= 1e-12 {
+				continue
+			}
+			if l := cheapestMachine(in, job, m); l >= 0 {
+				seed = append(seed, l)
+			}
+		}
+	}
+	slices.Sort(seed[first:])
+	return append(seed[:first], slices.Compact(seed[first:])...)
 }
 
 // cheapestMachine is the real machine minimising JM_kl + MS_lm·Size for job

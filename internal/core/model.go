@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"lips/internal/lp"
@@ -434,21 +433,18 @@ func sortedOrigins(d DataItem) []int {
 	return out
 }
 
-// normalizeFracs scales each job's fractions to sum exactly to 1 (the LP's
-// coverage constraint is ≥ 1; at an optimum it is tight up to tolerance).
+// normalizeFracs scales a job's fractions to sum exactly to 1, as Round
+// scales them: summed in sorted key order, since float addition is not
+// associative and a sum in map-iteration order would perturb the
+// normalized fractions' low bits from run to run.
 func normalizeFracs(fr map[[2]int]float64) {
-	// Sum in sorted key order: float addition is not associative, so
-	// summing in map-iteration order would perturb the normalized
-	// fractions' low bits from run to run and flip largest-remainder
-	// near-ties in Round — run-to-run nondeterminism from a fixed seed.
-	sum := 0.0
-	for _, k := range sortedKeys(fr) {
-		sum += fr[k]
+	keys := sortedKeys(nil, fr)
+	fracs := make([]float64, len(keys))
+	for i, k := range keys {
+		fracs[i] = fr[k]
 	}
-	if sum <= 0 || math.Abs(sum-1) < 1e-12 {
-		return
-	}
-	for k, f := range fr {
-		fr[k] = f / sum
+	normalizeSlice(fracs)
+	for i, k := range keys {
+		fr[k] = fracs[i]
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"lips/internal/lp"
 )
@@ -16,9 +15,9 @@ import (
 // input). XD[i][j] is the fraction of data item i placed on store unit j.
 // XDFlows[i] maps {origin unit, dest store} → flow fraction, the exact
 // transportation decomposition behind XD. A solved model sets both, and
-// GreedyPlan and LocalOnlyPlan, whose placement was an input, set neither:
-// computeCosts sees the two both set or both nil and prices placement from
-// XDFlows alone.
+// LocalOnlyPlan, whose placement was an input, sets neither: computeCosts
+// sees the two both set or both nil and prices placement from XDFlows
+// alone.
 type Plan struct {
 	In *Instance
 
@@ -67,13 +66,16 @@ func (p *Plan) computeCosts() {
 	// All three accumulations below run in sorted key order: float
 	// addition is not associative, so map-iteration order would give the
 	// totals different low bits on every run.
+	var keys [][2]int
 	for i, flows := range p.XDFlows {
-		for _, oj := range sortedKeys(flows) {
+		keys = sortedKeys(keys, flows)
+		for _, oj := range keys {
 			p.PlacementMC += flows[oj] * in.SSPerMBMC[oj[0]][oj[1]] * in.Data[i].SizeMB
 		}
 	}
 	for k, job := range in.Jobs {
-		for _, lm := range sortedKeys(p.XT[k]) {
+		keys = sortedKeys(keys, p.XT[k])
+		for _, lm := range keys {
 			f := p.XT[k][lm]
 			l, store := lm[0], lm[1]
 			if in.Machines[l].Fake {
@@ -110,6 +112,10 @@ type DataMove struct {
 // paper: MapReduce admits fractional schedules in principle, but threads
 // have a minimum viable size, so fractions are rounded to task
 // granularity; the fractional optimum lower-bounds the integral one).
+//
+// Round emits Assignments strictly ascending by (Job, Machine, Store) and
+// Moves by (Data, Store), so each key appears once and a reader can walk
+// one job's or one item's run in order.
 type IntegralPlan struct {
 	Plan        *Plan
 	Assignments []TaskAssignment
@@ -120,50 +126,55 @@ type IntegralPlan struct {
 }
 
 // Round converts the fractional plan to an integral one. Each job's
-// fractions are scaled to its task count with largest-remainder rounding,
-// so per-job totals are preserved exactly; the fake node's share becomes
-// deferred tasks. Data placements round to block counts the same way.
+// fractions, in (machine, store) order, are scaled to its task count with
+// largest-remainder rounding, so per-job totals are preserved exactly; the
+// fake node's share becomes deferred tasks. Each item's blocks are
+// apportioned the same way over the stores holding part of it, in store
+// order, so ties go to the lower store.
 func (p *Plan) Round() *IntegralPlan {
 	in := p.In
 	ip := &IntegralPlan{Plan: p, Deferred: make([]int, len(in.Jobs))}
+	var keys [][2]int
+	var fracs []float64
 	for k, job := range in.Jobs {
-		fr := cloneFracs(p.XT[k])
-		normalizeFracs(fr)
-		keys := sortedKeys(fr)
-		fracs := make([]float64, len(keys))
-		for idx, key := range keys {
-			fracs[idx] = fr[key]
+		keys, fracs = sortedKeys(keys, p.XT[k]), fracs[:0]
+		for _, key := range keys {
+			fracs = append(fracs, p.XT[k][key])
 		}
-		counts := LargestRemainder(fracs, job.NumTasks)
-		for idx, key := range keys {
-			n := counts[idx]
+		normalizeSlice(fracs)
+		for idx, n := range LargestRemainder(fracs, job.NumTasks) {
 			if n == 0 {
 				continue
 			}
-			l := key[0]
+			l := keys[idx][0]
 			if in.Machines[l].Fake {
 				ip.Deferred[k] += n
 				continue
 			}
 			ip.Assignments = append(ip.Assignments, TaskAssignment{
-				Job: k, Machine: l, Store: key[1], Tasks: n,
+				Job: k, Machine: l, Store: keys[idx][1], Tasks: n,
 			})
 		}
 	}
-	if p.XD != nil {
-		for i, d := range in.Data {
-			blocks := numBlocks(d.SizeMB)
-			if blocks == 0 {
-				continue
+	if p.XD == nil {
+		return ip
+	}
+	var stores []int
+	for i, d := range in.Data {
+		blocks := numBlocks(d.SizeMB)
+		if blocks == 0 {
+			continue
+		}
+		stores, fracs = stores[:0], fracs[:0]
+		for j, f := range p.XD[i] {
+			if f != 0 {
+				stores, fracs = append(stores, j), append(fracs, f)
 			}
-			fracs := append([]float64(nil), p.XD[i]...)
-			normalizeSlice(fracs)
-			counts := LargestRemainder(fracs, blocks)
-			for j, n := range counts {
-				if n == 0 {
-					continue
-				}
-				ip.Moves = append(ip.Moves, DataMove{Data: i, Store: j, Blocks: n})
+		}
+		normalizeSlice(fracs)
+		for idx, n := range LargestRemainder(fracs, blocks) {
+			if n != 0 {
+				ip.Moves = append(ip.Moves, DataMove{Data: i, Store: stores[idx], Blocks: n})
 			}
 		}
 	}
@@ -194,11 +205,8 @@ func LargestRemainder(fracs []float64, total int) []int {
 		assigned += counts[i]
 		rems[i] = rem{idx: i, r: exact - float64(counts[i])}
 	}
-	sort.Slice(rems, func(a, b int) bool {
-		if rems[a].r != rems[b].r {
-			return rems[a].r > rems[b].r
-		}
-		return rems[a].idx < rems[b].idx
+	slices.SortFunc(rems, func(a, b rem) int {
+		return cmp.Or(cmp.Compare(b.r, a.r), cmp.Compare(a.idx, b.idx))
 	})
 	for i := 0; assigned < total; i++ {
 		counts[rems[i%len(rems)].idx]++
@@ -246,16 +254,9 @@ func (ip *IntegralPlan) CostMC() float64 {
 	return total
 }
 
-func cloneFracs(in map[[2]int]float64) map[[2]int]float64 {
-	out := make(map[[2]int]float64, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}
-
-func sortedKeys(m map[[2]int]float64) [][2]int {
-	keys := make([][2]int, 0, len(m))
+// sortedKeys returns m's keys ascending, in dst's storage.
+func sortedKeys(dst [][2]int, m map[[2]int]float64) [][2]int {
+	keys := dst[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}
@@ -268,12 +269,16 @@ func sortedKeys(m map[[2]int]float64) [][2]int {
 	return keys
 }
 
+// normalizeSlice scales fractions to sum exactly to 1, summing them in
+// their order: a job's coverage row is ≥ 1, tight at an optimum up to
+// tolerance, and an item's placement row = 1. A sum already within 1e-12
+// of 1 is left alone.
 func normalizeSlice(fr []float64) {
 	sum := 0.0
 	for _, f := range fr {
 		sum += f
 	}
-	if sum <= 0 {
+	if sum <= 0 || math.Abs(sum-1) < 1e-12 {
 		return
 	}
 	for i := range fr {

@@ -196,7 +196,7 @@ func roundOracle(p *Plan) *IntegralPlan {
 	for k, job := range in.Jobs {
 		fr := cloneFracs(p.XT[k])
 		normalizeFracs(fr)
-		keys := sortedKeys(fr)
+		keys := sortedKeys(nil, fr)
 		fracs := make([]float64, len(keys))
 		for idx, key := range keys {
 			fracs[idx] = fr[key]
@@ -235,6 +235,14 @@ func roundOracle(p *Plan) *IntegralPlan {
 		}
 	}
 	return ip
+}
+
+func cloneFracs(in map[[2]int]float64) map[[2]int]float64 {
+	out := make(map[[2]int]float64, len(in))
+	for k, v := range in {
+		out[k] = v
+	}
+	return out
 }
 
 // normalizeSliceOracle is roundOracle's block normalizer: it divides by

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,6 +12,115 @@ import (
 	"lips/internal/lp"
 	"lips/internal/workload"
 )
+
+// Validate checks that a fractional plan satisfies the model's
+// constraints: job coverage (2)/(10)/(20), machine capacity (4)/(12)/(23),
+// data placement (9)/(19), store capacity (11)/(22) and data existence
+// (3)/(13)/(24), all to within tol. It is the test suite's independent
+// referee for solver output, and costs O(vars).
+func (p *Plan) Validate(tol float64) error {
+	in := p.In
+
+	// Job coverage: every job fully assigned (including the fake node).
+	for k := range in.Jobs {
+		sum := 0.0
+		for _, f := range p.XT[k] {
+			if f < -tol || f > 1+tol {
+				return fmt.Errorf("core: job %d has fraction %g outside [0,1]", k, f)
+			}
+			sum += f
+		}
+		if sum < 1-1e-6 {
+			return fmt.Errorf("core: job %d covered only %g", k, sum)
+		}
+	}
+
+	// Machine capacity (real machines only).
+	for l, mach := range in.Machines {
+		if mach.Fake {
+			continue
+		}
+		used := 0.0
+		for k, job := range in.Jobs {
+			for lm, f := range p.XT[k] {
+				if lm[0] == l {
+					used += f * job.CPUSec
+				}
+			}
+		}
+		cap := mach.ECU * in.HorizonOf(l)
+		if used > cap+tol*(1+cap) {
+			return fmt.Errorf("core: machine %d uses %g of %g ECU-seconds", l, used, cap)
+		}
+	}
+
+	if p.XD == nil {
+		return nil
+	}
+
+	// Placement: each data item fully placed.
+	for i := range in.Data {
+		sum := 0.0
+		for j, f := range p.XD[i] {
+			if f < -tol {
+				return fmt.Errorf("core: data %d store %d has negative fraction %g", i, j, f)
+			}
+			sum += f
+		}
+		if math.Abs(sum-1) > 1e-6 {
+			return fmt.Errorf("core: data %d placed %g times", i, sum)
+		}
+	}
+
+	// Store capacity.
+	for j, s := range in.Stores {
+		used := 0.0
+		for i, d := range in.Data {
+			used += p.XD[i][j] * d.SizeMB
+		}
+		if used > s.CapacityMB+tol*(1+s.CapacityMB) {
+			return fmt.Errorf("core: store %d holds %g of %g MB", j, used, s.CapacityMB)
+		}
+	}
+
+	// Existence: tasks read only data that is placed there.
+	for k, job := range in.Jobs {
+		if job.Data == NoData {
+			continue
+		}
+		perStore := make(map[int]float64)
+		for lm, f := range p.XT[k] {
+			if lm[1] != noStore && !in.Machines[lm[0]].Fake {
+				perStore[lm[1]] += f
+			}
+		}
+		for store, f := range perStore {
+			if f > p.XD[job.Data][store]+1e-6 {
+				return fmt.Errorf("core: job %d reads %g of data %d from store %d holding %g",
+					k, f, job.Data, store, p.XD[job.Data][store])
+			}
+		}
+	}
+
+	// Flow consistency: flows decompose XD and respect origins.
+	if p.XDFlows != nil {
+		for i, d := range in.Data {
+			outflow := make(map[int]float64)
+			for oj, f := range p.XDFlows[i] {
+				if f < -tol {
+					return fmt.Errorf("core: data %d negative flow %g", i, f)
+				}
+				outflow[oj[0]] += f
+			}
+			for o, f := range outflow {
+				if math.Abs(f-d.Origin[o]) > 1e-6 {
+					return fmt.Errorf("core: data %d origin %d ships %g of %g", i, o, f, d.Origin[o])
+				}
+			}
+		}
+	}
+	return nil
+}
 
 func TestValidateAcceptsSolverPlans(t *testing.T) {
 	in := twoNodeInstance(t, 1, 2)

@@ -122,9 +122,11 @@ func (st *stream) steady(t *testing.T, warmup, measured int, measure func(epoch 
 // grep jobs admitted before each, measured long after the first epochs
 // have sized every reused workspace. The budget covers admission, the
 // simulated epoch and planEpoch together; the restricted master, the
-// instance matrices and the simplex workspace come from pools, so what
-// remains is mostly the rounds' solutions, the greedy seed, the plan and
-// its rounding: 400–409 allocations, where a fresh master each epoch cost
+// instance matrices and the simplex workspace come from pools, and the
+// seed, the rounding and apply build no plan or map of their own, so
+// what remains is mostly the rounds' solutions and the plan: 300–309
+// allocations, where a map-based greedy seed plan, cloned rounding maps
+// and apply's regrouping cost 400–409 and a fresh master each epoch
 // 484–489. The count still moves a little from run to run because the
 // hash-seeded maps on the path grow differently.
 func TestEpochAllocs(t *testing.T) {
@@ -132,7 +134,7 @@ func TestEpochAllocs(t *testing.T) {
 	st := newStream(t, cluster.RandomSpec{Nodes: 1000}, 5, warmup+measured+1, false)
 	var allocs float64
 	st.steady(t, warmup, measured, func(epoch func()) { allocs = testing.AllocsPerRun(measured, epoch) })
-	const budget = 430
+	const budget = 320
 	if allocs > budget {
 		t.Errorf("a steady-state epoch allocates %.0f times, budget %d", allocs, budget)
 	}
@@ -143,8 +145,10 @@ func TestEpochAllocs(t *testing.T) {
 // the 1k-node shape of TestEpochAllocs and on stream-10k-hetero's: 10k
 // nodes of 60 instance types, eight jobs an epoch and node churn. Reusing
 // the epoch's LP, the master's layout and the instance matrices is what
-// keeps these small: 58 KB and 280–282 KB, where a fresh master and fresh
-// matrices each epoch cost 136 KB and 2 016–2 019 KB.
+// keeps these small: 51 KB and 216–218 KB, where a fresh master and fresh
+// matrices each epoch cost 136 KB and 2 016–2 019 KB, and a map-based
+// greedy seed plan and rounding over every store unit 58 KB and
+// 280–282 KB.
 func TestEpochBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -153,8 +157,8 @@ func TestEpochBytes(t *testing.T) {
 		churn    bool
 		budgetKB uint64
 	}{
-		{"1k", cluster.RandomSpec{Nodes: 1000}, 5, false, 66},
-		{"hetero10k", cluster.RandomSpec{Nodes: 10000, Types: 60}, 8, true, 320},
+		{"1k", cluster.RandomSpec{Nodes: 1000}, 5, false, 51},
+		{"hetero10k", cluster.RandomSpec{Nodes: 10000, Types: 60}, 8, true, 219},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const warmup, measured = 20, 40

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"lips/internal/cluster"
@@ -31,7 +30,7 @@ import (
 // (lossless for class-structured clusters; see DESIGN.md) and solved by
 // column generation over a restricted master (core.NewOnlineColGen),
 // seeded with the fake node, every unit that has carried work in the run
-// and the greedy plan's units: a unit's (job, store) columns are
+// and the paper's §IV greedy units: a unit's (job, store) columns are
 // materialized only once the pricing oracle proves they can lower the
 // objective. The loop ends at the full LP's optimum while holding a
 // fraction of its columns; the first pricing round starts from the plan
@@ -255,8 +254,8 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 		l.fail(err)
 		return 0
 	}
-	// The units earlier plans used seed the new master, ahead of the
-	// greedy plan's, so the first pricing round already holds the likely
+	// The units earlier plans used seed the new master, ahead of the §IV
+	// greedy units, so the first pricing round already holds the likely
 	// support. The master's build is on the build clock, its pricing
 	// loop alone on the solve clock.
 	opts := core.ColGenOptions{LP: lp.Options{MaxIters: l.maxIters}, SeedMachines: seedMachines(in, l.prevHot)}
@@ -359,20 +358,14 @@ func (l *LiPS) buildInstance(s *sim.Sim, jobs []workload.Job, objects []hdfs.Dat
 }
 
 // apply turns the rounded plan into concrete data moves and pinned tasks,
-// and returns how many of each it issued.
+// and returns how many of each it issued. It walks the plan in Round's
+// order: queued job qi is the instance's job qi, and the input jobs'
+// sub-objects are its data items in queued order, so each job's run of
+// assignments and each item's run of moves comes next in turn.
 func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queued []int, pendingOf [][]int) (launched, blocksMoved int) {
 	unitOf := func(st cluster.StoreID) int { u, _ := in.StoreUnit(st); return u }
 
-	// Per data item: desired block counts per store unit.
-	wantBlocks := make(map[int]map[int]int) // data item → unit → blocks
-	for _, mv := range ip.Moves {
-		if wantBlocks[mv.Data] == nil {
-			wantBlocks[mv.Data] = make(map[int]int)
-		}
-		wantBlocks[mv.Data][mv.Store] += mv.Blocks
-	}
-
-	// Reconcile each input job's pending blocks with the desired layout:
+	// Reconcile each input job's pending blocks with its item's moves:
 	// blocks already on a wanted unit stay; surplus blocks move to
 	// deficit units. Track per-task (store, readyAt).
 	type taskLoc struct {
@@ -381,6 +374,8 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 		readyAt float64
 	}
 	locs := make([][]taskLoc, len(queued)) // qi → position in pendingOf[qi] → location
+	want := make([]int, len(in.Stores))    // per store unit: the blocks the item still owes it
+	moves := ip.Moves
 	for qi := range queued {
 		job := s.W.Jobs[queued[qi]]
 		if !job.HasInput() {
@@ -391,7 +386,12 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 		locs[qi] = loc
 		item := in.Jobs[qi].Data
 		obj := s.W.Objects[job.Object]
-		want := wantBlocks[item]
+		var run []core.DataMove // the item's moves, ascending by store
+		run, moves = leading(moves, func(mv core.DataMove) bool { return mv.Data == item })
+		clear(want)
+		for _, mv := range run {
+			want[mv.Store] += mv.Blocks
+		}
 		// Pass 1: keep blocks already where the plan wants them. Blocks
 		// with a relocation still in flight (issued by an earlier epoch,
 		// then orphaned by a crash or re-plan) are pinned to that move's
@@ -419,16 +419,12 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 		// to the cheapest deficit unit from where it currently sits
 		// (mirroring the LP's transportation flows — typically a free
 		// intra-zone hop).
-		units := make([]int, 0, len(want))
-		for u := range want {
-			units = append(units, u)
-		}
-		sort.Ints(units)
 		for _, p := range homeless {
 			t := pending[p]
 			st := s.P.Primary(obj.ID, t)
 			best, bestCost := -1, cost.Money(0)
-			for _, u := range units {
+			for _, mv := range run {
+				u := mv.Store
 				if want[u] == 0 {
 					continue
 				}
@@ -450,21 +446,14 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 		}
 	}
 
-	// Assign tasks per (job, machine unit, store unit) count.
-	byJob := make(map[int][]core.TaskAssignment)
-	for _, a := range ip.Assignments {
-		byJob[a.Job] = append(byJob[a.Job], a)
-	}
+	// Assign tasks per (job, machine unit, store unit) count, each job's
+	// run ascending by (machine, store).
 	buckets := newUnitBuckets(len(in.Stores))
+	rest := ip.Assignments
 	for qi := range queued {
 		j := queued[qi]
-		assignments := byJob[qi]
-		sort.Slice(assignments, func(a, b int) bool {
-			if assignments[a].Machine != assignments[b].Machine {
-				return assignments[a].Machine < assignments[b].Machine
-			}
-			return assignments[a].Store < assignments[b].Store
-		})
+		var assignments []core.TaskAssignment
+		assignments, rest = leading(rest, func(a core.TaskAssignment) bool { return a.Job == qi })
 		pending, loc := pendingOf[qi], locs[qi]
 		unitAt := func(p int) int {
 			if loc == nil {
@@ -505,6 +494,16 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 		}
 	}
 	return launched, blocksMoved
+}
+
+// leading splits xs into its longest prefix whose elements satisfy in and
+// the rest.
+func leading[T any](xs []T, in func(T) bool) (prefix, rest []T) {
+	n := 0
+	for n < len(xs) && in(xs[n]) {
+		n++
+	}
+	return xs[:n], xs[n:]
 }
 
 // addHotNames appends to names each non-fake machine unit carrying work in
