@@ -10,7 +10,7 @@
 // workloads (internal/workload) and an experiment harness regenerating
 // every table and figure of the evaluation (internal/experiments).
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
+// See README.md for a tour, DESIGN.md §1 for the module map, and
 // EXPERIMENTS.md for paper-versus-measured results. The root-level
 // BenchmarkExperiments regenerates each entry of experiments.All, the
 // list cmd/lips-bench prints from:

@@ -20,7 +20,7 @@ func epoch10kInstance() *Instance {
 // 10k-machine scale: cold builds and solves the restricted master from
 // scratch, as every LiPS.ColGen epoch does. There is no fully
 // materialized comparison: at this scale plain model construction
-// allocates millions of columns (DESIGN.md §12).
+// allocates millions of columns (DESIGN.md §4).
 func BenchmarkEpoch10k(b *testing.B) {
 	base := epoch10kInstance()
 

@@ -15,7 +15,7 @@ const noStore = -1
 // layout is the one description of where every column and row of a LiPS
 // LP sits. Indices are computed, never looked up: the builders emit
 // columns and rows in exactly this order, and pricing, extraction and the
-// lazy names decode or re-encode through the same formulas (DESIGN.md §5
+// lazy names decode or re-encode through the same formulas (DESIGN.md §2
 // has the table).
 //
 // A machine's columns and rows exist once it is opened as a unit. The

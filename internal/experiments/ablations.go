@@ -207,7 +207,7 @@ func (r *AblationBillingResult) Render() string {
 
 // AblationPricingRow compares simplex pricing rules on one co-scheduling
 // LP (the default Devex vs Bland), the design choice called out in
-// DESIGN.md.
+// DESIGN.md §3.
 type AblationPricingRow struct {
 	Rule  string
 	Iters int

@@ -32,7 +32,7 @@ var recordedLPs = []struct {
 	{"swim-seed9-epoch120", true},
 }
 
-// gunzip opens testdata/name, gzipped, and hands it to read.
+// gunzip opens the gzipped file name under testdata and hands it to read.
 func gunzip(t testing.TB, name string, read func(*gzip.Reader) error) {
 	t.Helper()
 	f, err := os.Open("testdata/" + name)

@@ -16,7 +16,7 @@ import (
 // calls them for each event it reads, so a Prometheus scrape of a
 // running simulation and `lips-trace -metrics` over its JSONL trace line
 // up byte for byte (the wall-clock families only when the trace was
-// recorded with timings). Naming scheme (documented in DESIGN.md par.10):
+// recorded with timings). Naming scheme (documented in DESIGN.md §7):
 // lips_<layer>_<what>, base units (seconds, microcents, megabytes),
 // counters suffixed _total.
 const (

@@ -21,7 +21,7 @@ const (
 )
 
 // Deferral and shed reasons — the typed taxonomy every 429, 503 and
-// epoch deferral carries (DESIGN.md par.14).
+// epoch deferral carries (DESIGN.md §8).
 const (
 	// ReasonQueueCap: the admission queue was full (429).
 	ReasonQueueCap = "queue-cap"

@@ -27,7 +27,7 @@ import (
 // next epoch.
 //
 // The LP is built over node groups rather than individual nodes
-// (lossless for class-structured clusters; see DESIGN.md) and solved by
+// (lossless for class-structured clusters; see DESIGN.md §2) and solved by
 // column generation over a restricted master (core.NewOnlineColGen),
 // seeded with the fake node, every unit that has carried work in the run
 // and the paper's §IV greedy units: a unit's (job, store) columns are

@@ -20,7 +20,7 @@
 // ledger, metrics and CPU-time lines resolved when it enters the workload
 // (see obs.go).
 //
-// Simplifications relative to a real cluster (documented in DESIGN.md):
+// Simplifications relative to a real cluster (documented in DESIGN.md §6):
 // transfers do not contend for link capacity (each gets the full pairwise
 // bandwidth), and a task's CPU rate is its slot's fixed share of the
 // node's ECU throughput.
