@@ -224,7 +224,11 @@ func TestSLOBurnAlertLifecycle(t *testing.T) {
 		}
 	}
 
-	waitAlerts := func(ok func(*AlertsResponse) bool) *AlertsResponse {
+	// /alerts reads the engine, while report sets the gauges only after
+	// Evaluate, outside the engine's lock: a read between the two sees the
+	// engine a step ahead. So each wait holds until the engine and the
+	// gauges agree.
+	waitAlerts := func(want string, ok func(*AlertsResponse) bool) *AlertsResponse {
 		t.Helper()
 		deadline := time.Now().Add(60 * time.Second)
 		for time.Now().Before(deadline) {
@@ -237,11 +241,17 @@ func TestSLOBurnAlertLifecycle(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		t.Fatal("alert condition never met")
+		firing, _ := d.reg.Value(obs.MServeAlertsFiring)
+		short, _ := d.reg.Value(obs.MServeBurnRate, "alice", obs.WindowShort)
+		t.Fatalf("never %s (firing gauge %g, short burn gauge %g)", want, firing, short)
 		return nil
 	}
 
-	ar := waitAlerts(func(ar *AlertsResponse) bool { return ar.Firing > 0 })
+	ar := waitAlerts("firing with the firing gauge and the short burn gauge >= 1", func(ar *AlertsResponse) bool {
+		firing, ok1 := d.reg.Value(obs.MServeAlertsFiring)
+		short, ok2 := d.reg.Value(obs.MServeBurnRate, "alice", obs.WindowShort)
+		return ar.Firing > 0 && ok1 && firing >= 1 && ok2 && short >= 1
+	})
 	if !ar.Enabled {
 		t.Fatal("engine reports disabled")
 	}
@@ -257,18 +267,12 @@ func TestSLOBurnAlertLifecycle(t *testing.T) {
 	if !found {
 		t.Fatalf("firing count %d but no firing alert in %+v", ar.Firing, ar.Alerts)
 	}
-	if v, ok := d.reg.Value(obs.MServeAlertsFiring); !ok || v < 1 {
-		t.Errorf("firing gauge = %g (%v), want >= 1", v, ok)
-	}
-	if v, ok := d.reg.Value(obs.MServeBurnRate, "alice", obs.WindowShort); !ok || v < 1 {
-		t.Errorf("short burn gauge = %g (%v), want >= 1", v, ok)
-	}
 
 	// Drain: once the backlog completes, simulated time keeps racing at
 	// one epoch per wall tick, the windows empty, and the alert resolves.
 	waitStats(t, ts.URL, func(st *Stats) bool { return st.Jobs[StateDone] == jobs })
-	ar = waitAlerts(func(ar *AlertsResponse) bool {
-		if ar.Firing != 0 {
+	ar = waitAlerts("resolved with the firing gauge at 0", func(ar *AlertsResponse) bool {
+		if v, ok := d.reg.Value(obs.MServeAlertsFiring); ar.Firing != 0 || !ok || v != 0 {
 			return false
 		}
 		for _, a := range ar.Alerts {
@@ -282,9 +286,6 @@ func TestSLOBurnAlertLifecycle(t *testing.T) {
 		if a.State == obs.AlertResolved && (a.ResolvedSim <= a.FiredSim || a.Tenant != "alice") {
 			t.Errorf("resolved alert %+v", a)
 		}
-	}
-	if v, ok := d.reg.Value(obs.MServeAlertsFiring); !ok || v != 0 {
-		t.Errorf("firing gauge = %g after resolve, want 0", v)
 	}
 	for _, state := range []string{obs.AlertFiring, obs.AlertResolved} {
 		if v, ok := d.reg.Value(obs.MServeAlertTransitions, state); !ok || v < 1 {
