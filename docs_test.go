@@ -34,7 +34,7 @@ type docTree struct {
 	metrics  map[string]bool            // layer.name metrics bench/*.go writes
 	sections map[int]bool               // DESIGN.md's "## N." headings
 	imported map[string]bool            // the names of imported packages outside the module
-	comments []docComment               // Go comments outside bench/
+	comments []docComment               // Go comment groups outside bench/
 }
 
 type docType struct {
@@ -209,9 +209,11 @@ func (tr *docTree) addFile(fset *token.FileSet, path string, f *ast.File) {
 		return
 	}
 	for _, g := range f.Comments {
+		var text []string
 		for _, c := range g.List {
-			tr.comments = append(tr.comments, docComment{path, fset.Position(c.Pos()).Line, c.Text})
+			text = append(text, c.Text)
 		}
+		tr.comments = append(tr.comments, docComment{path, fset.Position(g.Pos()).Line, strings.Join(text, "\n")})
 	}
 }
 
@@ -245,8 +247,8 @@ func (tr *docTree) addType(pkg string, s *ast.TypeSpec) {
 
 var (
 	lineCite    = regexp.MustCompile(`[\w.\-/]+\.go:\d+`)
-	designCite  = regexp.MustCompile(`DESIGN(\.md)?`)
-	sectionCite = regexp.MustCompile(`^\.md\s§(\d+)`)
+	designCite  = regexp.MustCompile(`\bDESIGN(\.md)?\b`)
+	sectionCite = regexp.MustCompile(`^\.md[\s/]+§(\d+)`)
 	bareSection = regexp.MustCompile(`§(\d+)`)
 	testWord    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z0-9_]\w*\*?`)
 	rootedPath  = regexp.MustCompile(`(?:^|[\s(\x60'"])(?:\./)?((?:internal|cmd|bench|examples|scripts|testdata|docs)/[\w.\-/]*)`)
@@ -292,16 +294,7 @@ func (tr *docTree) checkText(file string, first int, text string, isDoc bool, re
 			report(lineOf(text, first, m[0]), fmt.Sprintf("§%d: a DESIGN cite is written DESIGN.md §N", n))
 		}
 	}
-	for _, m := range testWord.FindAllStringIndex(text, -1) {
-		if w := text[m[0]:m[1]]; !tr.isTest(w) {
-			report(lineOf(text, first, m[0]), fmt.Sprintf("no test %s", w))
-		}
-	}
-	for _, m := range rootedPath.FindAllStringSubmatchIndex(text, -1) {
-		if p := text[m[2]:m[3]]; !tr.isPath(p) {
-			report(lineOf(text, first, m[2]), fmt.Sprintf("no path %s", p))
-		}
-	}
+	tr.checkWords(first, text, report)
 	for _, m := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
 		span := strings.Join(strings.Fields(text[m[2]:m[3]]), " ")
 		if msg := tr.checkSpan(span); msg != "" {
@@ -322,6 +315,21 @@ func (tr *docTree) checkText(file string, first int, text string, isDoc bool, re
 		}
 		if msg := tr.checkRef(strings.Split(ref, ".")); msg != "" {
 			report(lineOf(text, first, m[0]), fmt.Sprintf("%s: %s", ref, msg))
+		}
+	}
+}
+
+// checkWords resolves the test names and rooted repository paths of text,
+// wherever they stand: in prose, in a code span or in a code block.
+func (tr *docTree) checkWords(first int, text string, report func(line int, msg string)) {
+	for _, m := range testWord.FindAllStringIndex(text, -1) {
+		if w := text[m[0]:m[1]]; !tr.isTest(w) {
+			report(lineOf(text, first, m[0]), fmt.Sprintf("no test %s", w))
+		}
+	}
+	for _, m := range rootedPath.FindAllStringSubmatchIndex(text, -1) {
+		if p := text[m[2]:m[3]]; !tr.isPath(p) {
+			report(lineOf(text, first, m[2]), fmt.Sprintf("no path %s", p))
 		}
 	}
 }
@@ -386,7 +394,8 @@ func (tr *docTree) checkSpan(span string) string {
 	if m := dottedRef.FindStringSubmatch(span); m != nil {
 		return tr.checkRef(strings.Split(m[1], "."))
 	}
-	if plainIdent.MatchString(span) && strings.ToLower(span) != span && strings.ToUpper(span) != span && !tr.idents[span] {
+	if plainIdent.MatchString(span) && strings.ToLower(span) != span && strings.ToUpper(span) != span &&
+		!tr.idents[span] && !testWord.MatchString(span) {
 		return "no such identifier"
 	}
 	return ""
@@ -441,9 +450,9 @@ func (tr *docTree) checkRef(segs []string) string {
 	return ""
 }
 
-// markdownText blanks a document's fenced code blocks' lines out of the
-// span rules' reach (they hold commands and output, not references) while
-// keeping the line count, and keeps them for the test-name and path rules.
+// markdownText splits a document into its prose and its fenced code blocks,
+// each with the other's lines blank so line numbers hold. Code blocks hold
+// commands and output, so only their test names and paths are checked.
 func markdownText(doc string) (prose, code string) {
 	var p, c strings.Builder
 	fenced := false
@@ -480,11 +489,7 @@ func TestDocsResolve(t *testing.T) {
 		report := func(line int, msg string) { bad = append(bad, fmt.Sprintf("%s:%d: %s", file, line, msg)) }
 		prose, code := markdownText(string(b))
 		tr.checkText(file, 1, prose, true, report)
-		for _, m := range testWord.FindAllStringIndex(code, -1) {
-			if w := code[m[0]:m[1]]; !tr.isTest(w) {
-				report(lineOf(code, 1, m[0]), fmt.Sprintf("no test %s", w))
-			}
-		}
+		tr.checkWords(1, code, report)
 	}
 	for _, c := range tr.comments {
 		tr.checkText(c.file, c.line, c.text, false, func(line int, msg string) {
