@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"regexp"
 	"slices"
@@ -131,6 +132,9 @@ func lifecycleScenario(t *testing.T, sch sim.Scheduler) string {
 		if err := d.Step(); err != nil {
 			t.Fatal(err)
 		}
+		if err := sloReadingsAgree(d, h); err != nil {
+			t.Fatalf("after epoch %d: %v", d.epochs, err)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(23))
@@ -164,6 +168,9 @@ func lifecycleScenario(t *testing.T, sch sim.Scheduler) string {
 			id := submit(SubmitRequest{Tenant: "dave", Name: "mid", Archetype: "pi", Tasks: 2, CPUSecPerTask: 500})
 			if err := stepCancelling(d, h, id); err != nil {
 				t.Fatal(err)
+			}
+			if err := sloReadingsAgree(d, h); err != nil {
+				t.Fatalf("after the mid-admission cancel: %v", err)
 			}
 			if st := firstInState(d, StateCancelling); st != id {
 				t.Fatalf("mid-admission cancel of %d: first cancelling record is %d", id, st)
@@ -285,6 +292,61 @@ func lifecycleScenario(t *testing.T, sch sim.Scheduler) string {
 		t.Errorf("/audit: %d %s", code, body)
 	}
 	return out.String()
+}
+
+// sloReadingsAgree holds what every Step leaves for the SLO readers:
+// /alerts counts as firing exactly its firing entries and the firing gauge
+// reads the same, and each tenant's burn gauge in each window is the
+// largest burn /tenants/{tenant} shows for that window (no gauge for a
+// tenant with no burn).
+func sloReadingsAgree(d *Daemon, h http.Handler) error {
+	get := func(path string, v any) error {
+		code, body := call(h, http.MethodGet, path, nil)
+		if code != http.StatusOK {
+			return fmt.Errorf("GET %s: %d %s", path, code, body)
+		}
+		return json.Unmarshal(body, v)
+	}
+	var al AlertsResponse
+	if err := get("/alerts", &al); err != nil {
+		return err
+	}
+	firing := 0
+	for _, a := range al.Alerts {
+		if a.State == obs.AlertFiring {
+			firing++
+		}
+	}
+	if gauge, _ := d.reg.Value(obs.MServeAlertsFiring); al.Firing != firing || gauge != float64(firing) {
+		return fmt.Errorf("/alerts says %d firing and lists %d; the firing gauge reads %g", al.Firing, firing, gauge)
+	}
+	var tr TenantsResponse
+	if err := get("/tenants", &tr); err != nil {
+		return err
+	}
+	for _, row := range tr.Tenants {
+		var det TenantDetail
+		if err := get("/tenants/"+url.PathEscape(row.Tenant), &det); err != nil {
+			return err
+		}
+		for _, w := range []struct {
+			window string
+			burn   func(obs.Alert) float64
+		}{
+			{obs.WindowShort, func(a obs.Alert) float64 { return a.BurnShort }},
+			{obs.WindowLong, func(a obs.Alert) float64 { return a.BurnLong }},
+		} {
+			want := 0.0
+			for _, a := range det.Burn {
+				want = max(want, w.burn(a))
+			}
+			got, ok := d.reg.Value(obs.MServeBurnRate, row.Tenant, w.window)
+			if ok != (len(det.Burn) > 0) || got != want {
+				return fmt.Errorf("tenant %q: %s burn gauge %g (present %v), /tenants burn %+v", row.Tenant, w.window, got, ok, det.Burn)
+			}
+		}
+	}
+	return nil
 }
 
 // TestLifecycleGolden pins everything the daemon reports about a scripted

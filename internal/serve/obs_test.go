@@ -93,6 +93,45 @@ func TestJobTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestRingBounds: the span ring and the decision ring each keep exactly
+// their last n entries, oldest first, and count every entry ever added.
+func TestRingBounds(t *testing.T) {
+	spans := obs.NewSpans(4)
+	testRing(t, "spans", 4, func(i int) { spans.Add(obs.NewSpan(i)) }, func() ([]int, int64) {
+		var ids []int
+		for _, sp := range spans.Snapshot() {
+			ids = append(ids, sp.Job)
+		}
+		return ids, spans.Total()
+	})
+	decisions := newDecisionRing(4)
+	testRing(t, "decisions", 4, func(i int) { decisions.add(EpochDecision{Epoch: int64(i)}) }, func() ([]int, int64) {
+		var ids []int
+		for _, dec := range decisions.snapshot() {
+			ids = append(ids, int(dec.Epoch))
+		}
+		return ids, decisions.total
+	})
+}
+
+// testRing adds entries 0, 1, … to a ring of n and checks after each add
+// that it reads back the last n of them, oldest first, and the count.
+func testRing(t *testing.T, name string, n int, add func(int), read func() ([]int, int64)) {
+	t.Helper()
+	for i := 0; i < 3*n; i++ {
+		add(i)
+		ids, total := read()
+		if total != int64(i+1) || len(ids) != min(i+1, n) {
+			t.Fatalf("%s: after %d adds the ring holds %d and counts %d", name, i+1, len(ids), total)
+		}
+		for k, id := range ids {
+			if want := i + 1 - len(ids) + k; id != want {
+				t.Fatalf("%s: after %d adds slot %d holds %d, want %d (oldest first)", name, i+1, k, id, want)
+			}
+		}
+	}
+}
+
 // TestDebugEpochsRing runs a LiPS-backed daemon and checks the decision
 // ring: admissions are attributed, deferral reasons stay inside the
 // typed taxonomy, and each LiPS epoch surfaces once — its number, its
