@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
+	"strings"
 )
 
 // SLO burn-rate engine: rolling-window error-budget accounting over the
@@ -20,8 +22,9 @@ import (
 // The engine is deliberately daemon-agnostic: Observe feeds it
 // (tenant, kind, value) samples, Evaluate advances the pending →
 // firing → resolved state machine at a given simulated instant and
-// returns the transitions for logging and metrics. All iteration is
-// sorted, so same-seed runs evaluate identically.
+// returns the transitions for logging and metrics; every reader sees what
+// the last Evaluate left. The series are kept in (tenant, kind) order, so
+// same-seed runs evaluate identically.
 
 // SLO kinds — which span phase the objective bounds.
 const (
@@ -139,15 +142,16 @@ type Attainment struct {
 }
 
 // BurnEngine evaluates one SLO policy across every tenant it observes.
-// Safe for concurrent use.
+// It has no lock: its caller orders every call (the serve daemon makes
+// each under its admission lock).
 type BurnEngine struct {
-	mu                sync.Mutex
-	budget            float64               // allowed violation fraction
-	shortSec, longSec float64               // the two rolling windows
-	objectives        map[string]float64    // kind → objective seconds
-	kinds             []string              // objectives' kinds, sorted
-	series            map[string]*sloSeries // tenant + "\xff" + kind
-	resolved          []Alert               // most recent resolved alerts, oldest first
+	budget            float64            // allowed violation fraction
+	shortSec, longSec float64            // the two rolling windows
+	objectives        map[string]float64 // kind → objective seconds
+	kinds             []string           // objectives' kinds, sorted
+	series            []*sloSeries       // sorted by (tenant, kind)
+	firing            int                // series firing as of the last Evaluate
+	resolved          []Alert            // most recent resolved alerts, oldest first
 }
 
 // maxResolvedAlerts bounds the resolved-alert history on /alerts.
@@ -163,7 +167,7 @@ func NewBurnEngine(budget, shortSec, longSec float64, objectives map[string]floa
 		panic(fmt.Sprintf("obs: SLO budget %g, windows %g/%g s", budget, shortSec, longSec))
 	}
 	e := &BurnEngine{budget: budget, shortSec: shortSec, longSec: longSec,
-		objectives: make(map[string]float64), series: make(map[string]*sloSeries)}
+		objectives: make(map[string]float64)}
 	for kind, sec := range objectives {
 		if kind != SLOE2E && kind != SLOQueueWait {
 			panic(fmt.Sprintf("obs: unknown SLO kind %q", kind))
@@ -180,20 +184,12 @@ func NewBurnEngine(budget, shortSec, longSec float64, objectives map[string]floa
 // Enabled reports whether any objective is configured.
 func (e *BurnEngine) Enabled() bool { return e != nil && len(e.kinds) > 0 }
 
-func (e *BurnEngine) get(tenant, kind string) *sloSeries {
-	key := tenant + "\xff" + kind
-	s := e.series[key]
-	if s == nil {
-		if sec, ok := e.objectives[kind]; ok {
-			s = &sloSeries{
-				tenant: tenant, kind: kind, objective: sec,
-				short: newBurnWindow(e.shortSec),
-				long:  newBurnWindow(e.longSec),
-			}
-			e.series[key] = s
-		}
-	}
-	return s
+// find returns the index of the tenant's series of that kind in e.series,
+// or where it would go, and whether it is there.
+func (e *BurnEngine) find(tenant, kind string) (int, bool) {
+	return slices.BinarySearchFunc(e.series, tenant, func(s *sloSeries, tenant string) int {
+		return cmp.Or(strings.Compare(s.tenant, tenant), strings.Compare(s.kind, kind))
+	})
 }
 
 // Observe feeds one latency sample for a tenant at simulated time t.
@@ -202,12 +198,19 @@ func (e *BurnEngine) Observe(tenant, kind string, t, value float64) {
 	if !e.Enabled() {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := e.get(tenant, kind)
-	if s == nil {
+	sec, ok := e.objectives[kind]
+	if !ok {
 		return
 	}
+	i, ok := e.find(tenant, kind)
+	if !ok {
+		e.series = slices.Insert(e.series, i, &sloSeries{
+			tenant: tenant, kind: kind, objective: sec,
+			short: newBurnWindow(e.shortSec),
+			long:  newBurnWindow(e.longSec),
+		})
+	}
+	s := e.series[i]
 	bad := value > s.objective
 	s.short.observe(t, bad)
 	s.long.observe(t, bad)
@@ -221,21 +224,15 @@ func (e *BurnEngine) Observe(tenant, kind string, t, value float64) {
 // Evaluate advances every series' state machine to simulated time t and
 // returns the transitions that happened, sorted by (tenant, slo). The
 // returned alerts carry the state just entered; resolved ones are also
-// retained for the /alerts history.
+// retained for the /alerts history. Alerts, Firing and BurnRates read
+// what it leaves until the next call.
 func (e *BurnEngine) Evaluate(t float64) []Alert {
 	if !e.Enabled() {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	keys := make([]string, 0, len(e.series))
-	for k := range e.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var out []Alert
-	for _, k := range keys {
-		s := e.series[k]
+	e.firing = 0
+	for _, s := range e.series {
 		s.lastShort = s.short.badFrac(t) / e.budget
 		s.lastLong = s.long.badFrac(t) / e.budget
 		switch s.state {
@@ -244,10 +241,8 @@ func (e *BurnEngine) Evaluate(t float64) []Alert {
 				s.state, s.sinceSim = AlertPending, t
 				if s.lastLong >= fireBurn {
 					s.state, s.firedSim = AlertFiring, t
-					out = append(out, e.alert(s, AlertFiring, t))
-				} else {
-					out = append(out, e.alert(s, AlertPending, t))
 				}
+				out = append(out, e.alert(s, s.state, t))
 			}
 		case AlertPending:
 			if s.lastShort >= fireBurn && s.lastLong >= fireBurn {
@@ -269,6 +264,9 @@ func (e *BurnEngine) Evaluate(t float64) []Alert {
 				}
 				out = append(out, a)
 			}
+		}
+		if s.state == AlertFiring {
+			e.firing++
 		}
 	}
 	return out
@@ -293,37 +291,17 @@ func (e *BurnEngine) Alerts() []Alert {
 	if !e.Enabled() {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	keys := make([]string, 0, len(e.series))
-	for k := range e.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var out []Alert
-	for _, k := range keys {
-		if s := e.series[k]; s.state != "" {
+	for _, s := range e.series {
+		if s.state != "" {
 			out = append(out, e.alert(s, s.state, s.sinceSim))
 		}
 	}
 	return append(out, e.resolved...)
 }
 
-// Firing returns how many alerts are currently firing.
-func (e *BurnEngine) Firing() int {
-	if !e.Enabled() {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for _, s := range e.series {
-		if s.state == AlertFiring {
-			n++
-		}
-	}
-	return n
-}
+// Firing returns how many alerts the last Evaluate left firing.
+func (e *BurnEngine) Firing() int { return e.firing }
 
 // BurnRates returns every series' burn rates from the last Evaluate,
 // sorted by (tenant, slo) — the gauge refresh source.
@@ -331,16 +309,8 @@ func (e *BurnEngine) BurnRates() []Alert {
 	if !e.Enabled() {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	keys := make([]string, 0, len(e.series))
-	for k := range e.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Alert, 0, len(keys))
-	for _, k := range keys {
-		s := e.series[k]
+	out := make([]Alert, 0, len(e.series))
+	for _, s := range e.series {
 		out = append(out, Alert{
 			Tenant: s.tenant, SLO: s.kind, State: s.state,
 			BurnShort: s.lastShort, BurnLong: s.lastLong,
@@ -355,12 +325,11 @@ func (e *BurnEngine) Attainments(tenant string) []Attainment {
 	if !e.Enabled() {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make([]Attainment, 0, len(e.kinds))
 	for _, kind := range e.kinds {
 		a := Attainment{SLO: kind, ObjectiveSec: e.objectives[kind], Ratio: 1}
-		if s := e.series[tenant+"\xff"+kind]; s != nil {
+		if i, ok := e.find(tenant, kind); ok {
+			s := e.series[i]
 			a.Good, a.Total = s.goodTotal, s.goodTotal+s.badTotal
 			if a.Total > 0 {
 				a.Ratio = float64(a.Good) / float64(a.Total)

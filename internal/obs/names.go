@@ -65,20 +65,17 @@ const (
 	MServeSimSeconds    = "lips_serve_sim_seconds"
 	MServeEpochs        = "lips_serve_epochs_total"
 	MServeAdmissions    = "lips_serve_admission_total"
-	MServeJobsDone      = "lips_serve_jobs_done_total"
-	MServeJobsCancelled = "lips_serve_jobs_cancelled_total"
 	MServeIllegalMoves  = "lips_serve_illegal_transitions_total"
 	MServeChurn         = "lips_serve_churn_total"
 	MServeSubmitSeconds = "lips_serve_submit_latency_seconds"
 	MServeLaunchSeconds = "lips_serve_first_launch_seconds"
 
 	// Span-derived serve families (PR 9): per-tenant latency histograms
-	// in simulated seconds, the shed/span taxonomy counters, and the
-	// share of each epoch's wall budget spent inside the solver step.
+	// in simulated seconds, the span outcome counter, and the share of
+	// each epoch's wall budget spent inside the solver step.
 	MServeQueueWait    = "lips_serve_tenant_queue_wait_seconds"
 	MServeTenantLaunch = "lips_serve_tenant_first_launch_seconds"
 	MServeTenantE2E    = "lips_serve_tenant_e2e_seconds"
-	MServeSheds        = "lips_serve_shed_total"
 	MServeSpans        = "lips_serve_spans_total"
 	MServeSolveShare   = "lips_serve_epoch_solve_share"
 
@@ -107,8 +104,9 @@ var (
 	MoveReasons = []string{"plan", "re-replicate", "re-materialize"}
 	// FaultKinds mirrors internal/sim FaultKind.String values.
 	FaultKinds = []string{"node-down", "node-up", "store-loss", "slowdown"}
-	// AdmissionDecisions label lips_serve_admission_total.
-	AdmissionDecisions = []string{"accepted", "rejected", "draining"}
+	// AdmissionDecisions label lips_serve_admission_total: accepted, or
+	// the typed reason the submission was shed for.
+	AdmissionDecisions = []string{"accepted", ReasonQueueCap, ReasonSolverBackpressure, ReasonDraining}
 	// AlertStates label lips_serve_slo_alert_transitions_total: the
 	// burn-rate state machine's pending → firing → resolved lifecycle.
 	AlertStates = []string{AlertPending, AlertFiring, AlertResolved}
@@ -357,20 +355,19 @@ func (m *SchedMetrics) ObserveEpoch(ep *trace.EpochInfo) {
 
 // ServeMetrics bundles the lips-serve daemon's handles. Submit latency is
 // wall-clock (the daemon's SLO); first-launch latency is simulated time
-// (submit arrival to the task's first slot, the queueing delay the epoch
-// planner imposes). The per-tenant histograms are observed exactly once
+// from admission to the job's first task launch, the delay the epoch
+// planner imposes. The per-tenant histograms are observed exactly once
 // per completed span (QueueWait when the job was admitted, TenantLaunch
 // when it launched, TenantE2E on every done/cancelled terminal), so
 // their counts reconcile with the span ring and the Spans counter.
 type ServeMetrics struct {
 	QueueDepth, Tenants, SimSeconds *Gauge
-	Epochs, JobsDone, JobsCancelled *Counter
+	Epochs                          *Counter
 	IllegalTransitions              *Counter    // lifecycle moves refused; 0 unless there is a bug
-	Admissions, Churn               *CounterVec // by decision / by kind
+	Admissions, Churn               *CounterVec // by decision (accepted or shed reason) / by kind
 	SubmitSeconds, LaunchSeconds    *Histogram
 
 	QueueWait, TenantLaunch, TenantE2E *HistogramVec // by tenant, sim seconds
-	Sheds                              *CounterVec   // by typed reason
 	Spans                              *CounterVec   // by outcome
 	SolveShare                         *Histogram    // step wall / epoch wall budget
 
@@ -387,20 +384,18 @@ func RegisterServe(r *Registry) *ServeMetrics {
 
 func registerServe(r *Registry) *ServeMetrics {
 	m := &ServeMetrics{
-		QueueDepth:    r.Gauge(MServeQueueDepth, "Jobs accepted but not yet admitted into the simulation."),
-		Tenants:       r.Gauge(MServeTenants, "Distinct tenants seen since the daemon started."),
-		SimSeconds:    r.Gauge(MServeSimSeconds, "Simulated clock of the serving cluster, in seconds."),
-		Epochs:        r.Counter(MServeEpochs, "Serve epochs driven (each advances the simulation one epoch)."),
-		JobsDone:      r.Counter(MServeJobsDone, "Submitted jobs that ran to completion."),
-		JobsCancelled: r.Counter(MServeJobsCancelled, "Submitted jobs withdrawn by cancellation."),
+		QueueDepth: r.Gauge(MServeQueueDepth, "Jobs accepted but not yet admitted into the simulation."),
+		Tenants:    r.Gauge(MServeTenants, "Distinct tenants seen since the daemon started."),
+		SimSeconds: r.Gauge(MServeSimSeconds, "Simulated clock of the serving cluster, in seconds."),
+		Epochs:     r.Counter(MServeEpochs, "Serve epochs driven (each advances the simulation one epoch)."),
 		IllegalTransitions: r.Counter(MServeIllegalMoves,
 			"Job state changes the lifecycle table does not allow, refused and logged; any at all is a daemon bug."),
-		Admissions: r.CounterVec(MServeAdmissions, "Submission admission decisions.", "decision"),
+		Admissions: r.CounterVec(MServeAdmissions, "Submission admission decisions: accepted, or the typed reason it was shed.", "decision"),
 		Churn:      r.CounterVec(MServeChurn, "Node churn events applied via the admin API.", "kind"),
 		SubmitSeconds: r.Histogram(MServeSubmitSeconds, "Wall-clock seconds from submit receipt to admission decision.",
 			// 100µs … 10s in half-decade steps, the submit-SLO range.
 			[]float64{1e-4, 3.16e-4, 1e-3, 3.16e-3, 0.01, 0.0316, 0.1, 0.316, 1, 3.16, 10}),
-		LaunchSeconds: r.Histogram(MServeLaunchSeconds, "Simulated seconds from submission to a job's first task launch.",
+		LaunchSeconds: r.Histogram(MServeLaunchSeconds, "Simulated seconds from admission to a job's first task launch.",
 			ExpBuckets(1, 2, 14)), // 1s … 8192s, epoch-scale queueing delays
 		QueueWait: r.HistogramVec(MServeQueueWait, "Simulated seconds a job waited in the admission queue, by tenant.",
 			"tenant", ExpBuckets(1, 2, 14)),
@@ -408,7 +403,6 @@ func registerServe(r *Registry) *ServeMetrics {
 			"tenant", ExpBuckets(1, 2, 14)),
 		TenantE2E: r.HistogramVec(MServeTenantE2E, "Simulated seconds from submission to a terminal state, by tenant.",
 			"tenant", ExpBuckets(1, 2, 16)),
-		Sheds: r.CounterVec(MServeSheds, "Submissions refused at admission, by typed reason.", "reason"),
 		Spans: r.CounterVec(MServeSpans, "Completed job spans recorded, by outcome.", "outcome"),
 		SolveShare: r.Histogram(MServeSolveShare, "Fraction of the epoch wall budget spent stepping the simulator (solver included).",
 			[]float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 1, 1.5, 2, 5, 10}),
@@ -418,9 +412,6 @@ func registerServe(r *Registry) *ServeMetrics {
 	}
 	for _, k := range []string{"down", "up"} {
 		m.Churn.With(k)
-	}
-	for _, k := range []string{ReasonQueueCap, ReasonSolverBackpressure, ReasonDraining} {
-		m.Sheds.With(k)
 	}
 	for _, o := range SpanOutcomes {
 		m.Spans.With(o)

@@ -1,7 +1,5 @@
 package obs
 
-import "sync"
-
 // Job-scoped spans: one Span records the phase milestones of a single
 // submission — submit → queued → admitted → epoch-planned → first-launch
 // → done/cancelled/shed — in simulated seconds, plus the admitting serve
@@ -136,54 +134,4 @@ func (s *Span) E2ESim() float64 {
 		return -1
 	}
 	return s.DoneSim - s.SubmittedSim
-}
-
-// Spans is a bounded, concurrency-safe ring of completed spans — the
-// daemon's after-the-fact explainability buffer. Once full, each Add
-// evicts the oldest span; Total keeps counting.
-type Spans struct {
-	mu    sync.Mutex
-	buf   []Span
-	next  int
-	full  bool
-	total int64
-}
-
-// NewSpans returns a ring holding up to n spans (n <= 0 selects 1024).
-func NewSpans(n int) *Spans {
-	if n <= 0 {
-		n = 1024
-	}
-	return &Spans{buf: make([]Span, n)}
-}
-
-// Add records one completed span.
-func (r *Spans) Add(s Span) {
-	r.mu.Lock()
-	r.buf[r.next] = s
-	r.next++
-	if r.next == len(r.buf) {
-		r.next, r.full = 0, true
-	}
-	r.total++
-	r.mu.Unlock()
-}
-
-// Snapshot returns the retained spans, oldest first.
-func (r *Spans) Snapshot() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Span(nil), r.buf[:r.next]...)
-	}
-	out := make([]Span, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
-}
-
-// Total returns how many spans have ever been added.
-func (r *Spans) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }

@@ -83,32 +83,6 @@ func TestSpanPhasesOutcomeRename(t *testing.T) {
 	}
 }
 
-// TestSpanRingBounds: the ring retains exactly the last n spans oldest
-// first while Total keeps counting everything ever added.
-func TestSpanRingBounds(t *testing.T) {
-	r := NewSpans(4)
-	for i := 0; i < 10; i++ {
-		sp := NewSpan(i)
-		sp.Outcome = OutcomeDone
-		r.Add(sp)
-	}
-	got := r.Snapshot()
-	if len(got) != 4 {
-		t.Fatalf("snapshot holds %d spans, want 4", len(got))
-	}
-	for i, sp := range got {
-		if sp.Job != 6+i {
-			t.Errorf("slot %d holds job %d, want %d (oldest first)", i, sp.Job, 6+i)
-		}
-	}
-	if r.Total() != 10 {
-		t.Errorf("total %d, want 10", r.Total())
-	}
-	if n := len(NewSpans(0).buf); n != 1024 {
-		t.Errorf("default ring size %d, want 1024", n)
-	}
-}
-
 // TestDeferralReasonsClosed guards the taxonomy the HTTP surfaces and
 // smoke scripts validate against.
 func TestDeferralReasonsClosed(t *testing.T) {

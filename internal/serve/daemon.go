@@ -15,9 +15,10 @@
 // and a tenant-fair batch off the admission queue; simulate, under
 // d.simMu, applies them and advances simulated time by one epoch
 // (sim.StepUntil — this is where the LiPS LP solves); publish, under d.mu
-// again, moves the records to where their jobs got to; report, holding
-// nothing, sets gauges and evaluates SLO burn. No solver work ever holds
-// d.mu, so the submit path's latency is independent of epoch solve time.
+// again, moves the records to where their jobs got to and evaluates SLO
+// burn; report, holding nothing, sets the epoch gauges and logs. No solver
+// work ever holds d.mu, so the submit path's latency is independent of
+// epoch solve time.
 // Admission control sheds load with 429 + Retry-After when the queue is
 // full, or at half-full while a Step is running; draining shutdown
 // answers 503.
@@ -119,6 +120,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// spanRing bounds the /debug/spans ring.
+const spanRing = 1024
+
 // Daemon is the serve-mode scheduler instance. Create with New, start the
 // epoch loop with Start, mount Handler on an obs server, stop with
 // Shutdown.
@@ -130,20 +134,14 @@ type Daemon struct {
 	sch sim.Scheduler // for LiPS's own record of its epochs
 	log *slog.Logger
 
-	// spans is the ring of the last 1024 completed spans (done,
-	// cancelled, shed). It has its own lock and never takes d.mu.
-	spans *obs.Spans
-
-	// burn is the SLO burn-rate engine (own lock, never takes d.mu);
-	// disabled when no objective is configured. budgets holds the
-	// per-tenant dollar caps converted to exact microcents, immutable
-	// after New.
-	burn    *obs.BurnEngine
+	// budgets holds the per-tenant dollar caps converted to exact
+	// microcents, immutable after New.
 	budgets map[string]cost.Money
 
 	// mu guards the admission state: records, queue, cancels, active set,
-	// tenant bookkeeping and the draining flag. Never held during solver
-	// work.
+	// tenant bookkeeping and the draining flag, and with them what the
+	// daemon reports of it: both rings and the SLO engine. Never held
+	// during solver work.
 	mu      sync.Mutex
 	records []*jobRecord
 	queue   []int        // record IDs awaiting admission, submission order
@@ -162,8 +160,12 @@ type Daemon struct {
 	draining    bool
 	epochs      int64
 	loopErr     error
-	decisions   *decisionRing  // /debug/epochs ring
-	shedCounts  map[string]int // 429/503 sheds since the last recorded epoch
+	decisions   *ring[EpochDecision] // /debug/epochs
+	spans       *ring[obs.Span]      // /debug/spans: the last done, cancelled and shed spans
+	shedCounts  map[string]int       // 429/503 sheds since the last recorded epoch
+	// burn is the SLO burn-rate engine, disabled when no objective is
+	// configured.
+	burn *obs.BurnEngine
 
 	// cut closes the next epoch's admission: a submission accepted at or
 	// after it waits for the epoch after, and simNowLocked already reads
@@ -231,14 +233,14 @@ func New(c *cluster.Cluster, sch sim.Scheduler, reg *obs.Registry, cfg Config) (
 		s:           s,
 		sch:         sch,
 		log:         cfg.Logger,
-		spans:       obs.NewSpans(0),
 		burn:        burn,
 		budgets:     budgets,
 		jobs:        make(map[string]int),
 		tenantJobs:  make(map[string]map[string]int),
 		tenantCPU:   make(map[string]float64),
 		tenantSpend: make(map[string]map[cost.Category]cost.Money),
-		decisions:   newDecisionRing(cfg.EpochRing),
+		decisions:   newRing[EpochDecision](cfg.EpochRing),
+		spans:       newRing[obs.Span](spanRing),
 		stop:        make(chan struct{}),
 		doneCh:      make(chan struct{}),
 		strict:      testing.Testing(),

@@ -180,6 +180,9 @@ func TestDaemonLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Errorf("draining submit: %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
+	if got, _ := d.reg.Value(obs.MServeAdmissions, obs.ReasonDraining); got != 1 {
+		t.Errorf("%s{decision=%q} = %g, want 1", obs.MServeAdmissions, obs.ReasonDraining, got)
+	}
 }
 
 // TestNewRefusesEmptyCluster: a cluster with nowhere to run a task or
@@ -306,9 +309,11 @@ func TestBackpressureExactQueueCap(t *testing.T) {
 	if accepted != cap || rejected != 2*cap {
 		t.Errorf("accepted %d rejected %d, want exactly %d/%d", accepted, rejected, cap, 2*cap)
 	}
-	// The shed load is visible in lips_serve_admission_total, and the
-	// queue gauge sits at the cap.
-	for decision, want := range map[string]float64{"accepted": cap, "rejected": 2 * cap} {
+	// The shed load is visible in lips_serve_admission_total under its
+	// reason, and the queue gauge sits at the cap.
+	for decision, want := range map[string]float64{
+		"accepted": cap, obs.ReasonQueueCap: 2 * cap, obs.ReasonSolverBackpressure: 0, obs.ReasonDraining: 0,
+	} {
 		if got, _ := d.reg.Value(obs.MServeAdmissions, decision); got != want {
 			t.Errorf("%s{decision=%q} = %g, want %g", obs.MServeAdmissions, decision, got, want)
 		}
@@ -351,6 +356,9 @@ func TestBackpressureSolverBusy(t *testing.T) {
 	}
 	if len(sr.Spans) != 1 || sr.Spans[0].Outcome != obs.OutcomeShed || sr.Spans[0].Reason != obs.ReasonSolverBackpressure {
 		t.Errorf("shed spans %+v, want one with outcome=shed reason=solver-backpressure", sr.Spans)
+	}
+	if got, _ := d.reg.Value(obs.MServeAdmissions, obs.ReasonSolverBackpressure); got != 1 {
+		t.Errorf("%s{decision=%q} = %g, want 1", obs.MServeAdmissions, obs.ReasonSolverBackpressure, got)
 	}
 	d.busy.Store(false)
 	if _, code := submitOne(t, ts.URL, "a"); code != http.StatusAccepted {

@@ -52,19 +52,20 @@ type EpochDecision struct {
 	Sched *trace.EpochInfo `json:"sched,omitempty"`
 }
 
-// decisionRing is a bounded ring of epoch decisions. It has no lock of
-// its own: the daemon guards it with d.mu.
-type decisionRing struct {
-	buf   []EpochDecision
+// ring is a bounded ring: once full, each add evicts the oldest entry,
+// and total keeps counting. It has no lock of its own: the daemon guards
+// both of its rings, the decisions and the spans, with d.mu.
+type ring[T any] struct {
+	buf   []T
 	next  int
 	full  bool
 	total int64
 }
 
-func newDecisionRing(n int) *decisionRing { return &decisionRing{buf: make([]EpochDecision, n)} }
+func newRing[T any](n int) *ring[T] { return &ring[T]{buf: make([]T, n)} }
 
-func (r *decisionRing) add(d EpochDecision) {
-	r.buf[r.next] = d
+func (r *ring[T]) add(v T) {
+	r.buf[r.next] = v
 	r.next++
 	r.total++
 	if r.next == len(r.buf) {
@@ -72,15 +73,11 @@ func (r *decisionRing) add(d EpochDecision) {
 	}
 }
 
-// snapshot returns the ring oldest-first.
-func (r *decisionRing) snapshot() []EpochDecision {
+// snapshot returns the retained entries oldest first, nil if there are
+// none.
+func (r *ring[T]) snapshot() []T {
 	if !r.full {
-		out := make([]EpochDecision, r.next)
-		copy(out, r.buf[:r.next])
-		return out
+		return append([]T(nil), r.buf[:r.next]...)
 	}
-	out := make([]EpochDecision, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	return append(append(make([]T, 0, len(r.buf)), r.buf[r.next:]...), r.buf[:r.next]...)
 }

@@ -145,9 +145,9 @@ func checkDrained(d *Daemon, h http.Handler) error {
 		e2eCount += d.sm.TenantE2E.With(tenant).Count()
 	}
 	spans := d.sm.Spans.With(obs.OutcomeDone).Value() + d.sm.Spans.With(obs.OutcomeCancelled).Value()
-	ended := d.sm.JobsDone.Value() + d.sm.JobsCancelled.Value()
-	if n := float64(len(d.records)); spans != n || float64(e2eCount) != n || ended != n {
-		return fmt.Errorf("%g records: %g done/cancelled spans, %d e2e observations, %g done+cancelled jobs", n, spans, e2eCount, ended)
+	ended := d.jobs[StateDone] + d.jobs[StateCancelled]
+	if n := len(d.records); spans != float64(n) || e2eCount != uint64(n) || ended != n {
+		return fmt.Errorf("%d records: %g done/cancelled spans, %d e2e observations, %d done+cancelled jobs", n, spans, e2eCount, ended)
 	}
 	if v := d.sm.IllegalTransitions.Value(); v != 0 {
 		return fmt.Errorf("%g illegal transitions", v)

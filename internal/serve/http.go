@@ -317,33 +317,35 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		d.writeError(w, http.StatusBadRequest, "tenant %q is new and the daemon already knows %d", req.Tenant, maxTenants)
 		return
 	}
-	var decision, shedReason string
+	// decision is "accepted" or the typed reason the submission is shed
+	// for, a label of lips_serve_admission_total either way.
+	decision := "accepted"
 	var rec *jobRecord
 	switch {
 	case d.draining:
-		decision, shedReason = "draining", obs.ReasonDraining
+		decision = obs.ReasonDraining
 	case len(d.queue) >= d.cfg.QueueCap:
 		// A full queue always sheds.
-		decision, shedReason = "rejected", obs.ReasonQueueCap
+		decision = obs.ReasonQueueCap
 	case 2*len(d.queue) >= d.cfg.QueueCap && d.busy.Load():
 		// A half-full queue sheds while an epoch is solving — backpressure
 		// before breakdown. The flag races the epoch loop by nature:
 		// admission control needs a load signal, not a linearizable one.
-		decision, shedReason = "rejected", obs.ReasonSolverBackpressure
+		decision = obs.ReasonSolverBackpressure
 	default:
-		decision = "accepted"
 		rec = d.newRecordLocked(req.Tenant, name, job)
 	}
-	var shedSpan obs.Span
-	if shedReason != "" {
+	if rec == nil {
 		if d.shedCounts == nil {
 			d.shedCounts = make(map[string]int)
 		}
-		d.shedCounts[shedReason]++
-		shedSpan = obs.NewSpan(-1)
-		shedSpan.Name, shedSpan.Tenant = name, req.Tenant
-		shedSpan.Outcome, shedSpan.Reason = obs.OutcomeShed, shedReason
-		shedSpan.SubmittedSim, shedSpan.DoneSim = d.simNowLocked(), d.simNowLocked()
+		d.shedCounts[decision]++
+		sp := obs.NewSpan(-1)
+		sp.Name, sp.Tenant = name, req.Tenant
+		sp.Outcome, sp.Reason = obs.OutcomeShed, decision
+		sp.SubmittedSim = d.simNowLocked()
+		sp.DoneSim = sp.SubmittedSim
+		d.spans.add(sp)
 	}
 	queueDepth := len(d.queue)
 	d.mu.Unlock()
@@ -351,21 +353,18 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	d.sm.Admissions.With(decision).Inc()
 	d.sm.QueueDepth.Set(float64(queueDepth))
 	d.sm.SubmitSeconds.Observe(time.Since(start).Seconds())
-	if shedReason != "" {
-		d.spans.Add(shedSpan)
-		d.sm.Sheds.With(shedReason).Inc()
-		d.sm.Spans.With(obs.OutcomeShed).Inc()
-		d.log.Warn("submission shed",
-			obs.LogTenant, req.Tenant, "name", name,
-			"reason", shedReason, "queue_depth", queueDepth)
-	}
-	switch decision {
-	case "draining":
-		d.writeError(w, http.StatusServiceUnavailable, "draining")
-	case "rejected":
-		d.writeError(w, http.StatusTooManyRequests, "admission queue full")
-	default:
+	if rec != nil {
 		writeJSON(w, http.StatusAccepted, SubmitResponse{ID: rec.span.Job, State: StateQueued})
+		return
+	}
+	d.sm.Spans.With(obs.OutcomeShed).Inc()
+	d.log.Warn("submission shed",
+		obs.LogTenant, req.Tenant, "name", name,
+		"reason", decision, "queue_depth", queueDepth)
+	if decision == obs.ReasonDraining {
+		d.writeError(w, http.StatusServiceUnavailable, "draining")
+	} else {
+		d.writeError(w, http.StatusTooManyRequests, "admission queue full")
 	}
 }
 
@@ -412,7 +411,7 @@ func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // tenantSummaryLocked assembles one tenant's chargeback row. Callers
-// hold d.mu; the burn engine carries its own lock.
+// hold d.mu.
 func (d *Daemon) tenantSummaryLocked(tenant string) TenantSummary {
 	ts := TenantSummary{Tenant: tenant, CPUSec: d.tenantCPU[tenant]}
 	var total cost.Money
@@ -477,7 +476,6 @@ func (d *Daemon) handleTenant(w http.ResponseWriter, r *http.Request) {
 			det.Recent = append(det.Recent, d.statusLocked(rec))
 		}
 	}
-	d.mu.Unlock()
 	for _, a := range d.burn.BurnRates() {
 		if a.Tenant == tenant {
 			det.Burn = append(det.Burn, a)
@@ -488,17 +486,20 @@ func (d *Daemon) handleTenant(w http.ResponseWriter, r *http.Request) {
 			det.Alerts = append(det.Alerts, a)
 		}
 	}
+	d.mu.Unlock()
 	writeJSON(w, http.StatusOK, det)
 }
 
 // handleAlerts serves GET /alerts: active burn-rate alerts followed by
-// the retained resolved history.
+// the retained resolved history, all as the last epoch left them.
 func (d *Daemon) handleAlerts(w http.ResponseWriter, _ *http.Request) {
+	d.mu.Lock()
 	resp := AlertsResponse{
 		Enabled: d.burn.Enabled(),
 		Firing:  d.burn.Firing(),
 		Alerts:  d.burn.Alerts(),
 	}
+	d.mu.Unlock()
 	if resp.Alerts == nil {
 		resp.Alerts = []obs.Alert{}
 	}
@@ -568,12 +569,18 @@ func (d *Daemon) handleEpochs(w http.ResponseWriter, _ *http.Request) {
 	d.mu.Lock()
 	resp := EpochsResponse{Total: d.decisions.total, Epochs: d.decisions.snapshot()}
 	d.mu.Unlock()
+	if resp.Epochs == nil {
+		resp.Epochs = []EpochDecision{} // [] before the first decision, not null
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleSpans serves GET /debug/spans: the completed-span ring.
 func (d *Daemon) handleSpans(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, SpansResponse{Total: d.spans.Total(), Spans: d.spans.Snapshot()})
+	d.mu.Lock()
+	resp := SpansResponse{Total: d.spans.total, Spans: d.spans.snapshot()}
+	d.mu.Unlock()
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (d *Daemon) handleCancel(w http.ResponseWriter, r *http.Request) {

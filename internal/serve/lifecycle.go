@@ -80,8 +80,7 @@ func (d *Daemon) countLocked(rec *jobRecord, by int) {
 // is refused, logged and counted. A move into done or cancelled stamps the
 // span's end at atSim (other moves ignore it) and does, exactly once per
 // record, everything a finished job owes: the span ring, the outcome
-// counter, the tenant's end-to-end histogram and SLO observation, and the
-// done/cancelled counter. None of those take d.mu.
+// counter, and the tenant's end-to-end histogram and SLO observation.
 func (d *Daemon) transitionLocked(rec *jobRecord, to string, atSim float64) {
 	if !slices.Contains(lifecycle[rec.state], to) {
 		if d.strict {
@@ -99,14 +98,11 @@ func (d *Daemon) transitionLocked(rec *jobRecord, to string, atSim float64) {
 		return
 	}
 	rec.span.DoneSim = atSim
+	rec.span.Outcome = obs.OutcomeCancelled
 	if to == StateDone {
 		rec.span.Outcome = obs.OutcomeDone
-		d.sm.JobsDone.Inc()
-	} else {
-		rec.span.Outcome = obs.OutcomeCancelled
-		d.sm.JobsCancelled.Inc()
 	}
-	d.spans.Add(rec.span)
+	d.spans.add(rec.span)
 	d.sm.Spans.With(rec.span.Outcome).Inc()
 	e2e := atSim - rec.span.SubmittedSim
 	d.sm.TenantE2E.With(rec.span.Tenant).Observe(e2e)

@@ -83,8 +83,7 @@ func stepCancelling(d *Daemon, h http.Handler, id int) error {
 // wall-clock histograms (submit latency, solve share) are left out.
 var lifecycleFamilies = map[string]bool{
 	obs.MServeQueueDepth: true, obs.MServeTenants: true, obs.MServeSimSeconds: true,
-	obs.MServeEpochs: true, obs.MServeAdmissions: true, obs.MServeJobsDone: true,
-	obs.MServeJobsCancelled: true, obs.MServeChurn: true, obs.MServeSheds: true,
+	obs.MServeEpochs: true, obs.MServeAdmissions: true, obs.MServeChurn: true,
 	obs.MServeSpans: true, obs.MServeBurnRate: true, obs.MServeAlertTransitions: true,
 	obs.MServeAlertsFiring: true, obs.MServeLaunchSeconds: true, obs.MServeQueueWait: true,
 	obs.MServeTenantLaunch: true, obs.MServeTenantE2E: true,
@@ -477,7 +476,7 @@ func TestPublishAdmitError(t *testing.T) {
 	if tr.State != StateCancelled || tr.Outcome != obs.OutcomeCancelled || tr.AdmittedSim != -1 || tr.DoneSim != 0 || tr.AdmittedEpoch != 0 {
 		t.Errorf("trace of the refused record: %+v", tr)
 	}
-	if spans := d.spans.Snapshot(); len(spans) != 1 || spans[0] != tr.Span {
+	if spans := d.spans.snapshot(); len(spans) != 1 || spans[0] != tr.Span {
 		t.Errorf("span ring %+v, want the record's span once", spans)
 	}
 	if n := d.sm.TenantE2E.With("alice").Count(); n != 1 {
@@ -486,8 +485,8 @@ func TestPublishAdmitError(t *testing.T) {
 	if at := d.burn.Attainments("alice"); len(at) != 1 || at[0].Total != 1 {
 		t.Errorf("SLO attainment %+v, want one e2e observation", at)
 	}
-	if c, s := d.sm.JobsCancelled.Value(), d.sm.Spans.With(obs.OutcomeCancelled).Value(); c != 1 || s != 1 {
-		t.Errorf("%g cancelled jobs, %g cancelled spans, want 1 and 1", c, s)
+	if c, s := d.jobs[StateCancelled], d.sm.Spans.With(obs.OutcomeCancelled).Value(); c != 1 || s != 1 {
+		t.Errorf("%d cancelled jobs, %g cancelled spans, want 1 and 1", c, s)
 	}
 	if !idle(d) {
 		t.Error("the refused record left work behind")

@@ -94,39 +94,41 @@ func TestJobTraceEndpoint(t *testing.T) {
 }
 
 // TestRingBounds: the span ring and the decision ring each keep exactly
-// their last n entries, oldest first, and count every entry ever added.
+// their last n entries, oldest first, and count every entry ever added;
+// a daemon's rings hold spanRing spans and Config.EpochRing decisions.
 func TestRingBounds(t *testing.T) {
-	spans := obs.NewSpans(4)
-	testRing(t, "spans", 4, func(i int) { spans.Add(obs.NewSpan(i)) }, func() ([]int, int64) {
-		var ids []int
-		for _, sp := range spans.Snapshot() {
-			ids = append(ids, sp.Job)
-		}
-		return ids, spans.Total()
-	})
-	decisions := newDecisionRing(4)
-	testRing(t, "decisions", 4, func(i int) { decisions.add(EpochDecision{Epoch: int64(i)}) }, func() ([]int, int64) {
-		var ids []int
-		for _, dec := range decisions.snapshot() {
-			ids = append(ids, int(dec.Epoch))
-		}
-		return ids, decisions.total
-	})
+	testRing(t, "spans", obs.NewSpan, func(sp obs.Span) int { return sp.Job })
+	testRing(t, "decisions", func(i int) EpochDecision { return EpochDecision{Epoch: int64(i)} },
+		func(dec EpochDecision) int { return int(dec.Epoch) })
+	d, err := New(cluster.Paper20(0.5), sched.NewFair(), obs.NewRegistry(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.spans.buf) != spanRing || len(d.decisions.buf) != 128 {
+		t.Errorf("a default daemon's rings hold %d spans and %d decisions, want %d and 128",
+			len(d.spans.buf), len(d.decisions.buf), spanRing)
+	}
 }
 
-// testRing adds entries 0, 1, … to a ring of n and checks after each add
-// that it reads back the last n of them, oldest first, and the count.
-func testRing(t *testing.T, name string, n int, add func(int), read func() ([]int, int64)) {
+// testRing adds entries 0, 1, … to a ring of four and checks after each
+// add that it reads back the last four of them, oldest first, and the
+// count; id reads an entry's number back.
+func testRing[T any](t *testing.T, name string, entry func(int) T, id func(T) int) {
 	t.Helper()
+	const n = 4
+	r := newRing[T](n)
+	if r.snapshot() != nil || r.total != 0 {
+		t.Fatalf("%s: an empty ring reads %d entries and counts %d", name, len(r.snapshot()), r.total)
+	}
 	for i := 0; i < 3*n; i++ {
-		add(i)
-		ids, total := read()
-		if total != int64(i+1) || len(ids) != min(i+1, n) {
-			t.Fatalf("%s: after %d adds the ring holds %d and counts %d", name, i+1, len(ids), total)
+		r.add(entry(i))
+		got := r.snapshot()
+		if r.total != int64(i+1) || len(got) != min(i+1, n) {
+			t.Fatalf("%s: after %d adds the ring holds %d and counts %d", name, i+1, len(got), r.total)
 		}
-		for k, id := range ids {
-			if want := i + 1 - len(ids) + k; id != want {
-				t.Fatalf("%s: after %d adds slot %d holds %d, want %d (oldest first)", name, i+1, k, id, want)
+		for k, e := range got {
+			if want := i + 1 - len(got) + k; id(e) != want {
+				t.Fatalf("%s: after %d adds slot %d holds %d, want %d (oldest first)", name, i+1, k, id(e), want)
 			}
 		}
 	}
@@ -328,7 +330,9 @@ func TestTenantHistogramsMatchSpans(t *testing.T) {
 	}
 	waitStats(t, ts.URL, func(st *Stats) bool { return st.Jobs[StateDone] == total })
 
-	spans := d.spans.Snapshot()
+	d.mu.Lock()
+	spans := d.spans.snapshot()
+	d.mu.Unlock()
 	perTenant := map[string]int{}
 	for _, sp := range spans {
 		if sp.Outcome != obs.OutcomeDone {
@@ -397,7 +401,7 @@ func TestShedSpansAndReasons(t *testing.T) {
 	if err := d.reg.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("%s{reason=\"queue-cap\"} %d", obs.MServeSheds, cap)
+	want := fmt.Sprintf("%s{decision=%q} %d", obs.MServeAdmissions, obs.ReasonQueueCap, cap)
 	if !strings.Contains(b.String(), want) {
 		t.Errorf("exposition missing %q", want)
 	}

@@ -55,6 +55,7 @@ type epochSummary struct {
 	epoch                     int64
 	queueDepth, tenants       int
 	admitted, done, cancelled int
+	transitions               []obs.Alert // SLO alert state changes
 }
 
 // Step runs one serve epoch, synchronously: snapshot the admission state,
@@ -244,13 +245,13 @@ func (d *Daemon) nextOrigin() cluster.StoreID {
 }
 
 // publish moves the records, under d.mu, to where the step left their
-// jobs: every state change goes through transitionLocked, and the epoch's
-// decision joins the /debug/epochs ring. The obs calls inside the
-// critical section are lock-free atomics (plus a family mutex on first
-// child creation) and never take d.mu, so no ordering hazard. The clock
-// moves on with the cut: the next epoch's admission closes at nextCut, or
-// now if the step ran past it, and a hand-stepped one closes at its own
-// snapshot.
+// jobs: every state change goes through transitionLocked, the epoch's
+// decision joins the /debug/epochs ring, and the SLO engine evaluates at
+// the epoch's end. The obs calls inside the critical section are
+// lock-free atomics (plus a family mutex on first child creation) and
+// never take d.mu, so no ordering hazard. The clock moves on with the
+// cut: the next epoch's admission closes at nextCut, or now if the step
+// ran past it, and a hand-stepped one closes at its own snapshot.
 func (d *Daemon) publish(snap epochSnap, res simResult, nextCut time.Time) epochSummary {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -348,50 +349,58 @@ func (d *Daemon) publish(snap epochSnap, res simResult, nextCut time.Time) epoch
 		}
 		d.decisions.add(dec)
 	}
+	sum.transitions = d.evaluateSLOLocked(res.end)
 	return sum
 }
 
-// report tells the operator about the step, holding no lock: gauges, the
-// SLO burn evaluation with its alert transitions, and the log lines.
+// evaluateSLOLocked evaluates the SLO engine at simulated time t and sets
+// the SLO families from what it leaves, in one d.mu hold, so /alerts,
+// /tenants/{tenant} and a scrape always read one engine state. It returns
+// the alert transitions. Each tenant's burn gauge holds its worst burn
+// across objectives — the page-worthiness signal, not the per-SLO detail
+// (that lives on /alerts).
+func (d *Daemon) evaluateSLOLocked(t float64) []obs.Alert {
+	if !d.burn.Enabled() {
+		return nil
+	}
+	transitions := d.burn.Evaluate(t)
+	for _, ev := range transitions {
+		d.sm.AlertTransitions.With(ev.State).Inc()
+	}
+	d.sm.AlertsFiring.Set(float64(d.burn.Firing()))
+	rates := d.burn.BurnRates() // a tenant's series are adjacent
+	for i := 0; i < len(rates); {
+		tenant, short, long := rates[i].Tenant, 0.0, 0.0
+		for ; i < len(rates) && rates[i].Tenant == tenant; i++ {
+			short, long = max(short, rates[i].BurnShort), max(long, rates[i].BurnLong)
+		}
+		d.sm.BurnRate.With(tenant, obs.WindowShort).Set(short)
+		d.sm.BurnRate.With(tenant, obs.WindowLong).Set(long)
+	}
+	return transitions
+}
+
+// report tells the operator about the step, holding no lock: the epoch
+// gauges and the log lines, the SLO alert transitions publish made among
+// them.
 func (d *Daemon) report(sum epochSummary, res simResult) {
 	d.sm.Epochs.Inc()
 	d.sm.QueueDepth.Set(float64(sum.queueDepth))
 	d.sm.SimSeconds.Set(res.end)
 	d.sm.Tenants.Set(float64(sum.tenants))
 	d.sm.SolveShare.Observe(res.wall.Seconds() / d.cfg.EpochWallInterval.Seconds())
-	if d.burn.Enabled() {
-		for _, ev := range d.burn.Evaluate(res.end) {
-			d.sm.AlertTransitions.With(ev.State).Inc()
-			attrs := []any{
-				obs.LogTenant, ev.Tenant, "slo", ev.SLO, "state", ev.State,
-				"objective_sec", ev.ObjectiveSec,
-				"burn_short", ev.BurnShort, "burn_long", ev.BurnLong,
-				"sim_sec", res.end,
-			}
-			if ev.State == obs.AlertFiring {
-				d.log.Warn("slo alert firing", attrs...)
-			} else {
-				d.log.Info("slo alert "+ev.State, attrs...)
-			}
+	for _, ev := range sum.transitions {
+		attrs := []any{
+			obs.LogTenant, ev.Tenant, "slo", ev.SLO, "state", ev.State,
+			"objective_sec", ev.ObjectiveSec,
+			"burn_short", ev.BurnShort, "burn_long", ev.BurnLong,
+			"sim_sec", res.end,
 		}
-		// The gauge holds each tenant's worst burn across configured
-		// objectives — the page-worthiness signal, not the per-SLO detail
-		// (that lives on /alerts).
-		worstShort := make(map[string]float64)
-		worstLong := make(map[string]float64)
-		for _, a := range d.burn.BurnRates() {
-			if a.BurnShort > worstShort[a.Tenant] || worstShort[a.Tenant] == 0 {
-				worstShort[a.Tenant] = a.BurnShort
-			}
-			if a.BurnLong > worstLong[a.Tenant] || worstLong[a.Tenant] == 0 {
-				worstLong[a.Tenant] = a.BurnLong
-			}
+		if ev.State == obs.AlertFiring {
+			d.log.Warn("slo alert firing", attrs...)
+		} else {
+			d.log.Info("slo alert "+ev.State, attrs...)
 		}
-		for tenant, b := range worstShort {
-			d.sm.BurnRate.With(tenant, obs.WindowShort).Set(b)
-			d.sm.BurnRate.With(tenant, obs.WindowLong).Set(worstLong[tenant])
-		}
-		d.sm.AlertsFiring.Set(float64(d.burn.Firing()))
 	}
 	if res.wall > d.cfg.EpochWallInterval {
 		d.log.Warn("slow epoch",
