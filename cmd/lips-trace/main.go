@@ -137,17 +137,13 @@ func run(out io.Writer, path string, top int, csvPath string, validateOnly, metr
 	return nil
 }
 
-// writeCSV exports every sample event through the Sampler's CSV writer.
+// writeCSV exports every sample event as trace.WriteSamplesCSV's CSV.
 func writeCSV(path string, events []trace.Event) error {
-	s := trace.NewSampler()
-	for _, e := range events {
-		s.Emit(e)
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := s.WriteCSV(f); err != nil {
+	if err := trace.WriteSamplesCSV(f, events); err != nil {
 		f.Close()
 		return err
 	}

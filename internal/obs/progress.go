@@ -2,7 +2,7 @@ package obs
 
 // Progress is the /progress JSON snapshot of a live run. Its first
 // eighteen fields carry exactly the names and units of the trace
-// Sampler's CSV columns (trace.CSVHeader: simulated seconds, exact
+// samples' CSV columns (trace.CSVHeader: simulated seconds, exact
 // microcents) — pinned by TestProgressMatchesSamplerCSV — followed by
 // scheduler- and fault-level extras the CSV does not carry. Cost and
 // locality fields read the exact live counters; the state gauges (tasks,

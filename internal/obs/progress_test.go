@@ -10,7 +10,7 @@ import (
 )
 
 // TestProgressMatchesSamplerCSV pins the field-name and unit agreement
-// between the /progress JSON snapshot and the trace Sampler's CSV export:
+// between the /progress JSON snapshot and the trace samples' CSV export:
 // the first len(CSVHeader) json tags of Progress must be exactly the CSV
 // columns, in order. A divergence means a dashboard reading one would
 // misread the other.

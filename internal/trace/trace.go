@@ -1,9 +1,9 @@
 // Package trace is the structured run-tracing layer of the simulator: a
 // Tracer interface threaded through the scheduling hot paths, a typed
 // event model covering task lifecycles, epoch LP solves, block moves,
-// fault injections and periodic time-series samples, and three sinks —
-// a JSONL structured log, a Chrome trace-event (Perfetto-loadable)
-// exporter, and an in-memory time-series Sampler with CSV output — plus
+// fault injections and periodic time-series samples, two sinks — a
+// JSONL structured log and a Chrome trace-event (Perfetto-loadable)
+// exporter — and a CSV writer for a trace's samples (WriteSamplesCSV), plus
 // the money table (charges.go) that says under which ledger category and
 // tenant each event's charge is booked.
 //

@@ -126,14 +126,15 @@ func TestReadAllRejects(t *testing.T) {
 }
 
 func TestSamplerCSV(t *testing.T) {
-	s := NewSampler()
-	s.Emit(Event{T: 0, Kind: KindSample, Sample: &SampleInfo{FreeSlots: 4, LiveSlots: 4}})
-	s.Emit(Event{T: 60, Kind: KindDone, Task: &TaskInfo{}}) // ignored
-	s.Emit(Event{T: 120, Kind: KindSample, Sample: &SampleInfo{
-		Done: 2, FreeSlots: 2, LiveSlots: 4, BusySlotSec: 90,
-		TotalUC: 150000000, CPUUC: 100000000, TransferUC: 50000000, NodeLocal: 2}})
+	events := []Event{
+		{T: 0, Kind: KindSample, Sample: &SampleInfo{FreeSlots: 4, LiveSlots: 4}},
+		{T: 60, Kind: KindDone, Task: &TaskInfo{}}, // skipped
+		{T: 120, Kind: KindSample, Sample: &SampleInfo{
+			Done: 2, FreeSlots: 2, LiveSlots: 4, BusySlotSec: 90,
+			TotalUC: 150000000, CPUUC: 100000000, TransferUC: 50000000, NodeLocal: 2}},
+	}
 	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
+	if err := WriteSamplesCSV(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
