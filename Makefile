@@ -18,12 +18,14 @@ vet:
 
 # The sizes the ROADMAP tracks, so simplicity PRs report them alike. The
 # settable values are testdata/settings.golden's lines, one per option
-# field a caller can set.
+# field a caller can set; the metric families are the lips_ name
+# constants in internal/obs/names.go.
 loc:
 	@echo "non-test Go outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l) lines"
 	@echo "scripts/*.sh: $$(cat scripts/*.sh | wc -l) lines"
 	@echo "DESIGN.md: $$(grep -c '^## ' DESIGN.md) sections, $$(wc -l < DESIGN.md) lines"
 	@echo "settable values: $$(wc -l < testdata/settings.golden)"
+	@echo "metric families: $$(grep -c '= "lips_' internal/obs/names.go)"
 
 # Every lips/internal function no shipped entry point runs, held to
 # testdata/unexercised.allow (~45 s). The traffic, all built with -cover:
