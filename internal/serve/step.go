@@ -381,8 +381,8 @@ func (d *Daemon) evaluateSLOLocked(t float64) []obs.Alert {
 }
 
 // report tells the operator about the step, holding no lock: the epoch
-// gauges and the log lines, the SLO alert transitions publish made among
-// them.
+// gauges, and log lines for the step and for the SLO alert transitions
+// publish made.
 func (d *Daemon) report(sum epochSummary, res simResult) {
 	d.sm.Epochs.Inc()
 	d.sm.QueueDepth.Set(float64(sum.queueDepth))
