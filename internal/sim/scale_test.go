@@ -189,6 +189,65 @@ func specStub() *stubSched {
 	return ss
 }
 
+// cancelStub is specStub that, at every 20th task completion, cancels the
+// oldest arrived job with a speculative copy running, so CancelJob kills
+// running primaries and their copies alike.
+func cancelStub() *stubSched {
+	ss := specStub()
+	ss.name = "cancel-stub"
+	done := 0
+	ss.onTaskDone = func(s *Sim, _, _ int) {
+		if done++; done%20 != 0 {
+			return
+		}
+		for _, j := range s.ArrivedJobs() {
+			for f := s.taskBase[j]; f < s.taskBase[j+1]; f++ {
+				if s.tasks[f].spec >= 0 {
+					if err := s.CancelJob(j); err != nil {
+						panic(err)
+					}
+					return
+				}
+			}
+		}
+	}
+	return ss
+}
+
+// killKinds labels the kills in a JSONL trace: each kill's reason, with
+// ":copy" for a speculative copy's, and a timeout also by the read it cut
+// short — ":dedicated" after a node-local launch, whose read never shares
+// a link, ":shared" after any other.
+func killKinds(t *testing.T, tr []byte) map[string]bool {
+	t.Helper()
+	evs, err := trace.ReadAll(bytes.NewReader(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := make(map[string]bool)
+	local := make(map[[2]int]bool) // the primary's last launch was node-local
+	for _, e := range evs {
+		if e.Task == nil {
+			continue
+		}
+		key := [2]int{e.Task.Job, e.Task.Task}
+		switch {
+		case e.Kind == trace.KindLaunch && !e.Task.Speculative:
+			local[key] = e.Task.Locality == NodeLocal.String()
+		case e.Kind == trace.KindKill && e.Task.Speculative:
+			kinds[e.Task.Reason+":copy"] = true
+		case e.Kind == trace.KindKill:
+			kinds[e.Task.Reason] = true
+			if e.Task.Reason == "timeout" && local[key] {
+				kinds["timeout:dedicated"] = true
+			} else if e.Task.Reason == "timeout" {
+				kinds["timeout:shared"] = true
+			}
+		}
+	}
+	return kinds
+}
+
 // TestDispatchGolden freezes what the full-scan control paths produced.
 // testdata/dispatch.golden was recorded through the O(nodes)/O(tasks)
 // scans crashNode, store loss, KickIdleNodes and scanSample used to run
@@ -196,7 +255,11 @@ func specStub() *stubSched {
 // the JSONL trace — every launch, kill, fault replay and sample counter —
 // plus cost, makespan and fault counters, under speculation, faults and
 // batched notifications. The indexed paths must keep reproducing it bit
-// for bit. To re-record after an intended change, paste the printed lines.
+// for bit. shared-spec-churn (shared links, a timeout shorter than a
+// local block read) and cancel-churn (CancelJob on jobs with copies
+// running) pin every way an attempt ends; each scenario must show the
+// kills it exists for, so it cannot drift off its path unseen. To
+// re-record after an intended change, paste the printed lines.
 func TestDispatchGolden(t *testing.T) {
 	golden, err := os.ReadFile("testdata/dispatch.golden")
 	if err != nil {
@@ -205,20 +268,29 @@ func TestDispatchGolden(t *testing.T) {
 	c, w := buildScaleRun(64, 2000, 11)
 	faults := RandomFaultPlan(11, c, FaultSpec{Crashes: 3, StoreLosses: 2, Slowdowns: 2})
 	churn := RandomFaultPlan(12, c, FaultSpec{Crashes: 12, StoreLosses: 6, Slowdowns: 4})
+	crashes := []string{"node-crash"}
+	specCrashes := []string{"node-crash", "speculative", "speculative:copy"}
 	for _, tc := range []struct {
 		name  string
 		sched func() Scheduler
 		opts  Options
+		kills []string // kill labels (killKinds) the trace must carry
 	}{
 		{"spec-faults", func() Scheduler { return specStub() },
-			Options{Speculative: true, Faults: faults}},
+			Options{Speculative: true, Faults: faults}, specCrashes},
 		{"batch-faults", func() Scheduler { return &batchStub{} },
-			Options{Faults: faults}},
-		{"plain", func() Scheduler { return greedyStub() }, Options{}},
+			Options{Faults: faults}, crashes},
+		{"plain", func() Scheduler { return greedyStub() }, Options{}, nil},
 		{"spec-churn", func() Scheduler { return specStub() },
-			Options{Speculative: true, Faults: churn}},
+			Options{Speculative: true, Faults: churn}, specCrashes},
 		{"batch-churn", func() Scheduler { return &batchStub{} },
-			Options{Faults: churn}},
+			Options{Faults: churn}, crashes},
+		{"shared-spec-churn", func() Scheduler { return specStub() },
+			Options{SharedLinks: true, Speculative: true, Faults: churn, TaskTimeoutSec: 0.6},
+			append([]string{"timeout:dedicated", "timeout:shared", "store-loss"}, specCrashes...)},
+		{"cancel-churn", func() Scheduler { return cancelStub() },
+			Options{Speculative: true, Faults: churn},
+			append([]string{"cancel", "cancel:copy", "store-loss"}, specCrashes...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr, r := runScaleTrace(t, c, w, tc.sched(), tc.opts, 11)
@@ -229,6 +301,12 @@ func TestDispatchGolden(t *testing.T) {
 				f.TasksReexecuted, f.BlocksReplicated, f.BlocksLost)
 			if !strings.Contains("\n"+string(golden), "\n"+got+"\n") {
 				t.Errorf("not a line of testdata/dispatch.golden:\n%s", got)
+			}
+			kinds := killKinds(t, tr)
+			for _, k := range tc.kills {
+				if !kinds[k] {
+					t.Errorf("no %q kill in the trace; it has %v", k, kinds)
+				}
 			}
 		})
 	}
