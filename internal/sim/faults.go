@@ -8,7 +8,6 @@ import (
 	"lips/internal/cluster"
 	"lips/internal/cost"
 	"lips/internal/hdfs"
-	"lips/internal/trace"
 )
 
 // Fault injection. A FaultPlan is a deterministic script of node crashes,
@@ -204,7 +203,7 @@ func (s *Sim) crashNode(n cluster.NodeID) {
 	s.clearIdle(n)
 	s.Faults.NodesCrashed++
 
-	for _, f := range s.nodeHits(n) {
+	for _, f := range s.runningHits(func(a *attempt) bool { return a.node == n }) {
 		s.crashHit(f, n)
 	}
 	// Drain the pinned queue: those tasks were promised this node's slots.
@@ -227,19 +226,14 @@ func (s *Sim) crashNode(n cluster.NodeID) {
 func (s *Sim) crashHit(flat int32, n cluster.NodeID) {
 	ti := &s.tasks[flat]
 	j, t := int(ti.job), int(ti.idx)
-	if ti.spec >= 0 && s.specs[ti.spec].node == n {
+	if c := s.attemptOf(ti, true); c != nil && c.node == n {
 		s.cancelSpeculative(j, t, false, "node-crash")
 	}
 	if TaskState(s.states[flat]) == Running && ti.node == n {
-		// Untrack first: the spec kill's dispatch runs scheduler code,
-		// which must not speculate on this dying attempt.
-		s.untrackPrimary(ti)
-		if ti.spec >= 0 {
-			// The surviving speculative copy could in principle be
-			// promoted; Hadoop instead re-runs the task, and so do
-			// we — both copies die with the primary's node.
-			s.cancelSpeculative(j, t, true, "node-crash")
-		}
+		// The surviving speculative copy could in principle be promoted;
+		// Hadoop instead re-runs the task, and so do we — both copies
+		// die with the primary's node.
+		s.dropCopy(ti, "node-crash")
 		s.failAttempt(j, t, false, "node-crash")
 	}
 }
@@ -269,25 +263,10 @@ func (s *Sim) recoverNode(n cluster.NodeID) {
 // to Pending for re-execution. freeSlot is false when the slot died with
 // its node; reason labels the kill in the trace.
 func (s *Sim) failAttempt(job, task int, freeSlot bool, reason string) {
-	ti := s.task(job, task)
-	n := ti.node
-	if ti.flow != nil {
-		s.net.cancel(ti.flow)
-		ti.flow = nil
-	}
 	billed, burned := s.partialBurn(job, task)
-	if burned {
-		s.charge(trace.KillCategory(reason), job, billed)
-	}
-	s.untrackPrimary(ti)
-	ti.gen++
 	s.setStateFlat(job, s.flat(job, task), Pending)
 	s.Faults.TasksReexecuted++
-	s.noteKill(job, task, n, reason, billed, false)
-	if freeSlot {
-		s.slotFreed(n)
-		s.dispatch(n)
-	}
+	s.endAttempt(s.task(job, task), false, reason, billed, burned, freeSlot)
 }
 
 // loseStore wipes a store's data: every replica on it disappears (the
@@ -334,7 +313,7 @@ func (s *Sim) loseStore(st cluster.StoreID) {
 	// ascending task order; the store replicas were dropped above, so no
 	// freed slot launched mid-loop can start a new read from st and escape
 	// the pre-collected list.
-	for _, f := range s.storeHits(st) {
+	for _, f := range s.runningHits(func(a *attempt) bool { return a.store == st }) {
 		s.storeLossHit(f, st)
 	}
 }
@@ -343,20 +322,17 @@ func (s *Sim) loseStore(st cluster.StoreID) {
 func (s *Sim) storeLossHit(flat int32, st cluster.StoreID) {
 	ti := &s.tasks[flat]
 	j, t := int(ti.job), int(ti.idx)
-	if ti.spec >= 0 {
-		sp := &s.specs[ti.spec]
-		if sp.store == st && s.clock < sp.transferEndAt-1e-9 {
-			s.cancelSpeculative(j, t, true, "store-loss")
-		}
+	if c := s.attemptOf(ti, true); c != nil && c.store == st && s.clock < c.transferEndAt-1e-9 {
+		s.cancelSpeculative(j, t, true, "store-loss")
 	}
-	if TaskState(s.states[flat]) == Running && ti.store == st && s.inTransfer(ti) {
+	if TaskState(s.states[flat]) == Running && ti.store == st && s.inTransfer(&ti.attempt) {
 		s.failAttempt(j, t, true, "store-loss")
 	}
 }
 
-// inTransfer reports whether a Running task's input read is unfinished.
-func (s *Sim) inTransfer(ti *taskInfo) bool {
-	return ti.flow != nil || s.clock < ti.transferEndAt-1e-9
+// inTransfer reports whether an attempt's input read is unfinished.
+func (s *Sim) inTransfer(a *attempt) bool {
+	return a.flow != nil || s.clock < a.transferEndAt-1e-9
 }
 
 // replicaTarget picks the cheapest-to-reach store (from the block's

@@ -11,8 +11,8 @@ package sim
 //     and the sample scan reads two integers;
 //   - a running-attempt index s.running: one packed ref (flat<<1|specBit)
 //     per in-flight attempt, with O(1) swap-remove via the position each
-//     attempt stores — fault replay filters ~totalSlots refs instead of
-//     scanning every task;
+//     attempt record stores — fault replay filters ~totalSlots refs
+//     instead of scanning every task;
 //   - per-state task counters (stateCount, corrected by unarrived for
 //     not-yet-arrived jobs) maintained by setStateFlat;
 //   - a job index: the arrived, incomplete jobs as an intrusive doubly
@@ -41,9 +41,9 @@ package sim
 //	freeSlots       = Σ nodes[n].free over live nodes
 //	liveSlots       = Σ C.Nodes[n].Slots over live nodes
 //	downNodes       = #nodes with nodes[n].down
-//	running         = exactly one ref per Running primary (flat<<1, at
-//	                  tasks[flat].runPos) and one per live speculative
-//	                  copy (flat<<1|1, at specs[tasks[flat].spec].runPos)
+//	running         = exactly one ref per Running primary (flat<<1) and
+//	                  one per live speculative copy (flat<<1|1), each at
+//	                  the runPos of its attemptOf record
 //	stateCount[st]  = #tasks in state st (all jobs); unarrived = #tasks
 //	                  of not-yet-arrived jobs, which are always Pending
 //	active list     = arrived jobs in fifoPos order, filtered by
@@ -97,28 +97,28 @@ func (s *Sim) slotFreed(n cluster.NodeID) {
 }
 
 // trackRunning registers an attempt ref (flat<<1 | specBit) and returns
-// its position, which the attempt must store for untrackRunning.
+// its position, which the attempt's record stores for untrack.
 func (s *Sim) trackRunning(ref int32) int32 {
 	pos := int32(len(s.running))
 	s.running = append(s.running, ref)
 	return pos
 }
 
-// untrackRunning swap-removes the ref at pos, fixing up the stored
-// position of the ref that moved into its place.
-func (s *Sim) untrackRunning(pos int32) {
+// untrack drops an attempt from the running index, idempotently: fault
+// replay can reach an attempt through more than one path, and only the
+// first removal counts. The ref that moves into its place has its stored
+// position fixed up.
+func (s *Sim) untrack(a *attempt) {
+	if a.runPos < 0 {
+		return
+	}
 	last := int32(len(s.running)) - 1
-	moved := s.running[last]
-	if pos != last {
-		s.running[pos] = moved
-		flat := moved >> 1
-		if moved&1 == 1 {
-			s.specs[s.tasks[flat].spec].runPos = pos
-		} else {
-			s.tasks[flat].runPos = pos
-		}
+	if moved := s.running[last]; a.runPos != last {
+		s.running[a.runPos] = moved
+		s.attemptOf(&s.tasks[moved>>1], moved&1 == 1).runPos = a.runPos
 	}
 	s.running = s.running[:last]
+	a.runPos = -1
 }
 
 // setStateFlat transitions task flat of job to st, keeping the run's and
@@ -179,21 +179,19 @@ func (s *Sim) unlinkActive(job int) {
 	s.nActive--
 }
 
-// allocSpec takes a speculative-attempt record from the free-list (or
-// grows the pool) and attaches it to ti. The returned pointer is
-// invalidated by the next allocSpec — do not hold it across one.
-func (s *Sim) allocSpec(ti *taskInfo) *specAttempt {
-	var idx int32
+// allocSpec takes a record for ti's speculative copy from the free-list
+// (or grows the pool) and attaches it to ti; the caller fills it in. The
+// returned pointer is invalidated by the next allocSpec — do not hold it
+// across one.
+func (s *Sim) allocSpec(ti *taskInfo) *attempt {
 	if n := len(s.specFree); n > 0 {
-		idx = s.specFree[n-1]
+		ti.spec = s.specFree[n-1]
 		s.specFree = s.specFree[:n-1]
-		s.specs[idx] = specAttempt{}
 	} else {
-		idx = int32(len(s.specs))
-		s.specs = append(s.specs, specAttempt{})
+		ti.spec = int32(len(s.specs))
+		s.specs = append(s.specs, attempt{})
 	}
-	ti.spec = idx
-	return &s.specs[idx]
+	return s.attemptOf(ti, true)
 }
 
 // freeSpec returns ti's speculative record to the free-list.
@@ -202,41 +200,17 @@ func (s *Sim) freeSpec(ti *taskInfo) {
 	ti.spec = -1
 }
 
-// nodeHits collects the flat indices of tasks with an attempt (primary or
-// speculative) on node n, deduplicated and sorted ascending — the order
-// a scan of the task table visits them in, which fault replay follows so
-// traces stay byte-identical with testdata/dispatch.golden. The slice is
-// scratch, valid until the next collection.
-func (s *Sim) nodeHits(n cluster.NodeID) []int32 {
+// runningHits collects the flat indices of tasks with a running attempt
+// (primary or speculative) that hit reports true for, deduplicated and
+// sorted ascending — the order a scan of the task table visits them in,
+// which fault replay follows so traces stay byte-identical with
+// testdata/dispatch.golden. The slice is scratch, valid until the next
+// collection.
+func (s *Sim) runningHits(hit func(*attempt) bool) []int32 {
 	hits := s.hitBuf[:0]
 	for _, ref := range s.running {
-		flat := ref >> 1
-		ti := &s.tasks[flat]
-		if ref&1 == 1 {
-			if s.specs[ti.spec].node == n {
-				hits = append(hits, flat)
-			}
-		} else if ti.node == n {
-			hits = append(hits, flat)
-		}
-	}
-	s.hitBuf = hits
-	return sortDedup(hits)
-}
-
-// storeHits collects the flat indices of tasks with an attempt reading
-// from store st, deduplicated and sorted ascending.
-func (s *Sim) storeHits(st cluster.StoreID) []int32 {
-	hits := s.hitBuf[:0]
-	for _, ref := range s.running {
-		flat := ref >> 1
-		ti := &s.tasks[flat]
-		if ref&1 == 1 {
-			if s.specs[ti.spec].store == st {
-				hits = append(hits, flat)
-			}
-		} else if ti.store == st {
-			hits = append(hits, flat)
+		if hit(s.attemptOf(&s.tasks[ref>>1], ref&1 == 1)) {
+			hits = append(hits, ref>>1)
 		}
 	}
 	s.hitBuf = hits

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"lips/internal/cluster"
 	"lips/internal/trace"
@@ -436,16 +437,11 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 	verifyLocalityIndexes(t, s)
 
 	// Every ref in the running index must point back at itself through the
-	// attempt's stored position — the swap-remove fixup invariant.
+	// attempt record's stored position — the swap-remove fixup invariant.
 	for pos, ref := range s.running {
 		flat := ref >> 1
-		ti := &s.tasks[flat]
-		if ref&1 == 1 {
-			if ti.spec < 0 || s.specs[ti.spec].runPos != int32(pos) {
-				t.Fatalf("running[%d]=spec ref for flat=%d, but stored pos disagrees", pos, flat)
-			}
-		} else if ti.runPos != int32(pos) {
-			t.Fatalf("running[%d]=primary ref for flat=%d, but stored pos %d disagrees", pos, flat, ti.runPos)
+		if a := s.attemptOf(&s.tasks[flat], ref&1 == 1); a == nil || a.runPos != int32(pos) {
+			t.Fatalf("running[%d]=%#x (flat=%d): the attempt's record does not hold that position", pos, ref, flat)
 		}
 	}
 	verifyHits(t, s, strict)
@@ -453,21 +449,23 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 		return
 	}
 	refs := 0
-	for flat := range s.tasks {
-		ti := &s.tasks[flat]
-		if TaskState(s.states[flat]) == Running {
-			refs++
-			pos := ti.runPos
-			if pos < 0 || pos >= int32(len(s.running)) || s.running[pos] != int32(flat)<<1 {
-				t.Fatalf("task flat=%d: primary ref missing from running index (pos=%d)", flat, pos)
-			}
+	tracked := func(flat int, speculative bool) {
+		ref := int32(flat) << 1
+		if speculative {
+			ref |= 1
 		}
-		if ti.spec >= 0 {
-			refs++
-			pos := s.specs[ti.spec].runPos
-			if pos < 0 || pos >= int32(len(s.running)) || s.running[pos] != int32(flat)<<1|1 {
-				t.Fatalf("task flat=%d: spec ref missing from running index (pos=%d)", flat, pos)
-			}
+		pos := s.attemptOf(&s.tasks[flat], speculative).runPos
+		if pos < 0 || pos >= int32(len(s.running)) || s.running[pos] != ref {
+			t.Fatalf("task flat=%d (speculative %v): ref missing from running index (pos=%d)", flat, speculative, pos)
+		}
+		refs++
+	}
+	for flat := range s.tasks {
+		if TaskState(s.states[flat]) == Running {
+			tracked(flat, false)
+		}
+		if s.tasks[flat].spec >= 0 {
+			tracked(flat, true)
 		}
 	}
 	if refs != len(s.running) {
@@ -475,9 +473,9 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 	}
 }
 
-// verifyHits requires nodeHits and storeHits — the victims fault replay
-// visits — to equal what crashNode and store loss used to find by
-// filtering the whole task table in ascending order: tasks with a
+// verifyHits requires runningHits by node and by store — the victims
+// fault replay visits — to equal what crashNode and store loss used to
+// find by filtering the whole task table in ascending order: tasks with a
 // speculative copy, or a Running primary, on the node or reading the
 // store. Outside quiescent points (strict=false) a completing task's
 // attempts can already be untracked while its record still shows them, so
@@ -494,33 +492,34 @@ func verifyHits(t *testing.T, s *Sim, strict bool) {
 			want[at] = append(l, flat)
 		}
 	}
-	for f := range s.tasks {
-		flat, ti := int32(f), &s.tasks[f]
-		if TaskState(s.states[f]) == Running && (strict || ti.runPos >= 0) {
-			add(wantNode, int(ti.node), flat)
-			add(wantStore, int(ti.store), flat)
-		}
-		if ti.spec >= 0 {
-			sp := &s.specs[ti.spec]
-			if strict || (int(sp.runPos) < len(s.running) && s.running[sp.runPos] == flat<<1|1) {
-				add(wantNode, int(sp.node), flat)
-				add(wantStore, int(sp.store), flat)
-			}
+	addAttempt := func(a *attempt, flat int32) {
+		if a != nil && (strict || a.runPos >= 0) {
+			add(wantNode, int(a.node), flat)
+			add(wantStore, int(a.store), flat)
 		}
 	}
-	// The collectors share one scratch buffer that fault replay may be
+	for f := range s.tasks {
+		ti := &s.tasks[f]
+		if TaskState(s.states[f]) == Running {
+			addAttempt(&ti.attempt, int32(f))
+		}
+		addAttempt(s.attemptOf(ti, true), int32(f))
+	}
+	// The collector's scratch buffer is one that fault replay may be
 	// ranging over when a kill's dispatch lands here: leave it alone.
 	scratch := s.hitBuf
 	s.hitBuf = nil
 	defer func() { s.hitBuf = scratch }()
 	for n := range wantNode {
-		if got := s.nodeHits(cluster.NodeID(n)); !slices.Equal(got, wantNode[n]) {
-			t.Fatalf("nodeHits(%d) = %v, full-table filter %v", n, got, wantNode[n])
+		got := s.runningHits(func(a *attempt) bool { return a.node == cluster.NodeID(n) })
+		if !slices.Equal(got, wantNode[n]) {
+			t.Fatalf("running hits on node %d = %v, full-table filter %v", n, got, wantNode[n])
 		}
 	}
 	for st := range wantStore {
-		if got := s.storeHits(cluster.StoreID(st)); !slices.Equal(got, wantStore[st]) {
-			t.Fatalf("storeHits(%d) = %v, full-table filter %v", st, got, wantStore[st])
+		got := s.runningHits(func(a *attempt) bool { return a.store == cluster.StoreID(st) })
+		if !slices.Equal(got, wantStore[st]) {
+			t.Fatalf("running hits on store %d = %v, full-table filter %v", st, got, wantStore[st])
 		}
 	}
 }
@@ -671,6 +670,18 @@ func TestKillDuringBatchedSlotFree(t *testing.T) {
 		if got := s.JobRemaining(j); got != 0 {
 			t.Fatalf("job %d still has %d tasks after churn", j, got)
 		}
+	}
+}
+
+// TestRecordLayout holds the task table's row and the pooled copy record
+// to their sizes: batch-10k-scale keeps 2M taskInfo rows, so each byte a
+// row grows costs 2 MB of retained heap there.
+func TestRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(taskInfo{}); got > 104 {
+		t.Errorf("taskInfo is %d bytes, budget 104", got)
+	}
+	if got := unsafe.Sizeof(attempt{}); got > 64 {
+		t.Errorf("attempt is %d bytes, budget 64", got)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"lips/internal/cluster"
 	"lips/internal/hdfs"
 	"lips/internal/obs"
-	"lips/internal/trace"
 	"lips/internal/workload"
 )
 
@@ -217,7 +216,7 @@ func (s *Sim) AddJob(job workload.Job, obj *hdfs.DataObject) (int, error) {
 	s.taskBase = append(s.taskBase, s.taskBase[j]+int32(job.NumTasks))
 	for t := 0; t < job.NumTasks; t++ {
 		s.tasks = append(s.tasks, taskInfo{
-			job: int32(j), idx: int32(t), qNode: -1, spec: -1, runPos: -1,
+			job: int32(j), idx: int32(t), qNode: -1, spec: -1, attempt: attempt{runPos: -1},
 		})
 		s.states = append(s.states, uint8(Pending))
 	}
@@ -264,31 +263,18 @@ func (s *Sim) CancelJob(job int) error {
 			s.noteKill(job, int(f-base), cluster.NodeID(-1), "cancel", 0, false)
 		}
 	}
-	// Pass 2: kill the running attempts, billing each one's partial burn.
-	// The charge is booked even at zero: it opens the tenant's ledger
-	// entry.
+	// Pass 2: kill the running attempts, copies first (dropCopy), billing
+	// each primary its partial burn. The charge is booked even at zero:
+	// it opens the tenant's ledger entry.
 	for f := base; f < end; f++ {
 		if TaskState(s.states[f]) != Running {
 			continue
 		}
 		ti := &s.tasks[f]
-		t := int(f - base)
-		n := ti.node
-		billed, _ := s.partialBurn(job, t)
-		s.charge(trace.KillCategory("cancel"), job, billed)
-		if ti.flow != nil {
-			s.net.cancel(ti.flow)
-			ti.flow = nil
-		}
-		s.untrackPrimary(ti)
-		if ti.spec >= 0 {
-			s.cancelSpeculative(job, t, true, "cancel")
-		}
-		ti.gen++
+		billed, _ := s.partialBurn(job, int(f-base))
+		s.dropCopy(ti, "cancel")
 		s.setStateFlat(job, f, Done)
-		s.noteKill(job, t, n, "cancel", billed, false)
-		s.slotFreed(n)
-		s.dispatch(n)
+		s.endAttempt(ti, false, "cancel", billed, true, true)
 	}
 	if !js.arrived {
 		// All of an unarrived job's tasks were counted in unarrived (they

@@ -271,10 +271,11 @@ func (s *Sim) pop() event {
 }
 
 // taskInfo is one task's record in the flat table. The state column lives
-// separately in Sim.states so state sweeps touch one byte per task; the
-// nine per-task speculative fields of the old layout live in a pooled
-// side record (specAttempt) reached through spec, since at any instant
-// almost no task has a speculative copy.
+// separately in Sim.states so state sweeps touch one byte per task. The
+// primary attempt's record is embedded; a speculative copy's is a pooled
+// record of the same type (Sim.specs) reached through spec, since at any
+// instant almost no task has a copy. Both generations stay here, not in
+// the records, because a pooled record is reused by other tasks' copies.
 type taskInfo struct {
 	job, idx int32 // own coordinates (inverse of the flat index)
 	attempts int32
@@ -282,38 +283,33 @@ type taskInfo struct {
 	specGen  int32 // incremented per spec settle/cancel; voids spec events
 	qSeq     int32 // bumped per enqueue; voids stale queue entries
 	qNode    int32 // node whose queue holds the live entry; -1 none
-	runPos   int32 // position in Sim.running while the primary runs
 	spec     int32 // index into Sim.specs; -1 when no speculative copy
 
-	node  cluster.NodeID
-	store cluster.StoreID // input store of the running attempt
+	attempt // the primary
 
-	doneAt  float64
-	startAt float64
-	// wallSec is the dedicated-rate attempt's expected wall time,
-	// stored at launch so the completion event re-bills the exact float
-	// the legacy closure captured ((startAt+d)−startAt ≠ d in floating
-	// point). transferEndAt is when the input read finishes
-	// (shared-link reads track flow instead). price is the node's
-	// ECU-second price sampled at attempt start — the price the attempt
-	// is billed at even if the spot multiplier moves later.
+	// doneAt is the primary's expected finish while it runs, then the
+	// task's completion time.
+	doneAt float64
+}
+
+// attempt is one execution attempt, a task's primary or its speculative
+// copy.
+type attempt struct {
+	node  cluster.NodeID
+	store cluster.StoreID // input store; NoStore for a task without input
+	start float64
+	// wallSec is the dedicated-rate attempt's expected wall time, stored
+	// at launch so the completion event re-bills the exact float the
+	// legacy closure captured ((start+d)−start ≠ d in floating point).
+	// transferEndAt is when the input read finishes (shared-link reads
+	// track flow instead). price is the node's ECU-second price sampled
+	// at attempt start — the price the attempt is billed at even if the
+	// spot multiplier moves later.
 	wallSec       float64
 	transferEndAt float64
 	price         cost.Money
 	flow          *flow // in-flight shared-link transfer, if any
-}
-
-// specAttempt is one running speculative copy, pooled with a free-list.
-type specAttempt struct {
-	node          cluster.NodeID
-	store         cluster.StoreID
-	start         float64
-	cpuSec        float64
-	wallSec       float64
-	transferEndAt float64
-	price         cost.Money
-	flow          *flow
-	runPos        int32 // position in Sim.running
+	runPos        int32 // position in Sim.running while it runs; -1 once untracked
 }
 
 type jobState struct {
@@ -422,14 +418,14 @@ type Sim struct {
 	locs      []*locIndex
 
 	// Flat task table: task (j, t) lives at taskBase[j]+t. states is the
-	// hot column; specs/specFree pool the speculative side records.
+	// hot column; specs/specFree pool the speculative copies' records.
 	// tableErr is set by New, and returned by Start, when the workload's
 	// tasks do not fit the table; New then allocates no task rows.
 	tasks    []taskInfo
 	taskBase []int32 // len(jobs)+1; taskBase[len(jobs)] = total tasks
 	tableErr error
 	states   []uint8
-	specs    []specAttempt
+	specs    []attempt
 	specFree []int32
 
 	// Incremental indexes; see index.go for the invariants.

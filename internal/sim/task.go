@@ -87,7 +87,40 @@ func (s *Sim) Launch(job, task int, n cluster.NodeID, store cluster.StoreID) err
 	return nil
 }
 
-// startAttempt begins one execution attempt (primary or speculative).
+// attemptOf returns the record of ti's primary attempt or, when
+// speculative, of its speculative copy — nil when it has none.
+func (s *Sim) attemptOf(ti *taskInfo, speculative bool) *attempt {
+	switch {
+	case !speculative:
+		return &ti.attempt
+	case ti.spec < 0:
+		return nil
+	}
+	return &s.specs[ti.spec]
+}
+
+// genOf returns the generation that stamps the events of ti's primary
+// or, when speculative, of its copy.
+func (ti *taskInfo) genOf(speculative bool) int32 {
+	if speculative {
+		return ti.specGen
+	}
+	return ti.gen
+}
+
+// liveAttempt returns the record of the task's primary or copy while
+// events stamped gen are still its own, and nil once that attempt has
+// ended: completed, killed or, for a copy, settled.
+func (s *Sim) liveAttempt(job, task int, speculative bool, gen int32) *attempt {
+	ti := s.task(job, task)
+	if ti.genOf(speculative) != gen {
+		return nil
+	}
+	return s.attemptOf(ti, speculative)
+}
+
+// startAttempt begins one execution attempt, the task's primary or a
+// speculative copy.
 func (s *Sim) startAttempt(job, task int, n cluster.NodeID, store cluster.StoreID, speculative bool) {
 	flat := s.flat(job, task)
 	ti := &s.tasks[flat]
@@ -106,16 +139,9 @@ func (s *Sim) startAttempt(job, task int, n cluster.NodeID, store cluster.StoreI
 	// The attempt is billed at the node's price when it starts, so spot
 	// moves after launch do not reprice work already underway.
 	price := s.priceOf(node)
+	ref, a := flat<<1, &ti.attempt
 	if speculative {
-		sp := s.allocSpec(ti)
-		sp.node = n
-		sp.store = store
-		sp.start = s.clock
-		sp.cpuSec = cpuSec
-		sp.wallSec = transferSec + runSec
-		sp.transferEndAt = s.clock + transferSec
-		sp.price = price
-		sp.runPos = s.trackRunning(flat<<1 | 1)
+		ref, a = ref|1, s.allocSpec(ti)
 	} else {
 		s.setStateFlat(job, flat, Running)
 		if js := &s.jobs[job]; js.firstLaunch < 0 {
@@ -126,28 +152,24 @@ func (s *Sim) startAttempt(job, task int, n cluster.NodeID, store cluster.StoreI
 				js.firstEnqueue = s.clock
 			}
 		}
-		ti.node = n
-		ti.store = store
 		ti.attempts++
-		ti.startAt = s.clock
-		// Store the expected wall time itself: the completion event
-		// re-bills this exact float, and (startAt+d)−startAt ≠ d in
-		// floating point.
-		ti.wallSec = transferSec + runSec
 		ti.doneAt = s.clock + transferSec + runSec // expected finish
-		ti.transferEndAt = s.clock + transferSec
-		ti.price = price
-		ti.runPos = s.trackRunning(flat << 1)
+	}
+	*a = attempt{
+		node: n, store: store, start: s.clock,
+		wallSec:       transferSec + runSec,
+		transferEndAt: s.clock + transferSec,
+		price:         price,
+		runPos:        s.trackRunning(ref),
 	}
 	loc := s.observeLocality(n, store, j.HasInput())
 	s.noteLaunch(job, task, int(ti.attempts), n, store, loc, speculative)
 
 	if s.opts.SharedLinks && mb > 0 && node.Store != store {
-		s.startSharedAttempt(job, task, n, store, cpuSec, mb, runSec, speculative, ti.gen)
+		s.startSharedAttempt(job, task, mb, runSec, speculative)
 		return
 	}
-	timedOut := transferSec > s.opts.TaskTimeoutSec && int(ti.attempts) <= s.opts.maxAttempts && !speculative
-	if timedOut {
+	if !speculative && transferSec > s.opts.TaskTimeoutSec && int(ti.attempts) <= s.opts.maxAttempts {
 		// Hadoop's progress timeout: the task is killed after the
 		// timeout window; the bytes moved so far are still billed. No
 		// completion event is scheduled — the timeout is this attempt's
@@ -155,144 +177,99 @@ func (s *Sim) startAttempt(job, task int, n cluster.NodeID, store cluster.StoreI
 		s.schedule(s.clock+s.opts.TaskTimeoutSec, evTimeout, int32(job), int32(task), ti.gen, 0)
 		return
 	}
-	if speculative {
-		s.schedule(s.clock+transferSec+runSec, evComplete, int32(job), int32(task), ti.specGen, 1)
-		return
-	}
-	s.schedule(s.clock+transferSec+runSec, evComplete, int32(job), int32(task), ti.gen, 0)
+	s.schedule(s.clock+transferSec+runSec, evComplete, int32(job), int32(task), ti.genOf(speculative), ref&1)
 }
 
 // timeoutEvent fires Hadoop's progress timeout on a dedicated-rate
 // primary attempt (evTimeout).
 func (s *Sim) timeoutEvent(job, task int, gen int32) {
-	ti := s.task(job, task)
-	if ti.gen != gen {
-		return
+	if a := s.liveAttempt(job, task, false, gen); a != nil {
+		s.timeoutKill(job, task, s.opts.TaskTimeoutSec*s.bandwidthStoreNode(a.store, a.node))
 	}
-	movedMB := s.opts.TaskTimeoutSec * s.bandwidthStoreNode(ti.store, ti.node)
-	s.timeoutKill(job, task, ti, movedMB)
 }
 
 // timeoutKill ends a primary attempt at Hadoop's progress timeout, after
 // movedMB of its input crossed: it bills that partial read and the slot's
-// busy time, returns the task to Pending and frees the slot.
-func (s *Sim) timeoutKill(job, task int, ti *taskInfo, movedMB float64) {
-	n := ti.node
-	billed := s.msPerGB(n, ti.store).MulFloat(movedMB / 1024)
-	s.charge(trace.KillCategory("timeout"), job, billed)
+// busy time, and returns the task to Pending.
+func (s *Sim) timeoutKill(job, task int, movedMB float64) {
+	ti := s.task(job, task)
+	billed := s.msPerGB(ti.node, ti.store).MulFloat(movedMB / 1024)
 	s.busySlotSec += s.opts.TaskTimeoutSec
-	s.untrackPrimary(ti)
-	ti.gen++
 	s.setStateFlat(job, s.flat(job, task), Pending)
-	s.noteKill(job, task, n, "timeout", billed, false)
-	s.slotFreed(n)
-	s.dispatch(n)
+	s.endAttempt(ti, false, "timeout", billed, true, true)
 }
 
 // completeEvent finishes a dedicated-rate attempt (evComplete). The
 // demand is recomputed (it is a pure function of the workload) and the
 // wall time was stored at launch, so the typed event needs no closure.
 func (s *Sim) completeEvent(job, task int, gen int32, speculative bool) {
-	ti := s.task(job, task)
-	if speculative {
-		if ti.spec < 0 || ti.specGen != gen {
-			return // copy cancelled or settled
-		}
-		cpuSec, mb := s.taskDemand(job, task)
-		sp := &s.specs[ti.spec]
-		s.completeAttempt(job, task, sp.node, sp.store, cpuSec, mb, sp.wallSec, true)
-		return
+	if s.liveAttempt(job, task, speculative, gen) != nil {
+		s.completeAttempt(job, task, speculative)
 	}
-	if ti.gen != gen {
-		return
-	}
-	cpuSec, mb := s.taskDemand(job, task)
-	s.completeAttempt(job, task, ti.node, ti.store, cpuSec, mb, ti.wallSec, false)
 }
 
 // startSharedAttempt runs one attempt whose input read contends on the
 // shared zone-pair link (Options.SharedLinks). The transfer becomes a
-// processor-sharing flow; Hadoop's progress timeout applies to the
-// transfer phase only, as in the dedicated-rate path. Flow completion
-// times depend on future link membership, so this rare path keeps
-// closure events; each closure re-fetches the task record and, for
-// speculative copies, revalidates specGen (spec records are pooled).
-func (s *Sim) startSharedAttempt(job, task int, n cluster.NodeID, store cluster.StoreID, cpuSec, mb, runSec float64, speculative bool, gen int32) {
+// processor-sharing flow; Hadoop's progress timeout applies to a
+// primary's transfer phase only, as in the dedicated-rate path. Flow
+// completion times depend on future link membership, so this rare path
+// keeps closure events; each finds the attempt again through
+// liveAttempt, since the task table may grow and a copy's pooled record
+// may serve another task's copy by the time it runs.
+func (s *Sim) startSharedAttempt(job, task int, mb, runSec float64, speculative bool) {
 	ti := s.task(job, task)
-	start := s.clock
-	if speculative {
-		specGen := ti.specGen
-		fl := s.net.start(s.C.Stores[store].Zone, s.C.Nodes[n].Zone, mb, func() {
-			ti := s.task(job, task)
-			if ti.spec < 0 || ti.specGen != specGen {
-				return
-			}
-			sp := &s.specs[ti.spec]
-			sp.flow = nil
-			sp.transferEndAt = s.clock
-			s.At(s.clock+runSec, func() {
-				ti := s.task(job, task)
-				if ti.spec < 0 || ti.specGen != specGen {
-					return
-				}
-				s.completeAttempt(job, task, n, store, cpuSec, mb, s.clock-start, true)
-			})
-		})
-		s.specs[ti.spec].flow = fl
-		return
-	}
-	fl := s.net.start(s.C.Stores[store].Zone, s.C.Nodes[n].Zone, mb, func() {
-		ti := s.task(job, task)
-		if ti.gen != gen {
+	gen := ti.genOf(speculative)
+	a := s.attemptOf(ti, speculative)
+	a.flow = s.net.start(s.C.Stores[a.store].Zone, s.C.Nodes[a.node].Zone, mb, func() {
+		a := s.liveAttempt(job, task, speculative, gen)
+		if a == nil {
 			return
 		}
-		ti.flow = nil
-		ti.transferEndAt = s.clock
+		a.flow = nil
+		a.transferEndAt = s.clock
 		s.At(s.clock+runSec, func() {
-			if s.task(job, task).gen != gen {
-				return
+			if a := s.liveAttempt(job, task, speculative, gen); a != nil {
+				a.wallSec = s.clock - a.start
+				s.completeAttempt(job, task, speculative)
 			}
-			s.completeAttempt(job, task, n, store, cpuSec, mb, s.clock-start, false)
 		})
 	})
-	ti.flow = fl
-	ti.doneAt = start + mb/fl.rate + runSec // optimistic estimate for speculation
+	if speculative {
+		return
+	}
+	ti.doneAt = a.start + mb/a.flow.rate + runSec // optimistic estimate for speculation
 	if int(ti.attempts) <= s.opts.maxAttempts {
-		s.At(start+s.opts.TaskTimeoutSec, func() {
-			ti := s.task(job, task)
-			if ti.gen != gen || ti.flow == nil {
+		s.At(a.start+s.opts.TaskTimeoutSec, func() {
+			a := s.liveAttempt(job, task, false, gen)
+			if a == nil || a.flow == nil {
 				return // attempt superseded or transfer already finished
 			}
-			moved := s.net.cancel(ti.flow)
-			ti.flow = nil
-			s.timeoutKill(job, task, ti, moved)
+			moved := s.net.cancel(a.flow)
+			a.flow = nil
+			s.timeoutKill(job, task, moved)
 		})
 	}
 }
 
 // completeAttempt finishes one attempt: bills it, frees the slot, settles
 // any speculative twin, and fires the completion callbacks.
-func (s *Sim) completeAttempt(job, task int, n cluster.NodeID, store cluster.StoreID, cpuSec, mb, wallSec float64, speculative bool) {
+func (s *Sim) completeAttempt(job, task int, speculative bool) {
 	flat := s.flat(job, task)
 	ti := &s.tasks[flat]
+	a := s.attemptOf(ti, speculative)
+	n := a.node
 	node := &s.C.Nodes[n]
+	cpuSec, mb := s.taskDemand(job, task)
 
 	billedCPUSec := cpuSec
 	if s.opts.BillOccupancy {
-		billedCPUSec = wallSec * node.ECU / float64(node.Slots)
+		billedCPUSec = a.wallSec * node.ECU / float64(node.Slots)
 	}
-	price := ti.price
-	transferEnd := ti.transferEndAt
-	if speculative {
-		sp := &s.specs[ti.spec]
-		price = sp.price
-		transferEnd = sp.transferEndAt
-	}
-	billed := cost.CPUCost(price, billedCPUSec)
+	billed := cost.CPUCost(a.price, billedCPUSec)
 	s.charge(cost.CatCPU, job, billed)
 	var xferBilled cost.Money
 	if mb > 0 {
-		xferBilled = s.msPerGB(n, store).MulFloat(mb / 1024)
+		xferBilled = s.msPerGB(n, a.store).MulFloat(mb / 1024)
 		s.charge(cost.CatTransfer, job, xferBilled)
 		billed += xferBilled
 	}
@@ -300,28 +277,22 @@ func (s *Sim) completeAttempt(job, task int, n cluster.NodeID, store cluster.Sto
 	u := &s.users[s.books[job].user]
 	u.cpu += cpuSec
 	u.seen = true
-	s.busySlotSec += wallSec
-	if speculative {
-		s.untrackRunning(s.specs[ti.spec].runPos)
-	} else {
-		s.untrackPrimary(ti)
-	}
+	s.busySlotSec += a.wallSec
+	s.untrack(a)
 	s.slotFreed(n)
 
-	s.noteDone(job, task, int(ti.attempts), n, store, wallSec, transferEnd, billedCPUSec, billed, xferBilled, speculative)
+	s.noteDone(job, task, int(ti.attempts), n, a.store, a.wallSec, a.transferEndAt, billedCPUSec, billed, xferBilled, speculative)
 
 	// Settle the twin attempt, if any.
 	if speculative {
-		// The speculative copy won; kill the primary and bill its
-		// partial CPU burn as speculative waste, then release the spec
-		// record. (The previous layout left the record marked running
-		// after a win, so a later fault on the dead copy's node could
-		// phantom-bill a completed task.)
-		s.killAttempt(job, task, ti.node)
+		// The copy won: kill the primary, then release the copy's record.
+		// (A record left marked running after a win once let a later
+		// fault on the dead copy's node phantom-bill a completed task.)
+		s.killAttempt(job, task)
 		s.freeSpec(ti)
 		ti.specGen++
 	} else if ti.spec >= 0 {
-		s.killSpeculative(job, task)
+		s.cancelSpeculative(job, task, true, "speculative")
 	}
 
 	ti.gen++
@@ -351,74 +322,80 @@ func (s *Sim) completeAttempt(job, task int, n cluster.NodeID, store cluster.Sto
 	s.dispatch(n)
 }
 
-// killSpeculative cancels a running speculative copy, billing the CPU it
-// burned so far to the speculative-waste category.
-func (s *Sim) killSpeculative(job, task int) {
-	s.cancelSpeculative(job, task, true, "speculative")
-}
-
-// cancelSpeculative cancels a running speculative copy, billing its burn
-// under the kill reason's category (trace.KillCategory). freeSlot is
-// false when the copy's node crashed and took the slot with it.
-func (s *Sim) cancelSpeculative(job, task int, freeSlot bool, reason string) {
-	ti := s.task(job, task)
-	if ti.spec < 0 {
-		return
+// endAttempt ends a running attempt that will not complete — ti's primary
+// or, when speculative, its copy. It cancels the attempt's shared-link
+// flow, books billed under the reason's kill category when book is set,
+// takes the attempt out of the running index, voids its pending events,
+// records the kill and, when freeSlot is set, frees the slot and
+// dispatches the node; a copy's record goes back to the pool. The amount
+// billed, the slot's busy time and a primary's next state are the
+// caller's.
+func (s *Sim) endAttempt(ti *taskInfo, speculative bool, reason string, billed cost.Money, book, freeSlot bool) {
+	job := int(ti.job)
+	a := s.attemptOf(ti, speculative)
+	n := a.node
+	if a.flow != nil {
+		s.net.cancel(a.flow)
+		a.flow = nil
 	}
-	sp := &s.specs[ti.spec]
-	if sp.flow != nil {
-		// Free the link; the aborted copy's partial bytes are folded
-		// into the wasted-CPU charge below.
-		s.net.cancel(sp.flow)
-		sp.flow = nil
+	if book {
+		s.charge(trace.KillCategory(reason), job, billed)
 	}
-	n := sp.node
-	elapsed := s.clock - sp.start
-	node := &s.C.Nodes[n]
-	slotECU := node.ECU / float64(node.Slots)
-	burned := elapsed * slotECU
-	if burned > sp.cpuSec {
-		burned = sp.cpuSec
+	s.untrack(a)
+	if speculative {
+		s.freeSpec(ti)
+		ti.specGen++
+	} else {
+		ti.gen++
 	}
-	billed := cost.CPUCost(sp.price, burned)
-	s.charge(trace.KillCategory(reason), job, billed)
-	s.busySlotSec += elapsed
-	s.untrackRunning(sp.runPos)
-	s.freeSpec(ti)
-	ti.specGen++
-	s.noteKill(job, task, n, reason, billed, true)
+	s.noteKill(job, int(ti.idx), n, reason, billed, speculative)
 	if freeSlot {
 		s.slotFreed(n)
 		s.dispatch(n)
 	}
 }
 
-// killAttempt cancels the primary attempt after a speculative win.
-func (s *Sim) killAttempt(job, task int, n cluster.NodeID) {
+// cancelSpeculative cancels the task's speculative copy, if it has one,
+// billing the CPU it burned so far (its partial read folded in) under the
+// kill reason's category (trace.KillCategory). freeSlot is false when the
+// copy's node crashed and took the slot with it.
+func (s *Sim) cancelSpeculative(job, task int, freeSlot bool, reason string) {
 	ti := s.task(job, task)
-	if fl := ti.flow; fl != nil {
-		s.net.cancel(fl)
-		ti.flow = nil
+	a := s.attemptOf(ti, true)
+	if a == nil {
+		return
 	}
-	// We do not track the primary's start separately; bill half its
-	// demand as a conservative estimate of the wasted burn.
-	cpuSec, _ := s.taskDemand(job, task)
-	billed := cost.CPUCost(ti.price, cpuSec/2)
-	s.charge(trace.KillCategory("speculative"), job, billed)
-	s.untrackPrimary(ti)
-	s.noteKill(job, task, n, "speculative", billed, false)
-	s.slotFreed(n)
-	s.dispatch(n)
+	elapsed := s.clock - a.start
+	node := &s.C.Nodes[a.node]
+	slotECU := node.ECU / float64(node.Slots)
+	burned := elapsed * slotECU
+	if cpuSec, _ := s.taskDemand(job, task); burned > cpuSec {
+		burned = cpuSec
+	}
+	s.busySlotSec += elapsed
+	s.endAttempt(ti, true, reason, cost.CPUCost(a.price, burned), true, freeSlot)
 }
 
-// untrackPrimary drops the task's primary attempt from the running index,
-// idempotently: fault replay can reach an attempt through more than one
-// path, and only the first removal counts.
-func (s *Sim) untrackPrimary(ti *taskInfo) {
-	if ti.runPos >= 0 {
-		s.untrackRunning(ti.runPos)
-		ti.runPos = -1
-	}
+// killAttempt ends the primary attempt after its speculative copy won,
+// billing half the task's demand as speculative waste. The primary's
+// start is on its record, so its elapsed burn could be priced as a
+// copy's is; the half-demand estimate stays because it is the rule every
+// recorded speculative run's cost was booked under, and the elapsed burn
+// would move them all.
+func (s *Sim) killAttempt(job, task int) {
+	ti := s.task(job, task)
+	cpuSec, _ := s.taskDemand(job, task)
+	s.endAttempt(ti, false, "speculative", cost.CPUCost(ti.price, cpuSec/2), true, true)
+}
+
+// dropCopy takes ti's primary out of the running index, then cancels its
+// speculative copy, if any, freeing the copy's slot — the first step of
+// killing a primary whose task must not go on running anywhere. The
+// primary goes first because the copy's kill dispatches its node, and
+// the scheduler code run there must not speculate on the dying primary.
+func (s *Sim) dropCopy(ti *taskInfo, reason string) {
+	s.untrack(&ti.attempt)
+	s.cancelSpeculative(int(ti.job), int(ti.idx), true, reason)
 }
 
 // LaunchSpeculative starts a duplicate copy of a running task on node n
@@ -496,10 +473,10 @@ func (s *Sim) localityRank(n cluster.NodeID, store cluster.StoreID) int {
 	}
 }
 
-// partialBurn prices what a Running attempt has burned if it is killed
-// now. No per-attempt start is kept, so the burn is the task's CPU demand
-// less what the slot would still run before doneAt, clamped to the
-// demand; burned is false when that is not positive, and billed is then 0.
+// partialBurn prices what a Running primary has burned if it is killed
+// now: the task's CPU demand less what the slot would still run before
+// doneAt, clamped to the demand; burned is false when that is not
+// positive, and billed is then 0.
 func (s *Sim) partialBurn(job, task int) (billed cost.Money, burned bool) {
 	ti := s.task(job, task)
 	node := &s.C.Nodes[ti.node]
