@@ -73,11 +73,11 @@ func (r *ring[T]) add(v T) {
 	}
 }
 
-// snapshot returns the retained entries oldest first, nil if there are
-// none.
+// snapshot returns the retained entries oldest first in a fresh slice,
+// empty but not nil when there are none, so JSON reads [] and not null.
 func (r *ring[T]) snapshot() []T {
 	if !r.full {
-		return append([]T(nil), r.buf[:r.next]...)
+		return append(make([]T, 0, r.next), r.buf[:r.next]...)
 	}
 	return append(append(make([]T, 0, len(r.buf)), r.buf[r.next:]...), r.buf[:r.next]...)
 }

@@ -569,9 +569,6 @@ func (d *Daemon) handleEpochs(w http.ResponseWriter, _ *http.Request) {
 	d.mu.Lock()
 	resp := EpochsResponse{Total: d.decisions.total, Epochs: d.decisions.snapshot()}
 	d.mu.Unlock()
-	if resp.Epochs == nil {
-		resp.Epochs = []EpochDecision{} // [] before the first decision, not null
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 

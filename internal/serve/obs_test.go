@@ -110,6 +110,21 @@ func TestRingBounds(t *testing.T) {
 	}
 }
 
+// TestEmptyRingsAnswerEmptyArrays: a fresh daemon's /debug/spans and
+// /debug/epochs both list no entries as [], not null.
+func TestEmptyRingsAnswerEmptyArrays(t *testing.T) {
+	d, err := New(cluster.Paper20(0.5), sched.NewFair(), obs.NewRegistry(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := d.Handler()
+	for path, want := range map[string]string{"/debug/spans": `"spans":[]`, "/debug/epochs": `"epochs":[]`} {
+		if code, body := call(h, http.MethodGet, path, nil); code != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("%s: %d %s, want %s", path, code, body, want)
+		}
+	}
+}
+
 // testRing adds entries 0, 1, … to a ring of four and checks after each
 // add that it reads back the last four of them, oldest first, and the
 // count; id reads an entry's number back.
@@ -117,8 +132,8 @@ func testRing[T any](t *testing.T, name string, entry func(int) T, id func(T) in
 	t.Helper()
 	const n = 4
 	r := newRing[T](n)
-	if r.snapshot() != nil || r.total != 0 {
-		t.Fatalf("%s: an empty ring reads %d entries and counts %d", name, len(r.snapshot()), r.total)
+	if got := r.snapshot(); got == nil || len(got) != 0 || r.total != 0 {
+		t.Fatalf("%s: an empty ring reads %v (want empty, not nil) and counts %d", name, got, r.total)
 	}
 	for i := 0; i < 3*n; i++ {
 		r.add(entry(i))
