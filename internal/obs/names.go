@@ -359,7 +359,8 @@ func (m *SchedMetrics) ObserveEpoch(ep *trace.EpochInfo) {
 // planner imposes. The per-tenant histograms are observed exactly once
 // per completed span (QueueWait when the job was admitted, TenantLaunch
 // when it launched, TenantE2E on every done/cancelled terminal), so
-// their counts reconcile with the span ring and the Spans counter.
+// their counts reconcile with the Spans counter, which counts only those
+// terminals.
 type ServeMetrics struct {
 	QueueDepth, Tenants, SimSeconds *Gauge
 	Epochs                          *Counter
@@ -403,7 +404,7 @@ func registerServe(r *Registry) *ServeMetrics {
 			"tenant", ExpBuckets(1, 2, 14)),
 		TenantE2E: r.HistogramVec(MServeTenantE2E, "Simulated seconds from submission to a terminal state, by tenant.",
 			"tenant", ExpBuckets(1, 2, 16)),
-		Spans: r.CounterVec(MServeSpans, "Completed job spans recorded, by outcome.", "outcome"),
+		Spans: r.CounterVec(MServeSpans, "Spans of admitted submissions that ended, by outcome (done or cancelled).", "outcome"),
 		SolveShare: r.Histogram(MServeSolveShare, "Fraction of the epoch wall budget spent stepping the simulator (solver included).",
 			[]float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 1, 1.5, 2, 5, 10}),
 	}
@@ -413,7 +414,8 @@ func registerServe(r *Registry) *ServeMetrics {
 	for _, k := range []string{"down", "up"} {
 		m.Churn.With(k)
 	}
-	for _, o := range SpanOutcomes {
+	// A shed submission is counted once, in Admissions by its reason.
+	for _, o := range []string{OutcomeDone, OutcomeCancelled} {
 		m.Spans.With(o)
 	}
 	m.BurnRate = r.GaugeVec2(MServeBurnRate, "SLO error-budget burn rate at the last evaluation, by tenant and window.",

@@ -47,9 +47,6 @@ var DeferralReasons = []string{
 	ReasonFairShare, ReasonNoCapacity, ReasonBudgetExhausted,
 }
 
-// SpanOutcomes is the closed vocabulary of Span.Outcome.
-var SpanOutcomes = []string{OutcomeDone, OutcomeCancelled, OutcomeShed}
-
 // Span is one job's phase timeline. All timestamps are simulated
 // seconds; unset milestones are -1 (use NewSpan).
 type Span struct {

@@ -357,7 +357,6 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, SubmitResponse{ID: rec.span.Job, State: StateQueued})
 		return
 	}
-	d.sm.Spans.With(obs.OutcomeShed).Inc()
 	d.log.Warn("submission shed",
 		obs.LogTenant, req.Tenant, "name", name,
 		"reason", decision, "queue_depth", queueDepth)

@@ -420,6 +420,10 @@ func TestShedSpansAndReasons(t *testing.T) {
 	if !strings.Contains(b.String(), want) {
 		t.Errorf("exposition missing %q", want)
 	}
+	// A shed is counted once, by its admission decision, not again as a span.
+	if shed := fmt.Sprintf("%s{outcome=%q}", obs.MServeSpans, obs.OutcomeShed); strings.Contains(b.String(), shed) {
+		t.Errorf("exposition has %s", shed)
+	}
 	if err := d.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
