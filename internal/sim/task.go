@@ -285,9 +285,9 @@ func (s *Sim) completeAttempt(job, task int, speculative bool) {
 
 	// Settle the twin attempt, if any.
 	if speculative {
-		// The copy won: kill the primary, then release the copy's record.
-		// (A record left marked running after a win once let a later
-		// fault on the dead copy's node phantom-bill a completed task.)
+		// The copy won: kill the primary and release the copy's record
+		// now, since a record left marked running would let a later
+		// fault on the copy's node bill a completed task.
 		s.killAttempt(job, task)
 		s.freeSpec(ti)
 		ti.specGen++
