@@ -218,7 +218,8 @@ func cancelStub() *stubSched {
 // killKinds labels the kills in a JSONL trace: each kill's reason, with
 // ":copy" for a speculative copy's, and a timeout also by the read it cut
 // short — ":dedicated" after a node-local launch, whose read never shares
-// a link, ":shared" after any other.
+// a link, ":shared" after any other (which it is only in a run with
+// shared links).
 func killKinds(t *testing.T, tr []byte) map[string]bool {
 	t.Helper()
 	evs, err := trace.ReadAll(bytes.NewReader(tr))
