@@ -21,6 +21,7 @@ import (
 	"lips/internal/hdfs"
 	"lips/internal/obs"
 	"lips/internal/sim"
+	"lips/internal/trace"
 	"lips/internal/workload"
 )
 
@@ -81,6 +82,6 @@ func run(out *os.File, clusterKind string, tasks int, threshold float64, seed in
 	}
 	fmt.Fprintf(out, "\nbalancer: %d block moves, transfer bill %v\n\n", len(moves), bill)
 	show("after balancing")
-	sim.NoteMoves(cli.Trace, cli.Registry, 0, p, moves, "balance")
+	sim.NoteMoves(cli.Trace, cli.Registry, 0, p, moves, trace.MoveBalance)
 	return nil
 }

@@ -41,6 +41,7 @@ import (
 	"lips/internal/obs"
 	"lips/internal/sched"
 	"lips/internal/sim"
+	"lips/internal/trace"
 	"lips/internal/workload"
 )
 
@@ -162,7 +163,7 @@ func runCfg(cfg config, cli *obs.CLI, stop <-chan os.Signal) error {
 	placement.Shuffle(rng, stores)
 	if cfg.Balance {
 		moves := hdfs.Balance(c, placement, 0.1)
-		sim.NoteMoves(cli.Trace, cli.Registry, 0, placement, moves, "balance")
+		sim.NoteMoves(cli.Trace, cli.Registry, 0, placement, moves, trace.MoveBalance)
 		fmt.Printf("balancer: %d blocks relocated before scheduling\n", len(moves))
 	}
 

@@ -193,6 +193,38 @@ func TestCategoryIndex(t *testing.T) {
 	}
 }
 
+// TestLedgerPanicsOnUnknownCategory holds the ledger to its five
+// categories: booking any other panics, by name or by Ref, and leaves the
+// books as they were; reading one returns 0.
+func TestLedgerPanicsOnUnknownCategory(t *testing.T) {
+	l := NewLedger()
+	l.ChargeTenant(CatCPU, "j", "alice", Millicents(1))
+	for name, book := range map[string]func(){
+		"ChargeTenant": func() { l.ChargeTenant("mystery", "j", "alice", Millicents(2)) },
+		"ChargeRef":    func() { l.ChargeRef("", l.Resolve("j", "alice"), Millicents(2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s booked a category outside the five without panicking", name)
+				}
+			}()
+			book()
+		}()
+	}
+	if got := l.Total(); got != Millicents(1) {
+		t.Errorf("Total = %v after the refused bookings, want 1 mc", got)
+	}
+	for _, c := range []Category{"mystery", ""} {
+		if got := l.Category(c); got != 0 {
+			t.Errorf("Category(%q) = %v, want 0", c, got)
+		}
+		if got := l.TenantCategory("alice", c); got != 0 {
+			t.Errorf("TenantCategory(alice, %q) = %v, want 0", c, got)
+		}
+	}
+}
+
 func TestLedgerPanicsOnNegative(t *testing.T) {
 	defer func() {
 		if recover() == nil {

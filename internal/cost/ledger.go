@@ -19,27 +19,13 @@ const (
 	CatFault       Category = "fault"       // CPU wasted by crash-killed attempts and re-replication traffic
 )
 
-// Categories lists every standard category in canonical order.
-var Categories = []Category{CatCPU, CatTransfer, CatPlacement, CatSpeculative, CatFault}
+// Categories lists every category in canonical order. A Ledger books
+// these five and no other.
+var Categories = [...]Category{CatCPU, CatTransfer, CatPlacement, CatSpeculative, CatFault}
 
 // Index returns the category's position in Categories, or -1 for any
-// other category. It compares, it does not hash: the simulator's charge
-// path calls it per booking.
-func (c Category) Index() int {
-	switch c {
-	case CatCPU:
-		return 0
-	case CatTransfer:
-		return 1
-	case CatPlacement:
-		return 2
-	case CatSpeculative:
-		return 3
-	case CatFault:
-		return 4
-	}
-	return -1
-}
+// other category.
+func (c Category) Index() int { return slices.Index(Categories[:], c) }
 
 // UnattributedTenant is the reserved tenant name that absorbs charges
 // carrying no owner: background replication, plan-driven block moves,
@@ -50,13 +36,12 @@ const UnattributedTenant = "_system"
 // Ledger accumulates dollar charges by category, by job, and by
 // tenant×category. Every line is a slot in a dense slice: Resolve maps a
 // job name and a tenant to a Ref once, and ChargeRef books by it without
-// hashing a name. Categories are indexed too, the standard ones at their
-// Index and any other after them in first-charge order. A Ledger is not
-// safe for concurrent use; each simulation owns one.
+// hashing a name. Categories are closed: each of the five has its slot at
+// its Index, and booking any other panics. A Ledger is not safe for
+// concurrent use; each simulation owns one.
 type Ledger struct {
-	cats    []Category // by category index
-	byCat   []Money
-	catSeen []bool // charged at least once, zero included
+	byCat   [len(Categories)]Money
+	catSeen [len(Categories)]bool // charged at least once, zero included
 
 	jobIdx map[string]int32 // by name, read when resolving
 	byJob  []Money
@@ -72,8 +57,8 @@ type Ledger struct {
 // listed once any category is seen.
 type tenantLine struct {
 	name string
-	by   []Money
-	seen []bool
+	by   [len(Categories)]Money
+	seen [len(Categories)]bool
 }
 
 // Ref names one (job, tenant) pair of a Ledger: the job's line, or -1
@@ -84,14 +69,7 @@ type Ref struct {
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	n := len(Categories)
-	return &Ledger{
-		cats:      append([]Category(nil), Categories...),
-		byCat:     make([]Money, n),
-		catSeen:   make([]bool, n),
-		jobIdx:    make(map[string]int32),
-		tenantIdx: make(map[string]int32),
-	}
+	return &Ledger{jobIdx: make(map[string]int32), tenantIdx: make(map[string]int32)}
 }
 
 // Resolve returns the Ref that books against job and tenant. Jobs that
@@ -117,9 +95,7 @@ func (l *Ledger) Resolve(job, tenant string) Ref {
 	if !ok {
 		i = int32(len(l.tenants))
 		l.tenantIdx[tenant] = i
-		l.tenants = append(l.tenants, tenantLine{
-			name: tenant, by: make([]Money, len(l.cats)), seen: make([]bool, len(l.cats)),
-		})
+		l.tenants = append(l.tenants, tenantLine{name: tenant})
 	}
 	r.tenant = i
 	return r
@@ -132,8 +108,14 @@ func (l *Ledger) ChargeTenant(cat Category, job, tenant string, amount Money) {
 }
 
 // ChargeRef records amount against the category and the resolved job
-// and tenant. A zero amount still marks each as charged.
+// and tenant. A zero amount still marks each as charged. A negative
+// amount or a category outside Categories panics: either is a bug in the
+// caller, and booking it would skew every total.
 func (l *Ledger) ChargeRef(cat Category, r Ref, amount Money) {
+	c := cat.Index()
+	if c < 0 {
+		panic(fmt.Sprintf("cost: charge %v to unknown category %q", amount, cat))
+	}
 	if amount < 0 {
 		job := ""
 		for name, i := range l.jobIdx {
@@ -142,10 +124,6 @@ func (l *Ledger) ChargeRef(cat Category, r Ref, amount Money) {
 			}
 		}
 		panic(fmt.Sprintf("cost: negative charge %v for %s/%s", amount, cat, job))
-	}
-	c := cat.Index()
-	if c < 0 {
-		c = l.otherIndex(cat)
 	}
 	l.byCat[c] += amount
 	l.catSeen[c] = true
@@ -160,35 +138,6 @@ func (l *Ledger) ChargeRef(cat Category, r Ref, amount Money) {
 	l.total += amount
 }
 
-// otherIndex returns the index of a category outside Categories, adding
-// it, to every tenant line too, on its first charge.
-func (l *Ledger) otherIndex(cat Category) int {
-	if c := l.lookup(cat); c >= 0 {
-		return c
-	}
-	l.cats = append(l.cats, cat)
-	l.byCat = append(l.byCat, 0)
-	l.catSeen = append(l.catSeen, false)
-	for i := range l.tenants {
-		t := &l.tenants[i]
-		t.by, t.seen = append(t.by, 0), append(t.seen, false)
-	}
-	return len(l.cats) - 1
-}
-
-// lookup returns a category's index, or -1 if it was never charged.
-func (l *Ledger) lookup(cat Category) int {
-	if c := cat.Index(); c >= 0 {
-		return c
-	}
-	for c := len(Categories); c < len(l.cats); c++ {
-		if l.cats[c] == cat {
-			return c
-		}
-	}
-	return -1
-}
-
 // tenant returns a tenant's line, or nil.
 func (l *Ledger) tenant(name string) *tenantLine {
 	if i, ok := l.tenantIdx[name]; ok {
@@ -200,9 +149,10 @@ func (l *Ledger) tenant(name string) *tenantLine {
 // Total returns the grand total.
 func (l *Ledger) Total() Money { return l.total }
 
-// Category returns the total for one category.
+// Category returns the total for one category, 0 for one outside
+// Categories.
 func (l *Ledger) Category(cat Category) Money {
-	if c := l.lookup(cat); c >= 0 {
+	if c := cat.Index(); c >= 0 {
 		return l.byCat[c]
 	}
 	return 0
@@ -223,7 +173,7 @@ func (l *Ledger) Unattributed() Money { return l.noJob }
 func (l *Ledger) Tenants() []string {
 	names := make([]string, 0, len(l.tenants))
 	for i := range l.tenants {
-		if slices.Contains(l.tenants[i].seen, true) {
+		if slices.Contains(l.tenants[i].seen[:], true) {
 			names = append(names, l.tenants[i].name)
 		}
 	}
@@ -231,9 +181,10 @@ func (l *Ledger) Tenants() []string {
 	return names
 }
 
-// TenantCategory returns the total charged to one tenant in one category.
+// TenantCategory returns the total charged to one tenant in one category,
+// 0 for a category outside Categories.
 func (l *Ledger) TenantCategory(tenant string, cat Category) Money {
-	t, c := l.tenant(tenant), l.lookup(cat)
+	t, c := l.tenant(tenant), cat.Index()
 	if t == nil || c < 0 {
 		return 0
 	}
@@ -260,7 +211,7 @@ func (l *Ledger) TenantBreakdown(tenant string) map[Category]Money {
 	out := make(map[Category]Money, len(t.by))
 	for c, m := range t.by {
 		if t.seen[c] {
-			out[l.cats[c]] = m
+			out[Categories[c]] = m
 		}
 	}
 	return out
@@ -272,7 +223,7 @@ func (l *Ledger) TenantBreakdown(tenant string) map[Category]Money {
 // and the category totals sum to the grand total. It returns nil when
 // the books balance.
 func (l *Ledger) Reconcile() error {
-	perCat := make([]Money, len(l.cats))
+	var perCat [len(Categories)]Money
 	for i := range l.tenants {
 		for c, m := range l.tenants[i].by {
 			perCat[c] += m
@@ -280,7 +231,7 @@ func (l *Ledger) Reconcile() error {
 	}
 	for c, want := range l.byCat {
 		if got := perCat[c]; got != want {
-			return fmt.Errorf("cost: tenant sum for %s = %d uc, category total = %d uc", l.cats[c], got, want)
+			return fmt.Errorf("cost: tenant sum for %s = %d uc, category total = %d uc", Categories[c], got, want)
 		}
 	}
 	var catSum, jobSum Money
@@ -301,17 +252,17 @@ func (l *Ledger) Reconcile() error {
 
 // String summarises the ledger by category.
 func (l *Ledger) String() string {
-	cats := make([]string, 0, len(l.cats))
+	var cats []Category
 	for c, seen := range l.catSeen {
 		if seen {
-			cats = append(cats, string(l.cats[c]))
+			cats = append(cats, Categories[c])
 		}
 	}
-	sort.Strings(cats)
+	slices.Sort(cats)
 	var b strings.Builder
 	fmt.Fprintf(&b, "total %v", l.total)
 	for _, c := range cats {
-		fmt.Fprintf(&b, " %s=%v", c, l.Category(Category(c)))
+		fmt.Fprintf(&b, " %s=%v", c, l.Category(c))
 	}
 	return b.String()
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -87,23 +86,10 @@ const (
 	MServeAlertsFiring     = "lips_serve_slo_alerts_firing"
 )
 
-// Label vocabularies, pre-registered so expositions show every series
-// at zero from the first scrape (and so the trace replay registers the
-// identical family shapes).
+// Label vocabularies of the serve families (the simulator's are
+// internal/trace's), pre-registered so every series reads zero from the
+// first scrape.
 var (
-	// Localities mirrors internal/sim Locality.String values.
-	Localities = []string{"node-local", "zone-local", "remote", "no-input"}
-	// TaskStates mirrors internal/sim's TaskState lifecycle.
-	TaskStates = []string{"pending", "queued", "running", "done"}
-	// KillReasons are the simulator's kill reasons; trace.KillCategory
-	// says what each bills.
-	KillReasons = []string{"timeout", "speculative", "node-crash", "store-loss", "cancel"}
-	// MoveReasons are the simulator's block-relocation reasons
-	// (trace.MoveCategory); the balancer's "balance" moves come from
-	// lips-sim -balance and lips-balance only and are not pre-registered.
-	MoveReasons = []string{"plan", "re-replicate", "re-materialize"}
-	// FaultKinds mirrors internal/sim FaultKind.String values.
-	FaultKinds = []string{"node-down", "node-up", "store-loss", "slowdown"}
 	// AdmissionDecisions label lips_serve_admission_total: accepted, or
 	// the typed reason the submission was shed for.
 	AdmissionDecisions = []string{"accepted", ReasonQueueCap, ReasonSolverBackpressure, ReasonDraining}
@@ -117,17 +103,18 @@ var (
 // call live and TraceSink calls for each event it reads, so a replayed
 // trace reproduces the live values by construction. Counters are exact;
 // the gauges move on the simulated-time sampling cadence and so lag by
-// at most one interval. The hot observers (launches, completions,
-// charges, samples) use children resolved at registration, a tenant's on
-// its first charge; none allocates.
+// at most one interval. The observers use children resolved at
+// registration, a tenant's on its first charge; none allocates.
 type SimMetrics struct {
 	clock, busySlot, freeSlots, liveSlots *Gauge
-	tasks                                 [4]*Gauge // in TaskStates order
 	enqueued, done, movedMB               *Counter
-	launched                              []*Counter   // in Localities order
-	killed, moves, faults                 *CounterVec  // by reason / reason / kind
-	cost                                  []*Counter   // by cost.Category.Index
-	tenantCost                            *CounterVec2 // by tenant, category
+	tasks                                 [len(trace.TaskStates)]*Gauge   // by sim.TaskState
+	launched                              [len(trace.Localities)]*Counter // by sim.Locality
+	killed                                [trace.NumKillReasons]*Counter
+	moved                                 [trace.NumMoveReasons]*Counter
+	faults                                [len(trace.FaultKinds)]*Counter // by sim.FaultKind
+	cost                                  [len(cost.Categories)]*Counter  // by cost.Category.Index
+	tenantCost                            *CounterVec2                    // by tenant, category
 
 	mu    sync.Mutex
 	lines map[string]*CostLine // by tenant
@@ -140,7 +127,7 @@ type SimMetrics struct {
 // every run sharing the registry charges through.
 type CostLine struct {
 	tenant string
-	cells  []atomic.Pointer[Counter]
+	cells  [len(cost.Categories)]atomic.Pointer[Counter]
 }
 
 // RegisterSim registers (or fetches) the simulator families. Calling it
@@ -158,31 +145,33 @@ func registerSim(r *Registry) *SimMetrics {
 		enqueued:  r.Counter(MSimEnqueued, "Tasks pinned to a node queue."),
 		done:      r.Counter(MSimDone, "Task completions."),
 		movedMB:   r.Counter(MSimMovedMB, "Megabytes relocated between stores."),
-		launched:  make([]*Counter, len(Localities)),
-		killed:    r.CounterVec(MSimKilled, "Attempts killed, by reason.", "reason"),
-		moves:     r.CounterVec(MSimMoves, "Blocks relocated between stores, by reason.", "reason"),
-		faults:    r.CounterVec(MSimFaults, "Injected faults, by kind.", "kind"),
-		cost:      make([]*Counter, len(cost.Categories)),
 		tenantCost: r.CounterVec2(MCost, "Chargeback ledger in exact microcents, by owning tenant and category.",
 			"tenant", "category"),
 		lines: make(map[string]*CostLine),
 	}
 	tasks := r.GaugeVec(MSimTasks, "Tasks of arrived jobs by lifecycle state at the last gauge refresh.", "state")
-	for i, s := range TaskStates {
+	for i, s := range trace.TaskStates {
 		m.tasks[i] = tasks.With(s)
 	}
-	launchVec := r.CounterVec(MSimLaunched, "Attempt launches, by input locality.", "locality")
-	for i, l := range Localities {
-		m.launched[i] = launchVec.With(l)
+	launched := r.CounterVec(MSimLaunched, "Attempt launches, by input locality.", "locality")
+	for i, l := range trace.Localities {
+		m.launched[i] = launched.With(l)
 	}
 	costVec := r.CounterVec(MSimCost, "Ledger charges in exact microcents, by category.", "category")
 	for i, c := range cost.Categories {
 		m.cost[i] = costVec.With(string(c))
 	}
-	for vec, vocab := range map[*CounterVec][]string{m.killed: KillReasons, m.moves: MoveReasons, m.faults: FaultKinds} {
-		for _, label := range vocab {
-			vec.With(label)
-		}
+	killed := r.CounterVec(MSimKilled, "Attempts killed, by reason.", "reason")
+	for reason := range trace.NumKillReasons {
+		m.killed[reason] = killed.With(reason.String())
+	}
+	moved := r.CounterVec(MSimMoves, "Blocks relocated between stores, by reason.", "reason")
+	for reason := range trace.NumMoveReasons {
+		m.moved[reason] = moved.With(reason.String())
+	}
+	faults := r.CounterVec(MSimFaults, "Injected faults, by kind.", "kind")
+	for i, k := range trace.FaultKinds {
+		m.faults[i] = faults.With(k)
 	}
 	return m
 }
@@ -190,31 +179,24 @@ func registerSim(r *Registry) *SimMetrics {
 // Enqueue counts a task pinned to a node queue.
 func (m *SimMetrics) Enqueue() { m.enqueued.Inc() }
 
-// Launch counts an attempt launch at input locality loc, one of
-// Localities, through LaunchAt; it ignores any other name.
-func (m *SimMetrics) Launch(loc string) {
-	if i := slices.Index(Localities, loc); i >= 0 {
-		m.LaunchAt(i)
-	}
-}
-
-// LaunchAt counts an attempt launch at the input locality Localities[i].
+// LaunchAt counts an attempt launch at the input locality
+// trace.Localities[i].
 func (m *SimMetrics) LaunchAt(i int) { m.launched[i].Inc() }
 
 // Done counts a task completion.
 func (m *SimMetrics) Done() { m.done.Inc() }
 
 // Kill counts an attempt killed for reason.
-func (m *SimMetrics) Kill(reason string) { m.killed.With(reason).Inc() }
+func (m *SimMetrics) Kill(reason trace.KillReason) { m.killed[reason].Inc() }
 
 // Move counts a block of mb megabytes relocated for reason.
-func (m *SimMetrics) Move(reason string, mb float64) {
-	m.moves.With(reason).Inc()
+func (m *SimMetrics) Move(reason trace.MoveReason, mb float64) {
+	m.moved[reason].Inc()
 	m.movedMB.Add(mb)
 }
 
-// Fault counts an injected fault of kind.
-func (m *SimMetrics) Fault(kind string) { m.faults.With(kind).Inc() }
+// FaultAt counts an injected fault of the kind trace.FaultKinds[i].
+func (m *SimMetrics) FaultAt(i int) { m.faults[i].Inc() }
 
 // CostLine returns the tenant's chargeback line, the same one on every
 // call: resolve it once, then charge through ChargeLine.
@@ -223,7 +205,7 @@ func (m *SimMetrics) CostLine(tenant string) *CostLine {
 	defer m.mu.Unlock()
 	ln := m.lines[tenant]
 	if ln == nil {
-		ln = &CostLine{tenant: tenant, cells: make([]atomic.Pointer[Counter], len(cost.Categories))}
+		ln = &CostLine{tenant: tenant}
 		m.lines[tenant] = ln
 	}
 	return ln

@@ -1,5 +1,10 @@
 package obs
 
+import (
+	"lips/internal/cost"
+	"lips/internal/trace"
+)
+
 // Progress is the /progress JSON snapshot of a live run. Its first
 // eighteen fields carry exactly the names and units of the trace
 // samples' CSV columns (trace.CSVHeader: simulated seconds, exact
@@ -43,25 +48,27 @@ func Snapshot(r *Registry) Progress {
 	cnt := func(name string, label ...string) int64 {
 		return int64(num(name, label...) + 0.5)
 	}
+	// trace.TaskStates and trace.Localities are in sim.TaskState and
+	// sim.Locality order.
 	return Progress{
 		TSec:          num(MSimClockSeconds),
 		TotalUC:       int64(r.Sum(MSimCost) + 0.5),
-		CPUUC:         cnt(MSimCost, "cpu"),
-		TransferUC:    cnt(MSimCost, "transfer"),
-		PlacementUC:   cnt(MSimCost, "placement"),
-		SpeculativeUC: cnt(MSimCost, "speculative"),
-		FaultUC:       cnt(MSimCost, "fault"),
-		Running:       cnt(MSimTasks, "running"),
-		Queued:        cnt(MSimTasks, "queued"),
-		Pending:       cnt(MSimTasks, "pending"),
-		Done:          cnt(MSimTasks, "done"),
+		CPUUC:         cnt(MSimCost, string(cost.CatCPU)),
+		TransferUC:    cnt(MSimCost, string(cost.CatTransfer)),
+		PlacementUC:   cnt(MSimCost, string(cost.CatPlacement)),
+		SpeculativeUC: cnt(MSimCost, string(cost.CatSpeculative)),
+		FaultUC:       cnt(MSimCost, string(cost.CatFault)),
+		Running:       cnt(MSimTasks, trace.TaskStates[2]),
+		Queued:        cnt(MSimTasks, trace.TaskStates[1]),
+		Pending:       cnt(MSimTasks, trace.TaskStates[0]),
+		Done:          cnt(MSimTasks, trace.TaskStates[3]),
 		FreeSlots:     cnt(MSimFreeSlots),
 		LiveSlots:     cnt(MSimLiveSlots),
 		BusySlotSec:   num(MSimBusySlotSeconds),
-		NodeLocal:     cnt(MSimLaunched, "node-local"),
-		ZoneLocal:     cnt(MSimLaunched, "zone-local"),
-		Remote:        cnt(MSimLaunched, "remote"),
-		NoInput:       cnt(MSimLaunched, "no-input"),
+		NodeLocal:     cnt(MSimLaunched, trace.Localities[0]),
+		ZoneLocal:     cnt(MSimLaunched, trace.Localities[1]),
+		Remote:        cnt(MSimLaunched, trace.Localities[2]),
+		NoInput:       cnt(MSimLaunched, trace.Localities[3]),
 
 		Epoch:          cnt(MSchedEpochNumber),
 		DeferredTasks:  cnt(MSchedDeferred),

@@ -30,20 +30,23 @@ func TestProgressMatchesSamplerCSV(t *testing.T) {
 func TestSnapshotReadsRegistry(t *testing.T) {
 	reg := NewRegistry()
 	m := RegisterSim(reg)
-	m.Sample(120, &trace.SampleInfo{Running: 4, FreeSlots: 2, LiveSlots: 8, BusySlotSec: 90})
+	m.Sample(120, &trace.SampleInfo{Pending: 1, Queued: 2, Running: 4, Done: 3, FreeSlots: 2, LiveSlots: 8, BusySlotSec: 90})
 	m.Charge("alice", cost.CatCPU, 1e8)
 	m.Charge("", cost.CatTransfer, 5e7)
-	for i := 0; i < 6; i++ {
-		m.Launch("node-local")
+	m.Charge("", cost.CatFault, 7)
+	for i := range trace.Localities {
+		for range 6 + i {
+			m.LaunchAt(i)
+		}
 	}
-	m.Fault("node-down")
+	m.FaultAt(0)
 	RegisterSched(reg).ObserveEpoch(&trace.EpochInfo{Epoch: 2, Deferred: 5})
 
 	p := Snapshot(reg)
 	want := Progress{
-		TSec: 120, TotalUC: 150000000, CPUUC: 100000000, TransferUC: 50000000,
-		Running: 4, FreeSlots: 2, LiveSlots: 8, BusySlotSec: 90,
-		NodeLocal: 6, Epoch: 2, DeferredTasks: 5, FaultsInjected: 1,
+		TSec: 120, TotalUC: 150000007, CPUUC: 100000000, TransferUC: 50000000, FaultUC: 7,
+		Running: 4, Queued: 2, Pending: 1, Done: 3, FreeSlots: 2, LiveSlots: 8, BusySlotSec: 90,
+		NodeLocal: 6, ZoneLocal: 7, Remote: 8, NoInput: 9, Epoch: 2, DeferredTasks: 5, FaultsInjected: 1,
 	}
 	if p != want {
 		t.Errorf("Snapshot = %+v, want %+v", p, want)

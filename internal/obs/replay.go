@@ -1,6 +1,10 @@
 package obs
 
-import "lips/internal/trace"
+import (
+	"slices"
+
+	"lips/internal/trace"
+)
 
 // TraceSink replays a structured run trace into a Registry through the
 // same observers the live simulator and scheduler call — used by
@@ -9,7 +13,8 @@ import "lips/internal/trace"
 // reproduce the live values; cost is counted per money-bearing event by
 // trace.Charges, so it covers the whole run, not just up to the last
 // sample. A charge's tenant comes from the run header's job→user table;
-// a job the header does not list books its category only. The
+// a job the header does not list books its category only. A label
+// outside internal/trace's tables counts nowhere. The
 // wall-clock families fill only when the trace was recorded with timings
 // enabled.
 type TraceSink struct {
@@ -33,22 +38,30 @@ func (t *TraceSink) Emit(e trace.Event) {
 	case trace.KindEnqueue:
 		t.sim.Enqueue()
 	case trace.KindLaunch:
-		t.sim.Launch(e.Task.Locality)
+		if i := slices.Index(trace.Localities[:], e.Task.Locality); i >= 0 {
+			t.sim.LaunchAt(i)
+		}
 	case trace.KindDone:
 		t.sim.Done()
 	case trace.KindKill:
-		t.sim.Kill(e.Task.Reason)
+		if r, ok := trace.ParseKillReason(e.Task.Reason); ok {
+			t.sim.Kill(r)
+		}
 	case trace.KindMove:
-		t.sim.Move(e.Move.Reason, e.Move.MB)
+		if r, ok := trace.ParseMoveReason(e.Move.Reason); ok {
+			t.sim.Move(r, e.Move.MB)
+		}
 	case trace.KindFault:
-		t.sim.Fault(e.Fault.Kind)
+		if i := slices.Index(trace.FaultKinds[:], e.Fault.Kind); i >= 0 {
+			t.sim.FaultAt(i)
+		}
 	case trace.KindEpoch:
 		t.sched.ObserveEpoch(e.Epoch)
 	case trace.KindSample:
 		t.sim.Sample(e.T, e.Sample)
 	}
 	// An event the table cannot price (an unknown kill or move reason)
-	// still counts above; -audit is where it is an error.
+	// books nothing; -audit is where it is an error.
 	chs, _ := trace.Charges(e)
 	for _, ch := range chs {
 		tenant, _ := t.run.JobTenant(ch.Job)

@@ -6,24 +6,7 @@ import (
 	"testing"
 
 	"lips/internal/cost"
-	"lips/internal/trace"
 )
-
-// TestReasonsArePriced holds the pre-registered kill and move reasons to
-// the money table the simulator and TraceSink share: each bills a
-// category.
-func TestReasonsArePriced(t *testing.T) {
-	for _, r := range KillReasons {
-		if trace.KillCategory(r) == "" {
-			t.Errorf("kill reason %q has no ledger category", r)
-		}
-	}
-	for _, r := range MoveReasons {
-		if trace.MoveCategory(r) == "" {
-			t.Errorf("move reason %q has no ledger category", r)
-		}
-	}
-}
 
 // TestChargeConcurrent charges one bundle from several goroutines, as
 // two runs sharing a registry would: the tenant cache is locked and no

@@ -8,6 +8,7 @@ import (
 	"lips/internal/cluster"
 	"lips/internal/cost"
 	"lips/internal/hdfs"
+	"lips/internal/trace"
 )
 
 // Fault injection. A FaultPlan is a deterministic script of node crashes,
@@ -23,7 +24,7 @@ import (
 // FaultKind labels one injected fault.
 type FaultKind int
 
-// Fault kinds.
+// Fault kinds, in trace.FaultKinds order.
 const (
 	FaultNodeDown  FaultKind = iota // node crashes: attempts killed, queue drained, slots gone
 	FaultNodeUp                     // node rejoins with all slots free
@@ -31,20 +32,12 @@ const (
 	FaultSlowdown                   // straggler: attempts started on the node run slower for a window
 )
 
-// String names the kind.
+// String names the kind (trace.FaultKinds).
 func (k FaultKind) String() string {
-	switch k {
-	case FaultNodeDown:
-		return "node-down"
-	case FaultNodeUp:
-		return "node-up"
-	case FaultStoreLoss:
-		return "store-loss"
-	case FaultSlowdown:
-		return "slowdown"
-	default:
+	if k < 0 || int(k) >= len(trace.FaultKinds) {
 		return fmt.Sprintf("fault(%d)", int(k))
 	}
+	return trace.FaultKinds[k]
 }
 
 // Fault is one scripted event.
@@ -227,14 +220,14 @@ func (s *Sim) crashHit(flat int32, n cluster.NodeID) {
 	ti := &s.tasks[flat]
 	j, t := int(ti.job), int(ti.idx)
 	if c := s.attemptOf(ti, true); c != nil && c.node == n {
-		s.cancelSpeculative(j, t, false, "node-crash")
+		s.cancelSpeculative(j, t, false, trace.KillNodeCrash)
 	}
 	if TaskState(s.states[flat]) == Running && ti.node == n {
 		// The surviving speculative copy could in principle be promoted;
 		// Hadoop instead re-runs the task, and so do we — both copies
 		// die with the primary's node.
-		s.dropCopy(ti, "node-crash")
-		s.failAttempt(j, t, false, "node-crash")
+		s.dropCopy(ti, trace.KillNodeCrash)
+		s.failAttempt(j, t, false, trace.KillNodeCrash)
 	}
 }
 
@@ -262,7 +255,7 @@ func (s *Sim) recoverNode(n cluster.NodeID) {
 // billing the CPU it burned to the fault category and returning the task
 // to Pending for re-execution. freeSlot is false when the slot died with
 // its node; reason labels the kill in the trace.
-func (s *Sim) failAttempt(job, task int, freeSlot bool, reason string) {
+func (s *Sim) failAttempt(job, task int, freeSlot bool, reason trace.KillReason) {
 	billed, burned := s.partialBurn(job, task)
 	s.setStateFlat(job, s.flat(job, task), Pending)
 	s.Faults.TasksReexecuted++
@@ -289,7 +282,7 @@ func (s *Sim) loseStore(st cluster.StoreID) {
 		mb := s.P.Object(br.Object).BlockSizeMB(br.Block)
 		billed := s.ssPerGB(src, dst).MulFloat(mb / 1024)
 		s.Faults.BlocksReplicated++
-		s.noteMove(int(br.Object), br.Block, src, dst, mb, 0, billed, "re-replicate")
+		s.noteMove(int(br.Object), br.Block, src, dst, mb, 0, billed, trace.MoveReReplicate)
 	}
 	for _, br := range lost {
 		obj := s.P.Object(br.Object)
@@ -305,7 +298,7 @@ func (s *Sim) loseStore(st cluster.StoreID) {
 		billed := s.ssPerGB(st, dst).MulFloat(mb / 1024)
 		s.Faults.BlocksLost++
 		s.Faults.BlocksReplicated++
-		s.noteMove(int(br.Object), br.Block, st, dst, mb, 0, billed, "re-materialize")
+		s.noteMove(int(br.Object), br.Block, st, dst, mb, 0, billed, trace.MoveReMaterialize)
 	}
 	// Kill attempts whose input read from the lost store is still in
 	// progress; attempts past their transfer phase already hold the data.
@@ -322,11 +315,11 @@ func (s *Sim) loseStore(st cluster.StoreID) {
 func (s *Sim) storeLossHit(flat int32, st cluster.StoreID) {
 	ti := &s.tasks[flat]
 	j, t := int(ti.job), int(ti.idx)
-	if c := s.attemptOf(ti, true); c != nil && c.store == st && s.clock < c.transferEndAt-1e-9 {
-		s.cancelSpeculative(j, t, true, "store-loss")
+	if c := s.attemptOf(ti, true); c != nil && c.store == st && s.inTransfer(c) {
+		s.cancelSpeculative(j, t, true, trace.KillStoreLoss)
 	}
 	if TaskState(s.states[flat]) == Running && ti.store == st && s.inTransfer(&ti.attempt) {
-		s.failAttempt(j, t, true, "store-loss")
+		s.failAttempt(j, t, true, trace.KillStoreLoss)
 	}
 }
 

@@ -65,7 +65,7 @@ package sim
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"lips/internal/cluster"
 )
@@ -214,20 +214,8 @@ func (s *Sim) runningHits(hit func(*attempt) bool) []int32 {
 		}
 	}
 	s.hitBuf = hits
-	return sortDedup(hits)
-}
-
-func sortDedup(hits []int32) []int32 {
-	sort.Slice(hits, func(i, j int) bool { return hits[i] < hits[j] })
-	w := 0
-	for r := range hits {
-		if r > 0 && hits[r] == hits[r-1] {
-			continue
-		}
-		hits[w] = hits[r]
-		w++
-	}
-	return hits[:w]
+	slices.Sort(hits)
+	return slices.Compact(hits)
 }
 
 // IdleNodes appends every live node with at least one free slot to buf in

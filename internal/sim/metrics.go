@@ -1,6 +1,10 @@
 package sim
 
-import "math"
+import (
+	"math"
+
+	"lips/internal/trace"
+)
 
 // The run's tallies beyond the ledger's dollars: data locality, per-node
 // accumulated CPU time (Fig. 11), slot utilization and Jain's fairness
@@ -9,7 +13,7 @@ import "math"
 // Locality classifies where a task read its input from.
 type Locality int
 
-// Locality levels, best first.
+// Locality levels, best first, in trace.Localities order.
 const (
 	NodeLocal Locality = iota // co-located store
 	ZoneLocal                 // same availability zone
@@ -17,19 +21,12 @@ const (
 	NoInput                   // the task read nothing (Pi)
 )
 
-// String names the locality level.
+// String names the locality level (trace.Localities).
 func (l Locality) String() string {
-	switch l {
-	case NodeLocal:
-		return "node-local"
-	case ZoneLocal:
-		return "zone-local"
-	case Remote:
-		return "remote"
-	case NoInput:
-		return "no-input"
+	if l < 0 || int(l) >= len(trace.Localities) {
+		return "unknown"
 	}
-	return "unknown"
+	return trace.Localities[l]
 }
 
 // JainIndex computes Jain's fairness index over nonnegative allocations:

@@ -162,6 +162,41 @@ func TestSharedLinksTimeoutCancelsFlow(t *testing.T) {
 	}
 }
 
+// TestStoreLossKillsSharedCopy: a primary and its speculative copy read
+// one block over the same shared zone link, so each read takes 4.096 s
+// against a 2.048 s dedicated-rate estimate. The store is lost 2.5 s in:
+// both reads are unfinished, so both attempts die with the store.
+func TestStoreLossKillsSharedCopy(t *testing.T) {
+	b := cluster.NewBuilder("za", "zb")
+	b.AddNode("za", "t", 1, 1, cost.Millicents(1), 1e6)
+	b.AddNode("zb", "t", 1, 1, cost.Millicents(1), 1e6)
+	b.AddNode("zb", "t", 1, 1, cost.Millicents(1), 1e6)
+	c := b.Build()
+	wb := workload.NewBuilder()
+	arch := workload.Archetype{Name: "syn", Property: workload.Mixed, CPUSecPerBlock: 32}
+	wb.AddInputJob("j", "u", arch, 64, 0, 0) // one block on store 0, in za
+	w := wb.Build()
+	g := greedyStub()
+	g.onArrival = func(s *Sim, j int) {
+		if err := s.Launch(j, 0, 1, 0); err != nil {
+			t.Error(err)
+		}
+		if !s.LaunchSpeculative(2) {
+			t.Error("speculative launch refused")
+		}
+	}
+	reg := obs.NewRegistry()
+	plan := &FaultPlan{Faults: []Fault{{At: 2.5, Kind: FaultStoreLoss, Store: 0}}}
+	s := New(c, w, nil, g, Options{SharedLinks: true, Speculative: true, Faults: plan, Metrics: reg})
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := reg.Value(obs.MSimKilled, "store-loss"); got != 2 {
+		t.Errorf("store-loss kills = %g, want 2 (the primary and its copy)", got)
+	}
+	verifyIndexes(t, s, true)
+}
+
 func TestSharedLinksLocalReadsDoNotContend(t *testing.T) {
 	// Node-local reads bypass the shared engine entirely.
 	c := twoZoneCluster()

@@ -6,6 +6,7 @@ import (
 	"lips/internal/cluster"
 	"lips/internal/cost"
 	"lips/internal/obs"
+	"lips/internal/trace"
 	"lips/internal/workload"
 )
 
@@ -22,8 +23,8 @@ func TestNoObsNoAllocs(t *testing.T) {
 		s.noteEnqueue(0, 0, 0, 0, 0)
 		s.noteLaunch(0, 0, 1, 0, 0, NodeLocal, false)
 		s.noteDone(0, 0, 1, 0, 0, 1, 0, 1, 0, 0, false)
-		s.noteKill(0, 0, 0, "timeout", 0, false)
-		s.noteMove(0, 0, 0, 0, 64, 1, 0, "plan")
+		s.noteKill(0, 0, 0, trace.KillTimeout, 0, false)
+		s.noteMove(0, 0, 0, 0, 64, 1, 0, trace.MovePlan)
 		s.noteFault(Fault{Kind: FaultNodeDown})
 		s.emitSample()
 		s.charge(cost.CatCPU, 0, 0)
@@ -58,11 +59,11 @@ func TestMetricsNoAllocs(t *testing.T) {
 		{"charge", func() { s.charge(cost.CatCPU, 0, 1) }},
 		{"obsRefresh", s.obsRefresh},
 	}
-	for _, r := range obs.KillReasons {
-		cps = append(cps, chokepoint{"noteKill " + r, func() { s.noteKill(0, 0, 0, r, 1, false) }})
+	for r := range trace.NumKillReasons {
+		cps = append(cps, chokepoint{"noteKill " + r.String(), func() { s.noteKill(0, 0, 0, r, 1, false) }})
 	}
-	for _, r := range obs.MoveReasons {
-		cps = append(cps, chokepoint{"noteMove " + r, func() { s.noteMove(0, 0, 0, 0, 64, 1, 1, r) }})
+	for r := range trace.NumMoveReasons {
+		cps = append(cps, chokepoint{"noteMove " + r.String(), func() { s.noteMove(0, 0, 0, 0, 64, 1, 1, r) }})
 	}
 	for _, cp := range cps {
 		if allocs := testing.AllocsPerRun(100, cp.f); allocs != 0 {

@@ -328,6 +328,10 @@ func TestDispatchGolden(t *testing.T) {
 func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 	t.Helper()
 	freeSlots, liveSlots, down := 0, 0, 0
+	held := make([]int, len(s.nodes)) // tracked attempts by node
+	for _, ref := range s.running {
+		held[s.attemptOf(&s.tasks[ref>>1], ref&1 == 1).node]++
+	}
 	for n := range s.nodes {
 		ns := &s.nodes[n]
 		idle := s.idle[n>>6]&(1<<(uint(n)&63)) != 0
@@ -337,6 +341,12 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 		if ns.down {
 			down++
 			continue
+		}
+		// Each slot is free or held by one tracked attempt; between a
+		// primary's untrack and its slot's release (dropCopy) one slot
+		// is neither.
+		if slots := s.C.Nodes[n].Slots; ns.free+held[n] > slots || (strict && ns.free+held[n] != slots) {
+			t.Fatalf("node %d: %d free slots and %d tracked attempts on %d slots", n, ns.free, held[n], slots)
 		}
 		freeSlots += ns.free
 		liveSlots += s.C.Nodes[n].Slots

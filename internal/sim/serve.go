@@ -17,6 +17,7 @@ import (
 	"lips/internal/cluster"
 	"lips/internal/hdfs"
 	"lips/internal/obs"
+	"lips/internal/trace"
 	"lips/internal/workload"
 )
 
@@ -260,7 +261,7 @@ func (s *Sim) CancelJob(job int) error {
 			s.tasks[f].qNode = -1 // the node's next drain drops the entry
 			s.tasks[f].gen++
 			s.setStateFlat(job, f, Done)
-			s.noteKill(job, int(f-base), cluster.NodeID(-1), "cancel", 0, false)
+			s.noteKill(job, int(f-base), cluster.NodeID(-1), trace.KillCancel, 0, false)
 		}
 	}
 	// Pass 2: kill the running attempts, copies first (dropCopy), billing
@@ -272,9 +273,9 @@ func (s *Sim) CancelJob(job int) error {
 		}
 		ti := &s.tasks[f]
 		billed, _ := s.partialBurn(job, int(f-base))
-		s.dropCopy(ti, "cancel")
+		s.dropCopy(ti, trace.KillCancel)
 		s.setStateFlat(job, f, Done)
-		s.endAttempt(ti, false, "cancel", billed, true, true)
+		s.endAttempt(ti, false, trace.KillCancel, billed, true, true)
 	}
 	if !js.arrived {
 		// All of an unarrived job's tasks were counted in unarrived (they

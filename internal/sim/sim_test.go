@@ -410,7 +410,7 @@ func TestKillTaskRunningBillsPartialBurn(t *testing.T) {
 
 func TestKillAttemptAfterSpeculativeWin(t *testing.T) {
 	// The speculative copy wins; the superseded primary bills half its
-	// demand as speculative waste (killAttempt's documented estimate).
+	// demand as speculative waste (completeAttempt's documented estimate).
 	b := cluster.NewBuilder("za")
 	b.AddNode("za", "slow", 0.1, 1, cost.Millicents(1), 1e6)
 	b.AddNode("za", "fast", 10, 1, cost.Millicents(1), 1e6)
@@ -437,6 +437,53 @@ func TestKillAttemptAfterSpeculativeWin(t *testing.T) {
 	// The winning copy bills its full demand at its own node's price.
 	if got := r.Cost.Category(cost.CatCPU); got != cost.CPUCost(cost.Millicents(1), 100) {
 		t.Errorf("cpu cost = %v, want 100 mc", got)
+	}
+}
+
+// TestSpeculativeWinAfterPrimaryTimeout: a remote read on a 1-slot node
+// times out and re-pends its task while the speculative copy keeps
+// running, and nobody relaunches the task before the copy wins. The
+// primary's attempt already ended, so the win kills nothing: its slot is
+// not freed again and no half demand is booked as speculative waste.
+func TestSpeculativeWinAfterPrimaryTimeout(t *testing.T) {
+	b := cluster.NewBuilder("za", "zb")
+	b.AddNode("za", "t", 2, 1, cost.Millicents(1), 1e6)
+	b.AddNode("zb", "t", 2, 1, cost.Millicents(1), 1e6)
+	c := b.Build()
+	wb := workload.NewBuilder()
+	arch := workload.Archetype{Name: "syn", Property: workload.Mixed, CPUSecPerBlock: 64}
+	wb.AddInputJob("j", "u", arch, 64, 0, 0) // one block on store 0, in za
+	w := wb.Build()
+	ss := &stubSched{}
+	ss.onArrival = func(s *Sim, j int) {
+		// A 2.048 s cross-zone read, past the 1.5 s timeout.
+		if err := s.Launch(j, 0, 1, 0); err != nil {
+			t.Error(err)
+		}
+		if !s.LaunchSpeculative(0) {
+			t.Error("speculative launch refused")
+		}
+	}
+	ss.onTaskDone = func(s *Sim, _, _ int) { verifyIndexes(t, s, true) }
+	reg := obs.NewRegistry()
+	s := New(c, w, nil, ss, Options{Speculative: true, TaskTimeoutSec: 1.5, Metrics: reg})
+	r, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyIndexes(t, s, true)
+	for n := range c.Nodes {
+		if got := s.FreeSlots(cluster.NodeID(n)); got != 1 {
+			t.Errorf("node %d ends with %d free slots of 1", n, got)
+		}
+	}
+	for reason, want := range map[string]float64{"timeout": 1, "speculative": 0} {
+		if got, _ := reg.Value(obs.MSimKilled, reason); got != want {
+			t.Errorf("%s kills = %g, want %g", reason, got, want)
+		}
+	}
+	if got := r.Cost.Category(cost.CatSpeculative); got != 0 {
+		t.Errorf("speculative waste = %v, want 0: the timed-out primary was billed its partial read", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"lips/internal/cluster"
 	"lips/internal/cost"
 	"lips/internal/obs"
+	"lips/internal/trace"
 )
 
 // checkZoneTables holds the simulator's zone-pair tables to the cluster's
@@ -62,13 +63,28 @@ func TestZoneTablesMatchCluster(t *testing.T) {
 	checkZoneTables(t, c)
 }
 
-// TestLocalityNamesMatchObs pins the order LaunchAt relies on: a
-// Locality's value is its name's position in obs.Localities.
+// TestLocalityNamesMatchObs pins the order LaunchAt and FaultAt rely on:
+// a Locality's or FaultKind's value is the position of its name in the
+// trace table obs registers children in, so the observer moves the child
+// labelled with the value's String.
 func TestLocalityNamesMatchObs(t *testing.T) {
-	for i, name := range obs.Localities {
-		if got := Locality(i).String(); got != name {
-			t.Errorf("Locality(%d) = %q, obs.Localities[%d] = %q", i, got, i, name)
+	reg := obs.NewRegistry()
+	m := obs.RegisterSim(reg)
+	for l := NodeLocal; l <= NoInput; l++ {
+		m.LaunchAt(int(l))
+		if v, ok := reg.Value(obs.MSimLaunched, l.String()); !ok || v != 1 {
+			t.Errorf("LaunchAt(%d) moved %s{locality=%q} to %g (found %v), want 1", int(l), obs.MSimLaunched, l, v, ok)
 		}
+	}
+	for k := FaultNodeDown; k <= FaultSlowdown; k++ {
+		m.FaultAt(int(k))
+		if v, ok := reg.Value(obs.MSimFaults, k.String()); !ok || v != 1 {
+			t.Errorf("FaultAt(%d) moved %s{kind=%q} to %g (found %v), want 1", int(k), obs.MSimFaults, k, v, ok)
+		}
+	}
+	if len(trace.Localities) != int(NoInput)+1 || len(trace.FaultKinds) != int(FaultSlowdown)+1 {
+		t.Errorf("tables hold %d localities and %d fault kinds, want %d and %d",
+			len(trace.Localities), len(trace.FaultKinds), int(NoInput)+1, int(FaultSlowdown)+1)
 	}
 }
 

@@ -196,7 +196,7 @@ func (s *Sim) timeoutKill(job, task int, movedMB float64) {
 	billed := s.msPerGB(ti.node, ti.store).MulFloat(movedMB / 1024)
 	s.busySlotSec += s.opts.TaskTimeoutSec
 	s.setStateFlat(job, s.flat(job, task), Pending)
-	s.endAttempt(ti, false, "timeout", billed, true, true)
+	s.endAttempt(ti, false, trace.KillTimeout, billed, true, true)
 }
 
 // completeEvent finishes a dedicated-rate attempt (evComplete). The
@@ -285,14 +285,19 @@ func (s *Sim) completeAttempt(job, task int, speculative bool) {
 
 	// Settle the twin attempt, if any.
 	if speculative {
-		// The copy won: kill the primary and release the copy's record
-		// now, since a record left marked running would let a later
-		// fault on the copy's node bill a completed task.
-		s.killAttempt(job, task)
+		// The copy won: kill the primary unless a timeout or a fault ended
+		// it first and nothing relaunched the task. It bills half its
+		// demand as speculative waste, the rule every recorded speculative
+		// run was booked under. The copy's record is released now: left
+		// marked running, a later fault on the copy's node would bill a
+		// completed task.
+		if TaskState(s.states[flat]) == Running {
+			s.endAttempt(ti, false, trace.KillSpeculative, cost.CPUCost(ti.price, cpuSec/2), true, true)
+		}
 		s.freeSpec(ti)
 		ti.specGen++
 	} else if ti.spec >= 0 {
-		s.cancelSpeculative(job, task, true, "speculative")
+		s.cancelSpeculative(job, task, true, trace.KillSpeculative)
 	}
 
 	ti.gen++
@@ -330,7 +335,7 @@ func (s *Sim) completeAttempt(job, task int, speculative bool) {
 // dispatches the node; a copy's record goes back to the pool. The amount
 // billed, the slot's busy time and a primary's next state are the
 // caller's.
-func (s *Sim) endAttempt(ti *taskInfo, speculative bool, reason string, billed cost.Money, book, freeSlot bool) {
+func (s *Sim) endAttempt(ti *taskInfo, speculative bool, reason trace.KillReason, billed cost.Money, book, freeSlot bool) {
 	job := int(ti.job)
 	a := s.attemptOf(ti, speculative)
 	n := a.node
@@ -339,7 +344,7 @@ func (s *Sim) endAttempt(ti *taskInfo, speculative bool, reason string, billed c
 		a.flow = nil
 	}
 	if book {
-		s.charge(trace.KillCategory(reason), job, billed)
+		s.charge(reason.Category(), job, billed)
 	}
 	s.untrack(a)
 	if speculative {
@@ -357,9 +362,9 @@ func (s *Sim) endAttempt(ti *taskInfo, speculative bool, reason string, billed c
 
 // cancelSpeculative cancels the task's speculative copy, if it has one,
 // billing the CPU it burned so far (its partial read folded in) under the
-// kill reason's category (trace.KillCategory). freeSlot is false when the
-// copy's node crashed and took the slot with it.
-func (s *Sim) cancelSpeculative(job, task int, freeSlot bool, reason string) {
+// kill reason's category. freeSlot is false when the copy's node crashed
+// and took the slot with it.
+func (s *Sim) cancelSpeculative(job, task int, freeSlot bool, reason trace.KillReason) {
 	ti := s.task(job, task)
 	a := s.attemptOf(ti, true)
 	if a == nil {
@@ -376,24 +381,12 @@ func (s *Sim) cancelSpeculative(job, task int, freeSlot bool, reason string) {
 	s.endAttempt(ti, true, reason, cost.CPUCost(a.price, burned), true, freeSlot)
 }
 
-// killAttempt ends the primary attempt after its speculative copy won,
-// billing half the task's demand as speculative waste. The primary's
-// start is on its record, so its elapsed burn could be priced as a
-// copy's is; the half-demand estimate stays because it is the rule every
-// recorded speculative run's cost was booked under, and the elapsed burn
-// would move them all.
-func (s *Sim) killAttempt(job, task int) {
-	ti := s.task(job, task)
-	cpuSec, _ := s.taskDemand(job, task)
-	s.endAttempt(ti, false, "speculative", cost.CPUCost(ti.price, cpuSec/2), true, true)
-}
-
 // dropCopy takes ti's primary out of the running index, then cancels its
 // speculative copy, if any, freeing the copy's slot — the first step of
 // killing a primary whose task must not go on running anywhere. The
 // primary goes first because the copy's kill dispatches its node, and
 // the scheduler code run there must not speculate on the dying primary.
-func (s *Sim) dropCopy(ti *taskInfo, reason string) {
+func (s *Sim) dropCopy(ti *taskInfo, reason trace.KillReason) {
 	s.untrack(&ti.attempt)
 	s.cancelSpeculative(int(ti.job), int(ti.idx), true, reason)
 }
@@ -585,7 +578,7 @@ func (s *Sim) MoveBlock(obj int, block int, dst cluster.StoreID) float64 {
 	mb := j.BlockSizeMB(block)
 	billed := s.ssPerGB(src, dst).MulFloat(mb / 1024)
 	doneAt := s.clock + mb/s.bandwidthStoreStore(src, dst)
-	s.noteMove(obj, block, src, dst, mb, doneAt-s.clock, billed, "plan")
+	s.noteMove(obj, block, src, dst, mb, doneAt-s.clock, billed, trace.MovePlan)
 	key := [2]int{obj, block}
 	mv := s.movingBlocks[key]
 	mv.moves++

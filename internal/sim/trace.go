@@ -65,7 +65,7 @@ func (s *Sim) noteEnqueue(job, task int, n cluster.NodeID, store cluster.StoreID
 
 func (s *Sim) noteLaunch(job, task, attempt int, n cluster.NodeID, store cluster.StoreID, loc Locality, speculative bool) {
 	if s.om != nil {
-		s.om.LaunchAt(int(loc)) // Localities is in Locality order
+		s.om.LaunchAt(int(loc))
 	}
 	if s.tr == nil {
 		return
@@ -99,7 +99,7 @@ func (s *Sim) noteDone(job, task, attempt int, n cluster.NodeID, store cluster.S
 	}})
 }
 
-func (s *Sim) noteKill(job, task int, n cluster.NodeID, reason string, billed cost.Money, speculative bool) {
+func (s *Sim) noteKill(job, task int, n cluster.NodeID, reason trace.KillReason, billed cost.Money, speculative bool) {
 	if s.om != nil {
 		s.om.Kill(reason)
 	}
@@ -108,14 +108,14 @@ func (s *Sim) noteKill(job, task int, n cluster.NodeID, reason string, billed co
 	}
 	s.tr.Emit(trace.Event{T: s.clock, Kind: trace.KindKill, Task: &trace.TaskInfo{
 		Job: job, Task: task, Node: int(n), Store: -1,
-		Reason: reason, CostUC: int64(billed), Speculative: speculative,
+		Reason: reason.String(), CostUC: int64(billed), Speculative: speculative,
 	}})
 }
 
-// noteMove books a block move's bill under its reason's category
-// (trace.MoveCategory) to no job, and records the move.
-func (s *Sim) noteMove(obj, block int, src, dst cluster.StoreID, mb, durSec float64, billed cost.Money, reason string) {
-	s.charge(trace.MoveCategory(reason), -1, billed)
+// noteMove books a block move's bill under its reason's category to no
+// job, and records the move.
+func (s *Sim) noteMove(obj, block int, src, dst cluster.StoreID, mb, durSec float64, billed cost.Money, reason trace.MoveReason) {
+	s.charge(reason.Category(), -1, billed)
 	if s.om != nil {
 		s.om.Move(reason, mb)
 	}
@@ -124,13 +124,13 @@ func (s *Sim) noteMove(obj, block int, src, dst cluster.StoreID, mb, durSec floa
 	}
 	s.tr.Emit(trace.Event{T: s.clock, Kind: trace.KindMove, Move: &trace.MoveInfo{
 		Object: obj, Block: block, Src: int(src), Dst: int(dst),
-		MB: mb, DurSec: durSec, CostUC: int64(billed), Reason: reason,
+		MB: mb, DurSec: durSec, CostUC: int64(billed), Reason: reason.String(),
 	}})
 }
 
 func (s *Sim) noteFault(f Fault) {
 	if s.om != nil {
-		s.om.Fault(f.Kind.String())
+		s.om.FaultAt(int(f.Kind))
 	}
 	if s.tr == nil {
 		return
@@ -205,7 +205,7 @@ func (s *Sim) emitSample() {
 // move events and to reg's simulator families through the observer the
 // trace replay calls for those events. A nil tr or reg is skipped. The
 // moves bill nothing: the commands that make them print the bill.
-func NoteMoves(tr trace.Tracer, reg *obs.Registry, t float64, p *hdfs.Placement, moves []hdfs.BalanceMove, reason string) {
+func NoteMoves(tr trace.Tracer, reg *obs.Registry, t float64, p *hdfs.Placement, moves []hdfs.BalanceMove, reason trace.MoveReason) {
 	var om *obs.SimMetrics
 	if reg != nil {
 		om = obs.RegisterSim(reg)
@@ -218,7 +218,7 @@ func NoteMoves(tr trace.Tracer, reg *obs.Registry, t float64, p *hdfs.Placement,
 		if tr != nil {
 			tr.Emit(trace.Event{T: t, Kind: trace.KindMove, Move: &trace.MoveInfo{
 				Object: int(mv.Object), Block: mv.Block,
-				Src: int(mv.From), Dst: int(mv.To), MB: mb, Reason: reason,
+				Src: int(mv.From), Dst: int(mv.To), MB: mb, Reason: reason.String(),
 			}})
 		}
 	}

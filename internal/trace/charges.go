@@ -6,40 +6,6 @@ import (
 	"lips/internal/cost"
 )
 
-// The money table. Every microcent the simulator's ledger books rides on
-// exactly one done, kill or move event; these rules say under which
-// category and tenant. The simulator's kill and move sites and its
-// charge chokepoint read them when they book, obs.TraceSink when it
-// replays, and lips-trace -audit/-by-job when they rebuild the ledger,
-// so none can disagree with another.
-
-// killCategories maps a kill reason to the category its burn is billed
-// under.
-var killCategories = map[string]cost.Category{
-	"timeout":     cost.CatTransfer, // the partial input read
-	"speculative": cost.CatSpeculative,
-	"cancel":      cost.CatSpeculative,
-	"node-crash":  cost.CatFault,
-	"store-loss":  cost.CatFault,
-}
-
-// moveCategories maps a move reason to its category: planned and
-// balancer moves are placement spend, fault repairs are fault spend.
-var moveCategories = map[string]cost.Category{
-	"plan":           cost.CatPlacement,
-	"balance":        cost.CatPlacement,
-	"re-replicate":   cost.CatFault,
-	"re-materialize": cost.CatFault,
-}
-
-// KillCategory returns the ledger category a kill of this reason bills,
-// or "" for a reason the simulator never kills for.
-func KillCategory(reason string) cost.Category { return killCategories[reason] }
-
-// MoveCategory returns the ledger category a move of this reason bills,
-// or "" for an unknown reason.
-func MoveCategory(reason string) cost.Category { return moveCategories[reason] }
-
 // Tenant is who owns a charge: the job's user, or cost.UnattributedTenant
 // for money no single job caused (job < 0) and for jobs without a user.
 func Tenant(job int, user string) string {
@@ -90,15 +56,17 @@ func Charges(e Event) ([]Charge, error) {
 		}
 		return chs, nil
 	case KindKill:
-		ch = Charge{e.Task.Job, KillCategory(e.Task.Reason), e.Task.CostUC}
-		if ch.Cat == "" {
+		r, ok := ParseKillReason(e.Task.Reason)
+		if !ok {
 			return nil, fmt.Errorf("kill j%d/t%d: unknown reason %q", e.Task.Job, e.Task.Task, e.Task.Reason)
 		}
+		ch = Charge{e.Task.Job, r.Category(), e.Task.CostUC}
 	case KindMove:
-		ch = Charge{-1, MoveCategory(e.Move.Reason), e.Move.CostUC}
-		if ch.Cat == "" {
+		r, ok := ParseMoveReason(e.Move.Reason)
+		if !ok {
 			return nil, fmt.Errorf("move %d/%d: unknown reason %q", e.Move.Object, e.Move.Block, e.Move.Reason)
 		}
+		ch = Charge{-1, r.Category(), e.Move.CostUC}
 	}
 	if ch.UC == 0 {
 		return nil, nil
