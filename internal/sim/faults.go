@@ -202,8 +202,8 @@ func (s *Sim) crashNode(n cluster.NodeID) {
 	// Drain the pinned queue: those tasks were promised this node's slots.
 	for _, e := range ns.queue {
 		flat := s.taskBase[e.job] + e.task
-		ti := &s.tasks[flat]
-		if TaskState(s.states[flat]) != Queued || ti.qNode != int32(n) || ti.qSeq != e.seq {
+		ti := s.row(flat)
+		if s.state(flat) != Queued || ti.qNode != int32(n) || ti.qSeq != e.seq {
 			continue // stale entry
 		}
 		ti.qNode = -1
@@ -217,12 +217,12 @@ func (s *Sim) crashNode(n cluster.NodeID) {
 
 // crashHit kills whatever task flat is running on the crashed node n.
 func (s *Sim) crashHit(flat int32, n cluster.NodeID) {
-	ti := &s.tasks[flat]
+	ti := s.row(flat)
 	j, t := int(ti.job), int(ti.idx)
 	if c := s.attemptOf(ti, true); c != nil && c.node == n {
 		s.cancelSpeculative(j, t, false, trace.KillNodeCrash)
 	}
-	if TaskState(s.states[flat]) == Running && ti.node == n {
+	if s.state(flat) == Running && ti.node == n {
 		// The surviving speculative copy could in principle be promoted;
 		// Hadoop instead re-runs the task, and so do we — both copies
 		// die with the primary's node.
@@ -313,19 +313,19 @@ func (s *Sim) loseStore(st cluster.StoreID) {
 
 // storeLossHit kills whatever attempt of task flat still reads store st.
 func (s *Sim) storeLossHit(flat int32, st cluster.StoreID) {
-	ti := &s.tasks[flat]
+	ti := s.row(flat)
 	j, t := int(ti.job), int(ti.idx)
 	if c := s.attemptOf(ti, true); c != nil && c.store == st && s.inTransfer(c) {
 		s.cancelSpeculative(j, t, true, trace.KillStoreLoss)
 	}
-	if TaskState(s.states[flat]) == Running && ti.store == st && s.inTransfer(&ti.attempt) {
+	if s.state(flat) == Running && ti.store == st && s.inTransfer(&ti.attempt) {
 		s.failAttempt(j, t, true, trace.KillStoreLoss)
 	}
 }
 
 // inTransfer reports whether an attempt's input read is unfinished.
 func (s *Sim) inTransfer(a *attempt) bool {
-	return a.flow != nil || s.clock < a.transferEndAt-1e-9
+	return a.flow != 0 || s.clock < a.transferEndAt-1e-9
 }
 
 // replicaTarget picks the cheapest-to-reach store (from the block's

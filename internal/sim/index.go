@@ -115,7 +115,7 @@ func (s *Sim) untrack(a *attempt) {
 	last := int32(len(s.running)) - 1
 	if moved := s.running[last]; a.runPos != last {
 		s.running[a.runPos] = moved
-		s.attemptOf(&s.tasks[moved>>1], moved&1 == 1).runPos = a.runPos
+		s.attemptOf(s.row(moved>>1), moved&1 == 1).runPos = a.runPos
 	}
 	s.running = s.running[:last]
 	a.runPos = -1
@@ -127,10 +127,11 @@ func (s *Sim) untrack(a *attempt) {
 // through here.
 func (s *Sim) setStateFlat(job int, flat int32, st TaskState) {
 	js := &s.jobs[job]
-	old := s.states[flat]
+	cell := &s.states[flat>>pageShift][flat&pageMask]
+	old := *cell
 	s.stateCount[old]--
 	js.counts[old]--
-	s.states[flat] = uint8(st)
+	*cell = uint8(st)
 	s.stateCount[st]++
 	js.counts[st]++
 	if st == Pending {
@@ -209,7 +210,7 @@ func (s *Sim) freeSpec(ti *taskInfo) {
 func (s *Sim) runningHits(hit func(*attempt) bool) []int32 {
 	hits := s.hitBuf[:0]
 	for _, ref := range s.running {
-		if hit(s.attemptOf(&s.tasks[ref>>1], ref&1 == 1)) {
+		if hit(s.attemptOf(s.row(ref>>1), ref&1 == 1)) {
 			hits = append(hits, ref>>1)
 		}
 	}

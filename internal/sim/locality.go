@@ -198,7 +198,7 @@ func (s *Sim) walkLocality(job int, entries []uint64, key uint64) int {
 	base := s.taskBase[job]
 	for ; i < len(entries) && entries[i]>>32 == key; i++ {
 		t := int32(uint32(entries[i]))
-		if TaskState(s.states[base+t]) == Pending {
+		if s.state(base+t) == Pending {
 			return int(t)
 		}
 	}

@@ -18,7 +18,7 @@ func bestLocalityScan(s *Sim, j int, n cluster.NodeID) (task int, store cluster.
 	task, store = -1, NoStore
 	job := s.W.Jobs[j]
 	for t := 0; t < job.NumTasks; t++ {
-		if TaskState(s.states[s.taskBase[j]+int32(t)]) != Pending {
+		if s.state(s.taskBase[j]+int32(t)) != Pending {
 			continue
 		}
 		if !job.HasInput() {

@@ -12,9 +12,13 @@ package sim
 // rate; whenever the flow set of a link changes, every flow on that link
 // is elapsed to the current clock, rates are recomputed, and completion
 // events are rescheduled (stale events are voided by a generation
-// counter).
+// counter). An attempt holds its flow by id, not by pointer, so the task
+// table stays pointer-free; the engine looks the id up in flows.
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // linkID identifies an unordered zone pair.
 type linkID struct{ a, b string }
@@ -28,7 +32,7 @@ func mkLink(zoneA, zoneB string) linkID {
 
 // flow is one in-flight transfer on a shared link.
 type flow struct {
-	id          int
+	id          int32
 	link        linkID
 	total       float64 // megabytes requested
 	remainingMB float64
@@ -41,19 +45,20 @@ type flow struct {
 
 type linkState struct {
 	capacityMBps float64
-	flows        map[int]*flow
+	flows        map[int32]*flow
 }
 
 // netEngine manages all shared links of a simulation.
 type netEngine struct {
 	s       *Sim
 	links   map[linkID]*linkState
-	nextID  int
+	flows   map[int32]*flow // every in-flight flow, by id
+	nextID  int32
 	sortBuf []*flow // reused by reschedule's deterministic ordering
 }
 
 func newNetEngine(s *Sim) *netEngine {
-	return &netEngine{s: s, links: make(map[linkID]*linkState)}
+	return &netEngine{s: s, links: make(map[linkID]*linkState), flows: make(map[int32]*flow)}
 }
 
 // linkFor returns the shared link between two zones, creating it with the
@@ -62,43 +67,57 @@ func (ne *netEngine) linkFor(zoneA, zoneB string) *linkState {
 	id := mkLink(zoneA, zoneB)
 	ls, ok := ne.links[id]
 	if !ok {
-		ls = &linkState{capacityMBps: ne.s.C.ZoneMBps(zoneA, zoneB), flows: make(map[int]*flow)}
+		ls = &linkState{capacityMBps: ne.s.C.ZoneMBps(zoneA, zoneB), flows: make(map[int32]*flow)}
 		ne.links[id] = ls
 	}
 	return ls
 }
 
 // start begins a transfer of mb megabytes between the zones and calls
-// onDone at completion. It returns the flow for cancellation; the caller
-// must not reuse it after onDone fires.
+// onDone at completion. It returns the flow; the caller keeps its id for
+// cancel, and must not reuse the flow after onDone fires.
 func (ne *netEngine) start(zoneA, zoneB string, mb float64, onDone func()) *flow {
 	ls := ne.linkFor(zoneA, zoneB)
 	ne.elapse(ls)
-	ne.nextID++
 	f := &flow{
-		id: ne.nextID, link: mkLink(zoneA, zoneB),
+		id: ne.newID(), link: mkLink(zoneA, zoneB),
 		total: mb, remainingMB: mb, lastUpdate: ne.s.clock, onDone: onDone,
 	}
 	ls.flows[f.id] = f
+	ne.flows[f.id] = f
 	ne.reschedule(ls)
 	return f
 }
 
-// cancel aborts an in-flight flow and returns the megabytes it moved.
-func (ne *netEngine) cancel(f *flow) float64 {
-	if f.done {
+// newID returns the next flow id: ids count up from 1 and, should a run
+// ever start 2³¹ flows, wrap past the ones still in flight. 0 is no flow.
+func (ne *netEngine) newID() int32 {
+	for {
+		if ne.nextID == math.MaxInt32 {
+			ne.nextID = 0
+		}
+		ne.nextID++
+		if _, live := ne.flows[ne.nextID]; !live {
+			return ne.nextID
+		}
+	}
+}
+
+// cancel aborts the in-flight flow id and returns the megabytes it moved;
+// a flow that has finished moves nothing more.
+func (ne *netEngine) cancel(id int32) float64 {
+	f, ok := ne.flows[id]
+	if !ok {
 		return 0
 	}
 	ls := ne.links[f.link]
 	ne.elapse(ls)
-	moved := 0.0
-	if g, ok := ls.flows[f.id]; ok && g == f {
-		moved = g.movedOf()
-		f.done = true
-		f.gen++
-		delete(ls.flows, f.id)
-		ne.reschedule(ls)
-	}
+	moved := f.movedOf()
+	f.done = true
+	f.gen++
+	delete(ls.flows, id)
+	delete(ne.flows, id)
+	ne.reschedule(ls)
 	return moved
 }
 
@@ -163,6 +182,7 @@ func (ne *netEngine) complete(f *flow) {
 	f.done = true
 	f.remainingMB = 0
 	delete(ls.flows, f.id)
+	delete(ne.flows, f.id)
 	ne.reschedule(ls)
 	f.onDone()
 }

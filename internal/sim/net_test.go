@@ -96,7 +96,7 @@ func TestSharedLinksCancelRestoresBandwidth(t *testing.T) {
 	fb := s.net.start("za", "zb", 62.5, func() {})
 	_ = fa
 	s.At(1, func() {
-		moved := s.net.cancel(fb)
+		moved := s.net.cancel(fb.id)
 		// 1 s at half rate: 15.625 MB moved.
 		if math.Abs(moved-15.625) > 1e-9 {
 			t.Errorf("cancelled flow moved %g, want 15.625", moved)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -203,7 +204,7 @@ func cancelStub() *stubSched {
 		}
 		for _, j := range s.ArrivedJobs() {
 			for f := s.taskBase[j]; f < s.taskBase[j+1]; f++ {
-				if s.tasks[f].spec >= 0 {
+				if s.row(f).spec >= 0 {
 					if err := s.CancelJob(j); err != nil {
 						panic(err)
 					}
@@ -330,7 +331,7 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 	freeSlots, liveSlots, down := 0, 0, 0
 	held := make([]int, len(s.nodes)) // tracked attempts by node
 	for _, ref := range s.running {
-		held[s.attemptOf(&s.tasks[ref>>1], ref&1 == 1).node]++
+		held[s.attemptOf(s.row(ref>>1), ref&1 == 1).node]++
 	}
 	for n := range s.nodes {
 		ns := &s.nodes[n]
@@ -360,8 +361,9 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 	}
 
 	var stateCount [4]int
-	for _, st := range s.states {
-		stateCount[st]++
+	total := s.taskBase[len(s.jobs)]
+	for f := int32(0); f < total; f++ {
+		stateCount[s.state(f)]++
 	}
 	if stateCount != s.stateCount {
 		t.Fatalf("state counts: live %v, recomputed %v", s.stateCount, stateCount)
@@ -384,7 +386,7 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 			continue
 		}
 		for f := s.taskBase[j]; f < s.taskBase[j+1]; f++ {
-			arrived[s.states[f]]++
+			arrived[s.state(f)]++
 		}
 	}
 	pending, queued, running, done := s.StateCounts()
@@ -436,8 +438,8 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 		}
 		var counts [4]int32
 		for f := s.taskBase[j]; f < s.taskBase[j+1]; f++ {
-			counts[s.states[f]]++
-			if TaskState(s.states[f]) == Pending && f-s.taskBase[j] < js.cursor {
+			counts[s.state(f)]++
+			if s.state(f) == Pending && f-s.taskBase[j] < js.cursor {
 				t.Fatalf("job %d: task %d is Pending below the cursor %d", j, f-s.taskBase[j], js.cursor)
 			}
 		}
@@ -451,7 +453,7 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 	// attempt record's stored position — the swap-remove fixup invariant.
 	for pos, ref := range s.running {
 		flat := ref >> 1
-		if a := s.attemptOf(&s.tasks[flat], ref&1 == 1); a == nil || a.runPos != int32(pos) {
+		if a := s.attemptOf(s.row(flat), ref&1 == 1); a == nil || a.runPos != int32(pos) {
 			t.Fatalf("running[%d]=%#x (flat=%d): the attempt's record does not hold that position", pos, ref, flat)
 		}
 	}
@@ -460,22 +462,22 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 		return
 	}
 	refs := 0
-	tracked := func(flat int, speculative bool) {
-		ref := int32(flat) << 1
+	tracked := func(flat int32, speculative bool) {
+		ref := flat << 1
 		if speculative {
 			ref |= 1
 		}
-		pos := s.attemptOf(&s.tasks[flat], speculative).runPos
+		pos := s.attemptOf(s.row(flat), speculative).runPos
 		if pos < 0 || pos >= int32(len(s.running)) || s.running[pos] != ref {
 			t.Fatalf("task flat=%d (speculative %v): ref missing from running index (pos=%d)", flat, speculative, pos)
 		}
 		refs++
 	}
-	for flat := range s.tasks {
-		if TaskState(s.states[flat]) == Running {
+	for flat := int32(0); flat < total; flat++ {
+		if s.state(flat) == Running {
 			tracked(flat, false)
 		}
-		if s.tasks[flat].spec >= 0 {
+		if s.row(flat).spec >= 0 {
 			tracked(flat, true)
 		}
 	}
@@ -509,9 +511,9 @@ func verifyHits(t *testing.T, s *Sim, strict bool) {
 			add(wantStore, int(a.store), flat)
 		}
 	}
-	for f := range s.tasks {
-		ti := &s.tasks[f]
-		if TaskState(s.states[f]) == Running {
+	for f := int32(0); f < s.taskBase[len(s.jobs)]; f++ {
+		ti := s.row(f)
+		if s.state(f) == Running {
 			addAttempt(&ti.attempt, int32(f))
 		}
 		addAttempt(s.attemptOf(ti, true), int32(f))
@@ -685,15 +687,42 @@ func TestKillDuringBatchedSlotFree(t *testing.T) {
 }
 
 // TestRecordLayout holds the task table's row and the pooled copy record
-// to their sizes: batch-10k-scale keeps 2M taskInfo rows, so each byte a
-// row grows costs 2 MB of retained heap there.
+// to their sizes and keeps both pointer-free: batch-10k-scale keeps 2M
+// taskInfo rows, so each byte a row grows costs 2 MB of retained heap
+// there, and one pointer field would make every collection scan the whole
+// table again.
 func TestRecordLayout(t *testing.T) {
-	if got := unsafe.Sizeof(taskInfo{}); got > 104 {
-		t.Errorf("taskInfo is %d bytes, budget 104", got)
+	if got := unsafe.Sizeof(taskInfo{}); got > 96 {
+		t.Errorf("taskInfo is %d bytes, budget 96", got)
 	}
-	if got := unsafe.Sizeof(attempt{}); got > 64 {
-		t.Errorf("attempt is %d bytes, budget 64", got)
+	if got := unsafe.Sizeof(attempt{}); got > 56 {
+		t.Errorf("attempt is %d bytes, budget 56", got)
 	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(taskInfo{}), reflect.TypeOf(attempt{})} {
+		if path := pointerField(typ, typ.Name()); path != "" {
+			t.Errorf("%s holds a pointer at %s", typ.Name(), path)
+		}
+	}
+}
+
+// pointerField returns the path of the first field of typ that holds a
+// pointer the collector would scan, or "" when it has none.
+func pointerField(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Func,
+		reflect.Interface, reflect.Chan, reflect.String:
+		return path + " (" + typ.Kind().String() + ")"
+	case reflect.Array:
+		return pointerField(typ.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerField(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
 }
 
 // TestSteadyStateNoAllocs pins the zero-allocation event loop: with

@@ -160,7 +160,7 @@ func (s *Sim) JobStateCounts(job int) (pending, queued, running, done int) {
 }
 
 // AddJob appends a job to the live workload and schedules its arrival,
-// growing the flat task table, the state counters and (for input jobs)
+// growing the task table by whole pages, the state counters and (for input jobs)
 // the HDFS placement in place. The job's ID, Object and InputMB fields
 // are assigned here; its ArrivalSec is clamped to the current clock. For
 // input jobs pass the data object (sized by obj.SizeMB; NumTasks is
@@ -215,12 +215,8 @@ func (s *Sim) AddJob(job workload.Job, obj *hdfs.DataObject) (int, error) {
 	s.books = append(s.books, s.resolveBook(j))
 	s.jobs = append(s.jobs, newJobState(job.NumTasks))
 	s.taskBase = append(s.taskBase, s.taskBase[j]+int32(job.NumTasks))
-	for t := 0; t < job.NumTasks; t++ {
-		s.tasks = append(s.tasks, taskInfo{
-			job: int32(j), idx: int32(t), qNode: -1, spec: -1, attempt: attempt{runPos: -1},
-		})
-		s.states = append(s.states, uint8(Pending))
-	}
+	s.growTable(int(s.taskBase[j+1]))
+	s.initRows(j, job.NumTasks)
 	s.stateCount[Pending] += job.NumTasks
 	s.unarrived += job.NumTasks
 	s.remaining++
@@ -253,13 +249,13 @@ func (s *Sim) CancelJob(job int) error {
 	// Pass 1: retire every task that holds no slot, so the dispatches
 	// triggered by pass 2's kills cannot relaunch work of this job.
 	for f := base; f < end; f++ {
-		switch TaskState(s.states[f]) {
+		switch s.state(f) {
 		case Pending:
-			s.tasks[f].gen++
+			s.row(f).gen++
 			s.setStateFlat(job, f, Done)
 		case Queued:
-			s.tasks[f].qNode = -1 // the node's next drain drops the entry
-			s.tasks[f].gen++
+			s.row(f).qNode = -1 // the node's next drain drops the entry
+			s.row(f).gen++
 			s.setStateFlat(job, f, Done)
 			s.noteKill(job, int(f-base), cluster.NodeID(-1), trace.KillCancel, 0, false)
 		}
@@ -268,10 +264,10 @@ func (s *Sim) CancelJob(job int) error {
 	// each primary its partial burn. The charge is booked even at zero:
 	// it opens the tenant's ledger entry.
 	for f := base; f < end; f++ {
-		if TaskState(s.states[f]) != Running {
+		if s.state(f) != Running {
 			continue
 		}
-		ti := &s.tasks[f]
+		ti := s.row(f)
 		billed, _ := s.partialBurn(job, int(f-base))
 		s.dropCopy(ti, trace.KillCancel)
 		s.setStateFlat(job, f, Done)

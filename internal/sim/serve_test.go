@@ -144,7 +144,7 @@ func TestTaskTableOverflow(t *testing.T) {
 	}
 	// Pretend the table is three tasks short of full.
 	s.taskBase[len(s.taskBase)-1] = math.MaxInt32 - 3
-	jobs, objects, tasks := len(s.W.Jobs), len(s.W.Objects), len(s.tasks)
+	jobs, objects, pages := len(s.W.Jobs), len(s.W.Objects), len(s.tasks)
 	for _, tc := range []struct {
 		name string
 		job  workload.Job
@@ -156,8 +156,8 @@ func TestTaskTableOverflow(t *testing.T) {
 		if _, err := s.AddJob(tc.job, tc.obj); err == nil {
 			t.Errorf("%s: a 4-task job past the table's end was accepted", tc.name)
 		}
-		if len(s.W.Jobs) != jobs || len(s.W.Objects) != objects || len(s.tasks) != tasks {
-			t.Errorf("%s: refused job left state behind: %d jobs, %d objects, %d tasks",
+		if len(s.W.Jobs) != jobs || len(s.W.Objects) != objects || len(s.tasks) != pages {
+			t.Errorf("%s: refused job left state behind: %d jobs, %d objects, %d table pages",
 				tc.name, len(s.W.Jobs), len(s.W.Objects), len(s.tasks))
 		}
 	}

@@ -9,8 +9,8 @@
 // completions, and act through Launch, Enqueue and MoveBlock.
 //
 // The core is sized for 10k-node clusters running millions of tasks: task
-// state lives in one flat index-addressed table (with the hot state column
-// in its own byte array), the event heap is a hand-rolled binary heap over
+// state lives in one index-addressed table of fixed-size pointer-free
+// pages (with the hot state column in its own byte pages), the event heap is a hand-rolled binary heap over
 // pointer-free typed event structs (the rare closure events keep their
 // func in a side table), and free slots, running attempts, task-state
 // totals, the arrived jobs with their per-job task counts and each job's
@@ -270,12 +270,14 @@ func (s *Sim) pop() event {
 	return top
 }
 
-// taskInfo is one task's record in the flat table. The state column lives
+// taskInfo is one task's row in the task table. The state column lives
 // separately in Sim.states so state sweeps touch one byte per task. The
 // primary attempt's record is embedded; a speculative copy's is a pooled
 // record of the same type (Sim.specs) reached through spec, since at any
 // instant almost no task has a copy. Both generations stay here, not in
 // the records, because a pooled record is reused by other tasks' copies.
+// A row holds no pointer (TestRecordLayout), so the collector never scans
+// the table.
 type taskInfo struct {
 	job, idx int32 // own coordinates (inverse of the flat index)
 	attempts int32
@@ -308,7 +310,7 @@ type attempt struct {
 	wallSec       float64
 	transferEndAt float64
 	price         cost.Money
-	flow          *flow // in-flight shared-link transfer, if any
+	flow          int32 // id of the in-flight shared-link transfer; 0 none
 	runPos        int32 // position in Sim.running while it runs; -1 once untracked
 }
 
@@ -417,14 +419,17 @@ type Sim struct {
 	zoneMBps  []float64
 	locs      []*locIndex
 
-	// Flat task table: task (j, t) lives at taskBase[j]+t. states is the
-	// hot column; specs/specFree pool the speculative copies' records.
-	// tableErr is set by New, and returned by Start, when the workload's
-	// tasks do not fit the table; New then allocates no task rows.
-	tasks    []taskInfo
+	// Task table: task (j, t) has the flat index f = taskBase[j]+t, its
+	// row at tasks[f>>pageShift][f&pageMask] (row) and its state byte at
+	// the same place in states (state). Both grow a page at a time, so
+	// growth copies no row and a row never moves. specs/specFree pool the
+	// speculative copies' records. tableErr is set by New, and returned
+	// by Start, when the workload's tasks do not fit the table; New then
+	// allocates no task rows.
+	tasks    []*[pageRows]taskInfo
+	states   []*[pageRows]uint8
 	taskBase []int32 // len(jobs)+1; taskBase[len(jobs)] = total tasks
 	tableErr error
-	states   []uint8
 	specs    []attempt
 	specFree []int32
 
@@ -519,16 +524,9 @@ func New(c *cluster.Cluster, w *workload.Workload, p *hdfs.Placement, sched Sche
 	for j := range w.Jobs {
 		s.books[j] = s.resolveBook(j)
 	}
-	s.tasks = make([]taskInfo, total)
-	s.states = make([]uint8, total)
-	flat := int32(0)
+	s.growTable(total)
 	for j, job := range w.Jobs {
-		for t := 0; t < job.NumTasks; t++ {
-			ti := &s.tasks[flat]
-			ti.job, ti.idx = int32(j), int32(t)
-			ti.qNode, ti.spec, ti.runPos = -1, -1, -1
-			flat++
-		}
+		s.initRows(j, job.NumTasks)
 	}
 	s.stateCount[Pending] = total
 	s.unarrived = total
@@ -553,14 +551,46 @@ func newJobState(tasks int) jobState {
 	return js
 }
 
-// maxTasks bounds the flat task table, whose offsets are int32.
+// maxTasks bounds the task table, whose flat indices are int32.
 const maxTasks = math.MaxInt32
 
-// errTaskTable is the refusal of a run or job that would take the flat
-// task table to total tasks, past maxTasks.
+// errTaskTable is the refusal of a run or job that would take the task
+// table to total tasks, past maxTasks.
 func errTaskTable(total int) error {
 	return fmt.Errorf("sim: %d tasks overflow the flat task table (at most %d)", total, maxTasks)
 }
+
+// A task table page holds pageRows rows: 96 KB of taskInfo and 1 KB of
+// state bytes, so a table's slack is under one page.
+const (
+	pageShift = 10
+	pageRows  = 1 << pageShift
+	pageMask  = pageRows - 1
+)
+
+// growTable appends pages until the table has room for total tasks. A
+// fresh page's states read Pending.
+func (s *Sim) growTable(total int) {
+	for len(s.tasks)*pageRows < total {
+		s.tasks = append(s.tasks, new([pageRows]taskInfo))
+		s.states = append(s.states, new([pageRows]uint8))
+	}
+}
+
+// initRows writes the rows of job j's tasks tasks, at the table's room
+// from taskBase[j].
+func (s *Sim) initRows(j, tasks int) {
+	base := s.taskBase[j]
+	for t := int32(0); t < int32(tasks); t++ {
+		*s.row(base + t) = taskInfo{job: int32(j), idx: t, qNode: -1, spec: -1, attempt: attempt{runPos: -1}}
+	}
+}
+
+// row returns the row of the task at flat index f.
+func (s *Sim) row(f int32) *taskInfo { return &s.tasks[f>>pageShift][f&pageMask] }
+
+// state returns the state of the task at flat index f.
+func (s *Sim) state(f int32) TaskState { return TaskState(s.states[f>>pageShift][f&pageMask]) }
 
 // Now returns the simulation clock in seconds.
 func (s *Sim) Now() float64 { return s.clock }
@@ -660,11 +690,11 @@ func (s *Sim) arrive(job int) {
 	s.sched.OnJobArrival(s, job)
 }
 
-// flat returns the task's index in the flat table.
+// flat returns the task's flat index in the table.
 func (s *Sim) flat(job, task int) int32 { return s.taskBase[job] + int32(task) }
 
-// task returns the task's record.
-func (s *Sim) task(job, task int) *taskInfo { return &s.tasks[s.taskBase[job]+int32(task)] }
+// task returns the task's row.
+func (s *Sim) task(job, task int) *taskInfo { return s.row(s.taskBase[job] + int32(task)) }
 
 // ArrivedJobs returns the arrived-and-incomplete jobs in arrival order,
 // in a fresh slice. It walks the active list, so it costs O(active jobs),
@@ -701,7 +731,7 @@ func (s *Sim) PendingTasks(job int) []int {
 	out := make([]int, 0, left)
 	base, end := s.taskBase[job], s.taskBase[job+1]
 	for f := base + js.cursor; left > 0 && f < end; f++ {
-		if TaskState(s.states[f]) == Pending {
+		if s.state(f) == Pending {
 			out = append(out, int(f-base))
 			left--
 		}
@@ -726,7 +756,7 @@ func (s *Sim) NextPending(job, from int) int {
 	}
 	base, end := s.taskBase[job], s.taskBase[job+1]
 	for f := base + start; f < end; f++ {
-		if TaskState(s.states[f]) == Pending {
+		if s.state(f) == Pending {
 			t := f - base
 			if start == js.cursor {
 				js.cursor = t // nothing Pending lay between

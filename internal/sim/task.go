@@ -57,7 +57,7 @@ func (s *Sim) observeLocality(n cluster.NodeID, store cluster.StoreID, hasInput 
 // loudly rather than silently absorbed.
 func (s *Sim) Launch(job, task int, n cluster.NodeID, store cluster.StoreID) error {
 	flat := s.flat(job, task)
-	st := TaskState(s.states[flat])
+	st := s.state(flat)
 	if st == Running || st == Done {
 		return fmt.Errorf("sim: task %d/%d launched twice", job, task)
 	}
@@ -81,7 +81,7 @@ func (s *Sim) Launch(job, task int, n cluster.NodeID, store cluster.StoreID) err
 	if st == Queued {
 		// Launched out from under its queue entry; void the entry so the
 		// node's next drain drops it instead of double-launching.
-		s.tasks[flat].qNode = -1
+		s.row(flat).qNode = -1
 	}
 	s.startAttempt(job, task, n, store, false)
 	return nil
@@ -123,7 +123,7 @@ func (s *Sim) liveAttempt(job, task int, speculative bool, gen int32) *attempt {
 // speculative copy.
 func (s *Sim) startAttempt(job, task int, n cluster.NodeID, store cluster.StoreID, speculative bool) {
 	flat := s.flat(job, task)
-	ti := &s.tasks[flat]
+	ti := s.row(flat)
 	j := &s.W.Jobs[job]
 	node := &s.C.Nodes[n]
 	s.slotTaken(n)
@@ -213,19 +213,20 @@ func (s *Sim) completeEvent(job, task int, gen int32, speculative bool) {
 // processor-sharing flow; Hadoop's progress timeout applies to a
 // primary's transfer phase only, as in the dedicated-rate path. Flow
 // completion times depend on future link membership, so this rare path
-// keeps closure events; each finds the attempt again through
-// liveAttempt, since the task table may grow and a copy's pooled record
-// may serve another task's copy by the time it runs.
+// keeps closure events. A task row never moves, but by the time such an
+// event runs the attempt may have ended and a copy's pooled record may
+// serve another task's copy (or have moved as the pool grew), so each
+// finds its attempt again through liveAttempt.
 func (s *Sim) startSharedAttempt(job, task int, mb, runSec float64, speculative bool) {
 	ti := s.task(job, task)
 	gen := ti.genOf(speculative)
 	a := s.attemptOf(ti, speculative)
-	a.flow = s.net.start(s.C.Stores[a.store].Zone, s.C.Nodes[a.node].Zone, mb, func() {
+	f := s.net.start(s.C.Stores[a.store].Zone, s.C.Nodes[a.node].Zone, mb, func() {
 		a := s.liveAttempt(job, task, speculative, gen)
 		if a == nil {
 			return
 		}
-		a.flow = nil
+		a.flow = 0
 		a.transferEndAt = s.clock
 		s.At(s.clock+runSec, func() {
 			if a := s.liveAttempt(job, task, speculative, gen); a != nil {
@@ -234,18 +235,19 @@ func (s *Sim) startSharedAttempt(job, task int, mb, runSec float64, speculative 
 			}
 		})
 	})
+	a.flow = f.id
 	if speculative {
 		return
 	}
-	ti.doneAt = a.start + mb/a.flow.rate + runSec // optimistic estimate for speculation
+	ti.doneAt = a.start + mb/f.rate + runSec // optimistic estimate for speculation
 	if int(ti.attempts) <= s.opts.maxAttempts {
 		s.At(a.start+s.opts.TaskTimeoutSec, func() {
 			a := s.liveAttempt(job, task, false, gen)
-			if a == nil || a.flow == nil {
+			if a == nil || a.flow == 0 {
 				return // attempt superseded or transfer already finished
 			}
 			moved := s.net.cancel(a.flow)
-			a.flow = nil
+			a.flow = 0
 			s.timeoutKill(job, task, moved)
 		})
 	}
@@ -255,7 +257,7 @@ func (s *Sim) startSharedAttempt(job, task int, mb, runSec float64, speculative 
 // any speculative twin, and fires the completion callbacks.
 func (s *Sim) completeAttempt(job, task int, speculative bool) {
 	flat := s.flat(job, task)
-	ti := &s.tasks[flat]
+	ti := s.row(flat)
 	a := s.attemptOf(ti, speculative)
 	n := a.node
 	node := &s.C.Nodes[n]
@@ -291,7 +293,7 @@ func (s *Sim) completeAttempt(job, task int, speculative bool) {
 		// run was booked under. The copy's record is released now: left
 		// marked running, a later fault on the copy's node would bill a
 		// completed task.
-		if TaskState(s.states[flat]) == Running {
+		if s.state(flat) == Running {
 			s.endAttempt(ti, false, trace.KillSpeculative, cost.CPUCost(ti.price, cpuSec/2), true, true)
 		}
 		s.freeSpec(ti)
@@ -339,9 +341,9 @@ func (s *Sim) endAttempt(ti *taskInfo, speculative bool, reason trace.KillReason
 	job := int(ti.job)
 	a := s.attemptOf(ti, speculative)
 	n := a.node
-	if a.flow != nil {
+	if a.flow != 0 {
 		s.net.cancel(a.flow)
-		a.flow = nil
+		a.flow = 0
 	}
 	if book {
 		s.charge(reason.Category(), job, billed)
@@ -411,7 +413,7 @@ func (s *Sim) LaunchSpeculative(n cluster.NodeID) bool {
 			continue // speculative copies are not re-speculated
 		}
 		flat := ref >> 1
-		ti := &s.tasks[flat]
+		ti := s.row(flat)
 		if ti.spec >= 0 || ti.node == n {
 			continue
 		}
@@ -424,7 +426,7 @@ func (s *Sim) LaunchSpeculative(n cluster.NodeID) bool {
 	if best == -1 {
 		return false
 	}
-	ti := &s.tasks[best]
+	ti := s.row(best)
 	bestJob, bestTask := int(ti.job), int(ti.idx)
 	store := NoStore
 	if s.W.Jobs[bestJob].HasInput() {
@@ -490,8 +492,8 @@ func (s *Sim) partialBurn(job, task int) (billed cost.Money, burned bool) {
 // frees and readyAt passes, reading from store.
 func (s *Sim) Enqueue(job, task int, n cluster.NodeID, store cluster.StoreID, readyAt float64) error {
 	flat := s.flat(job, task)
-	ti := &s.tasks[flat]
-	if st := TaskState(s.states[flat]); st != Pending {
+	ti := s.row(flat)
+	if st := s.state(flat); st != Pending {
 		return fmt.Errorf("sim: task %d/%d enqueued in state %d", job, task, st)
 	}
 	if s.nodes[n].down {
@@ -543,8 +545,8 @@ func (s *Sim) drainQueue(nid cluster.NodeID, ns *nodeState) {
 	for r := 0; r < len(q); r++ {
 		e := q[r]
 		flat := s.taskBase[e.job] + e.task
-		ti := &s.tasks[flat]
-		if TaskState(s.states[flat]) != Queued || ti.qNode != int32(nid) || ti.qSeq != e.seq {
+		ti := s.row(flat)
+		if s.state(flat) != Queued || ti.qNode != int32(nid) || ti.qSeq != e.seq {
 			continue // stale entry
 		}
 		if ns.free > 0 && e.readyAt <= s.clock+1e-9 {
@@ -553,7 +555,7 @@ func (s *Sim) drainQueue(nid cluster.NodeID, ns *nodeState) {
 			if err := s.Launch(int(e.job), int(e.task), nid, e.store); err != nil {
 				// The block moved or the task completed speculatively;
 				// fall back to the best replica if still pending.
-				if TaskState(s.states[flat]) == Pending && s.W.Jobs[e.job].HasInput() {
+				if s.state(flat) == Pending && s.W.Jobs[e.job].HasInput() {
 					_ = s.Launch(int(e.job), int(e.task), nid, s.BestReplica(int(e.job), int(e.task), nid))
 				}
 			}
