@@ -32,16 +32,18 @@ import (
 // Parking every job on it is also where the first round starts
 // (Model.parkedBasis), so a master needs no phase 1.
 //
-// A master's storage — the LP, the layout, the price classes — comes from
-// a pool and goes back on Release, so a process that plans every epoch
-// rewrites one master's slices instead of allocating them anew.
+// A master's storage — the LP, the layout, the price classes, the
+// solution vectors — comes from a pool and goes back on Release, so a
+// process that plans every epoch rewrites one master's slices instead of
+// allocating them anew.
 type OnlineColGen struct {
 	*master // nil once released
 }
 
 // master is an OnlineColGen's storage, pooled across epochs.
 type master struct {
-	m Model // its layout knows which machines are materialized, and where
+	m   Model       // its layout knows which machines are materialized, and where
+	sol lp.Solution // every round's solution, in storage kept across epochs
 
 	buckets [][]int   // closed machines per price class, ascending index
 	opened  []int     // machines materialized per bucket (doubling batch size)
@@ -72,7 +74,8 @@ func newMaster() *master { return &master{byKey: make(map[classKey]int)} }
 // master nor its instance's MSPerMBMC, BandwidthMBps and SSPerMBMC may be
 // used afterwards: they are nil, so a late read panics instead of seeing
 // another epoch's numbers. The Plans Solve returned stay valid apart from
-// their instance's matrices.
+// their instance's matrices and their Basis, which is the pooled
+// solution's.
 func (cg *OnlineColGen) Release() {
 	ms := cg.master
 	cg.master = nil
@@ -321,7 +324,8 @@ func (cg *OnlineColGen) bucketPricesNegative(b int, y []float64) bool {
 func (cg *OnlineColGen) Solve(opts ColGenOptions) (*Plan, lp.ColGenStats, error) {
 	ro := opts.LP
 	ro.WarmStart = cg.m.parkedBasis()
-	sol, st, err := lp.SolveColGen(cg.m.prob, cg, ro)
+	sol := &cg.sol
+	st, err := lp.SolveColGen(cg.m.prob, cg, ro, sol)
 	if err != nil {
 		return nil, st, err
 	}

@@ -50,7 +50,8 @@ type Plan struct {
 
 	// Basis is the optimal simplex basis, reusable as lp.Options.WarmStart
 	// on a later solve of an LP with the same shape. Nil when the solver
-	// could not express one.
+	// could not express one. A column-generation plan's is the master's,
+	// and goes with it on Release.
 	Basis *lp.Basis
 }
 

@@ -109,9 +109,18 @@ func (r *roundRecorder) Price(p *lp.Problem, sol *lp.Solution) int {
 	r.rounds = append(r.rounds, masterRound{
 		LP: text.String(), Status: sol.Status,
 		Iters: sol.Iters, Phase1: sol.Phase1, Refactors: sol.Refactorizations, FactorNNZ: sol.FactorNNZ,
-		WarmStarted: sol.WarmStarted, X: floatBits(sol.X), Dual: floatBits(sol.Dual), Basis: sol.Basis,
+		WarmStarted: sol.WarmStarted, X: floatBits(sol.X), Dual: floatBits(sol.Dual), Basis: cloneBasis(sol.Basis),
 	})
 	return r.cg.Price(p, sol)
+}
+
+// cloneBasis copies a round's basis out of the master's solution, which
+// the next round overwrites.
+func cloneBasis(b *lp.Basis) *lp.Basis {
+	if b == nil {
+		return nil
+	}
+	return &lp.Basis{NumVars: b.NumVars, NumCons: b.NumCons, RowCol: slices.Clone(b.RowCol), ColStat: slices.Clone(b.ColStat)}
 }
 
 func floatBits(xs []float64) []uint64 {
@@ -126,7 +135,8 @@ func floatBits(xs []float64) []uint64 {
 // the recorder between the column-generation loop and the master.
 func runMaster(t *testing.T, cg *OnlineColGen) masterRun {
 	rec := &roundRecorder{t: t, cg: cg}
-	sol, _, err := lp.SolveColGen(cg.m.prob, rec, lp.Options{WarmStart: cg.m.parkedBasis()})
+	sol := &cg.sol
+	_, err := lp.SolveColGen(cg.m.prob, rec, lp.Options{WarmStart: cg.m.parkedBasis()}, sol)
 	run := masterRun{Rounds: rec.rounds}
 	switch {
 	case err != nil:

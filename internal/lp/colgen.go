@@ -7,7 +7,8 @@ import (
 
 // Oracle prices a restricted master problem's optimal duals and extends
 // the problem with violating columns (and any rows those columns need).
-// SolveColGen calls Price after each solve; the oracle inspects sol.Dual —
+// SolveColGen calls Price after each solve, with a sol that the next
+// round overwrites, so Price keeps none of it; the oracle inspects sol.Dual —
 // rows it has not yet materialized implicitly carry dual zero, which is
 // exact whenever an unmaterialized row holds trivially while no working-set
 // column touches it — and appends columns with negative reduced cost via
@@ -53,19 +54,22 @@ const maxColGenRounds = 10000
 // hands the oracle its phase-1 duals, so it can price feasibility-
 // restoring columns instead of capitulating to a full reveal.
 //
-// At termination no unrevealed column can improve the objective, so the
-// returned solution is optimal for the full problem the oracle draws from,
-// to the same tolerances as a direct solve.
-func SolveColGen(p *Problem, oracle Oracle, opts Options) (*Solution, ColGenStats, error) {
+// Every round solves into sol, reusing its X, Dual and Basis storage, so a
+// caller that keeps one Solution across epochs allocates none of them once
+// it has grown; on return sol holds the last round's solution. At
+// termination no unrevealed column can improve the objective, so that
+// solution is optimal for the full problem the oracle draws from, to the
+// same tolerances as a direct solve.
+func SolveColGen(p *Problem, oracle Oracle, opts Options, sol *Solution) (ColGenStats, error) {
 	var st ColGenStats
 	warm := opts.WarmStart
 	for {
 		ro := opts
 		ro.WarmStart = warm
-		sol, err := p.Solve(ro)
+		err := p.solve(ro, sol)
 		st.Rounds++
 		if err != nil {
-			return nil, st, err
+			return st, err
 		}
 		if sol.WarmStarted {
 			st.WarmRounds++
@@ -76,7 +80,7 @@ func SolveColGen(p *Problem, oracle Oracle, opts Options) (*Solution, ColGenStat
 		added := oracle.Price(p, sol)
 		st.OracleTime += time.Since(priced)
 		if added == 0 && p.NumVars() == v0 && p.NumCons() == c0 {
-			return sol, st, nil
+			return st, nil
 		}
 		st.Columns += p.NumVars() - v0
 		st.Rows += p.NumCons() - c0
@@ -86,7 +90,7 @@ func SolveColGen(p *Problem, oracle Oracle, opts Options) (*Solution, ColGenStat
 			warm = nil
 		}
 		if st.Rounds >= maxColGenRounds {
-			return sol, st, fmt.Errorf("lp: column generation did not converge after %d rounds (%d columns added)", st.Rounds, st.Columns)
+			return st, fmt.Errorf("lp: column generation did not converge after %d rounds (%d columns added)", st.Rounds, st.Columns)
 		}
 	}
 }

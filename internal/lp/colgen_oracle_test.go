@@ -21,7 +21,7 @@ type RevealOracle struct {
 // NewRestricted builds a restricted copy of full containing every row but
 // only the columns that cannot rest at zero (nonzero lower bound, negative
 // upper bound), plus the oracle that reveals the rest on demand. Solve the
-// returned problem with SolveColGen(p, o, opts).
+// returned problem with SolveColGen(p, o, opts, sol).
 func NewRestricted(full *Problem) (*Problem, *RevealOracle) {
 	p := New(full.Name() + "-restricted")
 	for i := 0; i < full.NumCons(); i++ {

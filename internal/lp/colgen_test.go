@@ -10,7 +10,8 @@ import (
 func solveColGenFull(t *testing.T, full *Problem, opts Options) (*Solution, ColGenStats, []float64) {
 	t.Helper()
 	p, o := NewRestricted(full)
-	sol, st, err := SolveColGen(p, o, opts)
+	sol := new(Solution)
+	st, err := SolveColGen(p, o, opts, sol)
 	if err != nil {
 		t.Fatalf("%s: colgen: %v", full.Name(), err)
 	}
@@ -148,7 +149,8 @@ func TestColGenJunkedCorpus(t *testing.T) {
 func TestColGenWarmRounds(t *testing.T) {
 	full := kleeMintyLP(8)
 	p, o := NewRestricted(full)
-	sol, st, err := SolveColGen(p, o, Options{})
+	sol := new(Solution)
+	st, err := SolveColGen(p, o, Options{}, sol)
 	if err != nil {
 		t.Fatal(err)
 	}

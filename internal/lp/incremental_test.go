@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -339,4 +340,138 @@ func TestWarmStartRejectsBoundDrift(t *testing.T) {
 		}
 		requireDriftRejected(t, fmt.Sprintf("trial %d", trial), p, base)
 	}
+}
+
+// TestExtendBasisMatchesTranslate holds ExtendBasis, which works in place,
+// to TranslateBasis under identity maps: on every optimal basis of a
+// random corpus, extended onto appended columns and rows, the two agree
+// entry for entry, and the in-place result keeps b's storage once it is
+// large enough.
+func TestExtendBasisMatchesTranslate(t *testing.T) {
+	for seed := int64(0); seed < 25; seed++ {
+		rng := rand.New(rand.NewSource(seed ^ 0x51))
+		p := lipsShapedLP(3+rng.Intn(6), 2+rng.Intn(5), 2+rng.Intn(4), rand.New(rand.NewSource(seed+700)), rng)
+		base, err := p.Solve(Options{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if base.Status != Optimal || base.Basis == nil {
+			continue
+		}
+		b := base.Basis
+		for k := rng.Intn(4); k > 0; k-- {
+			p.AddVar("extra", 0, 1, rng.Float64())
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			p.AddCon("extra", LE, 1)
+		}
+		ident := func(n int) []int {
+			m := make([]int, n)
+			for i := range m {
+				m[i] = i
+			}
+			return m
+		}
+		want := TranslateBasis(b, ident(b.NumVars), ident(b.NumCons), p.NumVars(), p.NumCons())
+		if got := p.ExtendBasis(b); got != b || !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: ExtendBasis gave %+v, TranslateBasis %+v", seed, got, want)
+		}
+		rowCol, colStat := &b.RowCol[0], &b.ColStat[0]
+		if p.ExtendBasis(b) != b || &b.RowCol[0] != rowCol || &b.ColStat[0] != colStat || !reflect.DeepEqual(b, want) {
+			t.Fatalf("seed %d: extending onto the same dimensions again moved or changed the basis", seed)
+		}
+	}
+	if New("empty").ExtendBasis(&Basis{NumVars: 1, ColStat: []int8{0}}) != nil {
+		t.Error("a basis wider than the problem was extended")
+	}
+	p := New("one")
+	p.AddCon("r", LE, 1)
+	p.AddVar("x", 0, 1, 1)
+	if p.ExtendBasis(&Basis{NumVars: 1, NumCons: 1, RowCol: []int32{2}, ColStat: []int8{0, 0}}) != nil {
+		t.Error("a basis naming a column past its own was extended")
+	}
+}
+
+// TranslateBasis is the reference TestExtendBasisMatchesTranslate holds
+// ExtendBasis to. It remaps a basis across a problem edit that removed,
+// reordered, or added variables and constraint rows. varMap[j] is the new
+// index of old variable j (−1 if removed) and conMap[i] likewise for rows;
+// newVars and newCons are the edited problem's dimensions. The translated
+// basis keeps every surviving basic column in its surviving row, repairs
+// rows whose basic column vanished with the row's own slack, starts new
+// rows on their slack, and marks new columns BasisAuto so the solver
+// places them at their default bound. It returns nil when the inputs are
+// inconsistent or the repair would need two columns in one slot — the
+// caller then simply starts cold, so translation is always safe to
+// attempt.
+//
+// The repaired basis is a valid (nonsingular up to factorization) basis of
+// the edited problem but not necessarily primal feasible at the new data;
+// the solver accepts it as a warm start only if it is, and otherwise
+// starts cold.
+func TranslateBasis(b *Basis, varMap, conMap []int, newVars, newCons int) *Basis {
+	if b == nil || newVars < 0 || newCons < 0 ||
+		len(varMap) != b.NumVars || len(conMap) != b.NumCons ||
+		len(b.RowCol) != b.NumCons || len(b.ColStat) != b.NumVars+b.NumCons {
+		return nil
+	}
+	nb := newVars + newCons
+	rowCol := make([]int32, newCons)
+	for i := range rowCol {
+		rowCol[i] = -1
+	}
+	colStat := make([]int8, nb)
+	for j := range colStat {
+		colStat[j] = BasisAuto
+	}
+	// Carry the rest positions of surviving columns (structural and slack).
+	for j := 0; j < b.NumVars; j++ {
+		if nj := varMap[j]; nj >= 0 && nj < newVars {
+			colStat[nj] = b.ColStat[j]
+		}
+	}
+	for i := 0; i < b.NumCons; i++ {
+		if ni := conMap[i]; ni >= 0 && ni < newCons {
+			colStat[newVars+ni] = b.ColStat[b.NumVars+i]
+		}
+	}
+	// Carry each surviving row's basic column.
+	taken := make([]bool, nb)
+	for i := 0; i < b.NumCons; i++ {
+		ni := conMap[i]
+		if ni < 0 || ni >= newCons {
+			continue
+		}
+		j := int(b.RowCol[i])
+		nj := -1
+		switch {
+		case j >= 0 && j < b.NumVars:
+			if v := varMap[j]; v >= 0 && v < newVars {
+				nj = v
+			}
+		case j >= b.NumVars && j < b.NumVars+b.NumCons:
+			if nr := conMap[j-b.NumVars]; nr >= 0 && nr < newCons {
+				nj = newVars + nr
+			}
+		}
+		if nj >= 0 && !taken[nj] {
+			rowCol[ni] = int32(nj)
+			taken[nj] = true
+		}
+	}
+	// Repair rows whose basic column vanished (and start brand-new rows)
+	// on the row's own slack, which always yields a nonsingular basis.
+	for i := 0; i < newCons; i++ {
+		if rowCol[i] >= 0 {
+			continue
+		}
+		sj := newVars + i
+		if taken[sj] {
+			return nil // slack already basic elsewhere: unrepairable here
+		}
+		rowCol[i] = int32(sj)
+		taken[sj] = true
+		colStat[sj] = BasisAuto
+	}
+	return &Basis{NumVars: newVars, NumCons: newCons, RowCol: rowCol, ColStat: colStat}
 }

@@ -104,7 +104,8 @@ func pivotCorpus(t *testing.T, lu func(*simplexState) factorizer) []string {
 	// column counts pin the ones before it.
 	full := lipsShapedLP(8, 5, 4, rand.New(rand.NewSource(41)), nil)
 	rp, oracle := NewRestricted(full)
-	sol, st, err := SolveColGen(rp, oracle, Options{recordPivots: true, factor: lu})
+	sol := new(Solution)
+	st, err := SolveColGen(rp, oracle, Options{recordPivots: true, factor: lu}, sol)
 	if err != nil {
 		t.Fatalf("colgen: %v", err)
 	}

@@ -302,7 +302,8 @@ func TestPricingOracle(t *testing.T) {
 		full := lipsShapedLP(8, 5, 4, rand.New(rand.NewSource(41)), nil)
 		rp, reveal := NewRestricted(full)
 		cgOpts, o := withOracle(t, "colgen/"+f.name, Options{factor: f.mk})
-		cgsol, st, err := SolveColGen(rp, reveal, cgOpts)
+		cgsol := new(Solution)
+		st, err := SolveColGen(rp, reveal, cgOpts, cgsol)
 		if err != nil || cgsol.Status != Optimal {
 			t.Fatalf("colgen/%s: %v / %v", f.name, err, cgsol.Status)
 		}

@@ -79,9 +79,14 @@ func recycleCorpus(t *testing.T) []recycleCase {
 	return out
 }
 
-// solveFresh solves on a newly allocated state, never the pool.
+// solveFresh solves on a newly allocated state, never the pool, into a
+// new Solution.
 func solveFresh(p *Problem, opts Options) (*Solution, error) {
-	return newSimplexState(p, opts.withDefaults(p.NumCons(), p.NumVars())).run()
+	sol := new(Solution)
+	if err := newSimplexState(p, opts.withDefaults(p.NumCons(), p.NumVars())).run(sol); err != nil {
+		return nil, err
+	}
+	return sol, nil
 }
 
 // solutionDiff describes the first way got differs from want, or returns
@@ -115,12 +120,13 @@ func solutionDiff(want, got *Solution) string {
 }
 
 // TestRecycledWorkspaceMatchesFresh solves the corpus on pooled
-// workspaces and requires every solve to equal the same solve on a freshly
-// allocated state, bit for bit: whatever a workspace kept from the solve
-// before — a larger or smaller problem, an abandoned phase 1, a rejected
-// warm start — must not reach the next one. Several walkers run the corpus
-// from different starting points at once, so the pool hands workspaces
-// between concurrent borrowers.
+// workspaces, each walker into the one Solution it keeps, and requires
+// every solve to equal the same solve on a freshly allocated state into a
+// new Solution, bit for bit: whatever a workspace or a Solution's storage
+// kept from the solve before — a larger or smaller problem, an abandoned
+// phase 1, a rejected warm start — must not reach the next one. Several
+// walkers run the corpus from different starting points at once, so the
+// pool hands workspaces between concurrent borrowers.
 func TestRecycledWorkspaceMatchesFresh(t *testing.T) {
 	cases := recycleCorpus(t)
 	want := make([]*Solution, len(cases))
@@ -147,13 +153,13 @@ func TestRecycledWorkspaceMatchesFresh(t *testing.T) {
 		start := w * len(cases) / walkers
 		t.Run("from-"+cases[start].name, func(t *testing.T) {
 			t.Parallel()
+			var got Solution
 			for i := range cases {
 				k := (start + i) % len(cases)
-				got, err := cases[k].p.Solve(cases[k].opts)
-				if err != nil {
+				if err := cases[k].p.solve(cases[k].opts, &got); err != nil {
 					t.Fatalf("%s: %v", cases[k].name, err)
 				}
-				if d := solutionDiff(want[k], got); d != "" {
+				if d := solutionDiff(want[k], &got); d != "" {
 					t.Fatalf("%s after %s: %s", cases[k].name, cases[(k+len(cases)-1)%len(cases)].name, d)
 				}
 			}

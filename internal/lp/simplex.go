@@ -22,19 +22,33 @@ import (
 // the Solution it hands back. A factorizer installed by a test is never
 // pooled.
 func (p *Problem) Solve(opts Options) (*Solution, error) {
+	sol := new(Solution)
+	if err := p.solve(opts, sol); err != nil {
+		return nil, err
+	}
+	return sol, nil
+}
+
+// solve is Solve into sol. It sets every field of sol, and writes X, Dual
+// and the basis into the storage sol already has, so a caller that keeps
+// one Solution across solves (SolveColGen's rounds) allocates none of
+// them once it has grown to size.
+func (p *Problem) solve(opts Options, sol *Solution) error {
 	m := len(p.cons)
 	n := len(p.vars)
 	opts = opts.withDefaults(m, n)
+	sol.reset()
 	if m == 0 {
-		return p.solveUnconstrained(opts)
+		p.solveUnconstrained(sol)
+		return nil
 	}
 	if opts.factor != nil {
-		return newSimplexState(p, opts).run()
+		return newSimplexState(p, opts).run(sol)
 	}
 	s := statePool.Get().(*simplexState)
 	defer s.release()
 	s.init(p, opts)
-	return s.run()
+	return s.run(sol)
 }
 
 // statePool holds idle simplex workspaces. A pool rather than a field of
@@ -64,31 +78,34 @@ func resize[T any](buf []T, n int) []T {
 
 // solveUnconstrained handles the degenerate case of no constraint rows:
 // every variable independently moves to its cheaper bound.
-func (p *Problem) solveUnconstrained(opts Options) (*Solution, error) {
-	sol := &Solution{Status: Optimal, X: make([]float64, len(p.vars))}
+func (p *Problem) solveUnconstrained(sol *Solution) {
+	x := resize(sol.X, len(p.vars))
 	for i := range p.vars {
 		v := &p.vars[i]
+		x[i] = 0
 		switch {
 		case v.cost > 0:
 			if math.IsInf(v.lower, -1) {
-				return &Solution{Status: Unbounded}, nil
+				sol.Status = Unbounded
+				return
 			}
-			sol.X[i] = v.lower
+			x[i] = v.lower
 		case v.cost < 0:
 			if math.IsInf(v.upper, 1) {
-				return &Solution{Status: Unbounded}, nil
+				sol.Status = Unbounded
+				return
 			}
-			sol.X[i] = v.upper
+			x[i] = v.upper
 		default:
 			if !math.IsInf(v.lower, -1) {
-				sol.X[i] = v.lower
+				x[i] = v.lower
 			} else if !math.IsInf(v.upper, 1) {
-				sol.X[i] = v.upper
+				x[i] = v.upper
 			}
 		}
-		sol.Objective += v.cost * sol.X[i]
+		sol.Objective += v.cost * x[i]
 	}
-	return sol, nil
+	sol.Status, sol.X = Optimal, x
 }
 
 // Column status in the simplex state.
@@ -252,7 +269,8 @@ func (s *simplexState) nonbasicStart(j int) (int, float64) {
 	}
 }
 
-func (s *simplexState) run() (*Solution, error) {
+// run solves into sol, which solve has reset.
+func (s *simplexState) run(sol *Solution) error {
 	m := s.m
 
 	// Anti-degeneracy perturbation: scheduling LPs are massively
@@ -278,8 +296,8 @@ func (s *simplexState) run() (*Solution, error) {
 	}
 	if !s.warm {
 		s.coldStart()
-		if st, done, err := s.phase1(); done {
-			return st, err
+		if done, err := s.phase1(sol); done {
+			return err
 		}
 	}
 
@@ -288,11 +306,11 @@ func (s *simplexState) run() (*Solution, error) {
 	cost := s.cost
 	st, err := s.iterate(cost)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sol := &Solution{Status: st, Stats: s.stats(), WarmStarted: s.warm, Pivots: s.pivots}
+	sol.Status, sol.Stats, sol.WarmStarted, sol.Pivots = st, s.stats(), s.warm, s.pivots
 	if st != Optimal {
-		return sol, nil
+		return nil
 	}
 	// Undo the anti-degeneracy perturbation: re-derive the basic values
 	// from the original right-hand sides under the final (optimal) basis.
@@ -300,7 +318,7 @@ func (s *simplexState) run() (*Solution, error) {
 	// factorized, so the factorization is fresh.
 	copy(s.b, s.bOrig)
 	s.computeXB()
-	sol.X = make([]float64, s.nStruct)
+	sol.X = resize(sol.X, s.nStruct) // every entry is written below
 	for j := 0; j < s.nStruct; j++ {
 		if s.status[j] == basic {
 			continue
@@ -319,10 +337,12 @@ func (s *simplexState) run() (*Solution, error) {
 	}
 	sol.Objective = s.p.Objective(sol.X)
 	s.computeDuals(cost)
-	sol.Dual = append([]float64(nil), s.y...)
-	sol.Basis = s.extractBasis()
+	sol.Dual = append(sol.Dual, s.y...)
+	if s.extractBasis(&sol.basis) {
+		sol.Basis = &sol.basis
+	}
 	sol.Stats = s.stats() // the final refactorization and duals included
-	return sol, nil
+	return nil
 }
 
 // coldStart initializes the slack basis with structurals at their start
@@ -345,9 +365,9 @@ func (s *simplexState) coldStart() {
 }
 
 // phase1 repairs slack-basis infeasibility with artificials and minimises
-// their sum. done reports that run should return (st, err) immediately —
-// an iteration limit, infeasibility, or a numeric failure.
-func (s *simplexState) phase1() (st *Solution, done bool, err error) {
+// their sum. done reports that run should return err at once, with sol
+// filled in: an iteration limit, infeasibility, or a numeric failure.
+func (s *simplexState) phase1(sol *Solution) (done bool, err error) {
 	m := s.m
 	tol := s.opts.tol
 	needPhase1 := false
@@ -395,7 +415,7 @@ func (s *simplexState) phase1() (st *Solution, done bool, err error) {
 	}
 
 	if !needPhase1 {
-		return nil, false, nil
+		return false, nil
 	}
 	// Phase 1: minimise the sum of artificials.
 	s.p1cost = resize(s.p1cost, len(s.cols))
@@ -406,11 +426,12 @@ func (s *simplexState) phase1() (st *Solution, done bool, err error) {
 	}
 	stat, err := s.iterate(p1cost)
 	if err != nil {
-		return nil, true, err
+		return true, err
 	}
 	s.p1it = s.iter
 	if stat == IterLimit {
-		return &Solution{Status: IterLimit, Stats: s.stats().itersOnly()}, true, nil
+		sol.Status, sol.Stats = IterLimit, s.stats().itersOnly()
+		return true, nil
 	}
 	infeas := 0.0
 	for i := 0; i < m; i++ {
@@ -430,8 +451,9 @@ func (s *simplexState) phase1() (st *Solution, done bool, err error) {
 		// can price against them to find columns that would shrink the
 		// infeasibility (see Oracle).
 		s.computeDuals(p1cost)
-		return &Solution{Status: Infeasible, Stats: s.stats().itersOnly(),
-			Dual: append([]float64(nil), s.y...)}, true, nil
+		sol.Status, sol.Stats = Infeasible, s.stats().itersOnly()
+		sol.Dual = append(sol.Dual, s.y...)
+		return true, nil
 	}
 	// Freeze artificials at zero for phase 2.
 	for j := s.nStruct + s.nSlack; j < len(s.cols); j++ {
@@ -441,7 +463,7 @@ func (s *simplexState) phase1() (st *Solution, done bool, err error) {
 			s.status[j] = atLower
 		}
 	}
-	return nil, false, nil
+	return false, nil
 }
 
 // tryWarmStart seeds the state from a previous solve's basis and reports
@@ -456,7 +478,7 @@ func (s *simplexState) phase1() (st *Solution, done bool, err error) {
 // drift, so nonbasic rest positions are remapped to the current bounds
 // (a column recorded at an upper bound that is now infinite moves to its
 // default start position). Columns marked BasisAuto — appended after the
-// basis was captured by ExtendBasis or TranslateBasis — start at their
+// basis was captured and marked so by ExtendBasis — start at their
 // default bound.
 func (s *simplexState) tryWarmStart(ws *Basis) bool {
 	m := s.m
@@ -531,27 +553,25 @@ func (s *simplexState) tryWarmStart(ws *Basis) bool {
 	return true
 }
 
-// extractBasis captures the final basis for Solution.Basis. It returns nil
-// when an artificial variable is still basic (a degenerate phase-1
-// leftover), since such a basis is not expressible over the structural and
-// slack columns alone.
-func (s *simplexState) extractBasis() *Basis {
+// extractBasis captures the final basis for Solution.Basis into b's
+// storage. It reports false when an artificial variable is still basic (a
+// degenerate phase-1 leftover), since such a basis is not expressible over
+// the structural and slack columns alone.
+func (s *simplexState) extractBasis(b *Basis) bool {
 	nb := s.nStruct + s.nSlack
-	b := &Basis{
-		NumVars: s.nStruct, NumCons: s.m,
-		RowCol:  make([]int32, s.m),
-		ColStat: make([]int8, nb),
-	}
 	for i := 0; i < s.m; i++ {
 		if s.basis[i] >= nb {
-			return nil
+			return false
 		}
+	}
+	*b = Basis{NumVars: s.nStruct, NumCons: s.m, RowCol: resize(b.RowCol, s.m), ColStat: resize(b.ColStat, nb)}
+	for i := 0; i < s.m; i++ {
 		b.RowCol[i] = int32(s.basis[i])
 	}
 	for j := 0; j < nb; j++ {
 		b.ColStat[j] = int8(s.status[j])
 	}
-	return b
+	return true
 }
 
 // computeXB recomputes the basic values from scratch:

@@ -59,6 +59,14 @@ type Solution struct {
 	// tests use it to assert that a change to the solver's internals left
 	// the path alone.
 	Pivots []Pivot
+
+	basis Basis // Basis's storage, reused by the next solve into this Solution
+}
+
+// reset clears sol for a solve into it, keeping the storage of X, Dual
+// and the basis.
+func (sol *Solution) reset() {
+	*sol = Solution{X: sol.X[:0], Dual: sol.Dual[:0], basis: sol.basis}
 }
 
 // Pivot records one simplex iteration's basis change. Leaving is -1 for a
@@ -75,7 +83,7 @@ func (s *Solution) Value(v Var) float64 { return s.X[v] }
 // Basis captures a simplex basis over the structural and slack columns of
 // a problem with NumVars variables and NumCons rows. Treat it as opaque:
 // obtain one from Solution.Basis and pass it to Options.WarmStart, or
-// remap it across a problem edit with TranslateBasis / Problem.ExtendBasis.
+// carry it onto columns and rows appended since with Problem.ExtendBasis.
 type Basis struct {
 	NumVars, NumCons int
 	// RowCol[i] is the column basic in row i: j < NumVars is structural
@@ -94,9 +102,8 @@ const (
 	BasisAtUpper int8 = 1 // resting at its upper bound
 	BasisFree    int8 = 2 // free column pinned at zero
 	// BasisAuto marks a column with no recorded rest position — e.g. one
-	// appended after the basis was captured by ExtendBasis or
-	// TranslateBasis. The solver places such columns at their default
-	// starting bound.
+	// appended after the basis was captured, which ExtendBasis marks so.
+	// The solver places such columns at their default starting bound.
 	BasisAuto int8 = 3
 )
 
