@@ -44,6 +44,7 @@ type OnlineColGen struct {
 type master struct {
 	m   Model       // its layout knows which machines are materialized, and where
 	sol lp.Solution // every round's solution, in storage kept across epochs
+	xd  matrixBuf   // the plan's XD
 
 	buckets [][]int   // closed machines per price class, ascending index
 	opened  []int     // machines materialized per bucket (doubling batch size)
@@ -70,12 +71,13 @@ var masterPool = sync.Pool{New: func() any { return newMaster() }}
 func newMaster() *master { return &master{byKey: make(map[classKey]int)} }
 
 // Release returns the master's storage to the pool, and with it the
-// instance matrices Units.Instance drew from its own pool. Neither the
-// master nor its instance's MSPerMBMC, BandwidthMBps and SSPerMBMC may be
-// used afterwards: they are nil, so a late read panics instead of seeing
-// another epoch's numbers. The Plans Solve returned stay valid apart from
-// their instance's matrices and their Basis, which is the pooled
-// solution's.
+// instance matrices and machines Units.Instance drew from its own pool.
+// Neither the master nor its instance's MSPerMBMC, BandwidthMBps,
+// SSPerMBMC and Machines may be used afterwards: they are nil, so a late
+// read panics instead of seeing another epoch's numbers. The Plans Solve
+// returned go with them: their XD and Basis are the master's, and
+// rounding reads the instance's machines, so round a plan before its
+// master is released.
 func (cg *OnlineColGen) Release() {
 	ms := cg.master
 	cg.master = nil
@@ -333,7 +335,7 @@ func (cg *OnlineColGen) Solve(opts ColGenOptions) (*Plan, lp.ColGenStats, error)
 		return nil, st, &SolveError{Kind: Online, Status: sol.Status, Stats: st.Stats,
 			Rows: cg.m.prob.NumCons(), Cols: cg.m.prob.NumVars()}
 	}
-	plan := cg.m.extract(sol)
+	plan := cg.m.extract(sol, &cg.xd)
 	plan.Stats = st.Stats // every pricing round, not only the last re-solve
 	return plan, st, nil
 }

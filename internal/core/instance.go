@@ -115,8 +115,8 @@ type Instance struct {
 	// shared with the Units the instance was built over (see StoreUnit).
 	storeUnit []int32
 
-	// mats holds MSPerMBMC, BandwidthMBps and SSPerMBMC when they came
-	// from matrixPool (Units.Instance), until releaseMatrices.
+	// mats holds MSPerMBMC, BandwidthMBps, SSPerMBMC and Machines when
+	// they came from matrixPool (Units.Instance), until releaseMatrices.
 	mats *matrices
 }
 
@@ -358,20 +358,23 @@ func (u *Units) Instance(jobs []workload.Job, objects []hdfs.DataObject, fractio
 		return nil, fmt.Errorf("core: non-positive horizon %g", horizon)
 	}
 	nm, ns := len(u.machines), len(u.stores)
+	// The machines are a copy, which filtering and repricing edit, on
+	// pooled storage with room for the fake node the online model appends.
+	mats := matrixPool.Get().(*matrices)
+	mats.machines = append(slices.Grow(mats.machines[:0], nm+1), u.machines...)
 	in := &Instance{
-		Horizon: horizon,
-		// Room for the fake node the online model appends.
-		Machines:  append(make([]Machine, 0, nm+1), u.machines...),
+		Horizon:   horizon,
+		Machines:  mats.machines,
 		Stores:    u.stores,
 		CoMachine: u.coMachine,
 		storeUnit: u.storeUnit,
+		mats:      mats,
 	}
 
 	// Cost and bandwidth matrices from the zone rows: a machine row is
 	// its zone's, but for the co-located store, read locally and free; a
 	// store row is its zone's, but for itself, where a move is free.
 	// The storage is pooled: every entry is written here.
-	in.mats = matrixPool.Get().(*matrices)
 	in.MSPerMBMC, in.BandwidthMBps = in.mats.ms.matrix(nm, ns, nm+1), in.mats.bw.matrix(nm, ns, nm+1)
 	for l, z := range u.machineZone {
 		copy(in.MSPerMBMC[l], u.priceRows[z])
@@ -462,15 +465,19 @@ func (b *matrixBuf) matrix(rows, cols, capRows int) [][]float64 {
 	return b.rows
 }
 
-// matrices is the storage of an instance's MS, B and SS matrices.
-type matrices struct{ ms, bw, ss matrixBuf }
+// matrices is the storage of an instance's MS, B and SS matrices and of
+// its Machines.
+type matrices struct {
+	ms, bw, ss matrixBuf
+	machines   []Machine
+}
 
 // matrixPool holds the matrices of released instances: Units.Instance
 // refills them every epoch, and OnlineColGen.Release returns them.
 var matrixPool = sync.Pool{New: func() any { return new(matrices) }}
 
-// releaseMatrices returns in's pooled matrices, if it has any, and nils
-// the three fields that shared them.
+// releaseMatrices returns in's pooled matrices and machines, if it has
+// any, and nils the four fields that shared them.
 func (in *Instance) releaseMatrices() {
 	if in.mats == nil {
 		return
@@ -478,8 +485,9 @@ func (in *Instance) releaseMatrices() {
 	for _, b := range []*matrixBuf{&in.mats.ms, &in.mats.bw, &in.mats.ss} {
 		clear(b.rows[:cap(b.rows)]) // AddFakeNode's rows are not ours to keep
 	}
+	clear(in.mats.machines[:cap(in.mats.machines)]) // nor the nodes and names the units own
 	matrixPool.Put(in.mats)
-	in.mats, in.MSPerMBMC, in.BandwidthMBps, in.SSPerMBMC = nil, nil, nil, nil
+	in.mats, in.MSPerMBMC, in.BandwidthMBps, in.SSPerMBMC, in.Machines = nil, nil, nil, nil, nil
 }
 
 // StoreUnit returns the store unit holding concrete store s. It reports

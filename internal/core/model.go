@@ -363,7 +363,7 @@ func (m *Model) Solve(opts lp.Options) (*Plan, error) {
 		return nil, &SolveError{Kind: m.Kind, Status: sol.Status, Stats: sol.Stats,
 			Rows: m.prob.NumCons(), Cols: m.prob.NumVars()}
 	}
-	return m.extract(sol), nil
+	return m.extract(sol, new(matrixBuf)), nil
 }
 
 // SolveError is a solve that ended without an optimum: the final status,
@@ -384,8 +384,9 @@ func (e *SolveError) Error() string {
 	return fmt.Sprintf("core: %s model: solver status %v after %d iterations", e.Kind, e.Status, e.Stats.Iters)
 }
 
-// extract converts an LP solution into a Plan.
-func (m *Model) extract(sol *lp.Solution) *Plan {
+// extract converts an LP solution into a Plan, its dense XD on xd's
+// storage.
+func (m *Model) extract(sol *lp.Solution, xd *matrixBuf) *Plan {
 	in := m.In
 	p := &Plan{
 		In: in, ObjectiveMC: sol.Objective,
@@ -402,10 +403,10 @@ func (m *Model) extract(sol *lp.Solution) *Plan {
 			p.XT[k][[2]int{l, store}] = f
 		}
 	})
-	p.XD = make([][]float64, len(in.Data))
+	p.XD = xd.matrix(len(in.Data), len(in.Stores), len(in.Data))
+	clear(xd.flat)
 	p.XDFlows = make([]map[[2]int]float64, len(in.Data))
 	for i := range in.Data {
-		p.XD[i] = make([]float64, len(in.Stores))
 		p.XDFlows[i] = make(map[[2]int]float64)
 		for oi, o := range ly.origins[ly.originOff[i]:ly.originOff[i+1]] {
 			for j := range in.Stores {

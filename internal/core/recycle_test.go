@@ -144,7 +144,7 @@ func runMaster(t *testing.T, cg *OnlineColGen) masterRun {
 	case sol.Status != lp.Optimal:
 		run.Err = sol.Status.String()
 	default:
-		plan := cg.m.extract(sol)
+		plan := cg.m.extract(sol, &cg.xd)
 		run.Objective, run.XT, run.XD = math.Float64bits(plan.ObjectiveMC), plan.XT, plan.XD
 		run.Rounded = plan.Round()
 		run.Rounded.Plan = nil // holds the instance, which differs by address

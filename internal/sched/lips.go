@@ -77,6 +77,8 @@ type LiPS struct {
 	rrStore map[int]int
 	units   *core.Units // the cluster's units, built on the run's first epoch
 	prevHot []string    // names of every unit that has carried work since Init (the master's seed hints)
+	unitIdx map[string]int
+	scratch applyScratch
 
 	lastEpoch EpochRecord // most recent epoch (see LastEpochStats)
 
@@ -258,7 +260,7 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 	// greedy units, so the first pricing round already holds the likely
 	// support. The master's build is on the build clock, its pricing
 	// loop alone on the solve clock.
-	opts := core.ColGenOptions{LP: lp.Options{MaxIters: l.maxIters}, SeedMachines: seedMachines(in, l.prevHot)}
+	opts := core.ColGenOptions{LP: lp.Options{MaxIters: l.maxIters}, SeedMachines: l.seedMachines(in)}
 	master, err := core.NewOnlineColGen(in, opts)
 	if err != nil {
 		l.fail(err)
@@ -368,22 +370,17 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 	// Reconcile each input job's pending blocks with its item's moves:
 	// blocks already on a wanted unit stay; surplus blocks move to
 	// deficit units. Track per-task (store, readyAt).
-	type taskLoc struct {
-		store   cluster.StoreID
-		unit    int
-		readyAt float64
-	}
-	locs := make([][]taskLoc, len(queued)) // qi → position in pendingOf[qi] → location
-	want := make([]int, len(in.Stores))    // per store unit: the blocks the item still owes it
+	sc := &l.scratch
+	sc.reset(s, in, queued, pendingOf)
+	locs, want := sc.locs, sc.want
 	moves := ip.Moves
 	for qi := range queued {
-		job := s.W.Jobs[queued[qi]]
-		if !job.HasInput() {
-			continue
+		loc := locs[qi]
+		if loc == nil {
+			continue // no input
 		}
+		job := s.W.Jobs[queued[qi]]
 		pending := pendingOf[qi]
-		loc := make([]taskLoc, len(pending))
-		locs[qi] = loc
 		item := in.Jobs[qi].Data
 		obj := s.W.Objects[job.Object]
 		var run []core.DataMove // the item's moves, ascending by store
@@ -396,7 +393,7 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 		// with a relocation still in flight (issued by an earlier epoch,
 		// then orphaned by a crash or re-plan) are pinned to that move's
 		// destination rather than raced with a second move.
-		var homeless []int // positions in pending
+		homeless := sc.homeless[:0] // positions in pending
 		for p, t := range pending {
 			if dst, doneAt, inFlight := s.BlockMove(int(obj.ID), t); inFlight {
 				u := unitOf(dst)
@@ -444,11 +441,12 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 			blocksMoved++
 			loc[p] = taskLoc{store: dst, unit: best, readyAt: doneAt}
 		}
+		sc.homeless = homeless
 	}
 
 	// Assign tasks per (job, machine unit, store unit) count, each job's
 	// run ascending by (machine, store).
-	buckets := newUnitBuckets(len(in.Stores))
+	buckets := &sc.buckets
 	rest := ip.Assignments
 	for qi := range queued {
 		j := queued[qi]
@@ -461,7 +459,9 @@ func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queue
 			}
 			return loc[p].unit
 		}
-		taken := make([]bool, len(pending)) // by position in pending
+		taken := slices.Grow(sc.taken[:0], len(pending))[:len(pending)] // by position in pending
+		clear(taken)
+		sc.taken = taken
 		buckets.fill(len(pending), unitAt)
 		for _, a := range assignments {
 			unit := a.Store
@@ -519,25 +519,72 @@ func addHotNames(names []string, in *core.Instance, p *core.Plan) []string {
 	return names
 }
 
-// seedMachines resolves hot-machine names against this epoch's instance;
-// units that left the cluster simply drop out.
-func seedMachines(in *core.Instance, names []string) []int {
-	if len(names) == 0 {
+// seedMachines resolves the hot-machine names against this epoch's
+// instance; units that left the cluster simply drop out. The name index
+// is rebuilt in one map kept across epochs.
+func (l *LiPS) seedMachines(in *core.Instance) []int {
+	if len(l.prevHot) == 0 {
 		return nil
 	}
-	idx := make(map[string]int, len(in.Machines))
-	for l, m := range in.Machines {
+	if l.unitIdx == nil {
+		l.unitIdx = make(map[string]int, len(in.Machines))
+	}
+	clear(l.unitIdx)
+	for u, m := range in.Machines {
 		if !m.Fake {
-			idx[m.Name] = l
+			l.unitIdx[m.Name] = u
 		}
 	}
 	var out []int
-	for _, n := range names {
-		if l, ok := idx[n]; ok {
-			out = append(out, l)
+	for _, n := range l.prevHot {
+		if u, ok := l.unitIdx[n]; ok {
+			out = append(out, u)
 		}
 	}
 	return out
+}
+
+// taskLoc is where apply leaves one pending block: its store and unit,
+// and when it is there.
+type taskLoc struct {
+	store   cluster.StoreID
+	unit    int
+	readyAt float64
+}
+
+// applyScratch is apply's storage, kept across epochs so a steady epoch
+// allocates none of it once it has grown.
+type applyScratch struct {
+	locs     [][]taskLoc // qi → position in pendingOf[qi] → location; nil without input
+	loc      []taskLoc   // the input jobs' locations, back to back
+	want     []int       // per store unit: the blocks the item still owes it
+	homeless []int       // one job's positions without a wanted unit
+	taken    []bool      // one job's positions already assigned
+	buckets  unitBuckets
+}
+
+// reset sizes the scratch for one epoch's queued jobs. Every location it
+// hands out is written before it is read.
+func (sc *applyScratch) reset(s *sim.Sim, in *core.Instance, queued []int, pendingOf [][]int) {
+	n := 0
+	for qi, j := range queued {
+		if s.W.Jobs[j].HasInput() {
+			n += len(pendingOf[qi])
+		}
+	}
+	sc.loc = slices.Grow(sc.loc[:0], n)[:n]
+	sc.locs = slices.Grow(sc.locs[:0], len(queued))[:len(queued)]
+	off := 0
+	for qi, j := range queued {
+		sc.locs[qi] = nil
+		if s.W.Jobs[j].HasInput() {
+			end := off + len(pendingOf[qi])
+			sc.locs[qi] = sc.loc[off:end:end]
+			off = end
+		}
+	}
+	sc.want = slices.Grow(sc.want[:0], len(in.Stores))[:len(in.Stores)]
+	sc.buckets.reset(len(in.Stores))
 }
 
 // unitBuckets hands out one queued job's pending positions by data unit:
@@ -550,9 +597,11 @@ type unitBuckets struct {
 	next, end []int32 // per unit: the next index into pos to try, and its group's end
 }
 
-func newUnitBuckets(units int) *unitBuckets {
+// reset readies b for jobs over the given number of data units.
+func (b *unitBuckets) reset(units int) {
 	units = max(units, 1) // a job without input puts every position in unit 0
-	return &unitBuckets{next: make([]int32, units), end: make([]int32, units)}
+	b.next = slices.Grow(b.next[:0], units)[:units]
+	b.end = slices.Grow(b.end[:0], units)[:units]
 }
 
 // fill buckets positions 0..n-1 by unitAt.

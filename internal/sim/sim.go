@@ -192,9 +192,9 @@ const (
 )
 
 // eventKind discriminates the typed events of the hot loop. Closures are
-// reserved for the rare paths (fault injection, block moves, shared-link
-// flows); everything the steady state schedules is a small struct in the
-// heap's backing slice, so an event costs no allocation at all.
+// reserved for the rare paths (fault injection, shared-link flows);
+// everything the steady state schedules is a small struct in the heap's
+// backing slice, so an event costs no allocation at all.
 // Every event is pointer-free: a closure event carries the index of its
 // func in Sim.fns, so a sift moves plain words past no write barrier and
 // the collector never scans the heap.
@@ -207,6 +207,7 @@ const (
 	evComplete                  // a0 = job, a1 = task, a2 = gen, a3 = 1 if speculative
 	evTimeout                   // a0 = job, a1 = task, a2 = gen
 	evSnapshot                  // periodic sample or gauge refresh, self-rearming
+	evLand                      // a0 = object, a1 = block, a2 = destination store
 )
 
 // event is one scheduled occurrence; seq breaks same-time ties by
@@ -640,6 +641,8 @@ func (s *Sim) exec(ev *event) {
 		s.completeEvent(int(ev.a0), int(ev.a1), ev.a2, ev.a3 == 1)
 	case evTimeout:
 		s.timeoutEvent(int(ev.a0), int(ev.a1), ev.a2)
+	case evLand:
+		s.land(int(ev.a0), int(ev.a1), cluster.StoreID(ev.a2))
 	case evSnapshot:
 		s.snapshot()
 		if s.remaining > 0 {

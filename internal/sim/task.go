@@ -586,17 +586,22 @@ func (s *Sim) MoveBlock(obj int, block int, dst cluster.StoreID) float64 {
 	mv.moves++
 	mv.dst, mv.doneAt = dst, doneAt
 	s.movingBlocks[key] = mv
-	s.At(doneAt, func() {
-		s.P.SetPrimary(j.ID, block, dst)
-		mv := s.movingBlocks[key]
-		mv.moves--
-		if mv.moves <= 0 {
-			delete(s.movingBlocks, key)
-		} else {
-			s.movingBlocks[key] = mv
-		}
-	})
+	s.schedule(doneAt, evLand, int32(obj), int32(block), int32(dst), 0)
 	return doneAt
+}
+
+// land lands a MoveBlock transfer (evLand): the block's primary copy is
+// on dst from now on.
+func (s *Sim) land(obj, block int, dst cluster.StoreID) {
+	s.P.SetPrimary(s.W.Objects[obj].ID, block, dst)
+	key := [2]int{obj, block}
+	mv := s.movingBlocks[key]
+	mv.moves--
+	if mv.moves <= 0 {
+		delete(s.movingBlocks, key)
+	} else {
+		s.movingBlocks[key] = mv
+	}
 }
 
 // BlockMove reports whether a MoveBlock transfer for (obj, block) is
