@@ -30,9 +30,12 @@ loc:
 # Every lips/internal function no shipped entry point runs, held to
 # testdata/unexercised.allow (~45 s). The traffic, all built with -cover:
 # bench runs every workload for a second; lips-sim runs LiPS, FIFO, Delay
-# and Fair on faulted paper20 and paper100 SWIM days, then one faulted day
-# traced as JSON lines and one as a Chrome trace; lips-trace reads the
-# JSON-lines trace in its report, -metrics, -by-job and -csv modes;
+# and Fair on faulted paper20 and paper100 SWIM days, then one faulted
+# paper-workload run traced as JSON lines and one as a Chrome trace (a
+# SWIM day's first task starts after every fault has fired; here a crash
+# kills running attempts, and the target fails if the trace holds no
+# kill); lips-trace reads the JSON-lines trace in its report, -metrics,
+# -by-job and -csv modes;
 # lips-bench runs every experiment at quick scale; each examples/ binary
 # runs once; scripts/smoke.sh runs as it stands under GOFLAGS=-cover.
 # Printed: the functions left at 0.0%, then every lips/internal package
@@ -50,8 +53,9 @@ unexercised:
 		"$$b/lips-sim" -scheduler $$s -cluster $$c -workload swim \
 			-faults 3 -fault-stores 1 -fault-slowdowns 1 -speculative >/dev/null; \
 	done; done; \
-	run="-workload swim -jobs 40 -faults 2 -fault-stores 1 -fault-slowdowns 2 -speculative -sample-interval 120"; \
+	run="-workload paper -faults 2 -fault-stores 1 -fault-slowdowns 2 -speculative -sample-interval 120"; \
 	"$$b/lips-sim" $$run -trace "$$d/run.jsonl" >/dev/null; \
+	grep -q '"kind":"kill"' "$$d/run.jsonl" || { echo "unexercised: the traced run kills no attempt" >&2; exit 1; }; \
 	"$$b/lips-sim" $$run -trace "$$d/run.json" -trace-format chrome >/dev/null; \
 	for m in "" -metrics "-by-job 5" "-csv $$d/run.csv" "-by-job 5 -csv $$d/jobs.csv"; do \
 		"$$b/lips-trace" $$m "$$d/run.jsonl" >/dev/null; \
