@@ -79,8 +79,8 @@ func newStream(t *testing.T, spec cluster.RandomSpec, perEpoch, epochs int, chur
 }
 
 // noGC runs f with the collector off and on one P, and restores both
-// settings. The epoch draws its LP, instance matrices and simplex
-// workspace from sync.Pools. A collection empties them, and a Get on
+// settings. The epoch draws its LP, instance matrices, simplex workspace
+// and scratch from sync.Pools. A collection empties them, and a Get on
 // another P than the last Put's misses the item, so a count taken on the
 // default runtime drifts with when a collection runs and where the
 // goroutine is scheduled. Under noGC every measured epoch finds the pools
@@ -122,9 +122,9 @@ func (st *stream) steady(t *testing.T, warmup, measured int, measure func(epoch 
 // grep jobs admitted before each, measured long after the first epochs
 // have sized every reused workspace. The budget covers admission, the
 // simulated epoch and planEpoch together; the restricted master with its
-// solution vectors, the instance matrices and machines and the simplex
-// workspace come from pools, apply's and the seed's scratch is kept
-// across epochs, and a block move's landing is a typed event, so what
+// solution vectors, the instance matrices and machines, the simplex
+// workspace and apply's and the seed's scratch come from pools, and a
+// block move's landing is a typed event, so what
 // remains is mostly the plan and the admitted jobs' records: 207–217
 // allocations, where fresh solution vectors every round, apply's scratch
 // and a closure per move cost 300–309, a map-based greedy seed plan,

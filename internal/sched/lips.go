@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"lips/internal/cluster"
@@ -77,8 +78,6 @@ type LiPS struct {
 	rrStore map[int]int
 	units   *core.Units // the cluster's units, built on the run's first epoch
 	prevHot []string    // names of every unit that has carried work since Init (the master's seed hints)
-	unitIdx map[string]int
-	scratch applyScratch
 
 	lastEpoch EpochRecord // most recent epoch (see LastEpochStats)
 
@@ -260,7 +259,9 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 	// greedy units, so the first pricing round already holds the likely
 	// support. The master's build is on the build clock, its pricing
 	// loop alone on the solve clock.
-	opts := core.ColGenOptions{LP: lp.Options{MaxIters: l.maxIters}, SeedMachines: l.seedMachines(in)}
+	sc := scratchPool.Get().(*epochScratch)
+	defer scratchPool.Put(sc)
+	opts := core.ColGenOptions{LP: lp.Options{MaxIters: l.maxIters}, SeedMachines: sc.seedMachines(in, l.prevHot)}
 	master, err := core.NewOnlineColGen(in, opts)
 	if err != nil {
 		l.fail(err)
@@ -304,7 +305,7 @@ func (l *LiPS) planEpoch(s *sim.Sim, queued []int, pendingOf [][]int) int {
 
 	ip := plan.Round()
 	rounded := time.Now()
-	r.Launched, r.BlocksMoved = l.apply(s, in, ip, queued, pendingOf)
+	r.Launched, r.BlocksMoved = l.apply(s, sc, in, ip, queued, pendingOf)
 	applied := time.Now()
 
 	r.Deferred = r.Pending - r.Launched
@@ -364,13 +365,12 @@ func (l *LiPS) buildInstance(s *sim.Sim, jobs []workload.Job, objects []hdfs.Dat
 // order: queued job qi is the instance's job qi, and the input jobs'
 // sub-objects are its data items in queued order, so each job's run of
 // assignments and each item's run of moves comes next in turn.
-func (l *LiPS) apply(s *sim.Sim, in *core.Instance, ip *core.IntegralPlan, queued []int, pendingOf [][]int) (launched, blocksMoved int) {
+func (l *LiPS) apply(s *sim.Sim, sc *epochScratch, in *core.Instance, ip *core.IntegralPlan, queued []int, pendingOf [][]int) (launched, blocksMoved int) {
 	unitOf := func(st cluster.StoreID) int { u, _ := in.StoreUnit(st); return u }
 
 	// Reconcile each input job's pending blocks with its item's moves:
 	// blocks already on a wanted unit stay; surplus blocks move to
 	// deficit units. Track per-task (store, readyAt).
-	sc := &l.scratch
 	sc.reset(s, in, queued, pendingOf)
 	locs, want := sc.locs, sc.want
 	moves := ip.Moves
@@ -519,25 +519,24 @@ func addHotNames(names []string, in *core.Instance, p *core.Plan) []string {
 	return names
 }
 
-// seedMachines resolves the hot-machine names against this epoch's
-// instance; units that left the cluster simply drop out. The name index
-// is rebuilt in one map kept across epochs.
-func (l *LiPS) seedMachines(in *core.Instance) []int {
-	if len(l.prevHot) == 0 {
+// seedMachines resolves hot-machine names against this epoch's instance;
+// units that left the cluster simply drop out.
+func (sc *epochScratch) seedMachines(in *core.Instance, names []string) []int {
+	if len(names) == 0 {
 		return nil
 	}
-	if l.unitIdx == nil {
-		l.unitIdx = make(map[string]int, len(in.Machines))
+	if sc.unitIdx == nil {
+		sc.unitIdx = make(map[string]int, len(in.Machines))
 	}
-	clear(l.unitIdx)
+	clear(sc.unitIdx)
 	for u, m := range in.Machines {
 		if !m.Fake {
-			l.unitIdx[m.Name] = u
+			sc.unitIdx[m.Name] = u
 		}
 	}
 	var out []int
-	for _, n := range l.prevHot {
-		if u, ok := l.unitIdx[n]; ok {
+	for _, n := range names {
+		if u, ok := sc.unitIdx[n]; ok {
 			out = append(out, u)
 		}
 	}
@@ -552,9 +551,9 @@ type taskLoc struct {
 	readyAt float64
 }
 
-// applyScratch is apply's storage, kept across epochs so a steady epoch
-// allocates none of it once it has grown.
-type applyScratch struct {
+// epochScratch is the storage of seedMachines' name index and of apply.
+type epochScratch struct {
+	unitIdx  map[string]int
 	locs     [][]taskLoc // qi → position in pendingOf[qi] → location; nil without input
 	loc      []taskLoc   // the input jobs' locations, back to back
 	want     []int       // per store unit: the blocks the item still owes it
@@ -563,9 +562,14 @@ type applyScratch struct {
 	buckets  unitBuckets
 }
 
-// reset sizes the scratch for one epoch's queued jobs. Every location it
-// hands out is written before it is read.
-func (sc *applyScratch) reset(s *sim.Sim, in *core.Instance, queued []int, pendingOf [][]int) {
+// scratchPool holds epoch scratch, as core's masterPool holds masters: a
+// planner reuses one every epoch, and an idle one keeps nothing past two
+// garbage collections.
+var scratchPool = sync.Pool{New: func() any { return new(epochScratch) }}
+
+// reset sizes apply's scratch for one epoch's queued jobs. Every location
+// it hands out is written before it is read.
+func (sc *epochScratch) reset(s *sim.Sim, in *core.Instance, queued []int, pendingOf [][]int) {
 	n := 0
 	for qi, j := range queued {
 		if s.W.Jobs[j].HasInput() {

@@ -160,13 +160,14 @@ func (s *Sim) JobStateCounts(job int) (pending, queued, running, done int) {
 }
 
 // AddJob appends a job to the live workload and schedules its arrival,
-// growing the task table by whole pages, the state counters and (for input jobs)
-// the HDFS placement in place. The job's ID, Object and InputMB fields
-// are assigned here; its ArrivalSec is clamped to the current clock. For
-// input jobs pass the data object (sized by obj.SizeMB; NumTasks is
-// derived from the block count); the object lands fully on obj.Origin,
-// exactly like a fresh upload. Only legal after Start. Every check runs
-// before the first append, so a rejected job leaves nothing behind.
+// growing the task table by whole pages, the state counters and (for input
+// jobs) the HDFS placement in place. The job's ID, Object and InputMB
+// fields are assigned here; its ArrivalSec is clamped to the current
+// clock. For input jobs pass the data object (sized by obj.SizeMB;
+// NumTasks is derived from the block count); the object lands fully on
+// obj.Origin, exactly like a fresh upload. Only legal after Start. Every
+// check runs before the first append, so a rejected job leaves nothing
+// behind.
 func (s *Sim) AddJob(job workload.Job, obj *hdfs.DataObject) (int, error) {
 	if !s.started {
 		return 0, fmt.Errorf("sim: AddJob before Start")
@@ -216,7 +217,7 @@ func (s *Sim) AddJob(job workload.Job, obj *hdfs.DataObject) (int, error) {
 	s.jobs = append(s.jobs, newJobState(job.NumTasks))
 	s.taskBase = append(s.taskBase, s.taskBase[j]+int32(job.NumTasks))
 	s.growTable(int(s.taskBase[j+1]))
-	s.initRows(j, job.NumTasks)
+	s.initRows(j)
 	s.stateCount[Pending] += job.NumTasks
 	s.unarrived += job.NumTasks
 	s.remaining++

@@ -9,9 +9,9 @@
 // completions, and act through Launch, Enqueue and MoveBlock.
 //
 // The core is sized for 10k-node clusters running millions of tasks: task
-// state lives in one index-addressed table of fixed-size pointer-free
-// pages (with the hot state column in its own byte pages), the event heap is a hand-rolled binary heap over
-// pointer-free typed event structs (the rare closure events keep their
+// state lives in one index-addressed table of pointer-free fixed-size
+// pages (with the hot state column in its own byte pages), the event heap
+// is a hand-rolled binary heap over pointer-free typed event structs (the rare closure events keep their
 // func in a side table), and free slots, running attempts, task-state
 // totals, the arrived jobs with their per-job task counts and each job's
 // tasks by input location are kept in incremental indexes (see index.go)
@@ -526,8 +526,8 @@ func New(c *cluster.Cluster, w *workload.Workload, p *hdfs.Placement, sched Sche
 		s.books[j] = s.resolveBook(j)
 	}
 	s.growTable(total)
-	for j, job := range w.Jobs {
-		s.initRows(j, job.NumTasks)
+	for j := range w.Jobs {
+		s.initRows(j)
 	}
 	s.stateCount[Pending] = total
 	s.unarrived = total
@@ -578,12 +578,12 @@ func (s *Sim) growTable(total int) {
 	}
 }
 
-// initRows writes the rows of job j's tasks tasks, at the table's room
-// from taskBase[j].
-func (s *Sim) initRows(j, tasks int) {
+// initRows writes the rows of job j's tasks, taskBase[j] to
+// taskBase[j+1].
+func (s *Sim) initRows(j int) {
 	base := s.taskBase[j]
-	for t := int32(0); t < int32(tasks); t++ {
-		*s.row(base + t) = taskInfo{job: int32(j), idx: t, qNode: -1, spec: -1, attempt: attempt{runPos: -1}}
+	for f := base; f < s.taskBase[j+1]; f++ {
+		*s.row(f) = taskInfo{job: int32(j), idx: f - base, qNode: -1, spec: -1, attempt: attempt{runPos: -1}}
 	}
 }
 
