@@ -33,9 +33,9 @@ import (
 // (Model.parkedBasis), so a master needs no phase 1.
 //
 // A master's storage — the LP, the layout, the price classes, the
-// solution vectors — comes from a pool and goes back on Release, so a
-// process that plans every epoch rewrites one master's slices instead of
-// allocating them anew.
+// solution vectors, the plan's XD — comes from a pool and goes back on
+// Release, so a process that plans every epoch rewrites one master's
+// slices instead of allocating them anew.
 type OnlineColGen struct {
 	*master // nil once released
 }

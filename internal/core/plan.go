@@ -17,7 +17,8 @@ import (
 // transportation decomposition behind XD. A solved model sets both, and
 // LocalOnlyPlan, whose placement was an input, sets neither: computeCosts
 // sees the two both set or both nil and prices placement from XDFlows
-// alone.
+// alone. A column-generation plan's XD and Basis are its master's storage
+// and go with it on OnlineColGen.Release.
 type Plan struct {
 	In *Instance
 
@@ -50,8 +51,7 @@ type Plan struct {
 
 	// Basis is the optimal simplex basis, reusable as lp.Options.WarmStart
 	// on a later solve of an LP with the same shape. Nil when the solver
-	// could not express one. A column-generation plan's is the master's,
-	// and goes with it on Release.
+	// could not express one.
 	Basis *lp.Basis
 }
 
