@@ -15,8 +15,8 @@ import (
 // one ending exactly on a boundary, one larger than two pages, one of a
 // single task, then more of each kind through AddJob mid-run. Every row
 // must hold its own (job, idx), a row's address must survive the table's
-// growth, and the incremental indexes must agree with a recount before,
-// during and after the run.
+// growth, and the incremental indexes must agree with a recount after
+// each added job, during the run and at its end.
 func TestTablePages(t *testing.T) {
 	wb := workload.NewBuilder()
 	for i, n := range []int{1, pageRows - 1, 2*pageRows + 452, pageRows, 7} {
